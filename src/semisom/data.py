@@ -97,13 +97,25 @@ def _strip_quotes(token: str) -> str:
     return token
 
 
+def _require_finite(path, patterns: np.ndarray,
+                    rows: list[tuple[int, list[str]]],
+                    names: list[str]) -> None:
+    """Reject ``nan``/``inf`` values, naming the first line holding one."""
+    if np.isfinite(patterns).all():
+        return
+    r, c = np.argwhere(~np.isfinite(patterns))[0]
+    raise DataFormatError(
+        f"{path}:{rows[r][0]}: non-finite value {patterns[r, c]} in "
+        f"{names[c]!r}")
+
+
 def load_arff(path) -> Dataset:
     """Load the ARFF subset: numeric attributes plus one nominal class.
 
     The class attribute is the one named ``class`` (any case) or, failing
     that, the last declared attribute, which must be nominal. Any other
-    nominal attribute is rejected. Malformed lines raise
-    ``DataFormatError`` carrying the offending line number.
+    nominal attribute is rejected. Malformed lines, ``nan`` and ``inf``
+    included, raise ``DataFormatError`` carrying the offending line number.
     """
     path = Path(path)
     attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
@@ -187,6 +199,7 @@ def load_arff(path) -> Dataset:
             raise DataFormatError(
                 f"{path}:{lineno}: undeclared class value {token!r}")
         labels[r] = value_ids[token]
+    _require_finite(path, patterns, rows, [attrs[i][0] for i in feature_idx])
     return Dataset(
         patterns=patterns,
         labels=labels,
@@ -200,7 +213,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
     Without an explicit ``label_column`` a column named ``class`` (any
     case) is used when present; otherwise every row is unlabeled. Class
-    ids follow first appearance order.
+    ids follow first appearance order. Malformed lines, ``nan`` and ``inf``
+    included, raise ``DataFormatError`` carrying the offending line number.
     """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
@@ -248,6 +262,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 value_ids[token] = len(class_names)
                 class_names.append(token)
             labels[r] = value_ids[token]
+    _require_finite(path, patterns, body, [header[i] for i in feature_idx])
     return Dataset(
         patterns=patterns,
         labels=labels,

@@ -12,7 +12,7 @@ and similar relevance profiles are linked as neighbors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -68,6 +68,10 @@ class HyperParams:
 
     def validate(self) -> None:
         """Raise ``ValueError`` if any parameter is outside its domain."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.a_t < 1.0:
             raise ValueError(f"a_t must lie in (0, 1), got {self.a_t}")
         if self.lp <= 0.0:
@@ -130,14 +134,7 @@ def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     """
     if slope <= 0.0:
         raise ValueError(f"slope must be positive, got {slope}")
-    d = np.asarray(dist_avg, dtype=float)
-    dmin = d.min(axis=-1, keepdims=True)
-    dmax = d.max(axis=-1, keepdims=True)
-    mean = d.mean(axis=-1, keepdims=True)
-    spread = dmax - dmin
-    safe = np.where(spread > 0.0, spread, 1.0)
-    rel = expit((mean - d) / (slope * safe))
-    return np.where(spread > 0.0, rel, 1.0)
+    return _relevances(np.asarray(dist_avg, dtype=float), slope)
 
 
 def weighted_distance(x: np.ndarray, node: Node) -> float:
@@ -146,13 +143,8 @@ def weighted_distance(x: np.ndarray, node: Node) -> float:
     With all relevances at one this is the Euclidean distance; dimensions
     with zero relevance are ignored entirely.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != node.center.shape:
-        raise ValueError(
-            f"pattern has shape {x.shape}, node expects {node.center.shape}"
-        )
-    diff = x - node.center
-    return float(np.sqrt(np.dot(node.relevance * diff, diff)))
+    x = _check_pattern(x, node)
+    return float(_distances(node.center[None], node.relevance[None], x)[0])
 
 
 def activation(x: np.ndarray, node: Node, eps: float = ACTIVATION_EPS) -> float:
@@ -163,9 +155,10 @@ def activation(x: np.ndarray, node: Node, eps: float = ACTIVATION_EPS) -> float:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    dist = weighted_distance(x, node)
-    mass = float(node.relevance.sum())
-    return mass / (mass + dist + eps)
+    x = _check_pattern(x, node)
+    rel = node.relevance[None]
+    return float(_activations(node.center[None], rel, rel.sum(axis=1), x,
+                              eps)[0])
 
 
 def update_node(node: Node, x: np.ndarray, lr: float, beta: float,
@@ -178,11 +171,7 @@ def update_node(node: Node, x: np.ndarray, lr: float, beta: float,
     the center finally steps by ``lr`` along ``x - center``. The node is
     modified in place and returned.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != node.center.shape:
-        raise ValueError(
-            f"pattern has shape {x.shape}, node expects {node.center.shape}"
-        )
+    x = _check_pattern(x, node)
     node.relevance = _shift_vectors(node.center, node.dist_avg, x, lr, beta,
                                     slope)
     return node
@@ -194,38 +183,65 @@ def connected(a: Node, b: Node, minwd: float) -> bool:
     Requires label compatibility (equal labels, or at least one side
     unlabeled) and relevance profiles closer than ``minwd * sqrt(m)``.
     """
-    if a.label != NO_CLASS and b.label != NO_CLASS and a.label != b.label:
-        return False
-    m = a.relevance.shape[-1]
-    gap = float(np.linalg.norm(a.relevance - b.relevance))
-    return gap < minwd * math.sqrt(m)
+    return bool(_linked(a.relevance[None], np.array([a.label]), b.relevance,
+                        b.label, minwd)[0])
 
 
-def _relevances_1d(dist_avg: np.ndarray, slope: float) -> np.ndarray:
-    """Single-vector fast path of ``compute_relevances``."""
-    dmin = dist_avg.min()
-    dmax = dist_avg.max()
-    if dmin == dmax:
-        return np.ones_like(dist_avg)
-    z = dist_avg.mean() - dist_avg
-    z /= slope * (dmax - dmin)
-    return expit(z, out=z)
+def _check_pattern(x, node: Node) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != node.center.shape:
+        raise ValueError(
+            f"pattern has shape {x.shape}, node expects {node.center.shape}"
+        )
+    return x
 
 
-def _relevances_rows(dist_avg: np.ndarray, slope: float) -> np.ndarray:
-    """Row-batch fast path of ``compute_relevances``."""
-    dmin = dist_avg.min(axis=1, keepdims=True)
-    dmax = dist_avg.max(axis=1, keepdims=True)
-    spread = dmax - dmin
-    has_flat = bool((spread == 0.0).any())
+def _relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
+    """Relevance transform along the last axis; ``slope`` is not checked.
+
+    Works on the transpose, so the statistics of a row batch broadcast
+    without reshaping and those of a single vector stay numpy scalars.
+    """
+    d = dist_avg.T
+    dmin = np.minimum.reduce(d)
+    spread = np.maximum.reduce(d) - dmin
+    flat = spread == 0.0  # equal components: every weight is one
+    has_flat = np.count_nonzero(flat) > 0
     if has_flat:
-        spread = np.where(spread == 0.0, 1.0, spread)
-    z = dist_avg.mean(axis=1, keepdims=True) - dist_avg
+        spread = np.where(flat, 1.0, spread)
+    z = np.add.reduce(d) / d.shape[0] - d
     z /= slope * spread
-    rel = expit(z, out=z)
+    rel = expit(z, out=z).T
     if has_flat:
-        rel[(dmax == dmin).ravel()] = 1.0
+        rel[flat] = 1.0
     return rel
+
+
+def _distances(centers: np.ndarray, rel: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """Relevance-weighted distance from ``x`` to each row of ``centers``."""
+    diff = centers - x
+    np.multiply(diff, diff, out=diff)
+    dist = np.einsum("ij,ij->i", rel, diff)
+    return np.sqrt(dist, out=dist)
+
+
+def _activations(centers: np.ndarray, rel: np.ndarray, mass: np.ndarray,
+                 x: np.ndarray, eps: float) -> np.ndarray:
+    """Activation of each row for ``x``; ``mass`` holds the relevance sums."""
+    dist = _distances(centers, rel, x)
+    dist += mass
+    dist += eps
+    return np.divide(mass, dist, out=dist)
+
+
+def _linked(rel: np.ndarray, labels: np.ndarray, r: np.ndarray, label,
+            minwd: float) -> np.ndarray:
+    """Which rows of ``(rel, labels)`` qualify as neighbors of ``(r, label)``."""
+    diff = rel - r
+    gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    compat = (labels == label) | (labels == NO_CLASS) | (label == NO_CLASS)
+    return compat & (gap < minwd * math.sqrt(rel.shape[-1]))
 
 
 def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
@@ -243,10 +259,7 @@ def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
     step *= rate
     dist_avg += step
     np.maximum(dist_avg, 0.0, out=dist_avg)
-    if dist_avg.ndim == 1:
-        rel = _relevances_1d(dist_avg, slope)
-    else:
-        rel = _relevances_rows(dist_avg, slope)
+    rel = _relevances(dist_avg, slope)
     # convex form of the step toward x: exact at both lr = 0 and lr = 1
     centers *= 1.0 - lr
     centers += lr * x
@@ -279,8 +292,6 @@ class SomMap:
         # caches for the training hot loop
         self._rel_sums = np.zeros(node_budget)
         self._nbr: list[np.ndarray | None] = []
-        self._gather_centers = np.empty((node_budget, dim))
-        self._gather_dist = np.empty((node_budget, dim))
 
     # -- structure ---------------------------------------------------------
 
@@ -430,14 +441,8 @@ class SomMap:
         n = self._n
         if n == 0:
             raise ValueError("map has no nodes")
-        diff = self._centers[:n] - x
-        np.multiply(diff, diff, out=diff)
-        dist = np.einsum("ij,ij->i", self._rel[:n], diff)
-        np.sqrt(dist, out=dist)
-        mass = self._rel_sums[:n]
-        dist += mass
-        dist += ACTIVATION_EPS
-        return np.divide(mass, dist, out=dist)
+        return _activations(self._centers[:n], self._rel[:n],
+                            self._rel_sums[:n], x, ACTIVATION_EPS)
 
     def find_winner(self, x: np.ndarray) -> tuple[int, float]:
         """Most activated node for ``x``; ties go to the lowest index."""
@@ -482,10 +487,8 @@ class SomMap:
         if not len(indices):
             return
         idx = np.asarray(indices, dtype=np.intp)
-        k = idx.size
-        centers = np.take(self._centers, idx, axis=0,
-                          out=self._gather_centers[:k])
-        dist = np.take(self._dist, idx, axis=0, out=self._gather_dist[:k])
+        centers = self._centers[idx]
+        dist = self._dist[idx]
         rel = _shift_vectors(centers, dist, np.asarray(x, dtype=float), lr,
                              beta, slope)
         self._centers[idx] = centers
@@ -500,25 +503,18 @@ class SomMap:
         n = self._n
         rel = self._rel[:n]
         lab = self._labels[:n]
-        diff = rel[:, None, :] - rel[None, :, :]
-        gap = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        compat = ((lab[:, None] == lab[None, :])
-                  | (lab[:, None] == NO_CLASS)
-                  | (lab[None, :] == NO_CLASS))
-        linked = compat & (gap < minwd * math.sqrt(self.dim))
-        np.fill_diagonal(linked, False)
-        self._adj = [set(np.flatnonzero(row).tolist()) for row in linked]
+        self._adj = []
+        for i in range(n):
+            linked = _linked(rel, lab, rel[i], lab[i], minwd)
+            linked[i] = False
+            self._adj.append(set(np.flatnonzero(linked).tolist()))
         self._nbr = [None] * n
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
         n = self._n
-        rel = self._rel[:n]
-        lab = self._labels[:n]
-        diff = rel - rel[j]
-        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        compat = (lab == lab[j]) | (lab == NO_CLASS) | (lab[j] == NO_CLASS)
-        linked = compat & (gap < minwd * math.sqrt(self.dim))
+        linked = _linked(self._rel[:n], self._labels[:n], self._rel[j],
+                         self._labels[j], minwd)
         linked[j] = False
         fresh = set(np.flatnonzero(linked).tolist())
         stale = self._adj[j]

@@ -34,7 +34,11 @@ class TrainedModel:
 def save_model(path, som: SomMap, params: HyperParams, *,
                norm_stats: NormStats | None = None,
                class_names: tuple[str, ...] = ()) -> None:
-    """Write a model file; overwrites any existing file at ``path``."""
+    """Write a model file; overwrites any existing file at ``path``.
+
+    The file is always standard JSON: a ``nan`` or ``inf`` anywhere in the
+    model raises ``ValueError`` before anything is written.
+    """
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -56,7 +60,7 @@ def save_model(path, som: SomMap, params: HyperParams, *,
         ],
         "connections": [list(pair) for pair in som.connections],
     }
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

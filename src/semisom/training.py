@@ -49,10 +49,6 @@ class TrainState:
     t: int = 0
     phase: str = "organization"
     stats: TrainStats = field(default_factory=TrainStats)
-    # scratch for the fused winner+neighbor update: row 0 carries e_b,
-    # the rest e_n
-    _rates: np.ndarray | None = field(default=None, repr=False)
-    _batch: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_map(first_pattern: np.ndarray, first_label: int = NO_CLASS, *,
@@ -95,15 +91,10 @@ def _update_winner_and_neighbors(state: TrainState, j: int,
     som = state.som
     nb = som.neighbor_array(j)
     if nb.size:
-        if state._rates is None:
-            state._rates = np.full((som.node_budget + 1, 1), p.e_n)
-            state._rates[0, 0] = p.e_b
-            state._batch = np.empty(som.node_budget + 1, dtype=np.intp)
-        k = nb.size + 1
-        idx = state._batch[:k]
-        idx[0] = j
-        idx[1:] = nb
-        som.update_nodes(idx, x, state._rates[:k], p.beta, p.eps_beta)
+        rates = np.full((nb.size + 1, 1), p.e_n)
+        rates[0, 0] = p.e_b
+        som.update_nodes(np.concatenate(([j], nb)), x, rates, p.beta,
+                         p.eps_beta)
     else:
         som.update_node(j, x, p.e_b, p.beta, p.eps_beta)
     som.record_win(j)

@@ -66,6 +66,16 @@ def test_missing_data_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_train_rejects_non_finite_data(tmp_path, capsys):
+    csv_path = tmp_path / "nan.csv"
+    csv_path.write_text("f1,f2\n0.1,0.2\nnan,0.4\n0.5,inf\n",
+                        encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert main(["train", str(csv_path), "-o", str(out), "--quiet"]) == 2
+    assert "nan.csv:3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 1
 

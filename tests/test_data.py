@@ -104,6 +104,13 @@ def test_arff_non_numeric_value_is_error(tmp_path):
 
 # -- CSV ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_arff_non_finite_value_reports_line(tmp_path, token):
+    text = ARFF_OK + f"7.0,{token},large\n"
+    with pytest.raises(DataFormatError, match=r":13: non-finite .*'height'"):
+        load_arff(write(tmp_path, "nan.arff", text))
+
+
 def test_csv_with_class_header(tmp_path):
     ds = load_csv(write(tmp_path, "t.csv", "f1,f2,class\n1,2,a\n3,4,b\n"))
     assert ds.dim == 2 and len(ds) == 2
@@ -136,6 +143,13 @@ def test_csv_empty_file_is_error(tmp_path):
 def test_csv_ragged_row_reports_line(tmp_path):
     with pytest.raises(DataFormatError, match=":3"):
         load_csv(write(tmp_path, "t.csv", "f1,f2\n1,2\n3\n"))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_value_reports_line(tmp_path, token):
+    text = f"a,b,class\n1,2,x\n3,4,y\n5,{token},x\n"
+    with pytest.raises(DataFormatError, match=r":4: non-finite .*'b'"):
+        load_csv(write(tmp_path, "nan.csv", text))
 
 
 def test_csv_non_numeric_feature_is_error(tmp_path):

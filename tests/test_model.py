@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semisom import (NO_CLASS, HyperParams, MapFullError, Node, SomMap,
-                     activation, compute_relevances, connected, update_node,
-                     weighted_distance)
+from semisom import (ACTIVATION_EPS, NO_CLASS, HyperParams, MapFullError,
+                     Node, SomMap, activation, compute_relevances, connected,
+                     update_node, weighted_distance)
 from helpers import brute_connections, brute_winner, random_map
 
 
@@ -332,6 +332,55 @@ def test_rewire_node_matches_full_rebuild():
         assert [p for p in got if j in p] == [p for p in expected if j in p]
 
 
+# -- map: node update ---------------------------------------------------------
+
+def test_update_nodes_equals_sequential_updates():
+    rng = np.random.default_rng(41)
+    m = 6
+    x = rng.random(m)
+    nodes = [node_at(rng.random(m), relevance=rng.random(m),
+                     dist_avg=rng.random(m)) for _ in range(5)]
+    # centered on x with equal distance averages: the row stays flat
+    nodes.append(node_at(x.copy(), dist_avg=np.full(m, 0.2)))
+    batch = SomMap.from_nodes(m, 8, nodes)
+    single = SomMap.from_nodes(m, 8, nodes)
+    idx = np.array([5, 0, 3, 4])
+    rates = np.array([[0.1], [0.01], [-0.02], [0.0]])
+    batch.update_nodes(idx, x, rates, beta=0.3, slope=0.05)
+    for j, lr in zip(idx, rates[:, 0]):
+        single.update_node(int(j), x, float(lr), beta=0.3, slope=0.05)
+    for j in range(batch.n_nodes):
+        a, b = batch.node(j), single.node(j)
+        assert np.array_equal(a.center, b.center)
+        assert np.array_equal(a.dist_avg, b.dist_avg)
+        assert np.array_equal(a.relevance, b.relevance)
+    assert np.array_equal(batch.node(5).relevance, np.ones(m))
+    probe = rng.random(m)
+    assert np.array_equal(batch.activations(probe), single.activations(probe))
+
+
+def test_node_functions_match_map_kernels():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        som = random_map(rng)
+        x = rng.random(som.dim)
+        acts = som.activations(x)
+        for j in range(som.n_nodes):
+            node = som.node(j)
+            assert activation(x, node) == acts[j]
+            mass = node.relevance.sum()
+            dist = weighted_distance(x, node)
+            assert mass / (mass + dist + ACTIVATION_EPS) == acts[j]
+        j = int(rng.integers(som.n_nodes))
+        lr = float(rng.uniform(-0.1, 0.5))
+        node = update_node(som.node(j), x, lr, beta=0.2, slope=0.05)
+        som.update_node(j, x, lr, beta=0.2, slope=0.05)
+        moved = som.node(j)
+        assert np.array_equal(node.center, moved.center)
+        assert np.array_equal(node.dist_avg, moved.dist_avg)
+        assert np.array_equal(node.relevance, moved.relevance)
+
+
 def test_keep_nodes_compacts_in_order():
     nodes = [node_at([0.1 * i, 0.0], wins=i) for i in range(5)]
     som = SomMap.from_nodes(2, 8, nodes)
@@ -349,7 +398,15 @@ def test_params_validation():
     for field, bad in [("a_t", 1.5), ("a_t", 0.0), ("lp", 0.0),
                        ("beta", 1.0), ("age_wins", 0), ("e_b", 0.0),
                        ("push_rate", -0.1), ("eps_beta", 0.0),
-                       ("minwd", -0.2), ("epochs", 0), ("n_max", 0)]:
+                       ("minwd", -0.2), ("epochs", 0), ("n_max", 0),
+                       ("lp", math.nan), ("lp", math.inf),
+                       ("e_b", math.nan), ("e_b", math.inf),
+                       ("push_rate", math.nan), ("push_rate", math.inf),
+                       ("e_n", math.nan), ("e_n", math.inf),
+                       ("eps_beta", math.nan), ("eps_beta", math.inf),
+                       ("minwd", math.nan), ("minwd", math.inf),
+                       ("age_wins", math.inf), ("epochs", math.inf),
+                       ("n_max", math.inf)]:
         from dataclasses import replace
         with pytest.raises(ValueError):
             replace(good, **{field: bad}).validate()

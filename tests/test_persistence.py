@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from semisom import (HyperParams, classify, load_model, normalize, save_model,
-                     train_with_state)
+from semisom import (HyperParams, SomMap, classify, load_model, normalize,
+                     save_model, train_with_state)
 from helpers import make_blobs
 
 
@@ -52,6 +52,17 @@ def test_round_trip_preserves_predictions_on_random_probes(trained):
         b = classify(loaded.som, x, params.a_t)
         assert (a.node, a.label) == (b.node, b.label)
         assert a.activation == b.activation
+
+
+def test_save_refuses_non_finite_values(trained, tmp_path):
+    ds, params, som, path = trained
+    bad = som.node(0)
+    bad.center[0] = np.nan
+    broken = SomMap.from_nodes(som.dim, som.node_budget, [bad])
+    out = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        save_model(out, broken, params)
+    assert not out.exists()
 
 
 def test_rejects_foreign_files(tmp_path):
