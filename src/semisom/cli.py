@@ -18,7 +18,9 @@ from .data import (DataFormatError, Dataset, apply_norm, kfold_split,
                    load_arff, load_csv, normalize)
 from .experiments import (FRACTIONS, emit_curve, emit_curve_svg, emit_results,
                           run_sweep, summarize_curve)
-from .inference import REJECTED, classify
+# ``classify`` stays importable from here: perfbench/tracer.py wraps it by
+# this module's name.
+from .inference import REJECTED, classify, classify_batch  # noqa: F401
 from .model import NO_CLASS, HyperParams
 from .persistence import FORMAT_VERSION, load_model, save_model
 from .training import train_with_state
@@ -123,19 +125,16 @@ def cmd_predict(args) -> int:
             f"{model.som.dim}")
     patterns = (ds.patterns if model.norm_stats is None
                 else apply_norm(model.norm_stats, ds.patterns))
-    rows = []
-    hits = 0
-    scored = 0
-    for i, x in enumerate(patterns):
-        pred = classify(model.som, x, model.params.a_t)
-        name = ("REJECTED" if pred.label == REJECTED
-                else model.class_names[pred.label])
-        node = "" if pred.node is None else pred.node
-        rows.append([i, node, name, f"{pred.activation:.6g}"])
-        if ds.labels[i] != NO_CLASS:
-            scored += 1
-            if name == ds.label_name(ds.labels[i]):
-                hits += 1
+    preds = classify_batch(model.som, patterns, model.params.a_t)
+    names = ["REJECTED" if p.label == REJECTED else model.class_names[p.label]
+             for p in preds]
+    truth = [(name, ds.label_name(want))
+             for name, want in zip(names, ds.labels.tolist())
+             if want != NO_CLASS]
+    scored = len(truth)
+    hits = sum(name == want for name, want in truth)
+    rows = ([i, "" if p.node is None else p.node, name, f"{p.activation:.6g}"]
+            for i, (p, name) in enumerate(zip(preds, names)))
     with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pattern_index", "node_id", "label", "activation"])

@@ -89,6 +89,9 @@ class FoldPlan:
 
 
 _NOMINAL_RE = re.compile(r"^\{(.*)\}$")
+# An attribute declaration: a quoted name (spaces allowed) or a bare one,
+# then the type.
+_ATTRIBUTE_RE = re.compile(r"""('[^']*'|"[^"]*"|[^\s'"]\S*)\s+(\S.*)$""")
 
 
 def _strip_quotes(token: str) -> str:
@@ -135,12 +138,12 @@ def load_arff(path) -> Dataset:
                     in_data = True
                     continue
                 if keyword == "@attribute":
-                    parts = rest.strip().split(None, 1)
-                    if len(parts) != 2:
+                    decl = _ATTRIBUTE_RE.match(rest.strip())
+                    if decl is None:
                         raise DataFormatError(
                             f"{path}:{lineno}: malformed attribute declaration")
-                    name = _strip_quotes(parts[0])
-                    spec = parts[1].strip()
+                    name = _strip_quotes(decl.group(1))
+                    spec = decl.group(2).strip()
                     nominal = _NOMINAL_RE.match(spec)
                     if nominal:
                         values = [_strip_quotes(v.strip())

@@ -19,7 +19,9 @@ import numpy as np
 from scipy.stats import qmc
 
 from .data import Dataset, FoldPlan, mask_labels
-from .inference import classify
+# ``classify`` stays importable from here: perfbench/tracer.py wraps it by
+# this module's name.
+from .inference import classify, classify_batch  # noqa: F401
 from .model import HyperParams
 from .training import train_with_state
 
@@ -153,10 +155,8 @@ def _execute_run(ctx: _SweepContext, repeat: int, fold: int, fraction: float,
     elapsed_ms = (time.perf_counter() - started) * 1e3
     som = state.som
     truth = ctx.ds.labels[test_idx]
-    hits = 0
-    for x, want in zip(ctx.ds.patterns[test_idx], truth):
-        if classify(som, x, params.a_t).label == want:
-            hits += 1
+    preds = classify_batch(som, ctx.ds.patterns[test_idx], params.a_t)
+    hits = sum(p.label == want for p, want in zip(preds, truth.tolist()))
     result = RunResult(
         repeat=repeat, fold=fold, fraction=fraction, sample_id=sample_id,
         accuracy=hits / len(test_idx), nodes=som.n_nodes,

@@ -1,4 +1,11 @@
-"""Cluster assignment and classification over a trained map."""
+"""Cluster assignment and classification over a trained map.
+
+Bulk classification screens every (pattern, node) pair of a block of
+patterns with two matrix products, then recomputes exactly, with the map's
+own activation kernel, only the pairs that can still decide the outcome.
+The result is bit for bit the one a pattern-by-pattern search over
+``SomMap.activations`` gives.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NO_CLASS, SomMap
+from .model import ACTIVATION_EPS, NO_CLASS, SomMap, _activations
 
 # Classification outcome when no labeled node is activated above threshold.
 REJECTED = -2
+
+# Byte size of one (patterns x nodes) float temporary; a block takes as
+# many patterns as fit, and a handful of such arrays are alive at once.
+_BLOCK_BYTES = 1 << 20
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+_TINY = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -33,8 +47,9 @@ def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
     """Assign ``x`` to the most activated node, or ``None`` for outliers.
 
     A pattern is an outlier when even the winner's activation stays below
-    ``a_t``.
+    ``a_t``. A pattern holding ``nan`` or ``inf`` raises ``ValueError``.
     """
+    _require_finite(np.asarray(x, dtype=float).reshape(1, -1))
     winner, act = som.find_winner(x)
     if act < a_t:
         return None
@@ -42,27 +57,147 @@ def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
 
 
 def classify(som: SomMap, x: np.ndarray, a_t: float) -> Prediction:
-    """Predict a class label for ``x``.
-
-    A labeled winner decides immediately, at any activation. An unlabeled
-    winner defers to the most activated labeled node that still reaches
-    ``a_t``. When no such node exists the pattern is rejected; a rejection
-    is never silently mapped to a class.
-    """
-    acts = som.activations(x)
-    winner = int(np.argmax(acts))
-    labels = som.labels
-    if labels[winner] != NO_CLASS:
-        return Prediction(winner, int(labels[winner]), float(acts[winner]))
-    ok = (labels != NO_CLASS) & (acts >= a_t)
-    if ok.any():
-        idx = np.flatnonzero(ok)
-        j = int(idx[np.argmax(acts[idx])])
-        return Prediction(j, int(labels[j]), float(acts[j]))
-    return Prediction(None, REJECTED, float(acts[winner]))
+    """Predict a class label for ``x``: ``classify_batch`` of one row."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (som.dim,):
+        raise ValueError(f"pattern has shape {x.shape}, map expects "
+                         f"({som.dim},)")
+    return classify_batch(som, x[None], a_t)[0]
 
 
 def classify_batch(som: SomMap, patterns: np.ndarray,
                    a_t: float) -> list[Prediction]:
-    """Classify each row of ``patterns``."""
-    return [classify(som, x, a_t) for x in np.asarray(patterns, dtype=float)]
+    """Predict a class label for each row of ``patterns``.
+
+    The most activated node wins, ties going to the lowest index. A
+    labeled winner decides immediately, at any activation. An unlabeled
+    winner defers to the most activated labeled node that still reaches
+    ``a_t`` (inclusive). When no such node exists the pattern is rejected;
+    a rejection is never silently mapped to a class.
+
+    Results are exact: equal, activation bits included, to running that
+    rule on ``som.activations(x)`` for each row, whatever the block split
+    or the BLAS library. Rows holding ``nan`` or ``inf`` raise
+    ``ValueError`` naming the first such row.
+    """
+    x = np.asarray(patterns, dtype=float)
+    if x.ndim != 2 or x.shape[1] != som.dim:
+        raise ValueError(f"patterns have shape {x.shape}, map expects "
+                         f"(k, {som.dim})")
+    _require_finite(x)
+    n = som.n_nodes
+    if n == 0:
+        raise ValueError("map has no nodes")
+    nodes = _NodeArrays(som)
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    out = []
+    for start in range(0, len(x), block):
+        node, label, act = _classify_block(nodes, x[start:start + block], a_t)
+        out.extend(Prediction(None if j < 0 else j, lab, a)
+                   for j, lab, a in zip(node.tolist(), label.tolist(),
+                                        act.tolist()))
+    return out
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise ValueError(f"pattern {row} holds a non-finite value")
+
+
+class _NodeArrays:
+    """Per-node operands of the screen, computed once per batch."""
+
+    def __init__(self, som: SomMap):
+        n = som.n_nodes
+        self.centers = som._centers[:n]
+        self.rel = som._rel[:n]
+        self.mass = som._rel_sums[:n]
+        self.labels = som._labels[:n]
+        self.labeled = self.labels != NO_CLASS
+        self.unlabeled = ~self.labeled
+        # -2 r c, the cross term of the expanded form
+        self.cross = -2.0 * self.rel * self.centers
+        # |c|_r^2; the error bound needs r >= 0, so a node with a negative
+        # relevance gets NaN bounds and is never screened out
+        self.sq = np.einsum("ij,ij->i", self.rel * self.centers, self.centers)
+        self.sq[(self.rel < 0.0).any(axis=1)] = np.nan
+        # Bound on the rounding of both the screen's expanded form and the
+        # exact kernel's sum: each within gamma_{m+3} (|x|_r + |c|_r)^2,
+        # gamma_k ~ k u, and (a + b)^2 <= 2 (a^2 + b^2). The floor covers
+        # results rounded into the subnormal range.
+        m = self.rel.shape[1]
+        self.slack = 5.0 * (m + 4) * _U
+        self.sq_floor = self.sq + 8.0 * (m + 4) * _TINY / self.slack
+
+
+def _act_of_sq(sq: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Activation from a squared distance, rounded as ``_activations`` does.
+
+    Every step is monotone, so bounds on the squared distance give bounds
+    on the activation the kernel computes.
+    """
+    dist = np.sqrt(sq, out=sq)
+    dist += mass
+    dist += ACTIVATION_EPS
+    return np.divide(mass, dist, out=dist)
+
+
+def _exact(nodes: _NodeArrays, x: np.ndarray, r: np.ndarray,
+           c: np.ndarray) -> np.ndarray:
+    """Activations of the pairs (``x[r]``, node ``c``), by the map's kernel."""
+    return _activations(nodes.centers[c], nodes.rel[c], nodes.mass[c], x[r],
+                        ACTIVATION_EPS)
+
+
+def _classify_block(nodes: _NodeArrays, x: np.ndarray, a_t: float):
+    """Winner, label and activation per row; node ``-1`` marks a rejection."""
+    # Screen: an upper bound on every pair's activation, from the expanded
+    # form d2 = |x|_r^2 - 2 <x, r c> + |c|_r^2 less its error bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (x * x) @ nodes.rel.T
+        d2 = x @ nodes.cross.T
+        d2 += q
+        d2 += nodes.sq
+        q += nodes.sq_floor
+        q *= nodes.slack
+        d2 -= q
+        hi = _act_of_sq(np.maximum(d2, 0.0, out=d2), nodes.mass)
+
+    # The exact activation of the node with the highest bound is a lower
+    # bound on the winner's, and a labeled node at or above a_t one on the
+    # fallback's. NaN bounds compare false, so ~(hi < bound) keeps them.
+    rows = np.arange(len(x))
+    cand = ~(hi < _exact(nodes, x, rows, hi.argmax(axis=1))[:, None])
+    open_rows = np.flatnonzero((cand & nodes.unlabeled).any(axis=1))
+    if len(open_rows):
+        hi = np.where(nodes.labeled, hi[open_rows], -np.inf)
+        j = hi.argmax(axis=1)
+        act = _exact(nodes, x, open_rows, j)
+        sure = np.where(nodes.labeled[j] & (act >= a_t), act, -np.inf)
+        cand[open_rows] |= ~(hi < a_t) & ~(hi < sure[:, None])
+
+    # Exact activations of the candidates decide.
+    flat = np.flatnonzero(cand)
+    r, c = np.divmod(flat, cand.shape[1])
+    exact = np.full(cand.shape, -np.inf)
+    exact.flat[flat] = _exact(nodes, x, r, c)
+    node = exact.argmax(axis=1)
+    act = exact[rows, node]
+    label = nodes.labels[node]
+
+    fall = np.flatnonzero(label == NO_CLASS)
+    if len(fall):
+        sub = exact[fall]
+        ok = cand[fall] & nodes.labeled & (sub >= a_t)
+        sub[~ok] = -np.inf
+        j = sub.argmax(axis=1)
+        hit = ok[np.arange(len(fall)), j]
+        take = fall[hit]
+        node[take] = j[hit]
+        act[take] = sub[hit, j[hit]]
+        label[take] = nodes.labels[j[hit]]
+        miss = fall[~hit]
+        node[miss] = -1
+        label[miss] = REJECTED
+    return node, label, act

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats
-from .model import HyperParams, Node, SomMap
+from .data import DataFormatError, NormStats
+from .model import NO_CLASS, HyperParams, Node, SomMap
 
 FORMAT_NAME = "semisom-model"
 FORMAT_VERSION = 1
@@ -65,7 +65,15 @@ def save_model(path, som: SomMap, params: HyperParams, *,
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file written by ``save_model``."""
+    """Read a model file written by ``save_model``.
+
+    Raises:
+        ValueError: if the file is not a model file of this format version.
+        DataFormatError: if its content is inconsistent: vectors of unequal
+            length, a label outside the class list, normalization ranges
+            of the wrong length, a value that is not finite, or parameters
+            that fail ``HyperParams.validate``.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
@@ -73,26 +81,58 @@ def load_model(path) -> TrainedModel:
         raise ValueError(
             f"{path}: unsupported format version {doc.get('format_version')}")
     params = HyperParams(**doc["params"])
-    nodes = [
-        Node(
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: params: {exc}") from None
+    classes = tuple(doc["classes"])
+    nodes = [_read_node(path, j, spec) for j, spec in enumerate(doc["nodes"])]
+    if not nodes:
+        raise ValueError(f"{path}: model holds no nodes")
+    dim = len(nodes[0].center)
+    for j, node in enumerate(nodes):
+        _check_node(path, j, node, dim, len(classes))
+    stats = doc["norm_stats"]
+    norm_stats = None if stats is None else NormStats(
+        mins=np.asarray(stats["mins"], dtype=float),
+        maxs=np.asarray(stats["maxs"], dtype=float),
+    )
+    if norm_stats is not None:
+        for name, values in (("mins", norm_stats.mins),
+                             ("maxs", norm_stats.maxs)):
+            _check_vector(path, f"norm_stats {name}", values, dim)
+    budget = max(params.n_max, len(nodes))
+    som = SomMap.from_nodes(dim, budget, nodes,
+                            [tuple(pair) for pair in doc["connections"]])
+    return TrainedModel(som=som, params=params, norm_stats=norm_stats,
+                        class_names=classes)
+
+
+def _read_node(path, j: int, spec: dict) -> Node:
+    try:
+        return Node(
             center=np.asarray(spec["center"], dtype=float),
             relevance=np.asarray(spec["relevance"], dtype=float),
             dist_avg=np.asarray(spec["dist_avg"], dtype=float),
             wins=int(spec["wins"]),
             label=int(spec["label"]),
         )
-        for spec in doc["nodes"]
-    ]
-    if not nodes:
-        raise ValueError(f"{path}: model holds no nodes")
-    dim = nodes[0].center.shape[0]
-    budget = max(params.n_max, len(nodes))
-    som = SomMap.from_nodes(dim, budget, nodes,
-                            [tuple(pair) for pair in doc["connections"]])
-    stats = doc["norm_stats"]
-    norm_stats = None if stats is None else NormStats(
-        mins=np.asarray(stats["mins"], dtype=float),
-        maxs=np.asarray(stats["maxs"], dtype=float),
-    )
-    return TrainedModel(som=som, params=params, norm_stats=norm_stats,
-                        class_names=tuple(doc["classes"]))
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: node {j}: {exc}") from None
+
+
+def _check_node(path, j: int, node: Node, dim: int, n_classes: int) -> None:
+    for name in ("center", "relevance", "dist_avg"):
+        _check_vector(path, f"node {j} {name}", getattr(node, name), dim)
+    if node.label != NO_CLASS and not 0 <= node.label < n_classes:
+        raise DataFormatError(
+            f"{path}: node {j} has label {node.label}, outside the "
+            f"{n_classes} classes")
+
+
+def _check_vector(path, what: str, values: np.ndarray, dim: int) -> None:
+    if values.shape != (dim,):
+        raise DataFormatError(
+            f"{path}: {what} has shape {values.shape}, expected ({dim},)")
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{path}: {what} holds a non-finite value")

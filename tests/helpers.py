@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from semisom import NO_CLASS, Dataset, Node, SomMap
+from semisom import NO_CLASS, REJECTED, Dataset, Node, Prediction, SomMap
 
 
 def make_blobs(n_per_class: int, centers, sigma: float, seed: int,
@@ -87,6 +87,21 @@ def brute_winner(som: SomMap, x) -> tuple[int, float]:
         if act > best_act:
             best, best_act = j, act
     return best, best_act
+
+
+def reference_classify(som: SomMap, x, a_t: float) -> Prediction:
+    """The classification rule on ``SomMap.activations``, one pattern."""
+    acts = som.activations(x)
+    winner = int(np.argmax(acts))
+    labels = som.labels
+    if labels[winner] != NO_CLASS:
+        return Prediction(winner, int(labels[winner]), float(acts[winner]))
+    ok = (labels != NO_CLASS) & (acts >= a_t)
+    if ok.any():
+        idx = np.flatnonzero(ok)
+        j = int(idx[np.argmax(acts[idx])])
+        return Prediction(j, int(labels[j]), float(acts[j]))
+    return Prediction(None, REJECTED, float(acts[winner]))
 
 
 def brute_connected(a: Node, b: Node, minwd: float) -> bool:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,18 @@ def test_predict_dimension_mismatch_is_data_error(arff_path, tmp_path):
     wide.write_text("f1,f2,f3\n0.1,0.2,0.3\n", encoding="utf-8")
     assert main(["predict", str(model), str(wide), "-o",
                  str(tmp_path / "p.csv")]) == 2
+
+
+def test_predict_inconsistent_model_is_data_error(arff_path, tmp_path,
+                                                  capsys):
+    model = tmp_path / "model.json"
+    main(["train", str(arff_path), "-o", str(model)] + TRAIN_ARGS)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["nodes"][0]["label"] = len(doc["classes"])
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["predict", str(model), str(arff_path), "-o",
+                 str(tmp_path / "p.csv")]) == 2
+    assert "node 0 has label 2" in capsys.readouterr().err
 
 
 def test_inspect_prints_summary(arff_path, tmp_path, capsys):

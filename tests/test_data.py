@@ -47,6 +47,21 @@ def test_arff_keywords_are_case_insensitive(tmp_path):
     assert len(ds) == 3
 
 
+def test_arff_quoted_attribute_names_may_hold_spaces(tmp_path):
+    text = """@relation glass
+@attribute 'RI index' numeric
+@attribute "Na %" real
+@attribute 'Type' {'build wind float',headlamps}
+@data
+1.52,13.6,'build wind float'
+1.51,14.1,headlamps
+"""
+    ds = load_arff(write(tmp_path, "quoted.arff", text))
+    assert ds.dim_names == ("RI index", "Na %")
+    assert ds.class_names == ("build wind float", "headlamps")
+    assert np.array_equal(ds.labels, [0, 1])
+
+
 def test_arff_class_attribute_found_by_name_not_position(tmp_path):
     text = """@relation t
 @attribute Class {a,b}

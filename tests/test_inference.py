@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, REJECTED, Node, SomMap, classify,
-                     classify_batch, cluster)
-from helpers import brute_winner, random_map
+from semisom import (NO_CLASS, REJECTED, HyperParams, Node, SomMap, classify,
+                     classify_batch, cluster, inference, mask_labels,
+                     normalize, train_with_state)
+from helpers import (brute_winner, make_synthetic, random_map,
+                     reference_classify)
 
 
 def node_at(center, relevance=None, label=NO_CLASS):
@@ -105,3 +111,98 @@ def test_dimension_mismatch_raises(mixed_map):
         classify(mixed_map, np.zeros(3), a_t=0.5)
     with pytest.raises(ValueError):
         cluster(mixed_map, np.zeros(5), a_t=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_patterns_raise(mixed_map, bad):
+    xs = np.random.default_rng(3).random((5, 2))
+    xs[3, 1] = bad
+    with pytest.raises(ValueError, match="pattern 3 "):
+        classify_batch(mixed_map, xs, a_t=0.9)
+    with pytest.raises(ValueError, match="non-finite"):
+        classify(mixed_map, xs[3], a_t=0.9)
+    with pytest.raises(ValueError, match="non-finite"):
+        cluster(mixed_map, xs[3], a_t=0.9)
+
+
+def test_exact_ties_go_to_the_lowest_index():
+    som = SomMap.from_nodes(2, 8, [
+        node_at([0.9, 0.1], label=0),
+        node_at([0.3, 0.6], label=NO_CLASS),
+        node_at([0.3, 0.6], label=1),
+        node_at([0.3, 0.6], label=0),
+    ])
+    pred = classify_batch(som, np.array([[0.3, 0.6], [0.31, 0.6]]), 0.5)
+    assert [p.node for p in pred] == [2, 2]
+
+
+def _key(pred):
+    return pred.node, pred.label, float(pred.activation).hex()
+
+
+@st.composite
+def _batches(draw):
+    """A random map and patterns, with the cases an inexact screen misses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e150, 1e160]))
+    centers = rng.random((n, m)) * scale
+    rel = rng.random((n, m))
+    labels = rng.integers(-1, 3, size=n)
+    if draw(st.booleans()):  # duplicate nodes: exact ties
+        src, dst = rng.integers(n, size=2)
+        centers[dst], rel[dst] = centers[src], rel[src]
+    if draw(st.booleans()):  # a node that never activates
+        rel[rng.integers(n)] = 0.0
+    if draw(st.booleans()):  # outside the bound's assumptions
+        rel[rng.integers(n), 0] *= -1.0
+    if draw(st.booleans()):  # unlabeled winners with no fallback at all
+        labels[:] = NO_CLASS
+    elif draw(st.booleans()):
+        labels[rng.integers(n)] = NO_CLASS
+    som = SomMap.from_nodes(m, n, [
+        Node(center=c, relevance=r, dist_avg=np.zeros(m), label=int(lab))
+        for c, r, lab in zip(centers, rel, labels)])
+    k = draw(st.integers(1, 30))
+    x = rng.random((k, m)) * scale
+    on_center = rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    x[on_center] = centers[rng.integers(n, size=int(on_center.sum()))]
+    if draw(st.booleans()):  # threshold equal to an activation
+        with np.errstate(all="ignore"):
+            acts = som.activations(x[rng.integers(k)])
+        a_t = float(acts[rng.integers(n)])
+    else:
+        a_t = float(rng.random())
+    rows_per_block = draw(st.integers(1, k + 1))
+    return som, x, a_t, rows_per_block
+
+
+@settings(max_examples=400, deadline=None)
+@given(_batches())
+def test_classify_batch_is_exact(batch):
+    som, x, a_t, rows_per_block = batch
+    block = rows_per_block * 8 * som.n_nodes
+    # overflow and negative relevances make NaN on both sides, by design
+    with np.errstate(all="ignore"), \
+            mock.patch.object(inference, "_BLOCK_BYTES", block):
+        want = [_key(reference_classify(som, xi, a_t)) for xi in x]
+        assert [_key(p) for p in classify_batch(som, x, a_t)] == want
+        assert _key(classify(som, x[0], a_t)) == want[0]
+
+
+def test_classify_batch_is_exact_on_a_trained_map():
+    ds = normalize(make_synthetic(n=400, dim=12, clusters=4, seed=21))
+    params = HyperParams(a_t=0.97, lp=0.001, beta=0.1, age_wins=800,
+                         e_b=0.1, push_rate=0.01, e_n=0.005, eps_beta=0.05,
+                         minwd=0.25, epochs=2, n_max=len(ds), seed=4)
+    som = train_with_state(mask_labels(ds, 0.3, seed=5), params).som
+    probes = np.vstack([ds.patterns,
+                        np.random.default_rng(8).random((400, ds.dim))])
+    want = [_key(reference_classify(som, x, params.a_t)) for x in probes]
+    for rows in (1, 7, 64, len(probes)):
+        with mock.patch.object(inference, "_BLOCK_BYTES",
+                               rows * 8 * som.n_nodes):
+            got = classify_batch(som, probes, params.a_t)
+        assert [_key(p) for p in got] == want
+    assert any(p.label == REJECTED for p in got)

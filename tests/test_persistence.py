@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from semisom import (HyperParams, SomMap, classify, load_model, normalize,
-                     save_model, train_with_state)
+from semisom import (DataFormatError, HyperParams, SomMap, classify,
+                     load_model, normalize, save_model, train_with_state)
 from helpers import make_blobs
 
 
@@ -75,3 +77,56 @@ def test_rejects_foreign_files(tmp_path):
                          encoding="utf-8")
     with pytest.raises(ValueError):
         load_model(versioned)
+
+
+def _corrupt(path, tmp_path, edit):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    out = tmp_path / "corrupt.json"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+def _set(*keys, value):
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value(target[keys[-1]])
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_set("nodes", 0, "relevance", value=lambda v: v[:1]),
+                 "node 0 relevance", id="short-relevance"),
+    pytest.param(_set("nodes", 1, "dist_avg", value=lambda v: v + [0.5]),
+                 "node 1 dist_avg", id="long-dist-avg"),
+    pytest.param(_set("nodes", 1, "center", value=lambda v: v + [0.5]),
+                 "node 1 center", id="unequal-dim"),
+    pytest.param(_set("norm_stats", "maxs", value=lambda v: v[:1]),
+                 "norm_stats maxs", id="short-norm-stats"),
+    pytest.param(_set("nodes", 0, "label", value=lambda v: 2),
+                 "node 0 has label 2", id="label-past-classes"),
+    pytest.param(_set("nodes", 0, "label", value=lambda v: -3),
+                 "node 0 has label -3", id="negative-label"),
+    pytest.param(_set("nodes", 1, "center",
+                      value=lambda v: [float("nan")] + v[1:]),
+                 "node 1 center", id="nan-center"),
+    pytest.param(_set("nodes", 0, "relevance",
+                      value=lambda v: v[:-1] + [float("inf")]),
+                 "node 0 relevance", id="inf-relevance"),
+    pytest.param(_set("norm_stats", "mins",
+                      value=lambda v: [float("-inf")] + v[1:]),
+                 "norm_stats mins", id="inf-norm-stats"),
+    pytest.param(_set("nodes", 0, "wins", value=lambda v: float("nan")),
+                 "node 0", id="nan-wins"),
+    pytest.param(_set("params", "e_b", value=lambda v: float("nan")),
+                 "e_b", id="nan-param"),
+])
+def test_load_rejects_inconsistent_model_files(trained, tmp_path, edit,
+                                               where):
+    ds, params, som, path = trained
+    assert som.n_nodes >= 2 and len(ds.class_names) == 2 and som.dim == 2
+    bad = _corrupt(path, tmp_path, edit)
+    with pytest.raises(DataFormatError, match=f"corrupt.json: .*{where}"):
+        load_model(bad)
