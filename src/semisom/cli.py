@@ -20,7 +20,7 @@ from .experiments import (FRACTIONS, emit_curve, emit_curve_svg, emit_results,
                           run_sweep, summarize_curve)
 # ``classify`` stays importable from here: perfbench/tracer.py wraps it by
 # this module's name.
-from .inference import REJECTED, classify, classify_batch  # noqa: F401
+from .inference import REJECTED, _classify_arrays, classify  # noqa: F401
 from .model import NO_CLASS, HyperParams
 from .persistence import FORMAT_VERSION, load_model, save_model
 from .training import train_with_state
@@ -125,20 +125,23 @@ def cmd_predict(args) -> int:
             f"{model.som.dim}")
     patterns = (ds.patterns if model.norm_stats is None
                 else apply_norm(model.norm_stats, ds.patterns))
-    preds = classify_batch(model.som, patterns, model.params.a_t)
-    names = ["REJECTED" if p.label == REJECTED else model.class_names[p.label]
-             for p in preds]
-    truth = [(name, ds.label_name(want))
-             for name, want in zip(names, ds.labels.tolist())
-             if want != NO_CLASS]
-    scored = len(truth)
-    hits = sum(name == want for name, want in truth)
-    rows = ([i, "" if p.node is None else p.node, name, f"{p.activation:.6g}"]
-            for i, (p, name) in enumerate(zip(preds, names)))
+    node, label, act = _classify_arrays(model.som, patterns,
+                                        model.params.a_t)
+    names = np.array([*model.class_names, "REJECTED"], dtype=object)[
+        np.where(label == REJECTED, len(model.class_names), label)]
+    truth = ds.labels != NO_CLASS
+    scored = np.count_nonzero(truth)
+    hits = np.count_nonzero(
+        names[truth] == np.array(ds.class_names, dtype=object)[
+            ds.labels[truth]])
     with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pattern_index", "node_id", "label", "activation"])
-        writer.writerows(rows)
+        writer.writerows(zip(
+            range(len(node)),
+            np.where(node < 0, "", node.astype(str)).tolist(),
+            names.tolist(),
+            map("{:.6g}".format, act.tolist())))
     if not args.quiet:
         print(f"predictions written to {args.out}")
         if scored:

@@ -10,6 +10,8 @@ marking unlabeled rows.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,9 +65,6 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> Dataset:
         return replace(self, patterns=self.patterns[indices],
                        labels=self.labels[indices])
-
-    def label_name(self, label_id: int) -> str:
-        return self.class_names[label_id]
 
 
 @dataclass(frozen=True)
@@ -220,13 +219,82 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     included, raise ``DataFormatError`` carrying the offending line number.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
-                 if row]
-    if not table:
-        raise DataFormatError(f"{path}: empty file")
-    _, header = table[0]
+    try:
+        return _read_csv_table(path, label_column)
+    except ValueError:
+        # The C reader refused the file, or accepted something the row
+        # reader may read differently: the row reader decides, and names
+        # the bad line if there is one.
+        return _read_csv_rows(path, label_column)
+
+
+# Around a number numpy's C reader skips U+001C..U+001F as whitespace;
+# ``float()`` refuses them.
+_FLOAT_REFUSES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
+    """Parse the body with numpy's C reader, in one pass and no Python loop.
+
+    Raises ``ValueError`` for any file the row reader might read
+    differently: one the C reader refuses (rows of another width than the
+    header included), non-finite values, no data rows, and the characters
+    above.
+    """
+    raw = path.read_bytes()
+    if any(c in raw for c in _FLOAT_REFUSES):
+        raise ValueError("control character in the file")
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                          newline="") as fh:
+        header = next((row for row in csv.reader(fh) if row), None)
+        if header is None:
+            raise ValueError("empty file")
+        header, class_idx, feature_idx = _csv_columns(path, header,
+                                                      label_column)
+        # Without a data line numpy would warn; the row reader reports it.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise ValueError("no data rows")
+        # One structured row per line: the C reader then insists on the
+        # header's column count.
+        k = len(feature_idx) if class_idx is None else class_idx
+        fields = [("lo", float, (k,))]
+        if class_idx is not None:
+            fields += [("cls", object), ("hi", float, (len(feature_idx) - k,))]
+        table = np.loadtxt(itertools.chain((first,), fh), dtype=fields,
+                           delimiter=",", comments=None, quotechar='"',
+                           ndmin=1)
+    if class_idx is None:
+        patterns = table["lo"]
+        labels = np.full(len(patterns), NO_CLASS, dtype=np.int64)
+        class_names: tuple[str, ...] = ()
+    else:
+        patterns = np.concatenate([table["lo"], table["hi"]], axis=1)
+        labels, class_names = _class_ids(table["cls"])
+    if not np.isfinite(patterns).all():
+        raise ValueError("non-finite value")
+    return Dataset(
+        patterns=patterns,
+        labels=labels,
+        class_names=class_names,
+        dim_names=tuple(header[i] for i in feature_idx),
+    )
+
+
+def _class_ids(tokens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Ids of the stripped tokens, numbered in order of first appearance."""
+    raw, first, inverse = np.unique(tokens, return_index=True,
+                                    return_inverse=True)
+    names = [token.strip() for token in raw.tolist()]
+    ids: dict[str, int] = {}
+    for k in np.argsort(first).tolist():
+        ids.setdefault(names[k], len(ids))
+    return (np.array([ids[name] for name in names], dtype=np.int64)[inverse],
+            tuple(ids))
+
+
+def _csv_columns(path, header: list[str], label_column: str | None):
+    """Stripped header, index of the label column or None, feature indices."""
     header = [h.strip() for h in header]
     if label_column is not None:
         if label_column not in header:
@@ -239,6 +307,19 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     feature_idx = [i for i in range(len(header)) if i != class_idx]
     if not feature_idx:
         raise DataFormatError(f"{path}: no feature columns")
+    return header, class_idx, feature_idx
+
+
+def _read_csv_rows(path: Path, label_column: str | None) -> Dataset:
+    """Parse row by row with ``csv`` and ``float()``; errors name the line."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
+                 if row]
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    header, class_idx, feature_idx = _csv_columns(path, table[0][1],
+                                                  label_column)
     body = table[1:]
     if not body:
         raise DataFormatError(f"{path}: no data rows")

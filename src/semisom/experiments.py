@@ -21,7 +21,7 @@ from scipy.stats import qmc
 from .data import Dataset, FoldPlan, mask_labels
 # ``classify`` stays importable from here: perfbench/tracer.py wraps it by
 # this module's name.
-from .inference import classify, classify_batch  # noqa: F401
+from .inference import _classify_arrays, classify  # noqa: F401
 from .model import HyperParams
 from .training import train_with_state
 
@@ -155,8 +155,8 @@ def _execute_run(ctx: _SweepContext, repeat: int, fold: int, fraction: float,
     elapsed_ms = (time.perf_counter() - started) * 1e3
     som = state.som
     truth = ctx.ds.labels[test_idx]
-    preds = classify_batch(som, ctx.ds.patterns[test_idx], params.a_t)
-    hits = sum(p.label == want for p, want in zip(preds, truth.tolist()))
+    _, label, _ = _classify_arrays(som, ctx.ds.patterns[test_idx], params.a_t)
+    hits = np.count_nonzero(label == truth)
     result = RunResult(
         repeat=repeat, fold=fold, fraction=fraction, sample_id=sample_id,
         accuracy=hits / len(test_idx), nodes=som.n_nodes,

@@ -80,6 +80,14 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
     or the BLAS library. Rows holding ``nan`` or ``inf`` raise
     ``ValueError`` naming the first such row.
     """
+    node, label, act = _classify_arrays(som, patterns, a_t)
+    return [Prediction(None if j < 0 else j, lab, a)
+            for j, lab, a in zip(node.tolist(), label.tolist(),
+                                 act.tolist())]
+
+
+def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
+    """Node (``-1`` for a rejection), label and activation of each row."""
     x = np.asarray(patterns, dtype=float)
     if x.ndim != 2 or x.shape[1] != som.dim:
         raise ValueError(f"patterns have shape {x.shape}, map expects "
@@ -90,13 +98,14 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
         raise ValueError("map has no nodes")
     nodes = _NodeArrays(som)
     block = max(1, _BLOCK_BYTES // (8 * n))
-    out = []
+    node = np.empty(len(x), dtype=np.intp)
+    label = np.empty(len(x), dtype=nodes.labels.dtype)
+    act = np.empty(len(x))
     for start in range(0, len(x), block):
-        node, label, act = _classify_block(nodes, x[start:start + block], a_t)
-        out.extend(Prediction(None if j < 0 else j, lab, a)
-                   for j, lab, a in zip(node.tolist(), label.tolist(),
-                                        act.tolist()))
-    return out
+        part = slice(start, start + block)
+        node[part], label[part], act[part] = _classify_block(nodes, x[part],
+                                                             a_t)
+    return node, label, act
 
 
 def _require_finite(x: np.ndarray) -> None:

@@ -9,7 +9,7 @@ produces byte-identical files and identical predictions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,21 +69,28 @@ def load_model(path) -> TrainedModel:
 
     Raises:
         ValueError: if the file is not a model file of this format version.
-        DataFormatError: if its content is inconsistent: vectors of unequal
+        DataFormatError: if it is not valid JSON or its content is
+            inconsistent: a missing or unknown key, vectors of unequal
             length, a label outside the class list, normalization ranges
-            of the wrong length, a value that is not finite, or parameters
-            that fail ``HyperParams.validate``.
+            of the wrong length, a value that is not finite, a connection
+            that names a missing node, repeats a pair or joins a node to
+            itself, or parameters that fail ``HyperParams.validate``.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_NAME:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format version {doc.get('format_version')}")
+    _check_keys(path, "", doc, _MODEL_KEYS)
+    _check_keys(path, "params: ", doc["params"], _PARAM_KEYS, exact=True)
     params = HyperParams(**doc["params"])
     try:
         params.validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: params: {exc}") from None
     classes = tuple(doc["classes"])
     nodes = [_read_node(path, j, spec) for j, spec in enumerate(doc["nodes"])]
@@ -93,19 +100,64 @@ def load_model(path) -> TrainedModel:
     for j, node in enumerate(nodes):
         _check_node(path, j, node, dim, len(classes))
     stats = doc["norm_stats"]
-    norm_stats = None if stats is None else NormStats(
-        mins=np.asarray(stats["mins"], dtype=float),
-        maxs=np.asarray(stats["maxs"], dtype=float),
-    )
-    if norm_stats is not None:
+    norm_stats = None
+    if stats is not None:
+        _check_keys(path, "norm_stats: ", stats, ("mins", "maxs"))
+        norm_stats = NormStats(
+            mins=np.asarray(stats["mins"], dtype=float),
+            maxs=np.asarray(stats["maxs"], dtype=float),
+        )
         for name, values in (("mins", norm_stats.mins),
                              ("maxs", norm_stats.maxs)):
             _check_vector(path, f"norm_stats {name}", values, dim)
     budget = max(params.n_max, len(nodes))
     som = SomMap.from_nodes(dim, budget, nodes,
-                            [tuple(pair) for pair in doc["connections"]])
+                            _read_connections(path, doc["connections"],
+                                              len(nodes)))
     return TrainedModel(som=som, params=params, norm_stats=norm_stats,
                         class_names=classes)
+
+
+_MODEL_KEYS = ("params", "norm_stats", "classes", "nodes", "connections")
+_PARAM_KEYS = tuple(f.name for f in fields(HyperParams))
+
+
+def _check_keys(path, where: str, doc, keys, exact: bool = False) -> None:
+    """``doc`` must be an object holding ``keys`` (and, if exact, no more)."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: {where}expected an object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise DataFormatError(f"{path}: {where}missing key {missing[0]!r}")
+    unknown = sorted(set(doc) - set(keys)) if exact else []
+    if unknown:
+        raise DataFormatError(f"{path}: {where}unknown key {unknown[0]!r}")
+
+
+def _read_connections(path, pairs, n: int) -> list[tuple[int, int]]:
+    """Connection pairs of distinct, existing nodes, each pair once."""
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(j) is int for j in pair)):
+            raise DataFormatError(
+                f"{path}: connection {pair!r} is not a pair of node ids")
+        i, j = pair
+        if not (0 <= i < n and 0 <= j < n):
+            raise DataFormatError(
+                f"{path}: connection ({i}, {j}) names a node outside the "
+                f"{n} nodes")
+        if i == j:
+            raise DataFormatError(
+                f"{path}: connection ({i}, {j}) joins a node to itself")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DataFormatError(
+                f"{path}: connection ({i}, {j}) is listed twice")
+        seen.add(key)
+        out.append((i, j))
+    return out
 
 
 def _read_node(path, j: int, spec: dict) -> Node:
@@ -117,6 +169,8 @@ def _read_node(path, j: int, spec: dict) -> Node:
             wins=int(spec["wins"]),
             label=int(spec["label"]),
         )
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: node {j}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: node {j}: {exc}") from None
 

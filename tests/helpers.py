@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from semisom import NO_CLASS, REJECTED, Dataset, Node, Prediction, SomMap
+from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset, Node,
+                     Prediction, SomMap)
 
 
 def make_blobs(n_per_class: int, centers, sigma: float, seed: int,
@@ -102,6 +105,67 @@ def reference_classify(som: SomMap, x, a_t: float) -> Prediction:
         j = int(idx[np.argmax(acts[idx])])
         return Prediction(j, int(labels[j]), float(acts[j]))
     return Prediction(None, REJECTED, float(acts[winner]))
+
+
+def reference_load_csv(path, label_column: str | None = None) -> Dataset:
+    """The CSV loader row by row: ``csv`` records and ``float()`` per cell."""
+    path = Path(path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
+                 if row]
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    _, header = table[0]
+    header = [h.strip() for h in header]
+    if label_column is not None:
+        if label_column not in header:
+            raise DataFormatError(
+                f"{path}: no column named {label_column!r}")
+        class_idx = header.index(label_column)
+    else:
+        class_idx = next((i for i, h in enumerate(header)
+                          if h.lower() == "class"), None)
+    feature_idx = [i for i in range(len(header)) if i != class_idx]
+    if not feature_idx:
+        raise DataFormatError(f"{path}: no feature columns")
+    body = table[1:]
+    if not body:
+        raise DataFormatError(f"{path}: no data rows")
+
+    class_names: list[str] = []
+    value_ids: dict[str, int] = {}
+    patterns = np.empty((len(body), len(feature_idx)))
+    labels = np.full(len(body), NO_CLASS, dtype=np.int64)
+    for r, (lineno, fields) in enumerate(body):
+        if len(fields) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, "
+                f"got {len(fields)}")
+        for c, i in enumerate(feature_idx):
+            try:
+                patterns[r, c] = float(fields[i])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-numeric value {fields[i]!r} in "
+                    f"column {header[i]!r}") from None
+        if class_idx is not None:
+            token = fields[class_idx].strip()
+            if token not in value_ids:
+                value_ids[token] = len(class_names)
+                class_names.append(token)
+            labels[r] = value_ids[token]
+    if not np.isfinite(patterns).all():
+        r, c = np.argwhere(~np.isfinite(patterns))[0]
+        raise DataFormatError(
+            f"{path}:{body[r][0]}: non-finite value {patterns[r, c]} in "
+            f"{header[feature_idx[c]]!r}")
+    return Dataset(
+        patterns=patterns,
+        labels=labels,
+        class_names=tuple(class_names),
+        dim_names=tuple(header[i] for i in feature_idx),
+    )
 
 
 def brute_connected(a: Node, b: Node, minwd: float) -> bool:

@@ -1,9 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from semisom import (REJECTED, HyperParams, apply_norm, mask_labels,
+                     normalize, save_model, train_with_state)
 from semisom.cli import main
+from helpers import make_synthetic, reference_classify
 
 ARFF = """@relation toy
 @attribute f1 numeric
@@ -126,6 +130,75 @@ def test_predict_inconsistent_model_is_data_error(arff_path, tmp_path,
     assert main(["predict", str(model), str(arff_path), "-o",
                  str(tmp_path / "p.csv")]) == 2
     assert "node 0 has label 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda text: text[:-30], "not valid JSON", id="not-json"),
+    pytest.param(lambda text: text.replace('"wins"', '"won"', 1),
+                 "missing key 'wins'", id="missing-key"),
+    pytest.param(lambda text: json.dumps({**json.loads(text),
+                                          "connections": [[0, 999]]}),
+                 "connection (0, 999) names a node outside",
+                 id="dead-connection"),
+])
+def test_predict_malformed_model_is_data_error(arff_path, tmp_path, capsys,
+                                               edit, message):
+    model = tmp_path / "model.json"
+    main(["train", str(arff_path), "-o", str(model)] + TRAIN_ARGS)
+    model.write_text(edit(model.read_text(encoding="utf-8")),
+                     encoding="utf-8")
+    assert main(["predict", str(model), str(arff_path), "-o",
+                 str(tmp_path / "p.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_predict_output_matches_per_pattern_reference(tmp_path, capsys):
+    raw = make_synthetic(n=400, dim=12, clusters=4, seed=21)
+    ds = normalize(raw)
+    params = HyperParams(a_t=0.95, lp=0.001, beta=0.1, age_wins=800,
+                         e_b=0.1, push_rate=0.01, e_n=0.005, eps_beta=0.05,
+                         minwd=0.25, epochs=2, n_max=len(ds), seed=4)
+    som = train_with_state(mask_labels(ds, 0.3, seed=5), params).som
+    model = tmp_path / "model.json"
+    save_model(model, som, params, norm_stats=ds.norm_stats,
+               class_names=ds.class_names)
+    rng = np.random.default_rng(8)
+    probes = np.vstack([raw.patterns[::2], rng.random((100, raw.dim))])
+    tags = [raw.class_names[k] for k in raw.labels[::2]] + ["outlier"] * 100
+    data = tmp_path / "probes.csv"
+    with data.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(raw.dim_names) + ["class"])
+        writer.writerows([repr(v) for v in row] + [tag]
+                         for row, tag in zip(probes.tolist(), tags))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(model), str(data), "-o", str(out)]) == 0
+
+    # Built row by row, formatted as the per-pattern command did.
+    scaled = apply_norm(ds.norm_stats, probes)
+    preds = [reference_classify(som, x, params.a_t) for x in scaled]
+    names = ["REJECTED" if p.label == REJECTED else ds.class_names[p.label]
+             for p in preds]
+    want = tmp_path / "want.csv"
+    with want.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pattern_index", "node_id", "label", "activation"])
+        writer.writerows(
+            [i, "" if p.node is None else p.node, name,
+             f"{p.activation:.6g}"]
+            for i, (p, name) in enumerate(zip(preds, names)))
+    assert out.read_bytes() == want.read_bytes()
+    hits = sum(name == tag for name, tag in zip(names, tags))
+    assert (f"accuracy on {len(tags)} labeled patterns: "
+            f"{hits / len(tags):.4f}") in capsys.readouterr().out
+
+    # The probes reach every branch of the rule.
+    winners = [int(np.argmax(som.activations(x))) for x in scaled]
+    kinds = {"rejected" if p.node is None
+             else "winner" if p.node == j else "fallback"
+             for p, j in zip(preds, winners)}
+    assert kinds == {"winner", "fallback", "rejected"}
+    assert ",," in out.read_text(encoding="utf-8")
 
 
 def test_inspect_prints_summary(arff_path, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semisom import (NO_CLASS, DataFormatError, Dataset, apply_norm,
+from semisom import (NO_CLASS, DataFormatError, Dataset, apply_norm, data,
                      kfold_split, load_arff, load_csv, mask_labels, normalize)
+from helpers import reference_load_csv
 
 ARFF_OK = """\
 % golden fixture
@@ -170,6 +171,133 @@ def test_csv_non_finite_value_reports_line(tmp_path, token):
 def test_csv_non_numeric_feature_is_error(tmp_path):
     with pytest.raises(DataFormatError, match="oops"):
         load_csv(write(tmp_path, "t.csv", "f1,f2\n1,oops\n"))
+
+
+def csv_outcome(load, path, label_column=None):
+    """What a loader makes of a file: the data, bit for bit, or its error."""
+    try:
+        ds = load(path, label_column)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return ("ok", ds.patterns.shape, ds.patterns.tobytes(), ds.labels.tolist(),
+            ds.class_names, ds.dim_names)
+
+
+def write_bytes(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("text, line", [
+    ("f1,f2\n1,2\n3,x", 3),
+    ("f1,f2\n1,2\n3,x\n", 3),
+    ("f1,f2\n\n1,2\n\n\n3,oops\n", 6),
+    ("\r\nf1,f2\r\n\r\n1,2\r\n\r\n5,nan\r\n", 6),
+    ("f1,class\n1,a\n\n\n2", 5),
+])
+def test_csv_fallback_names_the_bad_line(tmp_path, text, line):
+    path = write_bytes(tmp_path, "t.csv", text)
+    with pytest.raises(DataFormatError, match=f"t.csv:{line}: "):
+        load_csv(path)
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
+                                                      path)
+
+
+def test_csv_float_spelling_the_c_reader_refuses_still_loads(tmp_path):
+    path = write_bytes(tmp_path, "t.csv", "f1,f2,class\n1_0,2,a\n3,4_5.5,b\n")
+    with pytest.raises(ValueError):
+        data._read_csv_table(path, None)
+    ds = load_csv(path)
+    assert ds.patterns.tolist() == [[10.0, 2.0], [3.0, 45.5]]
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
+                                                      path)
+
+
+def test_csv_table_reader_handles_clean_files_alone(tmp_path):
+    text = ('\r\nf1 ,"f,2",class\r\n\r\n 1.5 ,"2"," x,y "\r\n'
+            '+.5e-3,-0, z\r\n1e-320,"1e5","x,y"\r\n')
+    path = write_bytes(tmp_path, "t.csv", text)
+    want = csv_outcome(reference_load_csv, path)
+    assert want[0] == "ok" and want[3:] == ([0, 1, 0], ("x,y", "z"),
+                                            ("f1", "f,2"))
+    assert csv_outcome(data._read_csv_table, path) == want
+
+
+ODD_NUMBERS = [" 3 ", "+1", ".5", "-0", "+.5e-3", "4.", "1e-320", "1e309",
+               "2.2250738585072014e-308", "\t7\t", "\xa01", "\x1c1", "1\x1f",
+               "123456789012345678901234567890.123456", "1_0",
+               '"8"', '" 9 "', '"1,5"', '"6"x', "0x1", "abc", "", "1e", " "]
+PLAIN_CLASSES = ["a", "b", "c", "B", "k1"]
+ODD_CLASSES = [" a ", "a ", '"c,d"', '"e f"', '" a"', '"g""h"', "", '"x\ny"',
+               "i j", '"b"']
+
+
+# nan, inf and infinity in any letter case, with or without a sign
+NON_FINITE = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["nan", "inf", "infinity"]).flatmap(
+        lambda word: st.tuples(*(st.sampled_from([c, c.upper()])
+                                 for c in word)).map("".join)),
+).map("".join)
+
+
+def rarely(draw, odd, plain):
+    """Mostly ``plain``: a file with a single oddity reaches the C reader."""
+    return draw(odd if draw(st.integers(0, 9)) == 0 else plain)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text around the spellings and layouts the two readers differ on."""
+    n_features = draw(st.integers(1, 3))
+    label = draw(st.sampled_from(["none", "class", "Class", "chosen"]))
+    names = [rarely(draw, st.sampled_from([f" f{i} ", f'"f{i}"']),
+                    st.just(f"f{i}")) for i in range(n_features)]
+    label_column = None
+    if label != "none":
+        names.insert(draw(st.integers(0, n_features)),
+                     "target" if label == "chosen" else label)
+        label_column = "target" if label == "chosen" else None
+    number = st.one_of(st.integers(-9, 9).map(str),
+                       st.floats(allow_nan=False,
+                                 allow_infinity=False).map(repr))
+    short = len(names) > 1 and draw(st.integers(0, 4)) == 0
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        fields = [rarely(draw, st.sampled_from(ODD_CLASSES),
+                         st.sampled_from(PLAIN_CLASSES))
+                  if name in ("target", "class", "Class")
+                  else rarely(draw, st.sampled_from(ODD_NUMBERS) | NON_FINITE,
+                              number) for name in names]
+        if short:
+            fields = fields[:-1]
+        else:
+            fields = rarely(draw, st.sampled_from([fields[:-1],
+                                                   fields + ["1"]]),
+                            st.just(fields))
+        rows.append(",".join(fields))
+    lines = [line for row in [",".join(names)] + rows
+             for line in [row] + rarely(draw, st.sampled_from([[""], [" "]]),
+                                        st.just([]))]
+    lines = rarely(draw, st.sampled_from([[""], ["", ""], ["\t"]]),
+                   st.just([])) + lines
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline]))
+    return newline.join(lines) + end, label_column
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=csv_files())
+@example(case=("f1,f2\n1,\x1c2\n", None))
+@example(case=("f1,f2,f3\n1,2\n3,4\n", None))
+@example(case=("f1,class\n1,b\n2,a\n3,b\n", None))
+@example(case=("f1,class\r\n\r\n1, b\r\n2,b \r\n3,a\r\n", None))
+def test_load_csv_matches_the_row_reference(tmp_path_factory, case):
+    text, label_column = case
+    path = write_bytes(tmp_path_factory.mktemp("csv"), "gen.csv", text)
+    assert (csv_outcome(load_csv, path, label_column)
+            == csv_outcome(reference_load_csv, path, label_column))
 
 
 # -- normalization -----------------------------------------------------------

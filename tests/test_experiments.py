@@ -5,7 +5,7 @@ from semisom import (DEFAULT_RANGES, FRACTIONS, RunResult, best_per_fold,
                      classify, emit_curve, emit_results, kfold_split,
                      lhs_sample, lhs_unit, mean_std, normalize,
                      resolve_sample, run_one, run_sweep, summarize_curve)
-from helpers import make_blobs
+from helpers import make_blobs, reference_classify
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,18 @@ def test_run_one_reproduces_sweep_entry(blob_ds):
                for x, want in zip(blob_ds.patterns[test_idx],
                                   blob_ds.labels[test_idx]))
     assert hits / len(test_idx) == pick.accuracy
+
+
+def test_run_accuracy_counts_patterns_like_the_reference(blob_ds):
+    plan = kfold_split(blob_ds, 1, 2, seed=4)
+    test_idx = plan.test_indices(0, 1)
+    for sample_id in range(3):
+        result, som, params = run_one(blob_ds, plan, 0, 1, 0.2, sample_id,
+                                      n_samples=3, seed=7)
+        hits = sum(reference_classify(som, x, params.a_t).label == want
+                   for x, want in zip(blob_ds.patterns[test_idx],
+                                      blob_ds.labels[test_idx]))
+        assert result.accuracy == hits / len(test_idx)
 
 
 # -- aggregation -------------------------------------------------------------

@@ -130,3 +130,57 @@ def test_load_rejects_inconsistent_model_files(trained, tmp_path, edit,
     bad = _corrupt(path, tmp_path, edit)
     with pytest.raises(DataFormatError, match=f"corrupt.json: .*{where}"):
         load_model(bad)
+
+
+def _delete(*keys):
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_set("connections", value=lambda v: [[0, 99]]),
+                 r"connection \(0, 99\) names a node outside the \d+ nodes",
+                 id="missing-node"),
+    pytest.param(_set("connections", value=lambda v: [[-1, 0]]),
+                 r"connection \(-1, 0\) names a node outside",
+                 id="negative-node"),
+    pytest.param(_set("connections", value=lambda v: [[0, 1], [0, 1]]),
+                 r"connection \(0, 1\) is listed twice", id="duplicate"),
+    pytest.param(_set("connections", value=lambda v: [[0, 1], [1, 0]]),
+                 r"connection \(1, 0\) is listed twice",
+                 id="reversed-duplicate"),
+    pytest.param(_set("connections", value=lambda v: [[1, 1]]),
+                 r"connection \(1, 1\) joins a node to itself",
+                 id="self-connection"),
+    pytest.param(_set("connections", value=lambda v: [[0, 1, 2]]),
+                 r"connection \[0, 1, 2\] is not a pair of node ids",
+                 id="triple"),
+    pytest.param(_delete("nodes", 1, "wins"), "node 1: missing key 'wins'",
+                 id="missing-node-key"),
+    pytest.param(_delete("params", "lp"), "params: missing key 'lp'",
+                 id="missing-param"),
+    pytest.param(_set("params", "lp", value=lambda v: "0.005"),
+                 "params: must be real number", id="string-param"),
+    pytest.param(lambda doc: doc["params"].update(speed=1.0),
+                 "params: unknown key 'speed'", id="unknown-param"),
+    pytest.param(_delete("connections"), "missing key 'connections'",
+                 id="missing-top-level-key"),
+    pytest.param(_delete("norm_stats", "mins"),
+                 "norm_stats: missing key 'mins'", id="missing-norm-key"),
+])
+def test_load_rejects_malformed_model_files(trained, tmp_path, edit, where):
+    bad = _corrupt(trained[3], tmp_path, edit)
+    with pytest.raises(DataFormatError, match=f"corrupt.json: {where}"):
+        load_model(bad)
+
+
+def test_load_rejects_invalid_json(trained, tmp_path):
+    bad = tmp_path / "truncated.json"
+    bad.write_text(trained[3].read_text(encoding="utf-8")[:-40],
+                   encoding="utf-8")
+    with pytest.raises(DataFormatError, match="truncated.json: not valid"):
+        load_model(bad)
