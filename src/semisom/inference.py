@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ACTIVATION_EPS, NO_CLASS, SomMap, _activations
+from .model import (ACTIVATION_EPS, NO_CLASS, SomMap, _activations,
+                    _require_finite)
 
 # Classification outcome when no labeled node is activated above threshold.
 REJECTED = -2
@@ -106,12 +107,6 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
         node[part], label[part], act[part] = _classify_block(nodes, x[part],
                                                              a_t)
     return node, label, act
-
-
-def _require_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        raise ValueError(f"pattern {row} holds a non-finite value")
 
 
 class _NodeArrays:

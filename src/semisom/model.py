@@ -12,10 +12,14 @@ and similar relevance profiles are linked as neighbors.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
+
+from . import _kernel
 
 NO_CLASS = -1
 
@@ -196,6 +200,13 @@ def _check_pattern(x, node: Node) -> np.ndarray:
     return x
 
 
+def _require_finite(patterns: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row holding ``nan`` or ``inf``."""
+    if not np.isfinite(patterns).all():
+        row = int(np.flatnonzero(~np.isfinite(patterns).all(axis=1))[0])
+        raise ValueError(f"pattern {row} holds a non-finite value")
+
+
 def _relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     """Relevance transform along the last axis; ``slope`` is not checked.
 
@@ -219,10 +230,15 @@ def _relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
 
 def _distances(centers: np.ndarray, rel: np.ndarray,
                x: np.ndarray) -> np.ndarray:
-    """Relevance-weighted distance from ``x`` to each row of ``centers``."""
+    """Relevance-weighted distance from ``x`` to each row of ``centers``.
+
+    The row sums are numpy's pairwise summation, whose order does not
+    depend on the CPU (einsum's does), so ``_kernel.c`` can repeat it.
+    """
     diff = centers - x
     np.multiply(diff, diff, out=diff)
-    dist = np.einsum("ij,ij->i", rel, diff)
+    diff *= rel
+    dist = np.add.reduce(diff, axis=1)
     return np.sqrt(dist, out=dist)
 
 
@@ -292,6 +308,38 @@ class SomMap:
         # caches for the training hot loop
         self._rel_sums = np.zeros(node_budget)
         self._nbr: list[np.ndarray | None] = []
+        # the activations of the last competition, and scratch for the
+        # pattern, the summation terms and an update's rows and rates
+        self._acts = np.zeros(node_budget)
+        self._x = np.zeros(dim)
+        self._work = np.zeros(dim)
+        self._idx = np.zeros(node_budget, dtype=np.intp)
+        self._lr = np.zeros(node_budget)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point the compiled kernels, if any, at this map's arrays.
+
+        Every array above is allocated once, in ``__init__``, and only ever
+        written in place (``keep_nodes`` and ``from_nodes`` included), so
+        the addresses taken here stay valid for the map's lifetime. The lock
+        serializes the kernels' use of the shared scratch rows.
+        """
+        self._lock = threading.Lock()
+        self._view, self._winner, self._update = _kernel.bind(
+            self.dim, ACTIVATION_EPS, centers=self._centers, rel=self._rel,
+            dist=self._dist, sums=self._rel_sums, acts=self._acts, x=self._x,
+            work=self._work, lr=self._lr, idx=self._idx)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in ("_lock", "_view", "_winner", "_update"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     # -- structure ---------------------------------------------------------
 
@@ -392,9 +440,7 @@ class SomMap:
             raise MapFullError(
                 f"map already holds its budget of {self.node_budget} nodes"
             )
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"pattern has shape {x.shape}, map expects ({self.dim},)")
+        x = self._pattern(x)
         j = self._n
         self._centers[j] = x
         self._rel[j] = 1.0
@@ -433,22 +479,41 @@ class SomMap:
 
     # -- competition -------------------------------------------------------
 
-    def activations(self, x: np.ndarray) -> np.ndarray:
-        """Activation of every node for pattern ``x``."""
+    def _pattern(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"pattern has shape {x.shape}, map expects ({self.dim},)")
+        return x
+
+    def _compete(self, x: np.ndarray) -> int:
+        """Fill the activation row for ``x``; returns its argmax.
+
+        Ties go to the lowest index. The caller holds the lock.
+        """
         n = self._n
         if n == 0:
             raise ValueError("map has no nodes")
-        return _activations(self._centers[:n], self._rel[:n],
-                            self._rel_sums[:n], x, ACTIVATION_EPS)
+        if self._winner is None:
+            acts = self._acts[:n]
+            acts[:] = _activations(self._centers[:n], self._rel[:n],
+                                   self._rel_sums[:n], x, ACTIVATION_EPS)
+            return int(np.argmax(acts))
+        self._x[:] = x
+        return self._winner(n)
+
+    def activations(self, x: np.ndarray) -> np.ndarray:
+        """Activation of every node for pattern ``x``."""
+        x = self._pattern(x)
+        with self._lock:
+            self._compete(x)
+            return self._acts[:self._n].copy()
 
     def find_winner(self, x: np.ndarray) -> tuple[int, float]:
         """Most activated node for ``x``; ties go to the lowest index."""
-        acts = self.activations(x)
-        j = int(np.argmax(acts))
-        return j, float(acts[j])
+        x = self._pattern(x)
+        with self._lock:
+            j = self._compete(x)
+            return j, float(self._acts[j])
 
     def find_winner_for_class(self, x: np.ndarray, label: int,
                               a_t: float) -> int | None:
@@ -458,43 +523,85 @@ class SomMap:
         activation must reach ``a_t`` (inclusive). Returns ``None`` when no
         node qualifies.
         """
-        acts = self.activations(x)
-        lab = self._labels[:self._n]
-        ok = ((lab == label) | (lab == NO_CLASS)) & (acts >= a_t)
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        return int(idx[np.argmax(acts[idx])])
+        x = self._pattern(x)
+        with self._lock:
+            self._compete(x)
+            acts = self._acts[:self._n]
+            lab = self._labels[:self._n]
+            ok = ((lab == label) | (lab == NO_CLASS)) & (acts >= a_t)
+            if not ok.any():
+                return None
+            idx = np.flatnonzero(ok)
+            return int(idx[np.argmax(acts[idx])])
 
     # -- adaptation --------------------------------------------------------
 
     def update_node(self, j: int, x: np.ndarray, lr: float, beta: float,
                     slope: float) -> None:
-        """Apply the node-update step to node ``j`` in place."""
-        rel = _shift_vectors(self._centers[j], self._dist[j],
-                             np.asarray(x, dtype=float), lr, beta, slope)
-        self._rel[j] = rel
-        self._rel_sums[j] = rel.sum()
+        """Apply the node-update step to node ``j`` in place.
+
+        Raises:
+            IndexError: if ``j`` is not a node of the map.
+        """
+        j = operator.index(j)
+        if not 0 <= j < self._n:
+            raise IndexError(f"no node {j} in a map of {self._n} nodes")
+        x = self._pattern(x)
+        with self._lock:
+            if self._update is None:
+                rel = _shift_vectors(self._centers[j], self._dist[j], x, lr,
+                                     beta, slope)
+                self._rel[j] = rel
+                self._rel_sums[j] = rel.sum()
+                return
+            self._x[:] = x
+            self._idx[0] = j
+            self._lr[0] = lr
+            self._update(self._n, 1, 0, beta, slope)
 
     def update_nodes(self, indices, x: np.ndarray, lr,
                      beta: float, slope: float) -> None:
-        """Apply the node-update step to several nodes at once.
+        """Apply the node-update step to several distinct nodes at once.
 
-        ``lr`` may be a scalar or a ``(len(indices), 1)`` column of per-node
-        rates; rows are independent, so a batch equals the same updates
-        applied one by one.
+        ``lr`` may be a scalar or one rate per node, e.g. a
+        ``(len(indices), 1)`` column; rows are independent, so a batch
+        equals the same updates applied one by one.
+
+        Raises:
+            IndexError: if an index is not a node of the map.
         """
-        if not len(indices):
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        k = idx.size
+        if not k:
             return
-        idx = np.asarray(indices, dtype=np.intp)
-        centers = self._centers[idx]
-        dist = self._dist[idx]
-        rel = _shift_vectors(centers, dist, np.asarray(x, dtype=float), lr,
-                             beta, slope)
-        self._centers[idx] = centers
-        self._dist[idx] = dist
-        self._rel[idx] = rel
-        self._rel_sums[idx] = rel.sum(axis=1)
+        n = self._n
+        if k > n:
+            raise ValueError(f"{k} rows to update in a map of {n} nodes")
+        rates = np.asarray(lr, dtype=float)
+        if rates.ndim:
+            rates = rates.reshape(k, 1)
+        x = self._pattern(x)
+        with self._lock:
+            if self._update is None:
+                if idx.min() < 0 or idx.max() >= n:
+                    raise self._no_node(idx)
+                centers = self._centers[idx]
+                dist = self._dist[idx]
+                rel = _shift_vectors(centers, dist, x, rates, beta, slope)
+                self._centers[idx] = centers
+                self._dist[idx] = dist
+                self._rel[idx] = rel
+                self._rel_sums[idx] = rel.sum(axis=1)
+                return
+            self._x[:] = x
+            self._idx[:k] = idx
+            self._lr[:rates.size] = rates.ravel()
+            if self._update(n, k, int(rates.size > 1), beta, slope):
+                raise self._no_node(idx)
+
+    def _no_node(self, idx: np.ndarray) -> IndexError:
+        bad = idx[(idx < 0) | (idx >= self._n)]
+        return IndexError(f"no node {bad[0]} in a map of {self._n} nodes")
 
     # -- neighborhood ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .model import NO_CLASS, HyperParams, SomMap
+from .model import NO_CLASS, HyperParams, SomMap, _require_finite
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -235,7 +235,8 @@ def train_with_state(dataset: "Dataset", params: HyperParams, *,
 
     The presentation order is drawn uniformly with replacement from a
     generator seeded by ``params.seed``, so identical inputs reproduce the
-    map exactly.
+    map exactly. A pattern holding ``nan`` or ``inf`` raises ``ValueError``
+    naming its row.
     """
     params.validate()
     patterns = np.asarray(dataset.patterns, dtype=float)
@@ -243,6 +244,7 @@ def train_with_state(dataset: "Dataset", params: HyperParams, *,
     n = len(patterns)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    _require_finite(patterns)
     rng = np.random.default_rng(params.seed)
     som = init_map(patterns[0], int(labels[0]), n_max=params.n_max)
     state = TrainState(som=som, params=params, rng=rng)

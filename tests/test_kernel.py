@@ -1,0 +1,272 @@
+"""The compiled presentation kernels against the numpy kernels they replace.
+
+``SomMap`` runs its winner search and node update in ``_kernel.c`` when the
+library builds, and in numpy otherwise. Both must give the same floats, bit
+for bit, so a map trains identically whichever path is active.
+"""
+
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semisom import (NO_CLASS, HyperParams, Node, SomMap, mask_labels,
+                     save_model, train_with_state)
+from semisom import _kernel
+from semisom.model import ACTIVATION_EPS, _activations, _shift_vectors
+from helpers import make_blobs, random_map
+
+compiled = pytest.mark.skipif(_kernel.compiled() is None,
+                              reason="no C compiler: maps use numpy kernels")
+
+
+def _without_compiler(monkeypatch, tmp_path):
+    """Maps made from now on fall back to the numpy kernels.
+
+    The loader is pointed at a compiler that does not exist, so building
+    the library fails as it would on a machine without one.
+    """
+    monkeypatch.setattr(_kernel, "_cache_dirs", lambda: [tmp_path])
+    lib = _kernel.load(compiler=str(tmp_path / "no-such-cc"))
+    assert lib is None
+    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def _maps(draw):
+    """A map, a pattern and update rows, drawn to reach every corner case.
+
+    m runs through every branch of the pairwise sum (below 8, up to 128,
+    halved above); huge scales overflow the squared distance, so zero
+    relevances meet infinities and give NaN activations.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 150))
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e2, 1e150, 1e160]))
+    centers = rng.standard_normal((n, m)) * scale
+    rel = rng.random((n, m))
+    dist = rng.random((n, m)) * scale
+    if draw(st.booleans()):  # duplicate nodes: exact ties
+        centers[-1], rel[-1] = centers[0], rel[0]
+    if draw(st.booleans()):  # a node that never activates
+        rel[rng.integers(n)] = 0.0
+    if draw(st.booleans()):  # equal distance averages: a flat row
+        dist[rng.integers(n)] = dist[0, 0]
+    if draw(st.booleans()):  # NaN and inf must propagate as in numpy
+        dist[rng.integers(n), rng.integers(m)] = draw(
+            st.sampled_from([np.nan, np.inf]))
+    x = rng.standard_normal(m) * scale
+    if draw(st.booleans()):  # a pattern on a center
+        x = centers[rng.integers(n)].copy()
+    labels = rng.integers(-1, 3, size=n)
+    nodes = [Node(center=c, relevance=r, dist_avg=d, label=int(lab))
+             for c, r, d, lab in zip(centers, rel, dist, labels)]
+    k = draw(st.integers(1, n))
+    rows = rng.permutation(n)[:k]
+    rates = rng.choice([0.0, 1.0, -0.005, 0.05, rng.uniform(-0.1, 0.5)],
+                       size=k)
+    beta = draw(st.sampled_from([0.1, 0.5, 0.99]))
+    slope = draw(st.sampled_from([0.01, 0.05, 1.0]))
+    return nodes, x, rows, rates, beta, slope
+
+
+@compiled
+@settings(max_examples=300, deadline=None)
+@given(_maps())
+def test_compiled_winner_equals_numpy(case):
+    nodes, x, *_ = case
+    n, m = len(nodes), nodes[0].center.size
+    som = SomMap.from_nodes(m, n + 1, nodes)
+    centers = np.array([nd.center for nd in nodes])
+    rel = np.array([nd.relevance for nd in nodes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _activations(centers, rel, rel.sum(axis=1), x, ACTIVATION_EPS)
+    j, act = som.find_winner(x)
+    assert j == int(np.argmax(want))
+    assert bits(act) == bits(want[j])
+    assert np.array_equal(bits(som.activations(x)), bits(want))
+    lab = np.array([nd.label for nd in nodes])
+    a_t = float(np.nanmedian(want)) if not np.isnan(want).all() else 0.5
+    ok = ((lab == 1) | (lab == NO_CLASS)) & (want >= a_t)
+    expected = (int(np.flatnonzero(ok)[np.argmax(want[ok])]) if ok.any()
+                else None)
+    assert som.find_winner_for_class(x, 1, a_t) == expected
+
+
+@compiled
+@settings(max_examples=300, deadline=None)
+@given(_maps(), st.sampled_from(["update_node", "one rate", "per row"]))
+def test_compiled_update_equals_numpy(case, mode):
+    nodes, x, rows, rates, beta, slope = case
+    n, m = len(nodes), nodes[0].center.size
+    som = SomMap.from_nodes(m, n + 1, nodes)
+    centers = np.array([nd.center for nd in nodes])
+    dist = np.array([nd.dist_avg for nd in nodes])
+    rel = np.array([nd.relevance for nd in nodes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "update_node":
+            j, lr = int(rows[0]), float(rates[0])
+            # the numpy kernel on one node's 1-D rows, updated in place
+            rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
+            som.update_node(j, x, lr, beta, slope)
+        else:
+            lr = float(rates[0]) if mode == "one rate" else rates[:, None]
+            c, d = centers[rows], dist[rows]
+            rel[rows] = _shift_vectors(c, d, x, lr, beta, slope)
+            centers[rows], dist[rows] = c, d
+            som.update_nodes(rows, x, lr, beta, slope)
+    assert np.array_equal(bits(som.centers), bits(centers))
+    assert np.array_equal(bits([som.node(j).dist_avg for j in range(n)]),
+                          bits(dist))
+    assert np.array_equal(bits(som.relevances), bits(rel))
+    assert np.array_equal(bits(som._rel_sums[:n]), bits(rel.sum(axis=1)))
+
+
+def _train_blobs(tmp_path, name):
+    ds = make_blobs(60, [[0.3, 0.3, 0.5], [0.45, 0.4, 0.5], [0.7, 0.6, 0.2]],
+                    0.08, seed=3)
+    params = HyperParams(a_t=0.9, lp=0.01, beta=0.1, age_wins=3 * len(ds),
+                         e_b=0.1, push_rate=0.05, e_n=0.01, eps_beta=0.05,
+                         minwd=0.3, epochs=3, n_max=len(ds), seed=1)
+    state = train_with_state(mask_labels(ds, 0.5, seed=9), params)
+    path = tmp_path / name
+    save_model(path, state.som, params)
+    return state, path.read_bytes()
+
+
+@compiled
+def test_compiled_and_numpy_kernels_train_identical_models(tmp_path,
+                                                            monkeypatch):
+    state, model = _train_blobs(tmp_path, "compiled.json")
+    assert state.som._view is not None
+    assert state.stats.pushes > 0 and state.stats.unsupervised > 0
+    _without_compiler(monkeypatch, tmp_path)
+    fallback, again = _train_blobs(tmp_path, "numpy.json")
+    assert fallback.som._view is None
+    assert again == model
+    assert fallback.stats == state.stats
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernels(request, monkeypatch, tmp_path):
+    """Runs a test once on each kernel path."""
+    if request.param == "numpy":
+        _without_compiler(monkeypatch, tmp_path)
+    elif _kernel.compiled() is None:
+        pytest.skip("no C compiler: maps use numpy kernels")
+    return request.param
+
+
+def _one_node_map():
+    som = SomMap(2, 5)
+    som.add_node(np.array([0.2, 0.4]))
+    return som
+
+
+@pytest.mark.parametrize("j", [3, -1, 5, 1])
+def test_update_node_rejects_missing_nodes(kernels, j):
+    som = _one_node_map()
+    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    with pytest.raises(IndexError, match=f"no node {j} "):
+        som.update_node(j, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
+    for got, was in zip((som._centers, som._dist, som._rel), before):
+        assert np.array_equal(got, was)
+
+
+@pytest.mark.parametrize("rows", [[0, 3], [-1], [4, 0]])
+def test_update_nodes_rejects_missing_nodes(kernels, rows):
+    som = _one_node_map()
+    som.add_node(np.array([0.6, 0.1]))
+    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    with pytest.raises(IndexError, match="no node "):
+        som.update_nodes(rows, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
+    for got, was in zip((som._centers, som._dist, som._rel), before):
+        assert np.array_equal(got, was)
+
+
+def test_update_rejects_wrong_pattern_shape(kernels):
+    som = _one_node_map()
+    with pytest.raises(ValueError, match="shape"):
+        som.update_node(0, np.zeros(3), 0.1, 0.1, 0.05)
+    with pytest.raises(ValueError, match="shape"):
+        som.update_nodes([0], np.zeros(1), 0.1, 0.1, 0.05)
+
+
+def test_update_nodes_takes_one_rate_per_row_in_any_shape(kernels):
+    rng = np.random.default_rng(5)
+    column = random_map(rng, 6, 4)
+    flat = pickle.loads(pickle.dumps(column))
+    x, rates = rng.random(4), np.array([0.1, -0.01, 1.0])
+    column.update_nodes([4, 0, 2], x, rates[:, None], 0.2, 0.05)
+    flat.update_nodes([4, 0, 2], x, rates, 0.2, 0.05)
+    assert np.array_equal(column.centers, flat.centers)
+    assert np.array_equal(column.relevances, flat.relevances)
+    with pytest.raises(ValueError):
+        flat.update_nodes([4, 0, 2], x, rates[:2], 0.2, 0.05)
+
+
+def test_pickled_map_runs_on_its_own_arrays(kernels):
+    rng = np.random.default_rng(11)
+    som = random_map(rng, 9, 5)
+    clone = pickle.loads(pickle.dumps(som))
+    x = rng.random(5)
+    assert clone.find_winner(x) == som.find_winner(x)
+    assert (clone._view is None) == (kernels == "numpy")
+    clone.update_nodes([0, 3], x, 0.5, 0.3, 0.05)
+    assert not np.array_equal(clone.centers, som.centers)
+    assert np.array_equal(pickle.loads(pickle.dumps(som)).centers,
+                          som.centers)
+
+
+def test_threads_can_share_a_map(kernels):
+    """The pattern and activation scratch rows are per map, not per call."""
+    rng = np.random.default_rng(13)
+    som = random_map(rng, 30, 8)
+    patterns = rng.random((300, 8))
+    want = [som.find_winner(x) for x in patterns]
+    threads_n = 6
+    got = [None] * threads_n
+
+    def work(t):
+        got[t] = [(i, som.find_winner(patterns[i]))
+                  for i in range(t, len(patterns), threads_n)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(threads_n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for part in got:
+        for i, result in part:
+            assert result == want[i]
+
+
+def test_loader_builds_in_user_cache_when_package_dir_is_unwritable(
+        tmp_path, monkeypatch):
+    blocked = tmp_path / "not-a-dir"
+    blocked.write_text("")
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_kernel, "_cache_dirs",
+                        lambda: [blocked / "__pycache__", cache])
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler")
+    built = sorted(p.name for p in cache.iterdir())
+    assert len(built) == 1 and built[0].startswith("_kernel-")
+    assert not built[0].endswith(".tmp")

@@ -210,6 +210,16 @@ def test_train_rejects_empty_dataset():
         train(ds, params_for(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_patterns(bad):
+    rng = np.random.default_rng(3)
+    patterns = rng.random((50, 3))
+    patterns[17, 1] = bad
+    ds = Dataset(patterns, np.full(50, NO_CLASS), (), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="pattern 17 holds a non-finite"):
+        train_with_state(ds, params_for(50))
+
+
 def test_train_single_pattern_converges_onto_it():
     ds = Dataset(np.array([[0.3, 0.6]]), np.array([NO_CLASS]), (),
                  ("a", "b"))
