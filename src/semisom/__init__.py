@@ -17,12 +17,9 @@ from .experiments import (DEFAULT_RANGES, FRACTIONS, CurvePoint, ParamRange,
                           summarize_curve)
 from .inference import REJECTED, Prediction, classify, classify_batch, cluster
 from .model import (ACTIVATION_EPS, NO_CLASS, HyperParams, MapFullError,
-                    Node, SomMap, activation, compute_relevances, connected,
-                    update_node, weighted_distance)
+                    Node, SomMap, compute_relevances)
 from .persistence import TrainedModel, load_model, save_model
-from .training import (TrainState, TrainStats, convergence_phase, handle_reset,
-                       init_map, insert_node, supervised_step, train,
-                       train_with_state, unsupervised_step)
+from .training import TrainState, TrainStats, train, train_with_state
 
 __version__ = "0.1.0"
 
@@ -31,12 +28,10 @@ __all__ = [
     "Dataset", "FRACTIONS", "FoldPlan", "HyperParams", "MapFullError",
     "NO_CLASS", "Node", "NormStats", "ParamRange", "Prediction", "REJECTED",
     "RunResult", "SomMap", "TrainState", "TrainStats", "TrainedModel",
-    "activation", "apply_norm", "best_per_fold", "classify", "classify_batch",
-    "cluster", "compute_relevances", "connected", "convergence_phase",
-    "emit_curve", "emit_curve_svg", "emit_results", "handle_reset",
-    "init_map", "insert_node", "kfold_split", "lhs_sample", "lhs_unit",
-    "load_arff", "load_csv", "load_model", "mask_labels", "mean_std",
-    "normalize", "resolve_sample", "run_one", "run_sweep", "save_model",
-    "summarize_curve", "supervised_step", "train", "train_with_state",
-    "unsupervised_step", "update_node", "weighted_distance",
+    "apply_norm", "best_per_fold", "classify", "classify_batch", "cluster",
+    "compute_relevances", "emit_curve", "emit_curve_svg", "emit_results",
+    "kfold_split", "lhs_sample", "lhs_unit", "load_arff", "load_csv",
+    "load_model", "mask_labels", "mean_std", "normalize", "resolve_sample",
+    "run_one", "run_sweep", "save_model", "summarize_curve", "train",
+    "train_with_state",
 ]

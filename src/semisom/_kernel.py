@@ -7,9 +7,10 @@ stale build. The library goes to the package's ``__pycache__`` directory,
 or to ``~/.cache/semisom`` when that one is read-only. It is loaded
 with ``ctypes.PyDLL``, which keeps the interpreter lock held during a call.
 
-When no library can be built or loaded, ``compiled()`` returns ``None`` and
-maps use the numpy kernels of ``model.py``; the results are the same bit
-for bit either way.
+When no library can be built or loaded, ``compiled()`` returns ``None``
+and ``bind`` returns no kernels; each map then chooses, once, the numpy
+kernels of ``model.py``, which take the same arguments and return codes.
+The results are the same bit for bit either way.
 """
 
 from __future__ import annotations
@@ -106,9 +107,13 @@ def bind(m: int, eps: float, **arrays: np.ndarray):
     """The compiled kernels bound to one map's arrays.
 
     ``arrays`` names every pointer field of ``View``. Returns the view and
-    ``winner(n)`` and ``update(n, k, lr_step, beta, slope)`` callables,
-    or three ``None`` when no library is available. The caller keeps the
-    arrays alive and never reallocates them while the view is in use.
+    the callables ``winner(n)``, which returns the winner's row, and
+    ``update(n, k, lr_step, beta, slope)``, which updates the ``k`` rows
+    of ``idx`` one after another and returns -1 (writing nothing) when a
+    row lies outside ``[0, n)``, else 0. Returns three ``None`` when no
+    library is available; ``SomMap._bind`` then binds the numpy kernels
+    instead. The caller keeps the arrays alive and never reallocates them
+    while the view is in use.
     """
     lib = compiled()
     if lib is None:

@@ -11,10 +11,12 @@ and similar relevance profiles are linked as neighbors.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
@@ -141,65 +143,6 @@ def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     return _relevances(np.asarray(dist_avg, dtype=float), slope)
 
 
-def weighted_distance(x: np.ndarray, node: Node) -> float:
-    """Distance from ``x`` to a node's center, weighting each dimension.
-
-    With all relevances at one this is the Euclidean distance; dimensions
-    with zero relevance are ignored entirely.
-    """
-    x = _check_pattern(x, node)
-    return float(_distances(node.center[None], node.relevance[None], x)[0])
-
-
-def activation(x: np.ndarray, node: Node, eps: float = ACTIVATION_EPS) -> float:
-    """Radial-basis response of a node to a pattern, in [0, 1).
-
-    Grows toward one as the weighted distance shrinks and as the relevance
-    mass grows; a node with all-zero relevance never activates.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = _check_pattern(x, node)
-    rel = node.relevance[None]
-    return float(_activations(node.center[None], rel, rel.sum(axis=1), x,
-                              eps)[0])
-
-
-def update_node(node: Node, x: np.ndarray, lr: float, beta: float,
-                slope: float) -> Node:
-    """Move a node toward (or, with negative ``lr``, away from) a pattern.
-
-    In order: the distance average absorbs ``|x - center|`` at rate
-    ``lr * beta`` and is clamped at zero from below (a negative rate can
-    drive the average negative), the relevances are recomputed from it, and
-    the center finally steps by ``lr`` along ``x - center``. The node is
-    modified in place and returned.
-    """
-    x = _check_pattern(x, node)
-    node.relevance = _shift_vectors(node.center, node.dist_avg, x, lr, beta,
-                                    slope)
-    return node
-
-
-def connected(a: Node, b: Node, minwd: float) -> bool:
-    """Whether two nodes qualify as neighbors.
-
-    Requires label compatibility (equal labels, or at least one side
-    unlabeled) and relevance profiles closer than ``minwd * sqrt(m)``.
-    """
-    return bool(_linked(a.relevance[None], np.array([a.label]), b.relevance,
-                        b.label, minwd)[0])
-
-
-def _check_pattern(x, node: Node) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != node.center.shape:
-        raise ValueError(
-            f"pattern has shape {x.shape}, node expects {node.center.shape}"
-        )
-    return x
-
-
 def _require_finite(patterns: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first row holding ``nan`` or ``inf``."""
     if not np.isfinite(patterns).all():
@@ -282,6 +225,26 @@ def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
     return rel
 
 
+def _winner_numpy(v: SimpleNamespace, n: int) -> int:
+    """``som_winner`` in numpy, on the arrays of ``_kernel.View``."""
+    v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], v.x,
+                              ACTIVATION_EPS)
+    return int(np.argmax(v.acts[:n]))
+
+
+def _update_numpy(v: SimpleNamespace, n: int, k: int, lr_step: int,
+                  beta: float, slope: float) -> int:
+    """``som_update`` in numpy: rows one after another, -1 for a missing row."""
+    rows = v.idx[:k]
+    if np.any((rows < 0) | (rows >= n)):
+        return -1
+    for i, j in enumerate(rows.tolist()):
+        v.rel[j] = _shift_vectors(v.centers[j], v.dist[j], v.x,
+                                  v.lr[i * lr_step], beta, slope)
+        v.sums[j] = v.rel[j].sum()
+    return 0
+
+
 class SomMap:
     """Growable map of prototype nodes with relevance-based connections.
 
@@ -318,7 +281,7 @@ class SomMap:
         self._bind()
 
     def _bind(self) -> None:
-        """Point the compiled kernels, if any, at this map's arrays.
+        """Choose the kernels once: compiled if the library loads, else numpy.
 
         Every array above is allocated once, in ``__init__``, and only ever
         written in place (``keep_nodes`` and ``from_nodes`` included), so
@@ -326,10 +289,15 @@ class SomMap:
         serializes the kernels' use of the shared scratch rows.
         """
         self._lock = threading.Lock()
+        arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
+                      sums=self._rel_sums, acts=self._acts, x=self._x,
+                      work=self._work, lr=self._lr, idx=self._idx)
         self._view, self._winner, self._update = _kernel.bind(
-            self.dim, ACTIVATION_EPS, centers=self._centers, rel=self._rel,
-            dist=self._dist, sums=self._rel_sums, acts=self._acts, x=self._x,
-            work=self._work, lr=self._lr, idx=self._idx)
+            self.dim, ACTIVATION_EPS, **arrays)
+        if self._view is None:
+            view = SimpleNamespace(**arrays)
+            self._winner = functools.partial(_winner_numpy, view)
+            self._update = functools.partial(_update_numpy, view)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -493,11 +461,6 @@ class SomMap:
         n = self._n
         if n == 0:
             raise ValueError("map has no nodes")
-        if self._winner is None:
-            acts = self._acts[:n]
-            acts[:] = _activations(self._centers[:n], self._rel[:n],
-                                   self._rel_sums[:n], x, ACTIVATION_EPS)
-            return int(np.argmax(acts))
         self._x[:] = x
         return self._winner(n)
 
@@ -544,64 +507,50 @@ class SomMap:
             IndexError: if ``j`` is not a node of the map.
         """
         j = operator.index(j)
-        if not 0 <= j < self._n:
-            raise IndexError(f"no node {j} in a map of {self._n} nodes")
         x = self._pattern(x)
         with self._lock:
-            if self._update is None:
-                rel = _shift_vectors(self._centers[j], self._dist[j], x, lr,
-                                     beta, slope)
-                self._rel[j] = rel
-                self._rel_sums[j] = rel.sum()
-                return
-            self._x[:] = x
             self._idx[0] = j
             self._lr[0] = lr
-            self._update(self._n, 1, 0, beta, slope)
+            self._run_update(x, 1, 0, beta, slope)
 
     def update_nodes(self, indices, x: np.ndarray, lr,
                      beta: float, slope: float) -> None:
-        """Apply the node-update step to several distinct nodes at once.
+        """Apply the node-update step to several rows, in the given order.
 
-        ``lr`` may be a scalar or one rate per node, e.g. a
-        ``(len(indices), 1)`` column; rows are independent, so a batch
-        equals the same updates applied one by one.
+        ``lr`` may be a scalar or one rate per row, e.g. a
+        ``(len(indices), 1)`` column. A batch equals the same updates
+        applied one by one with ``update_node``; a row listed twice is
+        updated twice. At most ``node_budget`` rows fit in one call.
 
         Raises:
+            TypeError: if the indices are not integers (bools included).
             IndexError: if an index is not a node of the map.
         """
-        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        idx = np.asarray(indices)
         k = idx.size
         if not k:
             return
-        n = self._n
-        if k > n:
-            raise ValueError(f"{k} rows to update in a map of {n} nodes")
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"node indices must be integers, got {idx.dtype}")
+        if k > self.node_budget:
+            raise ValueError(f"{k} rows to update, more than the map's "
+                             f"budget of {self.node_budget}")
         rates = np.asarray(lr, dtype=float)
         if rates.ndim:
             rates = rates.reshape(k, 1)
         x = self._pattern(x)
         with self._lock:
-            if self._update is None:
-                if idx.min() < 0 or idx.max() >= n:
-                    raise self._no_node(idx)
-                centers = self._centers[idx]
-                dist = self._dist[idx]
-                rel = _shift_vectors(centers, dist, x, rates, beta, slope)
-                self._centers[idx] = centers
-                self._dist[idx] = dist
-                self._rel[idx] = rel
-                self._rel_sums[idx] = rel.sum(axis=1)
-                return
-            self._x[:] = x
-            self._idx[:k] = idx
+            self._idx[:k] = idx.reshape(-1)
             self._lr[:rates.size] = rates.ravel()
-            if self._update(n, k, int(rates.size > 1), beta, slope):
-                raise self._no_node(idx)
+            self._run_update(x, k, int(rates.size > 1), beta, slope)
 
-    def _no_node(self, idx: np.ndarray) -> IndexError:
-        bad = idx[(idx < 0) | (idx >= self._n)]
-        return IndexError(f"no node {bad[0]} in a map of {self._n} nodes")
+    def _run_update(self, x: np.ndarray, k: int, lr_step: int, beta: float,
+                    slope: float) -> None:
+        """Update the ``k`` rows in ``_idx``; the caller holds the lock."""
+        self._x[:] = x
+        if self._update(self._n, k, lr_step, beta, slope):
+            bad = [j for j in self._idx[:k].tolist() if not 0 <= j < self._n]
+            raise IndexError(f"no node {bad[0]} in a map of {self._n} nodes")
 
     # -- neighborhood ------------------------------------------------------
 

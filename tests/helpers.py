@@ -10,6 +10,7 @@ import numpy as np
 
 from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset, Node,
                      Prediction, SomMap)
+from semisom.model import _distances
 
 
 def make_blobs(n_per_class: int, centers, sigma: float, seed: int,
@@ -71,6 +72,11 @@ def random_map(rng: np.random.Generator, n_nodes: int | None = None,
             label=label,
         ))
     return SomMap.from_nodes(m, max(n, 4), nodes)
+
+
+def weighted_distance(x, node: Node) -> float:
+    """The distance kernel the map's winner search runs, for one node."""
+    return float(_distances(node.center[None], node.relevance[None], x)[0])
 
 
 # Independent re-implementations of the math kernels, in plain Python.

@@ -16,7 +16,7 @@ from semisom import (NO_CLASS, REJECTED, DEFAULT_RANGES, TrainState, classify,
                      run_one, run_sweep, save_model, summarize_curve,
                      train_with_state)
 from helpers import (brute_connections, brute_winner, make_blobs,
-                     make_synthetic, random_map)
+                     make_synthetic, random_map, weighted_distance)
 
 GLASS_PATH = Path(os.environ.get(
     "SEMISOM_GLASS_ARFF",
@@ -34,12 +34,12 @@ def test_c1_math_kernel_properties():
     rng = np.random.default_rng(2024)
 
     # activation stays in [0, 1)
-    from semisom import Node, activation, compute_relevances, weighted_distance
+    from semisom import Node, SomMap, compute_relevances
     for _ in range(1000):
         m = int(rng.integers(1, 9))
         node = Node(center=rng.random(m), relevance=rng.random(m),
                     dist_avg=rng.random(m))
-        act = activation(rng.random(m), node)
+        act = SomMap.from_nodes(m, 1, [node]).activations(rng.random(m))[0]
         assert 0.0 <= act < 1.0
 
     # relevances in [0, 1], smaller distance average -> larger weight

@@ -270,3 +270,51 @@ def test_loader_builds_in_user_cache_when_package_dir_is_unwritable(
     built = sorted(p.name for p in cache.iterdir())
     assert len(built) == 1 and built[0].startswith("_kernel-")
     assert not built[0].endswith(".tmp")
+
+
+def test_update_nodes_updates_repeated_rows_in_order(kernels):
+    """A row listed twice is updated twice, as by two ``update_node`` calls.
+
+    Rows are bounded by the map's budget, not by its node count, so a
+    one-node map may list its node more than once.
+    """
+    som = SomMap(2, 2)
+    som.add_node(np.zeros(2))
+    twin = pickle.loads(pickle.dumps(som))
+    x = np.array([1.0, 0.5])
+    som.update_nodes([0, 0], x, 0.5, 0.1, 0.05)
+    for _ in range(2):
+        twin.update_node(0, x, 0.5, 0.1, 0.05)
+    assert np.array_equal(som.centers, [[0.75, 0.375]])
+    assert np.array_equal(bits(som.node(0).dist_avg),
+                          bits(twin.node(0).dist_avg))
+    assert np.array_equal(bits(som.relevances), bits(twin.relevances))
+    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
+    with pytest.raises(ValueError, match="budget"):
+        som.update_nodes([0, 0, 0], x, 0.5, 0.1, 0.05)
+
+    rng = np.random.default_rng(17)
+    som = random_map(rng, 5, 6)
+    twin = pickle.loads(pickle.dumps(som))
+    x, rows, rates = rng.random(6), [3, 1, 3, 3], [0.2, 0.1, -0.05, 1.0]
+    som.update_nodes(rows, x, np.array(rates)[:, None], 0.3, 0.05)
+    for j, lr in zip(rows, rates):
+        twin.update_node(j, x, lr, 0.3, 0.05)
+    assert np.array_equal(bits(som.centers), bits(twin.centers))
+    assert np.array_equal(bits(som.relevances), bits(twin.relevances))
+    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
+
+
+@pytest.mark.parametrize("rows", [[1.7], [1.0], np.array([True]),
+                                  np.array([0.0, 1.0]), [0, 1.5]])
+def test_update_nodes_rejects_non_integer_rows(kernels, rows):
+    som = _one_node_map()
+    som.add_node(np.array([0.6, 0.1]))
+    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    x = np.array([0.5, 0.5])
+    with pytest.raises(TypeError, match="integer"):
+        som.update_nodes(rows, x, 0.1, 0.1, 0.05)
+    som.update_nodes([], x, 0.1, 0.1, 0.05)
+    som.update_nodes(np.array([], dtype=np.intp), x, 0.1, 0.1, 0.05)
+    for got, was in zip((som._centers, som._dist, som._rel), before):
+        assert np.array_equal(got, was)

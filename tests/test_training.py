@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, Node,
-                     SomMap, TrainState, handle_reset, init_map, insert_node,
-                     supervised_step, train, train_with_state,
-                     unsupervised_step, weighted_distance)
-from helpers import make_blobs
+                     SomMap, TrainState, train, train_with_state)
+from semisom.training import (handle_reset, init_map, insert_node,
+                              supervised_step, unsupervised_step)
+from helpers import make_blobs, weighted_distance
 
 
 def params_for(n: int, **overrides) -> HyperParams:
