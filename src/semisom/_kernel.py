@@ -1,4 +1,4 @@
-"""Build and load the compiled presentation kernels of ``_kernel.c``.
+"""Build and load the compiled kernels of ``_kernel.c``.
 
 The C source is compiled once with the system C compiler into a shared
 library whose name carries a hash of the source, the compiler, the flags
@@ -9,12 +9,14 @@ with ``ctypes.PyDLL``, which keeps the interpreter lock held during a call.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
-kernels of ``model.py``, which take the same arguments and return codes.
+kernels of ``model.py``, which take the same arguments and return codes,
+and training runs its presentations in the Python loop of ``training.py``.
 The results are the same bit for bit either way.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import hashlib
@@ -40,10 +42,42 @@ _PTR = ctypes.c_void_p
 class View(ctypes.Structure):
     """Addresses of one map's storage, as ``struct som_view`` in the C file."""
 
-    _fields_ = [("m", _SIZE), ("eps", ctypes.c_double),
+    _fields_ = [("m", _SIZE), ("words", _SIZE), ("eps", ctypes.c_double),
                 ("centers", _PTR), ("rel", _PTR), ("dist", _PTR),
                 ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("work", _PTR),
-                ("lr", _PTR), ("idx", _PTR)]
+                ("lr", _PTR), ("idx", _PTR), ("wins", _PTR),
+                ("labels", _PTR), ("adj", _PTR)]
+
+
+class Params(ctypes.Structure):
+    """The training parameters ``som_train`` reads (``struct som_params``)."""
+
+    _fields_ = [(name, ctypes.c_double) for name in (
+        "a_t", "e_b", "e_n", "push_rate", "beta", "slope", "minwd")] + [
+        (name, ctypes.c_int64) for name in (
+            "n_max", "age_wins", "allow_insert")]
+
+
+# som_train's return codes: every presentation ran, or it stopped at one
+# that inserts a node or ends a pruning cycle. Its counter array holds the
+# position in the draws, the cycle count (nwins), the presentation count
+# (t) and the supervised, unsupervised and push steps.
+END, INSERT, SWEEP = 0, 1, 2
+# Above any count a run reaches; larger budgets and cycles are clamped to
+# it so that they fit a C integer.
+_NEVER = 2 ** 62
+
+_DTYPES = dict(idx=np.intp, wins=np.int64, labels=np.int64, adj=np.uint64)
+
+Kernels = collections.namedtuple("Kernels",
+                                 "view winner update link train")
+
+
+def params(hp, allow_insert: bool) -> Params:
+    """``Params`` of ``HyperParams`` ``hp``."""
+    return Params(hp.a_t, hp.e_b, hp.e_n, hp.push_rate, hp.beta, hp.eps_beta,
+                  hp.minwd, min(int(hp.n_max), _NEVER),
+                  min(int(hp.age_wins), _NEVER), allow_insert)
 
 
 def _cache_dirs() -> list[Path]:
@@ -93,6 +127,11 @@ def load(compiler: str = "cc"):
         lib.som_update.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, ctypes.c_double,
                                    ctypes.c_double)
         lib.som_update.restype = ctypes.c_int
+        lib.som_link.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, ctypes.c_double)
+        lib.som_link.restype = None
+        lib.som_train.argtypes = (_PTR, _SIZE, ctypes.POINTER(Params), _PTR,
+                                  _PTR, _PTR, _SIZE, _PTR)
+        lib.som_train.restype = ctypes.c_int
         return lib
     return None
 
@@ -103,26 +142,57 @@ def compiled():
     return load()
 
 
-def bind(m: int, eps: float, **arrays: np.ndarray):
-    """The compiled kernels bound to one map's arrays.
+def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
+    """The compiled kernels bound to one map's arrays, or ``None``.
 
-    ``arrays`` names every pointer field of ``View``. Returns the view and
-    the callables ``winner(n)``, which returns the winner's row, and
-    ``update(n, k, lr_step, beta, slope)``, which updates the ``k`` rows
-    of ``idx`` one after another and returns -1 (writing nothing) when a
-    row lies outside ``[0, n)``, else 0. Returns three ``None`` when no
-    library is available; ``SomMap._bind`` then binds the numpy kernels
-    instead. The caller keeps the arrays alive and never reallocates them
-    while the view is in use.
+    ``arrays`` names every pointer field of ``View``; ``words`` is the
+    length of an adjacency bit row. Returns ``Kernels``: the view and the
+    callables
+
+    - ``winner(n)``, which returns the winner's row;
+    - ``update(n, k, lr_step, beta, slope)``, which updates the ``k`` rows
+      of ``idx`` one after another and returns -1 (writing nothing) when a
+      row lies outside ``[0, n)``, else 0;
+    - ``link(n, j, lo, minwd)``, which recomputes the links between node
+      ``j`` and the nodes of ``[lo, n)``;
+    - ``train(n, params, patterns, labels, draws, count)``, which runs the
+      presentations of ``draws`` from ``count[0]`` on (see ``som_train``)
+      and returns ``END``, ``INSERT`` or ``SWEEP``.
+
+    Returns ``None`` when no library is available; ``SomMap._bind`` then
+    binds the numpy kernels instead. The caller keeps the arrays alive and
+    binds again after reallocating any of them.
     """
     lib = compiled()
     if lib is None:
-        return None, None, None
+        return None
     for name, a in arrays.items():
-        dtype = np.dtype(np.intp if name == "idx" else np.float64)
+        dtype = np.dtype(_DTYPES.get(name, np.float64))
         if a.dtype != dtype or not a.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous {dtype} array")
-    view = View(m, eps, **{name: a.ctypes.data for name, a in arrays.items()})
+    view = View(m, words, eps,
+                **{name: a.ctypes.data for name, a in arrays.items()})
     addr = ctypes.addressof(view)
-    return (view, functools.partial(lib.som_winner, addr),
-            functools.partial(lib.som_update, addr))
+    return Kernels(view, functools.partial(lib.som_winner, addr),
+                   functools.partial(lib.som_update, addr),
+                   functools.partial(lib.som_link, addr),
+                   functools.partial(_train, lib, addr, m))
+
+
+def _train(lib, addr: int, m: int, n: int, p: Params, patterns: np.ndarray,
+           labels: np.ndarray, draws: np.ndarray, count: np.ndarray) -> int:
+    """``som_train``, once the arrays' types, shapes and ranges are checked."""
+    rows = len(patterns)
+    checks = ((patterns, np.float64, (rows, m)), (labels, np.int64, (rows,)),
+              (draws, np.int64, (len(draws),)), (count, np.int64, (6,)))
+    for a, dtype, shape in checks:
+        if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+            raise ValueError(f"expected a C-contiguous {np.dtype(dtype)} "
+                             f"array of shape {shape}")
+    if len(draws) and not 0 <= draws.min() <= draws.max() < rows:
+        raise IndexError(f"draws outside the {rows} patterns")
+    if not 0 <= count[0] <= len(draws):
+        raise IndexError(f"position {count[0]} outside the draws")
+    return lib.som_train(addr, n, ctypes.byref(p), patterns.ctypes.data,
+                         labels.ctypes.data, draws.ctypes.data, len(draws),
+                         count.ctypes.data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, fields
@@ -73,10 +74,20 @@ class HyperParams:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise ``ValueError`` if any parameter is outside its domain."""
+        """Raise ``ValueError`` if any parameter is outside its domain.
+
+        The counts (``age_wins``, ``epochs``, ``n_max``, ``seed``) must be
+        integers, numpy's included but not bools; every other value must
+        be a finite number.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            if f.type in ("int", int):
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Integral)):
+                    raise ValueError(
+                        f"{f.name} must be an integer, got {value!r}")
+            elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.a_t < 1.0:
             raise ValueError(f"a_t must lie in (0, 1), got {self.a_t}")
@@ -196,20 +207,24 @@ def _activations(centers: np.ndarray, rel: np.ndarray, mass: np.ndarray,
 
 def _linked(rel: np.ndarray, labels: np.ndarray, r: np.ndarray, label,
             minwd: float) -> np.ndarray:
-    """Which rows of ``(rel, labels)`` qualify as neighbors of ``(r, label)``."""
+    """Which rows of ``(rel, labels)`` qualify as neighbors of ``(r, label)``.
+
+    The gaps are summed as in ``_distances``, so ``_kernel.c`` can repeat
+    them.
+    """
     diff = rel - r
-    gap = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    np.multiply(diff, diff, out=diff)
+    gap = np.sqrt(np.add.reduce(diff, axis=1))
     compat = (labels == label) | (labels == NO_CLASS) | (label == NO_CLASS)
     return compat & (gap < minwd * math.sqrt(rel.shape[-1]))
 
 
 def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
-                   lr, beta: float, slope: float) -> np.ndarray:
-    """Shared node-update kernel; mutates ``centers``/``dist_avg`` in place.
+                   lr: float, beta: float, slope: float) -> np.ndarray:
+    """Node-update kernel on one node's rows; mutates them in place.
 
-    Works on a single node (1-D arrays) or a batch of rows (2-D arrays with
-    ``x`` broadcast). ``lr`` may be a scalar or a per-row column so one
-    batch can mix learning rates. Returns the recomputed relevance array.
+    Moves ``centers`` and ``dist_avg`` toward ``x`` at rate ``lr`` and
+    returns the recomputed relevance row.
     """
     rate = lr * beta
     dist_avg *= 1.0 - rate
@@ -223,6 +238,15 @@ def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
     centers *= 1.0 - lr
     centers += lr * x
     return rel
+
+
+# bit i of an adjacency word, and the bits of word rows as booleans
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, bitorder="little").view(bool)
 
 
 def _winner_numpy(v: SimpleNamespace, n: int) -> int:
@@ -245,12 +269,33 @@ def _update_numpy(v: SimpleNamespace, n: int, k: int, lr_step: int,
     return 0
 
 
+def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
+                minwd: float) -> None:
+    """``som_link`` in numpy: the links of node ``j`` with ``[lo, n)``."""
+    linked = _linked(v.rel[lo:n], v.labels[lo:n], v.rel[j], v.labels[j],
+                     minwd)
+    if lo <= j:
+        linked[j - lo] = False
+    col = v.adj[lo:n, j // 64]
+    col[:] = np.where(linked, col | _BIT[j % 64], col & ~_BIT[j % 64])
+    row = _unpack(v.adj[j])
+    row[lo:n] = linked
+    v.adj[j] = np.packbits(row, bitorder="little").view("<u8")
+
+
+# rows allocated by a new map; the capacity doubles from here
+_FIRST_CAPACITY = 16
+
+
 class SomMap:
     """Growable map of prototype nodes with relevance-based connections.
 
     Nodes are addressed by their index in insertion order; removals compact
-    the index range. Storage is preallocated up to ``node_budget`` so the
-    hot training loops work on contiguous array slices.
+    the index range. Storage holds rows for a capacity of nodes that
+    doubles, up to ``node_budget``, as nodes are added, so memory follows
+    the nodes present; the hot loops work on contiguous array slices.
+    Connections are bit rows: bit ``i`` of node ``j``'s row is set when
+    ``i`` and ``j`` are linked.
     """
 
     def __init__(self, dim: int, node_budget: int):
@@ -262,51 +307,78 @@ class SomMap:
         self.node_budget = node_budget
         self.nwins = 0
         self._n = 0
-        self._centers = np.zeros((node_budget, dim))
-        self._rel = np.ones((node_budget, dim))
-        self._dist = np.zeros((node_budget, dim))
-        self._wins = np.zeros(node_budget, dtype=np.int64)
-        self._labels = np.full(node_budget, NO_CLASS, dtype=np.int64)
-        self._adj: list[set[int]] = []
-        # caches for the training hot loop
-        self._rel_sums = np.zeros(node_budget)
-        self._nbr: list[np.ndarray | None] = []
-        # the activations of the last competition, and scratch for the
-        # pattern, the summation terms and an update's rows and rates
-        self._acts = np.zeros(node_budget)
+        # scratch for the pattern and the summation terms
         self._x = np.zeros(dim)
         self._work = np.zeros(dim)
-        self._idx = np.zeros(node_budget, dtype=np.intp)
-        self._lr = np.zeros(node_budget)
-        self._bind()
+        self._lock = threading.Lock()
+        self._grow(min(node_budget, _FIRST_CAPACITY))
+
+    def _grow(self, capacity: int) -> None:
+        """Reallocate node storage for ``capacity`` nodes, keeping the nodes.
+
+        Each array holds one row per node: the node's vectors, sums, wins,
+        label and adjacency bits, its activation in the last competition,
+        and scratch for an update's rows and rates.
+        """
+        n, m = self._n, self.dim
+        with self._lock:
+            for name, shape, dtype in (
+                    ("_centers", (capacity, m), float),
+                    ("_rel", (capacity, m), float),
+                    ("_dist", (capacity, m), float),
+                    ("_rel_sums", capacity, float),
+                    ("_wins", capacity, np.int64),
+                    ("_labels", capacity, np.int64),
+                    ("_adj", (capacity, -(-capacity // 64)), np.uint64),
+                    ("_acts", capacity, float), ("_lr", capacity, float),
+                    ("_idx", capacity, np.intp)):
+                new = np.zeros(shape, dtype)
+                if n:
+                    old = getattr(self, name)[:n]
+                    new[tuple(map(slice, old.shape))] = old
+                setattr(self, name, new)
+            self._bind()
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` nodes, at most ``node_budget``."""
+        capacity = len(self._centers)
+        if rows > capacity:
+            self._grow(min(self.node_budget, max(rows, 2 * capacity)))
 
     def _bind(self) -> None:
-        """Choose the kernels once: compiled if the library loads, else numpy.
+        """Choose the kernels: compiled if the library loads, else numpy.
 
-        Every array above is allocated once, in ``__init__``, and only ever
-        written in place (``keep_nodes`` and ``from_nodes`` included), so
-        the addresses taken here stay valid for the map's lifetime. The lock
-        serializes the kernels' use of the shared scratch rows.
+        Arrays are only written in place between reallocations, and
+        ``_grow`` binds again after each one while holding the lock, so
+        the addresses taken here stay valid while a kernel uses them. The
+        lock, one object for the map's lifetime, serializes the kernels'
+        use of the shared scratch rows.
         """
-        self._lock = threading.Lock()
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
                       sums=self._rel_sums, acts=self._acts, x=self._x,
-                      work=self._work, lr=self._lr, idx=self._idx)
-        self._view, self._winner, self._update = _kernel.bind(
-            self.dim, ACTIVATION_EPS, **arrays)
-        if self._view is None:
+                      work=self._work, lr=self._lr, idx=self._idx,
+                      wins=self._wins, labels=self._labels, adj=self._adj)
+        kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
+                               **arrays)
+        if kernels is None:
             view = SimpleNamespace(**arrays)
-            self._winner = functools.partial(_winner_numpy, view)
-            self._update = functools.partial(_update_numpy, view)
+            kernels = _kernel.Kernels(
+                None, functools.partial(_winner_numpy, view),
+                functools.partial(_update_numpy, view),
+                functools.partial(_link_numpy, view), None)
+        (self._view, self._winner, self._update, self._link,
+         self._train) = kernels
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for name in ("_lock", "_view", "_winner", "_update"):
+        for name in ("_lock", "_view", "_winner", "_update", "_link",
+                     "_train"):
             del state[name]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._lock = threading.Lock()
         self._bind()
 
     # -- structure ---------------------------------------------------------
@@ -342,16 +414,22 @@ class SomMap:
     @property
     def connections(self) -> list[tuple[int, int]]:
         """Sorted list of connected node pairs ``(i, j)`` with ``i < j``."""
-        pairs = [(i, j) for i in range(self._n) for j in self._adj[i] if i < j]
-        return sorted(pairs)
+        pairs = []
+        for i in range(self._n):
+            nb = self.neighbor_array(i)
+            pairs.extend((i, j) for j in nb[nb > i].tolist())
+        return pairs
 
     def label_of(self, j: int) -> int:
         return int(self._labels[j])
 
-    def node(self, j: int) -> Node:
-        """Detached copy of node ``j``."""
+    def _check_node(self, j: int) -> None:
         if not 0 <= j < self._n:
             raise IndexError(f"no node {j} in a map of {self._n} nodes")
+
+    def node(self, j: int) -> Node:
+        """Detached copy of node ``j``."""
+        self._check_node(j)
         return Node(
             center=self._centers[j].copy(),
             relevance=self._rel[j].copy(),
@@ -361,17 +439,12 @@ class SomMap:
         )
 
     def neighbors(self, j: int) -> set[int]:
-        return set(self._adj[j])
+        return set(self.neighbor_array(j).tolist())
 
     def neighbor_array(self, j: int) -> np.ndarray:
-        """Neighbors of ``j`` as a sorted index array (cached)."""
-        arr = self._nbr[j]
-        if arr is None:
-            arr = np.fromiter(self._adj[j], dtype=np.intp,
-                              count=len(self._adj[j]))
-            arr.sort()
-            self._nbr[j] = arr
-        return arr
+        """Neighbors of ``j`` as a sorted index array."""
+        self._check_node(j)
+        return np.flatnonzero(_unpack(self._adj[j])[:self._n])
 
     @classmethod
     def from_nodes(cls, dim: int, node_budget: int, nodes: list[Node],
@@ -388,15 +461,15 @@ class SomMap:
         return som
 
     def set_connections(self, pairs: list[tuple[int, int]]) -> None:
-        self._adj = [set() for _ in range(self._n)]
-        self._nbr = [None] * self._n
+        adj = self._adj
+        adj[:self._n] = 0
         for i, j in pairs:
             if i == j:
                 raise ValueError(f"self-connection on node {i}")
             if not (0 <= i < self._n and 0 <= j < self._n):
                 raise ValueError(f"connection ({i}, {j}) references a dead node")
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+            adj[i, j // 64] |= _BIT[j % 64]
+            adj[j, i // 64] |= _BIT[i % 64]
 
     def add_node(self, x: np.ndarray, label: int = NO_CLASS) -> int:
         """Append a fresh node centered at ``x``; relevances start at one.
@@ -410,31 +483,27 @@ class SomMap:
             )
         x = self._pattern(x)
         j = self._n
+        self._reserve(j + 1)
         self._centers[j] = x
         self._rel[j] = 1.0
         self._dist[j] = 0.0
         self._wins[j] = 0
         self._labels[j] = label
         self._rel_sums[j] = float(self.dim)
-        self._adj.append(set())
-        self._nbr.append(None)
         self._n += 1
         return j
 
     def keep_nodes(self, indices: np.ndarray) -> None:
         """Retain exactly the nodes at ``indices`` (ascending), drop the rest.
 
-        Connections are invalidated; the caller must rebuild them.
+        Connections are cleared; the caller must rebuild them.
         """
         k = len(indices)
-        for arr in (self._centers, self._rel, self._dist):
+        for arr in (self._centers, self._rel, self._dist, self._wins,
+                    self._labels, self._rel_sums):
             arr[:k] = arr[indices]
-        self._wins[:k] = self._wins[indices]
-        self._labels[:k] = self._labels[indices]
-        self._rel_sums[:k] = self._rel_sums[indices]
+        self._adj[:self._n] = 0
         self._n = k
-        self._adj = [set() for _ in range(k)]
-        self._nbr = [None] * k
 
     def record_win(self, j: int) -> None:
         self._wins[j] += 1
@@ -504,8 +573,11 @@ class SomMap:
         """Apply the node-update step to node ``j`` in place.
 
         Raises:
+            TypeError: if ``j`` is not an integer (a bool included).
             IndexError: if ``j`` is not a node of the map.
         """
+        if isinstance(j, bool):
+            raise TypeError("node index must be an integer, got a bool")
         j = operator.index(j)
         x = self._pattern(x)
         with self._lock:
@@ -535,12 +607,18 @@ class SomMap:
         if k > self.node_budget:
             raise ValueError(f"{k} rows to update, more than the map's "
                              f"budget of {self.node_budget}")
+        flat = idx.reshape(-1)
+        if flat.dtype.kind == "u" and flat.max() >= self._n:
+            # named before the cast to intp, which would wrap it
+            raise IndexError(f"no node {flat[flat >= self._n][0]} in a map "
+                             f"of {self._n} nodes")
+        self._reserve(k)
         rates = np.asarray(lr, dtype=float)
         if rates.ndim:
             rates = rates.reshape(k, 1)
         x = self._pattern(x)
         with self._lock:
-            self._idx[:k] = idx.reshape(-1)
+            self._idx[:k] = flat
             self._lr[:rates.size] = rates.ravel()
             self._run_update(x, k, int(rates.size > 1), beta, slope)
 
@@ -557,28 +635,27 @@ class SomMap:
     def rebuild_connections(self, minwd: float) -> None:
         """Recompute the full connection set from the pairwise predicate."""
         n = self._n
-        rel = self._rel[:n]
-        lab = self._labels[:n]
-        self._adj = []
-        for i in range(n):
-            linked = _linked(rel, lab, rel[i], lab[i], minwd)
-            linked[i] = False
-            self._adj.append(set(np.flatnonzero(linked).tolist()))
-        self._nbr = [None] * n
+        with self._lock:
+            self._adj[:n] = 0
+            for j in range(n - 1):
+                self._link(n, j, j + 1, minwd)
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
-        n = self._n
-        linked = _linked(self._rel[:n], self._labels[:n], self._rel[j],
-                         self._labels[j], minwd)
-        linked[j] = False
-        fresh = set(np.flatnonzero(linked).tolist())
-        stale = self._adj[j]
-        for k in stale - fresh:
-            self._adj[k].discard(j)
-            self._nbr[k] = None
-        for k in fresh - stale:
-            self._adj[k].add(j)
-            self._nbr[k] = None
-        self._adj[j] = fresh
-        self._nbr[j] = None
+        self._check_node(j)
+        with self._lock:
+            self._link(self._n, j, 0, minwd)
+
+    # -- training ----------------------------------------------------------
+
+    def _run_presentations(self, params, patterns: np.ndarray,
+                           labels: np.ndarray, draws: np.ndarray,
+                           count: np.ndarray) -> int:
+        """Present ``draws`` in ``som_train``, the compiled training loop.
+
+        Only bound when the library loads (``_train`` is ``None`` on the
+        numpy path). Returns ``_kernel.END``, ``INSERT`` or ``SWEEP``.
+        """
+        with self._lock:
+            return self._train(self._n, params, patterns, labels, draws,
+                               count)

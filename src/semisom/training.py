@@ -8,6 +8,21 @@ receptive field covers a pattern; periodic pruning sweeps drop nodes that
 win too rarely. A follow-up convergence phase keeps adapting and pruning
 but never inserts: it finishes the pruning cycle left open by the growth
 phase and runs one more full cycle.
+
+The pattern indices are drawn in chunks of ``_CHUNK``, each as one
+``rng.integers(n, size=k)`` call, which gives the values of ``k`` scalar
+calls. A chunk runs on one of two paths with identical results:
+
+- the compiled loop, ``som_train`` of ``_kernel.c``, which runs every
+  presentation until one inserts a node or completes a pruning cycle;
+  Python then runs ``insert_node`` or ``handle_reset``, finishes that
+  presentation and resumes the loop;
+- the Python loop, ``_present`` and the step functions below, one
+  presentation at a time. It is the reference, and it runs when the map
+  has no compiled kernels or an observer is passed.
+
+The convergence phase draws whole chunks and stops within the last one, so
+``TrainState.rng`` ends ahead of the draws actually presented.
 """
 
 from __future__ import annotations
@@ -17,6 +32,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
+from . import _kernel
 from .model import NO_CLASS, HyperParams, SomMap, _require_finite
 
 if TYPE_CHECKING:
@@ -25,6 +41,9 @@ if TYPE_CHECKING:
 # Observer callables receive (event, state) where event is one of
 # "step", "pre_reset", "post_reset", "phase".
 Observer = Callable[[str, "TrainState"], None]
+
+# pattern indices drawn at a time
+_CHUNK = 4096
 
 
 @dataclass
@@ -37,6 +56,8 @@ class TrainStats:
     removals: int = 0
     pushes: int = 0
     resets: int = 0
+    growth_presentations: int = 0
+    convergence_presentations: int = 0
 
 
 @dataclass
@@ -184,13 +205,18 @@ def handle_reset(state: TrainState) -> None:
 def _present(state: TrainState, x: np.ndarray, label: int, *,
              allow_insert: bool, observer: Observer | None = None) -> bool:
     """Run one pattern presentation; returns whether a pruning sweep ran."""
-    som = state.som
-    winner, act = som.find_winner(x)
+    winner, act = state.som.find_winner(x)
     if label == NO_CLASS:
         unsupervised_step(state, x, winner, act, allow_insert=allow_insert)
     else:
         supervised_step(state, x, label, winner, act,
                         allow_insert=allow_insert)
+    return _finish(state, observer)
+
+
+def _finish(state: TrainState, observer: Observer | None = None) -> bool:
+    """A presentation's tail: the sweep that ends a cycle, and the counts."""
+    som = state.som
     swept = False
     if som.nwins == state.params.age_wins:
         if observer is not None:
@@ -201,9 +227,74 @@ def _present(state: TrainState, x: np.ndarray, label: int, *,
             observer("post_reset", state)
     som.nwins += 1
     state.t += 1
+    _count_presentations(state, 1)
     if observer is not None:
         observer("step", state)
     return swept
+
+
+def _count_presentations(state: TrainState, k: int) -> None:
+    if state.phase == "convergence":
+        state.stats.convergence_presentations += k
+    else:
+        state.stats.growth_presentations += k
+
+
+def _present_chunk(state: TrainState, patterns: np.ndarray,
+                   labels: np.ndarray, draws: np.ndarray, *,
+                   allow_insert: bool, observer: Observer | None,
+                   sweeps: int = 0) -> int:
+    """Present the patterns ``draws`` indexes, in order.
+
+    Stops after the presentation that completes the ``sweeps``-th pruning
+    sweep when ``sweeps`` is positive. Returns the sweeps run.
+    """
+    if observer is None and state.som._train is not None:
+        return _present_compiled(state, patterns, labels, draws,
+                                 allow_insert=allow_insert, sweeps=sweeps)
+    swept = 0
+    for i in draws.tolist():
+        if _present(state, patterns[i], int(labels[i]),
+                    allow_insert=allow_insert, observer=observer):
+            swept += 1
+            if swept == sweeps:
+                break
+    return swept
+
+
+def _present_compiled(state: TrainState, patterns: np.ndarray,
+                      labels: np.ndarray, draws: np.ndarray, *,
+                      allow_insert: bool, sweeps: int) -> int:
+    """``_present_chunk`` on the compiled loop of ``_kernel.c``."""
+    som, stats, p = state.som, state.stats, state.params
+    args = _kernel.params(p, allow_insert)
+    count = np.zeros(6, dtype=np.int64)
+    swept = pos = 0
+    while True:
+        count[:] = (pos, som.nwins, state.t, 0, 0, 0)
+        code = som._run_presentations(args, patterns, labels, draws, count)
+        pos, som.nwins, t, supervised, unsupervised, pushes = count.tolist()
+        _count_presentations(state, t - state.t)
+        state.t = t
+        stats.supervised += supervised
+        stats.unsupervised += unsupervised
+        stats.pushes += pushes
+        if code == _kernel.END:
+            return swept
+        if code == _kernel.INSERT:
+            i = int(draws[pos])
+            insert_node(som, patterns[i], int(labels[i]), p.minwd)
+            stats.insertions += 1
+        if _finish(state):
+            swept += 1
+            if swept == sweeps:
+                return swept
+        pos += 1
+
+
+def _arrays(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray]:
+    return (np.ascontiguousarray(dataset.patterns, dtype=float),
+            np.ascontiguousarray(dataset.labels, dtype=np.int64))
 
 
 def convergence_phase(state: TrainState, dataset: "Dataset", *,
@@ -218,15 +309,13 @@ def convergence_phase(state: TrainState, dataset: "Dataset", *,
     state.phase = "convergence"
     if observer is not None:
         observer("phase", state)
-    patterns = dataset.patterns
-    labels = dataset.labels
-    n = len(patterns)
+    patterns, labels = _arrays(dataset)
     sweeps = 0
     while sweeps < 2:
-        i = int(state.rng.integers(n))
-        if _present(state, patterns[i], int(labels[i]), allow_insert=False,
-                    observer=observer):
-            sweeps += 1
+        draws = state.rng.integers(len(patterns), size=_CHUNK)
+        sweeps += _present_chunk(state, patterns, labels, draws,
+                                 allow_insert=False, observer=observer,
+                                 sweeps=2 - sweeps)
 
 
 def train_with_state(dataset: "Dataset", params: HyperParams, *,
@@ -239,8 +328,7 @@ def train_with_state(dataset: "Dataset", params: HyperParams, *,
     naming its row.
     """
     params.validate()
-    patterns = np.asarray(dataset.patterns, dtype=float)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
+    patterns, labels = _arrays(dataset)
     n = len(patterns)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -249,10 +337,10 @@ def train_with_state(dataset: "Dataset", params: HyperParams, *,
     som = init_map(patterns[0], int(labels[0]), n_max=params.n_max)
     state = TrainState(som=som, params=params, rng=rng)
     t_max = params.epochs * n
-    for _ in range(t_max):
-        i = int(rng.integers(n))
-        _present(state, patterns[i], int(labels[i]), allow_insert=True,
-                 observer=observer)
+    for start in range(0, t_max, _CHUNK):
+        draws = rng.integers(n, size=min(_CHUNK, t_max - start))
+        _present_chunk(state, patterns, labels, draws, allow_insert=True,
+                       observer=observer)
     convergence_phase(state, dataset, observer=observer)
     return state
 

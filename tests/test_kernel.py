@@ -1,24 +1,29 @@
-"""The compiled presentation kernels against the numpy kernels they replace.
+"""The compiled kernels against the numpy kernels and the loop they replace.
 
-``SomMap`` runs its winner search and node update in ``_kernel.c`` when the
-library builds, and in numpy otherwise. Both must give the same floats, bit
-for bit, so a map trains identically whichever path is active.
+``SomMap`` runs its winner search, node update and link recomputation in
+``_kernel.c`` when the library builds, and in numpy otherwise; training
+runs its presentations in the compiled loop of ``_kernel.c`` or in the
+Python loop of ``training.py``. Both must give the same floats, bit for
+bit, so a map trains identically whichever path is active.
 """
 
 import pickle
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, HyperParams, Node, SomMap, mask_labels,
-                     save_model, train_with_state)
+from semisom import (NO_CLASS, Dataset, HyperParams, Node, SomMap,
+                     mask_labels, save_model, train_with_state)
 from semisom import _kernel
 from semisom.model import ACTIVATION_EPS, _activations, _shift_vectors
-from helpers import make_blobs, random_map
+from semisom.training import TrainState, _present_chunk
+from helpers import brute_connections, make_blobs, random_map
 
 compiled = pytest.mark.skipif(_kernel.compiled() is None,
                               reason="no C compiler: maps use numpy kernels")
@@ -114,16 +119,16 @@ def test_compiled_update_equals_numpy(case, mode):
     rel = np.array([nd.relevance for nd in nodes])
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "update_node":
-            j, lr = int(rows[0]), float(rates[0])
-            # the numpy kernel on one node's 1-D rows, updated in place
-            rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
-            som.update_node(j, x, lr, beta, slope)
+            rows, rates = rows[:1], rates[:1]
+            som.update_node(int(rows[0]), x, float(rates[0]), beta, slope)
+        elif mode == "one rate":
+            rates = np.full(len(rows), rates[0])
+            som.update_nodes(rows, x, float(rates[0]), beta, slope)
         else:
-            lr = float(rates[0]) if mode == "one rate" else rates[:, None]
-            c, d = centers[rows], dist[rows]
-            rel[rows] = _shift_vectors(c, d, x, lr, beta, slope)
-            centers[rows], dist[rows] = c, d
-            som.update_nodes(rows, x, lr, beta, slope)
+            som.update_nodes(rows, x, rates[:, None], beta, slope)
+        # the numpy kernel on one node's 1-D rows at a time, in place
+        for j, lr in zip(rows.tolist(), rates.tolist()):
+            rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
     assert np.array_equal(bits(som.centers), bits(centers))
     assert np.array_equal(bits([som.node(j).dist_avg for j in range(n)]),
                           bits(dist))
@@ -318,3 +323,151 @@ def test_update_nodes_rejects_non_integer_rows(kernels, rows):
     som.update_nodes(np.array([], dtype=np.intp), x, 0.1, 0.1, 0.05)
     for got, was in zip((som._centers, som._dist, som._rel), before):
         assert np.array_equal(got, was)
+
+
+def _two_node_map():
+    som = _one_node_map()
+    som.add_node(np.array([0.6, 0.1]))
+    return som
+
+
+def test_update_node_rejects_a_bool_index(kernels):
+    som = _two_node_map()
+    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    with pytest.raises(TypeError, match="bool"):
+        som.update_node(True, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
+    for got, was in zip((som._centers, som._dist, som._rel), before):
+        assert np.array_equal(got, was)
+
+
+def test_update_nodes_names_a_huge_unsigned_index(kernels):
+    som = _two_node_map()
+    rows = np.array([1, 2 ** 63], dtype=np.uint64)
+    with pytest.raises(IndexError, match=f"no node {2 ** 63} in a map of 2 "):
+        som.update_nodes(rows, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
+    assert np.array_equal(som.centers, [[0.2, 0.4], [0.6, 0.1]])
+
+
+def test_links_span_several_bit_words(kernels):
+    """150 nodes need three adjacency words per row."""
+    rng = np.random.default_rng(19)
+    som = random_map(rng, 150, 3)
+    assert som._adj.shape[1] == 3
+    minwd = 0.3
+    som.rebuild_connections(minwd)
+    assert som.connections == brute_connections(som, minwd)
+    for j in (0, 63, 64, 127, 128, 149):
+        som.set_label(j, int(rng.integers(-1, 4)))
+        som.rewire_node(j, minwd)
+    pairs = som.connections
+    assert pairs == brute_connections(som, minwd)
+    for j in (0, 64, 149):
+        assert som.neighbors(j) == ({b for a, b in pairs if a == j}
+                                    | {a for a, b in pairs if b == j})
+
+
+@st.composite
+def _runs(draw):
+    """A data set and parameters that reach every branch of a presentation.
+
+    Random labels on uniform patterns make wrong-class winners, so pushes;
+    small ``n_max`` caps the map; ``grow`` inserts at nearly every pattern
+    until the map has passed several capacity doublings and bit words.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["blobs", "uniform", "grow"]))
+    grow = kind == "grow"
+    n = draw(st.integers(140, 200) if grow else st.integers(1, 90))
+    m = draw(st.integers(3, 6) if grow else st.integers(1, 12))
+    classes = draw(st.integers(1, 4))
+    labels = rng.integers(classes, size=n)
+    if kind == "blobs":
+        patterns = rng.random((classes, m))[labels]
+        patterns += rng.normal(0.0, 0.05, size=(n, m))
+    else:
+        patterns = rng.random((n, m))
+    ds = Dataset(patterns=np.clip(patterns, 0.0, 1.0), labels=labels,
+                 class_names=tuple(f"c{i}" for i in range(classes)),
+                 dim_names=tuple(f"f{i}" for i in range(m)))
+    fraction = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    params = HyperParams(
+        a_t=0.999 if grow else draw(st.sampled_from([0.5, 0.8, 0.9, 0.97])),
+        lp=0.001 if grow else draw(st.sampled_from([0.001, 0.01, 0.2])),
+        beta=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        age_wins=draw(st.integers(1, 3 * n)),
+        e_b=draw(st.sampled_from([0.01, 0.1, 0.5, 1.0])),
+        push_rate=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        e_n=draw(st.sampled_from([0.0, 0.001, 0.05])),
+        eps_beta=draw(st.sampled_from([0.01, 0.05, 1.0])),
+        minwd=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        epochs=draw(st.integers(1, 3)),
+        n_max=n if grow else draw(st.sampled_from([n, 1, 2, 5])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return mask_labels(ds, fraction, seed), params
+
+
+def _model_bytes(state, params) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(path, state.som, params)
+        return path.read_bytes()
+
+
+@compiled
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_compiled_loop_equals_python_loop(run):
+    """The compiled loop against the Python loop on the numpy kernels."""
+    ds, params = run
+    fast = train_with_state(ds, params)
+    assert fast.som._train is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "compiled", lambda: None)
+        slow = train_with_state(ds, params)
+    assert slow.som._train is None and slow.som._view is None
+    assert _model_bytes(fast, params) == _model_bytes(slow, params)
+    assert fast.stats == slow.stats
+    assert (fast.som.nwins, fast.t) == (slow.som.nwins, slow.t)
+    assert fast.t == (fast.stats.growth_presentations
+                      + fast.stats.convergence_presentations)
+    assert fast.stats.growth_presentations == params.epochs * len(ds)
+
+
+@compiled
+@pytest.mark.parametrize("winner_label", [NO_CLASS, 0])
+def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
+                                                        winner_label):
+    """An activation equal to ``a_t`` is not below it, in either loop.
+
+    Unlabeled, the winner at ``a_t`` adopts the pattern's label; labeled
+    otherwise, the second winner at ``a_t`` is attracted and the winner
+    pushed. Random draws never land exactly on the threshold.
+    """
+    x = np.array([0.3, 0.6])
+    nodes = [Node(center=x.copy(), relevance=np.ones(2),
+                  dist_avg=np.zeros(2), label=winner_label),
+             Node(center=np.array([0.35, 0.5]), relevance=np.ones(2),
+                  dist_avg=np.zeros(2))]
+    fast = SomMap.from_nodes(2, 2, nodes)
+    acts = fast.activations(x)
+    a_t = float(acts[0] if winner_label == NO_CLASS else acts[1])
+    params = HyperParams(a_t=a_t, lp=0.01, beta=0.1, age_wins=100, e_b=0.1,
+                         push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
+                         epochs=1, n_max=2)
+    monkeypatch.setattr(_kernel, "compiled", lambda: None)
+    slow = pickle.loads(pickle.dumps(fast))
+    states = [TrainState(som=som, params=params,
+                         rng=np.random.default_rng(0)) for som in (fast, slow)]
+    for state in states:
+        _present_chunk(state, x[None], np.array([1]), np.array([0]),
+                       allow_insert=True, observer=None)
+    (a, b) = states
+    assert a.som._train is not None and b.som._train is None
+    assert a.stats == b.stats
+    assert a.stats.pushes == (winner_label != NO_CLASS)
+    assert a.som.labels.tolist() == b.som.labels.tolist()
+    assert a.som.labels[0] == (1 if winner_label == NO_CLASS else 0)
+    assert np.array_equal(bits(a.som.centers), bits(b.som.centers))
+    assert np.array_equal(bits(a.som.relevances), bits(b.som.relevances))
+    assert a.som.connections == b.som.connections

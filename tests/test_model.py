@@ -415,3 +415,52 @@ def test_params_validation():
         from dataclasses import replace
         with pytest.raises(ValueError):
             replace(good, **{field: bad}).validate()
+
+
+def test_params_require_integer_counts():
+    """A fractional ``age_wins`` never equals the cycle count: no sweep."""
+    from dataclasses import replace
+    good = HyperParams(a_t=0.9, lp=0.01, beta=0.1, age_wins=np.int64(10),
+                       e_b=0.1, push_rate=0.01, e_n=0.01, eps_beta=0.05,
+                       minwd=0.2, epochs=np.int32(2), n_max=10,
+                       seed=np.uint64(3))
+    good.validate()
+    for field, bad in [("age_wins", 2.5), ("age_wins", 10.0),
+                       ("epochs", 2.0), ("epochs", np.float64(2.0)),
+                       ("n_max", True), ("n_max", "10"), ("seed", 1.5),
+                       ("seed", False), ("seed", np.True_)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(good, **{field: bad}).validate()
+
+
+def test_storage_follows_the_nodes_present():
+    som = SomMap(dim=100, node_budget=10 ** 6)
+    for i in range(5):
+        som.add_node(np.full(100, i / 5))
+    held = sum(a.nbytes for a in vars(som).values()
+               if isinstance(a, np.ndarray))
+    assert held < 2 ** 20
+
+
+def test_growing_storage_keeps_nodes_and_links():
+    rng = np.random.default_rng(43)
+    nodes = [node_at(rng.random(3), relevance=rng.random(3),
+                     dist_avg=rng.random(3), label=int(rng.integers(-1, 3)),
+                     wins=int(rng.integers(10))) for _ in range(200)]
+    som = SomMap.from_nodes(3, 500, nodes[:10])
+    som.rebuild_connections(0.4)
+    before = som.connections
+    for node in nodes[10:]:
+        j = som.add_node(node.center, node.label)
+        som._rel[j] = node.relevance
+        som._dist[j] = node.dist_avg
+        som._wins[j] = node.wins
+        som._rel_sums[j] = node.relevance.sum()
+    assert len(som._centers) == 256 and som._adj.shape == (256, 4)
+    assert [p for p in som.connections if p[1] < 10] == before
+    assert np.array_equal(som.centers, [nd.center for nd in nodes])
+    assert np.array_equal(som.wins, [nd.wins for nd in nodes])
+    x = rng.random(3)
+    assert som.find_winner(x) == brute_winner(som, x)
+    som.rebuild_connections(0.4)
+    assert som.connections == brute_connections(som, 0.4)

@@ -3,7 +3,7 @@ import pytest
 
 from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, Node,
                      SomMap, TrainState, train, train_with_state)
-from semisom.training import (handle_reset, init_map, insert_node,
+from semisom.training import (_CHUNK, handle_reset, init_map, insert_node,
                               supervised_step, unsupervised_step)
 from helpers import make_blobs, weighted_distance
 
@@ -303,3 +303,37 @@ def test_convergence_final_sweep_removes_idle_nodes():
     # zero-win nodes fail the threshold, so none of them survive the sweep
     assert state.som.n_nodes == expected
     assert np.array_equal(state.som.wins, np.zeros(expected, dtype=int))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 2 ** 33])
+def test_chunked_draws_equal_scalar_draws(n):
+    """Training draws its indices in chunks; they must be the scalar draws.
+
+    Both the values and the generator's final state must agree, or every
+    trained map would shift with the chunk size.
+    """
+    sizes = (3, _CHUNK, 1, _CHUNK, 5)
+    chunked = np.random.default_rng(42)
+    got = np.concatenate([chunked.integers(n, size=k) for k in sizes])
+    scalar = np.random.default_rng(42)
+    want = [int(scalar.integers(n)) for _ in range(sum(sizes))]
+    assert got.tolist() == want
+    assert chunked.bit_generator.state == scalar.bit_generator.state
+
+
+def test_stats_count_presentations_per_phase():
+    ds = make_blobs(20, [[0.25, 0.25], [0.75, 0.75]], 0.06, seed=4)
+    seen = {"organization": 0, "convergence": 0}
+
+    def observer(event, state):
+        if event == "step":
+            seen[state.phase] += 1
+
+    params = params_for(len(ds), age_wins=50, epochs=2, seed=6)
+    observed = train_with_state(ds, params, observer=observer)
+    plain = train_with_state(ds, params)
+    for state in (observed, plain):
+        assert state.stats.growth_presentations == seen["organization"] == 80
+        assert state.stats.convergence_presentations == seen["convergence"]
+        assert state.t == 80 + seen["convergence"]
+    assert observed.stats == plain.stats
