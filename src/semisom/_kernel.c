@@ -3,11 +3,22 @@
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py and
  * the Python presentation loop of training.py that it replaces: the same
- * float operations on the same operands in the same order. Sums follow
- * numpy's pairwise summation, min/max propagate NaN and the logistic curve
- * is 1 / (1 + exp(-z)) as in scipy's expit. Built with -ffp-contract=off so
- * no multiply-add is fused; never build it with -ffast-math or
- * -march=native.
+ * float operations on the same operands in the same order. min/max
+ * propagate NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's
+ * expit, with the C library's exp, one value at a time.
+ *
+ * Every sum is numpy's pairwise summation, in one leaf (sum0): the eight
+ * accumulators numpy keeps for each block of 8 terms are the lanes of two
+ * 4-wide vectors, and each term is computed in those lanes straight from
+ * the operand rows. A lane operation is the IEEE operation the scalar code
+ * would make, so the order and the rounding are numpy's.
+ *
+ * On x86-64 with glibc, the winner search and the link recomputation are
+ * built twice, for AVX2 and for the baseline ISA, and the loader picks one
+ * when the library loads (target_clones); defining SOM_DEFAULT_ONLY builds
+ * the baseline alone, which the tests compare with the clones. Built with
+ * -ffp-contract=off so no multiply-add is fused; never build it with
+ * -ffast-math or -march=native.
  *
  * Matrices are C-contiguous rows of length m, one row per node. The
  * adjacency holds one bit row of `words` uint64 per node: bit i % 64 of
@@ -23,12 +34,12 @@
 
 /* One map's storage: node rows (centers, rel, dist), per-node relevance
  * sums, activations, wins and labels, the adjacency bit rows, and scratch
- * for the pattern (x, m doubles), the summation terms (work, m), and the
- * rates and rows of an update (lr, idx). */
+ * for the pattern (x, m doubles) and the rates and rows of an update (lr,
+ * idx). */
 struct som_view {
     ptrdiff_t m, words;
     double eps;
-    double *centers, *rel, *dist, *sums, *acts, *x, *work, *lr;
+    double *centers, *rel, *dist, *sums, *acts, *x, *lr;
     ptrdiff_t *idx;
     int64_t *wins, *labels;
     uint64_t *adj;
@@ -44,63 +55,124 @@ struct som_params {
 enum { SOM_END, SOM_INSERT, SOM_SWEEP };
 enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES };
 
-/* numpy's pairwise_sum for float64: sequential below 8 terms, eight
- * accumulators up to 128, halves (at multiples of 8) above. The reduction
- * starts from the identity, so the result is 0.0 + sum. */
-static double pairwise_sum(const double *a, ptrdiff_t n)
+/* An AVX2 body and a baseline one for a hot function, chosen once by the
+ * CPU when the library loads. Both make the same IEEE operations, so they
+ * agree bit for bit. */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(SOM_DEFAULT_ONLY)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONES
+#endif
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Four doubles; two of them hold the eight accumulators of a sum. */
+typedef double v4d __attribute__((vector_size(32)));
+
+/* The terms a sum adds up: a[q], (a[q] - b[q])^2 or w[q] * (a[q] - b[q])^2,
+ * each computed as numpy computes the array it reduces. */
+enum { SUM_PLAIN, SUM_SQUARES, SUM_WEIGHTED };
+
+INLINE double term(int kind, const double *a, const double *b,
+                   const double *w, ptrdiff_t q)
 {
-    if (n < 8) {
-        double res = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        ptrdiff_t i;
-        for (i = 0; i < 8; i++)
-            r[i] = a[i];
-        for (i = 8; i < n - (n % 8); i += 8) {
-            r[0] += a[i + 0];
-            r[1] += a[i + 1];
-            r[2] += a[i + 2];
-            r[3] += a[i + 3];
-            r[4] += a[i + 4];
-            r[5] += a[i + 5];
-            r[6] += a[i + 6];
-            r[7] += a[i + 7];
-        }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    ptrdiff_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    if (kind == SUM_PLAIN)
+        return a[q];
+    double d = a[q] - b[q];
+    return kind == SUM_SQUARES ? d * d : w[q] * (d * d);
 }
 
-static double sum0(const double *a, ptrdiff_t n)
+/* Terms q .. q + 3 into *t, lane by lane the operations of term(). */
+INLINE void terms4(int kind, const double *a, const double *b,
+                   const double *w, ptrdiff_t q, v4d *t)
 {
-    return 0.0 + pairwise_sum(a, n);
+    v4d x, y;
+    __builtin_memcpy(&x, a + q, sizeof x);
+    if (kind != SUM_PLAIN) {
+        __builtin_memcpy(&y, b + q, sizeof y);
+        x -= y;
+        x *= x;
+        if (kind == SUM_WEIGHTED) {
+            __builtin_memcpy(&y, w + q, sizeof y);
+            x = y * x;
+        }
+    }
+    *t = x;
+}
+
+/* numpy's pairwise_sum for float64 and n <= 128 terms: sequential below 8
+ * terms, else eight accumulators r0..r7, one per term of each block of 8,
+ * combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the
+ * sequential tail. Lanes 0-3 of `lo` are r0..r3 and those of `hi` r4..r7,
+ * so each lane makes the additions of its accumulator. */
+INLINE double sum_leaf(int kind, const double *a, const double *b,
+                       const double *w, ptrdiff_t n)
+{
+    ptrdiff_t q;
+    double res = 0.0;
+    if (n < 8) {
+        for (q = 0; q < n; q++)
+            res += term(kind, a, b, w, q);
+        return res;
+    }
+    v4d lo, hi, t;
+    terms4(kind, a, b, w, 0, &lo);
+    terms4(kind, a, b, w, 4, &hi);
+    for (q = 8; q < n - n % 8; q += 8) {
+        terms4(kind, a, b, w, q, &t);
+        lo += t;
+        terms4(kind, a, b, w, q + 4, &t);
+        hi += t;
+    }
+    res = ((lo[0] + lo[1]) + (lo[2] + lo[3])) +
+          ((hi[0] + hi[1]) + (hi[2] + hi[3]));
+    for (; q < n; q++)
+        res += term(kind, a, b, w, q);
+    return res;
+}
+
+/* numpy's pairwise_sum above 128 terms: the two halves, split at a
+ * multiple of 8, summed apart. */
+CLONES static double sum_split(int kind, const double *a, const double *b,
+                               const double *w, ptrdiff_t n)
+{
+    ptrdiff_t n2 = n / 2;
+    n2 -= n2 % 8;
+    double left = n2 <= 128 ? sum_leaf(kind, a, b, w, n2)
+                            : sum_split(kind, a, b, w, n2);
+    a += n2, b += n2, w += n2, n -= n2;
+    return left + (n <= 128 ? sum_leaf(kind, a, b, w, n)
+                            : sum_split(kind, a, b, w, n));
+}
+
+/* np.add.reduce of the n terms: the reduction starts from the identity, so
+ * the result is 0.0 + the pairwise sum. Operands a kind does not read may
+ * be any row. */
+INLINE double sum0(int kind, const double *a, const double *b,
+                   const double *w, ptrdiff_t n)
+{
+    return 0.0 + (n <= 128 ? sum_leaf(kind, a, b, w, n)
+                           : sum_split(kind, a, b, w, n));
+}
+
+/* sum0 for callers outside the library: the tests compare it with numpy. */
+double som_sum(int kind, const double *a, const double *b, const double *w,
+               ptrdiff_t n)
+{
+    return sum0(kind, a, b, w, n);
 }
 
 /* Activations of nodes [0, n) for x into v->acts; the argmax as np.argmax
  * (lowest index on ties, the first NaN if any). */
-static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n, const double *x)
+CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
+                               const double *x)
 {
     const ptrdiff_t m = v->m;
     const double *mass = v->sums;
-    double *acts = v->acts, *work = v->work;
+    double *acts = v->acts;
     for (ptrdiff_t i = 0; i < n; i++) {
-        const double *c = v->centers + i * m;
-        const double *r = v->rel + i * m;
-        for (ptrdiff_t q = 0; q < m; q++) {
-            double d = c[q] - x[q];
-            work[q] = r[q] * (d * d);
-        }
-        double dist = sqrt(sum0(work, m));
+        double dist = sqrt(sum0(SUM_WEIGHTED, v->centers + i * m, x,
+                                v->rel + i * m, m));
         acts[i] = mass[i] / ((dist + mass[i]) + v->eps);
     }
     ptrdiff_t best = 0;
@@ -143,22 +215,22 @@ static void update_row(const struct som_view *v, ptrdiff_t j, const double *x,
     double spread = hi - lo;
     int flat = spread == 0.0;
     double den = slope * (flat ? 1.0 : spread);
-    double mean = sum0(d, m) / (double)m;
+    double mean = sum0(SUM_PLAIN, d, d, d, m) / (double)m;
     for (ptrdiff_t q = 0; q < m; q++)
         r[q] = flat ? 1.0 : 1.0 / (1.0 + exp(-((mean - d[q]) / den)));
     /* convex step of the center toward x */
     double stay = 1.0 - l;
     for (ptrdiff_t q = 0; q < m; q++)
         c[q] = c[q] * stay + l * x[q];
-    v->sums[j] = sum0(r, m);
+    v->sums[j] = sum0(SUM_PLAIN, r, r, r, m);
 }
 
 /* Recompute the links between node j, 0 <= j < n, and each node of
  * [lo, n), in both bit rows. Two nodes link when their labels are
  * compatible and the Euclidean gap of their relevance rows lies below
  * minwd * sqrt(m). */
-void som_link(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
-              ptrdiff_t lo, double minwd)
+CLONES void som_link(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
+                     ptrdiff_t lo, double minwd)
 {
     const ptrdiff_t m = v->m, words = v->words;
     const double *rj = v->rel + j * m;
@@ -166,18 +238,11 @@ void som_link(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
     const double bound = minwd * sqrt((double)m);
     const uint64_t bit_j = (uint64_t)1 << (j % 64);
     uint64_t *row = v->adj + j * words;
-    double *work = v->work;
     for (ptrdiff_t i = lo; i < n; i++) {
         const int64_t li = v->labels[i];
         int on = 0;
-        if (i != j && (li == lj || li == NO_CLASS || lj == NO_CLASS)) {
-            const double *ri = v->rel + i * m;
-            for (ptrdiff_t q = 0; q < m; q++) {
-                double d = ri[q] - rj[q];
-                work[q] = d * d;
-            }
-            on = sqrt(sum0(work, m)) < bound;
-        }
+        if (i != j && (li == lj || li == NO_CLASS || lj == NO_CLASS))
+            on = sqrt(sum0(SUM_SQUARES, v->rel + i * m, rj, rj, m)) < bound;
         const uint64_t bit_i = (uint64_t)1 << (i % 64);
         uint64_t *col = v->adj + i * words + j / 64;
         if (on) {

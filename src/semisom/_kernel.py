@@ -29,9 +29,11 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
-# No -ffast-math or -march=native: both allow contracting a multiply and an
-# add into one rounding, or reordering a sum, and the results would drift
-# from numpy's.
+# No -ffast-math: it allows reordering a sum or fusing a multiply and an
+# add into one rounding, and the results would drift from numpy's. No
+# -march=native either: the cache key names the platform, not the CPU, so
+# such a build could reach an older CPU through a shared cache; the AVX2
+# clones of _kernel.c give its speed to the CPUs that have AVX2.
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LIBS = ("-lm",)
 
@@ -44,9 +46,9 @@ class View(ctypes.Structure):
 
     _fields_ = [("m", _SIZE), ("words", _SIZE), ("eps", ctypes.c_double),
                 ("centers", _PTR), ("rel", _PTR), ("dist", _PTR),
-                ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("work", _PTR),
-                ("lr", _PTR), ("idx", _PTR), ("wins", _PTR),
-                ("labels", _PTR), ("adj", _PTR)]
+                ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("lr", _PTR),
+                ("idx", _PTR), ("wins", _PTR), ("labels", _PTR),
+                ("adj", _PTR)]
 
 
 class Params(ctypes.Structure):
@@ -132,6 +134,8 @@ def load(compiler: str = "cc"):
         lib.som_train.argtypes = (_PTR, _SIZE, ctypes.POINTER(Params), _PTR,
                                   _PTR, _PTR, _SIZE, _PTR)
         lib.som_train.restype = ctypes.c_int
+        lib.som_sum.argtypes = (ctypes.c_int, _PTR, _PTR, _PTR, _SIZE)
+        lib.som_sum.restype = ctypes.c_double
         return lib
     return None
 

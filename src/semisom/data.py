@@ -121,7 +121,7 @@ def load_arff(path) -> Dataset:
     """
     path = Path(path)
     attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
-    rows: list[tuple[int, list[str]]] = []
+    lines: list[tuple[int, str]] = []  # data lines: (line number, text)
     in_data = False
     with path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -158,7 +158,7 @@ def load_arff(path) -> Dataset:
                 raise DataFormatError(
                     f"{path}:{lineno}: unknown directive {head!r}")
             if in_data:
-                rows.append((lineno, next(csv.reader([line]))))
+                lines.append((lineno, line))
             else:
                 raise DataFormatError(
                     f"{path}:{lineno}: data before @data section")
@@ -178,10 +178,63 @@ def load_arff(path) -> Dataset:
     feature_idx = [i for i in range(len(attrs)) if i != class_idx]
     if not feature_idx:
         raise DataFormatError(f"{path}: no numeric feature attributes")
-    if not rows:
+    if not lines:
         raise DataFormatError(f"{path}: no data rows")
 
     value_ids = {v: i for i, v in enumerate(class_values)}
+    try:
+        patterns, labels = _read_arff_table(lines, len(attrs), class_idx,
+                                            value_ids)
+    except ValueError:
+        # The C reader refused the lines, or they hold something the row
+        # reader may read differently or reject: the row reader decides,
+        # and names the bad line if there is one.
+        patterns, labels = _read_arff_rows(path, lines, attrs, class_idx,
+                                           feature_idx, value_ids)
+    return Dataset(
+        patterns=patterns,
+        labels=labels,
+        class_names=tuple(class_values),
+        dim_names=tuple(attrs[i][0] for i in feature_idx),
+    )
+
+
+def _read_arff_table(lines: list[tuple[int, str]], width: int,
+                     class_idx: int, value_ids: dict[str, int]):
+    """Patterns and label ids of the ARFF data lines, in one numpy pass.
+
+    Raises ``ValueError`` for any line the row reader might read
+    differently or reject: one the C reader refuses (another field count
+    included), a quoted field spanning lines, the control characters of
+    ``_FLOAT_REFUSES``, non-finite values and undeclared class values.
+    """
+    text = [line for _, line in lines]
+    if any(c.decode() in line for line in text for c in _FLOAT_REFUSES):
+        raise ValueError("control character in the data")
+    fields = [("lo", float, (class_idx,)), ("cls", object),
+              ("hi", float, (width - 1 - class_idx,))]
+    table = np.loadtxt(text, dtype=fields, delimiter=",", comments=None,
+                       quotechar='"', ndmin=1)
+    if len(table) != len(text):
+        raise ValueError("a quoted field spans lines")
+    patterns = np.concatenate([table["lo"], table["hi"]], axis=1)
+    if not np.isfinite(patterns).all():
+        raise ValueError("non-finite value")
+    tokens, inverse = np.unique(table["cls"], return_inverse=True)
+    ids = [value_ids.get(_strip_quotes(t.strip()), -1)
+           for t in tokens.tolist()]
+    if -1 in ids:
+        raise ValueError("undeclared class value")
+    return patterns, np.array(ids, dtype=np.int64)[inverse]
+
+
+def _read_arff_rows(path, lines: list[tuple[int, str]],
+                    attrs: list[tuple[str, list[str] | None]],
+                    class_idx: int, feature_idx: list[int],
+                    value_ids: dict[str, int]):
+    """Patterns and label ids line by line, with ``csv`` and ``float()``;
+    errors name the line."""
+    rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
     patterns = np.empty((len(rows), len(feature_idx)))
     labels = np.empty(len(rows), dtype=np.int64)
     for r, (lineno, fields) in enumerate(rows):
@@ -202,12 +255,7 @@ def load_arff(path) -> Dataset:
                 f"{path}:{lineno}: undeclared class value {token!r}")
         labels[r] = value_ids[token]
     _require_finite(path, patterns, rows, [attrs[i][0] for i in feature_idx])
-    return Dataset(
-        patterns=patterns,
-        labels=labels,
-        class_names=tuple(class_values),
-        dim_names=tuple(attrs[i][0] for i in feature_idx),
-    )
+    return patterns, labels
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .data import Dataset, FoldPlan, mask_labels
 # ``classify`` stays importable from here: perfbench/tracer.py wraps it by
@@ -83,7 +82,13 @@ class CurvePoint:
 
 
 def lhs_unit(n: int, d: int, seed: int) -> np.ndarray:
-    """Stratified unit-cube sample: one point per 1/n stratum per dimension."""
+    """Stratified unit-cube sample: one point per 1/n stratum per dimension.
+
+    scipy.stats is imported here, on first use, as importing it takes
+    about a second.
+    """
+    from scipy.stats import qmc
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return qmc.LatinHypercube(d=d, seed=seed).random(n)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import expit
 
 from . import _kernel
 
@@ -166,7 +165,11 @@ def _relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
 
     Works on the transpose, so the statistics of a row batch broadcast
     without reshaping and those of a single vector stay numpy scalars.
+    scipy.special is imported here, on first use: the compiled kernels
+    never need it, and importing it costs a third of a second.
     """
+    from scipy.special import expit
+
     d = dist_avg.T
     dmin = np.minimum.reduce(d)
     spread = np.maximum.reduce(d) - dmin
@@ -307,9 +310,8 @@ class SomMap:
         self.node_budget = node_budget
         self.nwins = 0
         self._n = 0
-        # scratch for the pattern and the summation terms
+        # scratch for the pattern
         self._x = np.zeros(dim)
-        self._work = np.zeros(dim)
         self._lock = threading.Lock()
         self._grow(min(node_budget, _FIRST_CAPACITY))
 
@@ -356,8 +358,8 @@ class SomMap:
         """
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
                       sums=self._rel_sums, acts=self._acts, x=self._x,
-                      work=self._work, lr=self._lr, idx=self._idx,
-                      wins=self._wins, labels=self._labels, adj=self._adj)
+                      lr=self._lr, idx=self._idx, wins=self._wins,
+                      labels=self._labels, adj=self._adj)
         kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
                                **arrays)
         if kernels is None:

@@ -10,6 +10,8 @@ import numpy as np
 
 from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset, Node,
                      Prediction, SomMap)
+from semisom.data import (_ATTRIBUTE_RE, _NOMINAL_RE, _require_finite,
+                          _strip_quotes)
 from semisom.model import _distances
 
 
@@ -111,6 +113,99 @@ def reference_classify(som: SomMap, x, a_t: float) -> Prediction:
         j = int(idx[np.argmax(acts[idx])])
         return Prediction(j, int(labels[j]), float(acts[j]))
     return Prediction(None, REJECTED, float(acts[winner]))
+
+
+def reference_load_arff(path) -> Dataset:
+    """The ARFF loader row by row: ``csv`` records and ``float()`` per cell."""
+    path = Path(path)
+    attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
+    rows: list[tuple[int, list[str]]] = []
+    in_data = False
+    with path.open(encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if not in_data and line.startswith("@"):
+                head, _, rest = line.partition(" ")
+                keyword = head.lower()
+                if keyword == "@relation":
+                    continue
+                if keyword == "@data":
+                    in_data = True
+                    continue
+                if keyword == "@attribute":
+                    decl = _ATTRIBUTE_RE.match(rest.strip())
+                    if decl is None:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: malformed attribute declaration")
+                    name = _strip_quotes(decl.group(1))
+                    spec = decl.group(2).strip()
+                    nominal = _NOMINAL_RE.match(spec)
+                    if nominal:
+                        values = [_strip_quotes(v.strip())
+                                  for v in nominal.group(1).split(",")]
+                        attrs.append((name, values))
+                    elif spec.lower() in ("numeric", "real", "integer"):
+                        attrs.append((name, None))
+                    else:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: unsupported attribute type "
+                            f"{spec!r}")
+                    continue
+                raise DataFormatError(
+                    f"{path}:{lineno}: unknown directive {head!r}")
+            if in_data:
+                rows.append((lineno, next(csv.reader([line]))))
+            else:
+                raise DataFormatError(
+                    f"{path}:{lineno}: data before @data section")
+    if not attrs:
+        raise DataFormatError(f"{path}: no attribute declarations")
+
+    class_idx = next((i for i, (name, _) in enumerate(attrs)
+                      if name.lower() == "class"), len(attrs) - 1)
+    class_name, class_values = attrs[class_idx]
+    if class_values is None:
+        raise DataFormatError(
+            f"{path}: class attribute {class_name!r} is not nominal")
+    for name, values in attrs:
+        if values is not None and name != class_name:
+            raise DataFormatError(
+                f"{path}: non-numeric feature attribute {name!r}")
+    feature_idx = [i for i in range(len(attrs)) if i != class_idx]
+    if not feature_idx:
+        raise DataFormatError(f"{path}: no numeric feature attributes")
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+
+    value_ids = {v: i for i, v in enumerate(class_values)}
+    patterns = np.empty((len(rows), len(feature_idx)))
+    labels = np.empty(len(rows), dtype=np.int64)
+    for r, (lineno, fields) in enumerate(rows):
+        if len(fields) != len(attrs):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(attrs)} fields, "
+                f"got {len(fields)}")
+        for c, i in enumerate(feature_idx):
+            try:
+                patterns[r, c] = float(fields[i])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-numeric value {fields[i]!r} in "
+                    f"attribute {attrs[i][0]!r}") from None
+        token = _strip_quotes(fields[class_idx].strip())
+        if token not in value_ids:
+            raise DataFormatError(
+                f"{path}:{lineno}: undeclared class value {token!r}")
+        labels[r] = value_ids[token]
+    _require_finite(path, patterns, rows, [attrs[i][0] for i in feature_idx])
+    return Dataset(
+        patterns=patterns,
+        labels=labels,
+        class_names=tuple(class_values),
+        dim_names=tuple(attrs[i][0] for i in feature_idx),
+    )
 
 
 def reference_load_csv(path, label_column: str | None = None) -> Dataset:

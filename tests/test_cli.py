@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semisom
 from semisom import (REJECTED, HyperParams, apply_norm, mask_labels,
                      normalize, save_model, train_with_state)
 from semisom.cli import main
@@ -32,6 +37,21 @@ def arff_path(tmp_path):
     path = tmp_path / "toy.arff"
     path.write_text(ARFF, encoding="utf-8")
     return path
+
+
+def test_import_leaves_scipy_stats_and_special_unloaded():
+    """``import semisom`` loads neither scipy.stats nor scipy.special.
+
+    Together they take over a second to import, which every command would
+    pay; only ``lhs_unit`` and the numpy kernels need them, on first use.
+    """
+    src = str(Path(semisom.__file__).parents[1])
+    code = ("import sys, semisom; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.special')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["[]"]
 
 
 def test_train_writes_model(arff_path, tmp_path):

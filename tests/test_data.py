@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from semisom import (NO_CLASS, DataFormatError, Dataset, apply_norm, data,
                      kfold_split, load_arff, load_csv, mask_labels, normalize)
-from helpers import reference_load_csv
+from helpers import reference_load_arff, reference_load_csv
 
 ARFF_OK = """\
 % golden fixture
@@ -118,13 +118,95 @@ def test_arff_non_numeric_value_is_error(tmp_path):
         load_arff(write(tmp_path, "nan.arff", text))
 
 
-# -- CSV ---------------------------------------------------------------------
-
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
 def test_arff_non_finite_value_reports_line(tmp_path, token):
     text = ARFF_OK + f"7.0,{token},large\n"
     with pytest.raises(DataFormatError, match=r":13: non-finite .*'height'"):
         load_arff(write(tmp_path, "nan.arff", text))
+
+
+def arff_outcome(load, path):
+    """What an ARFF loader makes of a file: the data, bit for bit, or its
+    error."""
+    try:
+        ds = load(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return ("ok", ds.patterns.shape, ds.patterns.tobytes(), ds.labels.tolist(),
+            ds.class_names, ds.dim_names)
+
+
+ARFF_HEAD = "@relation t\n@attribute f1 numeric\n@attribute class {a,b}\n@data\n"
+
+
+@pytest.mark.parametrize("body", [
+    '1,a\n"2\n",b\n',  # one quoted field over two lines
+    "1,a\n2\x1c,b\n",  # a character numpy skips and float() refuses
+    "1,a\n2,'b\n",
+    "1,a\n2_0,b,\n",
+    "1,a\n1e309,b\n",
+])
+def test_arff_fallback_names_the_bad_line(tmp_path, body):
+    path = write_bytes(tmp_path, "t.arff", ARFF_HEAD + body)
+    with pytest.raises(DataFormatError, match="t.arff:6: "):
+        load_arff(path)
+    assert arff_outcome(load_arff, path) == arff_outcome(reference_load_arff,
+                                                         path)
+
+
+ARFF_CLASSES = ["a", "b", "c d", "e"]
+ODD_ARFF_CLASSES = [" a ", "'c d'", '"e"', "'b'", '"c d"', '" a"', '"a,b"',
+                    "'a", "z", "", '"g""h"', '"a"b', "A"]
+
+
+@st.composite
+def arff_files(draw):
+    """ARFF text around the spellings and layouts the two readers differ on."""
+    n_features = draw(st.integers(1, 3))
+    names = [f"f{i}" for i in range(n_features)]
+    class_name = draw(st.sampled_from(["class", "Class", "label"]))
+    at = (draw(st.integers(0, n_features)) if class_name != "label"
+          else n_features)
+    names.insert(at, class_name)
+    head = ["% generated", "@relation gen"]
+    for name in names:
+        head.append(f"@attribute {name} "
+                    + ("{a,b,'c d',\"e\"}" if name == class_name
+                       else draw(st.sampled_from(["numeric", "REAL"]))))
+    head.append(draw(st.sampled_from(["@data", "@DATA"])))
+    number = st.one_of(st.integers(-9, 9).map(str),
+                       st.floats(allow_nan=False,
+                                 allow_infinity=False).map(repr))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [rarely(draw, st.sampled_from(ODD_ARFF_CLASSES),
+                         st.sampled_from(ARFF_CLASSES))
+                  if name == class_name
+                  else rarely(draw, st.sampled_from(ODD_NUMBERS) | NON_FINITE,
+                              number) for name in names]
+        fields = rarely(draw, st.sampled_from([fields[:-1], fields + ["1"]]),
+                        st.just(fields))
+        rows.append(",".join(fields))
+        rows += rarely(draw, st.sampled_from([[""], ["% note"], ["  "]]),
+                       st.just([]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = draw(st.sampled_from(["", newline]))
+    return newline.join(head + rows) + end
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=arff_files())
+@example(text='@attribute f numeric\n@attribute class {a}\n@data\n"1\n",a\n')
+@example(text="@attribute f numeric\n@attribute class {a}\n@data\n\x1c1,a\n")
+@example(text="@attribute class {a,b}\n@attribute f numeric\n@data\n"
+              "b,1\n 'a' ,2\n")
+def test_load_arff_matches_the_row_reference(tmp_path_factory, text):
+    path = write_bytes(tmp_path_factory.mktemp("arff"), "gen.arff", text)
+    assert arff_outcome(load_arff, path) == arff_outcome(reference_load_arff,
+                                                         path)
+
+
+# -- CSV ---------------------------------------------------------------------
 
 
 def test_csv_with_class_header(tmp_path):

@@ -45,6 +45,77 @@ def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+@pytest.fixture(scope="session")
+def default_only(tmp_path_factory):
+    """The kernel source built with the baseline clone alone.
+
+    The library the package loads picks its AVX2 clones on a CPU that has
+    AVX2; this build, from the same source with ``SOM_DEFAULT_ONLY``
+    defined, always runs the baseline code.
+    """
+    if _kernel.compiled() is None:
+        pytest.skip("no C compiler: maps use numpy kernels")
+    cache = tmp_path_factory.mktemp("default-only")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_FLAGS", _kernel._FLAGS + ("-DSOM_DEFAULT_ONLY",))
+        mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
+        lib = _kernel.load()
+    assert lib is not None and lib._name != _kernel.compiled()._name
+    return lib
+
+
+# The kinds of som_sum: a, (a - b)^2 and w * (a - b)^2 term by term.
+PLAIN, SQUARES, WEIGHTED = range(3)
+
+
+@st.composite
+def _sums(draw):
+    """Operands of som_sum at every length that changes its path.
+
+    Magnitudes spread over twelve decades, so that adding the terms in any
+    other order rounds differently; NaN, inf and zero weights must
+    propagate as in numpy.
+    """
+    m = draw(st.sampled_from([*range(1, 10), 15, 16, 17, 127, 128, 129, 136,
+                              257]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = (rng.standard_normal(m) * 10.0 ** rng.uniform(-6, 6, m)
+            for _ in range(2))
+    w = rng.random(m)
+    if draw(st.booleans()):
+        w[rng.random(m) < 0.3] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from([a, b, w]))
+        row[rng.integers(m)] = draw(st.sampled_from([np.nan, np.inf,
+                                                     -np.inf, 0.0]))
+    return draw(st.sampled_from([PLAIN, SQUARES, WEIGHTED])), a, b, w
+
+
+@pytest.mark.parametrize("build", ["clones", "default-only"])
+@settings(max_examples=400, deadline=None)
+@given(_sums())
+def test_sum_equals_numpy_add_reduce(default_only, build, case):
+    """som_sum, the leaf of every sum of the kernels, against numpy.
+
+    The terms are computed as the numpy kernels compute them, and summed by
+    np.add.reduce. A NaN may carry another payload, as the two sides need
+    not order the operands of a multiplication alike.
+    """
+    kind, a, b, w = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = a.copy()
+        if kind != PLAIN:
+            terms -= b
+            terms *= terms
+        if kind == WEIGHTED:
+            terms *= w
+        want = np.add.reduce(terms)
+    lib = _kernel.compiled() if build == "clones" else default_only
+    got = lib.som_sum(kind, a.ctypes.data, b.ctypes.data, w.ctypes.data,
+                      len(a))
+    assert (np.isnan(got) and np.isnan(want)) or bits(got) == bits(want)
+
+
 @st.composite
 def _maps(draw):
     """A map, a pattern and update rows, drawn to reach every corner case.
@@ -414,17 +485,15 @@ def _model_bytes(state, params) -> bytes:
         return path.read_bytes()
 
 
-@compiled
-@settings(max_examples=60, deadline=None)
-@given(_runs())
-def test_compiled_loop_equals_python_loop(run):
-    """The compiled loop against the Python loop on the numpy kernels."""
+def _check_loops_agree(lib, run) -> None:
+    """The loop of ``lib`` against the Python loop on the numpy kernels."""
     ds, params = run
-    fast = train_with_state(ds, params)
-    assert fast.som._train is not None
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "compiled", lambda: lib)
+        fast = train_with_state(ds, params)
         mp.setattr(_kernel, "compiled", lambda: None)
         slow = train_with_state(ds, params)
+    assert fast.som._train is not None
     assert slow.som._train is None and slow.som._view is None
     assert _model_bytes(fast, params) == _model_bytes(slow, params)
     assert fast.stats == slow.stats
@@ -432,6 +501,22 @@ def test_compiled_loop_equals_python_loop(run):
     assert fast.t == (fast.stats.growth_presentations
                       + fast.stats.convergence_presentations)
     assert fast.stats.growth_presentations == params.epochs * len(ds)
+
+
+@compiled
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_compiled_loop_equals_python_loop(run):
+    """The loaded library's loop, on its AVX2 clones where the CPU has
+    AVX2, against the Python loop."""
+    _check_loops_agree(_kernel.compiled(), run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_default_only_loop_equals_python_loop(default_only, run):
+    """The loop of the baseline-only build against the Python loop."""
+    _check_loops_agree(default_only, run)
 
 
 @compiled
