@@ -1,11 +1,16 @@
 /*
- * Compiled kernels of semisom's SomMap and of its training loop.
+ * Compiled kernels of semisom's SomMap, of its training loop and of bulk
+ * classification.
  *
- * Each function reproduces, bit for bit, the numpy kernels of model.py and
- * the Python presentation loop of training.py that it replaces: the same
- * float operations on the same operands in the same order. min/max
- * propagate NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's
- * expit, with the C library's exp, one value at a time.
+ * Each function reproduces, bit for bit, the numpy kernels of model.py,
+ * the Python presentation loop of training.py or the numpy block pass of
+ * inference.py that it replaces: the same float operations on the same
+ * operands in the same order. min/max propagate NaN and the logistic
+ * curve is 1 / (1 + exp(-z)) as in scipy's expit, with the C library's
+ * exp, one value at a time. som_classify takes another route to the same
+ * outcome: it computes the screen's bounds with the numpy pass's
+ * operations, but tests most pairs against them in the squared-distance
+ * domain, and every activation that decides is computed as winner() does.
  *
  * Every sum is numpy's pairwise summation, in one leaf (sum0): the eight
  * accumulators numpy keeps for each block of 8 terms are the lanes of two
@@ -13,9 +18,9 @@
  * the operand rows. A lane operation is the IEEE operation the scalar code
  * would make, so the order and the rounding are numpy's.
  *
- * On x86-64 with glibc, the winner search and the link recomputation are
- * built twice, for AVX2 and for the baseline ISA, and the loader picks one
- * when the library loads (target_clones); defining SOM_DEFAULT_ONLY builds
+ * On x86-64 with glibc, the winner search, the link recomputation and the
+ * classification pass are built twice, for AVX2 and for the baseline ISA,
+ * and the loader picks one when the library loads (target_clones); defining SOM_DEFAULT_ONLY builds
  * the baseline alone, which the tests compare with the clones. Built with
  * -ffp-contract=off so no multiply-add is fused; never build it with
  * -ffast-math or -march=native.
@@ -162,19 +167,25 @@ double som_sum(int kind, const double *a, const double *b, const double *w,
     return sum0(kind, a, b, w, n);
 }
 
+/* Activation of the node with center row c, relevance row w and relevance
+ * sum `mass` for x: mass / ((sqrt(sum w (c - x)^2) + mass) + eps). */
+INLINE double activation(const double *c, const double *w, double mass,
+                         const double *x, ptrdiff_t m, double eps)
+{
+    double dist = sqrt(sum0(SUM_WEIGHTED, c, x, w, m));
+    return mass / ((dist + mass) + eps);
+}
+
 /* Activations of nodes [0, n) for x into v->acts; the argmax as np.argmax
  * (lowest index on ties, the first NaN if any). */
 CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
                                const double *x)
 {
     const ptrdiff_t m = v->m;
-    const double *mass = v->sums;
     double *acts = v->acts;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        double dist = sqrt(sum0(SUM_WEIGHTED, v->centers + i * m, x,
-                                v->rel + i * m, m));
-        acts[i] = mass[i] / ((dist + mass[i]) + v->eps);
-    }
+    for (ptrdiff_t i = 0; i < n; i++)
+        acts[i] = activation(v->centers + i * m, v->rel + i * m, v->sums[i],
+                             x, m, v->eps);
     ptrdiff_t best = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
         if (isnan(acts[i]))
@@ -377,4 +388,315 @@ int som_train(const struct som_view *v, ptrdiff_t n,
     }
     count[C_POS] = k;
     return SOM_END;
+}
+
+/*
+ * Bulk classification: the block pass of inference._classify_arrays.
+ *
+ * The caller multiplies a block of patterns by the node rows in BLAS,
+ * q = (x*x) rel^T and d = x (-2 rel*c)^T, and passes the node operands of
+ * inference._NodeArrays. For each row, som_classify then makes, in C, the
+ * steps of the numpy twin inference._classify_block: the screen's upper
+ * bound on every pair's activation, a pivot whose exact activation bounds
+ * the winner's from below, the candidate test, the exact activation of
+ * each candidate (activation(), as winner() computes it) and the labeled
+ * fallback. Any pivot is correct; the twin takes the node of highest
+ * bound, this pass the node of least d2 / mass^2, which needs no square
+ * root. Both give the outcome of the classification rule on the exact
+ * activations, bit for bit.
+ *
+ * The passes over the nodes run in 2-lane vectors, each lane making the
+ * IEEE operations of the scalar code, and leave the rare pairs that
+ * survive the squared-distance test below to scalar code, in index order.
+ * Two lanes, not four: the baseline x86-64 ISA compares 2-lane vectors
+ * natively but scalarizes 4-lane comparisons (the pass ran 3.6 times
+ * slower there with 4 lanes), while with AVX2 4 lanes gained at most a
+ * tenth of the pass, within the machine's run-to-run spread.
+ */
+
+/* A batch's node operands: n nodes of m dimensions, their center and
+ * relevance rows, relevance sums (mass), labels, the screen's |c|_r^2
+ * (sq), its floored form (sq_floor) and factor (slack), and 1 / mass^2,
+ * the pivot proxy's weights. */
+struct som_nodes {
+    ptrdiff_t n, m;
+    double eps, slack;
+    const double *centers, *rel, *mass, *sq, *sq_floor, *weight;
+    const int64_t *labels;
+};
+
+/* The label of a rejected pattern (inference.REJECTED). */
+#define REJECTED (-2)
+
+/* Two lanes of doubles and of int64: a comparison of two v2d gives 0 or
+ * -1 per lane. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2di __attribute__((vector_size(16)));
+
+INLINE v2d load2(const double *p)
+{
+    v2d v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+#define STORE2(p, v) __builtin_memcpy((p), &(v), sizeof(v2d))
+
+/* Lane by lane: a where mask is set, else b. */
+#define PICK(mask, a, b) ((v2d)(((v2di)(a) & (mask)) | ((v2di)(b) & ~(mask))))
+
+/* Exact activation of node j for x. */
+INLINE double exact(const struct som_nodes *s, ptrdiff_t j, const double *x)
+{
+    return activation(s->centers + j * s->m, s->rel + j * s->m, s->mass[j],
+                      x, s->m, s->eps);
+}
+
+/* The screen's bound on the activation from the lower bound d2 on the
+ * squared distance, clamped like np.maximum(d2, 0.0) (NaN and -0.0 pass)
+ * and rounded as inference._act_of_sq rounds it. */
+INLINE double bound(double d2, double mass, double eps)
+{
+    d2 = (d2 >= 0.0 || isnan(d2)) ? d2 : 0.0;
+    return mass / ((sqrt(d2) + mass) + eps);
+}
+
+/*
+ * Ruling a pair out without a square root or a division.
+ *
+ * For mass >= 0, bound(d2) does not increase with d2, and each of its four
+ * roundings (unit roundoff u) is relative, so
+ *     bound(d2) <= mass (1 + u) / ((1 - u)^3 (sqrt(d2) + mass + eps))
+ * and bound(d2) < L once sqrt(d2) > R = mass (K / L - 1) - eps, with
+ * K = (1 + u) / (1 - u)^3. (For L >= 2^-1000 the quotient lies far enough
+ * above the subnormal range that its rounding is relative as well.)
+ *
+ * cutoff(L) = fl(fl(fl(fl(1 / L) G) - 1) G), with G = 1 + 2^-40, is at
+ * least K / L - 1: the first G covers the roundings of 1 / L, of the
+ * product and of the subtraction (exact by Sterbenz near L = 1), each of
+ * at most u against 2^-40 > 8u. Per node, t = fl(fl(mass g) - e), with
+ * e = fl(eps (1 - 2^-40)), is then at least R whenever t > 0: the second
+ * G and the 1 - 2^-40 cover the two roundings of mass g - e. A float d2
+ * above fl(t t) lies above t^2 itself, since round-to-nearest leaves no
+ * float between them, so d2 > fl(t t) with t > 0 gives sqrt(d2) > t >= R
+ * and bound(d2) < L: the pair is ruled out.
+ *
+ * A negative or NaN relevance makes sq, hence d2, NaN. NaN compares false
+ * and an overflowed t t is inf, so such pairs are never ruled out here;
+ * cutoff is NaN, ruling out nothing, for an L that is NaN, infinite or
+ * below 2^-1000. A pair that is not ruled out gets its exact bound.
+ */
+static double cutoff(double L)
+{
+    const double grow = 1.0 + 0x1p-40;
+    if (!(L >= 0x1p-1000 && L < INFINITY))
+        return NAN;
+    return ((1.0 / L) * grow - 1.0) * grow;
+}
+
+/* e of the test above, from eps. */
+INLINE double shrunk(double eps)
+{
+    return eps * (1.0 - 0x1p-40);
+}
+
+/* The test above for nodes j and j + 1: set where the pair is ruled out. */
+INLINE v2di ruled2(const double *mass, const double *d, ptrdiff_t j,
+                   double g, double e)
+{
+    const v2d g2 = {g, g}, e2 = {e, e}, zero = {0.0, 0.0};
+    v2d t = load2(mass + j) * g2 - e2;
+    return (t > zero) & (load2(d + j) > t * t);
+}
+
+/* Whether node j's bound reaches L, i.e. !(bound < L) as the numpy twin
+ * tests it: NaN bounds reach every L. g = cutoff(L), e = shrunk(eps). */
+INLINE int reaches(const struct som_nodes *s, ptrdiff_t j, double d2,
+                   double L, double g, double e)
+{
+    double t = s->mass[j] * g - e;
+    if (t > 0.0 && d2 > t * t)
+        return 0;
+    return !(bound(d2, s->mass[j], s->eps) < L);
+}
+
+/* reaches() for callers outside the library: the tests check its margin. */
+int som_reaches(double mass, double eps, double d2, double L)
+{
+    struct som_nodes s = {.n = 1, .eps = eps, .mass = &mass};
+    return reaches(&s, 0, d2, L, cutoff(L), shrunk(eps));
+}
+
+/* One row's outcome so far: the winner w, its activation top, and the
+ * best labeled candidate activation at or above a_t (sure). */
+struct row {
+    ptrdiff_t w;
+    double top, sure;
+};
+
+/* Candidate j: its exact activation into the row's winner (np.argmax:
+ * the first NaN, else the first maximum; the other nodes count as -inf,
+ * which never wins after the initial w = 0, top = -inf) and into `sure`.
+ * The pivot's is L. */
+INLINE void candidate(const struct som_nodes *s, ptrdiff_t j,
+                      const double *x, double L, ptrdiff_t piv, double a_t,
+                      struct row *o)
+{
+    double v = j == piv ? L : exact(s, j, x);
+    if (!isnan(o->top) && !(v <= o->top)) {
+        o->w = j;
+        o->top = v;
+    }
+    if (s->labels[j] != NO_CLASS && v >= a_t && v > o->sure)
+        o->sure = v;
+}
+
+/* Labeled candidate j of the fallback: the most activated one at or above
+ * a_t is kept in f and *best, the first on ties. */
+INLINE void fallback(const struct som_nodes *s, ptrdiff_t j, const double *x,
+                     double a_t, ptrdiff_t *f, double *best)
+{
+    double v = exact(s, j, x);
+    if (v >= a_t && (*f < 0 || v > *best)) {
+        *f = j;
+        *best = v;
+    }
+}
+
+/* The screen for nodes j and j + 1 (sq, sq_floor, weight and slack of
+ * struct som_nodes): d becomes a lower bound on the squared distance,
+ * which bound() clamps at zero. The least d / mass^2 seen per lane goes
+ * to *low, its node to *at. */
+INLINE void screen2(const double *q, double *d, const double *sq,
+                    const double *sq_floor, const double *weight,
+                    double slack, ptrdiff_t j, v2d *low, v2di *at)
+{
+    const v2d slack2 = {slack, slack};
+    v2d qj = load2(q + j);
+    v2d t = ((load2(d + j) + qj) + load2(sq + j)) -
+            (qj + load2(sq_floor + j)) * slack2;
+    STORE2(d + j, t);
+    v2d p = t * load2(weight + j);
+    v2di lt = p < *low;
+    *low = PICK(lt, p, *low);
+    *at = (lt & (v2di){j, j + 1}) | (~lt & *at);
+}
+
+/* The labeled node of least d[j] * weight[j], -1 when no product is below
+ * inf. */
+static ptrdiff_t least_labeled(const struct som_nodes *s, const double *d)
+{
+    ptrdiff_t best = -1;
+    double low = INFINITY;
+    for (ptrdiff_t j = 0; j < s->n; j++)
+        if (s->labels[j] != NO_CLASS && d[j] * s->weight[j] < low) {
+            low = d[j] * s->weight[j];
+            best = j;
+        }
+    return best;
+}
+
+/*
+ * Classify the `rows` patterns of x (rows x m): q and d are their BLAS
+ * products with the node rows (rows x n each); d is overwritten as
+ * scratch. Writes, per row, the deciding node (-1 for a rejection), its
+ * label (REJECTED for a rejection) and its activation (for a rejection,
+ * the winner's), as inference._classify_block does.
+ */
+CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
+                         double a_t, const double *x, const double *q,
+                         double *d, ptrdiff_t *node, int64_t *label,
+                         double *act)
+{
+    const ptrdiff_t n = s->n, m = s->m;
+    const double *const mass = s->mass, *const sq = s->sq,
+                 *const sq_floor = s->sq_floor, *const weight = s->weight;
+    const int64_t *const labels = s->labels;
+    const double e = shrunk(s->eps), slack = s->slack;
+    for (ptrdiff_t r = 0; r < rows; r++, x += m, q += n, d += n) {
+        /* The screen, with the pivot: the node of least d / mass^2, kept
+         * in two pairs of lanes, then across. */
+        const v2d inf2 = {INFINITY, INFINITY};
+        v2d low2[2] = {inf2, inf2};
+        v2di at2[2] = {{0, 0}, {0, 0}};
+        ptrdiff_t j;
+        for (j = 0; j + 4 <= n; j += 4) {
+            screen2(q, d, sq, sq_floor, weight, slack, j, &low2[0], &at2[0]);
+            screen2(q, d, sq, sq_floor, weight, slack, j + 2, &low2[1],
+                    &at2[1]);
+        }
+        if (j + 2 <= n) {
+            screen2(q, d, sq, sq_floor, weight, slack, j, &low2[0], &at2[0]);
+            j += 2;
+        }
+        ptrdiff_t piv = 0;
+        double low = INFINITY;
+        for (int l = 0; l < 4; l++)
+            if (low2[l / 2][l % 2] < low) {
+                low = low2[l / 2][l % 2];
+                piv = at2[l / 2][l % 2];
+            }
+        for (; j < n; j++) {
+            double t = ((d[j] + q[j]) + sq[j]) - (q[j] + sq_floor[j]) * slack;
+            d[j] = t;
+            if (d[j] * weight[j] < low) {
+                low = d[j] * weight[j];
+                piv = j;
+            }
+        }
+        /* Candidates: the nodes whose bound reaches the pivot's exact
+         * activation L. Sixteen nodes are tested at a time; the rare
+         * groups with a pair the squared test keeps go through the
+         * scalar test, in index order. */
+        const double L = exact(s, piv, x);
+        const double g = cutoff(L);
+        struct row o = {0, -INFINITY, -INFINITY};
+        for (j = 0; j + 16 <= n; j += 16) {
+            v2di all = ruled2(mass, d, j, g, e);
+            for (ptrdiff_t i = j + 2; i < j + 16; i += 2)
+                all &= ruled2(mass, d, i, g, e);
+            if (!(all[0] & all[1]))
+                for (ptrdiff_t i = j; i < j + 16; i++)
+                    if (reaches(s, i, d[i], L, g, e))
+                        candidate(s, i, x, L, piv, a_t, &o);
+        }
+        for (; j < n; j++)
+            if (reaches(s, j, d[j], L, g, e))
+                candidate(s, j, x, L, piv, a_t, &o);
+        int64_t lab = labels[o.w];
+        if (lab == NO_CLASS) {
+            /* An unlabeled winner: the most activated labeled node at or
+             * above a_t decides. Its activation is at least `sure`; with
+             * no labeled candidate there, the labeled node of least
+             * d / mass^2 may give one. Every labeled node whose bound
+             * reaches L2 = max(a_t, sure) is then a candidate, and no
+             * other labeled node can decide. */
+            if (o.sure == -INFINITY) {
+                ptrdiff_t k = least_labeled(s, d);
+                if (k >= 0) {
+                    double v = exact(s, k, x);
+                    if (v >= a_t)
+                        o.sure = v;
+                }
+            }
+            const double L2 = o.sure >= a_t ? o.sure : a_t;
+            const double g2 = cutoff(L2);
+            ptrdiff_t f = -1;
+            double best = -INFINITY;
+            for (j = 0; j < n; j++)
+                if (labels[j] != NO_CLASS && reaches(s, j, d[j], L2, g2, e))
+                    fallback(s, j, x, a_t, &f, &best);
+            if (f >= 0) {
+                o.w = f;
+                o.top = best;
+                lab = labels[f];
+            } else {
+                o.w = -1;
+                lab = REJECTED;
+            }
+        }
+        node[r] = o.w;
+        label[r] = lab;
+        act[r] = o.top;
+    }
 }

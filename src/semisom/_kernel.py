@@ -4,8 +4,11 @@ The C source is compiled once with the system C compiler into a shared
 library whose name carries a hash of the source, the compiler, the flags
 and the platform, so an edited source or another machine never picks up a
 stale build. The library goes to the package's ``__pycache__`` directory,
-or to ``~/.cache/semisom`` when that one is read-only. It is loaded
-with ``ctypes.PyDLL``, which keeps the interpreter lock held during a call.
+or to ``~/.cache/semisom`` when that one is read-only. A build into the
+package's own directory removes the libraries of earlier sources there;
+the shared one is never pruned, since other checkouts build into it. The
+library is loaded with ``ctypes.PyDLL``, which keeps the interpreter lock
+held during a call.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
@@ -51,6 +54,15 @@ class View(ctypes.Structure):
                 ("adj", _PTR)]
 
 
+class Nodes(ctypes.Structure):
+    """A batch's node operands for ``som_classify`` (``struct som_nodes``)."""
+
+    _fields_ = [("n", _SIZE), ("m", _SIZE), ("eps", ctypes.c_double),
+                ("slack", ctypes.c_double)] + [
+        (name, _PTR) for name in ("centers", "rel", "mass", "sq", "sq_floor",
+                                  "weight", "labels")]
+
+
 class Params(ctypes.Structure):
     """The training parameters ``som_train`` reads (``struct som_params``)."""
 
@@ -72,7 +84,7 @@ _NEVER = 2 ** 62
 _DTYPES = dict(idx=np.intp, wins=np.int64, labels=np.int64, adj=np.uint64)
 
 Kernels = collections.namedtuple("Kernels",
-                                 "view winner update link train")
+                                 "view winner update link train classify")
 
 
 def params(hp, allow_insert: bool) -> Params:
@@ -83,8 +95,23 @@ def params(hp, allow_insert: bool) -> Params:
 
 
 def _cache_dirs() -> list[Path]:
+    """Where libraries are built: the package's own directory first."""
     return [Path(__file__).with_name("__pycache__"),
             Path.home() / ".cache" / "semisom"]
+
+
+def _prune(target: Path) -> None:
+    """Remove the ``_kernel-*`` libraries beside ``target`` but itself.
+
+    A process still running an older library keeps its mapping; a build in
+    progress is a ``.tmp`` file and stays.
+    """
+    for old in target.parent.glob("_kernel-*" + target.suffix):
+        if old != target:
+            try:
+                old.unlink()
+            except OSError:
+                pass
 
 
 def _build(compiler: str, target: Path) -> None:
@@ -116,11 +143,13 @@ def load(compiler: str = "cc"):
         sysconfig.get_platform().encode(),
     ])).hexdigest()[:16]
     name = f"_kernel-{key}{sysconfig.get_config_var('SHLIB_SUFFIX') or '.so'}"
-    for directory in _cache_dirs():
+    for i, directory in enumerate(_cache_dirs()):
         path = directory / name
         try:
             if not path.exists():
                 _build(compiler, path)
+                if i == 0:
+                    _prune(path)
             lib = ctypes.PyDLL(str(path))
         except (OSError, subprocess.SubprocessError):
             continue
@@ -136,6 +165,11 @@ def load(compiler: str = "cc"):
         lib.som_train.restype = ctypes.c_int
         lib.som_sum.argtypes = (ctypes.c_int, _PTR, _PTR, _PTR, _SIZE)
         lib.som_sum.restype = ctypes.c_double
+        lib.som_classify.argtypes = (_PTR, _SIZE, ctypes.c_double, _PTR, _PTR,
+                                     _PTR, _PTR, _PTR, _PTR)
+        lib.som_classify.restype = None
+        lib.som_reaches.argtypes = (ctypes.c_double,) * 4
+        lib.som_reaches.restype = ctypes.c_int
         return lib
     return None
 
@@ -161,7 +195,10 @@ def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
       ``j`` and the nodes of ``[lo, n)``;
     - ``train(n, params, patterns, labels, draws, count)``, which runs the
       presentations of ``draws`` from ``count[0]`` on (see ``som_train``)
-      and returns ``END``, ``INSERT`` or ``SWEEP``.
+      and returns ``END``, ``INSERT`` or ``SWEEP``;
+    - ``classify(nodes)``, which binds ``som_classify`` to a batch's node
+      operands (see ``_classifier``). It reads only what it is passed,
+      never the map's scratch rows.
 
     Returns ``None`` when no library is available; ``SomMap._bind`` then
     binds the numpy kernels instead. The caller keeps the arrays alive and
@@ -180,7 +217,58 @@ def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
     return Kernels(view, functools.partial(lib.som_winner, addr),
                    functools.partial(lib.som_update, addr),
                    functools.partial(lib.som_link, addr),
-                   functools.partial(_train, lib, addr, m))
+                   functools.partial(_train, lib, addr, m),
+                   functools.partial(_classifier, lib, eps))
+
+
+def _require(a: np.ndarray, dtype, shape: tuple) -> None:
+    """Raise ``ValueError`` unless ``a`` is C-contiguous of this type and
+    shape, so that its address may go to the C code."""
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous {np.dtype(dtype)} "
+                         f"array of shape {shape}")
+
+
+def _classifier(lib, eps: float, nodes):
+    """``som_classify`` bound to one batch's node operands.
+
+    ``nodes`` holds them as ``inference._NodeArrays`` does: ``centers``,
+    ``rel``, ``mass``, ``labels``, ``sq``, ``sq_floor`` and ``slack``; it
+    is kept alive with the binding. Returns ``run(x, q, d, a_t, node,
+    label, act)``, which classifies the rows of ``x`` from their products
+    ``q`` and ``d`` with the node rows (``d`` is overwritten) into
+    ``node``, ``label`` and ``act``, as ``inference._classify_block`` does.
+    """
+    n, m = nodes.rel.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = 1.0 / (nodes.mass * nodes.mass)
+    operands = dict(centers=nodes.centers, rel=nodes.rel, mass=nodes.mass,
+                    sq=nodes.sq, sq_floor=nodes.sq_floor, weight=weight,
+                    labels=nodes.labels)
+    for name, a in operands.items():
+        _require(a, np.int64 if name == "labels" else np.float64,
+                 (n, m) if name in ("centers", "rel") else (n,))
+    screen = Nodes(n, m, eps, nodes.slack,
+                   **{name: a.ctypes.data for name, a in operands.items()})
+    return functools.partial(_classify, lib, screen, (nodes, weight))
+
+
+def _classify(lib, screen: Nodes, keep, x: np.ndarray, q: np.ndarray,
+              d: np.ndarray, a_t: float, node: np.ndarray, label: np.ndarray,
+              act: np.ndarray) -> None:
+    """``som_classify`` on one block, once its arrays are checked; ``keep``
+    holds the arrays ``screen`` points into."""
+    rows, n = len(x), screen.n
+    for a, dtype, shape in ((x, np.float64, (rows, screen.m)),
+                            (q, np.float64, (rows, n)),
+                            (d, np.float64, (rows, n)),
+                            (node, np.intp, (rows,)),
+                            (label, np.int64, (rows,)),
+                            (act, np.float64, (rows,))):
+        _require(a, dtype, shape)
+    lib.som_classify(ctypes.addressof(screen), rows, a_t, x.ctypes.data,
+                     q.ctypes.data, d.ctypes.data, node.ctypes.data,
+                     label.ctypes.data, act.ctypes.data)
 
 
 def _train(lib, addr: int, m: int, n: int, p: Params, patterns: np.ndarray,
@@ -190,9 +278,7 @@ def _train(lib, addr: int, m: int, n: int, p: Params, patterns: np.ndarray,
     checks = ((patterns, np.float64, (rows, m)), (labels, np.int64, (rows,)),
               (draws, np.int64, (len(draws),)), (count, np.int64, (6,)))
     for a, dtype, shape in checks:
-        if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
-            raise ValueError(f"expected a C-contiguous {np.dtype(dtype)} "
-                             f"array of shape {shape}")
+        _require(a, dtype, shape)
     if len(draws) and not 0 <= draws.min() <= draws.max() < rows:
         raise IndexError(f"draws outside the {rows} patterns")
     if not 0 <= count[0] <= len(draws):

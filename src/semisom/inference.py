@@ -1,14 +1,19 @@
 """Cluster assignment and classification over a trained map.
 
-Bulk classification screens every (pattern, node) pair of a block of
-patterns with two matrix products, then recomputes exactly, with the map's
-own activation kernel, only the pairs that can still decide the outcome.
-The result is bit for bit the one a pattern-by-pattern search over
-``SomMap.activations`` gives.
+Bulk classification works on blocks of patterns. BLAS multiplies a block
+by the node rows, twice; those products give an upper bound on every
+(pattern, node) activation. One pass per block then recomputes exactly,
+with the map's own activation kernel, only the pairs whose bound can still
+decide the outcome, and applies the classification rule to them. The pass
+is ``som_classify`` of ``_kernel.c`` when the map has the compiled kernels
+and its numpy twin ``_classify_block`` otherwise. Either way the result is
+bit for bit the one a pattern-by-pattern search over ``SomMap.activations``
+gives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +102,20 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
     n = som.n_nodes
     if n == 0:
         raise ValueError("map has no nodes")
+    x = np.ascontiguousarray(x)
     nodes = _NodeArrays(som)
     block = max(1, _BLOCK_BYTES // (8 * n))
     node = np.empty(len(x), dtype=np.intp)
     label = np.empty(len(x), dtype=nodes.labels.dtype)
     act = np.empty(len(x))
-    for start in range(0, len(x), block):
-        part = slice(start, start + block)
-        node[part], label[part], act[part] = _classify_block(nodes, x[part],
-                                                             a_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(x), block):
+            part = slice(start, start + block)
+            xb = x[part]
+            # the screen's two products: |x|_r^2 and -2 <x, r c> per pair
+            q = (xb * xb) @ nodes.rel.T
+            d = xb @ nodes.cross.T
+            nodes.classify(xb, q, d, a_t, node[part], label[part], act[part])
     return node, label, act
 
 
@@ -133,6 +143,10 @@ class _NodeArrays:
         m = self.rel.shape[1]
         self.slack = 5.0 * (m + 4) * _U
         self.sq_floor = self.sq + 8.0 * (m + 4) * _TINY / self.slack
+        # the block pass, bound to these operands: the map's compiled one,
+        # else the numpy twin
+        self.classify = (functools.partial(_classify_block, self)
+                         if som._classify is None else som._classify(self))
 
 
 def _act_of_sq(sq: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -154,19 +168,25 @@ def _exact(nodes: _NodeArrays, x: np.ndarray, r: np.ndarray,
                         ACTIVATION_EPS)
 
 
-def _classify_block(nodes: _NodeArrays, x: np.ndarray, a_t: float):
-    """Winner, label and activation per row; node ``-1`` marks a rejection."""
+def _classify_block(nodes: _NodeArrays, x: np.ndarray, q: np.ndarray,
+                    d: np.ndarray, a_t: float, node: np.ndarray,
+                    label: np.ndarray, act: np.ndarray) -> None:
+    """Winner, label and activation of each row into ``node``, ``label``
+    and ``act``; node ``-1`` marks a rejection.
+
+    ``q`` and ``d`` are the rows' products ``(x * x) @ rel.T`` and
+    ``x @ cross.T``, overwritten. The numpy twin of ``som_classify`` and
+    its reference.
+    """
     # Screen: an upper bound on every pair's activation, from the expanded
     # form d2 = |x|_r^2 - 2 <x, r c> + |c|_r^2 less its error bound.
     with np.errstate(over="ignore", invalid="ignore"):
-        q = (x * x) @ nodes.rel.T
-        d2 = x @ nodes.cross.T
-        d2 += q
-        d2 += nodes.sq
+        d += q
+        d += nodes.sq
         q += nodes.sq_floor
         q *= nodes.slack
-        d2 -= q
-        hi = _act_of_sq(np.maximum(d2, 0.0, out=d2), nodes.mass)
+        d -= q
+        hi = _act_of_sq(np.maximum(d, 0.0, out=d), nodes.mass)
 
     # The exact activation of the node with the highest bound is a lower
     # bound on the winner's, and a labeled node at or above a_t one on the
@@ -177,8 +197,8 @@ def _classify_block(nodes: _NodeArrays, x: np.ndarray, a_t: float):
     if len(open_rows):
         hi = np.where(nodes.labeled, hi[open_rows], -np.inf)
         j = hi.argmax(axis=1)
-        act = _exact(nodes, x, open_rows, j)
-        sure = np.where(nodes.labeled[j] & (act >= a_t), act, -np.inf)
+        known = _exact(nodes, x, open_rows, j)
+        sure = np.where(nodes.labeled[j] & (known >= a_t), known, -np.inf)
         cand[open_rows] |= ~(hi < a_t) & ~(hi < sure[:, None])
 
     # Exact activations of the candidates decide.
@@ -186,9 +206,9 @@ def _classify_block(nodes: _NodeArrays, x: np.ndarray, a_t: float):
     r, c = np.divmod(flat, cand.shape[1])
     exact = np.full(cand.shape, -np.inf)
     exact.flat[flat] = _exact(nodes, x, r, c)
-    node = exact.argmax(axis=1)
-    act = exact[rows, node]
-    label = nodes.labels[node]
+    node[:] = exact.argmax(axis=1)
+    act[:] = exact[rows, node]
+    label[:] = nodes.labels[node]
 
     fall = np.flatnonzero(label == NO_CLASS)
     if len(fall):
@@ -204,4 +224,3 @@ def _classify_block(nodes: _NodeArrays, x: np.ndarray, a_t: float):
         miss = fall[~hit]
         node[miss] = -1
         label[miss] = REJECTED
-    return node, label, act

@@ -354,7 +354,9 @@ class SomMap:
         ``_grow`` binds again after each one while holding the lock, so
         the addresses taken here stay valid while a kernel uses them. The
         lock, one object for the map's lifetime, serializes the kernels'
-        use of the shared scratch rows.
+        use of the shared scratch rows. The numpy path binds no training
+        loop and no classify pass (``None``); training and inference then
+        run their Python and numpy twins.
         """
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
                       sums=self._rel_sums, acts=self._acts, x=self._x,
@@ -367,14 +369,14 @@ class SomMap:
             kernels = _kernel.Kernels(
                 None, functools.partial(_winner_numpy, view),
                 functools.partial(_update_numpy, view),
-                functools.partial(_link_numpy, view), None)
+                functools.partial(_link_numpy, view), None, None)
         (self._view, self._winner, self._update, self._link,
-         self._train) = kernels
+         self._train, self._classify) = kernels
 
     def __getstate__(self):
         state = self.__dict__.copy()
         for name in ("_lock", "_view", "_winner", "_update", "_link",
-                     "_train"):
+                     "_train", "_classify"):
             del state[name]
         return state
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset, Node,
 from semisom.data import (_ATTRIBUTE_RE, _NOMINAL_RE, _require_finite,
                           _strip_quotes)
 from semisom.model import _distances
+from semisom.persistence import FORMAT_NAME, FORMAT_VERSION
 
 
 def make_blobs(n_per_class: int, centers, sigma: float, seed: int,
@@ -113,6 +116,34 @@ def reference_classify(som: SomMap, x, a_t: float) -> Prediction:
         j = int(idx[np.argmax(acts[idx])])
         return Prediction(j, int(labels[j]), float(acts[j]))
     return Prediction(None, REJECTED, float(acts[winner]))
+
+
+def reference_model_text(som: SomMap, params, norm_stats=None,
+                         class_names=()) -> str:
+    """The model file ``save_model`` writes, less its final newline, as
+    ``json`` renders the document."""
+    doc = {
+        "format": FORMAT_NAME,
+        "format_version": FORMAT_VERSION,
+        "params": asdict(params),
+        "norm_stats": None if norm_stats is None else {
+            "mins": norm_stats.mins.tolist(),
+            "maxs": norm_stats.maxs.tolist(),
+        },
+        "classes": list(class_names),
+        "nodes": [
+            {
+                "center": node.center.tolist(),
+                "relevance": node.relevance.tolist(),
+                "dist_avg": node.dist_avg.tolist(),
+                "wins": node.wins,
+                "label": node.label,
+            }
+            for node in (som.node(j) for j in range(som.n_nodes))
+        ],
+        "connections": [list(pair) for pair in som.connections],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
 def reference_load_arff(path) -> Dataset:

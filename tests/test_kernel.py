@@ -7,8 +7,10 @@ Python loop of ``training.py``. Both must give the same floats, bit for
 bit, so a map trains identically whichever path is active.
 """
 
+import math
 import pickle
 import sys
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisom import (NO_CLASS, Dataset, HyperParams, Node, SomMap,
-                     mask_labels, save_model, train_with_state)
+                     classify_batch, mask_labels, save_model,
+                     train_with_state)
 from semisom import _kernel
 from semisom.model import ACTIVATION_EPS, _activations, _shift_vectors
 from semisom.training import TrainState, _present_chunk
@@ -114,6 +117,56 @@ def test_sum_equals_numpy_add_reduce(default_only, build, case):
     got = lib.som_sum(kind, a.ctypes.data, b.ctypes.data, w.ctypes.data,
                       len(a))
     assert (np.isnan(got) and np.isnan(want)) or bits(got) == bits(want)
+
+
+def _bound(d2: float, mass: float) -> float:
+    """The screen's activation bound for one pair, as ``_act_of_sq``
+    rounds it: the same IEEE operations on Python floats."""
+    d2 = d2 if d2 >= 0.0 or math.isnan(d2) else 0.0
+    return mass / ((math.sqrt(d2) + mass) + ACTIVATION_EPS)
+
+
+@st.composite
+def _boundaries(draw):
+    """A pair's mass, a bound L and squared distances on both sides of it.
+
+    Mostly L is the bound at some d0, so that the probes around d0 cross
+    the exact boundary the squared-domain test must respect; otherwise L
+    is a threshold such as a_t, or a value outside the test's range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass = draw(st.sampled_from([0.0, 10.0 ** rng.uniform(-9, 9)]))
+    d0 = draw(st.sampled_from([0.0, 10.0 ** rng.uniform(-30, 30)]))
+    L = draw(st.sampled_from(["at d0"] * 4 + [
+        "uniform", 0.0, 1.0, 2.0 ** -1000, 2.0 ** -1001, np.inf, -0.5,
+        np.nan]))
+    if L == "at d0":
+        L = _bound(d0, mass)
+    elif L == "uniform":
+        L = rng.random()
+    probes = [d0, 0.0, -d0, np.nan, np.inf, d0 * 4.0, d0 / 4.0]
+    for direction in (np.inf, -np.inf):
+        d = d0
+        for _ in range(4):
+            d = float(np.nextafter(d, direction))
+            probes.append(d)
+    return mass, float(L), probes
+
+
+@pytest.mark.parametrize("build", ["clones", "default-only"])
+@settings(max_examples=500, deadline=None)
+@given(_boundaries())
+def test_squared_test_rules_out_only_bounds_below(default_only, build, case):
+    """som_reaches: the squared-domain test, then the bound, of a pair.
+
+    The test may rule a pair out only when its bound lies below L, so the
+    answer must always be the bound's own ``not bound < L``, NaN included.
+    """
+    mass, L, probes = case
+    lib = _kernel.compiled() if build == "clones" else default_only
+    for d in probes:
+        want = not _bound(d, mass) < L
+        assert lib.som_reaches(mass, ACTIVATION_EPS, d, L) == want, d
 
 
 @st.composite
@@ -333,6 +386,39 @@ def test_threads_can_share_a_map(kernels):
             assert result == want[i]
 
 
+def test_threads_can_classify_with_a_shared_map(kernels):
+    """Bulk classification reads the map's node rows and its own arrays,
+    never the scratch rows that winner searches share under the lock."""
+    rng = np.random.default_rng(23)
+    som = random_map(rng, 40, 6)
+    patterns = rng.random((600, 6))
+    want = classify_batch(som, patterns, 0.6)
+    threads_n = 4
+    got = [None] * threads_n
+
+    def work(t):
+        part = slice(t * 150, (t + 1) * 150)
+        got[t] = (classify_batch(som, patterns[part], 0.6),
+                  [som.find_winner(x) for x in patterns[part][:30]])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(threads_n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert [p for preds, _ in got for p in preds] == want
+    for t, (_, winners) in enumerate(got):
+        assert winners == [som.find_winner(x)
+                           for x in patterns[t * 150:t * 150 + 30]]
+
+
 def test_loader_builds_in_user_cache_when_package_dir_is_unwritable(
         tmp_path, monkeypatch):
     blocked = tmp_path / "not-a-dir"
@@ -346,6 +432,38 @@ def test_loader_builds_in_user_cache_when_package_dir_is_unwritable(
     built = sorted(p.name for p in cache.iterdir())
     assert len(built) == 1 and built[0].startswith("_kernel-")
     assert not built[0].endswith(".tmp")
+
+
+def test_build_prunes_older_libraries_in_its_own_cache_only(tmp_path,
+                                                            monkeypatch):
+    """A build in the package's directory removes the libraries of older
+    sources there; the shared cache, which other checkouts build into,
+    keeps every library."""
+    own, shared = tmp_path / "own", tmp_path / "shared"
+    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    decoy, partial = f"_kernel-0123456789abcdef{suffix}", "_kernel-x.tmp"
+    for directory in (own, shared):
+        directory.mkdir()
+        for name in (decoy, partial, "other" + suffix):
+            (directory / name).write_bytes(b"decoy")
+    monkeypatch.setattr(_kernel, "_cache_dirs", lambda: [own, shared])
+    if _kernel.load() is None:
+        pytest.skip("no C compiler")
+    built = [p.name for p in own.glob("_kernel-*" + suffix)]
+    assert len(built) == 1 and built[0] != decoy
+    assert {p.name for p in own.iterdir()} == {
+        built[0], partial, "other" + suffix}
+    assert {p.name for p in shared.iterdir()} == {
+        decoy, partial, "other" + suffix}
+
+    # the package's directory unwritable: the build goes to the shared one
+    blocked = tmp_path / "not-a-dir"
+    blocked.write_text("")
+    monkeypatch.setattr(_kernel, "_cache_dirs",
+                        lambda: [blocked / "__pycache__", shared])
+    assert _kernel.load() is not None
+    assert {p.name for p in shared.iterdir()} == {
+        built[0], decoy, partial, "other" + suffix}
 
 
 def test_update_nodes_updates_repeated_rows_in_order(kernels):

@@ -1,11 +1,17 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semisom import (DataFormatError, HyperParams, SomMap, classify,
-                     load_model, normalize, save_model, train_with_state)
-from helpers import make_blobs
+from semisom import (DataFormatError, HyperParams, Node, NormStats, SomMap,
+                     classify, load_model, normalize, save_model,
+                     train_with_state)
+from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
+from helpers import make_blobs, reference_model_text
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +184,167 @@ def test_load_rejects_malformed_model_files(trained, tmp_path, edit, where):
         load_model(bad)
 
 
+def _predict(model, tmp_path) -> int:
+    """Exit code of ``semisom predict`` with ``model`` on a 2-d CSV."""
+    data = tmp_path / "probe.csv"
+    data.write_text("f0,f1\n0.2,0.3\n0.9,0.1\n", encoding="utf-8")
+    return main(["predict", str(model), str(data), "-o",
+                 str(tmp_path / "out.csv"), "--quiet"])
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_set("classes", value=lambda v: 5),
+                 "classes is not a list of names", id="classes-number"),
+    pytest.param(_set("classes", value=lambda v: "ab"),
+                 "classes is not a list of names", id="classes-string"),
+    pytest.param(_set("classes", value=lambda v: [v[0], 7]),
+                 "classes is not a list of names", id="class-name-number"),
+    pytest.param(_set("connections", value=lambda v: 3),
+                 "connections is not a list", id="connections-number"),
+    pytest.param(_set("nodes", value=lambda v: 3),
+                 "nodes is not a list", id="nodes-number"),
+    pytest.param(_set("nodes", 0, "wins", value=lambda v: 10 ** 30),
+                 r"node 0: wins \d+ outside", id="huge-wins"),
+    pytest.param(_set("nodes", 0, "wins", value=lambda v: 2.7),
+                 "node 0: wins 2.7 is not an integer", id="fractional-wins"),
+    pytest.param(_set("nodes", 1, "label", value=lambda v: 1.5),
+                 "node 1: label 1.5 is not an integer", id="fractional-label"),
+    pytest.param(_set("nodes", 1, "label", value=lambda v: True),
+                 "node 1: label True is not an integer", id="boolean-label"),
+    pytest.param(_set("norm_stats", "mins", value=lambda v: "x"),
+                 "norm_stats mins is not an array of numbers",
+                 id="string-norm-stats"),
+    pytest.param(_set("nodes", 0, "center", value=lambda v: ["0.5"] + v[1:]),
+                 "node 0 center is not an array of numbers",
+                 id="string-in-vector"),
+    pytest.param(_set("nodes", 0, "relevance", value=lambda v: [True] + v[1:]),
+                 "node 0 relevance is not an array of numbers",
+                 id="boolean-in-vector"),
+    pytest.param(_set("nodes", 0, "dist_avg",
+                      value=lambda v: [10 ** 400] + v[1:]),
+                 "node 0 dist_avg holds a non-finite value",
+                 id="huge-integer-in-vector"),
+])
+def test_model_of_wrong_json_types_is_a_data_error(trained, tmp_path, edit,
+                                                   where):
+    """Each value of the wrong type is refused as a data error, exit 2,
+    not truncated, converted or left to fail later with exit 3."""
+    bad = _corrupt(trained[3], tmp_path, edit)
+    with pytest.raises(DataFormatError, match=f"corrupt.json: {where}"):
+        load_model(bad)
+    assert _predict(bad, tmp_path) == EXIT_DATA
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def _positions(doc, at=()):
+    """The key paths of every value inside ``doc``."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield at + (key,)
+        yield from _positions(value, at + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_and_predict_survive_any_one_value(trained, data):
+    """One value of a valid model file replaced by any JSON value: loading
+    raises at most ``DataFormatError`` or ``ValueError``, and ``predict``
+    never ends in a runtime error (exit 3)."""
+    doc = json.loads(trained[3].read_text(encoding="utf-8"))
+    doc["nodes"] = doc["nodes"][:3]
+    doc["connections"] = [[0, 1]]
+    at = data.draw(st.sampled_from(list(_positions(doc))))
+    target = doc
+    for key in at[:-1]:
+        target = target[key]
+    target[at[-1]] = data.draw(_JSON)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_model(path)
+        except ValueError:  # DataFormatError included
+            pass
+        with np.errstate(all="ignore"):
+            assert _predict(path, Path(tmp)) != EXIT_RUNTIME
+
+
 def test_load_rejects_invalid_json(trained, tmp_path):
     bad = tmp_path / "truncated.json"
     bad.write_text(trained[3].read_text(encoding="utf-8")[:-40],
                    encoding="utf-8")
     with pytest.raises(DataFormatError, match="truncated.json: not valid"):
         load_model(bad)
+
+
+# floats whose text json writes in its own ways: signed zero, subnormals,
+# exponent forms and shortest round-trip digits
+_ODD_FLOATS = [-0.0, 0.0, 5e-324, 2.5e-310, 1e16, -1e16, 1e-5, 1e22, 0.1,
+               123456789.0, 1.7976931348623157e308, 2.0 ** -1074 * 3]
+
+
+@st.composite
+def _models(draw):
+    """A map, parameters, ranges and class names to save."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def vector():
+        v = rng.standard_normal(m) * 10.0 ** rng.uniform(-20, 20)
+        odd = rng.random(m) < 0.3
+        v[odd] = rng.choice(_ODD_FLOATS, size=int(odd.sum()))
+        return v
+
+    nodes = [Node(center=vector(), relevance=vector(), dist_avg=vector(),
+                  wins=int(rng.integers(0, 10 ** 9)),
+                  label=int(rng.integers(-1, 3))) for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < draw(st.sampled_from([0.0, 0.5]))]
+    with np.errstate(over="ignore"):  # relevance sums may overflow
+        som = SomMap.from_nodes(m, n, nodes, pairs)
+    if draw(st.booleans()):  # a value json must refuse
+        row = som._centers if draw(st.booleans()) else som._rel
+        row[rng.integers(n), rng.integers(m)] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    norm_stats = (NormStats(mins=vector(), maxs=vector())
+                  if draw(st.booleans()) else None)
+    names = tuple(draw(st.lists(st.text(max_size=6), max_size=4)))
+    names += tuple(draw(st.lists(st.sampled_from(
+        ['"', "\\", "é", "名前", "a\nb", "\x00", "\ud800", ""]),
+        max_size=3)))
+    params = HyperParams(a_t=draw(st.sampled_from([0.95, 1e-16, 0.1])),
+                         lp=0.005, beta=0.1, age_wins=10 ** 6, e_b=0.1,
+                         push_rate=0.01, e_n=0.005, eps_beta=0.05,
+                         minwd=draw(st.sampled_from([0.25, 1e16, -0.0])),
+                         epochs=3, n_max=n, seed=draw(st.integers(0, 9)))
+    return som, params, norm_stats, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models())
+def test_save_writes_what_json_writes(case):
+    """The direct writer against ``json.dumps(indent=1, sort_keys=True,
+    allow_nan=False)`` of the model document, byte for byte; a NaN or inf
+    is refused by both, and nothing is written."""
+    som, params, norm_stats, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        try:
+            want = reference_model_text(som, params, norm_stats, names)
+        except ValueError:
+            with pytest.raises(ValueError):
+                save_model(path, som, params, norm_stats=norm_stats,
+                           class_names=names)
+            assert not path.exists()
+            return
+        save_model(path, som, params, norm_stats=norm_stats,
+                   class_names=names)
+        assert path.read_bytes() == (want + "\n").encode("utf-8")
