@@ -34,15 +34,16 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define NO_CLASS (-1)
 
-/* One map's storage: node rows (centers, rel, dist), per-node relevance
- * sums, activations, wins and labels, the adjacency bit rows, and scratch
- * for the pattern (x, m doubles) and the rates and rows of an update (lr,
- * idx). */
+/* One map's storage, rows for `capacity` nodes: node rows (centers, rel,
+ * dist), per-node relevance sums, activations, wins and labels, the
+ * adjacency bit rows, and scratch for the pattern (x, m doubles) and the
+ * rates and rows of an update (lr, idx). */
 struct som_view {
-    ptrdiff_t m, words;
+    ptrdiff_t m, words, capacity;
     double eps;
     double *centers, *rel, *dist, *sums, *acts, *x, *lr;
     ptrdiff_t *idx;
@@ -50,15 +51,18 @@ struct som_view {
     uint64_t *adj;
 };
 
-/* The HyperParams a presentation reads, and whether it may insert. */
+/* The HyperParams a presentation and a pruning sweep read, whether a
+ * presentation may insert, and after how many sweeps som_train returns (0:
+ * it never returns at a sweep). */
 struct som_params {
-    double a_t, e_b, e_n, push_rate, beta, slope, minwd;
-    int64_t n_max, age_wins, allow_insert;
+    double a_t, e_b, e_n, push_rate, beta, slope, minwd, lp;
+    int64_t n_max, age_wins, allow_insert, sweeps;
 };
 
 /* Why som_train returned, and the slots of its counter array. */
 enum { SOM_END, SOM_INSERT, SOM_SWEEP };
-enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES };
+enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES,
+       C_INSERTIONS, C_REMOVALS, C_RESETS, C_N };
 
 /* An AVX2 body and a baseline one for a hot function, chosen once by the
  * CPU when the library loads. Both make the same IEEE operations, so they
@@ -325,19 +329,84 @@ int som_update(const struct som_view *v, ptrdiff_t n, ptrdiff_t k,
     return 0;
 }
 
+/* A fresh node n at x, as SomMap.add_node adds it (relevances one,
+ * distance averages zero, no wins, the label), linked as rewire_node links
+ * it. The caller checks that row n lies below the capacity. */
+static void insert(const struct som_view *v, ptrdiff_t n, const double *x,
+                   int64_t label, double minwd)
+{
+    const ptrdiff_t m = v->m;
+    for (ptrdiff_t q = 0; q < m; q++) {
+        v->centers[n * m + q] = x[q];
+        v->rel[n * m + q] = 1.0;
+        v->dist[n * m + q] = 0.0;
+    }
+    v->sums[n] = (double)m;
+    v->wins[n] = 0;
+    v->labels[n] = label;
+    som_link(v, n + 1, n, 0, minwd);
+}
+
+/* Node i's rows, sums, wins and label into row k <= i. */
+static void move_node(const struct som_view *v, ptrdiff_t i, ptrdiff_t k)
+{
+    const ptrdiff_t m = v->m;
+    if (i == k)
+        return;
+    memcpy(v->centers + k * m, v->centers + i * m, m * sizeof(double));
+    memcpy(v->rel + k * m, v->rel + i * m, m * sizeof(double));
+    memcpy(v->dist + k * m, v->dist + i * m, m * sizeof(double));
+    v->sums[k] = v->sums[i];
+    v->wins[k] = v->wins[i];
+    v->labels[k] = v->labels[i];
+}
+
+/* The pruning sweep of training.handle_reset on nodes [0, n): the nodes
+ * that won at least lp * age_wins times, or else the first node of most
+ * wins, move to the front in ascending order and are linked anew, and
+ * every win count returns to zero. Returns the number of nodes kept. */
+static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
+                       const struct som_params *p)
+{
+    const double threshold = p->lp * (double)p->age_wins;
+    ptrdiff_t k = 0, best = 0;
+    int64_t most = v->wins[0];
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const int64_t wins = v->wins[i];
+        if (wins > most) {
+            most = wins;
+            best = i;
+        }
+        if ((double)wins >= threshold)
+            move_node(v, i, k++);
+    }
+    if (k == 0)
+        move_node(v, best, k++);
+    memset(v->adj, 0, (size_t)(n * v->words) * sizeof(uint64_t));
+    for (ptrdiff_t j = 0; j + 1 < k; j++)
+        som_link(v, k, j, j + 1, p->minwd);
+    memset(v->wins, 0, (size_t)k * sizeof(int64_t));
+    return k;
+}
+
 /*
  * Presentations draws[count[C_POS]..k) of the rows of `patterns` (m
  * columns) and `labels`, as the Python loop of training.py runs them on a
- * map of n nodes: winner search, the supervised or unsupervised step, the
- * cycle counter count[C_NWINS] and the presentation counter count[C_T].
- * count[C_SUPERVISED], [C_UNSUPERVISED] and [C_PUSHES] add up the steps.
+ * map of n nodes: winner search, the supervised or unsupervised step with
+ * its insertion, the pruning sweep that ends a cycle of age_wins + 1
+ * presentations, the cycle counter count[C_NWINS] and the presentation
+ * counter count[C_T]. count[C_SUPERVISED], [C_UNSUPERVISED], [C_PUSHES],
+ * [C_INSERTIONS], [C_REMOVALS] and [C_RESETS] add up the steps, the nodes
+ * inserted and removed, and the sweeps; count[C_N] receives the number of
+ * nodes when it returns.
  *
- * Returns SOM_END with count[C_POS] = k when every presentation ran. It
- * stops early, with count[C_POS] at the presentation concerned and before
- * that presentation's cycle and presentation counts, on a step that
- * inserts a node (SOM_INSERT, nothing written for the step but its step
- * counter) or when the cycle is complete (SOM_SWEEP, the step done). The
- * caller then inserts, sweeps if count[C_NWINS] == age_wins, counts the
+ * Returns SOM_END with count[C_POS] = k when every presentation ran, and
+ * SOM_SWEEP, with count[C_POS] at the next presentation, once the sweep
+ * numbered p->sweeps has completed its presentation. It stops early with
+ * SOM_INSERT on a step that inserts a node into a map already holding
+ * v->capacity nodes: count[C_POS] is then at that presentation, of which
+ * only the step counter has been counted. The caller then grows the
+ * storage, inserts, sweeps if count[C_NWINS] == age_wins, counts the
  * presentation and resumes at the next position.
  */
 int som_train(const struct som_view *v, ptrdiff_t n,
@@ -345,19 +414,22 @@ int som_train(const struct som_view *v, ptrdiff_t n,
               const int64_t *labels, const int64_t *draws, ptrdiff_t k,
               int64_t *count)
 {
+    const int64_t room = p->allow_insert ? p->n_max : 0;
     for (ptrdiff_t pos = count[C_POS]; pos < k; pos++) {
         const double *x = patterns + draws[pos] * v->m;
         const int64_t label = labels[draws[pos]];
         const ptrdiff_t w = winner(v, n, x);
         const double act = v->acts[w];
-        count[C_POS] = pos;
+        /* whether the step inserts a node: the pattern lies outside every
+         * receptive field that could take it, and there is room */
+        int add = 0;
         if (label == NO_CLASS) {
             count[C_UNSUPERVISED]++;
             /* below a_t: insert if allowed and there is room, attract if
              * only the room is missing, skip if inserting is not allowed */
-            if (act < p->a_t && p->allow_insert && n < p->n_max)
-                return SOM_INSERT;
-            if (!(act < p->a_t) || p->allow_insert)
+            if (act < p->a_t && n < room)
+                add = 1;
+            else if (!(act < p->a_t) || p->allow_insert)
                 attract(v, w, x, p);
         } else {
             count[C_SUPERVISED]++;
@@ -367,8 +439,8 @@ int som_train(const struct som_view *v, ptrdiff_t n,
                     attract(v, w, x, p);
                     v->labels[w] = label;
                     som_link(v, n, w, 0, p->minwd);
-                } else if (p->allow_insert && n < p->n_max) {
-                    return SOM_INSERT;
+                } else {
+                    add = n < room;
                 }
             } else {
                 const ptrdiff_t s = second_winner(v, n, label, p->a_t);
@@ -376,17 +448,38 @@ int som_train(const struct som_view *v, ptrdiff_t n,
                     attract(v, s, x, p);
                     update_row(v, w, x, -p->push_rate, p->beta, p->slope);
                     count[C_PUSHES]++;
-                } else if (p->allow_insert && n < p->n_max) {
-                    return SOM_INSERT;
+                } else {
+                    add = n < room;
                 }
             }
         }
-        if (count[C_NWINS] == p->age_wins)
-            return SOM_SWEEP;
+        if (add) {
+            if (n == v->capacity) {
+                count[C_POS] = pos;
+                count[C_N] = n;
+                return SOM_INSERT;
+            }
+            insert(v, n++, x, label, p->minwd);
+            count[C_INSERTIONS]++;
+        }
+        const int swept = count[C_NWINS] == p->age_wins;
+        if (swept) {
+            const ptrdiff_t kept = sweep(v, n, p);
+            count[C_REMOVALS] += n - kept;
+            count[C_RESETS]++;
+            count[C_NWINS] = 0;
+            n = kept;
+        }
         count[C_NWINS]++;
         count[C_T]++;
+        if (swept && count[C_RESETS] == p->sweeps) {
+            count[C_POS] = pos + 1;
+            count[C_N] = n;
+            return SOM_SWEEP;
+        }
     }
     count[C_POS] = k;
+    count[C_N] = n;
     return SOM_END;
 }
 

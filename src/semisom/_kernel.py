@@ -6,9 +6,16 @@ and the platform, so an edited source or another machine never picks up a
 stale build. The library goes to the package's ``__pycache__`` directory,
 or to ``~/.cache/semisom`` when that one is read-only. A build into the
 package's own directory removes the libraries of earlier sources there;
-the shared one is never pruned, since other checkouts build into it. The
-library is loaded with ``ctypes.PyDLL``, which keeps the interpreter lock
-held during a call.
+the shared one is never pruned, since other checkouts build into it.
+
+The library is loaded with ``ctypes.PyDLL``, which keeps the interpreter
+lock held during a call: the short kernels cost less that way. The one
+exception is ``som_train``, which runs a whole chunk of a training run,
+insertions and pruning sweeps included. It is bound through a
+``ctypes.CDLL`` handle of the same library and releases the lock, so
+training runs on several threads at once run in parallel. It runs under
+its map's lock, so another thread blocks on the map while it trains, but
+must not modify the map's arrays behind the lock's back.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
@@ -27,6 +34,7 @@ import os
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +55,8 @@ _PTR = ctypes.c_void_p
 class View(ctypes.Structure):
     """Addresses of one map's storage, as ``struct som_view`` in the C file."""
 
-    _fields_ = [("m", _SIZE), ("words", _SIZE), ("eps", ctypes.c_double),
+    _fields_ = [("m", _SIZE), ("words", _SIZE), ("capacity", _SIZE),
+                ("eps", ctypes.c_double),
                 ("centers", _PTR), ("rel", _PTR), ("dist", _PTR),
                 ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("lr", _PTR),
                 ("idx", _PTR), ("wins", _PTR), ("labels", _PTR),
@@ -67,16 +76,21 @@ class Params(ctypes.Structure):
     """The training parameters ``som_train`` reads (``struct som_params``)."""
 
     _fields_ = [(name, ctypes.c_double) for name in (
-        "a_t", "e_b", "e_n", "push_rate", "beta", "slope", "minwd")] + [
+        "a_t", "e_b", "e_n", "push_rate", "beta", "slope", "minwd", "lp")] + [
         (name, ctypes.c_int64) for name in (
-            "n_max", "age_wins", "allow_insert")]
+            "n_max", "age_wins", "allow_insert", "sweeps")]
 
 
-# som_train's return codes: every presentation ran, or it stopped at one
-# that inserts a node or ends a pruning cycle. Its counter array holds the
-# position in the draws, the cycle count (nwins), the presentation count
-# (t) and the supervised, unsupervised and push steps.
+# som_train's return codes: every presentation ran, or it stopped after the
+# pruning sweep it was asked to stop at, or at an insertion that needs more
+# storage than the map holds.
 END, INSERT, SWEEP = 0, 1, 2
+# The slots of som_train's counter array: the position in the draws, the
+# cycle count (nwins), the presentation count (t), the supervised,
+# unsupervised and push steps, the insertions, removals and sweeps, and the
+# node count it returns with.
+SLOTS = ("pos", "nwins", "t", "supervised", "unsupervised", "pushes",
+         "insertions", "removals", "resets", "n")
 # Above any count a run reaches; larger budgets and cycles are clamped to
 # it so that they fit a C integer.
 _NEVER = 2 ** 62
@@ -87,11 +101,12 @@ Kernels = collections.namedtuple("Kernels",
                                  "view winner update link train classify")
 
 
-def params(hp, allow_insert: bool) -> Params:
-    """``Params`` of ``HyperParams`` ``hp``."""
+def params(hp, allow_insert: bool, sweeps: int = 0) -> Params:
+    """``Params`` of ``HyperParams`` ``hp``; ``som_train`` returns after
+    ``sweeps`` pruning sweeps, or never at a sweep for 0."""
     return Params(hp.a_t, hp.e_b, hp.e_n, hp.push_rate, hp.beta, hp.eps_beta,
-                  hp.minwd, min(int(hp.n_max), _NEVER),
-                  min(int(hp.age_wins), _NEVER), allow_insert)
+                  hp.minwd, hp.lp, min(int(hp.n_max), _NEVER),
+                  min(int(hp.age_wins), _NEVER), allow_insert, sweeps)
 
 
 def _cache_dirs() -> list[Path]:
@@ -151,6 +166,9 @@ def load(compiler: str = "cc"):
                 if i == 0:
                     _prune(path)
             lib = ctypes.PyDLL(str(path))
+            # a training run is one long call: bound through a CDLL handle
+            # of the same library, it releases the interpreter lock
+            lib.som_train = ctypes.CDLL(str(path)).som_train
         except (OSError, subprocess.SubprocessError):
             continue
         lib.som_winner.argtypes = (_PTR, _SIZE)
@@ -174,18 +192,31 @@ def load(compiler: str = "cc"):
     return None
 
 
+_load_lock = threading.Lock()
+
+
 @functools.cache
-def compiled():
-    """The process's kernel library, loaded on first use, or ``None``."""
+def _library():
     return load()
 
 
-def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
+def compiled():
+    """The process's kernel library, loaded on first use, or ``None``.
+
+    The first load runs under a lock, so threads that race to it build the
+    library once.
+    """
+    with _load_lock:
+        return _library()
+
+
+def bind(m: int, eps: float, words: int, capacity: int,
+         **arrays: np.ndarray):
     """The compiled kernels bound to one map's arrays, or ``None``.
 
-    ``arrays`` names every pointer field of ``View``; ``words`` is the
-    length of an adjacency bit row. Returns ``Kernels``: the view and the
-    callables
+    ``arrays`` names every pointer field of ``View``, each holding rows for
+    ``capacity`` nodes; ``words`` is the length of an adjacency bit row.
+    Returns ``Kernels``: the view and the callables
 
     - ``winner(n)``, which returns the winner's row;
     - ``update(n, k, lr_step, beta, slope)``, which updates the ``k`` rows
@@ -193,9 +224,11 @@ def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
       row lies outside ``[0, n)``, else 0;
     - ``link(n, j, lo, minwd)``, which recomputes the links between node
       ``j`` and the nodes of ``[lo, n)``;
-    - ``train(n, params, patterns, labels, draws, count)``, which runs the
-      presentations of ``draws`` from ``count[0]`` on (see ``som_train``)
-      and returns ``END``, ``INSERT`` or ``SWEEP``;
+    - ``train(n, params, chunk)``, which runs the presentations of a
+      ``Chunk`` from its position on, insertions into the ``capacity`` rows
+      and pruning sweeps included (see ``som_train``), and returns ``END``,
+      ``INSERT`` or ``SWEEP``. It releases the interpreter lock while it
+      runs;
     - ``classify(nodes)``, which binds ``som_classify`` to a batch's node
       operands (see ``_classifier``). It reads only what it is passed,
       never the map's scratch rows.
@@ -211,7 +244,7 @@ def bind(m: int, eps: float, words: int, **arrays: np.ndarray):
         dtype = np.dtype(_DTYPES.get(name, np.float64))
         if a.dtype != dtype or not a.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous {dtype} array")
-    view = View(m, words, eps,
+    view = View(m, words, capacity, eps,
                 **{name: a.ctypes.data for name, a in arrays.items()})
     addr = ctypes.addressof(view)
     return Kernels(view, functools.partial(lib.som_winner, addr),
@@ -271,18 +304,37 @@ def _classify(lib, screen: Nodes, keep, x: np.ndarray, q: np.ndarray,
                      label.ctypes.data, act.ctypes.data)
 
 
-def _train(lib, addr: int, m: int, n: int, p: Params, patterns: np.ndarray,
-           labels: np.ndarray, draws: np.ndarray, count: np.ndarray) -> int:
-    """``som_train``, once the arrays' types, shapes and ranges are checked."""
-    rows = len(patterns)
-    checks = ((patterns, np.float64, (rows, m)), (labels, np.int64, (rows,)),
-              (draws, np.int64, (len(draws),)), (count, np.int64, (6,)))
-    for a, dtype, shape in checks:
-        _require(a, dtype, shape)
-    if len(draws) and not 0 <= draws.min() <= draws.max() < rows:
-        raise IndexError(f"draws outside the {rows} patterns")
-    if not 0 <= count[0] <= len(draws):
-        raise IndexError(f"position {count[0]} outside the draws")
-    return lib.som_train(addr, n, ctypes.byref(p), patterns.ctypes.data,
-                         labels.ctypes.data, draws.ctypes.data, len(draws),
-                         count.ctypes.data)
+class Chunk:
+    """One chunk of presentations for ``som_train``, checked once.
+
+    Holds the patterns (rows of ``m`` values), their labels, the drawn row
+    indices and the counter array, whose slots ``SLOTS`` names.
+    """
+
+    def __init__(self, m: int, patterns: np.ndarray, labels: np.ndarray,
+                 draws: np.ndarray):
+        rows = len(patterns)
+        checks = ((patterns, np.float64, (rows, m)),
+                  (labels, np.int64, (rows,)),
+                  (draws, np.int64, (len(draws),)))
+        for a, dtype, shape in checks:
+            _require(a, dtype, shape)
+        if len(draws) and not 0 <= draws.min() <= draws.max() < rows:
+            raise IndexError(f"draws outside the {rows} patterns")
+        self.m, self.k = m, len(draws)
+        self.count = np.zeros(len(SLOTS), dtype=np.int64)
+        self._arrays = (patterns, labels, draws)
+        self._args = (patterns.ctypes.data, labels.ctypes.data,
+                      draws.ctypes.data, self.k, self.count.ctypes.data)
+
+
+def _train(lib, addr: int, m: int, n: int, p: Params, chunk: Chunk) -> int:
+    """``som_train`` on ``chunk`` from its position on."""
+    if chunk.m != m:
+        raise ValueError(f"patterns of {chunk.m} values for a map of {m}")
+    if n < 1:
+        raise ValueError("map has no nodes")
+    if not 0 <= chunk.count[0] <= chunk.k:
+        raise IndexError(f"position {chunk.count[0]} outside the "
+                         f"{chunk.k} draws")
+    return lib.som_train(addr, n, ctypes.byref(p), *chunk._args)

@@ -193,6 +193,17 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="semisom",
                      description="Semi-supervised self-organizing map")
@@ -201,8 +212,10 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="master random seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (sweep; default all cores)")
+        p.add_argument("--jobs", type=_positive_int, default=None,
+                       help="sweep runs in flight at once, on threads "
+                            "(default: one per core); set "
+                            "OPENBLAS_NUM_THREADS=1 when above 1")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
         p.add_argument("--label-column", default=None,

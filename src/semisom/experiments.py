@@ -3,7 +3,10 @@
 A sweep trains and evaluates one model per (repeat, fold, supervision
 fraction, parameter sample) combination. Every run's randomness is derived
 from the master seed and the run coordinates alone, so results do not
-depend on execution order and sweeps parallelize safely.
+depend on execution order and sweeps parallelize safely. Parallel runs go
+to threads of this process: training releases the interpreter lock inside
+the compiled loop, so the runs share one copy of the data set and of the
+library.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,18 +174,6 @@ def _execute_run(ctx: _SweepContext, repeat: int, fold: int, fraction: float,
     return result
 
 
-_WORKER_CTX: _SweepContext | None = None
-
-
-def _init_worker(ctx: _SweepContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _run_spec(spec: tuple[int, int, float, int]) -> RunResult:
-    return _execute_run(_WORKER_CTX, *spec)
-
-
 def run_sweep(ds: Dataset, plan: FoldPlan, fractions=FRACTIONS, *,
               n_samples: int, seed: int = 0,
               ranges: tuple[ParamRange, ...] = DEFAULT_RANGES,
@@ -192,22 +183,33 @@ def run_sweep(ds: Dataset, plan: FoldPlan, fractions=FRACTIONS, *,
     Expects an already-normalized dataset with full ground-truth labels.
     For every run the training split is label-masked to the requested
     fraction, a model is trained, and the held-out fold is classified
-    against the ground truth with rejections counted as errors. ``jobs``
-    bounds process parallelism; ``None`` uses all cores. Results come back
-    sorted by run coordinates regardless of scheduling.
+    against the ground truth with rejections counted as errors. Results
+    come back sorted by run coordinates regardless of scheduling, and equal
+    whatever ``jobs`` is.
+
+    ``jobs`` runs are in flight at once, on threads of this process
+    (``None``: one per core), and never more threads than runs. They run
+    in parallel on the compiled training loop, which releases the
+    interpreter lock; on the numpy fallback they take turns and gain
+    nothing. The classification of each run multiplies matrices in BLAS
+    on its own thread, so pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
+    for ``jobs > 1``. Raises ``ValueError`` for ``jobs < 1``.
     """
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     unit = lhs_unit(n_samples, len(ranges), seed)
     ctx = _SweepContext(ds=ds, plan=plan, unit=unit, ranges=ranges, seed=seed)
     specs = [(repeat, fold, float(fraction), sample)
              for repeat, fold in plan.iter_folds()
              for fraction in fractions
              for sample in range(n_samples)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            results = list(pool.map(_run_spec, specs, chunksize=1))
+    workers = min(jobs, len(specs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda spec: _execute_run(ctx, *spec),
+                                    specs))
     else:
         results = [_execute_run(ctx, *spec) for spec in specs]
     return sorted(results, key=lambda r: (r.repeat, r.fold, r.fraction,

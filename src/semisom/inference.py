@@ -30,6 +30,11 @@ _BLOCK_BYTES = 1 << 20
 
 _U = np.finfo(float).eps / 2  # unit roundoff
 _TINY = np.finfo(float).smallest_subnormal
+# Below this magnitude in x and c, (c - x)^2 < 2^1022 stays finite, so a
+# zero relevance zeroes its term of the exact sum. At or above it the term
+# may be 0 * inf = NaN, which the screen's expanded form never shows: such
+# rows and nodes get NaN bounds, which keep every pair a candidate.
+_HUGE = 2.0 ** 510
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,9 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
     if n == 0:
         raise ValueError("map has no nodes")
     x = np.ascontiguousarray(x)
+    huge = None
+    if x.size and (x.max() >= _HUGE or x.min() <= -_HUGE):
+        huge = (np.abs(x) >= _HUGE).any(axis=1)
     nodes = _NodeArrays(som)
     block = max(1, _BLOCK_BYTES // (8 * n))
     node = np.empty(len(x), dtype=np.intp)
@@ -115,6 +123,8 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
             # the screen's two products: |x|_r^2 and -2 <x, r c> per pair
             q = (xb * xb) @ nodes.rel.T
             d = xb @ nodes.cross.T
+            if huge is not None:
+                q[huge[part]] = np.nan
             nodes.classify(xb, q, d, a_t, node[part], label[part], act[part])
     return node, label, act
 
@@ -133,9 +143,11 @@ class _NodeArrays:
         # -2 r c, the cross term of the expanded form
         self.cross = -2.0 * self.rel * self.centers
         # |c|_r^2; the error bound needs r >= 0, so a node with a negative
-        # relevance gets NaN bounds and is never screened out
+        # relevance gets NaN bounds and is never screened out, and so does
+        # one whose exact sum may turn NaN (see _HUGE)
         self.sq = np.einsum("ij,ij->i", self.rel * self.centers, self.centers)
-        self.sq[(self.rel < 0.0).any(axis=1)] = np.nan
+        self.sq[((self.rel < 0.0) | (np.abs(self.centers) >= _HUGE))
+                .any(axis=1)] = np.nan
         # Bound on the rounding of both the screen's expanded form and the
         # exact kernel's sum: each within gamma_{m+3} (|x|_r + |c|_r)^2,
         # gamma_k ~ k u, and (a + b)^2 <= 2 (a^2 + b^2). The floor covers

@@ -363,7 +363,7 @@ class SomMap:
                       lr=self._lr, idx=self._idx, wins=self._wins,
                       labels=self._labels, adj=self._adj)
         kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
-                               **arrays)
+                               len(self._centers), **arrays)
         if kernels is None:
             view = SimpleNamespace(**arrays)
             kernels = _kernel.Kernels(
@@ -652,14 +652,14 @@ class SomMap:
 
     # -- training ----------------------------------------------------------
 
-    def _run_presentations(self, params, patterns: np.ndarray,
-                           labels: np.ndarray, draws: np.ndarray,
-                           count: np.ndarray) -> int:
-        """Present ``draws`` in ``som_train``, the compiled training loop.
+    def _run_presentations(self, params, chunk) -> int:
+        """Present a ``_kernel.Chunk`` in ``som_train``, the compiled
+        training loop, which inserts and prunes nodes in place.
 
         Only bound when the library loads (``_train`` is ``None`` on the
         numpy path). Returns ``_kernel.END``, ``INSERT`` or ``SWEEP``.
         """
         with self._lock:
-            return self._train(self._n, params, patterns, labels, draws,
-                               count)
+            code = self._train(self._n, params, chunk)
+            self._n = int(chunk.count[-1])  # the "n" slot
+            return code

@@ -75,8 +75,12 @@ def _model_text(som: SomMap, params: HyperParams,
         [(name, _list([json.dumps(v, allow_nan=False)
                        for v in getattr(norm_stats, name).tolist()], 2))
          for name in ("maxs", "mins")], 1)
-    # a flat object of scalars: json's own text, one level deeper
-    param_text = json.dumps(asdict(params), indent=1, sort_keys=True,
+    # a flat object of scalars: json's own text, one level deeper; numpy
+    # scalars, which validate() accepts and json does not, become the
+    # Python numbers of the same value
+    values = {name: v.item() if isinstance(v, np.generic) else v
+              for name, v in asdict(params).items()}
+    param_text = json.dumps(values, indent=1, sort_keys=True,
                             allow_nan=False).replace("\n", "\n ")
     return _object([
         ("classes", _list([json.dumps(c) for c in class_names], 1)),

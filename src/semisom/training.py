@@ -13,13 +13,18 @@ The pattern indices are drawn in chunks of ``_CHUNK``, each as one
 ``rng.integers(n, size=k)`` call, which gives the values of ``k`` scalar
 calls. A chunk runs on one of two paths with identical results:
 
-- the compiled loop, ``som_train`` of ``_kernel.c``, which runs every
-  presentation until one inserts a node or completes a pruning cycle;
-  Python then runs ``insert_node`` or ``handle_reset``, finishes that
-  presentation and resumes the loop;
+- the compiled loop, ``som_train`` of ``_kernel.c``, which runs the whole
+  chunk in one call, insertions and pruning sweeps included, with the
+  interpreter lock released. It returns early only when an insertion needs
+  more storage; Python then runs ``insert_node``, which grows it, finishes
+  that presentation and resumes the loop;
 - the Python loop, ``_present`` and the step functions below, one
   presentation at a time. It is the reference, and it runs when the map
   has no compiled kernels or an observer is passed.
+
+Training runs on several threads at once therefore run in parallel on the
+compiled loop (``experiments.run_sweep`` relies on it); on the Python loop
+they take turns holding the interpreter lock.
 
 The convergence phase draws whole chunks and stops within the last one, so
 ``TrainState.rng`` ends ahead of the draws actually presented.
@@ -265,26 +270,34 @@ def _present_chunk(state: TrainState, patterns: np.ndarray,
 def _present_compiled(state: TrainState, patterns: np.ndarray,
                       labels: np.ndarray, draws: np.ndarray, *,
                       allow_insert: bool, sweeps: int) -> int:
-    """``_present_chunk`` on the compiled loop of ``_kernel.c``."""
+    """``_present_chunk`` on the compiled loop of ``_kernel.c``.
+
+    ``som_train`` runs the chunk, insertions and pruning sweeps included,
+    and stops after the ``sweeps``-th sweep. It returns early only at an
+    insertion into full storage; ``insert_node`` then grows the storage,
+    ``_finish`` completes the presentation, and the loop resumes.
+    """
     som, stats, p = state.som, state.stats, state.params
-    args = _kernel.params(p, allow_insert)
-    count = np.zeros(6, dtype=np.int64)
+    chunk = _kernel.Chunk(som.dim, patterns, labels, draws)
     swept = pos = 0
     while True:
-        count[:] = (pos, som.nwins, state.t, 0, 0, 0)
-        code = som._run_presentations(args, patterns, labels, draws, count)
-        pos, som.nwins, t, supervised, unsupervised, pushes = count.tolist()
-        _count_presentations(state, t - state.t)
-        state.t = t
-        stats.supervised += supervised
-        stats.unsupervised += unsupervised
-        stats.pushes += pushes
-        if code == _kernel.END:
+        args = _kernel.params(p, allow_insert, sweeps - swept if sweeps else 0)
+        chunk.count[:] = 0
+        chunk.count[:3] = (pos, som.nwins, state.t)
+        code = som._run_presentations(args, chunk)
+        count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+        pos, som.nwins = count["pos"], count["nwins"]
+        _count_presentations(state, count["t"] - state.t)
+        state.t = count["t"]
+        for name in ("supervised", "unsupervised", "pushes", "insertions",
+                     "removals", "resets"):
+            setattr(stats, name, getattr(stats, name) + count[name])
+        swept += count["resets"]
+        if code != _kernel.INSERT:
             return swept
-        if code == _kernel.INSERT:
-            i = int(draws[pos])
-            insert_node(som, patterns[i], int(labels[i]), p.minwd)
-            stats.insertions += 1
+        i = int(draws[pos])
+        insert_node(som, patterns[i], int(labels[i]), p.minwd)
+        stats.insertions += 1
         if _finish(state):
             swept += 1
             if swept == sweeps:

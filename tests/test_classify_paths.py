@@ -4,7 +4,8 @@
 ``som_classify``, on its AVX2 clone where the CPU has AVX2. This module runs
 the same two tests, unchanged, on the other two passes: the numpy twin
 ``inference._classify_block``, which maps bind when no library builds, and
-``som_classify`` built with its baseline clone alone.
+``som_classify`` built with its baseline clone alone. The overflow case
+of ``test_inference.py`` runs on each pass too.
 """
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from semisom import SomMap, _kernel
 from test_inference import (  # noqa: F401  (collected here once per pass)
     test_classify_batch_is_exact,
-    test_classify_batch_is_exact_on_a_trained_map)
+    test_classify_batch_is_exact_on_a_trained_map,
+    test_classify_batch_sees_an_overflowing_term_of_zero_relevance)
 from test_kernel import default_only  # noqa: F401  (fixture)
 
 

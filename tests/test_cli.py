@@ -243,6 +243,15 @@ def test_sweep_writes_artifacts_and_creates_directory(arff_path, tmp_path):
     assert (out_dir / "curve.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_sweep_rejects_fewer_than_one_job(arff_path, tmp_path, capsys, jobs):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", str(arff_path), "-o", str(out_dir), "--samples",
+                 "1", "--repeats", "1", "--folds", "2", "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_requires_full_labels(tmp_path):
     csv_path = tmp_path / "plain.csv"
     csv_path.write_text("f1,f2\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n",

@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from semisom import experiments
 from semisom import (DEFAULT_RANGES, FRACTIONS, RunResult, best_per_fold,
                      classify, emit_curve, emit_results, kfold_split,
                      lhs_sample, lhs_unit, mean_std, normalize,
@@ -88,6 +92,51 @@ def test_sweep_parallel_matches_sequential(blob_ds):
     strip = lambda rs: [(r.repeat, r.fold, r.fraction, r.sample_id,
                          r.accuracy, r.nodes) for r in rs]
     assert strip(seq) == strip(par)
+
+
+def test_parallel_sweep_runs_on_threads_of_this_process(blob_ds,
+                                                        monkeypatch):
+    plan = kfold_split(blob_ds, 1, 2, seed=4)
+    seq = run_sweep(blob_ds, plan, (0.5, 1.0), n_samples=2, seed=7, jobs=1)
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("the sweep started a child process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_child)
+    monkeypatch.setattr(os, "fork", no_child)
+    par = run_sweep(blob_ds, plan, (0.5, 1.0), n_samples=2, seed=7, jobs=2)
+    strip = lambda rs: [(r.repeat, r.fold, r.fraction, r.sample_id,
+                         r.accuracy, r.nodes) for r in rs]
+    assert strip(par) == strip(seq)
+
+
+@pytest.mark.parametrize("jobs, samples, workers", [
+    (2, 2, 2), (8, 1, 2), (1, 2, None)])
+def test_sweep_starts_at_most_one_thread_per_run(blob_ds, monkeypatch, jobs,
+                                                  samples, workers):
+    """Two folds of ``samples`` runs on ``workers`` threads, or on none
+    when the runs go one after another."""
+    started = []
+
+    class Recording(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+    plan = kfold_split(blob_ds, 1, 2, seed=4)
+    results = run_sweep(blob_ds, plan, (1.0,), n_samples=samples, seed=7,
+                        jobs=jobs)
+    assert len(results) == 2 * samples
+    assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(blob_ds, jobs):
+    plan = kfold_split(blob_ds, 1, 2, seed=4)
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(blob_ds, plan, (1.0,), n_samples=1, seed=7, jobs=jobs)
 
 
 def test_sweep_zero_fraction_rejects_everything(blob_ds):

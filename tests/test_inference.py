@@ -140,6 +140,20 @@ def _key(pred):
     return pred.node, pred.label, float(pred.activation).hex()
 
 
+def test_classify_batch_sees_an_overflowing_term_of_zero_relevance():
+    """Node 1's term 0 * (1e200 - 0.5)^2 is NaN, so its activation is NaN
+    and wins, though the screen's expanded form, where the term is 0 * 1e200
+    * 1e200 = 0, bounds it below node 0's activation."""
+    som = SomMap.from_nodes(2, 2, [
+        node_at([0.5, 0.5], label=0),
+        node_at([1e200, 0.1], relevance=[0.0, 1.0], label=1)])
+    x = np.array([[0.5, 0.9]])
+    with np.errstate(all="ignore"):
+        want = _key(reference_classify(som, x[0], 0.5))
+        assert want == (1, 1, "nan")
+        assert _key(classify_batch(som, x, 0.5)[0]) == want
+
+
 @st.composite
 def _batches(draw):
     """A random map and patterns, with the cases an inexact screen misses."""
@@ -157,6 +171,16 @@ def _batches(draw):
         rel[rng.integers(n)] = 0.0
     if draw(st.booleans()):  # outside the bound's assumptions
         rel[rng.integers(n), 0] *= -1.0
+    # a huge coordinate of zero relevance in a node, a pattern or both:
+    # where (c - x)^2 overflows, the exact activation is 0 * inf = NaN
+    huge = draw(st.sampled_from([None, 2.0 ** 510, 2.0 ** 511, 1e200,
+                                 1e300]))
+    huge_at = draw(st.sampled_from(["node", "pattern", "both"]))
+    if huge is not None:
+        j, q = rng.integers(n), rng.integers(m)
+        rel[j, q] = 0.0
+        if huge_at != "pattern":
+            centers[j, q] = huge
     if draw(st.booleans()):  # unlabeled winners with no fallback at all
         labels[:] = NO_CLASS
     elif draw(st.booleans()):
@@ -168,6 +192,8 @@ def _batches(draw):
     x = rng.random((k, m)) * scale
     on_center = rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     x[on_center] = centers[rng.integers(n, size=int(on_center.sum()))]
+    if huge is not None and huge_at != "node":
+        x[rng.integers(k), q] = -huge
     if draw(st.booleans()):  # threshold equal to an activation
         with np.errstate(all="ignore"):
             acts = som.activations(x[rng.integers(k)])

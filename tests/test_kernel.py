@@ -7,6 +7,8 @@ Python loop of ``training.py``. Both must give the same floats, bit for
 bit, so a map trains identically whichever path is active.
 """
 
+import ctypes
+import functools
 import math
 import pickle
 import sys
@@ -635,6 +637,140 @@ def test_compiled_loop_equals_python_loop(run):
 def test_default_only_loop_equals_python_loop(default_only, run):
     """The loop of the baseline-only build against the Python loop."""
     _check_loops_agree(default_only, run)
+
+
+@st.composite
+def _edge_runs(draw):
+    """Runs at the edges of the insertions and sweeps ``som_train`` makes.
+
+    Budgets at and around the storage capacities (16, 32, 64). In a
+    ``fill`` run a high ``a_t`` inserts at nearly every pattern, so the
+    map fills its storage exactly, or grows it at the next insertion.
+    Otherwise nodes win often and sweeps come every few presentations,
+    where a large ``lp`` keeps only the first node of most wins and
+    ``lp * age_wins``, a whole number, keeps nodes at exactly that many
+    wins.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n_max = draw(st.sampled_from([16, 32, 64])) + draw(st.integers(-1, 1))
+    n = draw(st.integers(n_max, 2 * n_max))
+    m = draw(st.integers(2, 4))
+    classes = draw(st.integers(1, 3))
+    labels = rng.integers(classes, size=n)
+    ds = Dataset(patterns=rng.random((n, m)), labels=labels,
+                 class_names=tuple(f"c{i}" for i in range(classes)),
+                 dim_names=tuple(f"f{i}" for i in range(m)))
+    fill = draw(st.booleans())
+    params = HyperParams(
+        a_t=draw(st.sampled_from([0.99, 0.999] if fill else [0.8, 0.9, 0.95])),
+        lp=draw(st.sampled_from([0.25, 0.5, 1.0, 5.0])),
+        beta=0.1, age_wins=draw(st.sampled_from([20, 3 * n] if fill
+                                                else [2, 4, 8])),
+        e_b=draw(st.sampled_from([0.05, 0.5])), push_rate=0.05,
+        e_n=draw(st.sampled_from([0.0, 0.05])), eps_beta=0.05,
+        minwd=draw(st.sampled_from([0.1, 0.5])), epochs=draw(st.integers(1, 2)),
+        n_max=n_max, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return mask_labels(ds, draw(st.sampled_from([0.0, 0.3, 1.0])), seed), params
+
+
+@compiled
+@settings(max_examples=60, deadline=None)
+@given(_edge_runs())
+def test_compiled_loop_equals_python_loop_at_the_edges(run):
+    _check_loops_agree(_kernel.compiled(), run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_runs())
+def test_default_only_loop_equals_python_loop_at_the_edges(default_only, run):
+    _check_loops_agree(default_only, run)
+
+
+@pytest.mark.parametrize("build", ["clones", "default-only"])
+@pytest.mark.parametrize("wins, at, lp, kept", [
+    # no node reaches 10 * 4 wins: the first node of most wins stays
+    ([3, 5, 4, 1], 2, 10.0, [1]),
+    # nodes at exactly 0.5 * 4 = 2 wins stay
+    ([2, 1, 1, 0], 1, 0.5, [0, 1]),
+])
+def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
+                                lp, kept):
+    """One presentation, which node ``at`` wins, ends the cycle: the
+    pruning sweep sees ``wins`` plus that win."""
+    lib = _kernel.compiled() if build == "clones" else default_only
+    rng = np.random.default_rng(31)
+    nodes = [Node(center=c, relevance=np.ones(3), dist_avg=np.zeros(3),
+                  wins=w) for c, w in zip(np.eye(4, 3) * 5.0, wins)]
+    params = HyperParams(a_t=0.5, lp=lp, beta=0.1, age_wins=4, e_b=0.1,
+                         push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
+                         epochs=1, n_max=8)
+    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
+    fast = SomMap.from_nodes(3, 8, nodes)
+    monkeypatch.setattr(_kernel, "compiled", lambda: None)
+    slow = pickle.loads(pickle.dumps(fast))
+    states = []
+    for som in (fast, slow):
+        som.nwins = params.age_wins
+        state = TrainState(som=som, params=params, rng=rng)
+        x = nodes[at].center + 0.01
+        assert _present_chunk(state, x[None], np.array([NO_CLASS]),
+                              np.array([0]), allow_insert=True,
+                              observer=None, sweeps=1) == 1
+        states.append(state)
+    (a, b) = states
+    assert a.som._train is not None and b.som._train is None
+    assert a.stats == b.stats and a.stats.resets == 1
+    assert (a.som.nwins, a.t) == (b.som.nwins, b.t) == (1, 1)
+    assert np.array_equal(bits(a.som.centers), bits(b.som.centers))
+    assert np.array_equal(a.som.centers[:, :2].round(),
+                          np.eye(4, 3)[kept, :2] * 5.0)
+    assert a.som.wins.tolist() == [0] * len(kept)
+    assert a.som.connections == b.som.connections
+
+
+@compiled
+def test_training_loop_releases_the_interpreter_lock():
+    """``som_train`` is bound without ``FUNCFLAG_PYTHONAPI``, which would
+    hold the lock through the call; the short kernels keep the flag."""
+    lib = SomMap(1, 1)._train.args[0]
+    assert lib is _kernel.compiled()
+    assert not lib.som_train._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for name in ("som_winner", "som_update", "som_link", "som_classify"):
+        assert getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_threads_racing_to_the_first_map_build_the_library_once(
+        tmp_path, monkeypatch):
+    builds = []
+    build = _kernel._build
+
+    def counted(compiler, target):
+        builds.append(target)
+        build(compiler, target)
+
+    monkeypatch.setattr(_kernel, "_build", counted)
+    monkeypatch.setattr(_kernel, "_cache_dirs", lambda: [tmp_path])
+    monkeypatch.setattr(_kernel, "_library", functools.cache(_kernel.load))
+    threads_n = 4
+    barrier = threading.Barrier(threads_n)
+    maps = [None] * threads_n
+
+    def work(t):
+        barrier.wait(timeout=60)
+        maps[t] = SomMap(2, 4)
+
+    threads = [threading.Thread(target=work, args=(t,))
+               for t in range(threads_n)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=300)
+    assert not any(th.is_alive() for th in threads)
+    if _kernel.compiled() is None:
+        pytest.skip("no C compiler")
+    assert len(builds) == 1
+    assert all(som._view is not None for som in maps)
 
 
 @compiled

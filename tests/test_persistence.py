@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -34,6 +35,24 @@ def test_round_trip_is_byte_identical(trained, tmp_path):
     save_model(again, loaded.som, loaded.params,
                norm_stats=loaded.norm_stats, class_names=loaded.class_names)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_numpy_scalar_params_save_as_python_numbers(trained, tmp_path):
+    """Parameters of numpy scalar types pass ``validate``; the model file
+    holds them as it holds the Python numbers of the same value."""
+    ds, params, som, path = trained
+    counts = {name: np.int64(getattr(params, name))
+              for name in ("age_wins", "epochs", "n_max", "seed")}
+    numpy_params = dataclasses.replace(params, lp=np.float64(params.lp),
+                                       **counts)
+    numpy_params.validate()
+    out = tmp_path / "numpy.json"
+    save_model(out, som, numpy_params, norm_stats=ds.norm_stats,
+               class_names=ds.class_names)
+    assert out.read_bytes() == path.read_bytes()
+    single = dataclasses.replace(params, a_t=np.float32(0.93))
+    save_model(out, som, single, class_names=ds.class_names)
+    assert load_model(out).params.a_t == float(np.float32(0.93))
 
 
 def test_round_trip_preserves_structure(trained):
