@@ -2,9 +2,10 @@
  * Compiled kernels of semisom's SomMap, of its training loop and of bulk
  * classification.
  *
- * Each function reproduces, bit for bit, the numpy kernels of model.py,
- * the Python presentation loop of training.py or the numpy block pass of
- * inference.py that it replaces: the same float operations on the same
+ * Each function reproduces, bit for bit, the numpy kernels of model.py
+ * (the training loop's twin, with the insertions and sweeps training.py
+ * makes, included) or the numpy block pass of inference.py that it
+ * replaces: the same float operations on the same
  * operands in the same order. min/max propagate NaN and the logistic
  * curve is 1 / (1 + exp(-z)) as in scipy's expit, with the C library's
  * exp, one value at a time. som_classify takes another route to the same
@@ -51,16 +52,15 @@ struct som_view {
     uint64_t *adj;
 };
 
-/* The HyperParams a presentation and a pruning sweep read, whether a
- * presentation may insert, and after how many sweeps som_train returns (0:
- * it never returns at a sweep). */
+/* The HyperParams a presentation and a pruning sweep read, and whether a
+ * presentation may insert. */
 struct som_params {
     double a_t, e_b, e_n, push_rate, beta, slope, minwd, lp;
-    int64_t n_max, age_wins, allow_insert, sweeps;
+    int64_t n_max, age_wins, allow_insert;
 };
 
 /* Why som_train returned, and the slots of its counter array. */
-enum { SOM_END, SOM_INSERT, SOM_SWEEP };
+enum { SOM_END, SOM_INSERT };
 enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES,
        C_INSERTIONS, C_REMOVALS, C_RESETS, C_N };
 
@@ -391,23 +391,21 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
 
 /*
  * Presentations draws[count[C_POS]..k) of the rows of `patterns` (m
- * columns) and `labels`, as the Python loop of training.py runs them on a
- * map of n nodes: winner search, the supervised or unsupervised step with
- * its insertion, the pruning sweep that ends a cycle of age_wins + 1
+ * columns) and `labels` on a map of n nodes, as model._train_numpy and
+ * training.py run them: winner search, the supervised or unsupervised step
+ * with its insertion, the pruning sweep that ends a cycle of age_wins + 1
  * presentations, the cycle counter count[C_NWINS] and the presentation
  * counter count[C_T]. count[C_SUPERVISED], [C_UNSUPERVISED], [C_PUSHES],
  * [C_INSERTIONS], [C_REMOVALS] and [C_RESETS] add up the steps, the nodes
  * inserted and removed, and the sweeps; count[C_N] receives the number of
  * nodes when it returns.
  *
- * Returns SOM_END with count[C_POS] = k when every presentation ran, and
- * SOM_SWEEP, with count[C_POS] at the next presentation, once the sweep
- * numbered p->sweeps has completed its presentation. It stops early with
- * SOM_INSERT on a step that inserts a node into a map already holding
- * v->capacity nodes: count[C_POS] is then at that presentation, of which
- * only the step counter has been counted. The caller then grows the
- * storage, inserts, sweeps if count[C_NWINS] == age_wins, counts the
- * presentation and resumes at the next position.
+ * Returns SOM_END with count[C_POS] = k when every presentation ran. It
+ * stops early with SOM_INSERT on a step that inserts a node into a map
+ * already holding v->capacity nodes: count[C_POS] is then at that
+ * presentation, of which only the step counter has been counted. The
+ * caller then grows the storage, inserts, sweeps if count[C_NWINS] ==
+ * age_wins, counts the presentation and resumes at the next position.
  */
 int som_train(const struct som_view *v, ptrdiff_t n,
               const struct som_params *p, const double *patterns,
@@ -462,8 +460,7 @@ int som_train(const struct som_view *v, ptrdiff_t n,
             insert(v, n++, x, label, p->minwd);
             count[C_INSERTIONS]++;
         }
-        const int swept = count[C_NWINS] == p->age_wins;
-        if (swept) {
+        if (count[C_NWINS] == p->age_wins) {
             const ptrdiff_t kept = sweep(v, n, p);
             count[C_REMOVALS] += n - kept;
             count[C_RESETS]++;
@@ -472,11 +469,6 @@ int som_train(const struct som_view *v, ptrdiff_t n,
         }
         count[C_NWINS]++;
         count[C_T]++;
-        if (swept && count[C_RESETS] == p->sweeps) {
-            count[C_POS] = pos + 1;
-            count[C_N] = n;
-            return SOM_SWEEP;
-        }
     }
     count[C_POS] = k;
     count[C_N] = n;

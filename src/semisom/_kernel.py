@@ -19,9 +19,10 @@ must not modify the map's arrays behind the lock's back.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
-kernels of ``model.py``, which take the same arguments and return codes,
-and training runs its presentations in the Python loop of ``training.py``.
-The results are the same bit for bit either way.
+kernels of ``model.py``, which take the same arguments, counters and
+return codes. The twin of ``som_train``, ``_train_numpy``, returns at
+every insertion and every sweep, and ``training.py`` makes them as
+``som_train`` does. The results are the same bit for bit either way.
 """
 
 from __future__ import annotations
@@ -78,12 +79,12 @@ class Params(ctypes.Structure):
     _fields_ = [(name, ctypes.c_double) for name in (
         "a_t", "e_b", "e_n", "push_rate", "beta", "slope", "minwd", "lp")] + [
         (name, ctypes.c_int64) for name in (
-            "n_max", "age_wins", "allow_insert", "sweeps")]
+            "n_max", "age_wins", "allow_insert")]
 
 
-# som_train's return codes: every presentation ran, or it stopped after the
-# pruning sweep it was asked to stop at, or at an insertion that needs more
-# storage than the map holds.
+# The training loop's return codes: every presentation ran, or it stopped
+# at a presentation whose insertion needs more storage than the map holds,
+# or (the numpy twin alone) whose step ends a cycle, before the sweep.
 END, INSERT, SWEEP = 0, 1, 2
 # The slots of som_train's counter array: the position in the draws, the
 # cycle count (nwins), the presentation count (t), the supervised,
@@ -93,7 +94,7 @@ SLOTS = ("pos", "nwins", "t", "supervised", "unsupervised", "pushes",
          "insertions", "removals", "resets", "n")
 # Above any count a run reaches; larger budgets and cycles are clamped to
 # it so that they fit a C integer.
-_NEVER = 2 ** 62
+NEVER = 2 ** 62
 
 _DTYPES = dict(idx=np.intp, wins=np.int64, labels=np.int64, adj=np.uint64)
 
@@ -101,12 +102,11 @@ Kernels = collections.namedtuple("Kernels",
                                  "view winner update link train classify")
 
 
-def params(hp, allow_insert: bool, sweeps: int = 0) -> Params:
-    """``Params`` of ``HyperParams`` ``hp``; ``som_train`` returns after
-    ``sweeps`` pruning sweeps, or never at a sweep for 0."""
+def params(hp, allow_insert: bool) -> Params:
+    """``Params`` of ``HyperParams`` ``hp``."""
     return Params(hp.a_t, hp.e_b, hp.e_n, hp.push_rate, hp.beta, hp.eps_beta,
-                  hp.minwd, hp.lp, min(int(hp.n_max), _NEVER),
-                  min(int(hp.age_wins), _NEVER), allow_insert, sweeps)
+                  hp.minwd, hp.lp, min(int(hp.n_max), NEVER),
+                  min(int(hp.age_wins), NEVER), allow_insert)
 
 
 def _cache_dirs() -> list[Path]:
@@ -226,9 +226,8 @@ def bind(m: int, eps: float, words: int, capacity: int,
       ``j`` and the nodes of ``[lo, n)``;
     - ``train(n, params, chunk)``, which runs the presentations of a
       ``Chunk`` from its position on, insertions into the ``capacity`` rows
-      and pruning sweeps included (see ``som_train``), and returns ``END``,
-      ``INSERT`` or ``SWEEP``. It releases the interpreter lock while it
-      runs;
+      and pruning sweeps included (see ``som_train``), and returns ``END``
+      or ``INSERT``. It releases the interpreter lock while it runs;
     - ``classify(nodes)``, which binds ``som_classify`` to a batch's node
       operands (see ``_classifier``). It reads only what it is passed,
       never the map's scratch rows.
@@ -305,10 +304,11 @@ def _classify(lib, screen: Nodes, keep, x: np.ndarray, q: np.ndarray,
 
 
 class Chunk:
-    """One chunk of presentations for ``som_train``, checked once.
+    """One chunk of presentations for the training loop, checked once.
 
-    Holds the patterns (rows of ``m`` values), their labels, the drawn row
-    indices and the counter array, whose slots ``SLOTS`` names.
+    Holds the patterns (rows of ``m`` values), their labels and the drawn
+    row indices (``arrays``), and the counter array, whose slots ``SLOTS``
+    names.
     """
 
     def __init__(self, m: int, patterns: np.ndarray, labels: np.ndarray,
@@ -323,7 +323,7 @@ class Chunk:
             raise IndexError(f"draws outside the {rows} patterns")
         self.m, self.k = m, len(draws)
         self.count = np.zeros(len(SLOTS), dtype=np.int64)
-        self._arrays = (patterns, labels, draws)
+        self.arrays = (patterns, labels, draws)
         self._args = (patterns.ctypes.data, labels.ctypes.data,
                       draws.ctypes.data, self.k, self.count.ctypes.data)
 

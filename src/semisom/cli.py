@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataFormatError, Dataset, apply_norm, kfold_split,
-                   load_arff, load_csv, normalize)
+from .data import (DataFormatError, Dataset, _utf8_text, apply_norm,
+                   kfold_split, load_arff, load_csv, normalize)
 from .experiments import (FRACTIONS, emit_curve, emit_curve_svg, emit_results,
                           run_sweep, summarize_curve)
 # ``classify`` stays importable from here: perfbench/tracer.py wraps it by
@@ -57,8 +57,9 @@ def _load_dataset(path: str, label_column: str | None = None) -> Dataset:
 
 def _read_params_file(path: str) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8")
-                                 .splitlines(), start=1):
+    with _utf8_text(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -193,15 +194,21 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_from(low: int):
+    """An argparse type for the integers ``>= low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_from(1)
 
 
 def build_parser() -> _Parser:
@@ -210,7 +217,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_from(0), default=None,
                        help="master random seed")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="sweep runs in flight at once, on threads "
@@ -250,10 +257,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("data", help="fully labeled dataset file")
     p_sweep.add_argument("-o", "--out-dir", required=True,
                          help="directory for results.csv / curve.csv")
-    p_sweep.add_argument("--samples", type=int, default=50,
+    p_sweep.add_argument("--samples", type=_positive_int, default=50,
                          help="Latin Hypercube sample count")
-    p_sweep.add_argument("--repeats", type=int, default=3)
-    p_sweep.add_argument("--folds", type=int, default=3)
+    p_sweep.add_argument("--repeats", type=_positive_int, default=3)
+    p_sweep.add_argument("--folds", type=_positive_int, default=3,
+                         help="folds per repeat, at least 2")
     p_sweep.add_argument("--fractions",
                          default=",".join(str(f) for f in FRACTIONS),
                          help="comma-separated supervision fractions")

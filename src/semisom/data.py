@@ -9,6 +9,7 @@ marking unlabeled rows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -23,6 +24,16 @@ from .model import NO_CLASS
 
 class DataFormatError(ValueError):
     """Raised for malformed dataset files."""
+
+
+@contextlib.contextmanager
+def _utf8_text(path):
+    """Raise ``DataFormatError`` naming ``path`` for a ``UnicodeDecodeError``
+    inside, which reading a file that is not UTF-8 text raises."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,7 @@ def load_arff(path) -> Dataset:
     attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
     lines: list[tuple[int, str]] = []  # data lines: (line number, text)
     in_data = False
-    with path.open(encoding="utf-8") as fh:
+    with _utf8_text(path), path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -273,7 +284,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         # The C reader refused the file, or accepted something the row
         # reader may read differently: the row reader decides, and names
         # the bad line if there is one.
-        return _read_csv_rows(path, label_column)
+        with _utf8_text(path):
+            return _read_csv_rows(path, label_column)
 
 
 # Around a number numpy's C reader skips U+001C..U+001F as whitespace;
@@ -419,12 +431,23 @@ def normalize(ds: Dataset) -> Dataset:
 
 
 def apply_norm(stats: NormStats, patterns: np.ndarray) -> np.ndarray:
-    """Scale ``patterns`` with previously recorded ranges, clamped to [0, 1]."""
+    """Scale ``patterns`` with previously recorded ranges, clamped to [0, 1].
+
+    A range wider than the largest float, such as ``[-1e308, 1e308]``, is
+    scaled by halves, ``(x/2 - min/2) / (max/2 - min/2)``.
+    """
     patterns = np.asarray(patterns, dtype=float)
-    span = stats.maxs - stats.mins
-    safe = np.where(span > 0.0, span, 1.0)
-    scaled = np.where(span > 0.0, (patterns - stats.mins) / safe, 0.5)
-    return np.clip(scaled, 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        span = stats.maxs - stats.mins
+        scaled = patterns - stats.mins
+    wide = np.isinf(span)
+    if wide.any():
+        half = stats.mins[wide] / 2
+        span[wide] = stats.maxs[wide] / 2 - half
+        scaled[..., wide] = patterns[..., wide] / 2 - half
+    scaled /= np.where(span > 0.0, span, 1.0)
+    scaled = np.where(span > 0.0, scaled, 0.5)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def mask_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -453,7 +476,12 @@ def kfold_split(ds: Dataset, repeats: int, k: int, seed: int) -> FoldPlan:
     """Assign every pattern to one of ``k`` folds, ``repeats`` times over.
 
     Each repeat shuffles independently; fold sizes differ by at most one.
+    Raises ``ValueError`` for fewer than two folds or one repeat.
     """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     n = len(ds)
     if n < k:
         raise ValueError(f"cannot split {n} patterns into {k} folds")

@@ -193,12 +193,16 @@ def run_sweep(ds: Dataset, plan: FoldPlan, fractions=FRACTIONS, *,
     interpreter lock; on the numpy fallback they take turns and gain
     nothing. The classification of each run multiplies matrices in BLAS
     on its own thread, so pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
-    for ``jobs > 1``. Raises ``ValueError`` for ``jobs < 1``.
+    for ``jobs > 1``. Raises ``ValueError``, before any run, for
+    ``jobs < 1`` and for a fraction outside ``[0, 1]``.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for fraction in fractions:
+        if not 0.0 <= float(fraction) <= 1.0:
+            raise ValueError(f"fractions must lie in [0, 1], got {fraction}")
     unit = lhs_unit(n_samples, len(ranges), seed)
     ctx = _SweepContext(ds=ds, plan=plan, unit=unit, ranges=ranges, seed=seed)
     specs = [(repeat, fold, float(fraction), sample)

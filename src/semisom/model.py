@@ -110,6 +110,8 @@ class HyperParams:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -286,6 +288,101 @@ def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
     v.adj[j] = np.packbits(row, bitorder="little").view("<u8")
 
 
+def _attract_numpy(v: SimpleNamespace, n: int, j: int, p) -> None:
+    """``attract`` of ``_kernel.c``: node ``j`` at rate ``e_b``, then its
+    neighbors in ascending order at rate ``e_n``, and the win counted."""
+    rows = np.flatnonzero(_unpack(v.adj[j])[:n])
+    k = rows.size + 1
+    v.idx[0], v.idx[1:k] = j, rows
+    v.lr[0], v.lr[1:k] = p.e_b, p.e_n
+    _update_numpy(v, n, k, 1, p.beta, p.slope)
+    v.wins[j] += 1
+
+
+def _unsupervised_numpy(v: SimpleNamespace, n: int, p, w: int,
+                        count: dict) -> bool:
+    """The unlabeled step of winner ``w``; returns whether it inserts.
+
+    Below the activation threshold a node is inserted at the pattern when
+    inserting is allowed and the budget has room; with no room the winner
+    and its neighbors are attracted instead, and with inserting not allowed
+    the pattern is skipped. At or above it they are attracted.
+    """
+    count["unsupervised"] += 1
+    below = v.acts[w] < p.a_t
+    if below and n < (p.n_max if p.allow_insert else 0):
+        return True
+    if not below or p.allow_insert:
+        _attract_numpy(v, n, w, p)
+    return False
+
+
+def _supervised_numpy(v: SimpleNamespace, n: int, p, w: int, label: int,
+                      count: dict) -> bool:
+    """The labeled step of winner ``w``; returns whether it inserts.
+
+    A winner of the pattern's class, or unlabeled, is attracted with its
+    neighbors, adopts the label and is relinked; below the activation
+    threshold a labeled node is inserted instead, when allowed and there is
+    room. A winner of another class makes the most activated node of the
+    class, or unlabeled, at or above the threshold the second winner: it is
+    attracted with its neighbors and the winner is pushed away. Without a
+    second winner a labeled node is inserted, when allowed and there is
+    room.
+    """
+    count["supervised"] += 1
+    room = n < (p.n_max if p.allow_insert else 0)
+    labels, acts = v.labels[:n], v.acts[:n]
+    if labels[w] == label or labels[w] == NO_CLASS:
+        if acts[w] < p.a_t:
+            return room
+        _attract_numpy(v, n, w, p)
+        labels[w] = label
+        _link_numpy(v, n, w, 0, p.minwd)
+        return False
+    ok = np.flatnonzero(((labels == label) | (labels == NO_CLASS))
+                        & (acts >= p.a_t))
+    if not ok.size:
+        return room
+    _attract_numpy(v, n, int(ok[np.argmax(acts[ok])]), p)
+    v.idx[0], v.lr[0] = w, -p.push_rate
+    _update_numpy(v, n, 1, 0, p.beta, p.slope)
+    count["pushes"] += 1
+    return False
+
+
+def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
+    """``som_train`` in numpy, but for the insertions and the sweeps.
+
+    Runs the presentations of the ``_kernel.Chunk`` from its position on:
+    the winner search and the supervised or unsupervised step. It stops at
+    a step that inserts a node (``INSERT``), or that ends a cycle
+    (``SWEEP``), with the step made and the position at that presentation;
+    the caller inserts, sweeps and counts it. Returns ``END`` when every
+    presentation ran.
+    """
+    patterns, labels, draws = chunk.arrays
+    count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+    code = _kernel.END
+    for pos in range(count["pos"], chunk.k):
+        i = draws[pos]
+        v.x[:] = patterns[i]
+        w = _winner_numpy(v, n)
+        label = int(labels[i])
+        add = (_unsupervised_numpy(v, n, p, w, count) if label == NO_CLASS
+               else _supervised_numpy(v, n, p, w, label, count))
+        if add or count["nwins"] == p.age_wins:
+            code = _kernel.INSERT if add else _kernel.SWEEP
+            break
+        count["nwins"] += 1
+        count["t"] += 1
+    else:
+        pos = chunk.k
+    count["pos"], count["n"] = pos, n
+    chunk.count[:] = [count[name] for name in _kernel.SLOTS]
+    return code
+
+
 # rows allocated by a new map; the capacity doubles from here
 _FIRST_CAPACITY = 16
 
@@ -354,9 +451,9 @@ class SomMap:
         ``_grow`` binds again after each one while holding the lock, so
         the addresses taken here stay valid while a kernel uses them. The
         lock, one object for the map's lifetime, serializes the kernels'
-        use of the shared scratch rows. The numpy path binds no training
-        loop and no classify pass (``None``); training and inference then
-        run their Python and numpy twins.
+        use of the shared scratch rows. The numpy path binds the twin of
+        the training loop, ``_train_numpy``, and no classify pass
+        (``None``): inference then runs its numpy twin.
         """
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
                       sums=self._rel_sums, acts=self._acts, x=self._x,
@@ -369,7 +466,8 @@ class SomMap:
             kernels = _kernel.Kernels(
                 None, functools.partial(_winner_numpy, view),
                 functools.partial(_update_numpy, view),
-                functools.partial(_link_numpy, view), None, None)
+                functools.partial(_link_numpy, view),
+                functools.partial(_train_numpy, view), None)
         (self._view, self._winner, self._update, self._link,
          self._train, self._classify) = kernels
 
@@ -508,9 +606,6 @@ class SomMap:
             arr[:k] = arr[indices]
         self._adj[:self._n] = 0
         self._n = k
-
-    def record_win(self, j: int) -> None:
-        self._wins[j] += 1
 
     def reset_wins(self) -> None:
         self._wins[:self._n] = 0
@@ -653,11 +748,10 @@ class SomMap:
     # -- training ----------------------------------------------------------
 
     def _run_presentations(self, params, chunk) -> int:
-        """Present a ``_kernel.Chunk`` in ``som_train``, the compiled
-        training loop, which inserts and prunes nodes in place.
+        """Present a ``_kernel.Chunk`` in the training loop: ``som_train``,
+        which inserts and prunes nodes in place, or ``_train_numpy``.
 
-        Only bound when the library loads (``_train`` is ``None`` on the
-        numpy path). Returns ``_kernel.END``, ``INSERT`` or ``SWEEP``.
+        Returns ``_kernel.END``, ``INSERT`` or ``SWEEP``.
         """
         with self._lock:
             code = self._train(self._n, params, chunk)

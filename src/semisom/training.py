@@ -7,27 +7,27 @@ phase of ``epochs * |dataset|`` presentations may insert nodes wherever no
 receptive field covers a pattern; periodic pruning sweeps drop nodes that
 win too rarely. A follow-up convergence phase keeps adapting and pruning
 but never inserts: it finishes the pruning cycle left open by the growth
-phase and runs one more full cycle.
+phase and runs one more full cycle, ``2 * age_wins + 1 - nwins``
+presentations in all, ``nwins`` counted at its start.
 
 The pattern indices are drawn in chunks of ``_CHUNK``, each as one
 ``rng.integers(n, size=k)`` call, which gives the values of ``k`` scalar
-calls. A chunk runs on one of two paths with identical results:
+calls; ``TrainState.rng`` ends right after the last draw presented. Each
+chunk runs in the map's training loop, one of two twins with identical
+results, which ``SomMap._bind`` chooses:
 
-- the compiled loop, ``som_train`` of ``_kernel.c``, which runs the whole
-  chunk in one call, insertions and pruning sweeps included, with the
-  interpreter lock released. It returns early only when an insertion needs
-  more storage; Python then runs ``insert_node``, which grows it, finishes
-  that presentation and resumes the loop;
-- the Python loop, ``_present`` and the step functions below, one
-  presentation at a time. It is the reference, and it runs when the map
-  has no compiled kernels or an observer is passed.
+- ``som_train`` of ``_kernel.c`` runs the whole chunk in one call,
+  insertions and pruning sweeps included, with the interpreter lock
+  released. It returns early only when an insertion needs more storage;
+- ``_train_numpy`` of ``model.py``, when the library does not load, runs
+  the winner search and the step, and returns at every insertion and
+  every sweep.
 
-Training runs on several threads at once therefore run in parallel on the
-compiled loop (``experiments.run_sweep`` relies on it); on the Python loop
-they take turns holding the interpreter lock.
-
-The convergence phase draws whole chunks and stops within the last one, so
-``TrainState.rng`` ends ahead of the draws actually presented.
+``_present_chunk`` drives either: at an early return ``insert_node`` and
+``handle_reset``, the references for the insertion and the sweep of
+``som_train``, finish that presentation, and the loop resumes. Training
+runs on several threads at once therefore run in parallel on the compiled
+loop (``experiments.run_sweep`` relies on it).
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ import numpy as np
 
 from . import _kernel
 from .model import NO_CLASS, HyperParams, SomMap, _require_finite
+# The two steps stay importable by these names: perfbench/tracer.py wraps
+# them by this module's name.
+from .model import _supervised_numpy as supervised_step  # noqa: F401
+from .model import _unsupervised_numpy as unsupervised_step  # noqa: F401
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -105,85 +109,6 @@ def insert_node(som: SomMap, x: np.ndarray, label: int = NO_CLASS,
     return j
 
 
-def _update_winner_and_neighbors(state: TrainState, j: int,
-                                 x: np.ndarray) -> None:
-    """Attract node ``j`` at rate e_b and its neighbors at rate e_n.
-
-    The winner and its neighbors go through one batched update; since the
-    winner never neighbors itself the rows are independent and the result
-    matches sequential updates exactly.
-    """
-    p = state.params
-    som = state.som
-    nb = som.neighbor_array(j)
-    if nb.size:
-        rates = np.full((nb.size + 1, 1), p.e_n)
-        rates[0, 0] = p.e_b
-        som.update_nodes(np.concatenate(([j], nb)), x, rates, p.beta,
-                         p.eps_beta)
-    else:
-        som.update_node(j, x, p.e_b, p.beta, p.eps_beta)
-    som.record_win(j)
-
-
-def unsupervised_step(state: TrainState, x: np.ndarray, winner: int,
-                      act: float, *, allow_insert: bool = True) -> None:
-    """Handle one unlabeled pattern.
-
-    Below the activation threshold a node is inserted at the pattern when
-    the budget allows (with insertion disabled the pattern is skipped);
-    otherwise the winner and its neighbors move toward the pattern.
-    """
-    p = state.params
-    som = state.som
-    state.stats.unsupervised += 1
-    if act < p.a_t:
-        if not allow_insert:
-            return
-        if som.n_nodes < p.n_max:
-            insert_node(som, x, NO_CLASS, p.minwd)
-            state.stats.insertions += 1
-        else:
-            _update_winner_and_neighbors(state, winner, x)
-    else:
-        _update_winner_and_neighbors(state, winner, x)
-
-
-def supervised_step(state: TrainState, x: np.ndarray, label: int, winner: int,
-                    act: float, *, allow_insert: bool = True) -> None:
-    """Handle one labeled pattern.
-
-    A winner of the same class (or unlabeled) behaves as in the
-    unsupervised route, except that an updated winner adopts the pattern's
-    label and gets rewired. A wrong-class winner triggers a search for an
-    alternative winner restricted to compatible nodes above the threshold:
-    if one exists it is attracted while the wrong winner is pushed away;
-    otherwise a labeled node is inserted when allowed.
-    """
-    p = state.params
-    som = state.som
-    state.stats.supervised += 1
-    wl = som.label_of(winner)
-    if wl == label or wl == NO_CLASS:
-        if act < p.a_t:
-            if allow_insert and som.n_nodes < p.n_max:
-                insert_node(som, x, label, p.minwd)
-                state.stats.insertions += 1
-        else:
-            _update_winner_and_neighbors(state, winner, x)
-            som.set_label(winner, label)
-            som.rewire_node(winner, p.minwd)
-    else:
-        second = som.find_winner_for_class(x, label, p.a_t)
-        if second is not None:
-            _update_winner_and_neighbors(state, second, x)
-            som.update_node(winner, x, -p.push_rate, p.beta, p.eps_beta)
-            state.stats.pushes += 1
-        elif allow_insert and som.n_nodes < p.n_max:
-            insert_node(som, x, label, p.minwd)
-            state.stats.insertions += 1
-
-
 def handle_reset(state: TrainState) -> None:
     """Prune rarely-winning nodes and restart the competition cycle.
 
@@ -207,27 +132,13 @@ def handle_reset(state: TrainState) -> None:
     state.stats.resets += 1
 
 
-def _present(state: TrainState, x: np.ndarray, label: int, *,
-             allow_insert: bool, observer: Observer | None = None) -> bool:
-    """Run one pattern presentation; returns whether a pruning sweep ran."""
-    winner, act = state.som.find_winner(x)
-    if label == NO_CLASS:
-        unsupervised_step(state, x, winner, act, allow_insert=allow_insert)
-    else:
-        supervised_step(state, x, label, winner, act,
-                        allow_insert=allow_insert)
-    return _finish(state, observer)
-
-
-def _finish(state: TrainState, observer: Observer | None = None) -> bool:
+def _finish(state: TrainState, observer: Observer | None = None) -> None:
     """A presentation's tail: the sweep that ends a cycle, and the counts."""
     som = state.som
-    swept = False
     if som.nwins == state.params.age_wins:
         if observer is not None:
             observer("pre_reset", state)
         handle_reset(state)
-        swept = True
         if observer is not None:
             observer("post_reset", state)
     som.nwins += 1
@@ -235,7 +146,6 @@ def _finish(state: TrainState, observer: Observer | None = None) -> bool:
     _count_presentations(state, 1)
     if observer is not None:
         observer("step", state)
-    return swept
 
 
 def _count_presentations(state: TrainState, k: int) -> None:
@@ -247,62 +157,60 @@ def _count_presentations(state: TrainState, k: int) -> None:
 
 def _present_chunk(state: TrainState, patterns: np.ndarray,
                    labels: np.ndarray, draws: np.ndarray, *,
-                   allow_insert: bool, observer: Observer | None,
-                   sweeps: int = 0) -> int:
-    """Present the patterns ``draws`` indexes, in order.
+                   allow_insert: bool, observer: Observer | None) -> None:
+    """Present the patterns ``draws`` indexes, in order, in the map's
+    training loop.
 
-    Stops after the presentation that completes the ``sweeps``-th pruning
-    sweep when ``sweeps`` is positive. Returns the sweeps run.
-    """
-    if observer is None and state.som._train is not None:
-        return _present_compiled(state, patterns, labels, draws,
-                                 allow_insert=allow_insert, sweeps=sweeps)
-    swept = 0
-    for i in draws.tolist():
-        if _present(state, patterns[i], int(labels[i]),
-                    allow_insert=allow_insert, observer=observer):
-            swept += 1
-            if swept == sweeps:
-                break
-    return swept
-
-
-def _present_compiled(state: TrainState, patterns: np.ndarray,
-                      labels: np.ndarray, draws: np.ndarray, *,
-                      allow_insert: bool, sweeps: int) -> int:
-    """``_present_chunk`` on the compiled loop of ``_kernel.c``.
-
-    ``som_train`` runs the chunk, insertions and pruning sweeps included,
-    and stops after the ``sweeps``-th sweep. It returns early only at an
-    insertion into full storage; ``insert_node`` then grows the storage,
-    ``_finish`` completes the presentation, and the loop resumes.
+    The loop returns early at a presentation whose step it made but whose
+    insertion or sweep it leaves to its caller (``INSERT``, ``SWEEP``):
+    ``insert_node`` inserts, ``_finish`` sweeps and counts, and the loop
+    resumes at the next draw. An observer sees every event: the loop then
+    presents one draw per call and never sweeps, and ``_finish`` ends each
+    presentation.
     """
     som, stats, p = state.som, state.stats, state.params
-    chunk = _kernel.Chunk(som.dim, patterns, labels, draws)
-    swept = pos = 0
-    while True:
-        args = _kernel.params(p, allow_insert, sweeps - swept if sweeps else 0)
-        chunk.count[:] = 0
-        chunk.count[:3] = (pos, som.nwins, state.t)
-        code = som._run_presentations(args, chunk)
-        count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
-        pos, som.nwins = count["pos"], count["nwins"]
-        _count_presentations(state, count["t"] - state.t)
-        state.t = count["t"]
-        for name in ("supervised", "unsupervised", "pushes", "insertions",
-                     "removals", "resets"):
-            setattr(stats, name, getattr(stats, name) + count[name])
-        swept += count["resets"]
-        if code != _kernel.INSERT:
-            return swept
-        i = int(draws[pos])
-        insert_node(som, patterns[i], int(labels[i]), p.minwd)
-        stats.insertions += 1
-        if _finish(state):
-            swept += 1
-            if swept == sweeps:
-                return swept
-        pos += 1
+    args = _kernel.params(p, allow_insert)
+    if observer is not None:
+        args.age_wins = _kernel.NEVER
+    parts = ([draws] if observer is None
+             else [draws[i:i + 1] for i in range(len(draws))])
+    for part in parts:
+        chunk = _kernel.Chunk(som.dim, patterns, labels, part)
+        pos = 0
+        while pos < chunk.k:
+            chunk.count[:] = 0
+            chunk.count[:3] = (pos, som.nwins, state.t)
+            code = som._run_presentations(args, chunk)
+            count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+            for name in ("supervised", "unsupervised", "pushes",
+                         "insertions", "removals", "resets"):
+                setattr(stats, name, getattr(stats, name) + count[name])
+            if code == _kernel.END and observer is not None:
+                # one draw, whose tail the loop counted without its sweep
+                _finish(state, observer)
+                break
+            _count_presentations(state, count["t"] - state.t)
+            som.nwins, state.t = count["nwins"], count["t"]
+            if code == _kernel.END:
+                break
+            pos = count["pos"]
+            if code == _kernel.INSERT:
+                i = int(part[pos])
+                insert_node(som, patterns[i], int(labels[i]), p.minwd)
+                stats.insertions += 1
+            _finish(state, observer)
+            pos += 1
+
+
+def _present_draws(state: TrainState, patterns: np.ndarray,
+                   labels: np.ndarray, total: int, *, allow_insert: bool,
+                   observer: Observer | None) -> None:
+    """Draw ``total`` pattern indices, in chunks, and present them."""
+    for start in range(0, total, _CHUNK):
+        draws = state.rng.integers(len(patterns),
+                                   size=min(_CHUNK, total - start))
+        _present_chunk(state, patterns, labels, draws,
+                       allow_insert=allow_insert, observer=observer)
 
 
 def _arrays(dataset: "Dataset") -> tuple[np.ndarray, np.ndarray]:
@@ -315,20 +223,18 @@ def convergence_phase(state: TrainState, dataset: "Dataset", *,
     """Adapt without insertion until two pruning sweeps have completed.
 
     The first sweep closes the competition cycle left open by the growth
-    phase; the second ends one further full cycle. Patterns whose winner
-    falls below the activation threshold are skipped instead of spawning
-    nodes.
+    phase; the second ends one further full cycle. A sweep ends every
+    cycle of ``age_wins + 1`` presentations, so the phase runs exactly
+    ``2 * age_wins + 1 - nwins`` of them. Patterns whose winner falls below
+    the activation threshold are skipped instead of spawning nodes.
     """
     state.phase = "convergence"
     if observer is not None:
         observer("phase", state)
     patterns, labels = _arrays(dataset)
-    sweeps = 0
-    while sweeps < 2:
-        draws = state.rng.integers(len(patterns), size=_CHUNK)
-        sweeps += _present_chunk(state, patterns, labels, draws,
-                                 allow_insert=False, observer=observer,
-                                 sweeps=2 - sweeps)
+    _present_draws(state, patterns, labels,
+                   2 * state.params.age_wins + 1 - state.som.nwins,
+                   allow_insert=False, observer=observer)
 
 
 def train_with_state(dataset: "Dataset", params: HyperParams, *,
@@ -349,11 +255,8 @@ def train_with_state(dataset: "Dataset", params: HyperParams, *,
     rng = np.random.default_rng(params.seed)
     som = init_map(patterns[0], int(labels[0]), n_max=params.n_max)
     state = TrainState(som=som, params=params, rng=rng)
-    t_max = params.epochs * n
-    for start in range(0, t_max, _CHUNK):
-        draws = rng.integers(n, size=min(_CHUNK, t_max - start))
-        _present_chunk(state, patterns, labels, draws, allow_insert=True,
-                       observer=observer)
+    _present_draws(state, patterns, labels, params.epochs * n,
+                   allow_insert=True, observer=observer)
     convergence_phase(state, dataset, observer=observer)
     return state
 

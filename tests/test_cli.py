@@ -258,3 +258,63 @@ def test_sweep_requires_full_labels(tmp_path):
                         encoding="utf-8")
     assert main(["sweep", str(csv_path), "-o", str(tmp_path / "out"),
                  "--samples", "1", "--repeats", "1", "--folds", "2"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["csv", "arff", "params"])
+def test_train_on_a_file_that_is_not_utf8_is_data_error(arff_path, tmp_path,
+                                                        capsys, kind):
+    """One byte that is not UTF-8, in the data or in the params file."""
+    data, args = arff_path, []
+    if kind == "csv":
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"f1,f2,class\n0.1,0.2,red\n0.8,0.\xff9,blue\n")
+        bad = data
+    elif kind == "arff":
+        data = tmp_path / "bad.arff"
+        data.write_bytes(ARFF.replace("0.80,0.85", "0.80,0.8\xff5")
+                         .encode("latin-1"))
+        bad = data
+    else:
+        bad = tmp_path / "params.txt"
+        bad.write_bytes(b"a_t = 0.9\n# caf\xe9\n")
+        args = ["--params-file", str(bad)]
+    code = main(["train", str(data), "-o", str(tmp_path / "m.json"),
+                 *TRAIN_ARGS, *args])
+    assert code == 2
+    assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+
+def test_train_on_a_range_wider_than_the_largest_float(tmp_path):
+    data = tmp_path / "wide.csv"
+    data.write_text("f1,f2\n1e308,0.1\n-1e308,0.2\n0,0.3\n", encoding="utf-8")
+    assert main(["train", str(data), "-o", str(tmp_path / "m.json"),
+                 *TRAIN_ARGS]) == 0
+
+
+@pytest.mark.parametrize("flags, names", [
+    (["--folds", "1"], "k must be >= 2"),
+    (["--folds", "0"], "--folds"),
+    (["--repeats", "-1"], "--repeats"),
+    (["--repeats", "0"], "--repeats"),
+    (["--samples", "0"], "--samples"),
+    (["--seed", "-3"], "--seed"),
+    (["--fractions", "nan"], "fractions must lie in [0, 1], got nan"),
+    (["--fractions=-0.5"], "fractions must lie in [0, 1], got -0.5"),
+    (["--fractions", "0.5,1.5"], "fractions must lie in [0, 1], got 1.5"),
+])
+def test_sweep_rejects_bad_arguments_in_its_own_words(arff_path, tmp_path,
+                                                      capsys, flags, names):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", str(arff_path), "-o", str(out_dir), "--samples",
+                 "1", "--repeats", "1", "--folds", "2", *flags]) == 1
+    assert names in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_train_rejects_a_negative_seed_in_a_params_file(arff_path, tmp_path,
+                                                        capsys):
+    params = tmp_path / "params.txt"
+    params.write_text("seed = -3\n", encoding="utf-8")
+    assert main(["train", str(arff_path), "-o", str(tmp_path / "m.json"),
+                 "--params-file", str(params)]) == 1
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err

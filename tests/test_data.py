@@ -504,3 +504,31 @@ def test_kfold_test_folds_partition_the_dataset():
 def test_kfold_too_few_patterns_errors():
     with pytest.raises(ValueError):
         kfold_split(labeled_ds(2), repeats=1, k=3, seed=0)
+
+
+def test_normalize_scales_a_range_wider_than_the_largest_float():
+    """``1e308 - (-1e308)`` overflows; the column is scaled by halves, and
+    a column whose range fits keeps its bytes."""
+    patterns = np.array([[1e308, 0.25], [-1e308, 0.5], [0.0, 0.75]])
+    ds = Dataset(patterns, np.full(3, NO_CLASS), (), ("a", "b"))
+    out = normalize(ds).patterns
+    assert out[:, 0].tolist() == [1.0, 0.0, 0.5]
+    assert np.array_equal(out[:, 1], (patterns[:, 1] - 0.25) / 0.5)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("d.csv", "a,b,class\n0.1,0.2,x\n0.3,0.\xff4,y\n"),
+    ("d.arff", ARFF_OK.replace("3.5", "3.\xff5")),
+])
+def test_loaders_name_a_file_that_is_not_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    load = load_csv if name.endswith(".csv") else load_arff
+    with pytest.raises(DataFormatError, match=f"{path}: not UTF-8"):
+        load(path)
+
+
+@pytest.mark.parametrize("repeats, k", [(1, 1), (1, 0), (0, 2), (-1, 2)])
+def test_kfold_split_rejects_fewer_than_two_folds_or_one_repeat(repeats, k):
+    with pytest.raises(ValueError, match="must be >= "):
+        kfold_split(labeled_ds(10), repeats=repeats, k=k, seed=0)

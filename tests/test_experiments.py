@@ -231,3 +231,15 @@ def test_emission_is_reproducible(tmp_path):
     emit_curve(points, pb)
     assert pa.read_bytes() == pb.read_bytes()
     assert len(pb.read_text().strip().split("\n")) == 3  # header + 2 fractions
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])
+def test_sweep_checks_every_fraction_before_any_run(blob_ds, monkeypatch,
+                                                    fraction):
+    runs = []
+    monkeypatch.setattr(experiments, "_execute_run",
+                        lambda *args, **kwargs: runs.append(args))
+    plan = kfold_split(blob_ds, 1, 2, seed=4)
+    with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\]"):
+        run_sweep(blob_ds, plan, (0.5, fraction), n_samples=1, seed=7)
+    assert runs == []

@@ -2,9 +2,9 @@
 
 ``SomMap`` runs its winner search, node update and link recomputation in
 ``_kernel.c`` when the library builds, and in numpy otherwise; training
-runs its presentations in the compiled loop of ``_kernel.c`` or in the
-Python loop of ``training.py``. Both must give the same floats, bit for
-bit, so a map trains identically whichever path is active.
+runs its presentations in the compiled loop of ``_kernel.c`` or in its
+numpy twin, ``_train_numpy``. Both must give the same floats, bit for bit,
+so a map trains identically whichever path is active.
 """
 
 import ctypes
@@ -19,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semisom import (NO_CLASS, Dataset, HyperParams, Node, SomMap,
                      classify_batch, mask_labels, save_model,
                      train_with_state)
 from semisom import _kernel
-from semisom.model import ACTIVATION_EPS, _activations, _shift_vectors
+from semisom.model import (ACTIVATION_EPS, _activations, _shift_vectors,
+                           _train_numpy)
 from semisom.training import TrainState, _present_chunk
 from helpers import brute_connections, make_blobs, random_map
 
@@ -606,15 +607,15 @@ def _model_bytes(state, params) -> bytes:
 
 
 def _check_loops_agree(lib, run) -> None:
-    """The loop of ``lib`` against the Python loop on the numpy kernels."""
+    """The loop of ``lib`` against its numpy twin."""
     ds, params = run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "compiled", lambda: lib)
         fast = train_with_state(ds, params)
         mp.setattr(_kernel, "compiled", lambda: None)
         slow = train_with_state(ds, params)
-    assert fast.som._train is not None
-    assert slow.som._train is None and slow.som._view is None
+    assert fast.som._train.args[0] is lib
+    assert slow.som._train.func is _train_numpy and slow.som._view is None
     assert _model_bytes(fast, params) == _model_bytes(slow, params)
     assert fast.stats == slow.stats
     assert (fast.som.nwins, fast.t) == (slow.som.nwins, slow.t)
@@ -628,15 +629,49 @@ def _check_loops_agree(lib, run) -> None:
 @given(_runs())
 def test_compiled_loop_equals_python_loop(run):
     """The loaded library's loop, on its AVX2 clones where the CPU has
-    AVX2, against the Python loop."""
+    AVX2, against its numpy twin."""
     _check_loops_agree(_kernel.compiled(), run)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_runs())
 def test_default_only_loop_equals_python_loop(default_only, run):
-    """The loop of the baseline-only build against the Python loop."""
+    """The loop of the baseline-only build against its numpy twin."""
     _check_loops_agree(default_only, run)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_runs())
+def test_observed_runs_equal_plain_runs_and_count_their_draws(kernels, run):
+    """An observer sees every step and sweep and changes nothing, the
+    convergence phase runs ``2 * age_wins + 1 - nwins`` presentations,
+    ``nwins`` counted when it starts, and the generator ends after the
+    draws presented."""
+    ds, params = run
+    events, at_phase = [], []
+
+    def observer(event, state):
+        events.append(event)
+        if event == "phase":
+            at_phase.append(state.som.nwins)
+
+    watched = train_with_state(ds, params, observer=observer)
+    plain = train_with_state(ds, params)
+    assert events.count("step") == plain.t
+    assert events.count("pre_reset") == events.count("post_reset")
+    assert events.count("post_reset") == plain.stats.resets
+    assert _model_bytes(watched, params) == _model_bytes(plain, params)
+    assert watched.stats == plain.stats
+    assert (watched.som.nwins, watched.t) == (plain.som.nwins, plain.t)
+    assert watched.rng.bit_generator.state == plain.rng.bit_generator.state
+    (nwins,) = at_phase
+    assert (plain.stats.convergence_presentations
+            == 2 * params.age_wins + 1 - nwins)
+    scalar = np.random.default_rng(params.seed)
+    for _ in range(plain.t):
+        scalar.integers(len(ds))
+    assert plain.rng.bit_generator.state == scalar.bit_generator.state
 
 
 @st.composite
@@ -714,12 +749,11 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
         som.nwins = params.age_wins
         state = TrainState(som=som, params=params, rng=rng)
         x = nodes[at].center + 0.01
-        assert _present_chunk(state, x[None], np.array([NO_CLASS]),
-                              np.array([0]), allow_insert=True,
-                              observer=None, sweeps=1) == 1
+        _present_chunk(state, x[None], np.array([NO_CLASS]), np.array([0]),
+                       allow_insert=True, observer=None)
         states.append(state)
     (a, b) = states
-    assert a.som._train is not None and b.som._train is None
+    assert a.som._train.args[0] is lib and b.som._train.func is _train_numpy
     assert a.stats == b.stats and a.stats.resets == 1
     assert (a.som.nwins, a.t) == (b.som.nwins, b.t) == (1, 1)
     assert np.array_equal(bits(a.som.centers), bits(b.som.centers))
@@ -794,6 +828,7 @@ def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
     params = HyperParams(a_t=a_t, lp=0.01, beta=0.1, age_wins=100, e_b=0.1,
                          push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
                          epochs=1, n_max=2)
+    lib = _kernel.compiled()
     monkeypatch.setattr(_kernel, "compiled", lambda: None)
     slow = pickle.loads(pickle.dumps(fast))
     states = [TrainState(som=som, params=params,
@@ -802,7 +837,8 @@ def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
         _present_chunk(state, x[None], np.array([1]), np.array([0]),
                        allow_insert=True, observer=None)
     (a, b) = states
-    assert a.som._train is not None and b.som._train is None
+    assert a.som._train.args[0] is lib
+    assert b.som._train.func is _train_numpy
     assert a.stats == b.stats
     assert a.stats.pushes == (winner_label != NO_CLASS)
     assert a.som.labels.tolist() == b.som.labels.tolist()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, Node,
-                     SomMap, TrainState, train, train_with_state)
-from semisom.training import (_CHUNK, handle_reset, init_map, insert_node,
-                              supervised_step, unsupervised_step)
+                     SomMap, TrainState, _kernel, train, train_with_state)
+from semisom.training import (_CHUNK, _present_chunk, handle_reset,
+                              init_map, insert_node)
 from helpers import make_blobs, weighted_distance
 
 
@@ -19,6 +19,12 @@ def params_for(n: int, **overrides) -> HyperParams:
 def fresh_state(som: SomMap, params: HyperParams) -> TrainState:
     return TrainState(som=som, params=params,
                       rng=np.random.default_rng(params.seed))
+
+
+def present(state: TrainState, x, label: int = NO_CLASS) -> None:
+    """One presentation of ``x`` in the map's training loop."""
+    _present_chunk(state, np.asarray(x, dtype=float)[None], np.array([label]),
+                   np.array([0]), allow_insert=True, observer=None)
 
 
 def node_at(center, relevance=None, label=NO_CLASS, wins=0) -> Node:
@@ -76,7 +82,7 @@ def test_unsupervised_low_activation_inserts():
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
     assert act < params.a_t
-    unsupervised_step(state, x, winner, act)
+    present(state, x)
     assert som.n_nodes == 2 and state.stats.insertions == 1
     assert np.array_equal(som.node(1).center, x)
 
@@ -88,7 +94,7 @@ def test_unsupervised_high_activation_updates_winner():
     winner, act = som.find_winner(x)
     assert act >= state.params.a_t
     before = weighted_distance(x, som.node(0))
-    unsupervised_step(state, x, winner, act)
+    present(state, x)
     assert som.n_nodes == 1
     assert weighted_distance(x, som.node(0)) < before
     assert som.node(0).wins == 1
@@ -100,7 +106,7 @@ def test_unsupervised_full_budget_updates_instead_of_inserting():
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
     assert act < state.params.a_t
-    unsupervised_step(state, x, winner, act)
+    present(state, x)
     assert som.n_nodes == 1 and state.stats.insertions == 0
     assert som.node(0).wins == 1
     assert som.node(0).center[0] > 0.1  # moved toward x
@@ -117,7 +123,7 @@ def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     x = np.array([0.5, 0.52])
     winner, act = som.find_winner(x)
     assert winner == 0 and act >= state.params.a_t
-    supervised_step(state, x, label=1, winner=winner, act=act)
+    present(state, x, label=1)
     assert som.label_of(0) == 1
     # adopting class 1 breaks the link with the class-3 node
     assert som.connections == []
@@ -129,7 +135,7 @@ def test_supervised_low_activation_inserts_labeled_node():
     state = fresh_state(som, params_for(5))
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
-    supervised_step(state, x, label=0, winner=winner, act=act)
+    present(state, x, label=0)
     assert som.n_nodes == 2 and som.label_of(1) == 0
 
 
@@ -141,7 +147,7 @@ def test_supervised_wrong_winner_pushes_and_rewards_second():
     winner, act = som.find_winner(x)
     assert winner == 0
     before = weighted_distance(x, som.node(0))
-    supervised_step(state, x, label=1, winner=winner, act=act)
+    present(state, x, label=1)
     assert state.stats.pushes == 1
     assert weighted_distance(x, som.node(0)) > before
     assert som.node(1).wins == 1 and som.node(0).wins == 0
@@ -153,7 +159,7 @@ def test_supervised_wrong_winner_no_second_inserts():
     state = fresh_state(som, params_for(4, a_t=0.99))
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
-    supervised_step(state, x, label=1, winner=winner, act=act)
+    present(state, x, label=1)
     assert som.n_nodes == 2 and som.label_of(1) == 1
 
 
@@ -165,7 +171,7 @@ def test_supervised_wrong_winner_full_map_changes_nothing():
     winner, act = som.find_winner(x)
     assert act < state.params.a_t
     centers, rels = som.centers, som.relevances
-    supervised_step(state, x, label=1, winner=winner, act=act)
+    present(state, x, label=1)
     assert som.n_nodes == 2
     assert np.array_equal(som.centers, centers)
     assert np.array_equal(som.relevances, rels)
@@ -337,3 +343,23 @@ def test_stats_count_presentations_per_phase():
         assert state.stats.convergence_presentations == seen["convergence"]
         assert state.t == 80 + seen["convergence"]
     assert observed.stats == plain.stats
+
+
+# -- one driver ----------------------------------------------------------------
+
+def test_observed_run_calls_the_compiled_loop(monkeypatch):
+    if _kernel.compiled() is None:
+        pytest.skip("no C compiler: maps use numpy kernels")
+    calls = []
+    run = _kernel._train
+
+    def counted(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(_kernel, "_train", counted)
+    ds = make_blobs(30, [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]], 0.08, seed=12)
+    params = params_for(len(ds), a_t=0.97, epochs=2, seed=8)
+    state = train_with_state(ds, params, observer=lambda event, _: None)
+    assert len(calls) == state.t  # one call per presentation
+    assert state.som.n_nodes > 16  # past the first storage, on the way
