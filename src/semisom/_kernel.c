@@ -1,6 +1,8 @@
 /*
  * Compiled kernels of semisom's SomMap, of its training loop and of bulk
- * classification.
+ * classification, and the scanner of CSV and ARFF bodies (som_scan, at the
+ * end of the file), which is bound through a ctypes.CDLL handle, releases
+ * the interpreter lock and touches no Python object.
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py
  * (the training loop's twin, with the insertions and sweeps training.py
@@ -784,4 +786,214 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
         label[r] = lab;
         act[r] = o.top;
     }
+}
+
+/*
+ * The scanner of data.py's table readers: the body of a CSV or ARFF file
+ * in one pass, numbers into a float matrix and each record's label field
+ * as a byte span.
+ *
+ * It reads a strict subset of what the row readers (the csv module and
+ * float()) accept, and refuses the rest, so every value it keeps is the
+ * one float() gives, bit for bit:
+ *  - fields are separated by ',' and a record ends in "\n" or "\r\n"; an
+ *    empty record is skipped, and any other '\r' is refused;
+ *  - a field holds no '"', or is quoted from its first byte to its last,
+ *    with "" for a quote and no line break inside;
+ *  - a number is [+-]?(digits[.[digits]]|.digits)([eE][+-]?digits)?,
+ *    padded only by ASCII spaces and tabs, and its value is finite.
+ *
+ * A number of at most 19 significant digits whose mantissa w is at most
+ * 2^53, with a decimal exponent e of at most 22 in size, is w * 10^e or
+ * w / 10^-e: both operands are exact, so the one IEEE operation rounds
+ * correctly (Clinger, "How to Read Floating Point Numbers Accurately",
+ * 1990). Multiplying by 10^-e instead would not do: that power is not
+ * exact. Any other token of the number's characters goes to strtod, which
+ * rounds correctly too, in a NUL-terminated copy, and counts only if
+ * strtod reads the whole of it. strtod reads the decimal point of the C
+ * library's LC_NUMERIC locale: under a locale whose point is ',' it stops
+ * at the '.', and the token is refused. The scanner touches no Python
+ * object.
+ */
+
+#include <stdlib.h>
+
+/* The longest number the scanner copies for strtod, NUL included. */
+#define TOKEN_MAX 128
+
+/* The powers of ten a double holds exactly. */
+static const double POW10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+INLINE int is_digit(char c)
+{
+    return (unsigned char)(c - '0') < 10;
+}
+
+/* The number [s, e), shorter than TOKEN_MAX, by strtod into *v: 1 if
+ * strtod reads all of it, it holds only the characters of a number and the
+ * value is finite, else 0. */
+static int strtod_number(const char *s, const char *e, double *v)
+{
+    char buf[TOKEN_MAX], *end;
+    const ptrdiff_t len = e - s;
+    for (ptrdiff_t i = 0; i < len; i++)
+        if (!is_digit(s[i]) && s[i] != '.' && s[i] != 'e' && s[i] != 'E' &&
+            s[i] != '+' && s[i] != '-')
+            return 0;
+    memcpy(buf, s, len);
+    buf[len] = '\0';
+    *v = strtod(buf, &end);
+    return end == buf + len && isfinite(*v);
+}
+
+/* Read the number field at s into *v. The field ends at e or before the
+ * first ',', '"' or line break. Returns its end, or NULL when it holds no
+ * number. */
+static const char *number(const char *s, const char *e, double *v)
+{
+    while (s < e && (*s == ' ' || *s == '\t'))
+        s++;
+    /* The fast path's grammar, read where the number stands: the mantissa
+     * w of its significant digits, their count, the count of all its
+     * digits, and its decimal exponent. w wraps past 19 digits, where it
+     * is not used. */
+    const char *p = s;
+    const int neg = p < e && *p == '-';
+    if (p < e && (*p == '+' || *p == '-'))
+        p++;
+    const char *m = p;
+    while (p < e && *p == '0')
+        p++;
+    const char *q = p;
+    uint64_t w = 0;
+    for (; p < e && is_digit(*p); p++)
+        w = w * 10 + (uint64_t)(*p - '0');
+    ptrdiff_t sig = p - q, digits = p - m, exp = 0;
+    if (p < e && *p == '.') {
+        const char *f = ++p;
+        if (sig == 0)
+            while (p < e && *p == '0')
+                p++;
+        q = p;
+        for (; p < e && is_digit(*p); p++)
+            w = w * 10 + (uint64_t)(*p - '0');
+        sig += p - q;
+        digits += p - f;
+        exp = f - p;
+    }
+    int exact = digits > 0;
+    if (exact && p < e && (*p == 'e' || *p == 'E')) {
+        p++;
+        const int down = p < e && *p == '-';
+        if (p < e && (*p == '+' || *p == '-'))
+            p++;
+        q = p;
+        ptrdiff_t x = 0;
+        for (; p < e && is_digit(*p); p++)
+            if (x < 1000)
+                x = x * 10 + (*p - '0');
+        exact = p > q;
+        exp += down ? -x : x;
+    }
+    /* The field's end, and the token's without its padding. Short tokens
+     * only: the exponent above stops growing at 1000, past the reach of
+     * the fewer than TOKEN_MAX digits. */
+    const char *end = p;
+    while (end < e && *end != ',' && *end != '\n' && *end != '\r' &&
+           *end != '"')
+        end++;
+    const char *t = end;
+    while (t > s && (t[-1] == ' ' || t[-1] == '\t'))
+        t--;
+    if (t == s || t - s >= TOKEN_MAX)
+        return NULL;
+    if (!exact || p != t || sig > 19 || w > (UINT64_C(1) << 53) ||
+        exp < -22 || exp > 22)
+        return strtod_number(s, t, v) ? end : NULL;
+    double x = (double)w;
+    x = exp < 0 ? x / POW10[-exp] : x * POW10[exp];
+    *v = neg ? -x : x;
+    return end;
+}
+
+/* The end of field p: past its closing quote if it is quoted, else before
+ * the first ',', '"' or line break. NULL for a quoted field left open at a
+ * line break or the end of the text. */
+static const char *field_end(const char *p, const char *end)
+{
+    if (p < end && *p == '"') {
+        for (p++;; p++) {
+            if (p == end || *p == '\n' || *p == '\r')
+                return NULL;
+            if (*p == '"' && (++p == end || *p != '"'))
+                return p;
+        }
+    }
+    while (p < end && *p != ',' && *p != '\n' && *p != '\r' && *p != '"')
+        p++;
+    return p;
+}
+
+/* The end of the record that p starts, or NULL when p starts neither
+ * "\n" nor "\r\n" and is not the end of the text. */
+INLINE const char *record_end(const char *p, const char *end)
+{
+    if (p == end)
+        return p;
+    if (*p == '\n')
+        return p + 1;
+    if (*p == '\r' && p + 1 < end && p[1] == '\n')
+        return p + 2;
+    return NULL;
+}
+
+/*
+ * Scan the records of the CSV text s[0, len). Each must hold `width`
+ * fields. Field `label` (-1 for none) is kept as the offsets of its bytes,
+ * quotes included, in spans[2r] and spans[2r + 1]; the others are read as
+ * numbers, in order, into the next width - (label >= 0) values of out.
+ * Returns the number of records, or -1 when the text leaves the grammar
+ * above or holds more than `rows` records.
+ */
+ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
+                   ptrdiff_t label, ptrdiff_t rows, double *out,
+                   int64_t *spans)
+{
+    const char *p = s, *const end = s + len;
+    ptrdiff_t r = 0;
+    while (p < end) {
+        const char *next = record_end(p, end);
+        if (next) {
+            p = next;
+            continue;
+        }
+        if (r == rows)
+            return -1;
+        for (ptrdiff_t f = 0; f < width; f++) {
+            const char *a = p;
+            if (f != label && (p == end || *p != '"')) {
+                p = number(p, end, out++);
+            } else if ((p = field_end(p, end)) != NULL) {
+                if (f == label) {
+                    spans[2 * r] = a - s;
+                    spans[2 * r + 1] = p - s;
+                } else if (number(a + 1, p - 1, out++) != p - 1) {
+                    return -1;
+                }
+            }
+            if (p == NULL)
+                return -1;
+            if (f < width - 1) {
+                if (p == end || *p != ',')
+                    return -1;
+                p++;
+            } else if ((p = record_end(p, end)) == NULL) {
+                return -1;
+            }
+        }
+        r++;
+    }
+    return r;
 }

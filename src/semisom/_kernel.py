@@ -9,13 +9,20 @@ package's own directory removes the libraries of earlier sources there;
 the shared one is never pruned, since other checkouts build into it.
 
 The library is loaded with ``ctypes.PyDLL``, which keeps the interpreter
-lock held during a call: the short kernels cost less that way. The one
-exception is ``som_train``, which runs a whole chunk of a training run,
-insertions and pruning sweeps included. It is bound through a
-``ctypes.CDLL`` handle of the same library and releases the lock, so
+lock held during a call: the short kernels cost less that way. Two long
+calls are the exceptions, bound through a ``ctypes.CDLL`` handle of the
+same library, so that they release the lock. ``som_train`` runs a whole
+chunk of a training run, insertions and pruning sweeps included, so
 training runs on several threads at once run in parallel. It runs under
 its map's lock, so another thread blocks on the map while it trains, but
-must not modify the map's arrays behind the lock's back.
+must not modify the map's arrays behind the lock's back. ``som_scan``
+reads the body of a CSV or ARFF file (``scan``); it touches no Python
+object, only the bytes and arrays it is passed. The numbers its exact
+fast path does not take go through ``strtod``, which reads the decimal
+point of the ``LC_NUMERIC`` locale: under a locale whose point is ``,``
+those tokens are refused, and such files are read row by row. That case
+follows from the code; it is not tested, since it needs a comma-decimal
+locale installed.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
@@ -23,6 +30,8 @@ kernels of ``model.py``, which take the same arguments, counters and
 return codes. The twin of ``som_train``, ``_train_numpy``, returns at
 every insertion and every sweep, and ``training.py`` makes them as
 ``som_train`` does. The results are the same bit for bit either way.
+``scan`` then raises ``ValueError``, and ``data.py`` reads the file with
+its row readers, which give the same data.
 """
 
 from __future__ import annotations
@@ -166,9 +175,12 @@ def load(compiler: str = "cc"):
                 if i == 0:
                     _prune(path)
             lib = ctypes.PyDLL(str(path))
-            # a training run is one long call: bound through a CDLL handle
-            # of the same library, it releases the interpreter lock
-            lib.som_train = ctypes.CDLL(str(path)).som_train
+            # a training run and a scan are long calls: bound through a
+            # CDLL handle of the same library, they release the
+            # interpreter lock
+            released = ctypes.CDLL(str(path))
+            lib.som_train = released.som_train
+            lib.som_scan = released.som_scan
         except (OSError, subprocess.SubprocessError):
             continue
         lib.som_winner.argtypes = (_PTR, _SIZE)
@@ -188,6 +200,8 @@ def load(compiler: str = "cc"):
         lib.som_classify.restype = None
         lib.som_reaches.argtypes = (ctypes.c_double,) * 4
         lib.som_reaches.restype = ctypes.c_int
+        lib.som_scan.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR)
+        lib.som_scan.restype = _SIZE
         return lib
     return None
 
@@ -338,3 +352,32 @@ def _train(lib, addr: int, m: int, n: int, p: Params, chunk: Chunk) -> int:
         raise IndexError(f"position {chunk.count[0]} outside the "
                          f"{chunk.k} draws")
     return lib.som_train(addr, n, ctypes.byref(p), *chunk._args)
+
+
+def scan(text: bytes, start: int, width: int, label: int | None):
+    """The CSV records of ``text[start:]``, read by ``som_scan``.
+
+    Each record holds ``width`` fields; field ``label`` (``None`` for none)
+    is the label, the others are numbers. Returns the float matrix of the
+    numbers, one row per record, and the ``(start, end)`` offsets in
+    ``text`` of each record's label field, quotes included. Raises
+    ``ValueError`` when the text leaves the scanner's grammar (see
+    ``_kernel.c``) or no library is loaded.
+    """
+    if not 0 <= start <= len(text):
+        raise IndexError(f"start {start} outside the {len(text)} bytes")
+    if label is not None and not 0 <= label < width:
+        raise IndexError(f"label field {label} outside the {width} fields")
+    lib = compiled()
+    if lib is None:
+        raise ValueError("no compiled scanner")
+    rows = text.count(b"\n", start) + 1
+    out = np.empty((rows, width - (label is not None)))
+    spans = np.empty((rows if label is not None else 0, 2), dtype=np.int64)
+    got = lib.som_scan(np.frombuffer(text, np.uint8).ctypes.data + start,
+                       len(text) - start, width,
+                       -1 if label is None else label, rows,
+                       out.ctypes.data, spans.ctypes.data)
+    if got < 0:
+        raise ValueError("outside the scanner's grammar")
+    return out[:got], spans[:got] + start

@@ -58,7 +58,7 @@ def _load_dataset(path: str, label_column: str | None = None) -> Dataset:
 def _read_params_file(path: str) -> dict:
     values = {}
     with _utf8_text(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

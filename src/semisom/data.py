@@ -2,23 +2,30 @@
 
 Two on-disk formats are supported: a restricted ARFF subset (numeric
 feature attributes plus one nominal class attribute, ``%`` comments,
-case-insensitive keywords) and headered CSV. Patterns are kept as a float
-matrix; labels are integer ids into ``class_names`` with ``NO_CLASS``
-marking unlabeled rows.
+case-insensitive keywords) and headered CSV, both UTF-8, a leading byte
+order mark skipped. Patterns are kept as a float matrix; labels are
+integer ids into ``class_names`` with ``NO_CLASS`` marking unlabeled rows.
+
+Each format has two readers. The table reader hands the body to the
+compiled scanner, ``_kernel.scan``, in one pass; it accepts a strict subset
+of CSV and of ``float()``'s spellings, and raises ``ValueError`` for
+anything else, or when no library is loaded. The row reader then reads the
+file again with ``csv`` and ``float()``, and is the reference: the two give
+the same data bit for bit wherever the scanner accepts a file.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
-import io
-import itertools
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .model import NO_CLASS
 
 
@@ -134,7 +141,7 @@ def load_arff(path) -> Dataset:
     attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
     lines: list[tuple[int, str]] = []  # data lines: (line number, text)
     in_data = False
-    with _utf8_text(path), path.open(encoding="utf-8") as fh:
+    with _utf8_text(path), path.open(encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -197,9 +204,9 @@ def load_arff(path) -> Dataset:
         patterns, labels = _read_arff_table(lines, len(attrs), class_idx,
                                             value_ids)
     except ValueError:
-        # The C reader refused the lines, or they hold something the row
-        # reader may read differently or reject: the row reader decides,
-        # and names the bad line if there is one.
+        # The scanner refused the lines, or they hold an undeclared class
+        # value: the row reader decides, and names the bad line if there
+        # is one.
         patterns, labels = _read_arff_rows(path, lines, attrs, class_idx,
                                            feature_idx, value_ids)
     return Dataset(
@@ -212,31 +219,21 @@ def load_arff(path) -> Dataset:
 
 def _read_arff_table(lines: list[tuple[int, str]], width: int,
                      class_idx: int, value_ids: dict[str, int]):
-    """Patterns and label ids of the ARFF data lines, in one numpy pass.
+    """Patterns and label ids of the ARFF data lines, in one scanner pass.
 
-    Raises ``ValueError`` for any line the row reader might read
-    differently or reject: one the C reader refuses (another field count
-    included), a quoted field spanning lines, the control characters of
-    ``_FLOAT_REFUSES``, non-finite values and undeclared class values.
+    The lines are stripped and hold no line break, so each is one record.
+    Raises ``ValueError`` when the scanner refuses a line (another field
+    count, a quote left open, a number outside its grammar or not finite)
+    or a class value is undeclared: the row reader then decides.
     """
-    text = [line for _, line in lines]
-    if any(c.decode() in line for line in text for c in _FLOAT_REFUSES):
-        raise ValueError("control character in the data")
-    fields = [("lo", float, (class_idx,)), ("cls", object),
-              ("hi", float, (width - 1 - class_idx,))]
-    table = np.loadtxt(text, dtype=fields, delimiter=",", comments=None,
-                       quotechar='"', ndmin=1)
-    if len(table) != len(text):
-        raise ValueError("a quoted field spans lines")
-    patterns = np.concatenate([table["lo"], table["hi"]], axis=1)
-    if not np.isfinite(patterns).all():
-        raise ValueError("non-finite value")
-    tokens, inverse = np.unique(table["cls"], return_inverse=True)
-    ids = [value_ids.get(_strip_quotes(t.strip()), -1)
-           for t in tokens.tolist()]
+    text = "\n".join(line for _, line in lines).encode("utf-8")
+    patterns, spans = _kernel.scan(text, 0, width, class_idx)
+    fields, codes = _label_fields(text, spans)
+    ids = [value_ids.get(_strip_quotes(field.strip()), -1)
+           for field in fields]
     if -1 in ids:
         raise ValueError("undeclared class value")
-    return patterns, np.array(ids, dtype=np.int64)[inverse]
+    return patterns, np.array(ids, dtype=np.int64)[codes]
 
 
 def _read_arff_rows(path, lines: list[tuple[int, str]],
@@ -281,58 +278,51 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     try:
         return _read_csv_table(path, label_column)
     except ValueError:
-        # The C reader refused the file, or accepted something the row
-        # reader may read differently: the row reader decides, and names
+        # The scanner refused the file: the row reader decides, and names
         # the bad line if there is one.
         with _utf8_text(path):
             return _read_csv_rows(path, label_column)
 
 
-# Around a number numpy's C reader skips U+001C..U+001F as whitespace;
-# ``float()`` refuses them.
-_FLOAT_REFUSES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# A record of the scanner's grammar: fields without a quote, or quoted
+# from end to end with "" for a quote, and no line break but its end.
+_FIELD = rb'(?:"(?:[^"\r\n]|"")*"|[^",\r\n]*)'
+_RECORD_RE = re.compile(rb"%s(?:,%s)*\r?\n?" % (_FIELD, _FIELD))
 
 
 def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
-    """Parse the body with numpy's C reader, in one pass and no Python loop.
+    """Parse the body with the compiled scanner, in one pass.
 
-    Raises ``ValueError`` for any file the row reader might read
-    differently: one the C reader refuses (rows of another width than the
-    header included), non-finite values, no data rows, and the characters
-    above.
+    The header is the first non-empty record, read with ``csv``; the body
+    after it goes to ``_kernel.scan`` as bytes. Raises ``ValueError`` for
+    any file the row reader might read differently: a header or body
+    outside the scanner's grammar (rows of another width than the header
+    and values that are not finite included), text that is not UTF-8, no
+    data rows, and any file when no library is loaded.
     """
     raw = path.read_bytes()
-    if any(c in raw for c in _FLOAT_REFUSES):
-        raise ValueError("control character in the file")
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                          newline="") as fh:
-        header = next((row for row in csv.reader(fh) if row), None)
-        if header is None:
-            raise ValueError("empty file")
-        header, class_idx, feature_idx = _csv_columns(path, header,
-                                                      label_column)
-        # Without a data line numpy would warn; the row reader reports it.
-        first = next((line for line in fh if line.strip("\r\n")), None)
-        if first is None:
-            raise ValueError("no data rows")
-        # One structured row per line: the C reader then insists on the
-        # header's column count.
-        k = len(feature_idx) if class_idx is None else class_idx
-        fields = [("lo", float, (k,))]
-        if class_idx is not None:
-            fields += [("cls", object), ("hi", float, (len(feature_idx) - k,))]
-        table = np.loadtxt(itertools.chain((first,), fh), dtype=fields,
-                           delimiter=",", comments=None, quotechar='"',
-                           ndmin=1)
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    while raw.startswith((b"\n", b"\r\n"), start):
+        start = raw.index(b"\n", start) + 1
+    end = raw.find(b"\n", start) + 1 or len(raw)
+    line = raw[start:end]
+    if not line or not _RECORD_RE.fullmatch(line):
+        raise ValueError("no header the scanner reads")
+    header, class_idx, feature_idx = _csv_columns(
+        path, next(csv.reader([line.decode("utf-8")])), label_column)
+    patterns, spans = _kernel.scan(raw, end, len(header), class_idx)
+    if not len(patterns):
+        raise ValueError("no data rows")
     if class_idx is None:
-        patterns = table["lo"]
         labels = np.full(len(patterns), NO_CLASS, dtype=np.int64)
         class_names: tuple[str, ...] = ()
     else:
-        patterns = np.concatenate([table["lo"], table["hi"]], axis=1)
-        labels, class_names = _class_ids(table["cls"])
-    if not np.isfinite(patterns).all():
-        raise ValueError("non-finite value")
+        fields, codes = _label_fields(raw, spans)
+        ids: dict[str, int] = {}
+        class_of = [ids.setdefault(field.strip(), len(ids))
+                    for field in fields]
+        labels = np.array(class_of, dtype=np.int64)[codes]
+        class_names = tuple(ids)
     return Dataset(
         patterns=patterns,
         labels=labels,
@@ -341,16 +331,18 @@ def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
     )
 
 
-def _class_ids(tokens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Ids of the stripped tokens, numbered in order of first appearance."""
-    raw, first, inverse = np.unique(tokens, return_index=True,
-                                    return_inverse=True)
-    names = [token.strip() for token in raw.tolist()]
-    ids: dict[str, int] = {}
-    for k in np.argsort(first).tolist():
-        ids.setdefault(names[k], len(ids))
-    return (np.array([ids[name] for name in names], dtype=np.int64)[inverse],
-            tuple(ids))
+def _label_fields(text: bytes, spans: np.ndarray):
+    """The distinct label fields of the scanned records, unquoted as
+    ``csv`` unquotes them, in order of first appearance, and each record's
+    index into them. Raises ``UnicodeDecodeError`` for a field that is not
+    UTF-8."""
+    tokens = list(map(text.__getitem__, map(slice, *spans.T.tolist())))
+    seen = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    codes = np.fromiter(map(seen.__getitem__, tokens), dtype=np.int64,
+                        count=len(tokens))
+    fields = [(token[1:-1].replace(b'""', b'"') if token[:1] == b'"'
+               else token).decode("utf-8") for token in seen]
+    return fields, codes
 
 
 def _csv_columns(path, header: list[str], label_column: str | None):
@@ -372,7 +364,7 @@ def _csv_columns(path, header: list[str], label_column: str | None):
 
 def _read_csv_rows(path: Path, label_column: str | None) -> Dataset:
     """Parse row by row with ``csv`` and ``float()``; errors name the line."""
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
                  if row]

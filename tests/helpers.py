@@ -152,7 +152,7 @@ def reference_load_arff(path) -> Dataset:
     attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
     rows: list[tuple[int, list[str]]] = []
     in_data = False
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -242,7 +242,7 @@ def reference_load_arff(path) -> Dataset:
 def reference_load_csv(path, label_column: str | None = None) -> Dataset:
     """The CSV loader row by row: ``csv`` records and ``float()`` per cell."""
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
                  if row]

@@ -11,7 +11,7 @@ import pytest
 import semisom
 from semisom import (REJECTED, HyperParams, apply_norm, mask_labels,
                      normalize, save_model, train_with_state)
-from semisom.cli import main
+from semisom.cli import _read_params_file, main
 from helpers import make_synthetic, reference_classify
 
 ARFF = """@relation toy
@@ -84,6 +84,14 @@ def test_train_reads_params_file(arff_path, tmp_path):
                  str(pfile), "--quiet", "--seed", "1"]) == 0
     text = out.read_text()
     assert '"a_t": 0.9' in text and '"push_rate": 0.02' in text
+
+
+def test_params_file_with_a_byte_order_mark(tmp_path):
+    """Excel and Notepad may start a UTF-8 file with U+FEFF; it is not part
+    of the first parameter's name."""
+    pfile = tmp_path / "params.txt"
+    pfile.write_text("\ufeffa_t = 0.9\nepochs = 5\n", encoding="utf-8")
+    assert _read_params_file(pfile) == {"a_t": 0.9, "epochs": 5}
 
 
 def test_missing_data_file_is_data_error(tmp_path, capsys):

@@ -1,11 +1,16 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semisom import (NO_CLASS, DataFormatError, Dataset, apply_norm, data,
-                     kfold_split, load_arff, load_csv, mask_labels, normalize)
+from semisom import (NO_CLASS, DataFormatError, Dataset, _kernel, apply_norm,
+                     data, kfold_split, load_arff, load_csv, mask_labels,
+                     normalize)
 from helpers import reference_load_arff, reference_load_csv
 
 ARFF_OK = """\
@@ -141,7 +146,7 @@ ARFF_HEAD = "@relation t\n@attribute f1 numeric\n@attribute class {a,b}\n@data\n
 
 @pytest.mark.parametrize("body", [
     '1,a\n"2\n",b\n',  # one quoted field over two lines
-    "1,a\n2\x1c,b\n",  # a character numpy skips and float() refuses
+    "1,a\n2\x1c,b\n",  # a control character float() refuses
     "1,a\n2,'b\n",
     "1,a\n2_0,b,\n",
     "1,a\n1e309,b\n",
@@ -325,7 +330,7 @@ NON_FINITE = st.tuples(
 
 
 def rarely(draw, odd, plain):
-    """Mostly ``plain``: a file with a single oddity reaches the C reader."""
+    """Mostly ``plain``: a file with a single oddity reaches the scanner."""
     return draw(odd if draw(st.integers(0, 9)) == 0 else plain)
 
 
@@ -380,6 +385,188 @@ def test_load_csv_matches_the_row_reference(tmp_path_factory, case):
     path = write_bytes(tmp_path_factory.mktemp("csv"), "gen.csv", text)
     assert (csv_outcome(load_csv, path, label_column)
             == csv_outcome(reference_load_csv, path, label_column))
+
+
+# -- byte order mark ---------------------------------------------------------
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("body", ["1,x\n2.5,y\n", "1_0,x\n2.5,y\n"],
+                         ids=["scanner", "row-reader"])
+def test_csv_with_a_byte_order_mark(tmp_path, body):
+    """Excel's "CSV UTF-8" starts the file with U+FEFF; it is not part of
+    the first column's name, on either reader."""
+    path = write(tmp_path, "bom.csv", BOM + "f1,class\n" + body)
+    ds = load_csv(path)
+    assert ds.dim_names == ("f1",) and ds.class_names == ("x", "y")
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
+                                                      path)
+
+
+@pytest.mark.parametrize("text", [ARFF_OK, ARFF_OK.replace("3.5", "3_5")],
+                         ids=["scanner", "row-reader"])
+def test_arff_with_a_byte_order_mark(tmp_path, text):
+    path = write(tmp_path, "bom.arff", BOM + text)
+    ds = load_arff(path)
+    assert ds.dim_names == ("width", "height") and len(ds) == 3
+    assert arff_outcome(load_arff, path) == arff_outcome(reference_load_arff,
+                                                         path)
+
+
+# -- the scanner -------------------------------------------------------------
+
+def scan_token(text: str):
+    """The scanner's value of ``text`` as the one field of a record, or
+    ``None`` when it refuses it."""
+    if _kernel.compiled() is None:
+        pytest.skip("no compiled scanner")
+    try:
+        values, _ = _kernel.scan(text.encode() + b"\n", 0, 1, None)
+    except ValueError:
+        return None
+    return float(values[0, 0]) if len(values) else None
+
+
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def assert_reads_as_float(text: str) -> None:
+    got = scan_token(text)
+    assert got is not None, f"the scanner refused {text!r}"
+    assert float_bits(got) == float_bits(float(text)), text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text("0123456789.eE+-_xnaif \t", max_size=12))
+@example("0.3")
+@example("1e")
+@example(" -0.0\t")
+def test_scanner_reads_a_token_as_float_does_or_refuses_it(text):
+    got = scan_token(text)
+    if got is not None:
+        assert float_bits(got) == float_bits(float(text)), text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 20))
+@example(0.3, 0)
+@example(-0.0, 0)
+@example(5e-324, 17)
+@example(2.2250738585072014e-308, 20)
+@example(1.7976931348623157e308, 3)
+# above 2^53, this mantissa rounds once to a double and again in the divide
+@example(0.12088995980580641, 1)
+def test_scanner_reads_every_spelling_of_a_finite_float(x, p):
+    """``repr`` and the ``e`` and ``g`` formats at every precision; those
+    that round past the largest double are not finite and refused."""
+    for text in (repr(x), format(x, f".{p}e"), format(x, f".{p}g")):
+        if math.isfinite(float(text)):
+            assert_reads_as_float(text)
+        else:
+            assert scan_token(text) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 30 + 1, 10 ** 30 - 1))
+def test_scanner_reads_integers_of_up_to_30_digits(n):
+    assert_reads_as_float(str(n))
+
+
+@pytest.mark.parametrize("text", ["4.", ".5", "+.5e-3", "1e-400", "-1e-400",
+                                  "0e999", "00012.50", " 7\t", "1E+22",
+                                  "9007199254740993", "1e23"])
+def test_scanner_reads_the_spellings_of_its_grammar(text):
+    assert_reads_as_float(text)
+
+
+@pytest.mark.parametrize("text", ["1e309", "-1e309", "0x1p3", "1_0", "inf",
+                                  "nan", "", " ", "1e", "1e+", ".", "+",
+                                  "1.2.3", "--1", "1 2", "e5", "\xa01"])
+def test_scanner_refuses_what_is_outside_its_grammar(text):
+    assert scan_token(text) is None
+
+
+@pytest.mark.parametrize("start, label", [(-1, None), (3, None), (0, 1),
+                                          (0, -1)])
+def test_scan_checks_its_arguments_before_the_c_code(start, label):
+    with pytest.raises(IndexError):
+        _kernel.scan(b"1\n", start, 1, label)
+
+
+def perfbench_inputs():
+    """``perfbench/inputs.py``, which writes the benchmark's data files."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# How a clean file may be laid out: as written, with CRLF line ends, with
+# every field quoted, or with every field padded by spaces and tabs.
+LAYOUTS = {
+    "plain": lambda line: line,
+    "crlf": lambda line: line + "\r",
+    "quoted": lambda line: ",".join(f'"{f}"' for f in line.split(",")),
+    "padded": lambda line: ",".join(f" {f}\t" for f in line.split(",")),
+}
+
+
+def lay_out(path: Path, layout: str) -> None:
+    """Rewrite the data lines of ``path`` (those after the CSV header or
+    ``@data``) in ``layout``."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    first = (lines.index("@data") if path.suffix == ".arff" else 0) + 1
+    lines[first:] = [LAYOUTS[layout](line) if line else line
+                     for line in lines[first:]]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _no_row_reader(*args):
+    raise AssertionError("a clean file reached the row reader")
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("writer", ["perfbench", "golden"])
+@pytest.mark.parametrize("suffix", [".csv", ".arff"])
+def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
+                                            writer, layout):
+    """Files as the benchmark and the golden tests write them, ``repr``
+    floats of every magnitude, load through the table readers without a
+    fallback, and bit for bit as the row reference loads them."""
+    if _kernel.compiled() is None:
+        pytest.skip("no compiled scanner")
+    rng = np.random.default_rng(7)
+    patterns = rng.uniform(0.0, 1.0, size=(40, 5))
+    patterns[:, 1] = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30,
+                                                                      40)
+    patterns[:4, 2] = [5e-324, -0.0, 1.7976931348623157e308, 1e22]
+    labels = rng.integers(3, size=40)
+    names = ["k0", "k1", "k2"]
+    path = tmp_path / ("data" + suffix)
+    if writer == "golden":
+        from test_golden import _write_table
+        _write_table(path, patterns, [names[c] for c in labels])
+    elif suffix == ".arff":
+        perfbench_inputs().write_arff(path, patterns, labels, names)
+    else:
+        perfbench_inputs().write_csv(path, patterns,
+                                     [names[c] for c in labels])
+    lay_out(path, layout)
+    monkeypatch.setattr(data, "_read_csv_rows", _no_row_reader)
+    monkeypatch.setattr(data, "_read_arff_rows", _no_row_reader)
+    load, reference = ((load_csv, reference_load_csv) if suffix == ".csv"
+                       else (load_arff, reference_load_arff))
+    got, want = load(path), reference(path)
+    assert np.array_equal(got.patterns.view(np.uint64),
+                          want.patterns.view(np.uint64))
+    assert np.array_equal(got.patterns.view(np.uint64),
+                          patterns.view(np.uint64))
+    assert got.labels.tolist() == want.labels.tolist()
+    assert (got.class_names, got.dim_names) == (want.class_names,
+                                                want.dim_names)
 
 
 # -- normalization -----------------------------------------------------------

@@ -4,7 +4,9 @@ Each file starts valid and takes a few byte edits: a byte replaced,
 inserted or deleted, drawn from the bytes the formats give a meaning to
 and from any byte at all. A loader must read the result or raise
 ``DataFormatError``: any other exception, a bare ``ValueError`` included,
-fails. ``semisom train`` must exit 0 or 2 (data error), and on a params
+fails. A CSV or ARFF file it reads must give the data set the row-by-row
+reference of ``helpers.py`` gives, bit for bit, so a misread byte fails
+too. ``semisom train`` must exit 0 or 2 (data error), and on a params
 file also 1, the parameter-error code, when a value lies outside its
 domain, which it names as ``HyperParams.validate`` does.
 """
@@ -15,11 +17,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semisom import DataFormatError, load_arff, load_csv
 from semisom.cli import _read_params_file, main
+from helpers import reference_load_arff, reference_load_csv
 
 CSV = b"x,y,class\n0.1,0.2,a\n0.8,0.9,b\n0.15,0.25,a\n0.85,0.8,b\n"
 ARFF = (b"% four points\n@relation r\n@attribute x numeric\n"
@@ -58,24 +62,33 @@ def _file(name: str, data: bytes):
         yield path
 
 
-def _reads_or_refuses(read, name: str, data: bytes) -> None:
+def _reads_or_refuses(read, name: str, data: bytes, reference=None):
+    """``read`` the file ``data``; what it reads must equal what
+    ``reference``, if given, reads."""
     with _file(name, data) as path:
         try:
-            read(path)
+            ds = read(path)
         except DataFormatError:
-            pass
+            return
+        if reference is not None:
+            want = reference(path)
+            assert np.array_equal(ds.patterns.view(np.uint64),
+                                  want.patterns.view(np.uint64))
+            assert ds.labels.tolist() == want.labels.tolist()
+            assert ds.class_names == want.class_names
+            assert ds.dim_names == want.dim_names
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated(CSV))
 def test_load_csv_reads_or_refuses_a_mutated_file(data):
-    _reads_or_refuses(load_csv, "d.csv", data)
+    _reads_or_refuses(load_csv, "d.csv", data, reference_load_csv)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated(ARFF))
 def test_load_arff_reads_or_refuses_a_mutated_file(data):
-    _reads_or_refuses(load_arff, "d.arff", data)
+    _reads_or_refuses(load_arff, "d.arff", data, reference_load_arff)
 
 
 @settings(max_examples=300, deadline=None)
