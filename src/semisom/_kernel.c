@@ -1,19 +1,21 @@
 /*
- * Compiled kernels of semisom's SomMap, of its training loop and of bulk
- * classification, and the scanner of CSV and ARFF bodies (som_scan, at the
- * end of the file), which is bound through a ctypes.CDLL handle, releases
- * the interpreter lock and touches no Python object.
+ * Compiled kernels of semisom's SomMap (the winner search som_winner and
+ * the link recomputation som_link), of its training loop (som_train, whose
+ * node update exists only inside the loop) and of bulk classification,
+ * and the scanner of CSV and ARFF bodies (som_scan, at the end of the
+ * file), which is bound through a ctypes.CDLL handle, releases the
+ * interpreter lock and touches no Python object.
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py
  * (the training loop's twin, with the insertions and sweeps training.py
  * makes, included) or the numpy block pass of inference.py that it
- * replaces: the same float operations on the same
- * operands in the same order. min/max propagate NaN and the logistic
- * curve is 1 / (1 + exp(-z)) as in scipy's expit, with the C library's
- * exp, one value at a time. som_classify takes another route to the same
- * outcome: it computes the screen's bounds with the numpy pass's
- * operations, but tests most pairs against them in the squared-distance
- * domain, and every activation that decides is computed as winner() does.
+ * replaces: the same float operations on the same operands in the same
+ * order. min/max propagate NaN and the logistic curve is 1 / (1 + exp(-z))
+ * as in scipy's expit, with the C library's exp, one value at a time.
+ * som_classify takes another route to the same outcome: it computes the
+ * screen's bounds with the numpy pass's operations, but tests most pairs
+ * against them in the squared-distance domain, and every activation that
+ * decides is computed as winner() does.
  *
  * Every sum is numpy's pairwise summation, in one leaf (sum0): the eight
  * accumulators numpy keeps for each block of 8 terms are the lanes of two
@@ -43,13 +45,12 @@
 
 /* One map's storage, rows for `capacity` nodes: node rows (centers, rel,
  * dist), per-node relevance sums, activations, wins and labels, the
- * adjacency bit rows, and scratch for the pattern (x, m doubles) and the
- * rates and rows of an update (lr, idx). */
+ * adjacency bit rows, and scratch for the pattern of a winner search (x,
+ * m doubles). */
 struct som_view {
     ptrdiff_t m, words, capacity;
     double eps;
-    double *centers, *rel, *dist, *sums, *acts, *x, *lr;
-    ptrdiff_t *idx;
+    double *centers, *rel, *dist, *sums, *acts, *x;
     int64_t *wins, *labels;
     uint64_t *adj;
 };
@@ -203,7 +204,7 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
 }
 
 /* Node update of row j toward x at rate l, in place on centers, dist, rel
- * and sums. */
+ * and sums: one row of model._update_numpy. */
 static void update_row(const struct som_view *v, ptrdiff_t j, const double *x,
                        double l, double beta, double slope)
 {
@@ -311,24 +312,6 @@ static ptrdiff_t second_winner(const struct som_view *v, ptrdiff_t n,
 ptrdiff_t som_winner(const struct som_view *v, ptrdiff_t n)
 {
     return winner(v, n, v->x);
-}
-
-/*
- * Node update of the k rows v->idx[0..k) for the pattern in v->x, row i at
- * rate v->lr[i * lr_step] (lr_step 0 gives every row the rate v->lr[0]), in
- * place on centers, dist, rel and sums. Rows are updated one after another.
- * Returns -1, having written nothing, when an index lies outside [0, n);
- * 0 otherwise.
- */
-int som_update(const struct som_view *v, ptrdiff_t n, ptrdiff_t k,
-               ptrdiff_t lr_step, double beta, double slope)
-{
-    for (ptrdiff_t i = 0; i < k; i++)
-        if (v->idx[i] < 0 || v->idx[i] >= n)
-            return -1;
-    for (ptrdiff_t i = 0; i < k; i++)
-        update_row(v, v->idx[i], v->x, v->lr[i * lr_step], beta, slope);
-    return 0;
 }
 
 /* A fresh node n at x, as SomMap.add_node adds it (relevances one,

@@ -68,9 +68,8 @@ class View(ctypes.Structure):
     _fields_ = [("m", _SIZE), ("words", _SIZE), ("capacity", _SIZE),
                 ("eps", ctypes.c_double),
                 ("centers", _PTR), ("rel", _PTR), ("dist", _PTR),
-                ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("lr", _PTR),
-                ("idx", _PTR), ("wins", _PTR), ("labels", _PTR),
-                ("adj", _PTR)]
+                ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("wins", _PTR),
+                ("labels", _PTR), ("adj", _PTR)]
 
 
 class Nodes(ctypes.Structure):
@@ -105,10 +104,10 @@ SLOTS = ("pos", "nwins", "t", "supervised", "unsupervised", "pushes",
 # it so that they fit a C integer.
 NEVER = 2 ** 62
 
-_DTYPES = dict(idx=np.intp, wins=np.int64, labels=np.int64, adj=np.uint64)
+_DTYPES = dict(wins=np.int64, labels=np.int64, adj=np.uint64)
 
 Kernels = collections.namedtuple("Kernels",
-                                 "view winner update link train classify")
+                                 "view winner link train classify")
 
 
 def params(hp, allow_insert: bool) -> Params:
@@ -185,9 +184,6 @@ def load(compiler: str = "cc"):
             continue
         lib.som_winner.argtypes = (_PTR, _SIZE)
         lib.som_winner.restype = _SIZE
-        lib.som_update.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, ctypes.c_double,
-                                   ctypes.c_double)
-        lib.som_update.restype = ctypes.c_int
         lib.som_link.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, ctypes.c_double)
         lib.som_link.restype = None
         lib.som_train.argtypes = (_PTR, _SIZE, ctypes.POINTER(Params), _PTR,
@@ -232,10 +228,7 @@ def bind(m: int, eps: float, words: int, capacity: int,
     ``capacity`` nodes; ``words`` is the length of an adjacency bit row.
     Returns ``Kernels``: the view and the callables
 
-    - ``winner(n)``, which returns the winner's row;
-    - ``update(n, k, lr_step, beta, slope)``, which updates the ``k`` rows
-      of ``idx`` one after another and returns -1 (writing nothing) when a
-      row lies outside ``[0, n)``, else 0;
+    - ``winner(n)``, which returns the winner's row for the pattern in ``x``;
     - ``link(n, j, lo, minwd)``, which recomputes the links between node
       ``j`` and the nodes of ``[lo, n)``;
     - ``train(n, params, chunk)``, which runs the presentations of a
@@ -261,7 +254,6 @@ def bind(m: int, eps: float, words: int, capacity: int,
                 **{name: a.ctypes.data for name, a in arrays.items()})
     addr = ctypes.addressof(view)
     return Kernels(view, functools.partial(lib.som_winner, addr),
-                   functools.partial(lib.som_update, addr),
                    functools.partial(lib.som_link, addr),
                    functools.partial(_train, lib, addr, m),
                    functools.partial(_classifier, lib, eps))

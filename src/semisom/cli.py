@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 _PARAM_ALIASES = {"e_w": "push_rate"}
-_PARAM_FIELDS = ("a_t", "lp", "beta", "age_wins", "e_b", "push_rate", "e_n",
-                 "eps_beta", "minwd", "epochs", "n_max", "seed")
-_INT_FIELDS = {"age_wins", "epochs", "n_max", "seed"}
+_PARAM_FIELDS = tuple(f.name for f in fields(HyperParams))
+_INT_FIELDS = {f.name for f in fields(HyperParams) if f.type in ("int", int)}
 
 
 class _UsageError(Exception):
@@ -91,8 +91,6 @@ def _build_params(args, n_patterns: int) -> HyperParams:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if args.seed is not None:
-        values["seed"] = args.seed
     params = HyperParams(**values)
     params.validate()
     return params
@@ -216,20 +214,25 @@ def build_parser() -> _Parser:
                      description="Semi-supervised self-organizing map")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_int_from(0), default=None,
-                       help="master random seed")
-        p.add_argument("--jobs", type=_positive_int, default=None,
-                       help="sweep runs in flight at once, on threads "
-                            "(default: one per core); set "
-                            "OPENBLAS_NUM_THREADS=1 when above 1")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress output")
-        p.add_argument("--label-column", default=None,
-                       help="CSV column holding class labels")
+    # the flags several commands read; each command registers those it reads
+    shared = {
+        "seed": dict(type=_int_from(0), default=None,
+                     help="master random seed"),
+        "jobs": dict(type=_positive_int, default=None,
+                     help="sweep runs in flight at once, on threads "
+                          "(default: one per core); set "
+                          "OPENBLAS_NUM_THREADS=1 when above 1"),
+        "quiet": dict(action="store_true", help="suppress progress output"),
+        "label-column": dict(default=None,
+                             help="CSV column holding class labels"),
+    }
+
+    def common(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p_train = sub.add_parser("train", help="train a map and save it")
-    common(p_train)
+    common(p_train, "seed", "quiet", "label-column")
     p_train.add_argument("data", help="dataset file (.arff or .csv)")
     p_train.add_argument("-o", "--out", required=True,
                          help="output model path (JSON)")
@@ -244,7 +247,7 @@ def build_parser() -> _Parser:
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="classify patterns with a model")
-    common(p_pred)
+    common(p_pred, "quiet", "label-column")
     p_pred.add_argument("model", help="model file from 'train'")
     p_pred.add_argument("data", help="dataset file (.arff or .csv)")
     p_pred.add_argument("-o", "--out", required=True,
@@ -253,7 +256,7 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep",
                              help="cross-validated hyperparameter search")
-    common(p_sweep)
+    common(p_sweep, "seed", "jobs", "quiet", "label-column")
     p_sweep.add_argument("data", help="fully labeled dataset file")
     p_sweep.add_argument("-o", "--out-dir", required=True,
                          help="directory for results.csv / curve.csv")
@@ -270,7 +273,6 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_inspect = sub.add_parser("inspect", help="print a model summary")
-    common(p_inspect)
     p_inspect.add_argument("model", help="model file from 'train'")
     p_inspect.set_defaults(func=cmd_inspect)
     return parser

@@ -426,18 +426,20 @@ def apply_norm(stats: NormStats, patterns: np.ndarray) -> np.ndarray:
     """Scale ``patterns`` with previously recorded ranges, clamped to [0, 1].
 
     A range wider than the largest float, such as ``[-1e308, 1e308]``, is
-    scaled by halves, ``(x/2 - min/2) / (max/2 - min/2)``.
+    scaled by halves, ``(x/2 - min/2) / (max/2 - min/2)``. A value far
+    outside a narrow (say subnormal) range scales to an infinity, which
+    is clamped as any value outside the range is.
     """
     patterns = np.asarray(patterns, dtype=float)
     with np.errstate(over="ignore"):
         span = stats.maxs - stats.mins
         scaled = patterns - stats.mins
-    wide = np.isinf(span)
-    if wide.any():
-        half = stats.mins[wide] / 2
-        span[wide] = stats.maxs[wide] / 2 - half
-        scaled[..., wide] = patterns[..., wide] / 2 - half
-    scaled /= np.where(span > 0.0, span, 1.0)
+        wide = np.isinf(span)
+        if wide.any():
+            half = stats.mins[wide] / 2
+            span[wide] = stats.maxs[wide] / 2 - half
+            scaled[..., wide] = patterns[..., wide] / 2 - half
+        scaled /= np.where(span > 0.0, span, 1.0)
     scaled = np.where(span > 0.0, scaled, 0.5)
     return np.clip(scaled, 0.0, 1.0, out=scaled)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import threading
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -76,16 +75,18 @@ class HyperParams:
         """Raise ``ValueError`` if any parameter is outside its domain.
 
         The counts (``age_wins``, ``epochs``, ``n_max``, ``seed``) must be
-        integers, numpy's included but not bools; every other value must
-        be a finite number.
+        integers, numpy's included; every other value must be a finite
+        number. A bool, Python's or numpy's, is neither.
         """
         for f in fields(self):
             value = getattr(self, f.name)
+            is_bool = isinstance(value, (bool, np.bool_))
             if f.type in ("int", int):
-                if (isinstance(value, bool)
-                        or not isinstance(value, numbers.Integral)):
+                if is_bool or not isinstance(value, numbers.Integral):
                     raise ValueError(
                         f"{f.name} must be an integer, got {value!r}")
+            elif is_bool:
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.a_t < 1.0:
@@ -261,17 +262,17 @@ def _winner_numpy(v: SimpleNamespace, n: int) -> int:
     return int(np.argmax(v.acts[:n]))
 
 
-def _update_numpy(v: SimpleNamespace, n: int, k: int, lr_step: int,
-                  beta: float, slope: float) -> int:
-    """``som_update`` in numpy: rows one after another, -1 for a missing row."""
-    rows = v.idx[:k]
-    if np.any((rows < 0) | (rows >= n)):
-        return -1
-    for i, j in enumerate(rows.tolist()):
-        v.rel[j] = _shift_vectors(v.centers[j], v.dist[j], v.x,
-                                  v.lr[i * lr_step], beta, slope)
+def _update_numpy(v: SimpleNamespace, rows, rates, beta: float,
+                  slope: float) -> None:
+    """Node update of ``rows`` toward ``v.x``, one after another, row
+    ``rows[i]`` at rate ``rates[i]``, as ``update_row`` of ``_kernel.c``.
+
+    The rows are not checked; a row listed twice is updated twice.
+    """
+    for j, lr in zip(rows, rates):
+        v.rel[j] = _shift_vectors(v.centers[j], v.dist[j], v.x, lr, beta,
+                                  slope)
         v.sums[j] = v.rel[j].sum()
-    return 0
 
 
 def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
@@ -291,11 +292,9 @@ def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
 def _attract_numpy(v: SimpleNamespace, n: int, j: int, p) -> None:
     """``attract`` of ``_kernel.c``: node ``j`` at rate ``e_b``, then its
     neighbors in ascending order at rate ``e_n``, and the win counted."""
-    rows = np.flatnonzero(_unpack(v.adj[j])[:n])
-    k = rows.size + 1
-    v.idx[0], v.idx[1:k] = j, rows
-    v.lr[0], v.lr[1:k] = p.e_b, p.e_n
-    _update_numpy(v, n, k, 1, p.beta, p.slope)
+    rows = np.flatnonzero(_unpack(v.adj[j])[:n]).tolist()
+    _update_numpy(v, [j, *rows], [p.e_b] + [p.e_n] * len(rows), p.beta,
+                  p.slope)
     v.wins[j] += 1
 
 
@@ -345,8 +344,7 @@ def _supervised_numpy(v: SimpleNamespace, n: int, p, w: int, label: int,
     if not ok.size:
         return room
     _attract_numpy(v, n, int(ok[np.argmax(acts[ok])]), p)
-    v.idx[0], v.lr[0] = w, -p.push_rate
-    _update_numpy(v, n, 1, 0, p.beta, p.slope)
+    _update_numpy(v, [w], [-p.push_rate], p.beta, p.slope)
     count["pushes"] += 1
     return False
 
@@ -416,8 +414,8 @@ class SomMap:
         """Reallocate node storage for ``capacity`` nodes, keeping the nodes.
 
         Each array holds one row per node: the node's vectors, sums, wins,
-        label and adjacency bits, its activation in the last competition,
-        and scratch for an update's rows and rates.
+        label and adjacency bits, and its activation in the last
+        competition.
         """
         n, m = self._n, self.dim
         with self._lock:
@@ -429,20 +427,13 @@ class SomMap:
                     ("_wins", capacity, np.int64),
                     ("_labels", capacity, np.int64),
                     ("_adj", (capacity, -(-capacity // 64)), np.uint64),
-                    ("_acts", capacity, float), ("_lr", capacity, float),
-                    ("_idx", capacity, np.intp)):
+                    ("_acts", capacity, float)):
                 new = np.zeros(shape, dtype)
                 if n:
                     old = getattr(self, name)[:n]
                     new[tuple(map(slice, old.shape))] = old
                 setattr(self, name, new)
             self._bind()
-
-    def _reserve(self, rows: int) -> None:
-        """Make room for ``rows`` nodes, at most ``node_budget``."""
-        capacity = len(self._centers)
-        if rows > capacity:
-            self._grow(min(self.node_budget, max(rows, 2 * capacity)))
 
     def _bind(self) -> None:
         """Choose the kernels: compiled if the library loads, else numpy.
@@ -451,30 +442,31 @@ class SomMap:
         ``_grow`` binds again after each one while holding the lock, so
         the addresses taken here stay valid while a kernel uses them. The
         lock, one object for the map's lifetime, serializes the kernels'
-        use of the shared scratch rows. The numpy path binds the twin of
-        the training loop, ``_train_numpy``, and no classify pass
-        (``None``): inference then runs its numpy twin.
+        use of the shared scratch rows, the pattern ``_x`` and the
+        activations ``_acts``. The numpy path binds the twin of the
+        training loop, ``_train_numpy``, and no classify pass (``None``):
+        inference then runs its numpy twin. No kernel updates nodes per
+        call: ``update_nodes`` runs ``_update_numpy`` on either path, and
+        ``som_train`` makes its own updates.
         """
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
                       sums=self._rel_sums, acts=self._acts, x=self._x,
-                      lr=self._lr, idx=self._idx, wins=self._wins,
-                      labels=self._labels, adj=self._adj)
+                      wins=self._wins, labels=self._labels, adj=self._adj)
         kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
                                len(self._centers), **arrays)
         if kernels is None:
             view = SimpleNamespace(**arrays)
             kernels = _kernel.Kernels(
                 None, functools.partial(_winner_numpy, view),
-                functools.partial(_update_numpy, view),
                 functools.partial(_link_numpy, view),
                 functools.partial(_train_numpy, view), None)
-        (self._view, self._winner, self._update, self._link,
-         self._train, self._classify) = kernels
+        (self._view, self._winner, self._link, self._train,
+         self._classify) = kernels
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for name in ("_lock", "_view", "_winner", "_update", "_link",
-                     "_train", "_classify"):
+        for name in ("_lock", "_view", "_winner", "_link", "_train",
+                     "_classify"):
             del state[name]
         return state
 
@@ -585,7 +577,8 @@ class SomMap:
             )
         x = self._pattern(x)
         j = self._n
-        self._reserve(j + 1)
+        if j == len(self._centers):  # full storage: double it
+            self._grow(min(self.node_budget, 2 * j))
         self._centers[j] = x
         self._rel[j] = 1.0
         self._dist[j] = 0.0
@@ -609,9 +602,6 @@ class SomMap:
 
     def reset_wins(self) -> None:
         self._wins[:self._n] = 0
-
-    def set_label(self, j: int, label: int) -> None:
-        self._labels[j] = label
 
     # -- competition -------------------------------------------------------
 
@@ -669,20 +659,9 @@ class SomMap:
 
     def update_node(self, j: int, x: np.ndarray, lr: float, beta: float,
                     slope: float) -> None:
-        """Apply the node-update step to node ``j`` in place.
-
-        Raises:
-            TypeError: if ``j`` is not an integer (a bool included).
-            IndexError: if ``j`` is not a node of the map.
-        """
-        if isinstance(j, bool):
-            raise TypeError("node index must be an integer, got a bool")
-        j = operator.index(j)
-        x = self._pattern(x)
-        with self._lock:
-            self._idx[0] = j
-            self._lr[0] = lr
-            self._run_update(x, 1, 0, beta, slope)
+        """Apply the node-update step to node ``j`` in place: ``update_nodes``
+        of one row."""
+        self.update_nodes([j], x, lr, beta, slope)
 
     def update_nodes(self, indices, x: np.ndarray, lr,
                      beta: float, slope: float) -> None:
@@ -691,7 +670,7 @@ class SomMap:
         ``lr`` may be a scalar or one rate per row, e.g. a
         ``(len(indices), 1)`` column. A batch equals the same updates
         applied one by one with ``update_node``; a row listed twice is
-        updated twice. At most ``node_budget`` rows fit in one call.
+        updated twice. The indices are checked before anything is written.
 
         Raises:
             TypeError: if the indices are not integers (bools included).
@@ -703,31 +682,18 @@ class SomMap:
             return
         if idx.dtype.kind not in "iu":
             raise TypeError(f"node indices must be integers, got {idx.dtype}")
-        if k > self.node_budget:
-            raise ValueError(f"{k} rows to update, more than the map's "
-                             f"budget of {self.node_budget}")
-        flat = idx.reshape(-1)
-        if flat.dtype.kind == "u" and flat.max() >= self._n:
-            # named before the cast to intp, which would wrap it
-            raise IndexError(f"no node {flat[flat >= self._n][0]} in a map "
-                             f"of {self._n} nodes")
-        self._reserve(k)
+        rows = idx.reshape(-1).tolist()  # Python ints: no cast wraps them
         rates = np.asarray(lr, dtype=float)
-        if rates.ndim:
-            rates = rates.reshape(k, 1)
+        rates = np.full(k, rates) if not rates.ndim else rates.reshape(k)
         x = self._pattern(x)
         with self._lock:
-            self._idx[:k] = flat
-            self._lr[:rates.size] = rates.ravel()
-            self._run_update(x, k, int(rates.size > 1), beta, slope)
-
-    def _run_update(self, x: np.ndarray, k: int, lr_step: int, beta: float,
-                    slope: float) -> None:
-        """Update the ``k`` rows in ``_idx``; the caller holds the lock."""
-        self._x[:] = x
-        if self._update(self._n, k, lr_step, beta, slope):
-            bad = [j for j in self._idx[:k].tolist() if not 0 <= j < self._n]
-            raise IndexError(f"no node {bad[0]} in a map of {self._n} nodes")
+            bad = [j for j in rows if not 0 <= j < self._n]
+            if bad:
+                raise IndexError(
+                    f"no node {bad[0]} in a map of {self._n} nodes")
+            view = SimpleNamespace(centers=self._centers, rel=self._rel,
+                                   dist=self._dist, sums=self._rel_sums, x=x)
+            _update_numpy(view, rows, rates.tolist(), beta, slope)
 
     # -- neighborhood ------------------------------------------------------
 

@@ -237,6 +237,30 @@ def test_inspect_prints_summary(arff_path, tmp_path, capsys):
     assert "nodes:" in out and "a_t" in out
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("inspect", ["--jobs", "2"]), ("inspect", ["--seed", "1"]),
+    ("inspect", ["--quiet"]), ("inspect", ["--label-column", "class"]),
+    ("predict", ["--seed", "1"]), ("predict", ["--jobs", "2"]),
+    ("train", ["--jobs", "2"]),
+])
+def test_commands_refuse_flags_they_do_not_read(arff_path, tmp_path, capsys,
+                                                command, flag):
+    """A flag is registered only on the commands that read it; elsewhere
+    it is a usage error, exit 1, not silently ignored."""
+    model = tmp_path / "model.json"
+    assert main(["train", str(arff_path), "-o", str(model)] + TRAIN_ARGS) == 0
+    argv = {"inspect": ["inspect", str(model)],
+            "predict": ["predict", str(model), str(arff_path), "-o",
+                        str(tmp_path / "pred.csv")],
+            "train": ["train", str(arff_path), "-o",
+                      str(tmp_path / "again.json")]}[command]
+    capsys.readouterr()
+    assert main(argv + flag) == 1
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+    assert not (tmp_path / "again.json").exists()
+
+
 def test_sweep_writes_artifacts_and_creates_directory(arff_path, tmp_path):
     out_dir = tmp_path / "deep" / "sweep"
     code = main(["sweep", str(arff_path), "-o", str(out_dir), "--samples",

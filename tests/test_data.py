@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,16 @@ def test_apply_norm_clamps_out_of_range():
     ds = normalize(make_ds([[0.0], [10.0]]))
     out = apply_norm(ds.norm_stats, np.array([[-5.0], [15.0], [2.5]]))
     assert np.array_equal(out[:, 0], [0.0, 1.0, 0.25])
+
+
+def test_apply_norm_divides_by_a_subnormal_range_without_warning():
+    """A probe outside a subnormal range overflows the division to inf,
+    which the clamp turns into 1."""
+    stats = data.NormStats(mins=np.array([0.0]), maxs=np.array([5e-324]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_norm(stats, np.array([[1.0], [0.0]]))
+    assert out.tolist() == [[1.0], [0.0]]
 
 
 @settings(max_examples=100, deadline=None)

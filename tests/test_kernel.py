@@ -472,8 +472,7 @@ def test_build_prunes_older_libraries_in_its_own_cache_only(tmp_path,
 def test_update_nodes_updates_repeated_rows_in_order(kernels):
     """A row listed twice is updated twice, as by two ``update_node`` calls.
 
-    Rows are bounded by the map's budget, not by its node count, so a
-    one-node map may list its node more than once.
+    A call lists any number of rows, more than the map's budget too.
     """
     som = SomMap(2, 2)
     som.add_node(np.zeros(2))
@@ -487,8 +486,14 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
                           bits(twin.node(0).dist_avg))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
     assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
-    with pytest.raises(ValueError, match="budget"):
-        som.update_nodes([0, 0, 0], x, 0.5, 0.1, 0.05)
+    som.update_nodes([0, 0, 0], x, 0.5, 0.1, 0.05)
+    for _ in range(3):
+        twin.update_node(0, x, 0.5, 0.1, 0.05)
+    assert np.array_equal(bits(som.centers), bits(twin.centers))
+    assert np.array_equal(bits(som.node(0).dist_avg),
+                          bits(twin.node(0).dist_avg))
+    assert np.array_equal(bits(som.relevances), bits(twin.relevances))
+    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
 
     rng = np.random.default_rng(17)
     som = random_map(rng, 5, 6)
@@ -549,7 +554,7 @@ def test_links_span_several_bit_words(kernels):
     som.rebuild_connections(minwd)
     assert som.connections == brute_connections(som, minwd)
     for j in (0, 63, 64, 127, 128, 149):
-        som.set_label(j, int(rng.integers(-1, 4)))
+        som._labels[j] = int(rng.integers(-1, 4))
         som.rewire_node(j, minwd)
     pairs = som.connections
     assert pairs == brute_connections(som, minwd)
@@ -770,7 +775,7 @@ def test_training_loop_releases_the_interpreter_lock():
     lib = SomMap(1, 1)._train.args[0]
     assert lib is _kernel.compiled()
     assert not lib.som_train._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    for name in ("som_winner", "som_update", "som_link", "som_classify"):
+    for name in ("som_winner", "som_link", "som_classify"):
         assert getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 

@@ -351,7 +351,7 @@ def test_rewire_node_matches_full_rebuild():
         minwd = float(rng.uniform(0.0, 0.8))
         som.rebuild_connections(minwd)
         j = int(rng.integers(som.n_nodes))
-        som.set_label(j, int(rng.integers(-1, 4)))
+        som._labels[j] = int(rng.integers(-1, 4))
         som.rewire_node(j, minwd)
         expected = brute_connections(som, minwd)
         # rewiring only touches pairs involving j; others keep their state
@@ -411,7 +411,9 @@ def test_params_validation():
                        ("eps_beta", math.nan), ("eps_beta", math.inf),
                        ("minwd", math.nan), ("minwd", math.inf),
                        ("age_wins", math.inf), ("epochs", math.inf),
-                       ("n_max", math.inf)]:
+                       ("n_max", math.inf), ("lp", True), ("e_b", True),
+                       ("push_rate", False), ("e_n", np.True_),
+                       ("eps_beta", True), ("minwd", np.False_)]:
         from dataclasses import replace
         with pytest.raises(ValueError):
             replace(good, **{field: bad}).validate()

@@ -230,6 +230,8 @@ def _predict(model, tmp_path) -> int:
                  "node 1: label 1.5 is not an integer", id="fractional-label"),
     pytest.param(_set("nodes", 1, "label", value=lambda v: True),
                  "node 1: label True is not an integer", id="boolean-label"),
+    pytest.param(_set("params", "e_b", value=lambda v: True),
+                 "params: e_b must be a number, got True", id="boolean-param"),
     pytest.param(_set("norm_stats", "mins", value=lambda v: "x"),
                  "norm_stats mins is not an array of numbers",
                  id="string-norm-stats"),
