@@ -1,10 +1,12 @@
 /*
- * Compiled kernels of semisom's SomMap (the winner search som_winner and
- * the link recomputation som_link), of its training loop (som_train, whose
- * node update exists only inside the loop) and of bulk classification,
- * and the scanner of CSV and ARFF bodies (som_scan, at the end of the
- * file), which is bound through a ctypes.CDLL handle, releases the
- * interpreter lock and touches no Python object.
+ * Compiled kernels of semisom: its training loop (som_train, with the
+ * winner search, the node update and the link recomputation that exist
+ * only inside the loop), bulk classification (som_classify) and the
+ * scanner of CSV and ARFF bodies (som_scan, at the end of the file). The
+ * library keeps only these long calls, and som_sum and som_reaches for
+ * the tests; it is loaded through one ctypes.CDLL handle, so every call
+ * releases the interpreter lock. No function touches a Python object, and
+ * each reads and writes only the arrays it is passed.
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py
  * (the training loop's twin, with the insertions and sweeps training.py
@@ -25,10 +27,10 @@
  *
  * On x86-64 with glibc, the winner search, the link recomputation and the
  * classification pass are built twice, for AVX2 and for the baseline ISA,
- * and the loader picks one when the library loads (target_clones); defining SOM_DEFAULT_ONLY builds
- * the baseline alone, which the tests compare with the clones. Built with
- * -ffp-contract=off so no multiply-add is fused; never build it with
- * -ffast-math or -march=native.
+ * and the loader picks one when the library loads (target_clones);
+ * defining SOM_DEFAULT_ONLY builds the baseline alone, which the tests
+ * compare with the clones. Built with -ffp-contract=off so no multiply-add
+ * is fused; never build it with -ffast-math or -march=native.
  *
  * Matrices are C-contiguous rows of length m, one row per node. The
  * adjacency holds one bit row of `words` uint64 per node: bit i % 64 of
@@ -44,13 +46,12 @@
 #define NO_CLASS (-1)
 
 /* One map's storage, rows for `capacity` nodes: node rows (centers, rel,
- * dist), per-node relevance sums, activations, wins and labels, the
- * adjacency bit rows, and scratch for the pattern of a winner search (x,
- * m doubles). */
+ * dist), per-node relevance sums, activations, wins and labels, and the
+ * adjacency bit rows. */
 struct som_view {
     ptrdiff_t m, words, capacity;
     double eps;
-    double *centers, *rel, *dist, *sums, *acts, *x;
+    double *centers, *rel, *dist, *sums, *acts;
     int64_t *wins, *labels;
     uint64_t *adj;
 };
@@ -244,11 +245,11 @@ static void update_row(const struct som_view *v, ptrdiff_t j, const double *x,
 }
 
 /* Recompute the links between node j, 0 <= j < n, and each node of
- * [lo, n), in both bit rows. Two nodes link when their labels are
- * compatible and the Euclidean gap of their relevance rows lies below
- * minwd * sqrt(m). */
-CLONES void som_link(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
-                     ptrdiff_t lo, double minwd)
+ * [lo, n), in both bit rows, as model._link_numpy does. Two nodes link
+ * when their labels are compatible and the Euclidean gap of their
+ * relevance rows lies below minwd * sqrt(m). */
+CLONES static void relink(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
+                          ptrdiff_t lo, double minwd)
 {
     const ptrdiff_t m = v->m, words = v->words;
     const double *rj = v->rel + j * m;
@@ -304,16 +305,6 @@ static ptrdiff_t second_winner(const struct som_view *v, ptrdiff_t n,
     return best;
 }
 
-/*
- * Activation of nodes [0, n) for the pattern in v->x, written to v->acts;
- * returns the index of the largest activation, the lowest on ties and the
- * first NaN if any, as np.argmax.
- */
-ptrdiff_t som_winner(const struct som_view *v, ptrdiff_t n)
-{
-    return winner(v, n, v->x);
-}
-
 /* A fresh node n at x, as SomMap.add_node adds it (relevances one,
  * distance averages zero, no wins, the label), linked as rewire_node links
  * it. The caller checks that row n lies below the capacity. */
@@ -329,7 +320,7 @@ static void insert(const struct som_view *v, ptrdiff_t n, const double *x,
     v->sums[n] = (double)m;
     v->wins[n] = 0;
     v->labels[n] = label;
-    som_link(v, n + 1, n, 0, minwd);
+    relink(v, n + 1, n, 0, minwd);
 }
 
 /* Node i's rows, sums, wins and label into row k <= i. */
@@ -369,7 +360,7 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
         move_node(v, best, k++);
     memset(v->adj, 0, (size_t)(n * v->words) * sizeof(uint64_t));
     for (ptrdiff_t j = 0; j + 1 < k; j++)
-        som_link(v, k, j, j + 1, p->minwd);
+        relink(v, k, j, j + 1, p->minwd);
     memset(v->wins, 0, (size_t)k * sizeof(int64_t));
     return k;
 }
@@ -421,7 +412,7 @@ int som_train(const struct som_view *v, ptrdiff_t n,
                 if (!(act < p->a_t)) {
                     attract(v, w, x, p);
                     v->labels[w] = label;
-                    som_link(v, n, w, 0, p->minwd);
+                    relink(v, n, w, 0, p->minwd);
                 } else {
                     add = n < room;
                 }

@@ -8,21 +8,23 @@ or to ``~/.cache/semisom`` when that one is read-only. A build into the
 package's own directory removes the libraries of earlier sources there;
 the shared one is never pruned, since other checkouts build into it.
 
-The library is loaded with ``ctypes.PyDLL``, which keeps the interpreter
-lock held during a call: the short kernels cost less that way. Two long
-calls are the exceptions, bound through a ``ctypes.CDLL`` handle of the
-same library, so that they release the lock. ``som_train`` runs a whole
-chunk of a training run, insertions and pruning sweeps included, so
-training runs on several threads at once run in parallel. It runs under
-its map's lock, so another thread blocks on the map while it trains, but
-must not modify the map's arrays behind the lock's back. ``som_scan``
-reads the body of a CSV or ARFF file (``scan``); it touches no Python
-object, only the bytes and arrays it is passed. The numbers its exact
-fast path does not take go through ``strtod``, which reads the decimal
-point of the ``LC_NUMERIC`` locale: under a locale whose point is ``,``
-those tokens are refused, and such files are read row by row. That case
-follows from the code; it is not tested, since it needs a comma-decimal
-locale installed.
+The library keeps only long calls, and two small ones the tests compare
+with numpy (``som_sum``, ``som_reaches``); it is loaded through one
+``ctypes.CDLL`` handle, so every call releases the interpreter lock, and
+no call touches a Python object. ``som_train`` runs a whole chunk of a
+training run, insertions and pruning sweeps included, so training runs
+on several threads at once run in parallel. It runs under its map's
+lock, so another thread blocks on the map while it trains, but must not
+modify the map's arrays behind the lock's back. ``som_classify``
+classifies a block of patterns from the arrays it is passed, so threads
+classify in parallel too. ``som_scan`` reads the body of a CSV or ARFF
+file (``scan``) into the arrays it is passed. The numbers its exact fast
+path does not take go through ``strtod``, which reads the decimal point
+of the ``LC_NUMERIC`` locale: under a locale whose point is ``,`` those
+tokens are refused, and such files are read row by row. That case follows
+from the code; it is not tested, since it needs a comma-decimal locale
+installed. The short per-node operations of ``SomMap`` (winner search,
+node update, rewiring) run in numpy on either path.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
@@ -68,7 +70,7 @@ class View(ctypes.Structure):
     _fields_ = [("m", _SIZE), ("words", _SIZE), ("capacity", _SIZE),
                 ("eps", ctypes.c_double),
                 ("centers", _PTR), ("rel", _PTR), ("dist", _PTR),
-                ("sums", _PTR), ("acts", _PTR), ("x", _PTR), ("wins", _PTR),
+                ("sums", _PTR), ("acts", _PTR), ("wins", _PTR),
                 ("labels", _PTR), ("adj", _PTR)]
 
 
@@ -106,8 +108,7 @@ NEVER = 2 ** 62
 
 _DTYPES = dict(wins=np.int64, labels=np.int64, adj=np.uint64)
 
-Kernels = collections.namedtuple("Kernels",
-                                 "view winner link train classify")
+Kernels = collections.namedtuple("Kernels", "view train classify")
 
 
 def params(hp, allow_insert: bool) -> Params:
@@ -173,19 +174,9 @@ def load(compiler: str = "cc"):
                 _build(compiler, path)
                 if i == 0:
                     _prune(path)
-            lib = ctypes.PyDLL(str(path))
-            # a training run and a scan are long calls: bound through a
-            # CDLL handle of the same library, they release the
-            # interpreter lock
-            released = ctypes.CDLL(str(path))
-            lib.som_train = released.som_train
-            lib.som_scan = released.som_scan
+            lib = ctypes.CDLL(str(path))
         except (OSError, subprocess.SubprocessError):
             continue
-        lib.som_winner.argtypes = (_PTR, _SIZE)
-        lib.som_winner.restype = _SIZE
-        lib.som_link.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, ctypes.c_double)
-        lib.som_link.restype = None
         lib.som_train.argtypes = (_PTR, _SIZE, ctypes.POINTER(Params), _PTR,
                                   _PTR, _PTR, _SIZE, _PTR)
         lib.som_train.restype = ctypes.c_int
@@ -228,16 +219,15 @@ def bind(m: int, eps: float, words: int, capacity: int,
     ``capacity`` nodes; ``words`` is the length of an adjacency bit row.
     Returns ``Kernels``: the view and the callables
 
-    - ``winner(n)``, which returns the winner's row for the pattern in ``x``;
-    - ``link(n, j, lo, minwd)``, which recomputes the links between node
-      ``j`` and the nodes of ``[lo, n)``;
     - ``train(n, params, chunk)``, which runs the presentations of a
       ``Chunk`` from its position on, insertions into the ``capacity`` rows
       and pruning sweeps included (see ``som_train``), and returns ``END``
-      or ``INSERT``. It releases the interpreter lock while it runs;
+      or ``INSERT``;
     - ``classify(nodes)``, which binds ``som_classify`` to a batch's node
       operands (see ``_classifier``). It reads only what it is passed,
-      never the map's scratch rows.
+      never the map's activation row.
+
+    Both release the interpreter lock while they run.
 
     Returns ``None`` when no library is available; ``SomMap._bind`` then
     binds the numpy kernels instead. The caller keeps the arrays alive and
@@ -253,9 +243,7 @@ def bind(m: int, eps: float, words: int, capacity: int,
     view = View(m, words, capacity, eps,
                 **{name: a.ctypes.data for name, a in arrays.items()})
     addr = ctypes.addressof(view)
-    return Kernels(view, functools.partial(lib.som_winner, addr),
-                   functools.partial(lib.som_link, addr),
-                   functools.partial(_train, lib, addr, m),
+    return Kernels(view, functools.partial(_train, lib, addr, m),
                    functools.partial(_classifier, lib, eps))
 
 

@@ -189,12 +189,13 @@ def run_sweep(ds: Dataset, plan: FoldPlan, fractions=FRACTIONS, *,
 
     ``jobs`` runs are in flight at once, on threads of this process
     (``None``: one per core), and never more threads than runs. They run
-    in parallel on the compiled training loop, which releases the
-    interpreter lock; on the numpy fallback they take turns and gain
-    nothing. The classification of each run multiplies matrices in BLAS
-    on its own thread, so pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
-    for ``jobs > 1``. Raises ``ValueError``, before any run, for
-    ``jobs < 1`` and for a fraction outside ``[0, 1]``.
+    in parallel on the compiled training loop and classification pass,
+    both of which release the interpreter lock; on the numpy fallback they
+    take turns and gain nothing. The classification of each run also
+    multiplies matrices in BLAS on its own thread, so pin BLAS to one
+    thread (``OPENBLAS_NUM_THREADS=1``) for ``jobs > 1``. Raises
+    ``ValueError``, before any run, for ``jobs < 1`` and for a fraction
+    outside ``[0, 1]``.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -305,6 +306,9 @@ def emit_curve_svg(points: list[CurvePoint], path, *,
     """Render the summary curve as a small standalone SVG line plot."""
     if not points:
         raise ValueError("no curve points to plot")
+    # the title is text content: escape the characters markup reserves
+    for char, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")):
+        title = title.replace(char, entity)
     width, height, margin = 640, 400, 56
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin

@@ -255,29 +255,23 @@ def _unpack(words: np.ndarray) -> np.ndarray:
                          axis=-1, bitorder="little").view(bool)
 
 
-def _winner_numpy(v: SimpleNamespace, n: int) -> int:
-    """``som_winner`` in numpy, on the arrays of ``_kernel.View``."""
-    v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], v.x,
-                              ACTIVATION_EPS)
-    return int(np.argmax(v.acts[:n]))
-
-
-def _update_numpy(v: SimpleNamespace, rows, rates, beta: float,
-                  slope: float) -> None:
-    """Node update of ``rows`` toward ``v.x``, one after another, row
+def _update_numpy(v: SimpleNamespace, x: np.ndarray, rows, rates,
+                  beta: float, slope: float) -> None:
+    """Node update of ``rows`` toward ``x``, one after another, row
     ``rows[i]`` at rate ``rates[i]``, as ``update_row`` of ``_kernel.c``.
 
     The rows are not checked; a row listed twice is updated twice.
     """
     for j, lr in zip(rows, rates):
-        v.rel[j] = _shift_vectors(v.centers[j], v.dist[j], v.x, lr, beta,
+        v.rel[j] = _shift_vectors(v.centers[j], v.dist[j], x, lr, beta,
                                   slope)
         v.sums[j] = v.rel[j].sum()
 
 
 def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
                 minwd: float) -> None:
-    """``som_link`` in numpy: the links of node ``j`` with ``[lo, n)``."""
+    """The links of node ``j`` with ``[lo, n)``, recomputed in both bit
+    rows, as ``relink`` of ``_kernel.c``."""
     linked = _linked(v.rel[lo:n], v.labels[lo:n], v.rel[j], v.labels[j],
                      minwd)
     if lo <= j:
@@ -289,17 +283,18 @@ def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
     v.adj[j] = np.packbits(row, bitorder="little").view("<u8")
 
 
-def _attract_numpy(v: SimpleNamespace, n: int, j: int, p) -> None:
+def _attract_numpy(v: SimpleNamespace, x: np.ndarray, n: int, j: int,
+                   p) -> None:
     """``attract`` of ``_kernel.c``: node ``j`` at rate ``e_b``, then its
     neighbors in ascending order at rate ``e_n``, and the win counted."""
     rows = np.flatnonzero(_unpack(v.adj[j])[:n]).tolist()
-    _update_numpy(v, [j, *rows], [p.e_b] + [p.e_n] * len(rows), p.beta,
+    _update_numpy(v, x, [j, *rows], [p.e_b] + [p.e_n] * len(rows), p.beta,
                   p.slope)
     v.wins[j] += 1
 
 
-def _unsupervised_numpy(v: SimpleNamespace, n: int, p, w: int,
-                        count: dict) -> bool:
+def _unsupervised_numpy(v: SimpleNamespace, x: np.ndarray, n: int, p,
+                        w: int, count: dict) -> bool:
     """The unlabeled step of winner ``w``; returns whether it inserts.
 
     Below the activation threshold a node is inserted at the pattern when
@@ -312,12 +307,12 @@ def _unsupervised_numpy(v: SimpleNamespace, n: int, p, w: int,
     if below and n < (p.n_max if p.allow_insert else 0):
         return True
     if not below or p.allow_insert:
-        _attract_numpy(v, n, w, p)
+        _attract_numpy(v, x, n, w, p)
     return False
 
 
-def _supervised_numpy(v: SimpleNamespace, n: int, p, w: int, label: int,
-                      count: dict) -> bool:
+def _supervised_numpy(v: SimpleNamespace, x: np.ndarray, n: int, p, w: int,
+                      label: int, count: dict) -> bool:
     """The labeled step of winner ``w``; returns whether it inserts.
 
     A winner of the pattern's class, or unlabeled, is attracted with its
@@ -335,7 +330,7 @@ def _supervised_numpy(v: SimpleNamespace, n: int, p, w: int, label: int,
     if labels[w] == label or labels[w] == NO_CLASS:
         if acts[w] < p.a_t:
             return room
-        _attract_numpy(v, n, w, p)
+        _attract_numpy(v, x, n, w, p)
         labels[w] = label
         _link_numpy(v, n, w, 0, p.minwd)
         return False
@@ -343,8 +338,8 @@ def _supervised_numpy(v: SimpleNamespace, n: int, p, w: int, label: int,
                         & (acts >= p.a_t))
     if not ok.size:
         return room
-    _attract_numpy(v, n, int(ok[np.argmax(acts[ok])]), p)
-    _update_numpy(v, [w], [-p.push_rate], p.beta, p.slope)
+    _attract_numpy(v, x, n, int(ok[np.argmax(acts[ok])]), p)
+    _update_numpy(v, x, [w], [-p.push_rate], p.beta, p.slope)
     count["pushes"] += 1
     return False
 
@@ -364,11 +359,14 @@ def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
     code = _kernel.END
     for pos in range(count["pos"], chunk.k):
         i = draws[pos]
-        v.x[:] = patterns[i]
-        w = _winner_numpy(v, n)
+        x = patterns[i]
+        acts = v.acts[:n]
+        acts[:] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
+                               ACTIVATION_EPS)
+        w = int(np.argmax(acts))
         label = int(labels[i])
-        add = (_unsupervised_numpy(v, n, p, w, count) if label == NO_CLASS
-               else _supervised_numpy(v, n, p, w, label, count))
+        add = (_unsupervised_numpy(v, x, n, p, w, count) if label == NO_CLASS
+               else _supervised_numpy(v, x, n, p, w, label, count))
         if add or count["nwins"] == p.age_wins:
             code = _kernel.INSERT if add else _kernel.SWEEP
             break
@@ -405,8 +403,6 @@ class SomMap:
         self.node_budget = node_budget
         self.nwins = 0
         self._n = 0
-        # scratch for the pattern
-        self._x = np.zeros(dim)
         self._lock = threading.Lock()
         self._grow(min(node_budget, _FIRST_CAPACITY))
 
@@ -414,8 +410,8 @@ class SomMap:
         """Reallocate node storage for ``capacity`` nodes, keeping the nodes.
 
         Each array holds one row per node: the node's vectors, sums, wins,
-        label and adjacency bits, and its activation in the last
-        competition.
+        label and adjacency bits, and its activation in the training
+        loop's last winner search.
         """
         n, m = self._n, self.dim
         with self._lock:
@@ -436,37 +432,34 @@ class SomMap:
             self._bind()
 
     def _bind(self) -> None:
-        """Choose the kernels: compiled if the library loads, else numpy.
+        """Choose the long calls: compiled if the library loads, else numpy.
 
         Arrays are only written in place between reallocations, and
         ``_grow`` binds again after each one while holding the lock, so
-        the addresses taken here stay valid while a kernel uses them. The
-        lock, one object for the map's lifetime, serializes the kernels'
-        use of the shared scratch rows, the pattern ``_x`` and the
-        activations ``_acts``. The numpy path binds the twin of the
-        training loop, ``_train_numpy``, and no classify pass (``None``):
-        inference then runs its numpy twin. No kernel updates nodes per
-        call: ``update_nodes`` runs ``_update_numpy`` on either path, and
-        ``som_train`` makes its own updates.
+        the addresses taken here stay valid while ``som_train`` uses them.
+        The lock, one object for the map's lifetime, serializes the writes
+        to the node rows (training, ``update_nodes``, rewiring) with each
+        other and with the searches that read them. The numpy path binds
+        the twin of the training loop, ``_train_numpy``, and no classify
+        pass (``None``): inference then runs its numpy twin. ``_arrays``
+        holds the same arrays for the per-call operations, which run in
+        numpy on either path: the winner search (``_activations``), the
+        node update (``_update_numpy``) and the rewiring (``_link_numpy``).
         """
         arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
-                      sums=self._rel_sums, acts=self._acts, x=self._x,
-                      wins=self._wins, labels=self._labels, adj=self._adj)
+                      sums=self._rel_sums, acts=self._acts, wins=self._wins,
+                      labels=self._labels, adj=self._adj)
+        self._arrays = SimpleNamespace(**arrays)
         kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
                                len(self._centers), **arrays)
         if kernels is None:
-            view = SimpleNamespace(**arrays)
             kernels = _kernel.Kernels(
-                None, functools.partial(_winner_numpy, view),
-                functools.partial(_link_numpy, view),
-                functools.partial(_train_numpy, view), None)
-        (self._view, self._winner, self._link, self._train,
-         self._classify) = kernels
+                None, functools.partial(_train_numpy, self._arrays), None)
+        self._view, self._train, self._classify = kernels
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for name in ("_lock", "_view", "_winner", "_link", "_train",
-                     "_classify"):
+        for name in ("_lock", "_arrays", "_view", "_train", "_classify"):
             del state[name]
         return state
 
@@ -543,10 +536,19 @@ class SomMap:
     @classmethod
     def from_nodes(cls, dim: int, node_budget: int, nodes: list[Node],
                    connections: list[tuple[int, int]] = ()) -> SomMap:
-        """Rebuild a map from detached nodes and an explicit connection list."""
+        """Rebuild a map from detached nodes and an explicit connection list.
+
+        Raises ``ValueError`` naming the node whose vector is not of shape
+        ``(dim,)``.
+        """
         som = cls(dim, node_budget)
-        for node in nodes:
-            j = som.add_node(node.center, node.label)
+        for j, node in enumerate(nodes):
+            for name in ("center", "relevance", "dist_avg"):
+                shape = np.shape(getattr(node, name))
+                if shape != (dim,):
+                    raise ValueError(f"node {j} {name} has shape {shape}, "
+                                     f"expected ({dim},)")
+            som.add_node(node.center, node.label)
             som._rel[j] = node.relevance
             som._dist[j] = node.dist_avg
             som._wins[j] = node.wins
@@ -611,30 +613,27 @@ class SomMap:
             raise ValueError(f"pattern has shape {x.shape}, map expects ({self.dim},)")
         return x
 
-    def _compete(self, x: np.ndarray) -> int:
-        """Fill the activation row for ``x``; returns its argmax.
-
-        Ties go to the lowest index. The caller holds the lock.
-        """
+    def _compete(self, x: np.ndarray) -> np.ndarray:
+        """Activation of every node for ``x``; the caller holds the lock."""
         n = self._n
         if n == 0:
             raise ValueError("map has no nodes")
-        self._x[:] = x
-        return self._winner(n)
+        return _activations(self._centers[:n], self._rel[:n],
+                            self._rel_sums[:n], x, ACTIVATION_EPS)
 
     def activations(self, x: np.ndarray) -> np.ndarray:
         """Activation of every node for pattern ``x``."""
         x = self._pattern(x)
         with self._lock:
-            self._compete(x)
-            return self._acts[:self._n].copy()
+            return self._compete(x)
 
     def find_winner(self, x: np.ndarray) -> tuple[int, float]:
         """Most activated node for ``x``; ties go to the lowest index."""
         x = self._pattern(x)
         with self._lock:
-            j = self._compete(x)
-            return j, float(self._acts[j])
+            acts = self._compete(x)
+        j = int(np.argmax(acts))
+        return j, float(acts[j])
 
     def find_winner_for_class(self, x: np.ndarray, label: int,
                               a_t: float) -> int | None:
@@ -646,14 +645,13 @@ class SomMap:
         """
         x = self._pattern(x)
         with self._lock:
-            self._compete(x)
-            acts = self._acts[:self._n]
+            acts = self._compete(x)
             lab = self._labels[:self._n]
             ok = ((lab == label) | (lab == NO_CLASS)) & (acts >= a_t)
-            if not ok.any():
-                return None
-            idx = np.flatnonzero(ok)
-            return int(idx[np.argmax(acts[idx])])
+        if not ok.any():
+            return None
+        idx = np.flatnonzero(ok)
+        return int(idx[np.argmax(acts[idx])])
 
     # -- adaptation --------------------------------------------------------
 
@@ -691,9 +689,7 @@ class SomMap:
             if bad:
                 raise IndexError(
                     f"no node {bad[0]} in a map of {self._n} nodes")
-            view = SimpleNamespace(centers=self._centers, rel=self._rel,
-                                   dist=self._dist, sums=self._rel_sums, x=x)
-            _update_numpy(view, rows, rates.tolist(), beta, slope)
+            _update_numpy(self._arrays, x, rows, rates.tolist(), beta, slope)
 
     # -- neighborhood ------------------------------------------------------
 
@@ -703,13 +699,13 @@ class SomMap:
         with self._lock:
             self._adj[:n] = 0
             for j in range(n - 1):
-                self._link(n, j, j + 1, minwd)
+                _link_numpy(self._arrays, n, j, j + 1, minwd)
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
         self._check_node(j)
         with self._lock:
-            self._link(self._n, j, 0, minwd)
+            _link_numpy(self._arrays, self._n, j, 0, minwd)
 
     # -- training ----------------------------------------------------------
 

@@ -123,9 +123,10 @@ def load_model(path) -> TrainedModel:
             labels, wins and node ids integers, booleans being none of
             these), vectors of unequal length, a label outside the class
             list, wins outside ``[0, 2**63)``, normalization ranges of the
-            wrong length, a value that is not finite, a connection that
-            names a missing node, repeats a pair or joins a node to itself,
-            or parameters that fail ``HyperParams.validate``.
+            wrong length or with a minimum above the maximum, a value that
+            is not finite, a connection that names a missing node, repeats
+            a pair or joins a node to itself, or parameters that fail
+            ``HyperParams.validate``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -169,6 +170,12 @@ def load_model(path) -> TrainedModel:
         for name, values in (("mins", norm_stats.mins),
                              ("maxs", norm_stats.maxs)):
             _check_vector(path, f"norm_stats {name}", values, dim)
+        inverted = np.flatnonzero(norm_stats.mins > norm_stats.maxs)
+        if inverted.size:
+            i = int(inverted[0])
+            raise DataFormatError(
+                f"{path}: norm_stats: column {i} has min "
+                f"{norm_stats.mins[i]!r} above max {norm_stats.maxs[i]!r}")
     budget = max(params.n_max, len(nodes))
     som = SomMap.from_nodes(dim, budget, nodes,
                             _read_connections(path, doc["connections"],

@@ -1,12 +1,14 @@
 import multiprocessing
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from semisom import experiments
 from semisom import (DEFAULT_RANGES, FRACTIONS, RunResult, best_per_fold,
-                     classify, emit_curve, emit_results, kfold_split,
+                     classify, emit_curve, emit_curve_svg, emit_results,
+                     kfold_split,
                      lhs_sample, lhs_unit, mean_std, normalize,
                      resolve_sample, run_one, run_sweep, summarize_curve)
 from helpers import make_blobs, reference_classify
@@ -231,6 +233,15 @@ def test_emission_is_reproducible(tmp_path):
     emit_curve(points, pb)
     assert pa.read_bytes() == pb.read_bytes()
     assert len(pb.read_text().strip().split("\n")) == 3  # header + 2 fractions
+
+
+def test_curve_svg_escapes_its_title(tmp_path):
+    points = summarize_curve([rr(0, 0, 0.5, 0, 0.8), rr(0, 0, 1.0, 0, 0.9)])
+    path = tmp_path / "curve.svg"
+    emit_curve_svg(points, path, title="a < b & c > d")
+    root = ET.parse(path).getroot()
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+            ][0] == "a < b & c > d"
 
 
 @pytest.mark.parametrize("fraction", [float("nan"), -0.5, 1.5])

@@ -1,10 +1,12 @@
 """The compiled kernels against the numpy kernels and the loop they replace.
 
-``SomMap`` runs its winner search, node update and link recomputation in
-``_kernel.c`` when the library builds, and in numpy otherwise; training
-runs its presentations in the compiled loop of ``_kernel.c`` or in its
-numpy twin, ``_train_numpy``. Both must give the same floats, bit for bit,
-so a map trains identically whichever path is active.
+Training runs its presentations in the compiled loop of ``_kernel.c``,
+``som_train``, when the library builds, and in its numpy twin,
+``_train_numpy``, otherwise. The winner search, node update and link
+recomputation exist in C only inside that loop; their numpy references
+(``_activations``, ``_shift_vectors``, ``_link_numpy``) are what
+``SomMap``'s per-call methods run on either path. Both paths must give the
+same floats, bit for bit, so a map trains identically whichever is active.
 """
 
 import ctypes
@@ -211,56 +213,73 @@ def _maps(draw):
     return nodes, x, rows, rates, beta, slope
 
 
-@compiled
-@settings(max_examples=300, deadline=None)
-@given(_maps())
-def test_compiled_winner_equals_numpy(case):
-    nodes, x, *_ = case
-    n, m = len(nodes), nodes[0].center.size
-    som = SomMap.from_nodes(m, n + 1, nodes)
-    centers = np.array([nd.center for nd in nodes])
-    rel = np.array([nd.relevance for nd in nodes])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _activations(centers, rel, rel.sum(axis=1), x, ACTIVATION_EPS)
-    j, act = som.find_winner(x)
-    assert j == int(np.argmax(want))
-    assert bits(act) == bits(want[j])
-    assert np.array_equal(bits(som.activations(x)), bits(want))
-    lab = np.array([nd.label for nd in nodes])
-    a_t = float(np.nanmedian(want)) if not np.isnan(want).all() else 0.5
-    ok = ((lab == 1) | (lab == NO_CLASS)) & (want >= a_t)
-    expected = (int(np.flatnonzero(ok)[np.argmax(want[ok])]) if ok.any()
-                else None)
-    assert som.find_winner_for_class(x, 1, a_t) == expected
+def _present_once(lib, case):
+    """One draw of a ``_maps`` case through the training loop of ``lib``.
 
-
-@compiled
-@settings(max_examples=300, deadline=None)
-@given(_maps(), st.sampled_from(["update_node", "one rate", "per row"]))
-def test_compiled_update_equals_numpy(case, mode):
+    The pattern is unlabeled and ``a_t`` is ``-inf``, so the winner is
+    attracted whatever its activation, NaN included: the winner at the
+    first rate, then the other update rows, linked to it as neighbors, at
+    the last. The rates reach ``update_row`` as drawn, through ``Params``
+    built directly. Returns the map, its activations for the pattern
+    before the draw, the numpy references of the activations and the
+    updated rows, and the winner.
+    """
     nodes, x, rows, rates, beta, slope = case
     n, m = len(nodes), nodes[0].center.size
-    som = SomMap.from_nodes(m, n + 1, nodes)
     centers = np.array([nd.center for nd in nodes])
     dist = np.array([nd.dist_avg for nd in nodes])
     rel = np.array([nd.relevance for nd in nodes])
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "update_node":
-            rows, rates = rows[:1], rates[:1]
-            som.update_node(int(rows[0]), x, float(rates[0]), beta, slope)
-        elif mode == "one rate":
-            rates = np.full(len(rows), rates[0])
-            som.update_nodes(rows, x, float(rates[0]), beta, slope)
-        else:
-            som.update_nodes(rows, x, rates[:, None], beta, slope)
-        # the numpy kernel on one node's 1-D rows at a time, in place
-        for j, lr in zip(rows.tolist(), rates.tolist()):
+        acts = _activations(centers, rel, rel.sum(axis=1), x, ACTIVATION_EPS)
+        w = int(np.argmax(acts))
+        neighbors = sorted(set(rows.tolist()) - {w})
+        updates = [(w, rates[0])] + [(j, rates[-1]) for j in neighbors]
+        for j, lr in updates:
             rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
-    assert np.array_equal(bits(som.centers), bits(centers))
-    assert np.array_equal(bits([som.node(j).dist_avg for j in range(n)]),
-                          bits(dist))
-    assert np.array_equal(bits(som.relevances), bits(rel))
-    assert np.array_equal(bits(som._rel_sums[:n]), bits(rel.sum(axis=1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "compiled", lambda: lib)
+        som = SomMap.from_nodes(m, n + 1, nodes, [(w, j) for j in neighbors])
+    assert som._train.args[0] is lib
+    with np.errstate(over="ignore", invalid="ignore"):
+        searched = som.activations(x)
+    params = _kernel.Params(
+        a_t=-np.inf, e_b=rates[0], e_n=rates[-1], push_rate=0.0, beta=beta,
+        slope=slope, minwd=0.0, lp=0.0, n_max=n, age_wins=_kernel.NEVER,
+        allow_insert=False)
+    chunk = _kernel.Chunk(m, x[None], np.array([NO_CLASS]), np.array([0]))
+    assert som._run_presentations(params, chunk) == _kernel.END
+    count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+    assert (count["pos"], count["n"], count["unsupervised"]) == (1, n, 1)
+    return som, searched, acts, (centers, dist, rel), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps())
+def test_compiled_winner_equals_numpy(default_only, case):
+    """The loop's winner search, on both builds, against ``_activations``:
+    the activation row, the winner its win goes to, and the search
+    ``SomMap`` runs per call."""
+    n = len(case[0])
+    for lib in (_kernel.compiled(), default_only):
+        som, searched, want, _, w = _present_once(lib, case)
+        assert np.array_equal(bits(som._acts[:n]), bits(want))
+        assert np.array_equal(bits(searched), bits(want))
+        assert som.wins.tolist() == [int(j == w) for j in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps())
+def test_compiled_update_equals_numpy(default_only, case):
+    """The loop's node update, on both builds, against ``_shift_vectors``
+    on the winner and its neighbors, in ascending order."""
+    n = len(case[0])
+    for lib in (_kernel.compiled(), default_only):
+        som, _, _, (centers, dist, rel), _ = _present_once(lib, case)
+        assert np.array_equal(bits(som.centers), bits(centers))
+        assert np.array_equal(bits([som.node(j).dist_avg for j in range(n)]),
+                              bits(dist))
+        assert np.array_equal(bits(som.relevances), bits(rel))
+        assert np.array_equal(bits(som._rel_sums[:n]), bits(rel.sum(axis=1)))
 
 
 def _train_blobs(tmp_path, name):
@@ -360,7 +379,7 @@ def test_pickled_map_runs_on_its_own_arrays(kernels):
 
 
 def test_threads_can_share_a_map(kernels):
-    """The pattern and activation scratch rows are per map, not per call."""
+    """Winner searches on several threads read the map under its lock."""
     rng = np.random.default_rng(13)
     som = random_map(rng, 30, 8)
     patterns = rng.random((300, 8))
@@ -390,8 +409,8 @@ def test_threads_can_share_a_map(kernels):
 
 
 def test_threads_can_classify_with_a_shared_map(kernels):
-    """Bulk classification reads the map's node rows and its own arrays,
-    never the scratch rows that winner searches share under the lock."""
+    """Bulk classification reads the map's node rows and its own arrays;
+    on the compiled path it releases the interpreter lock meanwhile."""
     rng = np.random.default_rng(23)
     som = random_map(rng, 40, 6)
     patterns = rng.random((600, 6))
@@ -768,15 +787,21 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
     assert a.som.connections == b.som.connections
 
 
-@compiled
-def test_training_loop_releases_the_interpreter_lock():
-    """``som_train`` is bound without ``FUNCFLAG_PYTHONAPI``, which would
-    hold the lock through the call; the short kernels keep the flag."""
+def test_training_loop_releases_the_interpreter_lock(default_only):
+    """Every export of either build is bound without
+    ``FUNCFLAG_PYTHONAPI``, which would hold the lock through the call, and
+    the library exports no per-call kernel."""
     lib = SomMap(1, 1)._train.args[0]
     assert lib is _kernel.compiled()
-    assert not lib.som_train._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    for name in ("som_winner", "som_link", "som_classify"):
-        assert getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for build in (lib, default_only):
+        exports = {name: f for name, f in vars(build).items()
+                   if isinstance(f, ctypes._CFuncPtr)}
+        assert set(exports) == {"som_train", "som_classify", "som_sum",
+                                "som_reaches", "som_scan"}
+        for f in exports.values():
+            assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        for name in ("som_winner", "som_link", "som_update"):
+            assert not hasattr(build, name)
 
 
 def test_threads_racing_to_the_first_map_build_the_library_once(

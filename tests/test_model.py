@@ -466,3 +466,14 @@ def test_growing_storage_keeps_nodes_and_links():
     assert som.find_winner(x) == brute_winner(som, x)
     som.rebuild_connections(0.4)
     assert som.connections == brute_connections(som, 0.4)
+
+
+@pytest.mark.parametrize("name", ["center", "relevance", "dist_avg"])
+@pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), ()])
+def test_from_nodes_rejects_vectors_of_another_shape(name, shape):
+    """A vector that is not ``(dim,)`` is named, not broadcast."""
+    good = node_at([0.1, 0.2, 0.3])
+    bad = node_at([0.4, 0.5, 0.6])
+    setattr(bad, name, np.full(shape, 0.5))
+    with pytest.raises(ValueError, match=f"node 1 {name} has shape"):
+        SomMap.from_nodes(3, 4, [good, bad])

@@ -203,6 +203,23 @@ def test_load_rejects_malformed_model_files(trained, tmp_path, edit, where):
         load_model(bad)
 
 
+def test_load_rejects_inverted_norm_ranges(trained, tmp_path):
+    """A column whose minimum lies above its maximum would scale every
+    pattern to 0.5: the file is refused, and ``predict`` exits 2."""
+    ds, params, som, _ = trained
+    stats = NormStats(mins=ds.norm_stats.mins.copy(),
+                      maxs=ds.norm_stats.maxs.copy())
+    stats.mins[1], stats.maxs[1] = stats.maxs[1], stats.mins[1]
+    path = tmp_path / "inverted.json"
+    save_model(path, som, params, norm_stats=stats,
+               class_names=ds.class_names)
+    with pytest.raises(DataFormatError,
+                       match="inverted.json: norm_stats: column 1 has "
+                             "min .* above max"):
+        load_model(path)
+    assert _predict(path, tmp_path) == EXIT_DATA
+
+
 def _predict(model, tmp_path) -> int:
     """Exit code of ``semisom predict`` with ``model`` on a 2-d CSV."""
     data = tmp_path / "probe.csv"
