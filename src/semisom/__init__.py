@@ -17,7 +17,7 @@ from .experiments import (DEFAULT_RANGES, FRACTIONS, CurvePoint, ParamRange,
                           summarize_curve)
 from .inference import REJECTED, Prediction, classify, classify_batch, cluster
 from .model import (ACTIVATION_EPS, NO_CLASS, HyperParams, MapFullError,
-                    Node, SomMap, compute_relevances)
+                    SomMap, compute_relevances)
 from .persistence import TrainedModel, load_model, save_model
 from .training import TrainState, TrainStats, train, train_with_state
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVATION_EPS", "CurvePoint", "DEFAULT_RANGES", "DataFormatError",
     "Dataset", "FRACTIONS", "FoldPlan", "HyperParams", "MapFullError",
-    "NO_CLASS", "Node", "NormStats", "ParamRange", "Prediction", "REJECTED",
+    "NO_CLASS", "NormStats", "ParamRange", "Prediction", "REJECTED",
     "RunResult", "SomMap", "TrainState", "TrainStats", "TrainedModel",
     "apply_norm", "best_per_fold", "classify", "classify_batch", "cluster",
     "compute_relevances", "emit_curve", "emit_curve_svg", "emit_results",

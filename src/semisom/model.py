@@ -115,25 +115,6 @@ class HyperParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class Node:
-    """One prototype of the map.
-
-    Attributes:
-        center: Prototype position in the (normalized) input space.
-        relevance: Per-dimension weights in [0, 1] used by the distance.
-        dist_avg: Moving average of ``|x - center|`` per dimension.
-        wins: Competitions won since the last pruning sweep.
-        label: Class id, or ``NO_CLASS`` when unlabeled.
-    """
-
-    center: np.ndarray
-    relevance: np.ndarray
-    dist_avg: np.ndarray
-    wins: int = 0
-    label: int = NO_CLASS
-
-
 def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     """Turn per-dimension distance averages into relevance weights.
 
@@ -379,6 +360,75 @@ def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
     return code
 
 
+def _integers(name: str, values, shape: tuple, where) -> np.ndarray:
+    """``values`` as int64 of ``shape``. A sequence, or an array of another
+    dtype, must hold integers of that range one by one, which a bool is
+    not; the error names ``where(k)`` for the ``k``-th value."""
+    values = (values if isinstance(values, np.ndarray)
+              else np.array(values, dtype=object))
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+    if values.dtype.kind != "i":
+        for k, v in enumerate(values.ravel().tolist()):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{where(k)} {v!r} is not an integer")
+            if not -2 ** 63 <= v < 2 ** 63:
+                raise ValueError(f"{where(k)} {v} outside [-2**63, 2**63)")
+    return values.astype(np.int64)
+
+
+def _check_arrays(node_budget: int, centers, relevances, dist_avgs, wins,
+                  labels, connections) -> list[np.ndarray]:
+    """The arguments of ``SomMap.from_arrays``, checked, as float
+    ``(n, dim)`` vectors, int64 ``(n,)`` wins and labels and int64 pairs."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2:
+        raise ValueError(f"centers has shape {centers.shape}, expected "
+                         f"(n, dim)")
+    n, dim = centers.shape
+    if n > node_budget:
+        raise ValueError(f"{n} nodes exceed the node budget of {node_budget}")
+    arrays = [np.asarray(v, dtype=float)
+              for v in (centers, relevances, dist_avgs)]
+    for name, values in zip(("center", "relevance", "dist_avg"), arrays):
+        if values.shape != (n, dim):
+            raise ValueError(f"{name}s has shape {values.shape}, expected "
+                             f"{(n, dim)}")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"node {np.argmin(finite)} {name} holds a "
+                             f"non-finite value")
+    for name, values, low in (("wins", wins, 0), ("label", labels, NO_CLASS)):
+        values = _integers(name, values, (n,), lambda j: f"node {j}: {name}")
+        if (values < low).any():
+            j = np.argmax(values < low)
+            raise ValueError(f"node {j} has {name} {values[j]}, below {low}")
+        arrays.append(values)
+    given = (np.array(connections, dtype=object) if len(connections)
+             else np.empty((0, 2), np.int64))
+    pairs = _integers("connections", given, (len(given), 2), lambda k: (
+        f"connection {tuple(given[k // 2].tolist())}: node id"))
+    i, j = pairs.T
+    # the first listing of each pair, in either order
+    _, first = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                         return_index=True)
+    repeated = ~np.isin(np.arange(len(pairs)), first)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    for bad, what in ((outside, f"names a node outside the {n} nodes"),
+                      (i == j, "joins a node to itself"),
+                      (repeated, "is listed twice")):
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(f"connection ({i[k]}, {j[k]}) {what}")
+    return arrays + [pairs]
+
+
+def _rows(storage: str, doc: str) -> property:
+    """A ``SomMap`` property: a copy of the node rows of ``storage``."""
+    return property(lambda som: getattr(som, storage)[:som._n].copy(),
+                    doc=doc)
+
+
 # rows allocated by a new map; the capacity doubles from here
 _FIRST_CAPACITY = 16
 
@@ -478,94 +528,56 @@ class SomMap:
     def is_full(self) -> bool:
         return self._n >= self.node_budget
 
-    @property
-    def labels(self) -> np.ndarray:
-        """Copy of the per-node labels."""
-        return self._labels[:self._n].copy()
-
-    @property
-    def wins(self) -> np.ndarray:
-        """Copy of the per-node win counters."""
-        return self._wins[:self._n].copy()
-
-    @property
-    def centers(self) -> np.ndarray:
-        """Copy of the node centers, one row per node."""
-        return self._centers[:self._n].copy()
-
-    @property
-    def relevances(self) -> np.ndarray:
-        """Copy of the node relevance vectors, one row per node."""
-        return self._rel[:self._n].copy()
+    labels = _rows("_labels", "Copy of the per-node labels.")
+    wins = _rows("_wins", "Copy of the per-node win counters.")
+    centers = _rows("_centers", "Copy of the node centers, one per row.")
+    relevances = _rows("_rel", "Copy of the node relevances, one per row.")
+    dist_avgs = _rows("_dist", "Copy of the distance averages, one per row.")
 
     @property
     def connections(self) -> list[tuple[int, int]]:
         """Sorted list of connected node pairs ``(i, j)`` with ``i < j``."""
-        pairs = []
-        for i in range(self._n):
-            nb = self.neighbor_array(i)
-            pairs.extend((i, j) for j in nb[nb > i].tolist())
-        return pairs
+        n = self._n
+        i, j = np.nonzero(np.triu(_unpack(self._adj[:n])[:, :n], 1))
+        return list(zip(i.tolist(), j.tolist()))
 
-    def label_of(self, j: int) -> int:
-        return int(self._labels[j])
-
-    def _check_node(self, j: int) -> None:
+    def _check_index(self, j: int) -> None:
         if not 0 <= j < self._n:
             raise IndexError(f"no node {j} in a map of {self._n} nodes")
 
-    def node(self, j: int) -> Node:
-        """Detached copy of node ``j``."""
-        self._check_node(j)
-        return Node(
-            center=self._centers[j].copy(),
-            relevance=self._rel[j].copy(),
-            dist_avg=self._dist[j].copy(),
-            wins=int(self._wins[j]),
-            label=int(self._labels[j]),
-        )
-
-    def neighbors(self, j: int) -> set[int]:
-        return set(self.neighbor_array(j).tolist())
-
     def neighbor_array(self, j: int) -> np.ndarray:
         """Neighbors of ``j`` as a sorted index array."""
-        self._check_node(j)
+        self._check_index(j)
         return np.flatnonzero(_unpack(self._adj[j])[:self._n])
 
     @classmethod
-    def from_nodes(cls, dim: int, node_budget: int, nodes: list[Node],
-                   connections: list[tuple[int, int]] = ()) -> SomMap:
-        """Rebuild a map from detached nodes and an explicit connection list.
+    def from_arrays(cls, node_budget: int, centers, relevances, dist_avgs,
+                    wins, labels, connections=()) -> SomMap:
+        """A map of the arrays its properties of the same names return:
+        ``(n, dim)`` centers, relevances and distance averages, ``(n,)``
+        integer wins and labels, and connected node pairs.
 
-        Raises ``ValueError`` naming the node whose vector is not of shape
-        ``(dim,)``.
+        Raises ``ValueError`` naming the first node or pair at fault: a
+        wrong shape, a vector value that is not finite, wins or labels that
+        are not integers (a bool is none), negative wins, a label below
+        ``NO_CLASS``, more nodes than ``node_budget``, or a connection of
+        ids that are not nodes, of a node to itself or listed twice.
         """
+        arrays = _check_arrays(node_budget, centers, relevances, dist_avgs,
+                               wins, labels, connections)
+        n, dim = arrays[0].shape
         som = cls(dim, node_budget)
-        for j, node in enumerate(nodes):
-            for name in ("center", "relevance", "dist_avg"):
-                shape = np.shape(getattr(node, name))
-                if shape != (dim,):
-                    raise ValueError(f"node {j} {name} has shape {shape}, "
-                                     f"expected ({dim},)")
-            som.add_node(node.center, node.label)
-            som._rel[j] = node.relevance
-            som._dist[j] = node.dist_avg
-            som._wins[j] = node.wins
-        som._rel_sums[:som._n] = som._rel[:som._n].sum(axis=1)
-        som.set_connections(connections)
+        if n > len(som._centers):
+            som._grow(n)
+        for name, values in zip(("_centers", "_rel", "_dist", "_wins",
+                                 "_labels"), arrays):
+            getattr(som, name)[:n] = values
+        som._rel_sums[:n] = som._rel[:n].sum(axis=1)
+        som._n = n
+        i, j = arrays[-1].T
+        np.bitwise_or.at(som._adj, (i, j // 64), _BIT[j % 64])
+        np.bitwise_or.at(som._adj, (j, i // 64), _BIT[i % 64])
         return som
-
-    def set_connections(self, pairs: list[tuple[int, int]]) -> None:
-        adj = self._adj
-        adj[:self._n] = 0
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"self-connection on node {i}")
-            if not (0 <= i < self._n and 0 <= j < self._n):
-                raise ValueError(f"connection ({i}, {j}) references a dead node")
-            adj[i, j // 64] |= _BIT[j % 64]
-            adj[j, i // 64] |= _BIT[i % 64]
 
     def add_node(self, x: np.ndarray, label: int = NO_CLASS) -> int:
         """Append a fresh node centered at ``x``; relevances start at one.
@@ -703,7 +715,7 @@ class SomMap:
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
-        self._check_node(j)
+        self._check_index(j)
         with self._lock:
             _link_numpy(self._arrays, self._n, j, 0, minwd)
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .data import DataFormatError, NormStats
-from .model import NO_CLASS, HyperParams, Node, SomMap
+from .model import HyperParams, SomMap
 
 FORMAT_NAME = "semisom-model"
 FORMAT_VERSION = 1
@@ -55,9 +56,8 @@ def _model_text(som: SomMap, params: HyperParams,
     Strings and parameters still go through ``json``.
     ``tests/helpers.reference_model_text`` is the ``json`` form.
     """
-    n = som.n_nodes
-    vectors = {"center": som._centers[:n], "dist_avg": som._dist[:n],
-               "relevance": som._rel[:n]}
+    vectors = {"center": som.centers, "dist_avg": som.dist_avgs,
+               "relevance": som.relevances}
     for values in vectors.values():
         if not np.isfinite(values).all():
             raise ValueError("Out of range float values are not JSON "
@@ -69,8 +69,8 @@ def _model_text(som: SomMap, params: HyperParams,
                       ("label", repr(label)), ("relevance", rel),
                       ("wins", repr(wins))], 2)
              for center, dist, rel, label, wins in zip(
-                 centers, dists, rels, som._labels[:n].tolist(),
-                 som._wins[:n].tolist())]
+                 centers, dists, rels, som.labels.tolist(),
+                 som.wins.tolist())]
     stats = "null" if norm_stats is None else _object(
         [(name, _list([json.dumps(v, allow_nan=False)
                        for v in getattr(norm_stats, name).tolist()], 2))
@@ -152,34 +152,32 @@ def load_model(path) -> TrainedModel:
     for key in ("nodes", "connections"):
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: {key} is not a list")
-    nodes = [_read_node(path, j, spec) for j, spec in enumerate(doc["nodes"])]
-    if not nodes:
+    if not doc["nodes"]:
         raise ValueError(f"{path}: model holds no nodes")
-    dim = len(nodes[0].center)
-    if dim == 0:
-        raise DataFormatError(f"{path}: node vectors are empty")
-    for j, node in enumerate(nodes):
-        _check_node(path, j, node, dim, len(classes))
+    columns = _read_columns(path, doc["nodes"])
     stats = doc["norm_stats"]
     norm_stats = None
     if stats is not None:
         _check_keys(path, "norm_stats: ", stats, ("mins", "maxs"))
-        norm_stats = NormStats(
-            *(_numbers(path, f"norm_stats {name}", stats[name])
-              for name in ("mins", "maxs")))
-        for name, values in (("mins", norm_stats.mins),
-                             ("maxs", norm_stats.maxs)):
-            _check_vector(path, f"norm_stats {name}", values, dim)
+        norm_stats = NormStats(*(
+            _vector(path, f"norm_stats {name}", stats[name],
+                    columns[0].shape[1]) for name in ("mins", "maxs")))
         inverted = np.flatnonzero(norm_stats.mins > norm_stats.maxs)
         if inverted.size:
             i = int(inverted[0])
             raise DataFormatError(
                 f"{path}: norm_stats: column {i} has min "
                 f"{norm_stats.mins[i]!r} above max {norm_stats.maxs[i]!r}")
-    budget = max(params.n_max, len(nodes))
-    som = SomMap.from_nodes(dim, budget, nodes,
-                            _read_connections(path, doc["connections"],
-                                              len(nodes)))
+    try:
+        som = SomMap.from_arrays(
+            max(params.n_max, len(doc["nodes"])), *columns,
+            _read_connections(path, doc["connections"]))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if (som.labels >= len(classes)).any():
+        j = np.argmax(som.labels >= len(classes))
+        raise DataFormatError(f"{path}: node {j} has label {som.labels[j]}, "
+                              f"outside the {len(classes)} classes")
     return TrainedModel(som=som, params=params, norm_stats=norm_stats,
                         class_names=classes)
 
@@ -200,74 +198,63 @@ def _check_keys(path, where: str, doc, keys, exact: bool = False) -> None:
         raise DataFormatError(f"{path}: {where}unknown key {unknown[0]!r}")
 
 
-def _read_connections(path, pairs, n: int) -> list[tuple[int, int]]:
-    """Connection pairs of distinct, existing nodes, each pair once."""
-    seen: set[tuple[int, int]] = set()
-    out = []
+def _read_connections(path, pairs) -> list:
+    """The JSON pairs of integers; ``SomMap.from_arrays`` checks them."""
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(j) is int for j in pair)):
             raise DataFormatError(
                 f"{path}: connection {pair!r} is not a pair of node ids")
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise DataFormatError(
-                f"{path}: connection ({i}, {j}) names a node outside the "
-                f"{n} nodes")
-        if i == j:
-            raise DataFormatError(
-                f"{path}: connection ({i}, {j}) joins a node to itself")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DataFormatError(
-                f"{path}: connection ({i}, {j}) is listed twice")
-        seen.add(key)
-        out.append((i, j))
-    return out
+    return pairs
 
 
 _NODE_KEYS = ("center", "relevance", "dist_avg", "wins", "label")
 
 
-def _read_node(path, j: int, spec) -> Node:
-    _check_keys(path, f"node {j}: ", spec, _NODE_KEYS)
-    for key in ("wins", "label"):
-        if type(spec[key]) is not int:
-            raise DataFormatError(f"{path}: node {j}: {key} "
-                                  f"{spec[key]!r} is not an integer")
-    if not 0 <= spec["wins"] < 2 ** 63:
-        raise DataFormatError(f"{path}: node {j}: wins {spec['wins']} "
-                              f"outside [0, 2**63)")
-    return Node(*(_numbers(path, f"node {j} {key}", spec[key])
-                  for key in ("center", "relevance", "dist_avg")),
-                wins=spec["wins"], label=spec["label"])
+def _read_columns(path, specs: list) -> list[np.ndarray]:
+    """The node fields in the order of ``SomMap.from_arrays``, each read
+    across all nodes as one array: float ``(n, dim)`` vectors (``dim`` of
+    node 0's center), then object arrays of the JSON wins and labels."""
+    try:
+        columns = [[spec[key] for spec in specs] for key in _NODE_KEYS]
+    except (KeyError, TypeError):  # a node that is no object, or lacks a key
+        for j, spec in enumerate(specs):
+            _check_keys(path, f"node {j}: ", spec, _NODE_KEYS)
+        raise
+    dim = len(columns[0][0]) if isinstance(columns[0][0], list) else 0
+    return ([_vector_column(path, key, values, dim)
+             for key, values in zip(_NODE_KEYS, columns[:3])]
+            + [np.fromiter(values, object, len(specs))
+               for values in columns[3:]])
 
 
-def _numbers(path, what: str, values) -> np.ndarray:
-    """A JSON array of numbers as a float vector; a boolean, a string or a
-    nested array is not a number."""
+def _vector_column(path, key: str, values: list, dim: int) -> np.ndarray:
+    """A column of JSON vectors as one float array. Only a column that
+    fails is read again node by node, to name the first node at fault."""
+    if (set(map(type, values)) <= {list} and set(map(len, values)) == {dim}
+            and set(map(type, chain.from_iterable(values))) <= {int, float}):
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return np.array([_vector(path, f"node {j} {key}", v, dim)
+                     for j, v in enumerate(values)])
+
+
+def _vector(path, what: str, values, dim: int) -> np.ndarray:
+    """A JSON array of ``dim`` finite numbers as a float vector; a boolean,
+    a string or a nested array is not a number."""
     if not (isinstance(values, list)
             and set(map(type, values)) <= {int, float}):
         raise DataFormatError(f"{path}: {what} is not an array of numbers")
     try:
-        return np.array(values, dtype=float)
+        vector = np.array(values, dtype=float)
     except OverflowError:
         raise DataFormatError(f"{path}: {what} holds a non-finite "
                               f"value") from None
-
-
-def _check_node(path, j: int, node: Node, dim: int, n_classes: int) -> None:
-    for name in ("center", "relevance", "dist_avg"):
-        _check_vector(path, f"node {j} {name}", getattr(node, name), dim)
-    if node.label != NO_CLASS and not 0 <= node.label < n_classes:
+    if vector.shape != (dim,):
         raise DataFormatError(
-            f"{path}: node {j} has label {node.label}, outside the "
-            f"{n_classes} classes")
-
-
-def _check_vector(path, what: str, values: np.ndarray, dim: int) -> None:
-    if values.shape != (dim,):
-        raise DataFormatError(
-            f"{path}: {what} has shape {values.shape}, expected ({dim},)")
-    if not np.isfinite(values).all():
+            f"{path}: {what} has shape {vector.shape}, expected ({dim},)")
+    if not np.isfinite(vector).all():
         raise DataFormatError(f"{path}: {what} holds a non-finite value")
+    return vector

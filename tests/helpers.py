@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset, Node,
+from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset,
                      Prediction, SomMap)
 from semisom.data import (_ATTRIBUTE_RE, _NOMINAL_RE, _require_finite,
                           _strip_quotes)
@@ -66,22 +66,43 @@ def random_map(rng: np.random.Generator, n_nodes: int | None = None,
     """Map with random centers/relevances/labels for oracle comparisons."""
     n = n_nodes or int(rng.integers(1, 13))
     m = dim or int(rng.integers(1, 9))
-    nodes = []
+    rows = []
     for _ in range(n):
         label = int(rng.integers(-1, 4)) if labeled else NO_CLASS
-        nodes.append(Node(
-            center=rng.random(m),
-            relevance=rng.random(m),
-            dist_avg=rng.random(m),
-            wins=int(rng.integers(0, 10)),
-            label=label,
-        ))
-    return SomMap.from_nodes(m, max(n, 4), nodes)
+        rows.append((rng.random(m), rng.random(m), rng.random(m),
+                     int(rng.integers(0, 10)), label))
+    centers, relevances, dist_avgs, wins, labels = map(np.array, zip(*rows))
+    return SomMap.from_arrays(max(n, 4), centers, relevances, dist_avgs,
+                              wins, labels)
 
 
-def weighted_distance(x, node: Node) -> float:
+_FIELDS = ("center", "relevance", "dist_avg", "wins", "label")
+
+
+def node_at(center, relevance=None, dist_avg=None, label=NO_CLASS,
+            wins=0) -> dict:
+    """One node's fields for ``map_of``: relevances of one and distance
+    averages of zero unless given."""
+    center = np.asarray(center, dtype=float)
+    return dict(center=center,
+                relevance=np.ones_like(center) if relevance is None
+                else np.asarray(relevance, dtype=float),
+                dist_avg=np.zeros_like(center) if dist_avg is None
+                else np.asarray(dist_avg, dtype=float),
+                wins=wins, label=label)
+
+
+def map_of(node_budget: int, nodes, connections=()) -> SomMap:
+    """``SomMap.from_arrays`` of the ``node_at`` rows ``nodes``."""
+    return SomMap.from_arrays(
+        node_budget, *(np.array([nd[key] for nd in nodes]) for key in _FIELDS),
+        connections)
+
+
+def weighted_distance(x, center, relevance) -> float:
     """The distance kernel the map's winner search runs, for one node."""
-    return float(_distances(node.center[None], node.relevance[None], x)[0])
+    return float(_distances(np.asarray(center, dtype=float)[None],
+                            np.asarray(relevance, dtype=float)[None], x)[0])
 
 
 # Independent re-implementations of the math kernels, in plain Python.
@@ -95,9 +116,9 @@ def brute_activation(x, center, relevance, eps: float = 1e-7) -> float:
 
 def brute_winner(som: SomMap, x) -> tuple[int, float]:
     best, best_act = 0, -1.0
-    for j in range(som.n_nodes):
-        node = som.node(j)
-        act = brute_activation(x, node.center, node.relevance)
+    for j, (center, relevance) in enumerate(zip(som.centers,
+                                                som.relevances)):
+        act = brute_activation(x, center, relevance)
         if act > best_act:
             best, best_act = j, act
     return best, best_act
@@ -133,13 +154,16 @@ def reference_model_text(som: SomMap, params, norm_stats=None,
         "classes": list(class_names),
         "nodes": [
             {
-                "center": node.center.tolist(),
-                "relevance": node.relevance.tolist(),
-                "dist_avg": node.dist_avg.tolist(),
-                "wins": node.wins,
-                "label": node.label,
+                "center": center,
+                "relevance": relevance,
+                "dist_avg": dist_avg,
+                "wins": wins,
+                "label": label,
             }
-            for node in (som.node(j) for j in range(som.n_nodes))
+            for center, relevance, dist_avg, wins, label in zip(
+                som.centers.tolist(), som.relevances.tolist(),
+                som.dist_avgs.tolist(), som.wins.tolist(),
+                som.labels.tolist())
         ],
         "connections": [list(pair) for pair in som.connections],
     }
@@ -300,18 +324,20 @@ def reference_load_csv(path, label_column: str | None = None) -> Dataset:
     )
 
 
-def brute_connected(a: Node, b: Node, minwd: float) -> bool:
-    if a.label != NO_CLASS and b.label != NO_CLASS and a.label != b.label:
+def brute_connected(relevances, labels, i: int, j: int,
+                    minwd: float) -> bool:
+    """Whether nodes ``i`` and ``j`` of the given rows qualify as
+    neighbors."""
+    a, b = labels[i], labels[j]
+    if a != NO_CLASS and b != NO_CLASS and a != b:
         return False
-    gap = math.sqrt(sum((p - q) ** 2 for p, q in zip(a.relevance,
-                                                     b.relevance)))
-    return gap < minwd * math.sqrt(len(a.relevance))
+    gap = math.sqrt(sum((p - q) ** 2 for p, q in zip(relevances[i],
+                                                     relevances[j])))
+    return gap < minwd * math.sqrt(len(relevances[i]))
 
 
 def brute_connections(som: SomMap, minwd: float) -> list[tuple[int, int]]:
-    pairs = []
-    for i in range(som.n_nodes):
-        for j in range(i + 1, som.n_nodes):
-            if brute_connected(som.node(i), som.node(j), minwd):
-                pairs.append((i, j))
-    return pairs
+    rel, labels = som.relevances.tolist(), som.labels.tolist()
+    return [(i, j) for i in range(som.n_nodes)
+            for j in range(i + 1, som.n_nodes)
+            if brute_connected(rel, labels, i, j, minwd)]

@@ -34,12 +34,12 @@ def test_c1_math_kernel_properties():
     rng = np.random.default_rng(2024)
 
     # activation stays in [0, 1)
-    from semisom import Node, SomMap, compute_relevances
+    from semisom import SomMap, compute_relevances
     for _ in range(1000):
         m = int(rng.integers(1, 9))
-        node = Node(center=rng.random(m), relevance=rng.random(m),
-                    dist_avg=rng.random(m))
-        act = SomMap.from_nodes(m, 1, [node]).activations(rng.random(m))[0]
+        som = SomMap.from_arrays(1, [rng.random(m)], [rng.random(m)],
+                                 [rng.random(m)], [0], [NO_CLASS])
+        act = som.activations(rng.random(m))[0]
         assert 0.0 <= act < 1.0
 
     # relevances in [0, 1], smaller distance average -> larger weight
@@ -61,8 +61,7 @@ def test_c1_math_kernel_properties():
         m = int(rng.integers(1, 12))
         c = rng.random(m)
         x = rng.random(m)
-        node = Node(center=c, relevance=np.ones(m), dist_avg=np.zeros(m))
-        assert abs(weighted_distance(x, node)
+        assert abs(weighted_distance(x, c, np.ones(m))
                    - float(np.linalg.norm(x - c))) <= 1e-12
 
     # winner search agrees with an exhaustive scan

@@ -5,24 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, REJECTED, HyperParams, Node, SomMap, classify,
+from semisom import (NO_CLASS, REJECTED, HyperParams, SomMap, classify,
                      classify_batch, cluster, inference, mask_labels,
                      normalize, train_with_state)
-from helpers import (brute_winner, make_synthetic, random_map,
-                     reference_classify)
-
-
-def node_at(center, relevance=None, label=NO_CLASS):
-    center = np.asarray(center, dtype=float)
-    rel = np.ones_like(center) if relevance is None else np.asarray(relevance,
-                                                                    float)
-    return Node(center=center, relevance=rel,
-                dist_avg=np.zeros_like(center), label=label)
+from helpers import (brute_winner, make_synthetic, map_of, node_at,
+                     random_map, reference_classify)
 
 
 @pytest.fixture
 def mixed_map():
-    return SomMap.from_nodes(2, 8, [
+    return map_of(8, [
         node_at([0.2, 0.2], label=NO_CLASS),
         node_at([0.8, 0.8], label=1),
         node_at([0.5, 0.5], label=0),
@@ -55,7 +47,7 @@ def test_labeled_winner_decides_at_any_activation(mixed_map):
 
 
 def test_unlabeled_winner_falls_back_to_labeled_above_threshold():
-    som = SomMap.from_nodes(2, 8, [
+    som = map_of(8, [
         node_at([0.5, 0.5], label=NO_CLASS),
         node_at([0.45, 0.45], label=1),
     ])
@@ -68,7 +60,7 @@ def test_unlabeled_winner_falls_back_to_labeled_above_threshold():
 
 
 def test_no_labeled_nodes_means_rejected():
-    som = SomMap.from_nodes(2, 4, [node_at([0.3, 0.3]), node_at([0.7, 0.7])])
+    som = map_of(4, [node_at([0.3, 0.3]), node_at([0.7, 0.7])])
     for x in np.random.default_rng(4).random((20, 2)):
         pred = classify(som, x, a_t=0.5)
         assert pred.label == REJECTED and pred.node is None
@@ -126,7 +118,7 @@ def test_non_finite_patterns_raise(mixed_map, bad):
 
 
 def test_exact_ties_go_to_the_lowest_index():
-    som = SomMap.from_nodes(2, 8, [
+    som = map_of(8, [
         node_at([0.9, 0.1], label=0),
         node_at([0.3, 0.6], label=NO_CLASS),
         node_at([0.3, 0.6], label=1),
@@ -144,7 +136,7 @@ def test_classify_batch_sees_an_overflowing_term_of_zero_relevance():
     """Node 1's term 0 * (1e200 - 0.5)^2 is NaN, so its activation is NaN
     and wins, though the screen's expanded form, where the term is 0 * 1e200
     * 1e200 = 0, bounds it below node 0's activation."""
-    som = SomMap.from_nodes(2, 2, [
+    som = map_of(2, [
         node_at([0.5, 0.5], label=0),
         node_at([1e200, 0.1], relevance=[0.0, 1.0], label=1)])
     x = np.array([[0.5, 0.9]])
@@ -185,9 +177,8 @@ def _batches(draw):
         labels[:] = NO_CLASS
     elif draw(st.booleans()):
         labels[rng.integers(n)] = NO_CLASS
-    som = SomMap.from_nodes(m, n, [
-        Node(center=c, relevance=r, dist_avg=np.zeros(m), label=int(lab))
-        for c, r, lab in zip(centers, rel, labels)])
+    som = SomMap.from_arrays(n, centers, rel, np.zeros((n, m)),
+                             np.zeros(n, np.int64), labels)
     k = draw(st.integers(1, 30))
     x = rng.random((k, m)) * scale
     on_center = rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))

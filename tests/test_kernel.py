@@ -24,14 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, Dataset, HyperParams, Node, SomMap,
-                     classify_batch, mask_labels, save_model,
-                     train_with_state)
+from semisom import (NO_CLASS, Dataset, HyperParams, SomMap, classify_batch,
+                     mask_labels, save_model, train_with_state)
 from semisom import _kernel
 from semisom.model import (ACTIVATION_EPS, _activations, _shift_vectors,
                            _train_numpy)
 from semisom.training import TrainState, _present_chunk
-from helpers import brute_connections, make_blobs, random_map
+from helpers import (brute_connections, make_blobs, map_of, node_at,
+                     random_map)
 
 compiled = pytest.mark.skipif(_kernel.compiled() is None,
                               reason="no C compiler: maps use numpy kernels")
@@ -202,15 +202,13 @@ def _maps(draw):
     if draw(st.booleans()):  # a pattern on a center
         x = centers[rng.integers(n)].copy()
     labels = rng.integers(-1, 3, size=n)
-    nodes = [Node(center=c, relevance=r, dist_avg=d, label=int(lab))
-             for c, r, d, lab in zip(centers, rel, dist, labels)]
     k = draw(st.integers(1, n))
     rows = rng.permutation(n)[:k]
     rates = rng.choice([0.0, 1.0, -0.005, 0.05, rng.uniform(-0.1, 0.5)],
                        size=k)
     beta = draw(st.sampled_from([0.1, 0.5, 0.99]))
     slope = draw(st.sampled_from([0.01, 0.05, 1.0]))
-    return nodes, x, rows, rates, beta, slope
+    return (centers, rel, dist, labels), x, rows, rates, beta, slope
 
 
 def _present_once(lib, case):
@@ -224,21 +222,24 @@ def _present_once(lib, case):
     before the draw, the numpy references of the activations and the
     updated rows, and the winner.
     """
-    nodes, x, rows, rates, beta, slope = case
-    n, m = len(nodes), nodes[0].center.size
-    centers = np.array([nd.center for nd in nodes])
-    dist = np.array([nd.dist_avg for nd in nodes])
-    rel = np.array([nd.relevance for nd in nodes])
+    (centers, rel, dist, labels), x, rows, rates, beta, slope = case
+    n, m = centers.shape
     with np.errstate(over="ignore", invalid="ignore"):
         acts = _activations(centers, rel, rel.sum(axis=1), x, ACTIVATION_EPS)
-        w = int(np.argmax(acts))
-        neighbors = sorted(set(rows.tolist()) - {w})
-        updates = [(w, rates[0])] + [(j, rates[-1]) for j in neighbors]
-        for j, lr in updates:
-            rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
+    w = int(np.argmax(acts))
+    neighbors = sorted(set(rows.tolist()) - {w})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "compiled", lambda: lib)
-        som = SomMap.from_nodes(m, n + 1, nodes, [(w, j) for j in neighbors])
+        som = SomMap.from_arrays(n + 1, centers, rel, np.zeros((n, m)),
+                                 np.zeros(n, np.int64), labels,
+                                 [(w, j) for j in neighbors])
+    # distance averages of NaN and inf, which from_arrays refuses, reach
+    # the loop too
+    som._dist[:n] = dist
+    centers, rel, dist = centers.copy(), rel.copy(), dist.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, lr in [(w, rates[0])] + [(j, rates[-1]) for j in neighbors]:
+            rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
     assert som._train.args[0] is lib
     with np.errstate(over="ignore", invalid="ignore"):
         searched = som.activations(x)
@@ -259,7 +260,7 @@ def test_compiled_winner_equals_numpy(default_only, case):
     """The loop's winner search, on both builds, against ``_activations``:
     the activation row, the winner its win goes to, and the search
     ``SomMap`` runs per call."""
-    n = len(case[0])
+    n = len(case[0][0])
     for lib in (_kernel.compiled(), default_only):
         som, searched, want, _, w = _present_once(lib, case)
         assert np.array_equal(bits(som._acts[:n]), bits(want))
@@ -272,12 +273,11 @@ def test_compiled_winner_equals_numpy(default_only, case):
 def test_compiled_update_equals_numpy(default_only, case):
     """The loop's node update, on both builds, against ``_shift_vectors``
     on the winner and its neighbors, in ascending order."""
-    n = len(case[0])
+    n = len(case[0][0])
     for lib in (_kernel.compiled(), default_only):
         som, _, _, (centers, dist, rel), _ = _present_once(lib, case)
         assert np.array_equal(bits(som.centers), bits(centers))
-        assert np.array_equal(bits([som.node(j).dist_avg for j in range(n)]),
-                              bits(dist))
+        assert np.array_equal(bits(som.dist_avgs), bits(dist))
         assert np.array_equal(bits(som.relevances), bits(rel))
         assert np.array_equal(bits(som._rel_sums[:n]), bits(rel.sum(axis=1)))
 
@@ -501,16 +501,14 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
     for _ in range(2):
         twin.update_node(0, x, 0.5, 0.1, 0.05)
     assert np.array_equal(som.centers, [[0.75, 0.375]])
-    assert np.array_equal(bits(som.node(0).dist_avg),
-                          bits(twin.node(0).dist_avg))
+    assert np.array_equal(bits(som.dist_avgs), bits(twin.dist_avgs))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
     assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
     som.update_nodes([0, 0, 0], x, 0.5, 0.1, 0.05)
     for _ in range(3):
         twin.update_node(0, x, 0.5, 0.1, 0.05)
     assert np.array_equal(bits(som.centers), bits(twin.centers))
-    assert np.array_equal(bits(som.node(0).dist_avg),
-                          bits(twin.node(0).dist_avg))
+    assert np.array_equal(bits(som.dist_avgs), bits(twin.dist_avgs))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
     assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
 
@@ -578,8 +576,8 @@ def test_links_span_several_bit_words(kernels):
     pairs = som.connections
     assert pairs == brute_connections(som, minwd)
     for j in (0, 64, 149):
-        assert som.neighbors(j) == ({b for a, b in pairs if a == j}
-                                    | {a for a, b in pairs if b == j})
+        assert set(som.neighbor_array(j).tolist()) == (
+            {b for a, b in pairs if a == j} | {a for a, b in pairs if b == j})
 
 
 @st.composite
@@ -759,20 +757,19 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
     pruning sweep sees ``wins`` plus that win."""
     lib = _kernel.compiled() if build == "clones" else default_only
     rng = np.random.default_rng(31)
-    nodes = [Node(center=c, relevance=np.ones(3), dist_avg=np.zeros(3),
-                  wins=w) for c, w in zip(np.eye(4, 3) * 5.0, wins)]
+    nodes = [node_at(c, wins=w) for c, w in zip(np.eye(4, 3) * 5.0, wins)]
     params = HyperParams(a_t=0.5, lp=lp, beta=0.1, age_wins=4, e_b=0.1,
                          push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
                          epochs=1, n_max=8)
     monkeypatch.setattr(_kernel, "compiled", lambda: lib)
-    fast = SomMap.from_nodes(3, 8, nodes)
+    fast = map_of(8, nodes)
     monkeypatch.setattr(_kernel, "compiled", lambda: None)
     slow = pickle.loads(pickle.dumps(fast))
     states = []
     for som in (fast, slow):
         som.nwins = params.age_wins
         state = TrainState(som=som, params=params, rng=rng)
-        x = nodes[at].center + 0.01
+        x = nodes[at]["center"] + 0.01
         _present_chunk(state, x[None], np.array([NO_CLASS]), np.array([0]),
                        allow_insert=True, observer=None)
         states.append(state)
@@ -848,11 +845,8 @@ def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
     pushed. Random draws never land exactly on the threshold.
     """
     x = np.array([0.3, 0.6])
-    nodes = [Node(center=x.copy(), relevance=np.ones(2),
-                  dist_avg=np.zeros(2), label=winner_label),
-             Node(center=np.array([0.35, 0.5]), relevance=np.ones(2),
-                  dist_avg=np.zeros(2))]
-    fast = SomMap.from_nodes(2, 2, nodes)
+    fast = map_of(2, [node_at(x.copy(), label=winner_label),
+                      node_at([0.35, 0.5])])
     acts = fast.activations(x)
     a_t = float(acts[0] if winner_label == NO_CLASS else acts[1])
     params = HyperParams(a_t=a_t, lp=0.01, beta=0.1, age_wins=100, e_b=0.1,

@@ -7,61 +7,53 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semisom import (ACTIVATION_EPS, NO_CLASS, HyperParams, MapFullError,
-                     Node, SomMap, compute_relevances)
-from helpers import (brute_connections, brute_winner, random_map,
-                     weighted_distance)
+                     SomMap, compute_relevances)
+from helpers import (brute_connections, brute_winner, map_of, node_at,
+                     random_map, weighted_distance)
 
 
-def node_at(center, relevance=None, dist_avg=None, label=NO_CLASS, wins=0):
-    center = np.asarray(center, dtype=float)
-    if relevance is None:
-        relevance = np.ones_like(center)
-    if dist_avg is None:
-        dist_avg = np.zeros_like(center)
-    return Node(center=center, relevance=np.asarray(relevance, dtype=float),
-                dist_avg=np.asarray(dist_avg, dtype=float), wins=wins,
-                label=label)
+def one_node_map(node: dict) -> SomMap:
+    return map_of(1, [node])
 
 
-def one_node_map(node: Node) -> SomMap:
-    return SomMap.from_nodes(node.center.size, 1, [node])
-
-
-def activation(x, node: Node) -> float:
+def activation(x, node: dict) -> float:
     """The map's activation of its only node for ``x``."""
     return float(one_node_map(node).activations(x)[0])
 
 
-def linked(a: Node, b: Node, minwd: float) -> bool:
+def linked(a: dict, b: dict, minwd: float) -> bool:
     """Whether the map connects ``a`` and ``b`` when it rebuilds its links."""
-    som = SomMap.from_nodes(a.center.size, 2, [a, b])
+    som = map_of(2, [a, b])
     som.rebuild_connections(minwd)
     return som.connections == [(0, 1)]
 
 
-def updated(node: Node, x, lr: float, beta: float, slope: float) -> Node:
-    """``node`` after one ``SomMap.update_node`` step."""
+def updated(node: dict, x, lr: float, beta: float, slope: float) -> dict:
+    """``node``'s vectors after one ``SomMap.update_node`` step."""
     som = one_node_map(node)
     som.update_node(0, x, lr, beta, slope)
-    return som.node(0)
+    return dict(center=som.centers[0], relevance=som.relevances[0],
+                dist_avg=som.dist_avgs[0])
 
 
 # -- weighted distance -------------------------------------------------------
 
 def test_distance_zero_for_identical_points():
     n = node_at([0.5, 0.5], relevance=[0.3, 0.9])
-    assert weighted_distance(np.array([0.5, 0.5]), n) == 0.0
+    assert weighted_distance(np.array([0.5, 0.5]), n["center"],
+                             n["relevance"]) == 0.0
 
 
 def test_distance_reduces_to_euclidean_with_unit_relevance():
     n = node_at([3.0, 4.0])
-    assert weighted_distance(np.zeros(2), n) == pytest.approx(5.0)
+    assert weighted_distance(np.zeros(2), n["center"],
+                             n["relevance"]) == pytest.approx(5.0)
 
 
 def test_distance_hand_computed():
     n = node_at([2.0, 1.0], relevance=[0.25, 1.0])
-    assert weighted_distance(np.zeros(2), n) == pytest.approx(math.sqrt(2.0),
-                                                              abs=1e-12)
+    assert weighted_distance(np.zeros(2), n["center"], n["relevance"]) == (
+        pytest.approx(math.sqrt(2.0), abs=1e-12))
 
 
 def test_distance_rejects_dimension_mismatch():
@@ -176,38 +168,38 @@ def test_update_zero_rate_keeps_node():
     n = node_at([0.3, 0.7], relevance=compute_relevances(dist, 0.05),
                 dist_avg=dist)
     moved = updated(n, np.array([0.9, 0.1]), lr=0.0, beta=0.3, slope=0.05)
-    assert np.array_equal(moved.center, n.center)
-    assert np.array_equal(moved.dist_avg, n.dist_avg)
-    assert np.array_equal(moved.relevance, n.relevance)
+    assert np.array_equal(moved["center"], n["center"])
+    assert np.array_equal(moved["dist_avg"], n["dist_avg"])
+    assert np.array_equal(moved["relevance"], n["relevance"])
 
 
 def test_update_full_rate_moves_center_onto_pattern():
     n = updated(node_at([0.3, 0.7]), np.array([0.9, 0.1]), lr=1.0, beta=0.3,
                 slope=0.05)
-    assert np.array_equal(n.center, np.array([0.9, 0.1]))
+    assert np.array_equal(n["center"], np.array([0.9, 0.1]))
 
 
 def test_update_half_rate_hand_computed():
     n = updated(node_at([0.0, 0.0]), np.array([1.0, 1.0]), lr=0.5, beta=0.1,
                 slope=0.05)
-    assert n.center == pytest.approx([0.5, 0.5])
+    assert n["center"] == pytest.approx([0.5, 0.5])
     # moving average saw |x - c| with the pre-update center
-    assert n.dist_avg == pytest.approx([0.05, 0.05])
-    assert np.array_equal(n.relevance, np.ones(2))
+    assert n["dist_avg"] == pytest.approx([0.05, 0.05])
+    assert np.array_equal(n["relevance"], np.ones(2))
 
 
 def test_update_uses_old_center_for_distance_average():
     n = updated(node_at([0.2, 0.2], dist_avg=[0.4, 0.0]),
                 np.array([1.0, 0.2]), lr=0.5, beta=0.2, slope=0.05)
     # (1 - 0.1) * 0.4 + 0.1 * 0.8 = 0.44
-    assert n.dist_avg[0] == pytest.approx(0.44)
-    assert n.dist_avg[1] == pytest.approx(0.0)
+    assert n["dist_avg"][0] == pytest.approx(0.44)
+    assert n["dist_avg"][1] == pytest.approx(0.0)
 
 
 def test_negative_rate_clamps_distance_average_at_zero():
     n = updated(node_at([0.0, 0.0], dist_avg=[0.0, 0.001]),
                 np.array([1.0, 1.0]), lr=-0.9, beta=0.9, slope=0.05)
-    assert np.all(n.dist_avg >= 0.0)
+    assert np.all(n["dist_avg"] >= 0.0)
 
 
 def test_update_rejects_dimension_mismatch():
@@ -235,7 +227,8 @@ def test_relevance_gap_threshold():
     a = node_at(np.zeros(m), relevance=np.zeros(m), label=NO_CLASS)
     gap = 0.9 * math.sqrt(m)
     b = node_at(np.zeros(m), relevance=np.full(m, 0.9), label=3)
-    assert np.linalg.norm(a.relevance - b.relevance) == pytest.approx(gap)
+    assert np.linalg.norm(a["relevance"] - b["relevance"]) == (
+        pytest.approx(gap))
     assert not linked(a, b, minwd=0.5)
     assert linked(a, b, minwd=0.91)
 
@@ -265,14 +258,14 @@ def test_find_winner_matches_brute_force():
 
 
 def test_find_winner_single_node():
-    som = SomMap.from_nodes(2, 4, [node_at([0.5, 0.5])])
+    som = map_of(4, [node_at([0.5, 0.5])])
     assert som.find_winner(np.array([0.1, 0.9]))[0] == 0
 
 
 def test_find_winner_tie_breaks_to_lowest_index():
     twin = node_at([0.4, 0.6], relevance=[0.8, 0.8])
-    som = SomMap.from_nodes(2, 4, [node_at([0.4, 0.6], relevance=[0.8, 0.8]),
-                                   twin])
+    som = map_of(4, [node_at([0.4, 0.6], relevance=[0.8, 0.8]),
+                     twin])
     assert som.find_winner(np.array([0.2, 0.2]))[0] == 0
 
 
@@ -283,7 +276,7 @@ def test_find_winner_empty_map_errors():
 
 
 def test_find_winner_for_class_filters_labels():
-    som = SomMap.from_nodes(2, 8, [
+    som = map_of(8, [
         node_at([0.5, 0.5], label=0),
         node_at([0.5, 0.5], label=1),
         node_at([0.9, 0.9], label=NO_CLASS),
@@ -291,14 +284,14 @@ def test_find_winner_for_class_filters_labels():
     x = np.array([0.5, 0.5])
     assert som.find_winner_for_class(x, label=1, a_t=0.5) == 1
     # every node carries some other class
-    som2 = SomMap.from_nodes(2, 8, [node_at([0.5, 0.5], label=0),
-                                    node_at([0.5, 0.5], label=2)])
+    som2 = map_of(8, [node_at([0.5, 0.5], label=0),
+                      node_at([0.5, 0.5], label=2)])
     assert som2.find_winner_for_class(x, label=1, a_t=0.0) is None
 
 
 def test_find_winner_for_class_accepts_unlabeled_at_threshold():
-    som = SomMap.from_nodes(2, 8, [node_at([0.2, 0.2], label=0),
-                                   node_at([0.8, 0.8], label=NO_CLASS)])
+    som = map_of(8, [node_at([0.2, 0.2], label=0),
+                     node_at([0.8, 0.8], label=NO_CLASS)])
     x = np.array([0.8, 0.8])
     act = som.activations(x)[1]
     assert som.find_winner_for_class(x, label=1, a_t=act) == 1
@@ -325,21 +318,21 @@ def test_rebuild_connections_matches_brute_force():
 
 
 def test_rebuild_single_node_has_no_connections():
-    som = SomMap.from_nodes(2, 4, [node_at([0.1, 0.1])])
+    som = map_of(4, [node_at([0.1, 0.1])])
     som.rebuild_connections(0.5)
     assert som.connections == []
 
 
 def test_rebuild_identical_unlabeled_nodes_fully_connected():
     nodes = [node_at([0.1 * i, 0.1 * i]) for i in range(3)]
-    som = SomMap.from_nodes(2, 4, nodes)
+    som = map_of(4, nodes)
     som.rebuild_connections(0.5)
     assert som.connections == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_rebuild_distinct_labels_disconnect():
-    som = SomMap.from_nodes(2, 4, [node_at([0.1, 0.1], label=0),
-                                   node_at([0.2, 0.2], label=1)])
+    som = map_of(4, [node_at([0.1, 0.1], label=0),
+                     node_at([0.2, 0.2], label=1)])
     som.rebuild_connections(0.5)
     assert som.connections == []
 
@@ -369,26 +362,24 @@ def test_update_nodes_equals_sequential_updates():
                      dist_avg=rng.random(m)) for _ in range(5)]
     # centered on x with equal distance averages: the row stays flat
     nodes.append(node_at(x.copy(), dist_avg=np.full(m, 0.2)))
-    batch = SomMap.from_nodes(m, 8, nodes)
-    single = SomMap.from_nodes(m, 8, nodes)
+    batch = map_of(8, nodes)
+    single = map_of(8, nodes)
     idx = np.array([5, 0, 3, 4])
     rates = np.array([[0.1], [0.01], [-0.02], [0.0]])
     batch.update_nodes(idx, x, rates, beta=0.3, slope=0.05)
     for j, lr in zip(idx, rates[:, 0]):
         single.update_node(int(j), x, float(lr), beta=0.3, slope=0.05)
-    for j in range(batch.n_nodes):
-        a, b = batch.node(j), single.node(j)
-        assert np.array_equal(a.center, b.center)
-        assert np.array_equal(a.dist_avg, b.dist_avg)
-        assert np.array_equal(a.relevance, b.relevance)
-    assert np.array_equal(batch.node(5).relevance, np.ones(m))
+    assert np.array_equal(batch.centers, single.centers)
+    assert np.array_equal(batch.dist_avgs, single.dist_avgs)
+    assert np.array_equal(batch.relevances, single.relevances)
+    assert np.array_equal(batch.relevances[5], np.ones(m))
     probe = rng.random(m)
     assert np.array_equal(batch.activations(probe), single.activations(probe))
 
 
 def test_keep_nodes_compacts_in_order():
     nodes = [node_at([0.1 * i, 0.0], wins=i) for i in range(5)]
-    som = SomMap.from_nodes(2, 8, nodes)
+    som = map_of(8, nodes)
     som.keep_nodes(np.array([1, 3, 4]))
     assert som.n_nodes == 3
     assert np.array_equal(som.wins, np.array([1, 3, 4]))
@@ -449,31 +440,80 @@ def test_growing_storage_keeps_nodes_and_links():
     nodes = [node_at(rng.random(3), relevance=rng.random(3),
                      dist_avg=rng.random(3), label=int(rng.integers(-1, 3)),
                      wins=int(rng.integers(10))) for _ in range(200)]
-    som = SomMap.from_nodes(3, 500, nodes[:10])
+    som = map_of(500, nodes[:10])
     som.rebuild_connections(0.4)
     before = som.connections
     for node in nodes[10:]:
-        j = som.add_node(node.center, node.label)
-        som._rel[j] = node.relevance
-        som._dist[j] = node.dist_avg
-        som._wins[j] = node.wins
-        som._rel_sums[j] = node.relevance.sum()
+        j = som.add_node(node["center"], node["label"])
+        som._rel[j] = node["relevance"]
+        som._dist[j] = node["dist_avg"]
+        som._wins[j] = node["wins"]
+        som._rel_sums[j] = node["relevance"].sum()
     assert len(som._centers) == 256 and som._adj.shape == (256, 4)
     assert [p for p in som.connections if p[1] < 10] == before
-    assert np.array_equal(som.centers, [nd.center for nd in nodes])
-    assert np.array_equal(som.wins, [nd.wins for nd in nodes])
+    assert np.array_equal(som.centers, [nd["center"] for nd in nodes])
+    assert np.array_equal(som.wins, [nd["wins"] for nd in nodes])
     x = rng.random(3)
     assert som.find_winner(x) == brute_winner(som, x)
     som.rebuild_connections(0.4)
     assert som.connections == brute_connections(som, 0.4)
 
 
+def _arrays(n: int = 2, dim: int = 3) -> dict:
+    """The arguments of ``SomMap.from_arrays`` for a valid map of ``n``
+    labeled nodes in ``dim`` dimensions, without links."""
+    return dict(node_budget=4, centers=np.full((n, dim), 0.5),
+                relevances=np.ones((n, dim)), dist_avgs=np.zeros((n, dim)),
+                wins=np.zeros(n, np.int64), labels=np.zeros(n, np.int64),
+                connections=[])
+
+
 @pytest.mark.parametrize("name", ["center", "relevance", "dist_avg"])
 @pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), ()])
 def test_from_nodes_rejects_vectors_of_another_shape(name, shape):
-    """A vector that is not ``(dim,)`` is named, not broadcast."""
-    good = node_at([0.1, 0.2, 0.3])
-    bad = node_at([0.4, 0.5, 0.6])
-    setattr(bad, name, np.full(shape, 0.5))
-    with pytest.raises(ValueError, match=f"node 1 {name} has shape"):
-        SomMap.from_nodes(3, 4, [good, bad])
+    """An array of node vectors that is not ``(n, dim)`` is refused, not
+    broadcast, by ``from_arrays``, which replaced ``from_nodes``; ``dim``
+    is the width of the centers."""
+    arrays = _arrays()
+    arrays[name + "s"] = np.full((2, *shape), 0.5)
+    with pytest.raises(ValueError, match=r"s has shape \(2,.*\), expected"):
+        SomMap.from_arrays(**arrays)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("labels", [0, -2],
+                 r"node 1 has label -2, below -1", id="label-rejected"),
+    pytest.param("wins", [0, -3], r"node 1 has wins -3, below 0",
+                 id="negative-wins"),
+    pytest.param("labels", [0, True], r"node 1: label True is not an integer",
+                 id="boolean-label"),
+    pytest.param("wins", [0, 1.5], r"node 1: wins 1.5 is not an integer",
+                 id="fractional-wins"),
+    pytest.param("labels", [0, 2 ** 70],
+                 r"node 1: label 1180591620717411303424 outside",
+                 id="huge-label"),
+    pytest.param("centers", np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
+                 r"node 1 center holds a non-finite value", id="nan-center"),
+    pytest.param("connections", [(0, 1.5)],
+                 r"connection \(0, 1.5\): node id 1.5 is not an integer",
+                 id="fractional-id"),
+    pytest.param("connections", [(0, 1), (0, 5)],
+                 r"connection \(0, 5\) names a node outside the 2 nodes",
+                 id="missing-node"),
+    pytest.param("connections", [(1, 1)],
+                 r"connection \(1, 1\) joins a node to itself",
+                 id="self-connection"),
+    pytest.param("connections", [(0, 1), (1, 0)],
+                 r"connection \(1, 0\) is listed twice", id="duplicate"),
+    pytest.param("node_budget", 1, r"2 nodes exceed the node budget of 1",
+                 id="over-budget"),
+])
+def test_from_arrays_refuses_what_a_map_cannot_hold(field, value, message):
+    """Each value is refused with a ``ValueError`` naming its node or pair,
+    before a map exists. A label of -2 is ``REJECTED``: a node holding it
+    would make ``classify_batch`` report a rejection that has a winner."""
+    arrays = _arrays()
+    arrays[field] = value
+    with pytest.raises(ValueError, match=message):
+        SomMap.from_arrays(**arrays)
+

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisom import (DataFormatError, HyperParams, Node, NormStats, SomMap,
+from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
                      classify, load_model, normalize, save_model,
                      train_with_state)
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
 from helpers import make_blobs, reference_model_text
+from test_kernel import _without_compiler
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +29,24 @@ def trained(tmp_path_factory):
     return ds, params, state.som, path
 
 
-def test_round_trip_is_byte_identical(trained, tmp_path):
+def test_round_trip_is_byte_identical(trained, tmp_path, monkeypatch):
+    """The loaded map, and the map ``from_arrays`` rebuilds from the
+    trained map's array properties, save to the bytes of the file, on the
+    compiled kernel path and then on the numpy one."""
     ds, params, som, path = trained
-    loaded = load_model(path)
     again = tmp_path / "again.json"
-    save_model(again, loaded.som, loaded.params,
-               norm_stats=loaded.norm_stats, class_names=loaded.class_names)
-    assert again.read_bytes() == path.read_bytes()
+    for kernel_path in ("compiled", "numpy"):
+        if kernel_path == "numpy":
+            _without_compiler(monkeypatch, tmp_path)
+        loaded = load_model(path)
+        rebuilt = SomMap.from_arrays(som.node_budget, som.centers,
+                                     som.relevances, som.dist_avgs, som.wins,
+                                     som.labels, som.connections)
+        for copy in (loaded.som, rebuilt):
+            save_model(again, copy, loaded.params,
+                       norm_stats=loaded.norm_stats,
+                       class_names=loaded.class_names)
+            assert again.read_bytes() == path.read_bytes(), kernel_path
 
 
 def test_numpy_scalar_params_save_as_python_numbers(trained, tmp_path):
@@ -83,9 +95,10 @@ def test_round_trip_preserves_predictions_on_random_probes(trained):
 
 def test_save_refuses_non_finite_values(trained, tmp_path):
     ds, params, som, path = trained
-    bad = som.node(0)
-    bad.center[0] = np.nan
-    broken = SomMap.from_nodes(som.dim, som.node_budget, [bad])
+    broken = SomMap.from_arrays(som.node_budget, som.centers[:1],
+                                som.relevances[:1], som.dist_avgs[:1],
+                                som.wins[:1], som.labels[:1])
+    broken._centers[0, 0] = np.nan  # from_arrays refuses it
     out = tmp_path / "nan.json"
     with pytest.raises(ValueError):
         save_model(out, broken, params)
@@ -341,13 +354,12 @@ def _models(draw):
         v[odd] = rng.choice(_ODD_FLOATS, size=int(odd.sum()))
         return v
 
-    nodes = [Node(center=vector(), relevance=vector(), dist_avg=vector(),
-                  wins=int(rng.integers(0, 10 ** 9)),
-                  label=int(rng.integers(-1, 3))) for _ in range(n)]
+    rows = [(vector(), vector(), vector(), int(rng.integers(0, 10 ** 9)),
+             int(rng.integers(-1, 3))) for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < draw(st.sampled_from([0.0, 0.5]))]
     with np.errstate(over="ignore"):  # relevance sums may overflow
-        som = SomMap.from_nodes(m, n, nodes, pairs)
+        som = SomMap.from_arrays(n, *map(np.array, zip(*rows)), pairs)
     if draw(st.booleans()):  # a value json must refuse
         row = som._centers if draw(st.booleans()) else som._rel
         row[rng.integers(n), rng.integers(m)] = draw(

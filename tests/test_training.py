@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, Node,
-                     SomMap, TrainState, _kernel, train, train_with_state)
+from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, SomMap,
+                     TrainState, _kernel, train, train_with_state)
 from semisom.training import (_CHUNK, _present_chunk, handle_reset,
                               init_map, insert_node)
-from helpers import make_blobs, weighted_distance
+from helpers import make_blobs, map_of, node_at, weighted_distance
 
 
 def params_for(n: int, **overrides) -> HyperParams:
@@ -27,30 +27,21 @@ def present(state: TrainState, x, label: int = NO_CLASS) -> None:
                    np.array([0]), allow_insert=True, observer=None)
 
 
-def node_at(center, relevance=None, label=NO_CLASS, wins=0) -> Node:
-    center = np.asarray(center, dtype=float)
-    rel = np.ones_like(center) if relevance is None else np.asarray(relevance,
-                                                                    float)
-    return Node(center=center, relevance=rel,
-                dist_avg=np.zeros_like(center), wins=wins, label=label)
-
-
 # -- init and insertion ------------------------------------------------------
 
 def test_init_map_unlabeled():
     som = init_map(np.array([0.2, 0.8]), n_max=5)
     assert som.n_nodes == 1 and som.nwins == 1
-    node = som.node(0)
-    assert node.label == NO_CLASS and node.wins == 0
-    assert np.array_equal(node.center, [0.2, 0.8])
-    assert np.array_equal(node.relevance, [1.0, 1.0])
-    assert np.array_equal(node.dist_avg, [0.0, 0.0])
+    assert som.labels.tolist() == [NO_CLASS] and som.wins.tolist() == [0]
+    assert np.array_equal(som.centers, [[0.2, 0.8]])
+    assert np.array_equal(som.relevances, [[1.0, 1.0]])
+    assert np.array_equal(som.dist_avgs, [[0.0, 0.0]])
 
 
 def test_init_map_with_label_and_any_dim():
     for m in (1, 3, 7):
         som = init_map(np.linspace(0, 1, m), first_label=2, n_max=4)
-        assert som.dim == m and som.node(0).label == 2
+        assert som.dim == m and som.labels[0] == 2
 
 
 def test_insert_into_full_map_errors():
@@ -62,7 +53,7 @@ def test_insert_into_full_map_errors():
 def test_unlabeled_insert_gets_no_class():
     som = init_map(np.zeros(2), n_max=3)
     j = insert_node(som, np.ones(2), minwd=0.5)
-    assert som.label_of(j) == NO_CLASS
+    assert som.labels[j] == NO_CLASS
 
 
 def test_labeled_insert_connects_to_same_label_fresh_nodes():
@@ -70,7 +61,7 @@ def test_labeled_insert_connects_to_same_label_fresh_nodes():
     insert_node(som, np.array([0.3, 0.3]), label=1, minwd=0.5)
     j = insert_node(som, np.array([0.6, 0.6]), label=1, minwd=0.5)
     # everyone still has all-ones relevance, so the gap is zero
-    assert som.neighbors(j) == {0, 1}
+    assert som.neighbor_array(j).tolist() == [0, 1]
 
 
 # -- unsupervised step -------------------------------------------------------
@@ -84,7 +75,7 @@ def test_unsupervised_low_activation_inserts():
     assert act < params.a_t
     present(state, x)
     assert som.n_nodes == 2 and state.stats.insertions == 1
-    assert np.array_equal(som.node(1).center, x)
+    assert np.array_equal(som.centers[1], x)
 
 
 def test_unsupervised_high_activation_updates_winner():
@@ -93,11 +84,11 @@ def test_unsupervised_high_activation_updates_winner():
     x = np.array([0.52, 0.5])
     winner, act = som.find_winner(x)
     assert act >= state.params.a_t
-    before = weighted_distance(x, som.node(0))
+    before = weighted_distance(x, som.centers[0], som.relevances[0])
     present(state, x)
     assert som.n_nodes == 1
-    assert weighted_distance(x, som.node(0)) < before
-    assert som.node(0).wins == 1
+    assert weighted_distance(x, som.centers[0], som.relevances[0]) < before
+    assert som.wins[0] == 1
 
 
 def test_unsupervised_full_budget_updates_instead_of_inserting():
@@ -108,15 +99,15 @@ def test_unsupervised_full_budget_updates_instead_of_inserting():
     assert act < state.params.a_t
     present(state, x)
     assert som.n_nodes == 1 and state.stats.insertions == 0
-    assert som.node(0).wins == 1
-    assert som.node(0).center[0] > 0.1  # moved toward x
+    assert som.wins[0] == 1
+    assert som.centers[0, 0] > 0.1  # moved toward x
 
 
 # -- supervised step ---------------------------------------------------------
 
 def test_supervised_unlabeled_winner_adopts_label_and_rewires():
-    som = SomMap.from_nodes(2, 4, [node_at([0.5, 0.5]),
-                                   node_at([0.52, 0.5], label=3)])
+    som = map_of(4, [node_at([0.5, 0.5]),
+                     node_at([0.52, 0.5], label=3)])
     som.rebuild_connections(0.3)
     assert som.connections == [(0, 1)]
     state = fresh_state(som, params_for(4))
@@ -124,10 +115,10 @@ def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     winner, act = som.find_winner(x)
     assert winner == 0 and act >= state.params.a_t
     present(state, x, label=1)
-    assert som.label_of(0) == 1
+    assert som.labels[0] == 1
     # adopting class 1 breaks the link with the class-3 node
     assert som.connections == []
-    assert som.node(0).wins == 1
+    assert som.wins[0] == 1
 
 
 def test_supervised_low_activation_inserts_labeled_node():
@@ -136,36 +127,36 @@ def test_supervised_low_activation_inserts_labeled_node():
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
     present(state, x, label=0)
-    assert som.n_nodes == 2 and som.label_of(1) == 0
+    assert som.n_nodes == 2 and som.labels[1] == 0
 
 
 def test_supervised_wrong_winner_pushes_and_rewards_second():
-    som = SomMap.from_nodes(2, 4, [node_at([0.2, 0.2], label=0),
-                                   node_at([0.8, 0.8], label=1)])
+    som = map_of(4, [node_at([0.2, 0.2], label=0),
+                     node_at([0.8, 0.8], label=1)])
     state = fresh_state(som, params_for(4, a_t=0.1, push_rate=0.1))
     x = np.array([0.22, 0.2])
     winner, act = som.find_winner(x)
     assert winner == 0
-    before = weighted_distance(x, som.node(0))
+    before = weighted_distance(x, som.centers[0], som.relevances[0])
     present(state, x, label=1)
     assert state.stats.pushes == 1
-    assert weighted_distance(x, som.node(0)) > before
-    assert som.node(1).wins == 1 and som.node(0).wins == 0
-    assert som.label_of(0) == 0  # pushed winner keeps its class
+    assert weighted_distance(x, som.centers[0], som.relevances[0]) > before
+    assert som.wins[1] == 1 and som.wins[0] == 0
+    assert som.labels[0] == 0  # pushed winner keeps its class
 
 
 def test_supervised_wrong_winner_no_second_inserts():
-    som = SomMap.from_nodes(2, 4, [node_at([0.2, 0.2], label=0)])
+    som = map_of(4, [node_at([0.2, 0.2], label=0)])
     state = fresh_state(som, params_for(4, a_t=0.99))
     x = np.array([0.9, 0.9])
     winner, act = som.find_winner(x)
     present(state, x, label=1)
-    assert som.n_nodes == 2 and som.label_of(1) == 1
+    assert som.n_nodes == 2 and som.labels[1] == 1
 
 
 def test_supervised_wrong_winner_full_map_changes_nothing():
     nodes = [node_at([0.2, 0.2], label=0), node_at([0.8, 0.8], label=1)]
-    som = SomMap.from_nodes(2, 2, nodes)
+    som = map_of(2, nodes)
     state = fresh_state(som, params_for(2, a_t=0.999))
     x = np.array([0.22, 0.2])
     winner, act = som.find_winner(x)
@@ -185,7 +176,7 @@ def test_reset_boundary_wins_survive():
     # lp * age_wins = 0.25 * 8 = 2 exactly; wins of 2 must survive
     nodes = [node_at([0.1, 0.1], wins=2), node_at([0.5, 0.5], wins=1),
              node_at([0.9, 0.9], wins=5)]
-    som = SomMap.from_nodes(2, 4, nodes)
+    som = map_of(4, nodes)
     som.nwins = 8
     state = fresh_state(som, params_for(4, lp=0.25, age_wins=8))
     handle_reset(state)
@@ -200,7 +191,7 @@ def test_reset_boundary_wins_survive():
 def test_reset_keeps_max_wins_node_when_all_fail():
     nodes = [node_at([0.1, 0.1], wins=0), node_at([0.5, 0.5], wins=1),
              node_at([0.9, 0.9], wins=0)]
-    som = SomMap.from_nodes(2, 4, nodes)
+    som = map_of(4, nodes)
     som.nwins = 8
     state = fresh_state(som, params_for(4, lp=0.5, age_wins=8))
     handle_reset(state)
