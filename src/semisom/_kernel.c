@@ -6,7 +6,9 @@
  * library keeps only these long calls, and som_sum and som_reaches for
  * the tests; it is loaded through one ctypes.CDLL handle, so every call
  * releases the interpreter lock. No function touches a Python object, and
- * each reads and writes only the arrays it is passed.
+ * each reads and writes only the arrays it is passed. The scanner computes
+ * most numbers itself, exactly; only the rest go to strtod, the one place
+ * the LC_NUMERIC locale reaches (see the scanner's comment).
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py
  * (the training loop's twin, with the insertions and sweeps training.py
@@ -782,12 +784,16 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
  * w / 10^-e: both operands are exact, so the one IEEE operation rounds
  * correctly (Clinger, "How to Read Floating Point Numbers Accurately",
  * 1990). Multiplying by 10^-e instead would not do: that power is not
- * exact. Any other token of the number's characters goes to strtod, which
- * rounds correctly too, in a NUL-terminated copy, and counts only if
- * strtod reads the whole of it. strtod reads the decimal point of the C
- * library's LC_NUMERIC locale: under a locale whose point is ',' it stops
- * at the '.', and the token is refused. The scanner touches no Python
- * object.
+ * exact. One of at most 19 significant digits with w above 2^53, as in
+ * most 17-digit repr()s, and -21 <= e <= 19 is computed exactly in 128-bit
+ * integers and rounded once (wide(), where compilers have a 128-bit
+ * integer type). Any other token of the number's characters goes to
+ * strtod, which rounds correctly too, in a NUL-terminated copy, and counts
+ * only if strtod reads the whole of it: more than 19 significant digits,
+ * or an exponent outside -22..22 (outside -21..19 for w above 2^53).
+ * strtod reads the decimal point of the C library's LC_NUMERIC locale:
+ * under a locale whose point is ',' it stops at the '.', and only those
+ * tokens are refused. The scanner touches no Python object.
  */
 
 #include <stdlib.h>
@@ -821,6 +827,66 @@ static int strtod_number(const char *s, const char *e, double *v)
     *v = strtod(buf, &end);
     return end == buf + len && isfinite(*v);
 }
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* The number of bits of x, which is not 0. */
+INLINE int bit_length(u128 x)
+{
+    const uint64_t hi = (uint64_t)(x >> 64);
+    return hi ? 128 - __builtin_clzll(hi)
+              : 64 - __builtin_clzll((uint64_t)x);
+}
+
+/*
+ * w * 10^e rounded to the nearest double, ties to even, for
+ * 2^53 < w < 10^19 and -21 <= e <= 19, in integers alone; exact by
+ * construction, so it needs no table of wide powers and no fallback.
+ *
+ * The value is (q + f) * 2^-shift with an integer q and 0 <= f < 1:
+ *  - e >= 0: q = w * 10^e, shift = 0, f = 0. q < 10^19 * 10^19 < 2^127.
+ *  - e < 0: w shifted left until its top bit is bit 127 (a shift of 64
+ *    to 74), divided by 10^-e <= 10^21 < 2^70: q is the quotient, f the
+ *    remainder over 10^-e, nonzero exactly when the remainder is.
+ * Either way q holds at least 54 bits: q >= w > 2^53 for e >= 0, and
+ * q >= 2^127 / 10^21 > 2^57 for e < 0. Rounding q + f to its top 53 bits
+ * drops d >= 1 bits of q: the first of them is the round bit, and the
+ * others with f (the sticky bit) decide whether the rest lies above the
+ * half. That is round to nearest, ties to even, of the exact value. The
+ * rounded mantissa, at most 2^53, is an exact double, and the result lies
+ * within [2^53 * 10^-21, 10^38], inside the normal range, so the scaling
+ * by 2^(d - shift), a double built from its exponent bits (d - shift lies
+ * in -69..74), is exact too. 10^k for k <= 19 is below 2^64 and an exact
+ * double of POW10.
+ */
+static double wide(uint64_t w, int e)
+{
+    const int k = e < 0 ? -e : e;
+    u128 ten = (uint64_t)POW10[k < 19 ? k : 19];
+    for (int i = k; i > 19; i--)
+        ten *= 10;
+    u128 q;
+    int shift = 0, sticky = 0;
+    if (e >= 0) {
+        q = (u128)w * ten;
+    } else {
+        shift = __builtin_clzll(w) + 64;
+        const u128 n = (u128)w << shift;
+        q = n / ten;
+        sticky = n - q * ten != 0;
+    }
+    const int d = bit_length(q) - 53;
+    const u128 half = (u128)1 << (d - 1), rest = q & ((half << 1) - 1);
+    uint64_t mant = (uint64_t)(q >> d);
+    if (rest > half || (rest == half && (sticky || (mant & 1))))
+        mant++;
+    const uint64_t scale_bits = (uint64_t)(1023 + d - shift) << 52;
+    double scale;
+    memcpy(&scale, &scale_bits, sizeof scale);
+    return (double)mant * scale;
+}
+#endif
 
 /* Read the number field at s into *v. The field ends at e or before the
  * first ',', '"' or line break. Returns its end, or NULL when it holds no
@@ -883,11 +949,16 @@ static const char *number(const char *s, const char *e, double *v)
         t--;
     if (t == s || t - s >= TOKEN_MAX)
         return NULL;
-    if (!exact || p != t || sig > 19 || w > (UINT64_C(1) << 53) ||
-        exp < -22 || exp > 22)
+    const int short_token = exact && p == t && sig <= 19;
+    double x;
+    if (short_token && w <= (UINT64_C(1) << 53) && exp >= -22 && exp <= 22)
+        x = exp < 0 ? (double)w / POW10[-exp] : (double)w * POW10[exp];
+#ifdef __SIZEOF_INT128__
+    else if (short_token && exp >= -21 && exp <= 19)
+        x = wide(w, (int)exp);
+#endif
+    else
         return strtod_number(s, t, v) ? end : NULL;
-    double x = (double)w;
-    x = exp < 0 ? x / POW10[-exp] : x * POW10[exp];
     *v = neg ? -x : x;
     return end;
 }
@@ -929,7 +1000,9 @@ INLINE const char *record_end(const char *p, const char *end)
  * quotes included, in spans[2r] and spans[2r + 1]; the others are read as
  * numbers, in order, into the next width - (label >= 0) values of out.
  * Returns the number of records, or -1 when the text leaves the grammar
- * above or holds more than `rows` records.
+ * above or holds more than `rows` records. With out NULL it reads nothing
+ * and returns the number of '\n' in the text plus one, the most records
+ * it can hold, to size out.
  */
 ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
                    ptrdiff_t label, ptrdiff_t rows, double *out,
@@ -937,6 +1010,11 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
 {
     const char *p = s, *const end = s + len;
     ptrdiff_t r = 0;
+    if (out == NULL) {
+        for (; (p = memchr(p, '\n', end - p)) != NULL; p++)
+            r++;
+        return r + 1;
+    }
     while (p < end) {
         const char *next = record_end(p, end);
         if (next) {

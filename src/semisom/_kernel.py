@@ -18,13 +18,16 @@ lock, so another thread blocks on the map while it trains, but must not
 modify the map's arrays behind the lock's back. ``som_classify``
 classifies a block of patterns from the arrays it is passed, so threads
 classify in parallel too. ``som_scan`` reads the body of a CSV or ARFF
-file (``scan``) into the arrays it is passed. The numbers its exact fast
-path does not take go through ``strtod``, which reads the decimal point
-of the ``LC_NUMERIC`` locale: under a locale whose point is ``,`` those
-tokens are refused, and such files are read row by row. That case follows
-from the code; it is not tested, since it needs a comma-decimal locale
-installed. The short per-node operations of ``SomMap`` (winner search,
-node update, rewiring) run in numpy on either path.
+file (``scan``) into the arrays it is passed. It computes every number of
+at most 19 significant digits itself, exactly, when its decimal exponent
+lies within -22..22, or within -21..19 for a mantissa above 2**53 (those
+need a compiler with a 128-bit integer type). Only the other numbers go
+through ``strtod``, which reads the decimal point of the ``LC_NUMERIC``
+locale: under a locale whose point is ``,`` those tokens are refused, and
+such files are read row by row. That case follows from the code; it is
+not tested, since it needs a comma-decimal locale installed. The short
+per-node operations of ``SomMap`` (winner search, node update, rewiring)
+run in numpy on either path.
 
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
@@ -351,13 +354,13 @@ def scan(text: bytes, start: int, width: int, label: int | None):
     lib = compiled()
     if lib is None:
         raise ValueError("no compiled scanner")
-    rows = text.count(b"\n", start) + 1
+    base = np.frombuffer(text, np.uint8).ctypes.data + start
+    size = len(text) - start
+    rows = lib.som_scan(base, size, width, -1, 0, None, None)
     out = np.empty((rows, width - (label is not None)))
     spans = np.empty((rows if label is not None else 0, 2), dtype=np.int64)
-    got = lib.som_scan(np.frombuffer(text, np.uint8).ctypes.data + start,
-                       len(text) - start, width,
-                       -1 if label is None else label, rows,
-                       out.ctypes.data, spans.ctypes.data)
+    got = lib.som_scan(base, size, width, -1 if label is None else label,
+                       rows, out.ctypes.data, spans.ctypes.data)
     if got < 0:
         raise ValueError("outside the scanner's grammar")
     return out[:got], spans[:got] + start

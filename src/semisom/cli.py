@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -115,6 +116,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields
+    (alone in a row, an empty field is written ``""``)."""
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="").writerow((text, ""))
+    return fh.getvalue()[:-1]
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_dataset(args.data, args.label_column)
@@ -126,21 +135,26 @@ def cmd_predict(args) -> int:
                 else apply_norm(model.norm_stats, ds.patterns))
     node, label, act = _classify_arrays(model.som, patterns,
                                         model.params.a_t)
-    names = np.array([*model.class_names, "REJECTED"], dtype=object)[
-        np.where(label == REJECTED, len(model.class_names), label)]
+    classes = [*model.class_names, "REJECTED"]
+    pick = np.where(label == REJECTED, len(model.class_names), label)
+    names = np.array(classes, dtype=object)[pick]
     truth = ds.labels != NO_CLASS
     scored = np.count_nonzero(truth)
     hits = np.count_nonzero(
         names[truth] == np.array(ds.class_names, dtype=object)[
             ds.labels[truth]])
+    # The rows as csv.writer writes them, in one formatting pass: each
+    # class name is quoted once, and a rejection (node -1) has no node id.
+    rows = [None] * (4 * len(node))
+    rows[0::4] = range(len(node))
+    rows[1::4] = np.array([*map(str, range(model.som.n_nodes)), ""],
+                          dtype=object)[node].tolist()
+    rows[2::4] = np.array([_csv_field(c) for c in classes],
+                          dtype=object)[pick].tolist()
+    rows[3::4] = act.tolist()
     with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pattern_index", "node_id", "label", "activation"])
-        writer.writerows(zip(
-            range(len(node)),
-            np.where(node < 0, "", node.astype(str)).tolist(),
-            names.tolist(),
-            map("{:.6g}".format, act.tolist())))
+        fh.write("pattern_index,node_id,label,activation\r\n")
+        fh.write(("%d,%s,%s,%.6g\r\n" * len(node)) % tuple(rows))
     if not args.quiet:
         print(f"predictions written to {args.out}")
         if scored:

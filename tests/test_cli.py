@@ -229,6 +229,48 @@ def test_predict_output_matches_per_pattern_reference(tmp_path, capsys):
     assert ",," in out.read_text(encoding="utf-8")
 
 
+def test_predictions_file_is_what_csv_writer_writes(tmp_path):
+    """Class names that need quoting, and rejected rows, come out byte for
+    byte as ``csv.writer`` writes the same rows."""
+    raw = make_synthetic(n=400, dim=12, clusters=4, seed=21)
+    ds = normalize(raw)
+    params = HyperParams(a_t=0.95, lp=0.001, beta=0.1, age_wins=800,
+                         e_b=0.1, push_rate=0.01, e_n=0.005, eps_beta=0.05,
+                         minwd=0.25, epochs=2, n_max=len(ds), seed=4)
+    som = train_with_state(mask_labels(ds, 0.3, seed=5), params).som
+    names = ("a,b", 'say "hi"', " pad ", "plain")
+    model = tmp_path / "model.json"
+    save_model(model, som, params, norm_stats=ds.norm_stats,
+               class_names=names)
+    probes = np.vstack([raw.patterns[::2],
+                        np.random.default_rng(8).random((100, raw.dim))])
+    data = tmp_path / "probes.csv"
+    with data.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(raw.dim_names)
+        writer.writerows(map(repr, row) for row in probes.tolist())
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(model), str(data), "-o", str(out),
+                 "--quiet"]) == 0
+
+    preds = semisom.classify_batch(
+        som, apply_norm(ds.norm_stats, probes), params.a_t)
+    want = tmp_path / "want.csv"
+    with want.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pattern_index", "node_id", "label", "activation"])
+        writer.writerows(
+            [i, "" if p.node is None else p.node,
+             "REJECTED" if p.label == REJECTED else names[p.label],
+             f"{p.activation:.6g}"]
+            for i, p in enumerate(preds))
+    assert out.read_bytes() == want.read_bytes()
+    # every class and a rejection appear
+    text = out.read_text(encoding="utf-8")
+    for field in (',"a,b",', ',"say ""hi""",', ", pad ,", ",,REJECTED,"):
+        assert field in text
+
+
 def test_inspect_prints_summary(arff_path, tmp_path, capsys):
     model = tmp_path / "model.json"
     main(["train", str(arff_path), "-o", str(model)] + TRAIN_ARGS)

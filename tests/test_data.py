@@ -475,6 +475,110 @@ def test_scanner_reads_integers_of_up_to_30_digits(n):
     assert_reads_as_float(str(n))
 
 
+@st.composite
+def midpoints(draw):
+    """An exact midpoint between two adjacent doubles, as ``(n, e)`` with
+    value ``n * 10**e`` and ``n`` free of trailing zeros: ``o * 2**f`` for
+    an odd ``o`` of 54 bits. ``o`` is drawn as a multiple of ``5**k``, so
+    that ``n`` is short for every ``k``: those are the midpoints the wide
+    path meets."""
+    k = draw(st.integers(0, 23))
+    low, high = 2 ** 53 // 5 ** k + 1, (2 ** 54 - 1) // 5 ** k
+    j = draw(st.integers(low, high))
+    if j % 2 == 0:
+        j += 1 if j < high else -1
+    o, f = j * 5 ** k, draw(st.integers(-4, 3 * k + 9))
+    if f < 0:
+        return o * 5 ** -f, f
+    n, e = o << f, 0
+    while n % 10 == 0:
+        n, e = n // 10, e + 1
+    return n, e
+
+
+@st.composite
+def wide_decimals(draw):
+    """Decimals of 16 to 19 significant digits, with exponents from -23 to
+    20 (the edges of the wide path drawn often), most of their mantissas
+    above 2**53; or midpoints and their neighbours one unit away in the
+    last digit. The point is put anywhere in the digits."""
+    if draw(st.booleans()):
+        digits = draw(st.integers(16, 19))
+        n = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+        e = draw(st.sampled_from([-23, -22, -21, -20, 18, 19, 20])
+                 | st.integers(-23, 20))
+    else:
+        n, e = draw(midpoints())
+        n += draw(st.sampled_from([-1, 0, 1]))
+    digits = str(n)
+    cut = draw(st.integers(0, len(digits)))
+    e += len(digits) - cut
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    return f"{sign}{digits[:cut]}.{digits[cut:]}e{e}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(wide_decimals())
+# the edges of the wide path's exponents, and a step past each
+@example("1234567890123456789e-21")
+@example("1234567890123456789e-22")
+@example("1234567890123456789e19")
+@example("1234567890123456789e20")
+@example("9999999999999999999e-21")
+@example("9999999999999999999e19")
+# the first mantissa above 2**53: a tie, which rounds down to even
+@example("9007199254740993")
+@example("9007199254740993e-21")
+@example("9007199254740993e19")
+# ties that round up to even; for e < 0 the remainder is zero
+@example("9007199254740995")
+@example("4503599627370496.5")
+@example("4503599627370497.5")
+# ties in the dropped bits that the nonzero remainder breaks upwards
+@example("5269035566698195805e-21")
+@example("4226010351029896654e-20")
+@example("9733964066433964946e-19")
+# 20 significant digits: past the wide path
+@example("12345678901234567890")
+@example("99999999999999999999")
+def test_scanner_reads_wide_mantissas_as_float_does(text):
+    assert_reads_as_float(text)
+
+
+@pytest.fixture(scope="module", params=["int128", "no-int128"])
+def ubsan_library(request, tmp_path_factory):
+    """The kernel source built with ``-fsanitize=undefined``, whose checks
+    report on stderr and let the call go on; and built so again as for a
+    compiler without a 128-bit integer type, where the scanner gives the
+    numbers of its wide path to strtod."""
+    if _kernel.compiled() is None:
+        pytest.skip("no compiled scanner")
+    flags = ("-fsanitize=undefined",)
+    if request.param == "no-int128":
+        flags += ("-U__SIZEOF_INT128__",)
+    cache = tmp_path_factory.mktemp("ubsan")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_FLAGS", _kernel._FLAGS + flags)
+        mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
+        lib = _kernel.load()
+    if lib is None:
+        pytest.skip("the compiler cannot build or load a library with "
+                    "-fsanitize=undefined")
+    return lib
+
+
+def test_scanner_draws_make_no_undefined_behaviour(ubsan_library,
+                                                   monkeypatch, capfd):
+    """The scanner's draws, with their explicit examples, on the
+    sanitizing build: every shift, conversion and overflow of the wide
+    path stays defined, and the values are still float()'s."""
+    monkeypatch.setattr(_kernel, "compiled", lambda: ubsan_library)
+    test_scanner_reads_wide_mantissas_as_float_does()
+    test_scanner_reads_every_spelling_of_a_finite_float()
+    test_scanner_reads_a_token_as_float_does_or_refuses_it()
+    assert "runtime error:" not in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["4.", ".5", "+.5e-3", "1e-400", "-1e-400",
                                   "0e999", "00012.50", " 7\t", "1E+22",
                                   "9007199254740993", "1e23"])

@@ -37,6 +37,7 @@ from test_data import (  # noqa: F401  (collected here on both builds)
     test_scanner_reads_every_spelling_of_a_finite_float,
     test_scanner_reads_integers_of_up_to_30_digits,
     test_scanner_reads_the_spellings_of_its_grammar,
+    test_scanner_reads_wide_mantissas_as_float_does,
     test_scanner_refuses_what_is_outside_its_grammar, write)
 from test_kernel import default_only  # noqa: F401  (fixture)
 
