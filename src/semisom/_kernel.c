@@ -11,8 +11,8 @@
  * the LC_NUMERIC locale reaches (see the scanner's comment).
  *
  * Each function reproduces, bit for bit, the numpy kernels of model.py
- * (the training loop's twin, with the insertions and sweeps training.py
- * makes, included) or the numpy block pass of inference.py that it
+ * (_train_numpy, _insert_numpy and _sweep_numpy for som_train, insert and
+ * sweep, line for line) or the numpy block pass of inference.py that it
  * replaces: the same float operations on the same operands in the same
  * order. min/max propagate NaN and the logistic curve is 1 / (1 + exp(-z))
  * as in scipy's expit, with the C library's exp, one value at a time.
@@ -339,7 +339,7 @@ static void move_node(const struct som_view *v, ptrdiff_t i, ptrdiff_t k)
     v->labels[k] = v->labels[i];
 }
 
-/* The pruning sweep of training.handle_reset on nodes [0, n): the nodes
+/* The pruning sweep that ends a cycle, on nodes [0, n): the nodes
  * that won at least lp * age_wins times, or else the first node of most
  * wins, move to the front in ascending order and are linked anew, and
  * every win count returns to zero. Returns the number of nodes kept. */
@@ -369,9 +369,9 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
 
 /*
  * Presentations draws[count[C_POS]..k) of the rows of `patterns` (m
- * columns) and `labels` on a map of n nodes, as model._train_numpy and
- * training.py run them: winner search, the supervised or unsupervised step
- * with its insertion, the pruning sweep that ends a cycle of age_wins + 1
+ * columns) and `labels` on a map of n nodes, as model._train_numpy runs
+ * them: winner search, the supervised or unsupervised step with its
+ * insertion, the pruning sweep that ends a cycle of age_wins + 1
  * presentations, the cycle counter count[C_NWINS] and the presentation
  * counter count[C_T]. count[C_SUPERVISED], [C_UNSUPERVISED], [C_PUSHES],
  * [C_INSERTIONS], [C_REMOVALS] and [C_RESETS] add up the steps, the nodes
@@ -379,11 +379,10 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
  * nodes when it returns.
  *
  * Returns SOM_END with count[C_POS] = k when every presentation ran. It
- * stops early with SOM_INSERT on a step that inserts a node into a map
- * already holding v->capacity nodes: count[C_POS] is then at that
- * presentation, of which only the step counter has been counted. The
- * caller then grows the storage, inserts, sweeps if count[C_NWINS] ==
- * age_wins, counts the presentation and resumes at the next position.
+ * stops early with SOM_INSERT at a presentation whose step inserts a node
+ * into a map holding v->capacity nodes, before it changes a row or counts
+ * anything of it: count[C_POS] is at it. The caller grows the storage and
+ * calls again with the same counters, and the presentation replays.
  */
 int som_train(const struct som_view *v, ptrdiff_t n,
               const struct som_params *p, const double *patterns,
@@ -431,6 +430,7 @@ int som_train(const struct som_view *v, ptrdiff_t n,
         }
         if (add) {
             if (n == v->capacity) {
+                count[label == NO_CLASS ? C_UNSUPERVISED : C_SUPERVISED]--;
                 count[C_POS] = pos;
                 count[C_N] = n;
                 return SOM_INSERT;

@@ -32,11 +32,10 @@ run in numpy on either path.
 When no library can be built or loaded, ``compiled()`` returns ``None``
 and ``bind`` returns no kernels; each map then chooses, once, the numpy
 kernels of ``model.py``, which take the same arguments, counters and
-return codes. The twin of ``som_train``, ``_train_numpy``, returns at
-every insertion and every sweep, and ``training.py`` makes them as
-``som_train`` does. The results are the same bit for bit either way.
-``scan`` then raises ``ValueError``, and ``data.py`` reads the file with
-its row readers, which give the same data.
+return codes. The twin of ``som_train``, ``_train_numpy``, mirrors it line
+for line, insertions and sweeps in place included. The results are the
+same bit for bit either way. ``scan`` then raises ``ValueError``, and
+``data.py`` reads the file with its row readers, which give the same data.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class Params(ctypes.Structure):
 
 # The training loop's return codes: every presentation ran, or it stopped
 # at a presentation whose insertion needs more storage than the map holds,
-# or (the numpy twin alone) whose step ends a cycle, before the sweep.
-END, INSERT, SWEEP = 0, 1, 2
+# before changing or counting anything of it.
+END, INSERT = 0, 1
 # The slots of som_train's counter array: the position in the draws, the
 # cycle count (nwins), the presentation count (t), the supervised,
 # unsupervised and push steps, the insertions, removals and sweeps, and the

@@ -89,30 +89,22 @@ class HyperParams:
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0.0 < self.a_t < 1.0:
-            raise ValueError(f"a_t must lie in (0, 1), got {self.a_t}")
-        if self.lp <= 0.0:
-            raise ValueError(f"lp must be positive, got {self.lp}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.age_wins < 1:
-            raise ValueError(f"age_wins must be >= 1, got {self.age_wins}")
-        if self.e_b <= 0.0:
-            raise ValueError(f"e_b must be positive, got {self.e_b}")
-        if self.push_rate < 0.0:
-            raise ValueError(f"push_rate must be >= 0, got {self.push_rate}")
-        if self.e_n < 0.0:
-            raise ValueError(f"e_n must be >= 0, got {self.e_n}")
-        if self.eps_beta <= 0.0:
-            raise ValueError(f"eps_beta must be positive, got {self.eps_beta}")
-        if self.minwd < 0.0:
-            raise ValueError(f"minwd must be >= 0, got {self.minwd}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, ok, domain in (
+                ("a_t", 0.0 < self.a_t < 1.0, "lie in (0, 1)"),
+                ("lp", self.lp > 0.0, "be positive"),
+                ("beta", 0.0 < self.beta < 1.0, "lie in (0, 1)"),
+                ("age_wins", self.age_wins >= 1, "be >= 1"),
+                ("e_b", self.e_b > 0.0, "be positive"),
+                ("push_rate", self.push_rate >= 0.0, "be >= 0"),
+                ("e_n", self.e_n >= 0.0, "be >= 0"),
+                ("eps_beta", self.eps_beta > 0.0, "be positive"),
+                ("minwd", self.minwd >= 0.0, "be >= 0"),
+                ("epochs", self.epochs >= 1, "be >= 1"),
+                ("n_max", self.n_max >= 1, "be >= 1"),
+                ("seed", self.seed >= 0, "be >= 0")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must {domain}, got {getattr(self, name)}")
 
 
 def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
@@ -325,32 +317,76 @@ def _supervised_numpy(v: SimpleNamespace, x: np.ndarray, n: int, p, w: int,
     return False
 
 
-def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
-    """``som_train`` in numpy, but for the insertions and the sweeps.
+def _insert_numpy(v: SimpleNamespace, n: int, x: np.ndarray, label: int,
+                  minwd: float) -> None:
+    """``insert`` of ``_kernel.c``: a fresh node ``n`` at ``x``, as
+    ``SomMap.add_node`` adds it, linked as ``rewire_node`` links it. The
+    caller checks that row ``n`` lies below the capacity."""
+    for a, value in ((v.centers, x), (v.rel, 1.0), (v.dist, 0.0),
+                     (v.sums, len(x)), (v.wins, 0), (v.labels, label)):
+        a[n] = value
+    _link_numpy(v, n + 1, n, 0, minwd)
 
-    Runs the presentations of the ``_kernel.Chunk`` from its position on:
-    the winner search and the supervised or unsupervised step. It stops at
-    a step that inserts a node (``INSERT``), or that ends a cycle
-    (``SWEEP``), with the step made and the position at that presentation;
-    the caller inserts, sweeps and counts it. Returns ``END`` when every
-    presentation ran.
-    """
+
+def _keep_numpy(v: SimpleNamespace, n: int, keep: np.ndarray) -> None:
+    """Nodes ``keep`` (ascending) of ``[0, n)`` moved to the front, as
+    ``move_node`` of ``_kernel.c`` moves them, and all their links cut."""
+    for a in (v.centers, v.rel, v.dist, v.sums, v.wins, v.labels):
+        a[:len(keep)] = a[keep]
+    v.adj[:n] = 0
+
+
+def _link_all_numpy(v: SimpleNamespace, n: int, minwd: float) -> None:
+    """Every link among nodes ``[0, n)``, which have none, as ``sweep``
+    of ``_kernel.c`` relinks them."""
+    for j in range(n - 1):
+        _link_numpy(v, n, j, j + 1, minwd)
+
+
+def _sweep_numpy(v: SimpleNamespace, n: int, p) -> int:
+    """``sweep`` of ``_kernel.c`` on nodes ``[0, n)``: the nodes of at least
+    ``p.lp * p.age_wins`` wins, or else the first of most wins, move to the
+    front and are linked anew, and every win count returns to zero.
+    Returns the number of nodes kept."""
+    wins = v.wins[:n]
+    keep = np.flatnonzero(wins >= p.lp * p.age_wins)
+    if not keep.size:
+        keep = np.array([int(np.argmax(wins))])
+    _keep_numpy(v, n, keep)
+    _link_all_numpy(v, len(keep), p.minwd)
+    v.wins[:len(keep)] = 0
+    return len(keep)
+
+
+def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
+    """``som_train`` in numpy, line for line, on the arrays of ``v``: the
+    presentations of the ``_kernel.Chunk`` from its position on, with the
+    same insertions, sweeps, counters and return codes."""
     patterns, labels, draws = chunk.arrays
     count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
     code = _kernel.END
     for pos in range(count["pos"], chunk.k):
-        i = draws[pos]
-        x = patterns[i]
-        acts = v.acts[:n]
-        acts[:] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
-                               ACTIVATION_EPS)
-        w = int(np.argmax(acts))
-        label = int(labels[i])
+        x, label = patterns[draws[pos]], int(labels[draws[pos]])
+        v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
+                                  ACTIVATION_EPS)
+        w = int(np.argmax(v.acts[:n]))
         add = (_unsupervised_numpy(v, x, n, p, w, count) if label == NO_CLASS
                else _supervised_numpy(v, x, n, p, w, label, count))
-        if add or count["nwins"] == p.age_wins:
-            code = _kernel.INSERT if add else _kernel.SWEEP
-            break
+        if add:
+            if n == len(v.centers):
+                count["unsupervised" if label == NO_CLASS
+                      else "supervised"] -= 1
+                code = _kernel.INSERT
+                break
+            _insert_numpy(v, n, x, label, p.minwd)
+            n += 1
+            count["insertions"] += 1
+        if count["nwins"] == p.age_wins:
+            kept = _sweep_numpy(v, n, p)
+            count["removals"] += n - kept
+            count["resets"] += 1
+            count["nwins"] = 0
+            n = kept
         count["nwins"] += 1
         count["t"] += 1
     else:
@@ -585,14 +621,10 @@ class SomMap:
         Raises:
             MapFullError: if the node budget is already exhausted.
         """
-        if self.is_full:
-            raise MapFullError(
-                f"map already holds its budget of {self.node_budget} nodes"
-            )
-        x = self._pattern(x)
         j = self._n
-        if j == len(self._centers):  # full storage: double it
-            self._grow(min(self.node_budget, 2 * j))
+        if j == len(self._centers):
+            self._double()
+        x = self._pattern(x)
         self._centers[j] = x
         self._rel[j] = 1.0
         self._dist[j] = 0.0
@@ -602,20 +634,23 @@ class SomMap:
         self._n += 1
         return j
 
+    def _double(self) -> None:
+        """Double the full storage, up to the node budget; ``MapFullError``
+        if the map already holds its budget of nodes."""
+        if self.is_full:
+            raise MapFullError(
+                f"map already holds its budget of {self.node_budget} nodes"
+            )
+        self._grow(min(self.node_budget, 2 * self._n))
+
     def keep_nodes(self, indices: np.ndarray) -> None:
         """Retain exactly the nodes at ``indices`` (ascending), drop the rest.
 
         Connections are cleared; the caller must rebuild them.
         """
-        k = len(indices)
-        for arr in (self._centers, self._rel, self._dist, self._wins,
-                    self._labels, self._rel_sums):
-            arr[:k] = arr[indices]
-        self._adj[:self._n] = 0
-        self._n = k
-
-    def reset_wins(self) -> None:
-        self._wins[:self._n] = 0
+        with self._lock:
+            _keep_numpy(self._arrays, self._n, indices)
+            self._n = len(indices)
 
     # -- competition -------------------------------------------------------
 
@@ -707,11 +742,9 @@ class SomMap:
 
     def rebuild_connections(self, minwd: float) -> None:
         """Recompute the full connection set from the pairwise predicate."""
-        n = self._n
         with self._lock:
-            self._adj[:n] = 0
-            for j in range(n - 1):
-                _link_numpy(self._arrays, n, j, j + 1, minwd)
+            self._adj[:self._n] = 0
+            _link_all_numpy(self._arrays, self._n, minwd)
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
@@ -722,12 +755,15 @@ class SomMap:
     # -- training ----------------------------------------------------------
 
     def _run_presentations(self, params, chunk) -> int:
-        """Present a ``_kernel.Chunk`` in the training loop: ``som_train``,
-        which inserts and prunes nodes in place, or ``_train_numpy``.
-
-        Returns ``_kernel.END``, ``INSERT`` or ``SWEEP``.
-        """
-        with self._lock:
-            code = self._train(self._n, params, chunk)
-            self._n = int(chunk.count[-1])  # the "n" slot
-            return code
+        """Present a ``_kernel.Chunk`` in the training loop, ``som_train``
+        or ``_train_numpy``, until it returns ``_kernel.END``. At each
+        ``INSERT``, which leaves that presentation undone, the storage
+        doubles (``MapFullError`` at the node budget) and the loop replays
+        it."""
+        while True:
+            with self._lock:
+                code = self._train(self._n, params, chunk)
+                self._n = int(chunk.count[-1])  # the "n" slot
+            if code == _kernel.END:
+                return code
+            self._double()

@@ -13,21 +13,15 @@ presentations in all, ``nwins`` counted at its start.
 The pattern indices are drawn in chunks of ``_CHUNK``, each as one
 ``rng.integers(n, size=k)`` call, which gives the values of ``k`` scalar
 calls; ``TrainState.rng`` ends right after the last draw presented. Each
-chunk runs in the map's training loop, one of two twins with identical
-results, which ``SomMap._bind`` chooses:
-
-- ``som_train`` of ``_kernel.c`` runs the whole chunk in one call,
-  insertions and pruning sweeps included, with the interpreter lock
-  released. It returns early only when an insertion needs more storage;
-- ``_train_numpy`` of ``model.py``, when the library does not load, runs
-  the winner search and the step, and returns at every insertion and
-  every sweep.
-
-``_present_chunk`` drives either: at an early return ``insert_node`` and
-``handle_reset``, the references for the insertion and the sweep of
-``som_train``, finish that presentation, and the loop resumes. Training
-runs on several threads at once therefore run in parallel on the compiled
-loop (``experiments.run_sweep`` relies on it).
+chunk runs in the map's training loop, which ``SomMap._bind`` chooses:
+``som_train`` of ``_kernel.c``, with the interpreter lock released, or,
+when the library does not load, its numpy twin ``_train_numpy`` of
+``model.py``. Both run the whole chunk in place, insertions and pruning
+sweeps included, with identical results. They return early only when an
+insertion finds the map's storage full, before changing anything of that
+presentation; the map then doubles its storage and the loop replays that
+presentation. Training runs on several threads at once therefore run in
+parallel on the compiled loop (``experiments.run_sweep`` relies on it).
 """
 
 from __future__ import annotations
@@ -38,7 +32,8 @@ from typing import Callable, TYPE_CHECKING
 import numpy as np
 
 from . import _kernel
-from .model import NO_CLASS, HyperParams, SomMap, _require_finite
+from .model import (NO_CLASS, HyperParams, SomMap, _require_finite,
+                    _sweep_numpy)
 # The two steps stay importable by these names: perfbench/tracer.py wraps
 # them by this module's name.
 from .model import _supervised_numpy as supervised_step  # noqa: F401
@@ -115,37 +110,16 @@ def handle_reset(state: TrainState) -> None:
     Nodes with fewer than ``lp * age_wins`` wins are removed; when that
     would empty the map the single node with the most wins is retained.
     Survivor connections are rebuilt, all win counters and the cycle
-    counter return to zero.
+    counter return to zero. This is the training loop's own sweep,
+    ``_sweep_numpy``, run on the map under its lock.
     """
-    p = state.params
     som = state.som
-    threshold = p.lp * p.age_wins
-    wins = som.wins
-    keep = np.flatnonzero(wins >= threshold)
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(wins))])
-    state.stats.removals += som.n_nodes - keep.size
-    som.keep_nodes(keep)
-    som.rebuild_connections(p.minwd)
-    som.reset_wins()
+    n = som.n_nodes
+    with som._lock:
+        som._n = _sweep_numpy(som._arrays, n, state.params)
+    state.stats.removals += n - som.n_nodes
     som.nwins = 0
     state.stats.resets += 1
-
-
-def _finish(state: TrainState, observer: Observer | None = None) -> None:
-    """A presentation's tail: the sweep that ends a cycle, and the counts."""
-    som = state.som
-    if som.nwins == state.params.age_wins:
-        if observer is not None:
-            observer("pre_reset", state)
-        handle_reset(state)
-        if observer is not None:
-            observer("post_reset", state)
-    som.nwins += 1
-    state.t += 1
-    _count_presentations(state, 1)
-    if observer is not None:
-        observer("step", state)
 
 
 def _count_presentations(state: TrainState, k: int) -> None:
@@ -159,14 +133,11 @@ def _present_chunk(state: TrainState, patterns: np.ndarray,
                    labels: np.ndarray, draws: np.ndarray, *,
                    allow_insert: bool, observer: Observer | None) -> None:
     """Present the patterns ``draws`` indexes, in order, in the map's
-    training loop.
+    training loop, which inserts and sweeps in place.
 
-    The loop returns early at a presentation whose step it made but whose
-    insertion or sweep it leaves to its caller (``INSERT``, ``SWEEP``):
-    ``insert_node`` inserts, ``_finish`` sweeps and counts, and the loop
-    resumes at the next draw. An observer sees every event: the loop then
-    presents one draw per call and never sweeps, and ``_finish`` ends each
-    presentation.
+    An observer sees every event: the loop then presents one draw per call
+    and never sweeps, and each presentation ends here with its sweep, if it
+    ends a cycle, and its counts.
     """
     som, stats, p = state.som, state.stats, state.params
     args = _kernel.params(p, allow_insert)
@@ -176,30 +147,24 @@ def _present_chunk(state: TrainState, patterns: np.ndarray,
              else [draws[i:i + 1] for i in range(len(draws))])
     for part in parts:
         chunk = _kernel.Chunk(som.dim, patterns, labels, part)
-        pos = 0
-        while pos < chunk.k:
-            chunk.count[:] = 0
-            chunk.count[:3] = (pos, som.nwins, state.t)
-            code = som._run_presentations(args, chunk)
-            count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
-            for name in ("supervised", "unsupervised", "pushes",
-                         "insertions", "removals", "resets"):
-                setattr(stats, name, getattr(stats, name) + count[name])
-            if code == _kernel.END and observer is not None:
-                # one draw, whose tail the loop counted without its sweep
-                _finish(state, observer)
-                break
+        chunk.count[1:3] = (som.nwins, state.t)
+        som._run_presentations(args, chunk)
+        count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+        for name in ("supervised", "unsupervised", "pushes",
+                     "insertions", "removals", "resets"):
+            setattr(stats, name, getattr(stats, name) + count[name])
+        if observer is None:
             _count_presentations(state, count["t"] - state.t)
             som.nwins, state.t = count["nwins"], count["t"]
-            if code == _kernel.END:
-                break
-            pos = count["pos"]
-            if code == _kernel.INSERT:
-                i = int(part[pos])
-                insert_node(som, patterns[i], int(labels[i]), p.minwd)
-                stats.insertions += 1
-            _finish(state, observer)
-            pos += 1
+            continue
+        if som.nwins == p.age_wins:
+            observer("pre_reset", state)
+            handle_reset(state)
+            observer("post_reset", state)
+        som.nwins += 1
+        state.t += 1
+        _count_presentations(state, 1)
+        observer("step", state)
 
 
 def _present_draws(state: TrainState, patterns: np.ndarray,

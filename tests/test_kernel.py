@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from semisom import (NO_CLASS, Dataset, HyperParams, SomMap, classify_batch,
                      mask_labels, save_model, train_with_state)
 from semisom import _kernel
-from semisom.model import (ACTIVATION_EPS, _activations, _shift_vectors,
-                           _train_numpy)
-from semisom.training import TrainState, _present_chunk
+from semisom.model import (ACTIVATION_EPS, _activations, _insert_numpy,
+                           _shift_vectors, _train_numpy)
+from semisom.training import TrainState, _present_chunk, insert_node
 from helpers import (brute_connections, make_blobs, map_of, node_at,
                      random_map)
 
@@ -782,6 +782,103 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
                           np.eye(4, 3)[kept, :2] * 5.0)
     assert a.som.wins.tolist() == [0] * len(kept)
     assert a.som.connections == b.som.connections
+
+
+def _loop_map(request, monkeypatch, build, nodes, budget):
+    """``map_of(budget, nodes)`` bound to the training loop ``build``
+    names: the loaded library, the baseline-only one or the numpy twin."""
+    lib = None
+    if build != "numpy":
+        if _kernel.compiled() is None:
+            pytest.skip("no C compiler: maps use numpy kernels")
+        lib = (_kernel.compiled() if build == "clones"
+               else request.getfixturevalue("default_only"))
+    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
+    som = map_of(budget, nodes)
+    assert (som._train.func is _train_numpy if lib is None
+            else som._train.args[0] is lib)
+    return som
+
+
+def _node_rows(som) -> list[bytes]:
+    """The bytes of every node array but the activation row."""
+    return [a.tobytes() for a in (som._centers, som._rel, som._dist,
+                                  som._rel_sums, som._wins, som._labels,
+                                  som._adj)]
+
+
+# a_t so high that a pattern far from the nodes inserts one
+_INSERTING = _kernel.params(HyperParams(
+    a_t=0.999, lp=0.5, beta=0.1, age_wins=100, e_b=0.1, push_rate=0.05,
+    e_n=0.01, eps_beta=0.05, minwd=0.3, epochs=1, n_max=32), True)
+
+
+@pytest.mark.parametrize("build", ["clones", "default-only", "numpy"])
+@pytest.mark.parametrize("label", [NO_CLASS, 1])
+def test_loop_stops_at_full_storage_before_the_presentation(
+        request, monkeypatch, build, label):
+    """Sixteen nodes fill the first storage of a 32-node budget; the draw
+    at position 2 inserts. The loop returns ``INSERT`` there having changed
+    no node row and counted nothing of it: the counters are those it was
+    called with, its position and node count aside."""
+    rng = np.random.default_rng(5)
+    nodes = [node_at(c, label=0) for c in rng.random((16, 3))]
+    som = _loop_map(request, monkeypatch, build, nodes, 32)
+    assert len(som._centers) == 16
+    before = _node_rows(som)
+    x = np.array([[5.0, 5.0, 5.0]])
+    chunk = _kernel.Chunk(3, x, np.array([label]), np.zeros(4, np.int64))
+    chunk.count[0] = 2
+    assert som._train(16, _INSERTING, chunk) == _kernel.INSERT
+    count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+    assert count == dict.fromkeys(_kernel.SLOTS, 0) | {"pos": 2, "n": 16}
+    assert _node_rows(som) == before
+
+
+@pytest.mark.parametrize("build", ["clones", "default-only", "numpy"])
+def test_loop_inserts_in_place_when_there_is_room(request, monkeypatch,
+                                                  build):
+    """With a row free in the storage, the loop inserts the node itself
+    and runs to the end."""
+    rng = np.random.default_rng(6)
+    nodes = [node_at(c, label=0) for c in rng.random((15, 3))]
+    som = _loop_map(request, monkeypatch, build, nodes, 32)
+    x = np.array([[5.0, 5.0, 5.0]])
+    chunk = _kernel.Chunk(3, x, np.array([1]), np.array([0]))
+    assert som._train(15, _INSERTING, chunk) == _kernel.END
+    count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
+    assert count == dict.fromkeys(_kernel.SLOTS, 0) | {
+        "pos": 1, "nwins": 1, "t": 1, "supervised": 1, "insertions": 1,
+        "n": 16}
+    assert np.array_equal(bits(som._centers[15]), bits(x[0]))
+    assert som._labels[15] == 1 and som._rel_sums[15] == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), labeled=st.booleans(),
+       minwd=st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+def test_loop_insertion_equals_insert_node(seed, labeled, minwd):
+    """``_insert_numpy``, the loop twin's insertion, against
+    ``insert_node``, ``add_node`` and ``rewire_node``: the same rows and
+    the same adjacency bits, up to and past one bit word."""
+    rng = np.random.default_rng(seed)
+    drawn = random_map(rng, int(rng.integers(1, 70)), labeled=labeled)
+    n = drawn.n_nodes
+    maps = [SomMap.from_arrays(n + 1, drawn.centers, drawn.relevances,
+                               drawn.dist_avgs, drawn.wins, drawn.labels)
+            for _ in range(2)]
+    for som in maps:
+        som.rebuild_connections(minwd)
+    x = (maps[0].centers[rng.integers(n)] if rng.random() < 0.2
+         else rng.random(drawn.dim))
+    label = int(rng.integers(-1, 4)) if labeled else NO_CLASS
+    insert_node(maps[0], x, label, minwd)
+    b = maps[1]
+    if n == len(b._centers):
+        b._double()
+    _insert_numpy(b._arrays, n, x, label, minwd)
+    b._n += 1
+    assert _node_rows(b) == _node_rows(maps[0])
 
 
 def test_training_loop_releases_the_interpreter_lock(default_only):

@@ -341,16 +341,19 @@ def test_stats_count_presentations_per_phase():
 def test_observed_run_calls_the_compiled_loop(monkeypatch):
     if _kernel.compiled() is None:
         pytest.skip("no C compiler: maps use numpy kernels")
-    calls = []
+    codes = []
     run = _kernel._train
 
     def counted(*args):
-        calls.append(args)
-        return run(*args)
+        codes.append(run(*args))
+        return codes[-1]
 
     monkeypatch.setattr(_kernel, "_train", counted)
     ds = make_blobs(30, [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]], 0.08, seed=12)
     params = params_for(len(ds), a_t=0.97, epochs=2, seed=8)
     state = train_with_state(ds, params, observer=lambda event, _: None)
-    assert len(calls) == state.t  # one call per presentation
+    # one call per presentation, and one more at the doubling of the
+    # storage from 16 to 32 rows, where the loop returns and replays
+    assert codes.count(_kernel.END) == state.t
+    assert codes.count(_kernel.INSERT) == 1 and len(state.som._centers) == 32
     assert state.som.n_nodes > 16  # past the first storage, on the way
