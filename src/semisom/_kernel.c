@@ -765,12 +765,12 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
 }
 
 /*
- * The scanner of data.py's table readers: the body of a CSV or ARFF file
+ * The scanner of data.py's table reader: the body of a CSV or ARFF file
  * in one pass, numbers into a float matrix and each record's label field
  * as a byte span.
  *
- * It reads a strict subset of what the row readers (the csv module and
- * float()) accept, and refuses the rest, so every value it keeps is the
+ * It reads a strict subset of what the row reader (the csv module and
+ * float()) accepts, and refuses the rest, so every value it keeps is the
  * one float() gives, bit for bit:
  *  - fields are separated by ',' and a record ends in "\n" or "\r\n"; an
  *    empty record is skipped, and any other '\r' is refused;

@@ -35,7 +35,7 @@ kernels of ``model.py``, which take the same arguments, counters and
 return codes. The twin of ``som_train``, ``_train_numpy``, mirrors it line
 for line, insertions and sweeps in place included. The results are the
 same bit for bit either way. ``scan`` then raises ``ValueError``, and
-``data.py`` reads the file with its row readers, which give the same data.
+``data.py`` reads the file with its row reader, which gives the same data.
 """
 
 from __future__ import annotations

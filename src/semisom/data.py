@@ -6,12 +6,15 @@ case-insensitive keywords) and headered CSV, both UTF-8, a leading byte
 order mark skipped. Patterns are kept as a float matrix; labels are
 integer ids into ``class_names`` with ``NO_CLASS`` marking unlabeled rows.
 
-Each format has two readers. The table reader hands the body to the
-compiled scanner, ``_kernel.scan``, in one pass; it accepts a strict subset
-of CSV and of ``float()``'s spellings, and raises ``ValueError`` for
-anything else, or when no library is loaded. The row reader then reads the
-file again with ``csv`` and ``float()``, and is the reference: the two give
-the same data bit for bit wherever the scanner accepts a file.
+One table reader and one row reader serve both formats; a format keeps
+only its header and its class rule, which maps a label field to a class
+id. The table reader, ``_read_table``, hands the body to the compiled
+scanner, ``_kernel.scan``, in one pass; it accepts a strict subset of CSV
+and of ``float()``'s spellings, and raises ``ValueError`` for anything
+else, or when no library is loaded. The row reader, ``_read_rows``, then
+reads the records ``csv`` splits with ``float()``, and is the reference:
+the two give the same data bit for bit wherever the scanner accepts a
+file.
 """
 
 from __future__ import annotations
@@ -200,55 +203,84 @@ def load_arff(path) -> Dataset:
         raise DataFormatError(f"{path}: no data rows")
 
     value_ids = {v: i for i, v in enumerate(class_values)}
+
+    def class_id(field: str) -> int:
+        value = _strip_quotes(field.strip())
+        if value not in value_ids:
+            raise ValueError(f"undeclared class value {value!r}")
+        return value_ids[value]
+
+    names = [name for name, _ in attrs]
     try:
-        patterns, labels = _read_arff_table(lines, len(attrs), class_idx,
-                                            value_ids)
+        # The lines are stripped and hold no line break: one record each.
+        patterns, labels = _read_table(
+            "\n".join(line for _, line in lines).encode("utf-8"), 0,
+            len(attrs), class_idx, class_id)
     except ValueError:
-        # The scanner refused the lines, or they hold an undeclared class
-        # value: the row reader decides, and names the bad line if there
-        # is one.
-        patterns, labels = _read_arff_rows(path, lines, attrs, class_idx,
-                                           feature_idx, value_ids)
+        rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
+        patterns, labels = _read_rows(path, rows, names, class_idx, class_id,
+                                      "attribute")
     return Dataset(
         patterns=patterns,
         labels=labels,
         class_names=tuple(class_values),
-        dim_names=tuple(attrs[i][0] for i in feature_idx),
+        dim_names=tuple(names[i] for i in feature_idx),
     )
 
 
-def _read_arff_table(lines: list[tuple[int, str]], width: int,
-                     class_idx: int, value_ids: dict[str, int]):
-    """Patterns and label ids of the ARFF data lines, in one scanner pass.
+def _read_table(text: bytes, start: int, width: int, class_idx: int | None,
+                class_id):
+    """Patterns and label ids of the records of ``text[start:]``, in one
+    pass of the compiled scanner; ``class_id`` maps each distinct label
+    field, unquoted, to its id.
 
-    The lines are stripped and hold no line break, so each is one record.
-    Raises ``ValueError`` when the scanner refuses a line (another field
-    count, a quote left open, a number outside its grammar or not finite)
-    or a class value is undeclared: the row reader then decides.
+    Raises ``ValueError`` for any text the row reader might read
+    differently: text the scanner refuses (another field count, a quote
+    left open, a number outside its grammar or not finite), no records, a
+    label field ``class_id`` refuses, and any text when no library is
+    loaded. The caller then hands the records to ``_read_rows``.
     """
-    text = "\n".join(line for _, line in lines).encode("utf-8")
-    patterns, spans = _kernel.scan(text, 0, width, class_idx)
+    patterns, spans = _kernel.scan(text, start, width, class_idx)
+    if not len(patterns):
+        raise ValueError("no data rows")
+    if class_idx is None:
+        return patterns, np.full(len(patterns), NO_CLASS, dtype=np.int64)
     fields, codes = _label_fields(text, spans)
-    ids = [value_ids.get(_strip_quotes(field.strip()), -1)
-           for field in fields]
-    if -1 in ids:
-        raise ValueError("undeclared class value")
+    ids = [class_id(field) for field in fields]
     return patterns, np.array(ids, dtype=np.int64)[codes]
 
 
-def _read_arff_rows(path, lines: list[tuple[int, str]],
-                    attrs: list[tuple[str, list[str] | None]],
-                    class_idx: int, feature_idx: list[int],
-                    value_ids: dict[str, int]):
-    """Patterns and label ids line by line, with ``csv`` and ``float()``;
-    errors name the line."""
-    rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
+def _label_fields(text: bytes, spans: np.ndarray):
+    """The distinct label fields of the scanned records, unquoted as
+    ``csv`` unquotes them, in order of first appearance, and each record's
+    index into them. Raises ``UnicodeDecodeError`` for a field that is not
+    UTF-8."""
+    tokens = list(map(text.__getitem__, map(slice, *spans.T.tolist())))
+    seen = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    codes = np.fromiter(map(seen.__getitem__, tokens), dtype=np.int64,
+                        count=len(tokens))
+    fields = [(token[1:-1].replace(b'""', b'"') if token[:1] == b'"'
+               else token).decode("utf-8") for token in seen]
+    return fields, codes
+
+
+def _read_rows(path, rows: list[tuple[int, list[str]]], names: list[str],
+               class_idx: int | None, class_id, noun: str):
+    """Patterns and label ids of the ``(line number, fields)`` records,
+    with ``float()`` per cell and ``class_id`` per label field.
+
+    The reference for ``_read_table``. Errors name the line: a record of
+    another width than ``names``, then its cells left to right, then its
+    label (the ``ValueError`` of ``class_id``), and last the first value
+    that is not finite.
+    """
+    feature_idx = [i for i in range(len(names)) if i != class_idx]
     patterns = np.empty((len(rows), len(feature_idx)))
-    labels = np.empty(len(rows), dtype=np.int64)
+    labels = np.full(len(rows), NO_CLASS, dtype=np.int64)
     for r, (lineno, fields) in enumerate(rows):
-        if len(fields) != len(attrs):
+        if len(fields) != len(names):
             raise DataFormatError(
-                f"{path}:{lineno}: expected {len(attrs)} fields, "
+                f"{path}:{lineno}: expected {len(names)} fields, "
                 f"got {len(fields)}")
         for c, i in enumerate(feature_idx):
             try:
@@ -256,13 +288,13 @@ def _read_arff_rows(path, lines: list[tuple[int, str]],
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric value {fields[i]!r} in "
-                    f"attribute {attrs[i][0]!r}") from None
-        token = _strip_quotes(fields[class_idx].strip())
-        if token not in value_ids:
-            raise DataFormatError(
-                f"{path}:{lineno}: undeclared class value {token!r}")
-        labels[r] = value_ids[token]
-    _require_finite(path, patterns, rows, [attrs[i][0] for i in feature_idx])
+                    f"{noun} {names[i]!r}") from None
+        if class_idx is not None:
+            try:
+                labels[r] = class_id(fields[class_idx])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    _require_finite(path, patterns, rows, [names[i] for i in feature_idx])
     return patterns, labels
 
 
@@ -291,14 +323,12 @@ _RECORD_RE = re.compile(rb"%s(?:,%s)*\r?\n?" % (_FIELD, _FIELD))
 
 
 def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
-    """Parse the body with the compiled scanner, in one pass.
+    """Read the header with ``csv`` and the body with ``_read_table``.
 
-    The header is the first non-empty record, read with ``csv``; the body
-    after it goes to ``_kernel.scan`` as bytes. Raises ``ValueError`` for
-    any file the row reader might read differently: a header or body
-    outside the scanner's grammar (rows of another width than the header
-    and values that are not finite included), text that is not UTF-8, no
-    data rows, and any file when no library is loaded.
+    The header is the first non-empty record. Raises ``ValueError`` for
+    any file the row reader might read differently: a header outside the
+    scanner's grammar, text that is not UTF-8, and whatever
+    ``_read_table`` refuses.
     """
     raw = path.read_bytes()
     start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
@@ -308,45 +338,14 @@ def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
     line = raw[start:end]
     if not line or not _RECORD_RE.fullmatch(line):
         raise ValueError("no header the scanner reads")
-    header, class_idx, feature_idx = _csv_columns(
+    header, class_idx = _csv_columns(
         path, next(csv.reader([line.decode("utf-8")])), label_column)
-    patterns, spans = _kernel.scan(raw, end, len(header), class_idx)
-    if not len(patterns):
-        raise ValueError("no data rows")
-    if class_idx is None:
-        labels = np.full(len(patterns), NO_CLASS, dtype=np.int64)
-        class_names: tuple[str, ...] = ()
-    else:
-        fields, codes = _label_fields(raw, spans)
-        ids: dict[str, int] = {}
-        class_of = [ids.setdefault(field.strip(), len(ids))
-                    for field in fields]
-        labels = np.array(class_of, dtype=np.int64)[codes]
-        class_names = tuple(ids)
-    return Dataset(
-        patterns=patterns,
-        labels=labels,
-        class_names=class_names,
-        dim_names=tuple(header[i] for i in feature_idx),
-    )
-
-
-def _label_fields(text: bytes, spans: np.ndarray):
-    """The distinct label fields of the scanned records, unquoted as
-    ``csv`` unquotes them, in order of first appearance, and each record's
-    index into them. Raises ``UnicodeDecodeError`` for a field that is not
-    UTF-8."""
-    tokens = list(map(text.__getitem__, map(slice, *spans.T.tolist())))
-    seen = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-    codes = np.fromiter(map(seen.__getitem__, tokens), dtype=np.int64,
-                        count=len(tokens))
-    fields = [(token[1:-1].replace(b'""', b'"') if token[:1] == b'"'
-               else token).decode("utf-8") for token in seen]
-    return fields, codes
+    return _csv_dataset(header, class_idx, lambda class_id: _read_table(
+        raw, end, len(header), class_idx, class_id))
 
 
 def _csv_columns(path, header: list[str], label_column: str | None):
-    """Stripped header, index of the label column or None, feature indices."""
+    """Stripped header and the index of the label column or None."""
     header = [h.strip() for h in header]
     if label_column is not None:
         if label_column not in header:
@@ -356,55 +355,44 @@ def _csv_columns(path, header: list[str], label_column: str | None):
     else:
         class_idx = next((i for i, h in enumerate(header)
                           if h.lower() == "class"), None)
-    feature_idx = [i for i in range(len(header)) if i != class_idx]
-    if not feature_idx:
+    if len(header) <= (class_idx is not None):  # no column but the label
         raise DataFormatError(f"{path}: no feature columns")
-    return header, class_idx, feature_idx
+    return header, class_idx
 
 
-def _read_csv_rows(path: Path, label_column: str | None) -> Dataset:
-    """Parse row by row with ``csv`` and ``float()``; errors name the line."""
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
-                 if row]
-    if not table:
-        raise DataFormatError(f"{path}: empty file")
-    header, class_idx, feature_idx = _csv_columns(path, table[0][1],
-                                                  label_column)
-    body = table[1:]
-    if not body:
-        raise DataFormatError(f"{path}: no data rows")
-
-    class_names: list[str] = []
-    value_ids: dict[str, int] = {}
-    patterns = np.empty((len(body), len(feature_idx)))
-    labels = np.full(len(body), NO_CLASS, dtype=np.int64)
-    for r, (lineno, fields) in enumerate(body):
-        if len(fields) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, "
-                f"got {len(fields)}")
-        for c, i in enumerate(feature_idx):
-            try:
-                patterns[r, c] = float(fields[i])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric value {fields[i]!r} in "
-                    f"column {header[i]!r}") from None
-        if class_idx is not None:
-            token = fields[class_idx].strip()
-            if token not in value_ids:
-                value_ids[token] = len(class_names)
-                class_names.append(token)
-            labels[r] = value_ids[token]
-    _require_finite(path, patterns, body, [header[i] for i in feature_idx])
+def _csv_dataset(header: list[str], class_idx: int | None,
+                 read) -> Dataset:
+    """The dataset of the patterns and labels ``read(class_id)`` returns,
+    under the CSV class rule: label fields, stripped, numbered in order of
+    first appearance."""
+    ids: dict[str, int] = {}
+    patterns, labels = read(
+        lambda field: ids.setdefault(field.strip(), len(ids)))
     return Dataset(
         patterns=patterns,
         labels=labels,
-        class_names=tuple(class_names),
-        dim_names=tuple(header[i] for i in feature_idx),
+        class_names=tuple(ids),
+        dim_names=tuple(h for i, h in enumerate(header) if i != class_idx),
     )
+
+
+def _read_csv_rows(path: Path, label_column: str | None) -> Dataset:
+    """Read the file with ``csv`` and the body with ``_read_rows``; errors
+    name the line a record starts on."""
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        table, lineno = [], 1
+        for fields in reader:
+            if fields:
+                table.append((lineno, fields))
+            lineno = reader.line_num + 1
+    if not table:
+        raise DataFormatError(f"{path}: empty file")
+    header, class_idx = _csv_columns(path, table[0][1], label_column)
+    if len(table) == 1:
+        raise DataFormatError(f"{path}: no data rows")
+    return _csv_dataset(header, class_idx, lambda class_id: _read_rows(
+        path, table[1:], header, class_idx, class_id, "column"))
 
 
 def normalize(ds: Dataset) -> Dataset:

@@ -98,13 +98,13 @@ def lhs_unit(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def resolve_sample(ranges: tuple[ParamRange, ...], unit_row: np.ndarray,
-                   train_size: int, *, n_max: int | None = None,
-                   seed: int = 0) -> HyperParams:
+                   train_size: int, *, seed: int = 0) -> HyperParams:
     """Map one unit-cube row onto concrete training parameters.
 
     Multiplier-scaled entries resolve against values appearing earlier in
     ``ranges`` (the winner rate precedes its multiples) or against the
     training-set size; integer entries round afterwards, floored at one.
+    The node budget ``n_max`` is the training-set size.
     """
     values: dict[str, float | int] = {}
     for prange, u in zip(ranges, unit_row):
@@ -118,7 +118,7 @@ def resolve_sample(ranges: tuple[ParamRange, ...], unit_row: np.ndarray,
         if prange.integer:
             value = max(1, int(round(value)))
         values[prange.name] = value
-    return HyperParams(**values, n_max=n_max or train_size, seed=seed)
+    return HyperParams(**values, n_max=train_size, seed=seed)
 
 
 def lhs_sample(ranges: tuple[ParamRange, ...], n: int, seed: int,

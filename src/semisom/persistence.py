@@ -37,9 +37,12 @@ def save_model(path, som: SomMap, params: HyperParams, *,
                class_names: tuple[str, ...] = ()) -> None:
     """Write a model file; overwrites any existing file at ``path``.
 
-    The file is always standard JSON: a ``nan`` or ``inf`` anywhere in the
-    model raises ``ValueError`` before anything is written.
+    The file is always one ``load_model`` reads: a map without nodes, or
+    a ``nan`` or ``inf`` anywhere in the model, raises ``ValueError``
+    before anything is written.
     """
+    if not som.n_nodes:
+        raise ValueError("model holds no nodes")
     text = _model_text(som, params, norm_stats, class_names)
     Path(path).write_text(text + "\n", encoding="utf-8")
 

@@ -264,12 +264,16 @@ def reference_load_arff(path) -> Dataset:
 
 
 def reference_load_csv(path, label_column: str | None = None) -> Dataset:
-    """The CSV loader row by row: ``csv`` records and ``float()`` per cell."""
+    """The CSV loader row by row: ``csv`` records and ``float()`` per cell;
+    errors name the line a record starts on."""
     path = Path(path)
     with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        table = [(lineno, row) for lineno, row in enumerate(reader, start=1)
-                 if row]
+        table, lineno = [], 1
+        for row in reader:
+            if row:
+                table.append((lineno, row))
+            lineno = reader.line_num + 1
     if not table:
         raise DataFormatError(f"{path}: empty file")
     _, header = table[0]

@@ -283,6 +283,8 @@ def write_bytes(tmp_path, name, text):
     ("f1,f2\n\n1,2\n\n\n3,oops\n", 6),
     ("\r\nf1,f2\r\n\r\n1,2\r\n\r\n5,nan\r\n", 6),
     ("f1,class\n1,a\n\n\n2", 5),
+    ('f1,class\n1,"x\ny"\noops,a\n', 4),  # a quoted field over two lines
+    ('f1,class\n1,"x\ny"\nnan,a\n', 4),
 ])
 def test_csv_fallback_names_the_bad_line(tmp_path, text, line):
     path = write_bytes(tmp_path, "t.csv", text)
@@ -660,8 +662,7 @@ def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
         perfbench_inputs().write_csv(path, patterns,
                                      [names[c] for c in labels])
     lay_out(path, layout)
-    monkeypatch.setattr(data, "_read_csv_rows", _no_row_reader)
-    monkeypatch.setattr(data, "_read_arff_rows", _no_row_reader)
+    monkeypatch.setattr(data, "_read_rows", _no_row_reader)
     load, reference = ((load_csv, reference_load_csv) if suffix == ".csv"
                        else (load_arff, reference_load_arff))
     got, want = load(path), reference(path)

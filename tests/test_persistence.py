@@ -105,6 +105,14 @@ def test_save_refuses_non_finite_values(trained, tmp_path):
     assert not out.exists()
 
 
+def test_save_refuses_a_map_without_nodes(trained, tmp_path):
+    _, params, _, _ = trained
+    out = tmp_path / "empty.json"
+    with pytest.raises(ValueError, match="no nodes"):
+        save_model(out, SomMap(2, 5), params)
+    assert not out.exists()
+
+
 def test_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "something-else"}', encoding="utf-8")
