@@ -10,12 +10,15 @@
  * most numbers itself, exactly; only the rest go to strtod, the one place
  * the LC_NUMERIC locale reaches (see the scanner's comment).
  *
- * Each function reproduces, bit for bit, the numpy kernels of model.py
- * (_train_numpy, _insert_numpy and _sweep_numpy for som_train, insert and
- * sweep, line for line) or the numpy block pass of inference.py that it
- * replaces: the same float operations on the same operands in the same
- * order. min/max propagate NaN and the logistic curve is 1 / (1 + exp(-z))
- * as in scipy's expit, with the C library's exp, one value at a time.
+ * Each function reproduces, bit for bit, its one numpy mirror in model.py
+ * (winner: _winner, second_winner: _second_winner, update_row:
+ * _update_numpy, relink: _link_numpy, attract: _attract_numpy, insert:
+ * _insert_numpy, sweep: _sweep_numpy, som_train: _train_numpy, line for
+ * line), which the per-call SomMap methods run under the map's lock, or
+ * the numpy block pass of inference.py that it replaces: the same float
+ * operations on the same operands in the same order. min/max propagate
+ * NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's expit,
+ * with the C library's exp, one value at a time.
  * som_classify takes another route to the same outcome: it computes the
  * screen's bounds with the numpy pass's operations, but tests most pairs
  * against them in the squared-distance domain, and every activation that
@@ -307,9 +310,9 @@ static ptrdiff_t second_winner(const struct som_view *v, ptrdiff_t n,
     return best;
 }
 
-/* A fresh node n at x, as SomMap.add_node adds it (relevances one,
- * distance averages zero, no wins, the label), linked as rewire_node links
- * it. The caller checks that row n lies below the capacity. */
+/* A fresh node n at x (relevances one, distance averages zero, no wins,
+ * the label), linked as rewire_node links it. The caller checks that row n
+ * lies below the capacity. */
 static void insert(const struct som_view *v, ptrdiff_t n, const double *x,
                    int64_t label, double minwd)
 {

@@ -25,17 +25,20 @@ need a compiler with a 128-bit integer type). Only the other numbers go
 through ``strtod``, which reads the decimal point of the ``LC_NUMERIC``
 locale: under a locale whose point is ``,`` those tokens are refused, and
 such files are read row by row. That case follows from the code; it is
-not tested, since it needs a comma-decimal locale installed. The short
-per-node operations of ``SomMap`` (winner search, node update, rewiring)
-run in numpy on either path.
+not tested, since it needs a comma-decimal locale installed.
 
-When no library can be built or loaded, ``compiled()`` returns ``None``
-and ``bind`` returns no kernels; each map then chooses, once, the numpy
-kernels of ``model.py``, which take the same arguments, counters and
-return codes. The twin of ``som_train``, ``_train_numpy``, mirrors it line
-for line, insertions and sweeps in place included. The results are the
-same bit for bit either way. ``scan`` then raises ``ValueError``, and
-``data.py`` reads the file with its row reader, which gives the same data.
+Each training function of ``_kernel.c`` has one numpy mirror in
+``model.py`` over the same arrays: ``winner``/``_winner``,
+``second_winner``/``_second_winner``, ``update_row``/``_update_numpy``,
+``relink``/``_link_numpy``, ``attract``/``_attract_numpy``,
+``insert``/``_insert_numpy``, ``sweep``/``_sweep_numpy`` and
+``som_train``/``_train_numpy``, line for line. Each per-call method of
+``SomMap`` is one of these mirrors run under the map's lock, on either
+path. When no library can be built or loaded, ``compiled()`` returns
+``None``, ``bind`` returns no kernels, and each map binds ``_train_numpy``
+instead, with the same counters and return codes and the same results bit
+for bit. ``scan`` then raises ``ValueError``, and ``data.py`` reads the
+file with its row reader, which gives the same data.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ class Params(ctypes.Structure):
 # at a presentation whose insertion needs more storage than the map holds,
 # before changing or counting anything of it.
 END, INSERT = 0, 1
-# The slots of som_train's counter array: the position in the draws, the
-# cycle count (nwins), the presentation count (t), the supervised,
-# unsupervised and push steps, the insertions, removals and sweeps, and the
-# node count it returns with.
+# The slots of som_train's counter array, used by name: the position in the
+# draws, the cycle count (nwins), the presentation count (t), the steps,
+# pushes, insertions, removals and sweeps TrainStats adds up under the same
+# names, and the node count it returns with.
 SLOTS = ("pos", "nwins", "t", "supervised", "unsupervised", "pushes",
          "insertions", "removals", "resets", "n")
 # Above any count a run reaches; larger budgets and cycles are clamped to
@@ -330,9 +333,9 @@ def _train(lib, addr: int, m: int, n: int, p: Params, chunk: Chunk) -> int:
         raise ValueError(f"patterns of {chunk.m} values for a map of {m}")
     if n < 1:
         raise ValueError("map has no nodes")
-    if not 0 <= chunk.count[0] <= chunk.k:
-        raise IndexError(f"position {chunk.count[0]} outside the "
-                         f"{chunk.k} draws")
+    pos = chunk.count[SLOTS.index("pos")]
+    if not 0 <= pos <= chunk.k:
+        raise IndexError(f"position {pos} outside the {chunk.k} draws")
     return lib.som_train(addr, n, ctypes.byref(p), *chunk._args)
 
 

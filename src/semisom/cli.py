@@ -97,6 +97,13 @@ def _build_params(args, n_patterns: int) -> HyperParams:
     return params
 
 
+def _print_coverage(som, class_names) -> None:
+    """Print the number of nodes of each class, by class name."""
+    coverage = Counter(class_names[l] for l in som.labels if l != NO_CLASS)
+    for name, count in sorted(coverage.items()):
+        print(f"  {name}: {count} nodes")
+
+
 def cmd_train(args) -> int:
     ds = normalize(_load_dataset(args.data, args.label_column))
     params = _build_params(args, len(ds))
@@ -105,13 +112,10 @@ def cmd_train(args) -> int:
     save_model(args.out, som, params, norm_stats=ds.norm_stats,
                class_names=ds.class_names)
     if not args.quiet:
-        labels = som.labels
-        labeled = int(np.count_nonzero(labels != NO_CLASS))
+        labeled = int(np.count_nonzero(som.labels != NO_CLASS))
         print(f"trained map: {som.n_nodes} nodes ({labeled} labeled), "
               f"{len(som.connections)} connections")
-        coverage = Counter(ds.class_names[l] for l in labels if l != NO_CLASS)
-        for name, count in sorted(coverage.items()):
-            print(f"  {name}: {count} nodes")
+        _print_coverage(som, ds.class_names)
         print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -191,15 +195,12 @@ def cmd_sweep(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_model(args.model)
     som = model.som
-    labels = som.labels
-    labeled = int(np.count_nonzero(labels != NO_CLASS))
+    labeled = int(np.count_nonzero(som.labels != NO_CLASS))
     print(f"format version: {FORMAT_VERSION}")
     print(f"dimensions: {som.dim}")
     print(f"nodes: {som.n_nodes} ({labeled} labeled)")
     print(f"connections: {len(som.connections)}")
-    coverage = Counter(model.class_names[l] for l in labels if l != NO_CLASS)
-    for name, count in sorted(coverage.items()):
-        print(f"  {name}: {count} nodes")
+    _print_coverage(som, model.class_names)
     print("params:")
     for name in _PARAM_FIELDS:
         print(f"  {name} = {getattr(model.params, name)}")

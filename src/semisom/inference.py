@@ -134,10 +134,10 @@ class _NodeArrays:
 
     def __init__(self, som: SomMap):
         n = som.n_nodes
-        self.centers = som._centers[:n]
-        self.rel = som._rel[:n]
-        self.mass = som._rel_sums[:n]
-        self.labels = som._labels[:n]
+        self.centers = som._arrays.centers[:n]
+        self.rel = som._arrays.rel[:n]
+        self.mass = som._arrays.sums[:n]
+        self.labels = som._arrays.labels[:n]
         self.labeled = self.labels != NO_CLASS
         self.unlabeled = ~self.labeled
         # -2 r c, the cross term of the expanded form

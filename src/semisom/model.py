@@ -184,20 +184,6 @@ def _activations(centers: np.ndarray, rel: np.ndarray, mass: np.ndarray,
     return np.divide(mass, dist, out=dist)
 
 
-def _linked(rel: np.ndarray, labels: np.ndarray, r: np.ndarray, label,
-            minwd: float) -> np.ndarray:
-    """Which rows of ``(rel, labels)`` qualify as neighbors of ``(r, label)``.
-
-    The gaps are summed as in ``_distances``, so ``_kernel.c`` can repeat
-    them.
-    """
-    diff = rel - r
-    np.multiply(diff, diff, out=diff)
-    gap = np.sqrt(np.add.reduce(diff, axis=1))
-    compat = (labels == label) | (labels == NO_CLASS) | (label == NO_CLASS)
-    return compat & (gap < minwd * math.sqrt(rel.shape[-1]))
-
-
 def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
                    lr: float, beta: float, slope: float) -> np.ndarray:
     """Node-update kernel on one node's rows; mutates them in place.
@@ -228,6 +214,27 @@ def _unpack(words: np.ndarray) -> np.ndarray:
                          axis=-1, bitorder="little").view(bool)
 
 
+def _winner(v: SimpleNamespace, n: int, x: np.ndarray) -> int:
+    """``winner`` of ``_kernel.c``: the activations of nodes ``[0, n)`` for
+    ``x`` into ``v.acts[:n]``, and the first most activated node. A map
+    without nodes has no winner: ``ValueError``."""
+    if n == 0:
+        raise ValueError("map has no nodes")
+    v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
+                              ACTIVATION_EPS)
+    return int(np.argmax(v.acts[:n]))
+
+
+def _second_winner(v: SimpleNamespace, n: int, label: int, a_t: float) -> int:
+    """``second_winner`` of ``_kernel.c``: the most activated node of
+    ``[0, n)`` of class ``label``, or unlabeled, whose activation in
+    ``v.acts`` reaches ``a_t``; -1 when none qualifies."""
+    labels, acts = v.labels[:n], v.acts[:n]
+    ok = np.flatnonzero(((labels == label) | (labels == NO_CLASS))
+                        & (acts >= a_t))
+    return int(ok[np.argmax(acts[ok])]) if ok.size else -1
+
+
 def _update_numpy(v: SimpleNamespace, x: np.ndarray, rows, rates,
                   beta: float, slope: float) -> None:
     """Node update of ``rows`` toward ``x``, one after another, row
@@ -244,9 +251,15 @@ def _update_numpy(v: SimpleNamespace, x: np.ndarray, rows, rates,
 def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
                 minwd: float) -> None:
     """The links of node ``j`` with ``[lo, n)``, recomputed in both bit
-    rows, as ``relink`` of ``_kernel.c``."""
-    linked = _linked(v.rel[lo:n], v.labels[lo:n], v.rel[j], v.labels[j],
-                     minwd)
+    rows, as ``relink`` of ``_kernel.c``: two nodes link when their labels
+    are compatible and the gap of their relevance rows, summed as in
+    ``_distances``, lies below ``minwd * sqrt(m)``."""
+    labels, label = v.labels[lo:n], v.labels[j]
+    diff = v.rel[lo:n] - v.rel[j]
+    np.multiply(diff, diff, out=diff)
+    gap = np.sqrt(np.add.reduce(diff, axis=1))
+    linked = (((labels == label) | (labels == NO_CLASS) | (label == NO_CLASS))
+              & (gap < minwd * math.sqrt(v.rel.shape[1])))
     if lo <= j:
         linked[j - lo] = False
     col = v.adj[lo:n, j // 64]
@@ -291,27 +304,23 @@ def _supervised_numpy(v: SimpleNamespace, x: np.ndarray, n: int, p, w: int,
     A winner of the pattern's class, or unlabeled, is attracted with its
     neighbors, adopts the label and is relinked; below the activation
     threshold a labeled node is inserted instead, when allowed and there is
-    room. A winner of another class makes the most activated node of the
-    class, or unlabeled, at or above the threshold the second winner: it is
-    attracted with its neighbors and the winner is pushed away. Without a
-    second winner a labeled node is inserted, when allowed and there is
-    room.
+    room. A winner of another class is pushed away and the second winner
+    attracted with its neighbors; without one a labeled node is inserted,
+    when allowed and there is room.
     """
     count["supervised"] += 1
     room = n < (p.n_max if p.allow_insert else 0)
-    labels, acts = v.labels[:n], v.acts[:n]
-    if labels[w] == label or labels[w] == NO_CLASS:
-        if acts[w] < p.a_t:
+    if v.labels[w] == label or v.labels[w] == NO_CLASS:
+        if v.acts[w] < p.a_t:
             return room
         _attract_numpy(v, x, n, w, p)
-        labels[w] = label
+        v.labels[w] = label
         _link_numpy(v, n, w, 0, p.minwd)
         return False
-    ok = np.flatnonzero(((labels == label) | (labels == NO_CLASS))
-                        & (acts >= p.a_t))
-    if not ok.size:
+    s = _second_winner(v, n, label, p.a_t)
+    if s < 0:
         return room
-    _attract_numpy(v, x, n, int(ok[np.argmax(acts[ok])]), p)
+    _attract_numpy(v, x, n, s, p)
     _update_numpy(v, x, [w], [-p.push_rate], p.beta, p.slope)
     count["pushes"] += 1
     return False
@@ -319,9 +328,10 @@ def _supervised_numpy(v: SimpleNamespace, x: np.ndarray, n: int, p, w: int,
 
 def _insert_numpy(v: SimpleNamespace, n: int, x: np.ndarray, label: int,
                   minwd: float) -> None:
-    """``insert`` of ``_kernel.c``: a fresh node ``n`` at ``x``, as
-    ``SomMap.add_node`` adds it, linked as ``rewire_node`` links it. The
-    caller checks that row ``n`` lies below the capacity."""
+    """``insert`` of ``_kernel.c``: a fresh node ``n`` at ``x`` (relevances
+    one, distance averages zero, relevance sum ``m``, no wins, the label),
+    linked as ``rewire_node`` links it. The caller checks that row ``n``
+    lies below the capacity."""
     for a, value in ((v.centers, x), (v.rel, 1.0), (v.dist, 0.0),
                      (v.sums, len(x)), (v.wins, 0), (v.labels, label)):
         a[n] = value
@@ -367,9 +377,7 @@ def _train_numpy(v: SimpleNamespace, n: int, p, chunk) -> int:
     code = _kernel.END
     for pos in range(count["pos"], chunk.k):
         x, label = patterns[draws[pos]], int(labels[draws[pos]])
-        v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
-                                  ACTIVATION_EPS)
-        w = int(np.argmax(v.acts[:n]))
+        w = _winner(v, n, x)
         add = (_unsupervised_numpy(v, x, n, p, w, count) if label == NO_CLASS
                else _supervised_numpy(v, x, n, p, w, label, count))
         if add:
@@ -459,9 +467,9 @@ def _check_arrays(node_budget: int, centers, relevances, dist_avgs, wins,
     return arrays + [pairs]
 
 
-def _rows(storage: str, doc: str) -> property:
-    """A ``SomMap`` property: a copy of the node rows of ``storage``."""
-    return property(lambda som: getattr(som, storage)[:som._n].copy(),
+def _rows(name: str, doc: str) -> property:
+    """A ``SomMap`` property: a copy of the node rows of array ``name``."""
+    return property(lambda som: getattr(som._arrays, name)[:som._n].copy(),
                     doc=doc)
 
 
@@ -490,62 +498,60 @@ class SomMap:
         self.nwins = 0
         self._n = 0
         self._lock = threading.Lock()
+        self._arrays = SimpleNamespace()
         self._grow(min(node_budget, _FIRST_CAPACITY))
 
     def _grow(self, capacity: int) -> None:
         """Reallocate node storage for ``capacity`` nodes, keeping the nodes.
 
-        Each array holds one row per node: the node's vectors, sums, wins,
-        label and adjacency bits, and its activation in the training
-        loop's last winner search.
+        ``_arrays`` is the storage: one array per pointer field of
+        ``_kernel.View``, one row per node. The compiled loop and the numpy
+        mirrors of its functions, which the per-call methods run, read and
+        write these arrays alone.
         """
-        n, m = self._n, self.dim
+        n, m, v = self._n, self.dim, self._arrays
         with self._lock:
             for name, shape, dtype in (
-                    ("_centers", (capacity, m), float),
-                    ("_rel", (capacity, m), float),
-                    ("_dist", (capacity, m), float),
-                    ("_rel_sums", capacity, float),
-                    ("_wins", capacity, np.int64),
-                    ("_labels", capacity, np.int64),
-                    ("_adj", (capacity, -(-capacity // 64)), np.uint64),
-                    ("_acts", capacity, float)):
+                    ("centers", (capacity, m), float),
+                    ("rel", (capacity, m), float),
+                    ("dist", (capacity, m), float),
+                    ("sums", capacity, float),
+                    ("wins", capacity, np.int64),
+                    ("labels", capacity, np.int64),
+                    ("adj", (capacity, -(-capacity // 64)), np.uint64),
+                    ("acts", capacity, float)):
                 new = np.zeros(shape, dtype)
                 if n:
-                    old = getattr(self, name)[:n]
+                    old = getattr(v, name)[:n]
                     new[tuple(map(slice, old.shape))] = old
-                setattr(self, name, new)
+                setattr(v, name, new)
             self._bind()
 
     def _bind(self) -> None:
         """Choose the long calls: compiled if the library loads, else numpy.
 
-        Arrays are only written in place between reallocations, and
-        ``_grow`` binds again after each one while holding the lock, so
-        the addresses taken here stay valid while ``som_train`` uses them.
-        The lock, one object for the map's lifetime, serializes the writes
-        to the node rows (training, ``update_nodes``, rewiring) with each
-        other and with the searches that read them. The numpy path binds
-        the twin of the training loop, ``_train_numpy``, and no classify
-        pass (``None``): inference then runs its numpy twin. ``_arrays``
-        holds the same arrays for the per-call operations, which run in
-        numpy on either path: the winner search (``_activations``), the
-        node update (``_update_numpy``) and the rewiring (``_link_numpy``).
+        ``_grow`` binds again after each reallocation while holding the
+        lock, so the addresses taken here stay valid while ``som_train``
+        uses them. The lock serializes every write to the node rows with
+        the searches that read them. The numpy path binds the mirror of
+        the training loop, ``_train_numpy``, and no classify pass
+        (``None``): inference then runs its numpy twin. On either path a
+        per-call method runs one mirror under the lock: ``_winner`` of
+        ``winner``, ``_second_winner`` of ``second_winner``,
+        ``_update_numpy`` of ``update_row``, ``_link_numpy`` of ``relink``,
+        or the compaction and relinking of ``_sweep_numpy``.
         """
-        arrays = dict(centers=self._centers, rel=self._rel, dist=self._dist,
-                      sums=self._rel_sums, acts=self._acts, wins=self._wins,
-                      labels=self._labels, adj=self._adj)
-        self._arrays = SimpleNamespace(**arrays)
-        kernels = _kernel.bind(self.dim, ACTIVATION_EPS, self._adj.shape[1],
-                               len(self._centers), **arrays)
+        v = self._arrays
+        kernels = _kernel.bind(self.dim, ACTIVATION_EPS, v.adj.shape[1],
+                               len(v.centers), **vars(v))
         if kernels is None:
             kernels = _kernel.Kernels(
-                None, functools.partial(_train_numpy, self._arrays), None)
+                None, functools.partial(_train_numpy, v), None)
         self._view, self._train, self._classify = kernels
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for name in ("_lock", "_arrays", "_view", "_train", "_classify"):
+        for name in ("_lock", "_view", "_train", "_classify"):
             del state[name]
         return state
 
@@ -564,27 +570,34 @@ class SomMap:
     def is_full(self) -> bool:
         return self._n >= self.node_budget
 
-    labels = _rows("_labels", "Copy of the per-node labels.")
-    wins = _rows("_wins", "Copy of the per-node win counters.")
-    centers = _rows("_centers", "Copy of the node centers, one per row.")
-    relevances = _rows("_rel", "Copy of the node relevances, one per row.")
-    dist_avgs = _rows("_dist", "Copy of the distance averages, one per row.")
+    labels = _rows("labels", "Copy of the per-node labels.")
+    wins = _rows("wins", "Copy of the per-node win counters.")
+    centers = _rows("centers", "Copy of the node centers, one per row.")
+    relevances = _rows("rel", "Copy of the node relevances, one per row.")
+    dist_avgs = _rows("dist", "Copy of the distance averages, one per row.")
 
     @property
     def connections(self) -> list[tuple[int, int]]:
         """Sorted list of connected node pairs ``(i, j)`` with ``i < j``."""
         n = self._n
-        i, j = np.nonzero(np.triu(_unpack(self._adj[:n])[:, :n], 1))
+        i, j = np.nonzero(np.triu(_unpack(self._arrays.adj[:n])[:, :n], 1))
         return list(zip(i.tolist(), j.tolist()))
 
-    def _check_index(self, j: int) -> None:
+    def _check_index(self, j) -> int:
+        """Node index ``j`` as an int; ``TypeError`` unless it is an
+        integer (a bool is not), ``IndexError`` unless it names a node."""
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise TypeError(
+                f"node indices must be integers, got {type(j).__name__}")
         if not 0 <= j < self._n:
             raise IndexError(f"no node {j} in a map of {self._n} nodes")
+        return int(j)
 
     def neighbor_array(self, j: int) -> np.ndarray:
         """Neighbors of ``j`` as a sorted index array."""
-        self._check_index(j)
-        return np.flatnonzero(_unpack(self._adj[j])[:self._n])
+        with self._lock:
+            row = self._arrays.adj[self._check_index(j)]
+            return np.flatnonzero(_unpack(row)[:self._n])
 
     @classmethod
     def from_arrays(cls, node_budget: int, centers, relevances, dist_avgs,
@@ -603,16 +616,17 @@ class SomMap:
                                wins, labels, connections)
         n, dim = arrays[0].shape
         som = cls(dim, node_budget)
-        if n > len(som._centers):
+        v = som._arrays
+        if n > len(v.centers):
             som._grow(n)
-        for name, values in zip(("_centers", "_rel", "_dist", "_wins",
-                                 "_labels"), arrays):
-            getattr(som, name)[:n] = values
-        som._rel_sums[:n] = som._rel[:n].sum(axis=1)
+        for name, values in zip(("centers", "rel", "dist", "wins", "labels"),
+                                arrays):
+            getattr(v, name)[:n] = values
+        v.sums[:n] = v.rel[:n].sum(axis=1)
         som._n = n
         i, j = arrays[-1].T
-        np.bitwise_or.at(som._adj, (i, j // 64), _BIT[j % 64])
-        np.bitwise_or.at(som._adj, (j, i // 64), _BIT[i % 64])
+        np.bitwise_or.at(v.adj, (i, j // 64), _BIT[j % 64])
+        np.bitwise_or.at(v.adj, (j, i // 64), _BIT[i % 64])
         return som
 
     def add_node(self, x: np.ndarray, label: int = NO_CLASS) -> int:
@@ -621,17 +635,14 @@ class SomMap:
         Raises:
             MapFullError: if the node budget is already exhausted.
         """
-        j = self._n
-        if j == len(self._centers):
-            self._double()
         x = self._pattern(x)
-        self._centers[j] = x
-        self._rel[j] = 1.0
-        self._dist[j] = 0.0
-        self._wins[j] = 0
-        self._labels[j] = label
-        self._rel_sums[j] = float(self.dim)
-        self._n += 1
+        if self._n == len(self._arrays.centers):
+            self._double()
+        with self._lock:
+            j = self._n
+            # minwd 0 links no node, as no gap lies below 0
+            _insert_numpy(self._arrays, j, x, label, 0.0)
+            self._n += 1
         return j
 
     def _double(self) -> None:
@@ -660,27 +671,19 @@ class SomMap:
             raise ValueError(f"pattern has shape {x.shape}, map expects ({self.dim},)")
         return x
 
-    def _compete(self, x: np.ndarray) -> np.ndarray:
-        """Activation of every node for ``x``; the caller holds the lock."""
-        n = self._n
-        if n == 0:
-            raise ValueError("map has no nodes")
-        return _activations(self._centers[:n], self._rel[:n],
-                            self._rel_sums[:n], x, ACTIVATION_EPS)
-
     def activations(self, x: np.ndarray) -> np.ndarray:
         """Activation of every node for pattern ``x``."""
         x = self._pattern(x)
         with self._lock:
-            return self._compete(x)
+            _winner(self._arrays, self._n, x)
+            return self._arrays.acts[:self._n].copy()
 
     def find_winner(self, x: np.ndarray) -> tuple[int, float]:
         """Most activated node for ``x``; ties go to the lowest index."""
         x = self._pattern(x)
         with self._lock:
-            acts = self._compete(x)
-        j = int(np.argmax(acts))
-        return j, float(acts[j])
+            j = _winner(self._arrays, self._n, x)
+            return j, float(self._arrays.acts[j])
 
     def find_winner_for_class(self, x: np.ndarray, label: int,
                               a_t: float) -> int | None:
@@ -692,13 +695,9 @@ class SomMap:
         """
         x = self._pattern(x)
         with self._lock:
-            acts = self._compete(x)
-            lab = self._labels[:self._n]
-            ok = ((lab == label) | (lab == NO_CLASS)) & (acts >= a_t)
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        return int(idx[np.argmax(acts[idx])])
+            _winner(self._arrays, self._n, x)
+            j = _second_winner(self._arrays, self._n, label, a_t)
+        return None if j < 0 else j
 
     # -- adaptation --------------------------------------------------------
 
@@ -721,21 +720,15 @@ class SomMap:
             TypeError: if the indices are not integers (bools included).
             IndexError: if an index is not a node of the map.
         """
-        idx = np.asarray(indices)
-        k = idx.size
-        if not k:
+        rows = np.asarray(indices).reshape(-1).tolist()  # no cast wraps a row
+        if not rows:
             return
-        if idx.dtype.kind not in "iu":
-            raise TypeError(f"node indices must be integers, got {idx.dtype}")
-        rows = idx.reshape(-1).tolist()  # Python ints: no cast wraps them
         rates = np.asarray(lr, dtype=float)
-        rates = np.full(k, rates) if not rates.ndim else rates.reshape(k)
+        rates = (np.full(len(rows), rates) if not rates.ndim
+                 else rates.reshape(len(rows)))
         x = self._pattern(x)
         with self._lock:
-            bad = [j for j in rows if not 0 <= j < self._n]
-            if bad:
-                raise IndexError(
-                    f"no node {bad[0]} in a map of {self._n} nodes")
+            rows = [self._check_index(j) for j in rows]
             _update_numpy(self._arrays, x, rows, rates.tolist(), beta, slope)
 
     # -- neighborhood ------------------------------------------------------
@@ -743,14 +736,14 @@ class SomMap:
     def rebuild_connections(self, minwd: float) -> None:
         """Recompute the full connection set from the pairwise predicate."""
         with self._lock:
-            self._adj[:self._n] = 0
+            self._arrays.adj[:self._n] = 0
             _link_all_numpy(self._arrays, self._n, minwd)
 
     def rewire_node(self, j: int, minwd: float) -> None:
         """Recompute only the connections incident to node ``j``."""
-        self._check_index(j)
         with self._lock:
-            _link_numpy(self._arrays, self._n, j, 0, minwd)
+            _link_numpy(self._arrays, self._n, self._check_index(j), 0,
+                        minwd)
 
     # -- training ----------------------------------------------------------
 
@@ -763,7 +756,7 @@ class SomMap:
         while True:
             with self._lock:
                 code = self._train(self._n, params, chunk)
-                self._n = int(chunk.count[-1])  # the "n" slot
+                self._n = int(chunk.count[_kernel.SLOTS.index("n")])
             if code == _kernel.END:
                 return code
             self._double()

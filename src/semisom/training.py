@@ -26,7 +26,7 @@ parallel on the compiled loop (``experiments.run_sweep`` relies on it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +52,8 @@ _CHUNK = 4096
 
 @dataclass
 class TrainStats:
-    """Counters accumulated over one training run."""
+    """Counters accumulated over one training run; a field named as a slot
+    of ``_kernel.SLOTS`` adds up that counter of the training loop."""
 
     supervised: int = 0
     unsupervised: int = 0
@@ -147,12 +148,13 @@ def _present_chunk(state: TrainState, patterns: np.ndarray,
              else [draws[i:i + 1] for i in range(len(draws))])
     for part in parts:
         chunk = _kernel.Chunk(som.dim, patterns, labels, part)
-        chunk.count[1:3] = (som.nwins, state.t)
+        for name, value in (("nwins", som.nwins), ("t", state.t)):
+            chunk.count[_kernel.SLOTS.index(name)] = value
         som._run_presentations(args, chunk)
         count = dict(zip(_kernel.SLOTS, chunk.count.tolist()))
-        for name in ("supervised", "unsupervised", "pushes",
-                     "insertions", "removals", "resets"):
-            setattr(stats, name, getattr(stats, name) + count[name])
+        for f in fields(stats):
+            if f.name in count:
+                setattr(stats, f.name, getattr(stats, f.name) + count[f.name])
         if observer is None:
             _count_presentations(state, count["t"] - state.t)
             som.nwins, state.t = count["nwins"], count["t"]

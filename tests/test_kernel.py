@@ -235,7 +235,7 @@ def _present_once(lib, case):
                                  [(w, j) for j in neighbors])
     # distance averages of NaN and inf, which from_arrays refuses, reach
     # the loop too
-    som._dist[:n] = dist
+    som._arrays.dist[:n] = dist
     centers, rel, dist = centers.copy(), rel.copy(), dist.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for j, lr in [(w, rates[0])] + [(j, rates[-1]) for j in neighbors]:
@@ -263,7 +263,7 @@ def test_compiled_winner_equals_numpy(default_only, case):
     n = len(case[0][0])
     for lib in (_kernel.compiled(), default_only):
         som, searched, want, _, w = _present_once(lib, case)
-        assert np.array_equal(bits(som._acts[:n]), bits(want))
+        assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
         assert np.array_equal(bits(searched), bits(want))
         assert som.wins.tolist() == [int(j == w) for j in range(n)]
 
@@ -279,7 +279,8 @@ def test_compiled_update_equals_numpy(default_only, case):
         assert np.array_equal(bits(som.centers), bits(centers))
         assert np.array_equal(bits(som.dist_avgs), bits(dist))
         assert np.array_equal(bits(som.relevances), bits(rel))
-        assert np.array_equal(bits(som._rel_sums[:n]), bits(rel.sum(axis=1)))
+        assert np.array_equal(bits(som._arrays.sums[:n]),
+                              bits(rel.sum(axis=1)))
 
 
 def _train_blobs(tmp_path, name):
@@ -326,10 +327,11 @@ def _one_node_map():
 @pytest.mark.parametrize("j", [3, -1, 5, 1])
 def test_update_node_rejects_missing_nodes(kernels, j):
     som = _one_node_map()
-    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    v = som._arrays
+    before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
     with pytest.raises(IndexError, match=f"no node {j} "):
         som.update_node(j, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
-    for got, was in zip((som._centers, som._dist, som._rel), before):
+    for got, was in zip((v.centers, v.dist, v.rel), before):
         assert np.array_equal(got, was)
 
 
@@ -337,10 +339,11 @@ def test_update_node_rejects_missing_nodes(kernels, j):
 def test_update_nodes_rejects_missing_nodes(kernels, rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
-    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    v = som._arrays
+    before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
     with pytest.raises(IndexError, match="no node "):
         som.update_nodes(rows, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
-    for got, was in zip((som._centers, som._dist, som._rel), before):
+    for got, was in zip((v.centers, v.dist, v.rel), before):
         assert np.array_equal(got, was)
 
 
@@ -503,14 +506,14 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
     assert np.array_equal(som.centers, [[0.75, 0.375]])
     assert np.array_equal(bits(som.dist_avgs), bits(twin.dist_avgs))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
-    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
+    assert np.array_equal(bits(som._arrays.sums), bits(twin._arrays.sums))
     som.update_nodes([0, 0, 0], x, 0.5, 0.1, 0.05)
     for _ in range(3):
         twin.update_node(0, x, 0.5, 0.1, 0.05)
     assert np.array_equal(bits(som.centers), bits(twin.centers))
     assert np.array_equal(bits(som.dist_avgs), bits(twin.dist_avgs))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
-    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
+    assert np.array_equal(bits(som._arrays.sums), bits(twin._arrays.sums))
 
     rng = np.random.default_rng(17)
     som = random_map(rng, 5, 6)
@@ -521,7 +524,7 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
         twin.update_node(j, x, lr, 0.3, 0.05)
     assert np.array_equal(bits(som.centers), bits(twin.centers))
     assert np.array_equal(bits(som.relevances), bits(twin.relevances))
-    assert np.array_equal(bits(som._rel_sums), bits(twin._rel_sums))
+    assert np.array_equal(bits(som._arrays.sums), bits(twin._arrays.sums))
 
 
 @pytest.mark.parametrize("rows", [[1.7], [1.0], np.array([True]),
@@ -529,13 +532,14 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
 def test_update_nodes_rejects_non_integer_rows(kernels, rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
-    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    v = som._arrays
+    before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
     x = np.array([0.5, 0.5])
     with pytest.raises(TypeError, match="integer"):
         som.update_nodes(rows, x, 0.1, 0.1, 0.05)
     som.update_nodes([], x, 0.1, 0.1, 0.05)
     som.update_nodes(np.array([], dtype=np.intp), x, 0.1, 0.1, 0.05)
-    for got, was in zip((som._centers, som._dist, som._rel), before):
+    for got, was in zip((v.centers, v.dist, v.rel), before):
         assert np.array_equal(got, was)
 
 
@@ -547,10 +551,11 @@ def _two_node_map():
 
 def test_update_node_rejects_a_bool_index(kernels):
     som = _two_node_map()
-    before = (som._centers.copy(), som._dist.copy(), som._rel.copy())
+    v = som._arrays
+    before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
     with pytest.raises(TypeError, match="bool"):
         som.update_node(True, np.array([0.5, 0.5]), 0.1, 0.1, 0.05)
-    for got, was in zip((som._centers, som._dist, som._rel), before):
+    for got, was in zip((v.centers, v.dist, v.rel), before):
         assert np.array_equal(got, was)
 
 
@@ -566,12 +571,12 @@ def test_links_span_several_bit_words(kernels):
     """150 nodes need three adjacency words per row."""
     rng = np.random.default_rng(19)
     som = random_map(rng, 150, 3)
-    assert som._adj.shape[1] == 3
+    assert som._arrays.adj.shape[1] == 3
     minwd = 0.3
     som.rebuild_connections(minwd)
     assert som.connections == brute_connections(som, minwd)
     for j in (0, 63, 64, 127, 128, 149):
-        som._labels[j] = int(rng.integers(-1, 4))
+        som._arrays.labels[j] = int(rng.integers(-1, 4))
         som.rewire_node(j, minwd)
     pairs = som.connections
     assert pairs == brute_connections(som, minwd)
@@ -802,9 +807,8 @@ def _loop_map(request, monkeypatch, build, nodes, budget):
 
 def _node_rows(som) -> list[bytes]:
     """The bytes of every node array but the activation row."""
-    return [a.tobytes() for a in (som._centers, som._rel, som._dist,
-                                  som._rel_sums, som._wins, som._labels,
-                                  som._adj)]
+    return [getattr(som._arrays, name).tobytes() for name in (
+        "centers", "rel", "dist", "sums", "wins", "labels", "adj")]
 
 
 # a_t so high that a pattern far from the nodes inserts one
@@ -824,7 +828,7 @@ def test_loop_stops_at_full_storage_before_the_presentation(
     rng = np.random.default_rng(5)
     nodes = [node_at(c, label=0) for c in rng.random((16, 3))]
     som = _loop_map(request, monkeypatch, build, nodes, 32)
-    assert len(som._centers) == 16
+    assert len(som._arrays.centers) == 16
     before = _node_rows(som)
     x = np.array([[5.0, 5.0, 5.0]])
     chunk = _kernel.Chunk(3, x, np.array([label]), np.zeros(4, np.int64))
@@ -850,8 +854,8 @@ def test_loop_inserts_in_place_when_there_is_room(request, monkeypatch,
     assert count == dict.fromkeys(_kernel.SLOTS, 0) | {
         "pos": 1, "nwins": 1, "t": 1, "supervised": 1, "insertions": 1,
         "n": 16}
-    assert np.array_equal(bits(som._centers[15]), bits(x[0]))
-    assert som._labels[15] == 1 and som._rel_sums[15] == 3.0
+    assert np.array_equal(bits(som._arrays.centers[15]), bits(x[0]))
+    assert som._arrays.labels[15] == 1 and som._arrays.sums[15] == 3.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -874,7 +878,7 @@ def test_loop_insertion_equals_insert_node(seed, labeled, minwd):
     label = int(rng.integers(-1, 4)) if labeled else NO_CLASS
     insert_node(maps[0], x, label, minwd)
     b = maps[1]
-    if n == len(b._centers):
+    if n == len(b._arrays.centers):
         b._double()
     _insert_numpy(b._arrays, n, x, label, minwd)
     b._n += 1

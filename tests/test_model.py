@@ -299,6 +299,29 @@ def test_find_winner_for_class_accepts_unlabeled_at_threshold():
                                      a_t=np.nextafter(act, 2.0)) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), label=st.integers(0, 3),
+       at_node=st.booleans())
+def test_find_winner_for_class_matches_brute_force(seed, label, at_node):
+    """The second winner against a search over the map's activations: the
+    most activated node of ``label`` or ``NO_CLASS`` at or above ``a_t``,
+    the lowest index on ties. ``a_t`` is 0 or exactly the activation of a
+    node, so the inclusive bound decides."""
+    rng = np.random.default_rng(seed)
+    som = random_map(rng)
+    n = som.n_nodes
+    x = (som.centers[rng.integers(n)] if rng.random() < 0.3
+         else rng.random(som.dim))
+    acts = som.activations(x).tolist()
+    a_t = acts[rng.integers(n)] if at_node else 0.0
+    want = None
+    for j, (node_label, act) in enumerate(zip(som.labels.tolist(), acts)):
+        if (node_label in (label, NO_CLASS) and act >= a_t
+                and (want is None or act > acts[want])):
+            want = j
+    assert som.find_winner_for_class(x, label, a_t) == want
+
+
 # -- map: structure ----------------------------------------------------------
 
 def test_add_node_respects_budget():
@@ -344,12 +367,32 @@ def test_rewire_node_matches_full_rebuild():
         minwd = float(rng.uniform(0.0, 0.8))
         som.rebuild_connections(minwd)
         j = int(rng.integers(som.n_nodes))
-        som._labels[j] = int(rng.integers(-1, 4))
+        som._arrays.labels[j] = int(rng.integers(-1, 4))
         som.rewire_node(j, minwd)
         expected = brute_connections(som, minwd)
         # rewiring only touches pairs involving j; others keep their state
         got = som.connections
         assert [p for p in got if j in p] == [p for p in expected if j in p]
+
+
+@pytest.mark.parametrize("j, error", [
+    (True, TypeError), (np.True_, TypeError), (False, TypeError),
+    (1.0, TypeError), (3, IndexError), (-1, IndexError)],
+    ids=["True", "np.True_", "False", "1.0", "3", "-1"])
+@pytest.mark.parametrize("method", ["neighbor_array", "rewire_node",
+                                    "update_node"])
+def test_node_index_must_name_a_node(method, j, error):
+    """A bool is no node index: numpy would read it as a mask."""
+    args = {"neighbor_array": (), "rewire_node": (0.5,),
+            "update_node": (np.array([0.5, 0.5]), 0.1, 0.1, 0.05)}[method]
+    centers = [[0.0, 0.0], [0.1, 0.1], [1.0, 1.0]]
+    som = SomMap.from_arrays(4, centers, np.ones((3, 2)), np.zeros((3, 2)),
+                             [0] * 3, [NO_CLASS] * 3, [(0, 1)])
+    match = "integer" if error is TypeError else f"no node {j} in a map of 3"
+    with pytest.raises(error, match=match):
+        getattr(som, method)(j, *args)
+    assert som.connections == [(0, 1)]
+    assert np.array_equal(som.centers, centers)
 
 
 # -- map: node update ---------------------------------------------------------
@@ -430,7 +473,7 @@ def test_storage_follows_the_nodes_present():
     som = SomMap(dim=100, node_budget=10 ** 6)
     for i in range(5):
         som.add_node(np.full(100, i / 5))
-    held = sum(a.nbytes for a in vars(som).values()
+    held = sum(a.nbytes for a in vars(som._arrays).values()
                if isinstance(a, np.ndarray))
     assert held < 2 ** 20
 
@@ -445,11 +488,12 @@ def test_growing_storage_keeps_nodes_and_links():
     before = som.connections
     for node in nodes[10:]:
         j = som.add_node(node["center"], node["label"])
-        som._rel[j] = node["relevance"]
-        som._dist[j] = node["dist_avg"]
-        som._wins[j] = node["wins"]
-        som._rel_sums[j] = node["relevance"].sum()
-    assert len(som._centers) == 256 and som._adj.shape == (256, 4)
+        som._arrays.rel[j] = node["relevance"]
+        som._arrays.dist[j] = node["dist_avg"]
+        som._arrays.wins[j] = node["wins"]
+        som._arrays.sums[j] = node["relevance"].sum()
+    assert len(som._arrays.centers) == 256
+    assert som._arrays.adj.shape == (256, 4)
     assert [p for p in som.connections if p[1] < 10] == before
     assert np.array_equal(som.centers, [nd["center"] for nd in nodes])
     assert np.array_equal(som.wins, [nd["wins"] for nd in nodes])

@@ -98,7 +98,7 @@ def test_save_refuses_non_finite_values(trained, tmp_path):
     broken = SomMap.from_arrays(som.node_budget, som.centers[:1],
                                 som.relevances[:1], som.dist_avgs[:1],
                                 som.wins[:1], som.labels[:1])
-    broken._centers[0, 0] = np.nan  # from_arrays refuses it
+    broken._arrays.centers[0, 0] = np.nan  # from_arrays refuses it
     out = tmp_path / "nan.json"
     with pytest.raises(ValueError):
         save_model(out, broken, params)
@@ -369,7 +369,7 @@ def _models(draw):
     with np.errstate(over="ignore"):  # relevance sums may overflow
         som = SomMap.from_arrays(n, *map(np.array, zip(*rows)), pairs)
     if draw(st.booleans()):  # a value json must refuse
-        row = som._centers if draw(st.booleans()) else som._rel
+        row = som._arrays.centers if draw(st.booleans()) else som._arrays.rel
         row[rng.integers(n), rng.integers(m)] = draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
     norm_stats = (NormStats(mins=vector(), maxs=vector())

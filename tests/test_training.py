@@ -355,5 +355,6 @@ def test_observed_run_calls_the_compiled_loop(monkeypatch):
     # one call per presentation, and one more at the doubling of the
     # storage from 16 to 32 rows, where the loop returns and replays
     assert codes.count(_kernel.END) == state.t
-    assert codes.count(_kernel.INSERT) == 1 and len(state.som._centers) == 32
+    assert codes.count(_kernel.INSERT) == 1
+    assert len(state.som._arrays.centers) == 32
     assert state.som.n_nodes > 16  # past the first storage, on the way
