@@ -1,14 +1,16 @@
 /*
  * Compiled kernels of semisom: its training loop (som_train, with the
  * winner search, the node update and the link recomputation that exist
- * only inside the loop), bulk classification (som_classify) and the
- * scanner of CSV and ARFF bodies (som_scan, at the end of the file). The
- * library keeps only these long calls, and som_sum and som_reaches for
- * the tests; it is loaded through one ctypes.CDLL handle, so every call
- * releases the interpreter lock. No function touches a Python object, and
- * each reads and writes only the arrays it is passed. The scanner computes
- * most numbers itself, exactly; only the rest go to strtod, the one place
- * the LC_NUMERIC locale reaches (see the scanner's comment).
+ * only inside the loop), bulk classification (som_classify), the scanner
+ * of CSV and ARFF bodies (som_scan) and the float formatter of model files
+ * (som_format, at the end of the file). The library keeps only these long
+ * calls, and som_sum and som_reaches for the tests; it is loaded through
+ * one ctypes.CDLL handle, so every call releases the interpreter lock. No
+ * function touches a Python object, and each reads and writes only the
+ * arrays it is passed. The scanner computes most numbers itself, exactly;
+ * only the rest go to strtod, the one place the LC_NUMERIC locale reaches
+ * (see the scanner's comment). The formatter writes each double as
+ * Python's repr() does, its mirror (see the formatter's comment).
  *
  * Each function reproduces, bit for bit, its one numpy mirror in model.py
  * (winner: _winner, second_winner: _second_winner, update_row:
@@ -1051,4 +1053,325 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
         r++;
     }
     return r;
+}
+
+/*
+ * The float formatter (som_format) writes the node vectors of a model file,
+ * each double as Python's repr() writes it: the shortest digits that read
+ * back as the same double, the nearest of them to it (ties to an even last
+ * digit), written with an exponent below 1e-4 and from 1e16 up ("1e-05",
+ * "1e+16"), "-0.0" for a negative zero. persistence._list over
+ * float.__repr__ is its mirror, and the reference the tests compare it with.
+ *
+ * The digits are Ryu's (Adams, "Ryu: fast float-to-string conversion",
+ * PLDI 2018), its d2d with the small tables: the powers 5^i and 2^k / 5^i
+ * it scales by, to 125 bits, come from every 26th one times an exact 5^k
+ * and a 2-bit correction. scripts/ryu_tables.py computes the tables with
+ * exact integers and checks every correction and shift. Products of 64 by
+ * 64 bits use the compiler's 128-bit integer type where it has one, and
+ * four 32-bit products elsewhere.
+ */
+
+/* 5^0 .. 5^25 */
+static const uint64_t FIVES[] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625,
+    48828125, 244140625, 1220703125, 6103515625, 30517578125, 152587890625,
+    762939453125, 3814697265625, 19073486328125, 95367431640625,
+    476837158203125, 2384185791015625, 11920928955078125, 59604644775390625,
+    298023223876953125};
+/* 5^i to 125 bits, truncated, for every 26th i, and the corrections of
+ * the i between them (pow5). */
+static const uint64_t POW5[][2] = {
+    {0x0000000000000000, 0x1000000000000000},
+    {0x0000000000000000, 0x14adf4b7320334b9},
+    {0x0e549208b31adb10, 0x1aba4714957d300d},
+    {0x6dc6ad264d8f0866, 0x1145b7e285bf98f5},
+    {0xeb1dbd923d8596ca, 0x1652efdc6018a1fc},
+    {0xb4c1b80b22ae923c, 0x1cda62055b2d9d83},
+    {0x5bb28b4e8f7e4c30, 0x12a5568b9f52f416},
+    {0xf08aed437682d4fb, 0x1819651531f9e78f},
+    {0xb4ee134ad99bf150, 0x1f25c186a6f04c28},
+    {0x16499ecb70c25f03, 0x1420eb449c8842e6},
+    {0x85a56ead360865b0, 0x1a03fde214caf085},
+    {0x093db1d57999890b, 0x10cfeb353a97dad8},
+    {0xcf38bb735e3f36ac, 0x15baaf44fa52673e}};
+static const uint32_t POW5_CORR[] = {
+    0x00000000, 0x00000000, 0x00000000, 0x00000000, 0x40000000, 0x59695995,
+    0x55545555, 0x56555515, 0x41150504, 0x40555410, 0x44555145, 0x44504540,
+    0x45555550, 0x40004000, 0x96440440, 0x55565565, 0x54454045, 0x40154151,
+    0x55559155, 0x51405555, 0x00000105};
+/* 2^k / 5^i to 125 bits, rounded up, for every 26th i, and the
+ * corrections of the i between them (inv_pow5). */
+static const uint64_t INV_POW5[][2] = {
+    {0x0000000000000001, 0x2000000000000000},
+    {0x52a6c95fc0655034, 0x18c240c4aecb13bb},
+    {0x7ca8d50071dfc806, 0x1327fc58da0f6ff5},
+    {0x6520247d3556476e, 0x1da48ce468e7c702},
+    {0x6139cdd76802e6e9, 0x16ef5b40c2fc7779},
+    {0xf951a7ff43de8c79, 0x11bebdf578b2f391},
+    {0x7be8bee8d6e957e8, 0x1b758d848fac54b0},
+    {0x8bd3f9e999a423ea, 0x153eda614071a3b7},
+    {0x0848f973cb3ee3ce, 0x10701bd527b4978c},
+    {0x153285ebb9efbfa2, 0x196fbb9bb44db44d},
+    {0xadeee7f86c07b696, 0x13ae3591f5b4d936},
+    {0x4d686a4eaf182222, 0x1e74404f3daada91},
+    {0x98c0a106e09ebd9f, 0x17900ea4fda7c257}};
+static const uint32_t INV_POW5_CORR[] = {
+    0x54544554, 0x04055545, 0x10041000, 0x00400414, 0x40010000, 0x41155555,
+    0x00000454, 0x00010044, 0x40000000, 0x44000041, 0x50454450, 0x55550054,
+    0x51655554, 0x40004000, 0x01000001, 0x00010500, 0x51515411, 0x05555554,
+    0x00000000};
+
+/* The 128-bit product a * b: the low word, the high one into *hi. */
+INLINE uint64_t mul128(uint64_t a, uint64_t b, uint64_t *hi)
+{
+#ifdef __SIZEOF_INT128__
+    const u128 p = (u128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b,
+                   b1 = b >> 32, p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0,
+                   mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return mid << 32 | (uint32_t)p00;
+#endif
+}
+
+/* The low word of the 128-bit (hi, lo) >> s, for 0 < s < 64. */
+INLINE uint64_t shr128(uint64_t lo, uint64_t hi, int s)
+{
+    return hi << (64 - s) | lo >> s;
+}
+
+/* The bit length of 5^e (1 for e = 0), for the e a double reaches. */
+INLINE int pow5bits(int e)
+{
+    return (int)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* out = (t * 5^k >> s) + add, 0 < s < 64, for a 125-bit result: the
+ * table entry t scaled by an exact power of five. */
+static void scale5(uint64_t t0, uint64_t t1, int k, int s, uint64_t add,
+                   uint64_t out[2])
+{
+    uint64_t h0, h1;
+    const uint64_t l0 = mul128(FIVES[k], t0, &h0),
+                   l1 = mul128(FIVES[k], t1, &h1), up = l1 << (64 - s);
+    uint64_t lo = shr128(l0, h0, s), hi = (h0 >> s) + shr128(l1, h1, s);
+    lo += up;
+    hi += lo < up;
+    lo += add;
+    hi += lo < add;
+    out[0] = lo;
+    out[1] = hi;
+}
+
+/* 5^i to 125 bits, truncated. */
+static void pow5(int i, uint64_t out[2])
+{
+    const int base = i / 26, k = i % 26;
+    if (k == 0) {
+        out[0] = POW5[base][0];
+        out[1] = POW5[base][1];
+        return;
+    }
+    scale5(POW5[base][0], POW5[base][1], k, pow5bits(i) - pow5bits(i - k),
+           POW5_CORR[i / 16] >> (2 * (i % 16)) & 3, out);
+}
+
+/* 2^(pow5bits(i) + 124) / 5^i, rounded up (above, when exact). */
+static void inv_pow5(int i, uint64_t out[2])
+{
+    const int base = (i + 25) / 26, k = base * 26 - i;
+    if (k == 0) {
+        out[0] = INV_POW5[base][0];
+        out[1] = INV_POW5[base][1];
+        return;
+    }
+    scale5(INV_POW5[base][0] - 1, INV_POW5[base][1], k,
+           pow5bits(i + k) - pow5bits(i),
+           1 + (INV_POW5_CORR[i / 16] >> (2 * (i % 16)) & 3), out);
+}
+
+/* m * mul >> j, for m below 2^55 and 64 < j < 128. */
+INLINE uint64_t mul_shift(uint64_t m, const uint64_t mul[2], int j)
+{
+    uint64_t h0, h1;
+    mul128(m, mul[0], &h0);
+    const uint64_t sum = mul128(m, mul[1], &h1) + h0;
+    return shr128(sum, h1 + (sum < h0), j - 64);
+}
+
+/* The number of factors 5 of v, which is not 0. */
+INLINE int pow5_factor(uint64_t v)
+{
+    int n = 0;
+    for (; v % 5 == 0; v /= 5)
+        n++;
+    return n;
+}
+
+/*
+ * The shortest decimal w * 10^*e10 that reads back as the positive double
+ * of mantissa field `frac` and biased exponent `biased`, the nearest of
+ * those to it, ties to an even w; Ryu's d2d. The double is m2 * 2^e2, held
+ * as mv = 4 m2 so that the halfway points to its neighbours, mp above and
+ * mm below (nearer at a power of two), are integers too; a double of even
+ * m2 reads back from its halfway points as well.
+ */
+static uint64_t shortest(uint64_t frac, int biased, int *e10)
+{
+    const int e2 = (biased ? biased : 1) - 1023 - 52 - 2;
+    const uint64_t m2 = biased ? frac | UINT64_C(1) << 52 : frac,
+                   mv = 4 * m2, mp = mv + 2;
+    const int even = (m2 & 1) == 0, mm_shift = frac != 0 || biased <= 1;
+    const uint64_t mm = mv - 1 - mm_shift;
+    uint64_t mul[2];
+    int q, j, vr_zeros = 0, vm_zeros = 0, vp_exact = 0;
+    /* vr, vp and vm below are mv, mp and mm times 2^e2 / 10^*e10,
+     * truncated. Whether the parts cut off vr and vm are zero, and whether
+     * vp is exact, which an odd m2 must stay below. q is floor(log10(2^e2))
+     * or floor(log10(5^-e2)), less one above the smallest e2. */
+    if (e2 >= 0) {
+        q = (int)((uint32_t)e2 * 78913 >> 18) - (e2 > 3);
+        *e10 = q;
+        inv_pow5(q, mul);
+        j = -e2 + q + 124 + pow5bits(q);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = pow5_factor(mv) >= q;
+            else if (even)
+                vm_zeros = pow5_factor(mm) >= q;
+            else
+                vp_exact = pow5_factor(mp) >= q;
+        }
+    } else {
+        q = (int)((uint32_t)-e2 * 732923 >> 20) - (-e2 > 1);
+        *e10 = q + e2;
+        pow5(-e2 - q, mul);
+        j = q - pow5bits(-e2 - q) + 125;
+        if (q <= 1) {
+            vr_zeros = 1;
+            vm_zeros = even && mm_shift;
+            vp_exact = !even;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+        }
+    }
+    uint64_t vr = mul_shift(mv, mul, j), vp = mul_shift(mp, mul, j) - vp_exact,
+             vm = mul_shift(mm, mul, j);
+    /* Remove digits while the halfway points keep a number between them,
+     * then, while the digits removed from vm are zeros, its zeros. */
+    int last = 0;
+    for (; vp / 10 > vm / 10 || (vm_zeros && vm % 10 == 0); ++*e10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (int)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4; /* exactly halfway: round to even */
+    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+}
+
+/* The digits of w, two at a time, backward from end. */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+INLINE void put_digits(char *end, uint64_t w)
+{
+    for (; w >= 100; w /= 100)
+        memcpy(end -= 2, PAIRS + 2 * (w % 100), 2);
+    if (w >= 10)
+        memcpy(end - 2, PAIRS + 2 * w, 2);
+    else
+        end[-1] = (char)('0' + w);
+}
+
+/* The finite double x as repr() writes it, into s; returns its end. */
+static char *write_double(char *s, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *s++ = '-';
+    const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    if (biased == 0 && frac == 0) {
+        memcpy(s, "0.0", 3);
+        return s + 3;
+    }
+    int e;
+    const uint64_t w = shortest(frac, biased, &e);
+    /* n digits, the point `point` digits after the first one */
+    const int t = (64 - __builtin_clzll(w)) * 1233 >> 12,
+              n = t + (w >= FIVES[t] << t), point = n + e;
+    if (point <= -4 || point > 16) {
+        put_digits(s + n + 1, w);
+        s[0] = s[1];
+        s[1] = '.';
+        s += n + (n > 1);
+        const int x10 = point > 0 ? point - 1 : 1 - point;
+        *s++ = 'e';
+        *s++ = point > 0 ? '+' : '-';
+        if (x10 >= 100)
+            *s++ = (char)('0' + x10 / 100);
+        memcpy(s, PAIRS + 2 * (x10 % 100), 2);
+        return s + 2;
+    }
+    if (point <= 0) {
+        memcpy(s, "0.000", 5);
+        s += 2 - point + n;
+        put_digits(s, w);
+        return s;
+    }
+    if (point < n) {
+        put_digits(s + n + 1, w);
+        memmove(s, s + 1, point);
+        s[point] = '.';
+        return s + n + 1;
+    }
+    put_digits(s + n, w);
+    memset(s + n, '0', point - n);
+    memcpy(s + point, ".0", 2);
+    return s + point + 2;
+}
+
+/*
+ * Write the `rows` rows of m doubles at x into out, each as the JSON array
+ * persistence._list writes at depth 3: "[", each value on a line of its own
+ * after four spaces, all but the last followed by ",", and "]" on a line
+ * after three spaces; "[]" for m = 0. ends[r] is the offset in out of the
+ * end of row r. out must hold rows * (32 m + 16) bytes. Returns the length
+ * written, or -1 at a value that is not finite, which JSON cannot hold.
+ */
+ptrdiff_t som_format(const double *x, ptrdiff_t rows, ptrdiff_t m, char *out,
+                     int64_t *ends)
+{
+    char *s = out;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        *s++ = '[';
+        for (ptrdiff_t c = 0; c < m; c++) {
+            const double v = x[r * m + c];
+            if (!isfinite(v))
+                return -1;
+            if (c)
+                *s++ = ',';
+            memcpy(s, "\n    ", 5);
+            s = write_double(s + 5, v);
+        }
+        if (m) {
+            memcpy(s, "\n   ", 4);
+            s += 4;
+        }
+        *s++ = ']';
+        ends[r] = s - out;
+    }
+    return s - out;
 }

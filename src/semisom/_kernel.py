@@ -26,6 +26,9 @@ through ``strtod``, which reads the decimal point of the ``LC_NUMERIC``
 locale: under a locale whose point is ``,`` those tokens are refused, and
 such files are read row by row. That case follows from the code; it is
 not tested, since it needs a comma-decimal locale installed.
+``som_format`` writes the node vectors of a model file (``format_rows``),
+every double as ``float.__repr__`` writes it, from Ryu's shortest
+round-trip digits; it reads no locale.
 
 Each training function of ``_kernel.c`` has one numpy mirror in
 ``model.py`` over the same arrays: ``winner``/``_winner``,
@@ -38,7 +41,9 @@ path. When no library can be built or loaded, ``compiled()`` returns
 ``None``, ``bind`` returns no kernels, and each map binds ``_train_numpy``
 instead, with the same counters and return codes and the same results bit
 for bit. ``scan`` then raises ``ValueError``, and ``data.py`` reads the
-file with its row reader, which gives the same data.
+file with its row reader, which gives the same data; ``format_rows``
+returns ``None``, and ``persistence`` writes each float with
+``float.__repr__``, which gives the same text.
 """
 
 from __future__ import annotations
@@ -194,6 +199,8 @@ def load(compiler: str = "cc"):
         lib.som_reaches.restype = ctypes.c_int
         lib.som_scan.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR)
         lib.som_scan.restype = _SIZE
+        lib.som_format.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR)
+        lib.som_format.restype = _SIZE
         return lib
     return None
 
@@ -366,3 +373,30 @@ def scan(text: bytes, start: int, width: int, label: int | None):
     if got < 0:
         raise ValueError("outside the scanner's grammar")
     return out[:got], spans[:got] + start
+
+
+# The most bytes som_format writes for one value, its separator included,
+# and for the brackets of one row.
+_VALUE_BYTES, _ROW_BYTES = 32, 16
+
+
+def format_rows(values: np.ndarray) -> list[str] | None:
+    """Each row of the ``(rows, m)`` float array ``values`` as the JSON
+    array ``persistence._list`` writes of its ``float.__repr__`` texts at
+    depth 3, by ``som_format``; ``None`` when no library is loaded. Raises
+    ``ValueError`` for a value that is not finite, which JSON cannot hold.
+    """
+    lib = compiled()
+    if lib is None:
+        return None
+    rows, m = values.shape
+    _require(values, np.float64, (rows, m))
+    out = np.empty(rows * (_VALUE_BYTES * m + _ROW_BYTES), dtype=np.uint8)
+    ends = np.empty(rows, dtype=np.int64)
+    size = lib.som_format(values.ctypes.data, rows, m, out.ctypes.data,
+                          ends.ctypes.data)
+    if size < 0:
+        raise ValueError("Out of range float values are not JSON compliant")
+    text = out[:size].tobytes().decode("ascii")
+    bounds = [0, *ends.tolist()]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -14,6 +14,7 @@ gives.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,20 @@ class Prediction:
     activation: float
 
 
+def _check_threshold(a_t: float) -> None:
+    """``ValueError`` unless the activation threshold ``a_t`` is finite."""
+    if not math.isfinite(a_t):
+        raise ValueError(f"a_t must be finite, got {a_t}")
+
+
 def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
     """Assign ``x`` to the most activated node, or ``None`` for outliers.
 
     A pattern is an outlier when even the winner's activation stays below
-    ``a_t``. A pattern holding ``nan`` or ``inf`` raises ``ValueError``.
+    ``a_t``. A pattern holding ``nan`` or ``inf``, or such an ``a_t``,
+    raises ``ValueError``.
     """
+    _check_threshold(a_t)
     _require_finite(np.asarray(x, dtype=float).reshape(1, -1))
     winner, act = som.find_winner(x)
     if act < a_t:
@@ -89,7 +98,8 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
     Results are exact: equal, activation bits included, to running that
     rule on ``som.activations(x)`` for each row, whatever the block split
     or the BLAS library. Rows holding ``nan`` or ``inf`` raise
-    ``ValueError`` naming the first such row.
+    ``ValueError`` naming the first such row, and so does such an
+    ``a_t``.
     """
     node, label, act = _classify_arrays(som, patterns, a_t)
     return [Prediction(None if j < 0 else j, lab, a)
@@ -99,6 +109,7 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
 
 def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
     """Node (``-1`` for a rejection), label and activation of each row."""
+    _check_threshold(a_t)
     x = np.asarray(patterns, dtype=float)
     if x.ndim != 2 or x.shape[1] != som.dim:
         raise ValueError(f"patterns have shape {x.shape}, map expects "

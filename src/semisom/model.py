@@ -580,8 +580,11 @@ class SomMap:
     def connections(self) -> list[tuple[int, int]]:
         """Sorted list of connected node pairs ``(i, j)`` with ``i < j``."""
         n = self._n
-        i, j = np.nonzero(np.triu(_unpack(self._arrays.adj[:n])[:, :n], 1))
-        return list(zip(i.tolist(), j.tolist()))
+        adj = self._arrays.adj[:n]
+        # only the bit rows of linked nodes are unpacked
+        rows = np.flatnonzero(adj.any(axis=1))
+        i, j = np.nonzero(_unpack(adj[rows])[:, :n])
+        return [(a, b) for a, b in zip(rows[i].tolist(), j.tolist()) if a < b]
 
     def _check_index(self, j) -> int:
         """Node index ``j`` as an int; ``TypeError`` unless it is an
@@ -655,13 +658,20 @@ class SomMap:
         self._grow(min(self.node_budget, 2 * self._n))
 
     def keep_nodes(self, indices: np.ndarray) -> None:
-        """Retain exactly the nodes at ``indices`` (ascending), drop the rest.
+        """Retain exactly the nodes at ``indices``, drop the rest.
 
-        Connections are cleared; the caller must rebuild them.
+        Connections are cleared; the caller must rebuild them. Raises
+        ``TypeError`` or ``IndexError`` for an index that names no node
+        (see ``_check_index``), and ``ValueError`` unless the indices
+        ascend strictly, before changing the map.
         """
         with self._lock:
-            _keep_numpy(self._arrays, self._n, indices)
-            self._n = len(indices)
+            keep = [self._check_index(j) for j in indices]
+            if any(a >= b for a, b in zip(keep, keep[1:])):
+                raise ValueError(f"node indices must ascend strictly, "
+                                 f"got {keep}")
+            _keep_numpy(self._arrays, self._n, np.array(keep, dtype=np.intp))
+            self._n = len(keep)
 
     # -- competition -------------------------------------------------------
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .data import DataFormatError, NormStats
 from .model import HyperParams, SomMap
 
@@ -54,9 +55,12 @@ def _model_text(som: SomMap, params: HyperParams,
     allow_nan=False)`` writes it, rendered directly from the known schema.
 
     ``json`` falls back to its pure-Python encoder under ``indent``, and
-    spends most of a save formatting the node vectors; here each float is
-    ``float.__repr__``, as ``json`` writes it, joined at its indent.
-    Strings and parameters still go through ``json``.
+    spends most of a save formatting the node vectors. Here the compiled
+    formatter, ``_kernel.format_rows``, writes each vector whole, every
+    float as ``float.__repr__`` (and so ``json``) writes it; without a
+    library, ``float.__repr__`` itself writes them (``_vector_rows``).
+    Each node object is then one template filled in. Strings and
+    parameters still go through ``json``.
     ``tests/helpers.reference_model_text`` is the ``json`` form.
     """
     vectors = {"center": som.centers, "dist_avg": som.dist_avgs,
@@ -65,15 +69,11 @@ def _model_text(som: SomMap, params: HyperParams,
         if not np.isfinite(values).all():
             raise ValueError("Out of range float values are not JSON "
                              "compliant")
-    centers, dists, rels = ([_list(list(map(float.__repr__, row)), 3)
-                             for row in values.tolist()]
-                            for values in vectors.values())
-    nodes = [_object([("center", center), ("dist_avg", dist),
-                      ("label", repr(label)), ("relevance", rel),
-                      ("wins", repr(wins))], 2)
-             for center, dist, rel, label, wins in zip(
-                 centers, dists, rels, som.labels.tolist(),
-                 som.wins.tolist())]
+    centers, dists, rels = map(_vector_rows, vectors.values())
+    node = _object([("center", "%s"), ("dist_avg", "%s"), ("label", "%d"),
+                    ("relevance", "%s"), ("wins", "%d")], 2)
+    nodes = [node % fields for fields in zip(
+        centers, dists, som.labels.tolist(), rels, som.wins.tolist())]
     stats = "null" if norm_stats is None else _object(
         [(name, _list([json.dumps(v, allow_nan=False)
                        for v in getattr(norm_stats, name).tolist()], 2))
@@ -95,6 +95,17 @@ def _model_text(som: SomMap, params: HyperParams,
         ("norm_stats", stats),
         ("params", param_text),
     ], 0)
+
+
+def _vector_rows(values: np.ndarray) -> list[str]:
+    """Each row of the finite float array ``values`` as the JSON array of a
+    node vector, by the compiled formatter; without a library, by
+    ``float.__repr__``, its mirror."""
+    rows = _kernel.format_rows(values)
+    if rows is None:
+        rows = [_list(list(map(float.__repr__, row)), 3)
+                for row in values.tolist()]
+    return rows
 
 
 def _list(items: list[str], depth: int) -> str:

@@ -117,6 +117,19 @@ def test_non_finite_patterns_raise(mixed_map, bad):
         cluster(mixed_map, xs[3], a_t=0.9)
 
 
+@pytest.mark.parametrize("entry", ["cluster", "classify", "classify_batch"])
+@pytest.mark.parametrize("a_t", [np.nan, np.inf, -np.inf])
+def test_non_finite_thresholds_raise(mixed_map, entry, a_t):
+    """A NaN threshold would compare false with every activation, and an
+    infinite one would reject or accept every pattern."""
+    x = np.array([0.2, 0.2])
+    call = dict(cluster=lambda: cluster(mixed_map, x, a_t),
+                classify=lambda: classify(mixed_map, x, a_t),
+                classify_batch=lambda: classify_batch(mixed_map, x[None], a_t))
+    with pytest.raises(ValueError, match="a_t must be finite"):
+        call[entry]()
+
+
 def test_exact_ties_go_to_the_lowest_index():
     som = map_of(8, [
         node_at([0.9, 0.1], label=0),
@@ -185,11 +198,12 @@ def _batches(draw):
     x[on_center] = centers[rng.integers(n, size=int(on_center.sum()))]
     if huge is not None and huge_at != "node":
         x[rng.integers(k), q] = -huge
+    a_t = None
     if draw(st.booleans()):  # threshold equal to an activation
         with np.errstate(all="ignore"):
             acts = som.activations(x[rng.integers(k)])
         a_t = float(acts[rng.integers(n)])
-    else:
+    if a_t is None or np.isnan(a_t):  # a NaN threshold is refused
         a_t = float(rng.random())
     rows_per_block = draw(st.integers(1, k + 1))
     return som, x, a_t, rows_per_block

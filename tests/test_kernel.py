@@ -895,7 +895,7 @@ def test_training_loop_releases_the_interpreter_lock(default_only):
         exports = {name: f for name, f in vars(build).items()
                    if isinstance(f, ctypes._CFuncPtr)}
         assert set(exports) == {"som_train", "som_classify", "som_sum",
-                                "som_reaches", "som_scan"}
+                                "som_reaches", "som_scan", "som_format"}
         for f in exports.values():
             assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
         for name in ("som_winner", "som_link", "som_update"):

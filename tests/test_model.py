@@ -429,6 +429,22 @@ def test_keep_nodes_compacts_in_order():
     assert som.centers[0] == pytest.approx([0.1, 0.0])
 
 
+@pytest.mark.parametrize("indices, error", [([3], IndexError),
+                                            ([-1], IndexError),
+                                            ([1, 1], ValueError),
+                                            ([2, 0], ValueError),
+                                            ([0.0], TypeError)])
+def test_keep_nodes_refuses_what_names_no_ascending_nodes(indices, error):
+    """An index past the nodes would keep a storage row, a repeated one
+    duplicate a node and a descending pair reorder them; the map is left
+    as it was."""
+    som = map_of(8, [node_at([0.1 * i, 0.0], wins=i) for i in range(3)])
+    with pytest.raises(error):
+        som.keep_nodes(np.array(indices))
+    assert som.n_nodes == 3
+    assert np.array_equal(som.wins, np.arange(3))
+
+
 def test_params_validation():
     good = HyperParams(a_t=0.9, lp=0.01, beta=0.1, age_wins=10, e_b=0.1,
                        push_rate=0.01, e_n=0.01, eps_beta=0.05, minwd=0.2,

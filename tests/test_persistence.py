@@ -1,19 +1,23 @@
 import dataclasses
+import functools
 import json
+import runpy
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
                      classify, load_model, normalize, save_model,
                      train_with_state)
+from semisom import _kernel
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
+from semisom.persistence import _list
 from helpers import make_blobs, reference_model_text
-from test_kernel import _without_compiler
+from test_kernel import _without_compiler, default_only  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -389,9 +393,29 @@ def _models(draw):
 @settings(max_examples=300, deadline=None)
 @given(_models())
 def test_save_writes_what_json_writes(case):
-    """The direct writer against ``json.dumps(indent=1, sort_keys=True,
+    """The direct writer, with the compiled formatter where the library
+    builds, against ``json.dumps(indent=1, sort_keys=True,
     allow_nan=False)`` of the model document, byte for byte; a NaN or inf
     is refused by both, and nothing is written."""
+    _check_save(case)
+
+
+@pytest.fixture
+def no_library(monkeypatch, tmp_path):
+    """Model files written by ``float.__repr__``, as on a machine without
+    a C compiler."""
+    _without_compiler(monkeypatch, tmp_path)
+    assert _kernel.format_rows(np.zeros((1, 1))) is None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_models())
+def test_save_writes_what_json_writes_without_a_library(no_library, case):
+    _check_save(case)
+
+
+def _check_save(case) -> None:
     som, params, norm_stats, names = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -406,3 +430,102 @@ def test_save_writes_what_json_writes(case):
         save_model(path, som, params, norm_stats=norm_stats,
                    class_names=names)
         assert path.read_bytes() == (want + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module",
+                params=["clones", "default-only", "no-int128"])
+def format_rows(request, tmp_path_factory):
+    """``_kernel.format_rows`` on the library the package loads, on the
+    baseline-only build, and on a build for a compiler without a 128-bit
+    integer type, whose products are made of 32-bit ones."""
+    if _kernel.compiled() is None:
+        pytest.skip("no C compiler: model files are written by repr")
+    if request.param == "clones":
+        lib = _kernel.compiled()
+    elif request.param == "default-only":
+        lib = request.getfixturevalue("default_only")
+    else:
+        cache = tmp_path_factory.mktemp("no-int128")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "_FLAGS",
+                       _kernel._FLAGS + ("-U__SIZEOF_INT128__",))
+            mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
+            lib = _kernel.load()
+        assert lib is not None
+
+    def run(values):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "compiled", lambda: lib)
+            return _kernel.format_rows(np.array(values, dtype=float))
+    return run
+
+
+def repr_rows(values) -> list[str]:
+    """The oracle: each row as ``float.__repr__`` and ``_list`` write it,
+    the writer of a machine without a C compiler."""
+    return [_list(list(map(float.__repr__, row)), 3)
+            for row in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=12))
+@example([])
+def test_formatter_writes_what_repr_writes(format_rows, row):
+    assert format_rows([row]) == repr_rows([row])
+
+
+@functools.cache
+def _random_doubles() -> np.ndarray:
+    """2^20 finite doubles of uniformly random bits, 64 to a row."""
+    bits = np.random.default_rng(20).integers(
+        0, 2 ** 64, size=2 ** 20 + 2 ** 12, dtype=np.uint64).view(float)
+    return bits[np.isfinite(bits)][:2 ** 20].reshape(-1, 64)
+
+
+def test_formatter_writes_random_doubles_as_repr_does(format_rows):
+    values = _random_doubles()
+    for part in np.array_split(values, 8):
+        assert format_rows(part) == repr_rows(part)
+
+
+def _neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def test_formatter_writes_the_edges_as_repr_does(format_rows):
+    """Every power of two (the lower halfway point lies nearer), the ends
+    of the subnormal and normal ranges, both sides of the switches to an
+    exponent at 1e16 and 1e-4, integers about 2^53, and signed zeros."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert len(powers) == 2098
+    edges = [5e-324, 1e-323, 2.2250738585072014e-308,
+             2.225073858507201e-308, 1.7976931348623157e308,
+             *_neighbours(1e16), *_neighbours(1e-4), *_neighbours(1e-5),
+             9999999999999998.0, 0.0001, 1e22, 1e23, 123456.0, 0.1, 0.0,
+             -0.0]
+    # every integer below 2^53, every even one (all there are) above
+    near = np.concatenate([2.0 ** 53 - np.arange(3000.0),
+                           2.0 ** 53 + 2.0 * np.arange(1.0, 3000.0)])
+    for values in (powers, edges, near):
+        values = np.concatenate([values, np.negative(values)])
+        assert format_rows([values]) == repr_rows([values])
+        assert format_rows(values[:, None]) == repr_rows(values[:, None])
+
+
+def test_formatter_tables_are_the_exact_ones(capsys):
+    """The power tables of ``_kernel.c`` are the ones
+    ``scripts/ryu_tables.py`` derives from exact integers and checks."""
+    script = Path(__file__).parents[1] / "scripts" / "ryu_tables.py"
+    runpy.run_path(str(script), run_name="__main__")
+    tables = capsys.readouterr().out.split("};\n")
+    source = _kernel._SOURCE.read_text()
+    assert len(tables) == 6
+    for table in tables[:-1]:
+        assert table + "};" in source
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_formatter_refuses_what_json_cannot_hold(format_rows, bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        format_rows([[0.5, 0.25], [0.125, bad]])
