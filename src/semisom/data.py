@@ -416,9 +416,13 @@ def apply_norm(stats: NormStats, patterns: np.ndarray) -> np.ndarray:
     A range wider than the largest float, such as ``[-1e308, 1e308]``, is
     scaled by halves, ``(x/2 - min/2) / (max/2 - min/2)``. A value far
     outside a narrow (say subnormal) range scales to an infinity, which
-    is clamped as any value outside the range is.
+    is clamped as any value outside the range is. Rows of another width
+    than the ranges raise ``ValueError``.
     """
     patterns = np.asarray(patterns, dtype=float)
+    if patterns.shape[-1:] != (len(stats.mins),):
+        raise ValueError(f"patterns of shape {patterns.shape} for ranges of "
+                         f"{len(stats.mins)} dimensions")
     with np.errstate(over="ignore"):
         span = stats.maxs - stats.mins
         scaled = patterns - stats.mins

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ACTIVATION_EPS, NO_CLASS, SomMap, _activations,
+from .model import (NO_CLASS, SomMap, _act_of_sq, _activations,
                     _require_finite)
 
 # Classification outcome when no labeled node is activated above threshold.
@@ -56,17 +56,20 @@ class Prediction:
 
 
 def _check_threshold(a_t: float) -> None:
-    """``ValueError`` unless the activation threshold ``a_t`` is finite."""
+    """``ValueError`` unless the activation threshold ``a_t`` lies in
+    (0, 1), as ``HyperParams.validate`` requires of it."""
     if not math.isfinite(a_t):
         raise ValueError(f"a_t must be finite, got {a_t}")
+    if not 0.0 < a_t < 1.0:
+        raise ValueError(f"a_t must lie in (0, 1), got {a_t}")
 
 
 def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
     """Assign ``x`` to the most activated node, or ``None`` for outliers.
 
     A pattern is an outlier when even the winner's activation stays below
-    ``a_t``. A pattern holding ``nan`` or ``inf``, or such an ``a_t``,
-    raises ``ValueError``.
+    ``a_t``. A pattern holding ``nan`` or ``inf``, or an ``a_t`` outside
+    (0, 1), raises ``ValueError``.
     """
     _check_threshold(a_t)
     _require_finite(np.asarray(x, dtype=float).reshape(1, -1))
@@ -98,8 +101,8 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
     Results are exact: equal, activation bits included, to running that
     rule on ``som.activations(x)`` for each row, whatever the block split
     or the BLAS library. Rows holding ``nan`` or ``inf`` raise
-    ``ValueError`` naming the first such row, and so does such an
-    ``a_t``.
+    ``ValueError`` naming the first such row; an ``a_t`` outside (0, 1)
+    raises it too.
     """
     node, label, act = _classify_arrays(som, patterns, a_t)
     return [Prediction(None if j < 0 else j, lab, a)
@@ -172,23 +175,10 @@ class _NodeArrays:
                          if som._classify is None else som._classify(self))
 
 
-def _act_of_sq(sq: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Activation from a squared distance, rounded as ``_activations`` does.
-
-    Every step is monotone, so bounds on the squared distance give bounds
-    on the activation the kernel computes.
-    """
-    dist = np.sqrt(sq, out=sq)
-    dist += mass
-    dist += ACTIVATION_EPS
-    return np.divide(mass, dist, out=dist)
-
-
 def _exact(nodes: _NodeArrays, x: np.ndarray, r: np.ndarray,
            c: np.ndarray) -> np.ndarray:
     """Activations of the pairs (``x[r]``, node ``c``), by the map's kernel."""
-    return _activations(nodes.centers[c], nodes.rel[c], nodes.mass[c], x[r],
-                        ACTIVATION_EPS)
+    return _activations(nodes.centers[c], nodes.rel[c], nodes.mass[c], x[r])
 
 
 def _classify_block(nodes: _NodeArrays, x: np.ndarray, q: np.ndarray,

@@ -161,9 +161,10 @@ def _relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     return rel
 
 
-def _distances(centers: np.ndarray, rel: np.ndarray,
-               x: np.ndarray) -> np.ndarray:
-    """Relevance-weighted distance from ``x`` to each row of ``centers``.
+def _squared_distances(centers: np.ndarray, rel: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """Relevance-weighted squared distance from ``x`` to each row of
+    ``centers``.
 
     The row sums are numpy's pairwise summation, whose order does not
     depend on the CPU (einsum's does), so ``_kernel.c`` can repeat it.
@@ -171,17 +172,27 @@ def _distances(centers: np.ndarray, rel: np.ndarray,
     diff = centers - x
     np.multiply(diff, diff, out=diff)
     diff *= rel
-    dist = np.add.reduce(diff, axis=1)
-    return np.sqrt(dist, out=dist)
+    return np.add.reduce(diff, axis=1)
+
+
+def _act_of_sq(sq: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Activation ``mass / (sqrt(sq) + mass + ACTIVATION_EPS)`` of the
+    squared distances ``sq``, which it overwrites; ``mass`` holds the
+    relevance sums.
+
+    Every step is monotone, so bounds on a squared distance give bounds on
+    the activation the kernel computes.
+    """
+    dist = np.sqrt(sq, out=sq)
+    dist += mass
+    dist += ACTIVATION_EPS
+    return np.divide(mass, dist, out=dist)
 
 
 def _activations(centers: np.ndarray, rel: np.ndarray, mass: np.ndarray,
-                 x: np.ndarray, eps: float) -> np.ndarray:
+                 x: np.ndarray) -> np.ndarray:
     """Activation of each row for ``x``; ``mass`` holds the relevance sums."""
-    dist = _distances(centers, rel, x)
-    dist += mass
-    dist += eps
-    return np.divide(mass, dist, out=dist)
+    return _act_of_sq(_squared_distances(centers, rel, x), mass)
 
 
 def _shift_vectors(centers: np.ndarray, dist_avg: np.ndarray, x: np.ndarray,
@@ -220,8 +231,7 @@ def _winner(v: SimpleNamespace, n: int, x: np.ndarray) -> int:
     without nodes has no winner: ``ValueError``."""
     if n == 0:
         raise ValueError("map has no nodes")
-    v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x,
-                              ACTIVATION_EPS)
+    v.acts[:n] = _activations(v.centers[:n], v.rel[:n], v.sums[:n], x)
     return int(np.argmax(v.acts[:n]))
 
 
@@ -253,7 +263,7 @@ def _link_numpy(v: SimpleNamespace, n: int, j: int, lo: int,
     """The links of node ``j`` with ``[lo, n)``, recomputed in both bit
     rows, as ``relink`` of ``_kernel.c``: two nodes link when their labels
     are compatible and the gap of their relevance rows, summed as in
-    ``_distances``, lies below ``minwd * sqrt(m)``."""
+    ``_squared_distances``, lies below ``minwd * sqrt(m)``."""
     labels, label = v.labels[lo:n], v.labels[j]
     diff = v.rel[lo:n] - v.rel[j]
     np.multiply(diff, diff, out=diff)

@@ -14,7 +14,7 @@ from semisom import (NO_CLASS, REJECTED, DataFormatError, Dataset,
                      Prediction, SomMap)
 from semisom.data import (_ATTRIBUTE_RE, _NOMINAL_RE, _require_finite,
                           _strip_quotes)
-from semisom.model import _distances
+from semisom.model import _squared_distances
 from semisom.persistence import FORMAT_NAME, FORMAT_VERSION
 
 
@@ -101,8 +101,9 @@ def map_of(node_budget: int, nodes, connections=()) -> SomMap:
 
 def weighted_distance(x, center, relevance) -> float:
     """The distance kernel the map's winner search runs, for one node."""
-    return float(_distances(np.asarray(center, dtype=float)[None],
-                            np.asarray(relevance, dtype=float)[None], x)[0])
+    return math.sqrt(_squared_distances(
+        np.asarray(center, dtype=float)[None],
+        np.asarray(relevance, dtype=float)[None], x)[0])
 
 
 # Independent re-implementations of the math kernels, in plain Python.

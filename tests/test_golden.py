@@ -29,7 +29,6 @@ from semisom import (HyperParams, mask_labels, normalize, save_model,
                      train_with_state)
 from semisom.cli import main
 from helpers import make_synthetic
-from test_kernel import kernels  # noqa: F401  (fixture: both kernel paths)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -112,8 +111,9 @@ RECIPES = {"train": recipe_train, "sweep": recipe_sweep,
            "predict": recipe_predict}
 
 
+@pytest.mark.builds("clones", "numpy")
 @pytest.mark.parametrize("name", sorted(RECIPES))
-def test_golden_output(kernels, name, tmp_path):  # noqa: F811
+def test_golden_output(name, tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     env = environment()
     recorded = {key: expected[key] for key in env}

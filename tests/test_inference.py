@@ -5,11 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, REJECTED, HyperParams, SomMap, classify,
-                     classify_batch, cluster, inference, mask_labels,
+from semisom import (NO_CLASS, REJECTED, HyperParams, SomMap, _kernel,
+                     classify, classify_batch, cluster, inference, mask_labels,
                      normalize, train_with_state)
 from helpers import (brute_winner, make_synthetic, map_of, node_at,
                      random_map, reference_classify)
+
+
+# the smallest positive threshold: only a zero activation falls below it
+SMALLEST = 5e-324
+
+# The three block passes of bulk classification: the compiled
+# ``som_classify``, on its AVX2 clone where the CPU has AVX2 and on its
+# baseline clone alone, and the numpy twin ``inference._classify_block``,
+# which maps bind when no library builds.
+block_passes = pytest.mark.builds("clones", "default-only", "numpy")
 
 
 @pytest.fixture
@@ -36,7 +46,7 @@ def test_cluster_agrees_with_brute_force():
     for _ in range(200):
         som = random_map(rng)
         x = rng.random(som.dim)
-        got = cluster(som, x, a_t=0.0)
+        got = cluster(som, x, a_t=SMALLEST)
         assert got is not None and got[0] == brute_winner(som, x)[0]
 
 
@@ -46,6 +56,7 @@ def test_labeled_winner_decides_at_any_activation(mixed_map):
     assert pred.label == 0 and pred.node == 2
 
 
+@block_passes
 def test_unlabeled_winner_falls_back_to_labeled_above_threshold():
     som = map_of(8, [
         node_at([0.5, 0.5], label=NO_CLASS),
@@ -81,7 +92,7 @@ def test_zero_threshold_with_labeled_node_never_rejects():
         som = random_map(rng)
         if not (som.labels != NO_CLASS).any():
             continue
-        pred = classify(som, rng.random(som.dim), a_t=0.0)
+        pred = classify(som, rng.random(som.dim), a_t=SMALLEST)
         assert pred.label != REJECTED
 
 
@@ -117,19 +128,34 @@ def test_non_finite_patterns_raise(mixed_map, bad):
         cluster(mixed_map, xs[3], a_t=0.9)
 
 
+def _call(entry, som, a_t):
+    """``entry`` on one pattern."""
+    x = np.array([0.2, 0.2])
+    return dict(cluster=lambda: cluster(som, x, a_t),
+                classify=lambda: classify(som, x, a_t),
+                classify_batch=lambda: classify_batch(som, x[None], a_t))[entry]()
+
+
 @pytest.mark.parametrize("entry", ["cluster", "classify", "classify_batch"])
 @pytest.mark.parametrize("a_t", [np.nan, np.inf, -np.inf])
 def test_non_finite_thresholds_raise(mixed_map, entry, a_t):
     """A NaN threshold would compare false with every activation, and an
     infinite one would reject or accept every pattern."""
-    x = np.array([0.2, 0.2])
-    call = dict(cluster=lambda: cluster(mixed_map, x, a_t),
-                classify=lambda: classify(mixed_map, x, a_t),
-                classify_batch=lambda: classify_batch(mixed_map, x[None], a_t))
     with pytest.raises(ValueError, match="a_t must be finite"):
-        call[entry]()
+        _call(entry, mixed_map, a_t)
 
 
+@pytest.mark.parametrize("entry", ["cluster", "classify", "classify_batch"])
+@pytest.mark.parametrize("a_t", [0.0, -1.0, 1.0, 2.0])
+def test_thresholds_outside_the_unit_interval_raise(mixed_map, entry, a_t):
+    """Activations lie in (0, 1): a threshold of 0 or below accepts every
+    pattern, and one of 1 or above makes every pattern an outlier."""
+    with pytest.raises(ValueError,
+                       match=fr"a_t must lie in \(0, 1\), got {a_t}"):
+        _call(entry, mixed_map, a_t)
+
+
+@block_passes
 def test_exact_ties_go_to_the_lowest_index():
     som = map_of(8, [
         node_at([0.9, 0.1], label=0),
@@ -145,6 +171,16 @@ def _key(pred):
     return pred.node, pred.label, float(pred.activation).hex()
 
 
+@pytest.mark.builds("default-only", "numpy")
+def test_maps_bind_the_named_pass():
+    som = SomMap(1, 1)
+    if _kernel.compiled() is None:
+        assert som._view is None and som._classify is None
+    else:
+        assert som._classify.args[0] is _kernel.compiled()
+
+
+@block_passes
 def test_classify_batch_sees_an_overflowing_term_of_zero_relevance():
     """Node 1's term 0 * (1e200 - 0.5)^2 is NaN, so its activation is NaN
     and wins, though the screen's expanded form, where the term is 0 * 1e200
@@ -203,12 +239,15 @@ def _batches(draw):
         with np.errstate(all="ignore"):
             acts = som.activations(x[rng.integers(k)])
         a_t = float(acts[rng.integers(n)])
-    if a_t is None or np.isnan(a_t):  # a NaN threshold is refused
+    # a threshold outside (0, 1) is refused: NaN, or the 0 of a zero-mass
+    # node, or what a negative relevance makes
+    if a_t is None or not 0.0 < a_t < 1.0:
         a_t = float(rng.random())
     rows_per_block = draw(st.integers(1, k + 1))
     return som, x, a_t, rows_per_block
 
 
+@block_passes
 @settings(max_examples=400, deadline=None)
 @given(_batches())
 def test_classify_batch_is_exact(batch):
@@ -222,6 +261,7 @@ def test_classify_batch_is_exact(batch):
         assert _key(classify(som, x[0], a_t)) == want[0]
 
 
+@block_passes
 def test_classify_batch_is_exact_on_a_trained_map():
     ds = normalize(make_synthetic(n=400, dim=12, clusters=4, seed=21))
     params = HyperParams(a_t=0.97, lp=0.001, beta=0.1, age_wins=800,

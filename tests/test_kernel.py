@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisom import (NO_CLASS, Dataset, HyperParams, SomMap, classify_batch,
@@ -30,46 +30,13 @@ from semisom import _kernel
 from semisom.model import (ACTIVATION_EPS, _activations, _insert_numpy,
                            _shift_vectors, _train_numpy)
 from semisom.training import TrainState, _present_chunk, insert_node
+from conftest import build, library
 from helpers import (brute_connections, make_blobs, map_of, node_at,
                      random_map)
-
-compiled = pytest.mark.skipif(_kernel.compiled() is None,
-                              reason="no C compiler: maps use numpy kernels")
-
-
-def _without_compiler(monkeypatch, tmp_path):
-    """Maps made from now on fall back to the numpy kernels.
-
-    The loader is pointed at a compiler that does not exist, so building
-    the library fails as it would on a machine without one.
-    """
-    monkeypatch.setattr(_kernel, "_cache_dirs", lambda: [tmp_path])
-    lib = _kernel.load(compiler=str(tmp_path / "no-such-cc"))
-    assert lib is None
-    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
 
 
 def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
-
-
-@pytest.fixture(scope="session")
-def default_only(tmp_path_factory):
-    """The kernel source built with the baseline clone alone.
-
-    The library the package loads picks its AVX2 clones on a CPU that has
-    AVX2; this build, from the same source with ``SOM_DEFAULT_ONLY``
-    defined, always runs the baseline code.
-    """
-    if _kernel.compiled() is None:
-        pytest.skip("no C compiler: maps use numpy kernels")
-    cache = tmp_path_factory.mktemp("default-only")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "_FLAGS", _kernel._FLAGS + ("-DSOM_DEFAULT_ONLY",))
-        mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
-        lib = _kernel.load()
-    assert lib is not None and lib._name != _kernel.compiled()._name
-    return lib
 
 
 # The kinds of som_sum: a, (a - b)^2 and w * (a - b)^2 term by term.
@@ -99,10 +66,10 @@ def _sums(draw):
     return draw(st.sampled_from([PLAIN, SQUARES, WEIGHTED])), a, b, w
 
 
-@pytest.mark.parametrize("build", ["clones", "default-only"])
+@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=400, deadline=None)
 @given(_sums())
-def test_sum_equals_numpy_add_reduce(default_only, build, case):
+def test_sum_equals_numpy_add_reduce(case):
     """som_sum, the leaf of every sum of the kernels, against numpy.
 
     The terms are computed as the numpy kernels compute them, and summed by
@@ -118,9 +85,8 @@ def test_sum_equals_numpy_add_reduce(default_only, build, case):
         if kind == WEIGHTED:
             terms *= w
         want = np.add.reduce(terms)
-    lib = _kernel.compiled() if build == "clones" else default_only
-    got = lib.som_sum(kind, a.ctypes.data, b.ctypes.data, w.ctypes.data,
-                      len(a))
+    got = _kernel.compiled().som_sum(kind, a.ctypes.data, b.ctypes.data,
+                                     w.ctypes.data, len(a))
     assert (np.isnan(got) and np.isnan(want)) or bits(got) == bits(want)
 
 
@@ -158,17 +124,17 @@ def _boundaries(draw):
     return mass, float(L), probes
 
 
-@pytest.mark.parametrize("build", ["clones", "default-only"])
+@pytest.mark.builds("clones")
 @settings(max_examples=500, deadline=None)
 @given(_boundaries())
-def test_squared_test_rules_out_only_bounds_below(default_only, build, case):
+def test_squared_test_rules_out_only_bounds_below(case):
     """som_reaches: the squared-domain test, then the bound, of a pair.
 
     The test may rule a pair out only when its bound lies below L, so the
     answer must always be the bound's own ``not bound < L``, NaN included.
     """
     mass, L, probes = case
-    lib = _kernel.compiled() if build == "clones" else default_only
+    lib = _kernel.compiled()
     for d in probes:
         want = not _bound(d, mass) < L
         assert lib.som_reaches(mass, ACTIVATION_EPS, d, L) == want, d
@@ -211,8 +177,8 @@ def _maps(draw):
     return (centers, rel, dist, labels), x, rows, rates, beta, slope
 
 
-def _present_once(lib, case):
-    """One draw of a ``_maps`` case through the training loop of ``lib``.
+def _present_once(case):
+    """One draw of a ``_maps`` case through the active training loop.
 
     The pattern is unlabeled and ``a_t`` is ``-inf``, so the winner is
     attracted whatever its activation, NaN included: the winner at the
@@ -225,14 +191,12 @@ def _present_once(lib, case):
     (centers, rel, dist, labels), x, rows, rates, beta, slope = case
     n, m = centers.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = _activations(centers, rel, rel.sum(axis=1), x, ACTIVATION_EPS)
+        acts = _activations(centers, rel, rel.sum(axis=1), x)
     w = int(np.argmax(acts))
     neighbors = sorted(set(rows.tolist()) - {w})
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "compiled", lambda: lib)
-        som = SomMap.from_arrays(n + 1, centers, rel, np.zeros((n, m)),
-                                 np.zeros(n, np.int64), labels,
-                                 [(w, j) for j in neighbors])
+    som = SomMap.from_arrays(n + 1, centers, rel, np.zeros((n, m)),
+                             np.zeros(n, np.int64), labels,
+                             [(w, j) for j in neighbors])
     # distance averages of NaN and inf, which from_arrays refuses, reach
     # the loop too
     som._arrays.dist[:n] = dist
@@ -240,7 +204,7 @@ def _present_once(lib, case):
     with np.errstate(over="ignore", invalid="ignore"):
         for j, lr in [(w, rates[0])] + [(j, rates[-1]) for j in neighbors]:
             rel[j] = _shift_vectors(centers[j], dist[j], x, lr, beta, slope)
-    assert som._train.args[0] is lib
+    assert som._train.args[0] is _kernel.compiled()
     with np.errstate(over="ignore", invalid="ignore"):
         searched = som.activations(x)
     params = _kernel.Params(
@@ -254,33 +218,32 @@ def _present_once(lib, case):
     return som, searched, acts, (centers, dist, rel), w
 
 
+@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
-def test_compiled_winner_equals_numpy(default_only, case):
-    """The loop's winner search, on both builds, against ``_activations``:
-    the activation row, the winner its win goes to, and the search
-    ``SomMap`` runs per call."""
+def test_compiled_winner_equals_numpy(case):
+    """The loop's winner search against ``_activations``: the activation
+    row, the winner its win goes to, and the search ``SomMap`` runs per
+    call."""
     n = len(case[0][0])
-    for lib in (_kernel.compiled(), default_only):
-        som, searched, want, _, w = _present_once(lib, case)
-        assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
-        assert np.array_equal(bits(searched), bits(want))
-        assert som.wins.tolist() == [int(j == w) for j in range(n)]
+    som, searched, want, _, w = _present_once(case)
+    assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
+    assert np.array_equal(bits(searched), bits(want))
+    assert som.wins.tolist() == [int(j == w) for j in range(n)]
 
 
+@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
-def test_compiled_update_equals_numpy(default_only, case):
-    """The loop's node update, on both builds, against ``_shift_vectors``
-    on the winner and its neighbors, in ascending order."""
+def test_compiled_update_equals_numpy(case):
+    """The loop's node update against ``_shift_vectors`` on the winner and
+    its neighbors, in ascending order."""
     n = len(case[0][0])
-    for lib in (_kernel.compiled(), default_only):
-        som, _, _, (centers, dist, rel), _ = _present_once(lib, case)
-        assert np.array_equal(bits(som.centers), bits(centers))
-        assert np.array_equal(bits(som.dist_avgs), bits(dist))
-        assert np.array_equal(bits(som.relevances), bits(rel))
-        assert np.array_equal(bits(som._arrays.sums[:n]),
-                              bits(rel.sum(axis=1)))
+    som, _, _, (centers, dist, rel), _ = _present_once(case)
+    assert np.array_equal(bits(som.centers), bits(centers))
+    assert np.array_equal(bits(som.dist_avgs), bits(dist))
+    assert np.array_equal(bits(som.relevances), bits(rel))
+    assert np.array_equal(bits(som._arrays.sums[:n]), bits(rel.sum(axis=1)))
 
 
 def _train_blobs(tmp_path, name):
@@ -295,27 +258,16 @@ def _train_blobs(tmp_path, name):
     return state, path.read_bytes()
 
 
-@compiled
-def test_compiled_and_numpy_kernels_train_identical_models(tmp_path,
-                                                            monkeypatch):
-    state, model = _train_blobs(tmp_path, "compiled.json")
+def test_compiled_and_numpy_kernels_train_identical_models(tmp_path):
+    with build("clones"):
+        state, model = _train_blobs(tmp_path, "compiled.json")
     assert state.som._view is not None
     assert state.stats.pushes > 0 and state.stats.unsupervised > 0
-    _without_compiler(monkeypatch, tmp_path)
-    fallback, again = _train_blobs(tmp_path, "numpy.json")
+    with build("numpy"):
+        fallback, again = _train_blobs(tmp_path, "numpy.json")
     assert fallback.som._view is None
     assert again == model
     assert fallback.stats == state.stats
-
-
-@pytest.fixture(params=["compiled", "numpy"])
-def kernels(request, monkeypatch, tmp_path):
-    """Runs a test once on each kernel path."""
-    if request.param == "numpy":
-        _without_compiler(monkeypatch, tmp_path)
-    elif _kernel.compiled() is None:
-        pytest.skip("no C compiler: maps use numpy kernels")
-    return request.param
 
 
 def _one_node_map():
@@ -325,7 +277,7 @@ def _one_node_map():
 
 
 @pytest.mark.parametrize("j", [3, -1, 5, 1])
-def test_update_node_rejects_missing_nodes(kernels, j):
+def test_update_node_rejects_missing_nodes(j):
     som = _one_node_map()
     v = som._arrays
     before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
@@ -336,7 +288,7 @@ def test_update_node_rejects_missing_nodes(kernels, j):
 
 
 @pytest.mark.parametrize("rows", [[0, 3], [-1], [4, 0]])
-def test_update_nodes_rejects_missing_nodes(kernels, rows):
+def test_update_nodes_rejects_missing_nodes(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
     v = som._arrays
@@ -347,7 +299,7 @@ def test_update_nodes_rejects_missing_nodes(kernels, rows):
         assert np.array_equal(got, was)
 
 
-def test_update_rejects_wrong_pattern_shape(kernels):
+def test_update_rejects_wrong_pattern_shape():
     som = _one_node_map()
     with pytest.raises(ValueError, match="shape"):
         som.update_node(0, np.zeros(3), 0.1, 0.1, 0.05)
@@ -355,7 +307,7 @@ def test_update_rejects_wrong_pattern_shape(kernels):
         som.update_nodes([0], np.zeros(1), 0.1, 0.1, 0.05)
 
 
-def test_update_nodes_takes_one_rate_per_row_in_any_shape(kernels):
+def test_update_nodes_takes_one_rate_per_row_in_any_shape():
     rng = np.random.default_rng(5)
     column = random_map(rng, 6, 4)
     flat = pickle.loads(pickle.dumps(column))
@@ -368,20 +320,20 @@ def test_update_nodes_takes_one_rate_per_row_in_any_shape(kernels):
         flat.update_nodes([4, 0, 2], x, rates[:2], 0.2, 0.05)
 
 
-def test_pickled_map_runs_on_its_own_arrays(kernels):
+def test_pickled_map_runs_on_its_own_arrays():
     rng = np.random.default_rng(11)
     som = random_map(rng, 9, 5)
     clone = pickle.loads(pickle.dumps(som))
     x = rng.random(5)
     assert clone.find_winner(x) == som.find_winner(x)
-    assert (clone._view is None) == (kernels == "numpy")
+    assert (clone._view is None) == (_kernel.compiled() is None)
     clone.update_nodes([0, 3], x, 0.5, 0.3, 0.05)
     assert not np.array_equal(clone.centers, som.centers)
     assert np.array_equal(pickle.loads(pickle.dumps(som)).centers,
                           som.centers)
 
 
-def test_threads_can_share_a_map(kernels):
+def test_threads_can_share_a_map():
     """Winner searches on several threads read the map under its lock."""
     rng = np.random.default_rng(13)
     som = random_map(rng, 30, 8)
@@ -411,7 +363,8 @@ def test_threads_can_share_a_map(kernels):
             assert result == want[i]
 
 
-def test_threads_can_classify_with_a_shared_map(kernels):
+@pytest.mark.builds("clones", "numpy")
+def test_threads_can_classify_with_a_shared_map():
     """Bulk classification reads the map's node rows and its own arrays;
     on the compiled path it releases the interpreter lock meanwhile."""
     rng = np.random.default_rng(23)
@@ -491,7 +444,7 @@ def test_build_prunes_older_libraries_in_its_own_cache_only(tmp_path,
         built[0], decoy, partial, "other" + suffix}
 
 
-def test_update_nodes_updates_repeated_rows_in_order(kernels):
+def test_update_nodes_updates_repeated_rows_in_order():
     """A row listed twice is updated twice, as by two ``update_node`` calls.
 
     A call lists any number of rows, more than the map's budget too.
@@ -529,7 +482,7 @@ def test_update_nodes_updates_repeated_rows_in_order(kernels):
 
 @pytest.mark.parametrize("rows", [[1.7], [1.0], np.array([True]),
                                   np.array([0.0, 1.0]), [0, 1.5]])
-def test_update_nodes_rejects_non_integer_rows(kernels, rows):
+def test_update_nodes_rejects_non_integer_rows(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
     v = som._arrays
@@ -549,7 +502,7 @@ def _two_node_map():
     return som
 
 
-def test_update_node_rejects_a_bool_index(kernels):
+def test_update_node_rejects_a_bool_index():
     som = _two_node_map()
     v = som._arrays
     before = (v.centers.copy(), v.dist.copy(), v.rel.copy())
@@ -559,7 +512,7 @@ def test_update_node_rejects_a_bool_index(kernels):
         assert np.array_equal(got, was)
 
 
-def test_update_nodes_names_a_huge_unsigned_index(kernels):
+def test_update_nodes_names_a_huge_unsigned_index():
     som = _two_node_map()
     rows = np.array([1, 2 ** 63], dtype=np.uint64)
     with pytest.raises(IndexError, match=f"no node {2 ** 63} in a map of 2 "):
@@ -567,7 +520,7 @@ def test_update_nodes_names_a_huge_unsigned_index(kernels):
     assert np.array_equal(som.centers, [[0.2, 0.4], [0.6, 0.1]])
 
 
-def test_links_span_several_bit_words(kernels):
+def test_links_span_several_bit_words():
     """150 nodes need three adjacency words per row."""
     rng = np.random.default_rng(19)
     som = random_map(rng, 150, 3)
@@ -633,13 +586,12 @@ def _model_bytes(state, params) -> bytes:
         return path.read_bytes()
 
 
-def _check_loops_agree(lib, run) -> None:
-    """The loop of ``lib`` against its numpy twin."""
+def _check_loops_agree(name, run) -> None:
+    """The loop of build ``name`` against its numpy twin."""
     ds, params = run
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "compiled", lambda: lib)
+    with build(name) as lib:
         fast = train_with_state(ds, params)
-        mp.setattr(_kernel, "compiled", lambda: None)
+    with build("numpy"):
         slow = train_with_state(ds, params)
     assert fast.som._train.args[0] is lib
     assert slow.som._train.func is _train_numpy and slow.som._view is None
@@ -651,26 +603,25 @@ def _check_loops_agree(lib, run) -> None:
     assert fast.stats.growth_presentations == params.epochs * len(ds)
 
 
-@compiled
 @settings(max_examples=60, deadline=None)
 @given(_runs())
 def test_compiled_loop_equals_python_loop(run):
     """The loaded library's loop, on its AVX2 clones where the CPU has
     AVX2, against its numpy twin."""
-    _check_loops_agree(_kernel.compiled(), run)
+    _check_loops_agree("clones", run)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_runs())
-def test_default_only_loop_equals_python_loop(default_only, run):
+def test_default_only_loop_equals_python_loop(run):
     """The loop of the baseline-only build against its numpy twin."""
-    _check_loops_agree(default_only, run)
+    _check_loops_agree("default-only", run)
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.builds("clones", "numpy")
+@settings(max_examples=25, deadline=None)
 @given(run=_runs())
-def test_observed_runs_equal_plain_runs_and_count_their_draws(kernels, run):
+def test_observed_runs_equal_plain_runs_and_count_their_draws(run):
     """An observer sees every step and sweep and changes nothing, the
     convergence phase runs ``2 * age_wins + 1 - nwins`` presentations,
     ``nwins`` counted when it starts, and the generator ends after the
@@ -736,40 +687,36 @@ def _edge_runs(draw):
     return mask_labels(ds, draw(st.sampled_from([0.0, 0.3, 1.0])), seed), params
 
 
-@compiled
 @settings(max_examples=60, deadline=None)
 @given(_edge_runs())
 def test_compiled_loop_equals_python_loop_at_the_edges(run):
-    _check_loops_agree(_kernel.compiled(), run)
+    _check_loops_agree("clones", run)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_edge_runs())
-def test_default_only_loop_equals_python_loop_at_the_edges(default_only, run):
-    _check_loops_agree(default_only, run)
+def test_default_only_loop_equals_python_loop_at_the_edges(run):
+    _check_loops_agree("default-only", run)
 
 
-@pytest.mark.parametrize("build", ["clones", "default-only"])
+@pytest.mark.builds("clones", "default-only")
 @pytest.mark.parametrize("wins, at, lp, kept", [
     # no node reaches 10 * 4 wins: the first node of most wins stays
     ([3, 5, 4, 1], 2, 10.0, [1]),
     # nodes at exactly 0.5 * 4 = 2 wins stay
     ([2, 1, 1, 0], 1, 0.5, [0, 1]),
 ])
-def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
-                                lp, kept):
+def test_loops_agree_on_a_sweep(wins, at, lp, kept):
     """One presentation, which node ``at`` wins, ends the cycle: the
     pruning sweep sees ``wins`` plus that win."""
-    lib = _kernel.compiled() if build == "clones" else default_only
     rng = np.random.default_rng(31)
     nodes = [node_at(c, wins=w) for c, w in zip(np.eye(4, 3) * 5.0, wins)]
     params = HyperParams(a_t=0.5, lp=lp, beta=0.1, age_wins=4, e_b=0.1,
                          push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
                          epochs=1, n_max=8)
-    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
     fast = map_of(8, nodes)
-    monkeypatch.setattr(_kernel, "compiled", lambda: None)
-    slow = pickle.loads(pickle.dumps(fast))
+    with build("numpy"):
+        slow = pickle.loads(pickle.dumps(fast))
     states = []
     for som in (fast, slow):
         som.nwins = params.age_wins
@@ -779,7 +726,8 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
                        allow_insert=True, observer=None)
         states.append(state)
     (a, b) = states
-    assert a.som._train.args[0] is lib and b.som._train.func is _train_numpy
+    assert a.som._train.args[0] is _kernel.compiled()
+    assert b.som._train.func is _train_numpy
     assert a.stats == b.stats and a.stats.resets == 1
     assert (a.som.nwins, a.t) == (b.som.nwins, b.t) == (1, 1)
     assert np.array_equal(bits(a.som.centers), bits(b.som.centers))
@@ -787,22 +735,6 @@ def test_loops_agree_on_a_sweep(default_only, monkeypatch, build, wins, at,
                           np.eye(4, 3)[kept, :2] * 5.0)
     assert a.som.wins.tolist() == [0] * len(kept)
     assert a.som.connections == b.som.connections
-
-
-def _loop_map(request, monkeypatch, build, nodes, budget):
-    """``map_of(budget, nodes)`` bound to the training loop ``build``
-    names: the loaded library, the baseline-only one or the numpy twin."""
-    lib = None
-    if build != "numpy":
-        if _kernel.compiled() is None:
-            pytest.skip("no C compiler: maps use numpy kernels")
-        lib = (_kernel.compiled() if build == "clones"
-               else request.getfixturevalue("default_only"))
-    monkeypatch.setattr(_kernel, "compiled", lambda: lib)
-    som = map_of(budget, nodes)
-    assert (som._train.func is _train_numpy if lib is None
-            else som._train.args[0] is lib)
-    return som
 
 
 def _node_rows(som) -> list[bytes]:
@@ -817,17 +749,16 @@ _INSERTING = _kernel.params(HyperParams(
     e_n=0.01, eps_beta=0.05, minwd=0.3, epochs=1, n_max=32), True)
 
 
-@pytest.mark.parametrize("build", ["clones", "default-only", "numpy"])
+@pytest.mark.builds("clones", "default-only", "numpy")
 @pytest.mark.parametrize("label", [NO_CLASS, 1])
-def test_loop_stops_at_full_storage_before_the_presentation(
-        request, monkeypatch, build, label):
+def test_loop_stops_at_full_storage_before_the_presentation(label):
     """Sixteen nodes fill the first storage of a 32-node budget; the draw
     at position 2 inserts. The loop returns ``INSERT`` there having changed
     no node row and counted nothing of it: the counters are those it was
     called with, its position and node count aside."""
     rng = np.random.default_rng(5)
     nodes = [node_at(c, label=0) for c in rng.random((16, 3))]
-    som = _loop_map(request, monkeypatch, build, nodes, 32)
+    som = map_of(32, nodes)
     assert len(som._arrays.centers) == 16
     before = _node_rows(som)
     x = np.array([[5.0, 5.0, 5.0]])
@@ -839,14 +770,13 @@ def test_loop_stops_at_full_storage_before_the_presentation(
     assert _node_rows(som) == before
 
 
-@pytest.mark.parametrize("build", ["clones", "default-only", "numpy"])
-def test_loop_inserts_in_place_when_there_is_room(request, monkeypatch,
-                                                  build):
+@pytest.mark.builds("clones", "default-only", "numpy")
+def test_loop_inserts_in_place_when_there_is_room():
     """With a row free in the storage, the loop inserts the node itself
     and runs to the end."""
     rng = np.random.default_rng(6)
     nodes = [node_at(c, label=0) for c in rng.random((15, 3))]
-    som = _loop_map(request, monkeypatch, build, nodes, 32)
+    som = map_of(32, nodes)
     x = np.array([[5.0, 5.0, 5.0]])
     chunk = _kernel.Chunk(3, x, np.array([1]), np.array([0]))
     assert som._train(15, _INSERTING, chunk) == _kernel.END
@@ -885,21 +815,21 @@ def test_loop_insertion_equals_insert_node(seed, labeled, minwd):
     assert _node_rows(b) == _node_rows(maps[0])
 
 
-def test_training_loop_releases_the_interpreter_lock(default_only):
+def test_training_loop_releases_the_interpreter_lock():
     """Every export of either build is bound without
     ``FUNCFLAG_PYTHONAPI``, which would hold the lock through the call, and
     the library exports no per-call kernel."""
     lib = SomMap(1, 1)._train.args[0]
-    assert lib is _kernel.compiled()
-    for build in (lib, default_only):
-        exports = {name: f for name, f in vars(build).items()
+    assert lib is library("clones")
+    for built in (lib, library("default-only")):
+        exports = {name: f for name, f in vars(built).items()
                    if isinstance(f, ctypes._CFuncPtr)}
         assert set(exports) == {"som_train", "som_classify", "som_sum",
                                 "som_reaches", "som_scan", "som_format"}
         for f in exports.values():
             assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
         for name in ("som_winner", "som_link", "som_update"):
-            assert not hasattr(build, name)
+            assert not hasattr(built, name)
 
 
 def test_threads_racing_to_the_first_map_build_the_library_once(
@@ -935,10 +865,8 @@ def test_threads_racing_to_the_first_map_build_the_library_once(
     assert all(som._view is not None for som in maps)
 
 
-@compiled
 @pytest.mark.parametrize("winner_label", [NO_CLASS, 0])
-def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
-                                                        winner_label):
+def test_loops_agree_on_an_activation_at_the_threshold(winner_label):
     """An activation equal to ``a_t`` is not below it, in either loop.
 
     Unlabeled, the winner at ``a_t`` adopts the pattern's label; labeled
@@ -946,16 +874,16 @@ def test_loops_agree_on_an_activation_at_the_threshold(monkeypatch,
     pushed. Random draws never land exactly on the threshold.
     """
     x = np.array([0.3, 0.6])
-    fast = map_of(2, [node_at(x.copy(), label=winner_label),
-                      node_at([0.35, 0.5])])
+    with build("clones") as lib:
+        fast = map_of(2, [node_at(x.copy(), label=winner_label),
+                          node_at([0.35, 0.5])])
     acts = fast.activations(x)
     a_t = float(acts[0] if winner_label == NO_CLASS else acts[1])
     params = HyperParams(a_t=a_t, lp=0.01, beta=0.1, age_wins=100, e_b=0.1,
                          push_rate=0.05, e_n=0.01, eps_beta=0.05, minwd=0.3,
                          epochs=1, n_max=2)
-    lib = _kernel.compiled()
-    monkeypatch.setattr(_kernel, "compiled", lambda: None)
-    slow = pickle.loads(pickle.dumps(fast))
+    with build("numpy"):
+        slow = pickle.loads(pickle.dumps(fast))
     states = [TrainState(som=som, params=params,
                          rng=np.random.default_rng(0)) for som in (fast, slow)]
     for state in states:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
@@ -17,7 +17,6 @@ from semisom import _kernel
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
 from semisom.persistence import _list
 from helpers import make_blobs, reference_model_text
-from test_kernel import _without_compiler, default_only  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -33,24 +32,20 @@ def trained(tmp_path_factory):
     return ds, params, state.som, path
 
 
-def test_round_trip_is_byte_identical(trained, tmp_path, monkeypatch):
+@pytest.mark.builds("clones", "no-library")
+def test_round_trip_is_byte_identical(trained, tmp_path):
     """The loaded map, and the map ``from_arrays`` rebuilds from the
-    trained map's array properties, save to the bytes of the file, on the
-    compiled kernel path and then on the numpy one."""
+    trained map's array properties, save to the bytes of the file."""
     ds, params, som, path = trained
     again = tmp_path / "again.json"
-    for kernel_path in ("compiled", "numpy"):
-        if kernel_path == "numpy":
-            _without_compiler(monkeypatch, tmp_path)
-        loaded = load_model(path)
-        rebuilt = SomMap.from_arrays(som.node_budget, som.centers,
-                                     som.relevances, som.dist_avgs, som.wins,
-                                     som.labels, som.connections)
-        for copy in (loaded.som, rebuilt):
-            save_model(again, copy, loaded.params,
-                       norm_stats=loaded.norm_stats,
-                       class_names=loaded.class_names)
-            assert again.read_bytes() == path.read_bytes(), kernel_path
+    loaded = load_model(path)
+    rebuilt = SomMap.from_arrays(som.node_budget, som.centers, som.relevances,
+                                 som.dist_avgs, som.wins, som.labels,
+                                 som.connections)
+    for copy in (loaded.som, rebuilt):
+        save_model(again, copy, loaded.params, norm_stats=loaded.norm_stats,
+                   class_names=loaded.class_names)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_numpy_scalar_params_save_as_python_numbers(trained, tmp_path):
@@ -400,18 +395,13 @@ def test_save_writes_what_json_writes(case):
     _check_save(case)
 
 
-@pytest.fixture
-def no_library(monkeypatch, tmp_path):
+@pytest.mark.builds("no-library")
+@settings(max_examples=300, deadline=None)
+@given(case=_models())
+def test_save_writes_what_json_writes_without_a_library(case):
     """Model files written by ``float.__repr__``, as on a machine without
     a C compiler."""
-    _without_compiler(monkeypatch, tmp_path)
     assert _kernel.format_rows(np.zeros((1, 1))) is None
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_models())
-def test_save_writes_what_json_writes_without_a_library(no_library, case):
     _check_save(case)
 
 
@@ -432,32 +422,15 @@ def _check_save(case) -> None:
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
 
-@pytest.fixture(scope="module",
-                params=["clones", "default-only", "no-int128"])
-def format_rows(request, tmp_path_factory):
-    """``_kernel.format_rows`` on the library the package loads, on the
-    baseline-only build, and on a build for a compiler without a 128-bit
-    integer type, whose products are made of 32-bit ones."""
-    if _kernel.compiled() is None:
-        pytest.skip("no C compiler: model files are written by repr")
-    if request.param == "clones":
-        lib = _kernel.compiled()
-    elif request.param == "default-only":
-        lib = request.getfixturevalue("default_only")
-    else:
-        cache = tmp_path_factory.mktemp("no-int128")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernel, "_FLAGS",
-                       _kernel._FLAGS + ("-U__SIZEOF_INT128__",))
-            mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
-            lib = _kernel.load()
-        assert lib is not None
+def format_rows(values) -> list[str]:
+    """``_kernel.format_rows`` of ``values``, a list of rows or an array."""
+    return _kernel.format_rows(np.array(values, dtype=float))
 
-    def run(values):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernel, "compiled", lambda: lib)
-            return _kernel.format_rows(np.array(values, dtype=float))
-    return run
+
+# The formatter on the library the package loads, and on a build for a
+# compiler without a 128-bit integer type, whose products are made of
+# 32-bit ones.
+formatters = pytest.mark.builds("clones", "no-int128")
 
 
 def repr_rows(values) -> list[str]:
@@ -467,11 +440,12 @@ def repr_rows(values) -> list[str]:
             for row in np.asarray(values, dtype=float).tolist()]
 
 
+@formatters
 @settings(max_examples=2000, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 max_size=12))
 @example([])
-def test_formatter_writes_what_repr_writes(format_rows, row):
+def test_formatter_writes_what_repr_writes(row):
     assert format_rows([row]) == repr_rows([row])
 
 
@@ -483,7 +457,8 @@ def _random_doubles() -> np.ndarray:
     return bits[np.isfinite(bits)][:2 ** 20].reshape(-1, 64)
 
 
-def test_formatter_writes_random_doubles_as_repr_does(format_rows):
+@formatters
+def test_formatter_writes_random_doubles_as_repr_does():
     values = _random_doubles()
     for part in np.array_split(values, 8):
         assert format_rows(part) == repr_rows(part)
@@ -493,7 +468,8 @@ def _neighbours(x: float) -> list[float]:
     return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
 
 
-def test_formatter_writes_the_edges_as_repr_does(format_rows):
+@formatters
+def test_formatter_writes_the_edges_as_repr_does():
     """Every power of two (the lower halfway point lies nearer), the ends
     of the subnormal and normal ranges, both sides of the switches to an
     exponent at 1e16 and 1e-4, integers about 2^53, and signed zeros."""
@@ -525,7 +501,8 @@ def test_formatter_tables_are_the_exact_ones(capsys):
         assert table + "};" in source
 
 
+@formatters
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_formatter_refuses_what_json_cannot_hold(format_rows, bad):
+def test_formatter_refuses_what_json_cannot_hold(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         format_rows([[0.5, 0.25], [0.125, bad]])
