@@ -40,10 +40,8 @@
  * CLONES: with that attribute removed, the preprocessed source is the same
  * with and without it, and gcc 12.2 on x86-64 compiles som_scan, number,
  * som_format, scale5 and som_reaches to the same instructions in both
- * builds, so only the tests that reach a cloned function or one of its
- * callers run on the baseline-only build. Built with -ffp-contract=off so
- * no multiply-add is fused; never build it with -ffast-math or
- * -march=native.
+ * builds. Built with -ffp-contract=off so no multiply-add is fused; never
+ * build it with -ffast-math or -march=native.
  *
  * Matrices are C-contiguous rows of length m, one row per node. The
  * adjacency holds one bit row of `words` uint64 per node: bit i % 64 of

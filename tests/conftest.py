@@ -18,9 +18,14 @@ switches to it:
 
 ``@pytest.mark.builds(name, ...)`` runs a test once per named build, with
 ``_kernel.compiled`` returning that build's library from before the test
-makes its first map to its end. A test that compares two builds switches
-between them with ``build``. Each library is compiled at most once per
-session; a test whose build the compiler cannot make skips.
+makes its first map to its end; ``ids=[...]`` names the builds in the
+test's ID, in which they stand where a ``parametrize`` marker written in
+the marker's place would put them. A marker naming one build runs the test on it
+under its plain name. The marker may sit on a test or on its module; a
+``*_paths`` module collects tests of their home module by name and runs
+them on the builds its marker names. A test that compares two builds
+switches between them with ``build``. Each library is compiled at most
+once per session; a test whose build the compiler cannot make skips.
 """
 
 from __future__ import annotations
@@ -94,16 +99,33 @@ def build(name: str):
         yield lib
 
 
-@pytest.hookimpl(trylast=True)
-def pytest_generate_tests(metafunc):
-    marker = metafunc.definition.get_closest_marker("builds")
+def _builds(node):
+    """The builds a test's closest ``builds`` marker names, and the IDs it
+    gives them."""
+    marker = node.get_closest_marker("builds")
     if marker is None:
-        return
+        return (), None
     unknown = [name for name in marker.args if name not in BUILDS]
     if unknown or not marker.args:
         raise ValueError(f"builds() names {unknown or 'no build'}; the builds "
                          f"are {', '.join(BUILDS)}")
-    metafunc.parametrize("kernel_build", marker.args, indirect=True)
+    return marker.args, marker.kwargs.get("ids")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_generate_tests(metafunc):
+    """Parametrizes ``kernel_build`` where stacked ``parametrize`` markers
+    would: before them when the ``builds`` marker is written below them or
+    on the module, after them when it is written above them."""
+    names, ids = _builds(metafunc.definition)
+    marks = [m.name for m in metafunc.definition.own_markers]
+    above = ("builds" in marks
+             and "parametrize" in marks[:marks.index("builds")])
+    if len(names) > 1 and not above:
+        metafunc.parametrize("kernel_build", names, indirect=True, ids=ids)
+    yield
+    if len(names) > 1 and above:
+        metafunc.parametrize("kernel_build", names, indirect=True, ids=ids)
 
 
 @pytest.fixture(autouse=True)
@@ -111,7 +133,10 @@ def kernel_build(request):
     """The build a ``builds`` test runs on, active throughout the test."""
     name = getattr(request, "param", None)
     if name is None:
-        yield None
-        return
+        names, _ = _builds(request.node)
+        if len(names) != 1:
+            yield None
+            return
+        name = names[0]
     with build(name):
         yield name

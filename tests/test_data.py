@@ -36,14 +36,8 @@ def write(tmp_path, name, text):
     return path
 
 
-# The loaders read a clean body with the scanner of the library the package
-# loads, and other bodies, or every body without a library, row by row.
-loaders = pytest.mark.builds("clones", "no-library")
-
-
 # -- ARFF --------------------------------------------------------------------
 
-@loaders
 def test_arff_golden_fixture(tmp_path):
     ds = load_arff(write(tmp_path, "tiny.arff", ARFF_OK))
     assert ds.dim == 2 and len(ds) == 3
@@ -53,7 +47,6 @@ def test_arff_golden_fixture(tmp_path):
     assert ds.patterns[1] == pytest.approx([3.5, 4.0])
 
 
-@loaders
 def test_arff_keywords_are_case_insensitive(tmp_path):
     text = ARFF_OK.replace("@RELATION", "@relation").replace(
         "@ATTRIBUTE", "@attribute").replace("@DATA", "@data")
@@ -61,7 +54,6 @@ def test_arff_keywords_are_case_insensitive(tmp_path):
     assert len(ds) == 3
 
 
-@loaders
 def test_arff_quoted_attribute_names_may_hold_spaces(tmp_path):
     text = """@relation glass
 @attribute 'RI index' numeric
@@ -77,7 +69,6 @@ def test_arff_quoted_attribute_names_may_hold_spaces(tmp_path):
     assert np.array_equal(ds.labels, [0, 1])
 
 
-@loaders
 def test_arff_class_attribute_found_by_name_not_position(tmp_path):
     text = """@relation t
 @attribute Class {a,b}
@@ -91,28 +82,24 @@ b,2.5
     assert np.array_equal(ds.labels, [0, 1])
 
 
-@loaders
 def test_arff_only_class_attribute_is_error(tmp_path):
     text = "@relation t\n@attribute class {a,b}\n@data\na\n"
     with pytest.raises(DataFormatError):
         load_arff(write(tmp_path, "solo.arff", text))
 
 
-@loaders
 def test_arff_numeric_last_attribute_means_no_class(tmp_path):
     text = "@relation t\n@attribute f numeric\n@attribute g numeric\n@data\n1,2\n"
     with pytest.raises(DataFormatError):
         load_arff(write(tmp_path, "noclass.arff", text))
 
 
-@loaders
 def test_arff_unknown_nominal_value_reports_line(tmp_path):
     text = ARFF_OK + "7.0,8.0,medium\n"
     with pytest.raises(DataFormatError, match=":13"):
         load_arff(write(tmp_path, "bad.arff", text))
 
 
-@loaders
 def test_arff_extra_nominal_feature_is_error(tmp_path):
     text = """@relation t
 @attribute f numeric
@@ -125,21 +112,18 @@ def test_arff_extra_nominal_feature_is_error(tmp_path):
         load_arff(write(tmp_path, "nom.arff", text))
 
 
-@loaders
 def test_arff_wrong_field_count_reports_line(tmp_path):
     text = ARFF_OK + "1.0,small\n"
     with pytest.raises(DataFormatError, match=":13"):
         load_arff(write(tmp_path, "ragged.arff", text))
 
 
-@loaders
 def test_arff_non_numeric_value_is_error(tmp_path):
     text = ARFF_OK.replace("3.5", "wide")
     with pytest.raises(DataFormatError, match="wide"):
         load_arff(write(tmp_path, "nan.arff", text))
 
 
-@loaders
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
 def test_arff_non_finite_value_reports_line(tmp_path, token):
     text = ARFF_OK + f"7.0,{token},large\n"
@@ -161,7 +145,6 @@ def arff_outcome(load, path):
 ARFF_HEAD = "@relation t\n@attribute f1 numeric\n@attribute class {a,b}\n@data\n"
 
 
-@loaders
 @pytest.mark.parametrize("body", [
     '1,a\n"2\n",b\n',  # one quoted field over two lines
     "1,a\n2\x1c,b\n",  # a control character float() refuses
@@ -217,7 +200,6 @@ def arff_files(draw):
     return newline.join(head + rows) + end
 
 
-@loaders
 @settings(max_examples=500, deadline=None)
 @given(text=arff_files())
 @example(text='@attribute f numeric\n@attribute class {a}\n@data\n"1\n",a\n')
@@ -233,7 +215,6 @@ def test_load_arff_matches_the_row_reference(tmp_path_factory, text):
 # -- CSV ---------------------------------------------------------------------
 
 
-@loaders
 def test_csv_with_class_header(tmp_path):
     ds = load_csv(write(tmp_path, "t.csv", "f1,f2,class\n1,2,a\n3,4,b\n"))
     assert ds.dim == 2 and len(ds) == 2
@@ -241,39 +222,33 @@ def test_csv_with_class_header(tmp_path):
     assert np.array_equal(ds.labels, [0, 1])
 
 
-@loaders
 def test_csv_without_label_column_is_unlabeled(tmp_path):
     ds = load_csv(write(tmp_path, "t.csv", "f1,f2\n1,2\n3,4\n"))
     assert np.all(ds.labels == NO_CLASS)
     assert ds.class_names == ()
 
 
-@loaders
 def test_csv_explicit_label_column(tmp_path):
     ds = load_csv(write(tmp_path, "t.csv", "f1,target\n1,x\n2,y\n"),
                   label_column="target")
     assert ds.dim == 1 and ds.class_names == ("x", "y")
 
 
-@loaders
 def test_csv_missing_label_column_is_error(tmp_path):
     with pytest.raises(DataFormatError):
         load_csv(write(tmp_path, "t.csv", "f1\n1\n"), label_column="target")
 
 
-@loaders
 def test_csv_empty_file_is_error(tmp_path):
     with pytest.raises(DataFormatError):
         load_csv(write(tmp_path, "t.csv", ""))
 
 
-@loaders
 def test_csv_ragged_row_reports_line(tmp_path):
     with pytest.raises(DataFormatError, match=":3"):
         load_csv(write(tmp_path, "t.csv", "f1,f2\n1,2\n3\n"))
 
 
-@loaders
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
 def test_csv_non_finite_value_reports_line(tmp_path, token):
     text = f"a,b,class\n1,2,x\n3,4,y\n5,{token},x\n"
@@ -281,7 +256,6 @@ def test_csv_non_finite_value_reports_line(tmp_path, token):
         load_csv(write(tmp_path, "nan.csv", text))
 
 
-@loaders
 def test_csv_non_numeric_feature_is_error(tmp_path):
     with pytest.raises(DataFormatError, match="oops"):
         load_csv(write(tmp_path, "t.csv", "f1,f2\n1,oops\n"))
@@ -303,7 +277,6 @@ def write_bytes(tmp_path, name, text):
     return path
 
 
-@loaders
 @pytest.mark.parametrize("text, line", [
     ("f1,f2\n1,2\n3,x", 3),
     ("f1,f2\n1,2\n3,x\n", 3),
@@ -321,7 +294,6 @@ def test_csv_fallback_names_the_bad_line(tmp_path, text, line):
                                                       path)
 
 
-@loaders
 def test_csv_float_spelling_the_c_reader_refuses_still_loads(tmp_path):
     path = write_bytes(tmp_path, "t.csv", "f1,f2,class\n1_0,2,a\n3,4_5.5,b\n")
     with pytest.raises(ValueError):
@@ -330,17 +302,6 @@ def test_csv_float_spelling_the_c_reader_refuses_still_loads(tmp_path):
     assert ds.patterns.tolist() == [[10.0, 2.0], [3.0, 45.5]]
     assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
                                                       path)
-
-
-@loaders
-def test_csv_table_reader_needs_the_library(tmp_path):
-    path = write(tmp_path, "t.csv", "f1,class\n1.5,x\n")
-    if _kernel.compiled() is None:
-        with pytest.raises(ValueError, match="no compiled scanner"):
-            data._read_csv_table(path, None)
-    else:
-        assert data._read_csv_table(path, None).patterns.tolist() == [[1.5]]
-    assert load_csv(path).patterns.tolist() == [[1.5]]
 
 
 def test_csv_table_reader_handles_clean_files_alone(tmp_path):
@@ -416,7 +377,6 @@ def csv_files(draw):
     return newline.join(lines) + end, label_column
 
 
-@loaders
 @settings(max_examples=500, deadline=None)
 @given(case=csv_files())
 @example(case=("f1,f2\n1,\x1c2\n", None))
@@ -435,7 +395,6 @@ def test_load_csv_matches_the_row_reference(tmp_path_factory, case):
 BOM = "\ufeff"
 
 
-@loaders
 @pytest.mark.parametrize("body", ["1,x\n2.5,y\n", "1_0,x\n2.5,y\n"],
                          ids=["scanner", "row-reader"])
 def test_csv_with_a_byte_order_mark(tmp_path, body):
@@ -448,7 +407,6 @@ def test_csv_with_a_byte_order_mark(tmp_path, body):
                                                       path)
 
 
-@loaders
 @pytest.mark.parametrize("text", [ARFF_OK, ARFF_OK.replace("3.5", "3_5")],
                          ids=["scanner", "row-reader"])
 def test_arff_with_a_byte_order_mark(tmp_path, text):
@@ -589,7 +547,8 @@ def test_scanner_reads_wide_mantissas_as_float_does(text):
     assert_reads_as_float(text)
 
 
-@pytest.mark.builds("ubsan", "ubsan-no-int128")
+@pytest.mark.builds("ubsan", "ubsan-no-int128",
+                    ids=["int128", "no-int128"])
 def test_scanner_draws_make_no_undefined_behaviour(capfd):
     """The scanner's draws, with their explicit examples, on the sanitizing
     builds, whose checks report on stderr and let the call go on: every
@@ -846,7 +805,6 @@ def test_normalize_scales_a_range_wider_than_the_largest_float():
     assert np.array_equal(out[:, 1], (patterns[:, 1] - 0.25) / 0.5)
 
 
-@loaders
 @pytest.mark.parametrize("name, text", [
     ("d.csv", "a,b,class\n0.1,0.2,x\n0.3,0.\xff4,y\n"),
     ("d.arff", ARFF_OK.replace("3.5", "3.\xff5")),

@@ -111,8 +111,8 @@ RECIPES = {"train": recipe_train, "sweep": recipe_sweep,
            "predict": recipe_predict}
 
 
-@pytest.mark.builds("clones", "numpy")
 @pytest.mark.parametrize("name", sorted(RECIPES))
+@pytest.mark.builds("clones", "numpy", ids=["compiled", "numpy"])
 def test_golden_output(name, tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     env = environment()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semisom import (NO_CLASS, REJECTED, HyperParams, SomMap, _kernel,
-                     classify, classify_batch, cluster, inference, mask_labels,
+from semisom import (NO_CLASS, REJECTED, HyperParams, SomMap, classify,
+                     classify_batch, cluster, inference, mask_labels,
                      normalize, train_with_state)
 from helpers import (brute_winner, make_synthetic, map_of, node_at,
                      random_map, reference_classify)
@@ -14,12 +14,6 @@ from helpers import (brute_winner, make_synthetic, map_of, node_at,
 
 # the smallest positive threshold: only a zero activation falls below it
 SMALLEST = 5e-324
-
-# The three block passes of bulk classification: the compiled
-# ``som_classify``, on its AVX2 clone where the CPU has AVX2 and on its
-# baseline clone alone, and the numpy twin ``inference._classify_block``,
-# which maps bind when no library builds.
-block_passes = pytest.mark.builds("clones", "default-only", "numpy")
 
 
 @pytest.fixture
@@ -56,7 +50,6 @@ def test_labeled_winner_decides_at_any_activation(mixed_map):
     assert pred.label == 0 and pred.node == 2
 
 
-@block_passes
 def test_unlabeled_winner_falls_back_to_labeled_above_threshold():
     som = map_of(8, [
         node_at([0.5, 0.5], label=NO_CLASS),
@@ -155,7 +148,6 @@ def test_thresholds_outside_the_unit_interval_raise(mixed_map, entry, a_t):
         _call(entry, mixed_map, a_t)
 
 
-@block_passes
 def test_exact_ties_go_to_the_lowest_index():
     som = map_of(8, [
         node_at([0.9, 0.1], label=0),
@@ -171,16 +163,6 @@ def _key(pred):
     return pred.node, pred.label, float(pred.activation).hex()
 
 
-@pytest.mark.builds("default-only", "numpy")
-def test_maps_bind_the_named_pass():
-    som = SomMap(1, 1)
-    if _kernel.compiled() is None:
-        assert som._view is None and som._classify is None
-    else:
-        assert som._classify.args[0] is _kernel.compiled()
-
-
-@block_passes
 def test_classify_batch_sees_an_overflowing_term_of_zero_relevance():
     """Node 1's term 0 * (1e200 - 0.5)^2 is NaN, so its activation is NaN
     and wins, though the screen's expanded form, where the term is 0 * 1e200
@@ -247,7 +229,6 @@ def _batches(draw):
     return som, x, a_t, rows_per_block
 
 
-@block_passes
 @settings(max_examples=400, deadline=None)
 @given(_batches())
 def test_classify_batch_is_exact(batch):
@@ -261,7 +242,6 @@ def test_classify_batch_is_exact(batch):
         assert _key(classify(som, x[0], a_t)) == want[0]
 
 
-@block_passes
 def test_classify_batch_is_exact_on_a_trained_map():
     ds = normalize(make_synthetic(n=400, dim=12, clusters=4, seed=21))
     params = HyperParams(a_t=0.97, lp=0.001, beta=0.1, age_wins=800,

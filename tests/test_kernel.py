@@ -124,7 +124,7 @@ def _boundaries(draw):
     return mass, float(L), probes
 
 
-@pytest.mark.builds("clones")
+@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=500, deadline=None)
 @given(_boundaries())
 def test_squared_test_rules_out_only_bounds_below(case):
@@ -218,32 +218,35 @@ def _present_once(case):
     return som, searched, acts, (centers, dist, rel), w
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
 def test_compiled_winner_equals_numpy(case):
-    """The loop's winner search against ``_activations``: the activation
-    row, the winner its win goes to, and the search ``SomMap`` runs per
-    call."""
+    """The loop's winner search, on both builds, against ``_activations``:
+    the activation row, the winner its win goes to, and the search
+    ``SomMap`` runs per call."""
     n = len(case[0][0])
-    som, searched, want, _, w = _present_once(case)
-    assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
-    assert np.array_equal(bits(searched), bits(want))
-    assert som.wins.tolist() == [int(j == w) for j in range(n)]
+    for name in ("clones", "default-only"):
+        with build(name):
+            som, searched, want, _, w = _present_once(case)
+        assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
+        assert np.array_equal(bits(searched), bits(want))
+        assert som.wins.tolist() == [int(j == w) for j in range(n)]
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
 def test_compiled_update_equals_numpy(case):
-    """The loop's node update against ``_shift_vectors`` on the winner and
-    its neighbors, in ascending order."""
+    """The loop's node update, on both builds, against ``_shift_vectors``
+    on the winner and its neighbors, in ascending order."""
     n = len(case[0][0])
-    som, _, _, (centers, dist, rel), _ = _present_once(case)
-    assert np.array_equal(bits(som.centers), bits(centers))
-    assert np.array_equal(bits(som.dist_avgs), bits(dist))
-    assert np.array_equal(bits(som.relevances), bits(rel))
-    assert np.array_equal(bits(som._arrays.sums[:n]), bits(rel.sum(axis=1)))
+    for name in ("clones", "default-only"):
+        with build(name):
+            som, _, _, (centers, dist, rel), _ = _present_once(case)
+        assert np.array_equal(bits(som.centers), bits(centers))
+        assert np.array_equal(bits(som.dist_avgs), bits(dist))
+        assert np.array_equal(bits(som.relevances), bits(rel))
+        assert np.array_equal(bits(som._arrays.sums[:n]),
+                              bits(rel.sum(axis=1)))
 
 
 def _train_blobs(tmp_path, name):
@@ -270,6 +273,10 @@ def test_compiled_and_numpy_kernels_train_identical_models(tmp_path):
     assert fallback.stats == state.stats
 
 
+# The per-call map methods on the compiled kernel path and the numpy one.
+kernels = pytest.mark.builds("clones", "numpy", ids=["compiled", "numpy"])
+
+
 def _one_node_map():
     som = SomMap(2, 5)
     som.add_node(np.array([0.2, 0.4]))
@@ -277,6 +284,7 @@ def _one_node_map():
 
 
 @pytest.mark.parametrize("j", [3, -1, 5, 1])
+@kernels
 def test_update_node_rejects_missing_nodes(j):
     som = _one_node_map()
     v = som._arrays
@@ -288,6 +296,7 @@ def test_update_node_rejects_missing_nodes(j):
 
 
 @pytest.mark.parametrize("rows", [[0, 3], [-1], [4, 0]])
+@kernels
 def test_update_nodes_rejects_missing_nodes(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
@@ -299,6 +308,7 @@ def test_update_nodes_rejects_missing_nodes(rows):
         assert np.array_equal(got, was)
 
 
+@kernels
 def test_update_rejects_wrong_pattern_shape():
     som = _one_node_map()
     with pytest.raises(ValueError, match="shape"):
@@ -307,6 +317,7 @@ def test_update_rejects_wrong_pattern_shape():
         som.update_nodes([0], np.zeros(1), 0.1, 0.1, 0.05)
 
 
+@kernels
 def test_update_nodes_takes_one_rate_per_row_in_any_shape():
     rng = np.random.default_rng(5)
     column = random_map(rng, 6, 4)
@@ -320,6 +331,7 @@ def test_update_nodes_takes_one_rate_per_row_in_any_shape():
         flat.update_nodes([4, 0, 2], x, rates[:2], 0.2, 0.05)
 
 
+@kernels
 def test_pickled_map_runs_on_its_own_arrays():
     rng = np.random.default_rng(11)
     som = random_map(rng, 9, 5)
@@ -333,6 +345,7 @@ def test_pickled_map_runs_on_its_own_arrays():
                           som.centers)
 
 
+@kernels
 def test_threads_can_share_a_map():
     """Winner searches on several threads read the map under its lock."""
     rng = np.random.default_rng(13)
@@ -363,7 +376,7 @@ def test_threads_can_share_a_map():
             assert result == want[i]
 
 
-@pytest.mark.builds("clones", "numpy")
+@kernels
 def test_threads_can_classify_with_a_shared_map():
     """Bulk classification reads the map's node rows and its own arrays;
     on the compiled path it releases the interpreter lock meanwhile."""
@@ -444,6 +457,7 @@ def test_build_prunes_older_libraries_in_its_own_cache_only(tmp_path,
         built[0], decoy, partial, "other" + suffix}
 
 
+@kernels
 def test_update_nodes_updates_repeated_rows_in_order():
     """A row listed twice is updated twice, as by two ``update_node`` calls.
 
@@ -482,6 +496,7 @@ def test_update_nodes_updates_repeated_rows_in_order():
 
 @pytest.mark.parametrize("rows", [[1.7], [1.0], np.array([True]),
                                   np.array([0.0, 1.0]), [0, 1.5]])
+@kernels
 def test_update_nodes_rejects_non_integer_rows(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
@@ -502,6 +517,7 @@ def _two_node_map():
     return som
 
 
+@kernels
 def test_update_node_rejects_a_bool_index():
     som = _two_node_map()
     v = som._arrays
@@ -512,6 +528,7 @@ def test_update_node_rejects_a_bool_index():
         assert np.array_equal(got, was)
 
 
+@kernels
 def test_update_nodes_names_a_huge_unsigned_index():
     som = _two_node_map()
     rows = np.array([1, 2 ** 63], dtype=np.uint64)
@@ -520,6 +537,7 @@ def test_update_nodes_names_a_huge_unsigned_index():
     assert np.array_equal(som.centers, [[0.2, 0.4], [0.6, 0.1]])
 
 
+@kernels
 def test_links_span_several_bit_words():
     """150 nodes need three adjacency words per row."""
     rng = np.random.default_rng(19)
@@ -618,7 +636,7 @@ def test_default_only_loop_equals_python_loop(run):
     _check_loops_agree("default-only", run)
 
 
-@pytest.mark.builds("clones", "numpy")
+@kernels
 @settings(max_examples=25, deadline=None)
 @given(run=_runs())
 def test_observed_runs_equal_plain_runs_and_count_their_draws(run):

@@ -16,6 +16,7 @@ from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
 from semisom import _kernel
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
 from semisom.persistence import _list
+from conftest import build
 from helpers import make_blobs, reference_model_text
 
 
@@ -32,20 +33,24 @@ def trained(tmp_path_factory):
     return ds, params, state.som, path
 
 
-@pytest.mark.builds("clones", "no-library")
 def test_round_trip_is_byte_identical(trained, tmp_path):
     """The loaded map, and the map ``from_arrays`` rebuilds from the
-    trained map's array properties, save to the bytes of the file."""
+    trained map's array properties, save to the bytes of the file, with
+    the library the package loads and then without one."""
     ds, params, som, path = trained
     again = tmp_path / "again.json"
-    loaded = load_model(path)
-    rebuilt = SomMap.from_arrays(som.node_budget, som.centers, som.relevances,
-                                 som.dist_avgs, som.wins, som.labels,
-                                 som.connections)
-    for copy in (loaded.som, rebuilt):
-        save_model(again, copy, loaded.params, norm_stats=loaded.norm_stats,
-                   class_names=loaded.class_names)
-        assert again.read_bytes() == path.read_bytes()
+    for name in ("clones", "no-library"):
+        with build(name):
+            loaded = load_model(path)
+            rebuilt = SomMap.from_arrays(som.node_budget, som.centers,
+                                         som.relevances, som.dist_avgs,
+                                         som.wins, som.labels,
+                                         som.connections)
+            for copy in (loaded.som, rebuilt):
+                save_model(again, copy, loaded.params,
+                           norm_stats=loaded.norm_stats,
+                           class_names=loaded.class_names)
+                assert again.read_bytes() == path.read_bytes(), name
 
 
 def test_numpy_scalar_params_save_as_python_numbers(trained, tmp_path):
@@ -427,10 +432,10 @@ def format_rows(values) -> list[str]:
     return _kernel.format_rows(np.array(values, dtype=float))
 
 
-# The formatter on the library the package loads, and on a build for a
-# compiler without a 128-bit integer type, whose products are made of
-# 32-bit ones.
-formatters = pytest.mark.builds("clones", "no-int128")
+# The formatter on the library the package loads, on the baseline-only
+# build, and on a build for a compiler without a 128-bit integer type, whose
+# products are made of 32-bit ones.
+formatters = pytest.mark.builds("clones", "default-only", "no-int128")
 
 
 def repr_rows(values) -> list[str]:
@@ -501,8 +506,8 @@ def test_formatter_tables_are_the_exact_ones(capsys):
         assert table + "};" in source
 
 
-@formatters
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@formatters
 def test_formatter_refuses_what_json_cannot_hold(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         format_rows([[0.5, 0.25], [0.125, bad]])

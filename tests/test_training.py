@@ -3,7 +3,6 @@ import pytest
 
 from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, SomMap,
                      TrainState, _kernel, train, train_with_state)
-from semisom.model import _train_numpy
 from semisom.training import (_CHUNK, _present_chunk, handle_reset,
                               init_map, insert_node)
 from helpers import make_blobs, map_of, node_at, weighted_distance
@@ -26,16 +25,6 @@ def present(state: TrainState, x, label: int = NO_CLASS) -> None:
     """One presentation of ``x`` in the map's training loop."""
     _present_chunk(state, np.asarray(x, dtype=float)[None], np.array([label]),
                    np.array([0]), allow_insert=True, observer=None)
-
-
-# The step-rule tests run on the compiled training loop ``som_train`` and on
-# its numpy twin ``_train_numpy``, which maps bind when no library builds.
-step_rules = pytest.mark.builds("clones", "numpy")
-
-
-@pytest.mark.builds("numpy")
-def test_maps_bind_the_numpy_loop():
-    assert SomMap(1, 1)._train.func is _train_numpy
 
 
 # -- init and insertion ------------------------------------------------------
@@ -77,7 +66,6 @@ def test_labeled_insert_connects_to_same_label_fresh_nodes():
 
 # -- unsupervised step -------------------------------------------------------
 
-@step_rules
 def test_unsupervised_low_activation_inserts():
     som = init_map(np.array([0.1, 0.1]), n_max=5)
     params = params_for(5)
@@ -90,7 +78,6 @@ def test_unsupervised_low_activation_inserts():
     assert np.array_equal(som.centers[1], x)
 
 
-@step_rules
 def test_unsupervised_high_activation_updates_winner():
     som = init_map(np.array([0.5, 0.5]), n_max=5)
     state = fresh_state(som, params_for(5))
@@ -104,7 +91,6 @@ def test_unsupervised_high_activation_updates_winner():
     assert som.wins[0] == 1
 
 
-@step_rules
 def test_unsupervised_full_budget_updates_instead_of_inserting():
     som = init_map(np.array([0.1, 0.1]), n_max=1)
     state = fresh_state(som, params_for(1))
@@ -119,7 +105,6 @@ def test_unsupervised_full_budget_updates_instead_of_inserting():
 
 # -- supervised step ---------------------------------------------------------
 
-@step_rules
 def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     som = map_of(4, [node_at([0.5, 0.5]),
                      node_at([0.52, 0.5], label=3)])
@@ -136,7 +121,6 @@ def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     assert som.wins[0] == 1
 
 
-@step_rules
 def test_supervised_low_activation_inserts_labeled_node():
     som = init_map(np.array([0.1, 0.1]), first_label=0, n_max=5)
     state = fresh_state(som, params_for(5))
@@ -146,7 +130,6 @@ def test_supervised_low_activation_inserts_labeled_node():
     assert som.n_nodes == 2 and som.labels[1] == 0
 
 
-@step_rules
 def test_supervised_wrong_winner_pushes_and_rewards_second():
     som = map_of(4, [node_at([0.2, 0.2], label=0),
                      node_at([0.8, 0.8], label=1)])
@@ -162,7 +145,6 @@ def test_supervised_wrong_winner_pushes_and_rewards_second():
     assert som.labels[0] == 0  # pushed winner keeps its class
 
 
-@step_rules
 def test_supervised_wrong_winner_no_second_inserts():
     som = map_of(4, [node_at([0.2, 0.2], label=0)])
     state = fresh_state(som, params_for(4, a_t=0.99))
@@ -172,7 +154,6 @@ def test_supervised_wrong_winner_no_second_inserts():
     assert som.n_nodes == 2 and som.labels[1] == 1
 
 
-@step_rules
 def test_supervised_wrong_winner_full_map_changes_nothing():
     nodes = [node_at([0.2, 0.2], label=0), node_at([0.8, 0.8], label=1)]
     som = map_of(2, nodes)
