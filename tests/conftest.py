@@ -1,38 +1,23 @@
 """The kernel builds the suite runs on, and the ``builds`` marker.
 
-The package loads one library built from ``_kernel.c``: ``clones``, whose
-cloned functions (see ``CLONES`` there) carry an AVX2 body and a baseline
-one on x86-64. This module is the only place that builds another or
-switches to it:
+The package loads ``clones``: ``_kernel.c`` built so that its ``CLONES``
+carry an AVX2 body and a baseline one on x86-64. This module alone builds
+the others (``BUILDS``) and switches to them.
 
-- ``default-only`` (``-DSOM_DEFAULT_ONLY``): the baseline bodies alone;
-- ``no-int128`` (``-U__SIZEOF_INT128__``): as for a compiler without a
-  128-bit integer type, which the scanner's wide path and the formatter's
-  products otherwise use;
-- ``ubsan`` and ``ubsan-no-int128``: ``clones`` and ``no-int128`` with
-  ``-fsanitize=undefined``;
-- ``numpy`` and ``no-library``, one build under two names: no library, as
-  on a machine without a C compiler. Maps bind the numpy training loop and
-  classify pass (``numpy``); the loaders read files with their row readers
-  and ``save_model`` writes floats by ``repr`` (``no-library``).
-
-``@pytest.mark.builds(name, ...)`` runs a test once per named build, with
-``_kernel.compiled`` returning that build's library from before the test
-makes its first map to its end; ``ids=[...]`` names the builds in the
-test's ID, in which they stand where a ``parametrize`` marker written in
-the marker's place would put them. A marker naming one build runs the test on it
-under its plain name. The marker may sit on a test or on its module; a
-``*_paths`` module collects tests of their home module by name and runs
-them on the builds its marker names. A test that compares two builds
-switches between them with ``build``. Each library is compiled at most
-once per session; a test whose build the compiler cannot make skips.
+``@pytest.mark.builds(name, ...)`` on a test or its module runs the test
+once per named build, with ``_kernel.compiled`` returning that build's
+library for the whole test. The build leads the test's ID (``ids=``
+renames it); a marker naming one build keeps the plain name. A test that
+wants the build after its other IDs parametrizes ``kernel_build``
+indirectly instead, one marked ``needs_library`` leaves out the builds
+without a library, and one that compares builds switches with ``build``.
+Each library is compiled at most once per session.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -40,10 +25,13 @@ import pytest
 
 from semisom import _kernel
 
-# The flags each build adds to _kernel._FLAGS; None for no library.
+# The flags each build adds to _kernel._FLAGS. None is no library, as
+# without a C compiler: one build under two names, for the map kernels and
+# for the file readers and writer. no-int128 makes the 64-bit products of
+# the scanner's wide path and of the formatter from 32-bit ones.
 BUILDS = {
     "clones": (),
-    "default-only": ("-DSOM_DEFAULT_ONLY",),
+    "default-only": ("-DSOM_DEFAULT_ONLY",),  # the baseline bodies alone
     "no-int128": ("-U__SIZEOF_INT128__",),
     "ubsan": ("-fsanitize=undefined",),
     "ubsan-no-int128": ("-fsanitize=undefined", "-U__SIZEOF_INT128__"),
@@ -55,13 +43,9 @@ _package_library = _kernel.compiled
 
 
 @functools.cache
-def _build_dir() -> Path:
-    return Path(tempfile.mkdtemp(prefix="semisom-builds-"))
-
-
-def pytest_unconfigure(config):
-    if _build_dir.cache_info().currsize:
-        shutil.rmtree(_build_dir(), ignore_errors=True)
+def _build_dir() -> tempfile.TemporaryDirectory:
+    """Where the other builds are compiled; removed at exit."""
+    return tempfile.TemporaryDirectory(prefix="semisom-builds-")
 
 
 @functools.cache
@@ -70,10 +54,11 @@ def _load(flags: tuple[str, ...] | None):
     ``None``, what it returns given a compiler that does not exist."""
     if flags == ():
         return _package_library()
+    cache = Path(_build_dir().name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "_cache_dirs", lambda: [_build_dir()])
+        mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
         if flags is None:
-            lib = _kernel.load(compiler=str(_build_dir() / "no-such-cc"))
+            lib = _kernel.load(compiler=str(cache / "no-such-cc"))
             assert lib is None
             return None
         mp.setattr(_kernel, "_FLAGS", _kernel._FLAGS + flags)
@@ -81,11 +66,18 @@ def _load(flags: tuple[str, ...] | None):
 
 
 def library(name: str):
-    """The library of build ``name``; skips the test when it cannot be
-    built or loaded."""
+    """The library of build ``name``. One that does not build or load
+    fails the test, but skips it for a ``ubsan`` build or where the package
+    has no library."""
     lib = _load(BUILDS[name])
-    if lib is None and BUILDS[name] is not None:
+    if BUILDS[name] is None:
+        return None
+    if lib is None and (_package_library() is None
+                        or name.startswith("ubsan")):
         pytest.skip(f"the C compiler cannot build or load the {name} build")
+    assert lib is not None, f"the {name} build did not build or load"
+    if name == "default-only":
+        assert lib._name != _package_library()._name
     return lib
 
 
@@ -100,43 +92,34 @@ def build(name: str):
 
 
 def _builds(node):
-    """The builds a test's closest ``builds`` marker names, and the IDs it
-    gives them."""
+    """The builds and IDs that a test's closest ``builds`` marker names."""
     marker = node.get_closest_marker("builds")
     if marker is None:
         return (), None
-    unknown = [name for name in marker.args if name not in BUILDS]
-    if unknown or not marker.args:
-        raise ValueError(f"builds() names {unknown or 'no build'}; the builds "
-                         f"are {', '.join(BUILDS)}")
+    if not marker.args or not set(marker.args) <= set(BUILDS):
+        raise ValueError(f"builds{marker.args} must name builds among "
+                         f"{', '.join(BUILDS)}")
     return marker.args, marker.kwargs.get("ids")
 
 
-@pytest.hookimpl(wrapper=True)
 def pytest_generate_tests(metafunc):
-    """Parametrizes ``kernel_build`` where stacked ``parametrize`` markers
-    would: before them when the ``builds`` marker is written below them or
-    on the module, after them when it is written above them."""
+    """Parametrizes ``kernel_build`` ahead of the ``parametrize`` markers;
+    a ``needs_library`` test leaves out the builds without a library."""
     names, ids = _builds(metafunc.definition)
-    marks = [m.name for m in metafunc.definition.own_markers]
-    above = ("builds" in marks
-             and "parametrize" in marks[:marks.index("builds")])
-    if len(names) > 1 and not above:
-        metafunc.parametrize("kernel_build", names, indirect=True, ids=ids)
-    yield
-    if len(names) > 1 and above:
+    if len(names) > 1:
+        if metafunc.definition.get_closest_marker("needs_library"):
+            names = [name for name in names if BUILDS[name] is not None]
         metafunc.parametrize("kernel_build", names, indirect=True, ids=ids)
 
 
 @pytest.fixture(autouse=True)
 def kernel_build(request):
-    """The build a ``builds`` test runs on, active throughout the test."""
-    name = getattr(request, "param", None)
-    if name is None:
-        names, _ = _builds(request.node)
-        if len(names) != 1:
-            yield None
-            return
-        name = names[0]
-    with build(name):
+    """The build a ``builds`` test runs on, active throughout the test; a
+    ``needs_library`` test skips where the package has no library."""
+    if (request.node.get_closest_marker("needs_library")
+            and _package_library() is None):
+        pytest.skip("no C compiler: there is no library")
+    names, _ = _builds(request.node)
+    name = getattr(request, "param", names[0] if len(names) == 1 else None)
+    with build(name) if name else contextlib.nullcontext():
         yield name

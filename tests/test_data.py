@@ -422,8 +422,6 @@ def test_arff_with_a_byte_order_mark(tmp_path, text):
 def scan_token(text: str):
     """The scanner's value of ``text`` as the one field of a record, or
     ``None`` when it refuses it."""
-    if _kernel.compiled() is None:
-        pytest.skip("no compiled scanner")
     try:
         values, _ = _kernel.scan(text.encode() + b"\n", 0, 1, None)
     except ValueError:
@@ -441,6 +439,7 @@ def assert_reads_as_float(text: str) -> None:
     assert float_bits(got) == float_bits(float(text)), text
 
 
+@pytest.mark.needs_library
 @settings(max_examples=1000, deadline=None)
 @given(st.text("0123456789.eE+-_xnaif \t", max_size=12))
 @example("0.3")
@@ -452,6 +451,7 @@ def test_scanner_reads_a_token_as_float_does_or_refuses_it(text):
         assert float_bits(got) == float_bits(float(text)), text
 
 
+@pytest.mark.needs_library
 @settings(max_examples=500, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 20))
 @example(0.3, 0)
@@ -471,6 +471,7 @@ def test_scanner_reads_every_spelling_of_a_finite_float(x, p):
             assert scan_token(text) is None
 
 
+@pytest.mark.needs_library
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10 ** 30 + 1, 10 ** 30 - 1))
 def test_scanner_reads_integers_of_up_to_30_digits(n):
@@ -519,6 +520,7 @@ def wide_decimals(draw):
     return f"{sign}{digits[:cut]}.{digits[cut:]}e{e}"
 
 
+@pytest.mark.needs_library
 @settings(max_examples=1000, deadline=None)
 @given(wide_decimals())
 # the edges of the wide path's exponents, and a step past each
@@ -550,17 +552,16 @@ def test_scanner_reads_wide_mantissas_as_float_does(text):
 @pytest.mark.builds("ubsan", "ubsan-no-int128",
                     ids=["int128", "no-int128"])
 def test_scanner_draws_make_no_undefined_behaviour(capfd):
-    """The scanner's draws, with their explicit examples, on the sanitizing
-    builds, whose checks report on stderr and let the call go on: every
-    shift, conversion and overflow of the wide path stays defined, with a
-    128-bit integer type and without it (where the scanner gives those
-    numbers to strtod), and the values are still float()'s."""
+    """The scanner's draws on the sanitizing builds, which report on stderr:
+    the wide path stays defined with a 128-bit integer type and without it
+    (where it gives those numbers to strtod), and reads as float() does."""
     test_scanner_reads_wide_mantissas_as_float_does()
     test_scanner_reads_every_spelling_of_a_finite_float()
     test_scanner_reads_a_token_as_float_does_or_refuses_it()
     assert "runtime error:" not in capfd.readouterr().err
 
 
+@pytest.mark.needs_library
 @pytest.mark.parametrize("text", ["4.", ".5", "+.5e-3", "1e-400", "-1e-400",
                                   "0e999", "00012.50", " 7\t", "1E+22",
                                   "9007199254740993", "1e23"])
@@ -568,6 +569,7 @@ def test_scanner_reads_the_spellings_of_its_grammar(text):
     assert_reads_as_float(text)
 
 
+@pytest.mark.needs_library
 @pytest.mark.parametrize("text", ["1e309", "-1e309", "0x1p3", "1_0", "inf",
                                   "nan", "", " ", "1e", "1e+", ".", "+",
                                   "1.2.3", "--1", "1 2", "e5", "\xa01"])
@@ -615,6 +617,7 @@ def _no_row_reader(*args):
     raise AssertionError("a clean file reached the row reader")
 
 
+@pytest.mark.needs_library
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("writer", ["perfbench", "golden"])
 @pytest.mark.parametrize("suffix", [".csv", ".arff"])
@@ -623,8 +626,6 @@ def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
     """Files as the benchmark and the golden tests write them, ``repr``
     floats of every magnitude, load through the table readers without a
     fallback, and bit for bit as the row reference loads them."""
-    if _kernel.compiled() is None:
-        pytest.skip("no compiled scanner")
     rng = np.random.default_rng(7)
     patterns = rng.uniform(0.0, 1.0, size=(40, 5))
     patterns[:, 1] = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30,

@@ -1,11 +1,6 @@
-"""The loader tests of ``test_data.py`` on the other two builds.
-
-``test_data.py`` runs them with the library the package loads, whose
-scanner reads the bodies of clean files. This module runs the same tests,
-unchanged, on the kernel source built with the baseline clone alone, and
-with no library at all, where the table readers refuse every file and the
-row readers load it. The scanner's own tests skip there.
-"""
+"""The loader tests of ``test_data.py`` on the baseline-only build and
+with no library, where the table readers refuse every file and the row
+readers load it."""
 
 import pytest
 
@@ -39,24 +34,13 @@ from test_data import (  # noqa: F401  (collected here on both builds)
     test_scanner_reads_the_spellings_of_its_grammar,
     test_scanner_reads_wide_mantissas_as_float_does,
     test_scanner_refuses_what_is_outside_its_grammar, write)
-from test_kernel import default_only  # noqa: F401  (fixture)
+
+pytestmark = pytest.mark.builds("default-only", "no-library")
 
 
-@pytest.fixture(scope="module", autouse=True,
-                params=["default-only", "no-library"])
-def build(request):
-    """The library the loaders find while it is active: the baseline-only
-    build, or none, as on a machine without a C compiler."""
-    lib = (request.getfixturevalue("default_only")
-           if request.param == "default-only" else None)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "compiled", lambda: lib)
-        yield request.param
-
-
-def test_csv_table_reader_needs_the_library(build, tmp_path):
+def test_csv_table_reader_needs_the_library(tmp_path):
     path = write(tmp_path, "t.csv", "f1,class\n1.5,x\n")
-    if build == "no-library":
+    if _kernel.compiled() is None:
         with pytest.raises(ValueError, match="no compiled scanner"):
             data._read_csv_table(path, None)
     else:

@@ -12,10 +12,6 @@ from helpers import (brute_winner, make_synthetic, map_of, node_at,
                      random_map, reference_classify)
 
 
-# the smallest positive threshold: only a zero activation falls below it
-SMALLEST = 5e-324
-
-
 @pytest.fixture
 def mixed_map():
     return map_of(8, [
@@ -40,7 +36,8 @@ def test_cluster_agrees_with_brute_force():
     for _ in range(200):
         som = random_map(rng)
         x = rng.random(som.dim)
-        got = cluster(som, x, a_t=SMALLEST)
+        # the smallest positive threshold: only an activation of 0 is below
+        got = cluster(som, x, a_t=5e-324)
         assert got is not None and got[0] == brute_winner(som, x)[0]
 
 
@@ -85,7 +82,7 @@ def test_zero_threshold_with_labeled_node_never_rejects():
         som = random_map(rng)
         if not (som.labels != NO_CLASS).any():
             continue
-        pred = classify(som, rng.random(som.dim), a_t=SMALLEST)
+        pred = classify(som, rng.random(som.dim), a_t=5e-324)  # least a_t > 0
         assert pred.label != REJECTED
 
 
@@ -122,11 +119,10 @@ def test_non_finite_patterns_raise(mixed_map, bad):
 
 
 def _call(entry, som, a_t):
-    """``entry`` on one pattern."""
     x = np.array([0.2, 0.2])
-    return dict(cluster=lambda: cluster(som, x, a_t),
-                classify=lambda: classify(som, x, a_t),
-                classify_batch=lambda: classify_batch(som, x[None], a_t))[entry]()
+    if entry == "classify_batch":
+        return classify_batch(som, x[None], a_t)
+    return dict(cluster=cluster, classify=classify)[entry](som, x, a_t)
 
 
 @pytest.mark.parametrize("entry", ["cluster", "classify", "classify_batch"])
@@ -221,8 +217,7 @@ def _batches(draw):
         with np.errstate(all="ignore"):
             acts = som.activations(x[rng.integers(k)])
         a_t = float(acts[rng.integers(n)])
-    # a threshold outside (0, 1) is refused: NaN, or the 0 of a zero-mass
-    # node, or what a negative relevance makes
+    # a_t outside (0, 1) is refused: NaN, a zero-mass node's 0, and others
     if a_t is None or not 0.0 < a_t < 1.0:
         a_t = float(rng.random())
     rows_per_block = draw(st.integers(1, k + 1))

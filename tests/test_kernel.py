@@ -717,7 +717,8 @@ def test_default_only_loop_equals_python_loop_at_the_edges(run):
     _check_loops_agree("default-only", run)
 
 
-@pytest.mark.builds("clones", "default-only")
+@pytest.mark.parametrize("kernel_build", ["clones", "default-only"],
+                         indirect=True)
 @pytest.mark.parametrize("wins, at, lp, kept", [
     # no node reaches 10 * 4 wins: the first node of most wins stays
     ([3, 5, 4, 1], 2, 10.0, [1]),
@@ -767,7 +768,8 @@ _INSERTING = _kernel.params(HyperParams(
     e_n=0.01, eps_beta=0.05, minwd=0.3, epochs=1, n_max=32), True)
 
 
-@pytest.mark.builds("clones", "default-only", "numpy")
+@pytest.mark.parametrize("kernel_build", ["clones", "default-only", "numpy"],
+                         indirect=True)
 @pytest.mark.parametrize("label", [NO_CLASS, 1])
 def test_loop_stops_at_full_storage_before_the_presentation(label):
     """Sixteen nodes fill the first storage of a 32-node budget; the draw

@@ -427,14 +427,8 @@ def _check_save(case) -> None:
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
 
-def format_rows(values) -> list[str]:
-    """``_kernel.format_rows`` of ``values``, a list of rows or an array."""
-    return _kernel.format_rows(np.array(values, dtype=float))
-
-
-# The formatter on the library the package loads, on the baseline-only
-# build, and on a build for a compiler without a 128-bit integer type, whose
-# products are made of 32-bit ones.
+# The formatter on the package's library, on its baseline clones alone,
+# and without a 128-bit integer type.
 formatters = pytest.mark.builds("clones", "default-only", "no-int128")
 
 
@@ -451,7 +445,7 @@ def repr_rows(values) -> list[str]:
                 max_size=12))
 @example([])
 def test_formatter_writes_what_repr_writes(row):
-    assert format_rows([row]) == repr_rows([row])
+    assert _kernel.format_rows(np.array([row], float)) == repr_rows([row])
 
 
 @functools.cache
@@ -466,7 +460,7 @@ def _random_doubles() -> np.ndarray:
 def test_formatter_writes_random_doubles_as_repr_does():
     values = _random_doubles()
     for part in np.array_split(values, 8):
-        assert format_rows(part) == repr_rows(part)
+        assert _kernel.format_rows(part) == repr_rows(part)
 
 
 def _neighbours(x: float) -> list[float]:
@@ -490,8 +484,8 @@ def test_formatter_writes_the_edges_as_repr_does():
                            2.0 ** 53 + 2.0 * np.arange(1.0, 3000.0)])
     for values in (powers, edges, near):
         values = np.concatenate([values, np.negative(values)])
-        assert format_rows([values]) == repr_rows([values])
-        assert format_rows(values[:, None]) == repr_rows(values[:, None])
+        for rows in (values[None], values[:, None]):
+            assert _kernel.format_rows(rows) == repr_rows(rows)
 
 
 def test_formatter_tables_are_the_exact_ones(capsys):
@@ -510,4 +504,4 @@ def test_formatter_tables_are_the_exact_ones(capsys):
 @formatters
 def test_formatter_refuses_what_json_cannot_hold(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
-        format_rows([[0.5, 0.25], [0.125, bad]])
+        _kernel.format_rows(np.array([[0.5, 0.25], [0.125, bad]]))

@@ -1,13 +1,9 @@
-"""The step-rule tests of ``test_training.py`` on the numpy training loop.
-
-``test_training.py`` runs them on the loop the package loads, the compiled
-``som_train``. This module runs the same tests, unchanged, on its numpy
-twin ``_train_numpy``, which maps bind when no library builds.
-"""
+"""The step-rule tests of ``test_training.py`` on the numpy training loop
+``_train_numpy``, which maps bind when no library builds."""
 
 import pytest
 
-from semisom import SomMap, _kernel
+from semisom import SomMap
 from semisom.model import _train_numpy
 from test_training import (  # noqa: F401  (collected here on the twin)
     test_supervised_low_activation_inserts_labeled_node,
@@ -19,19 +15,7 @@ from test_training import (  # noqa: F401  (collected here on the twin)
     test_unsupervised_high_activation_updates_winner,
     test_unsupervised_low_activation_inserts)
 
-
-@pytest.fixture(scope="module", autouse=True)
-def numpy_loop(tmp_path_factory):
-    """Maps made while it is active bind the numpy twin: the loader is
-    pointed at a compiler that does not exist, so building the library
-    fails as on a machine without one."""
-    with pytest.MonkeyPatch.context() as mp:
-        cache = tmp_path_factory.mktemp("no-compiler")
-        mp.setattr(_kernel, "_cache_dirs", lambda: [cache])
-        lib = _kernel.load(compiler=str(cache / "no-such-cc"))
-        assert lib is None
-        mp.setattr(_kernel, "compiled", lambda: lib)
-        yield
+pytestmark = pytest.mark.builds("numpy")
 
 
 def test_maps_bind_the_numpy_loop():
