@@ -7,10 +7,12 @@
  * calls, and som_sum and som_reaches for the tests; it is loaded through
  * one ctypes.CDLL handle, so every call releases the interpreter lock. No
  * function touches a Python object, and each reads and writes only the
- * arrays it is passed. The scanner computes most numbers itself, exactly;
- * only the rest go to strtod, the one place the LC_NUMERIC locale reaches
- * (see the scanner's comment). The formatter writes each double as
- * Python's repr() does, its mirror (see the formatter's comment).
+ * arrays it is passed and the scratch block som_train allocates for its
+ * screened winner search (see search). The scanner computes most numbers
+ * itself, exactly; only the rest go to strtod, the one place the
+ * LC_NUMERIC locale reaches (see the scanner's comment). The formatter
+ * writes each double as Python's repr() does, its mirror (see the
+ * formatter's comment).
  *
  * Each function reproduces, bit for bit, its one numpy mirror in model.py
  * (winner: _winner, second_winner: _second_winner, update_row:
@@ -21,10 +23,13 @@
  * operations on the same operands in the same order. min/max propagate
  * NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's expit,
  * with the C library's exp, one value at a time.
- * som_classify takes another route to the same outcome: it computes the
- * screen's bounds with the numpy pass's operations, but tests most pairs
- * against them in the squared-distance domain, and every activation that
- * decides is computed as winner() does.
+ * Two functions take another route to the same outcome. som_classify
+ * computes the screen's bounds with the numpy pass's operations, but
+ * tests most pairs against them in the squared-distance domain. search,
+ * the winner search of som_train from 16 dimensions and 32 nodes on,
+ * screens the nodes in float32 and computes only the ones the screen
+ * cannot rule out; it returns winner()'s node, so _winner mirrors both.
+ * Every activation that decides is computed as winner() does.
  *
  * Every sum is numpy's pairwise summation, in one leaf (sum0): the eight
  * accumulators numpy keeps for each block of 8 terms are the lanes of two
@@ -32,7 +37,7 @@
  * the operand rows. A lane operation is the IEEE operation the scalar code
  * would make, so the order and the rounding are numpy's.
  *
- * On x86-64 with glibc, the winner search, the link recomputation and the
+ * On x86-64 with glibc, the winner searches, the link recomputation and the
  * classification pass are built twice, for AVX2 and for the baseline ISA,
  * and the loader picks one when the library loads (target_clones);
  * defining SOM_DEFAULT_ONLY builds the baseline alone, which the tests
@@ -52,6 +57,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define NO_CLASS (-1)
@@ -92,6 +98,18 @@ enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES,
 
 /* Four doubles; two of them hold the eight accumulators of a sum. */
 typedef double v4d __attribute__((vector_size(32)));
+
+/* Two lanes of doubles and of int64: a comparison of two v2d gives 0 or
+ * -1 per lane. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2di __attribute__((vector_size(16)));
+
+INLINE v2d load2(const double *p)
+{
+    v2d v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
 
 /* The terms a sum adds up: a[q], (a[q] - b[q])^2 or w[q] * (a[q] - b[q])^2,
  * each computed as numpy computes the array it reduces. */
@@ -215,10 +233,356 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
     return best;
 }
 
+/*
+ * The screened winner search of the training loop (search): the winner
+ * winner() finds, from the exact activations of only the nodes that a
+ * float32 screen cannot rule out.
+ *
+ * The shadow. som_train keeps a float32 copy of the node rows, private to
+ * this file: centers and relevances in blocks of 8 nodes, one node per
+ * vector lane (lane j % 8 of row q of block j / 8), each row padded with
+ * zero relevances to mp, a multiple of 8 dimensions. Beside them it holds
+ * each node's mass (relevance sum) and pivot weight 1 / mass^2, and the
+ * largest error factors of its nodes (below). It is one malloc'd block,
+ * built when som_train starts (shadow_open) and freed when it returns;
+ * update_row, insert and sweep keep it current (shade). Building it costs
+ * 7 to 10 runs of winner() (16 and 32 dimensions, 32 to 512 nodes), which
+ * a call repays within a few dozen draws. The loop runs winner() alone
+ * when the block cannot be allocated, or the map has fewer than
+ * SCREEN_MIN_DIMS or more than SCREEN_MAX_DIMS dimensions, or its storage
+ * fewer than SCREEN_MIN_NODES rows, or the call presents one draw. The
+ * shadow is passed explicitly, so maps trained on several threads share
+ * nothing.
+ *
+ * The search. With n >= SCREEN_MIN_NODES nodes and a pattern x whose every
+ * |x_q| <= 2^56, it
+ *  1. sums D = sum r32 (c32 - x32)^2 in float32, 8 nodes at a time with
+ *     four accumulators per lane, and keeps d = fl32(D k1) (below);
+ *  2. takes as pivot the safe node (below) of least d / mass^2, and its
+ *     exact activation L = activation();
+ *  3. tests 8 nodes at a time whether d proves a node's activation below
+ *     L (ruled8), and computes each node it does not rule out with
+ *     activation(), in ascending order, keeping the first maximum as
+ *     winner() does. The pivot, whose activation is L, is never ruled out.
+ * A ruled-out node cannot be the first maximum, since its activation lies
+ * below the pivot's, so the winner is winner()'s, bit for bit. A NaN
+ * activation among the computed ones sends the search to winner(), which
+ * returns the first NaN. A pattern outside the gate, or a map without a
+ * safe node, goes to winner() at once.
+ *
+ * Safe nodes. A node is screened only when its centers and relevances are
+ * finite, every |c_q| <= 2^56, every r_q is 0 or in [2^-126, 16] (so r32
+ * is a normal float within 2^-24 of r, relative: a subnormal one may be
+ * twice r) and its mass is finite and > 0. Any other node is always
+ * computed: its shadow rows hold zeros and its mass and weight NaN, so
+ * the test never rules it out and it is never the pivot.
+ *
+ * The bound. Write |v|_r = sqrt(sum r_q v_q^2) over the node's relevances,
+ * u = 2^-53, and S for the double sum winner() computes, so that the
+ * exact activation is bound(S) of som_classify's derivation (at cutoff()).
+ * With g = cutoff(L), e = shrunk(eps) and t = fl(fl(mass g) - e) > 0,
+ * S > t^2 then proves act < L. And:
+ *  - S >= (1 - u)^(m+3) |c - x|_r^2 - m 2^-1073: the m + 3 roundings of a
+ *    term and its additions are relative on nonnegative terms, and only
+ *    the two products of a term may underflow.
+ *  - |c - x|_r >= E - a0 by the triangle inequality, E = |c32 - x32|_r
+ *    and a0 = |c32 - c|_r + |x32 - x|_r. Rounding to float moves a value
+ *    of magnitude at most 2^56 by at most 2^-24 of it plus 2^-150, and
+ *    every r_q <= 16, so a0 <= 2^-24 (|c|_r + sqrt(max r) |x|) +
+ *    2^-147 sqrt(m).
+ *    Without this term the proof fails where c is near x: there c32 - x32
+ *    may be a whole float ulp while c - x is one double ulp.
+ *  - E^2 >= D (1 - (mp + 5) 2^-24) - mp 2^-144: a term of D takes at most
+ *    5 roundings (r32, the difference counted twice in its square, the
+ *    square, the product) and at most mp - 1 additions, all relative on
+ *    nonnegative terms, except that the square and the product may
+ *    underflow by 2^-150 each (the square's times r32 <= 16). D stays
+ *    finite: a term is at most 2^118, and mp <= 1000 of them stay below
+ *    2^128. d = fl32(D k1) adds one more relative rounding, or 2^-150.
+ * Hence the test of ruled8, on doubles,
+ *     d > fl(fl(s s) + F),  s = fl(fl(t + a) G),  t > 0,
+ * with k1 = 1 - (m + 16) 2^-23 (a float), G = 1 + 2^-30, F = 2^-100 and
+ * a = fl(fl(rrs |x|) + err), where err and rrs are the largest
+ * 2^-24 (1 + 2^-20) |c|_r + 2^-120 and 2^-24 (1 + 2^-20) sqrt(max r) of
+ * the nodes shaded since the shadow was built, so a >= a0 + 2^-530 for
+ * every node present, proves
+ *     D (1 - (mp + 5) 2^-24) - mp 2^-144 > ((t + 2^-530)(1 + 2^-41) + a0)^2,
+ * so E - a0 > (t + 2^-530)(1 + 2^-41), so S > t^2 and act < L strictly.
+ * k1 keeps (m + 20) 2^-24 > 2^-20 of slack over the float roundings, G
+ * covers (1 - u)^-(m+3)/2 < 1 + 2^-41 (m <= 1000) with 2^-31 to spare,
+ * F is 2^44 times mp 2^-144, and the 2^-20 in err and rrs covers the
+ * roundings of |c|_r, sqrt(max r), |x| and a; each of the few double
+ * roundings of the test is at most 2^-53 relative, far inside that slack.
+ * A t that is NaN (an L outside cutoff's range, an unsafe node) or not
+ * above 0 rules out nothing.
+ *
+ * The activation row. winner() leaves every activation of the map in
+ * v->acts, search() only those of the nodes it computes. The loop reads
+ * the row in two more places, and completes it first: second_winner reads
+ * the nodes of the pattern's class or NO_CLASS, which complete() computes,
+ * and an INSERT return leaves the row to the caller, so winner() runs
+ * again. The last presentation of each som_train call runs winner(), so
+ * the row after SOM_END is the one winner() leaves.
+ */
+
+/* Gates of the screened search. On random maps with patterns near a node
+ * (16 and 32 dimensions, both builds), search took 0.97-1.07 times the
+ * cycles of winner() at 16 nodes, 0.80-0.85 at 24 and 0.52-0.81 at 32.
+ * Below 16 dimensions it also gained on maps of ~600 nodes (8 to 12
+ * dimensions, ~30 % of training time), but maps of few dimensions, the
+ * c5 sweep's, keep winner() until that is measured end to end. Above
+ * 1000 dimensions a float sum could overflow. */
+#define SCREEN_MIN_DIMS 16
+#define SCREEN_MAX_DIMS 1000
+#define SCREEN_MIN_NODES 32
+
+/* Defined with som_classify, which uses them first. */
+static double cutoff(double L);
+INLINE double shrunk(double eps);
+
+/* Eight and four floats, and four int32: the screen's lanes. */
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
+typedef int32_t v4i __attribute__((vector_size(16)));
+
+/* The shadow of the node rows (see above): mp padded dimensions, k1, the
+ * largest error factors err and rrs, the block mem, and in it the mass of
+ * each node, the blocked rows c and r, the weights w, the screen sums d
+ * and the pattern x. Every per-node array holds the storage's capacity
+ * rounded up to 8 nodes. */
+struct shadow {
+    ptrdiff_t mp;
+    float k1;
+    double err, rrs;
+    void *mem;
+    double *mass;
+    float *c, *r, *w, *d, *x;
+};
+
+/* 2^-24 (1 + 2^-20): the error terms' factor. */
+#define ERR_SCALE (0x1p-24 + 0x1p-44)
+
+/* Node j, absent or unsafe: never ruled out, never the pivot. */
+INLINE void unshade(struct shadow *s, ptrdiff_t j)
+{
+    s->mass[j] = NAN;
+    s->w[j] = NAN;
+}
+
+/* Node j of the shadow from its rows. */
+static void shade(struct shadow *s, const struct som_view *v, ptrdiff_t j)
+{
+    const ptrdiff_t m = v->m;
+    const double *c = v->centers + j * m, *r = v->rel + j * m;
+    const double mass = v->sums[j];
+    float *cs = s->c + (j / 8 * s->mp) * 8 + j % 8;
+    float *rs = s->r + (j / 8 * s->mp) * 8 + j % 8;
+    int safe = mass > 0.0 && mass < INFINITY;
+    for (ptrdiff_t q = 0; q < m; q++)
+        safe &= fabs(c[q]) <= 0x1p56 &&
+                (r[q] == 0.0 || (r[q] >= 0x1p-126 && r[q] <= 16.0));
+    if (!safe) {
+        for (ptrdiff_t q = 0; q < m; q++)
+            cs[q * 8] = rs[q * 8] = 0.0f;
+        unshade(s, j);
+        return;
+    }
+    double norm = 0.0, top = 0.0;
+    for (ptrdiff_t q = 0; q < m; q++) {
+        cs[q * 8] = (float)c[q];
+        rs[q * 8] = (float)r[q];
+        norm += r[q] * c[q] * c[q];
+        top = r[q] > top ? r[q] : top;
+    }
+    const double err = sqrt(norm) * ERR_SCALE + 0x1p-120;
+    const double rrs = sqrt(top) * ERR_SCALE;
+    s->err = err > s->err ? err : s->err;
+    s->rrs = rrs > s->rrs ? rrs : s->rrs;
+    s->mass[j] = mass;
+    s->w[j] = (float)fmin(1.0 / (mass * mass), 0x1p127);
+}
+
+/* The shadow of a map of n nodes into *s, for a call of som_train that
+ * presents `draws` draws; NULL, with nothing allocated, where the map
+ * takes winner() alone. A call of one draw, as each of an observed run,
+ * runs winner() for it and builds no shadow. */
+static struct shadow *shadow_open(struct shadow *s, const struct som_view *v,
+                                  ptrdiff_t n, ptrdiff_t draws)
+{
+    const ptrdiff_t m = v->m, slots = (v->capacity + 7) / 8 * 8;
+    if (m < SCREEN_MIN_DIMS || m > SCREEN_MAX_DIMS ||
+        v->capacity < SCREEN_MIN_NODES || draws < 2)
+        return NULL;
+    s->mp = (m + 7) / 8 * 8;
+    s->k1 = 1.0f - (float)(m + 16) * 0x1p-23f;
+    s->err = s->rrs = 0.0;
+    const size_t floats = (size_t)(2 * slots * s->mp + 2 * slots + s->mp);
+    s->mem = calloc((size_t)slots * sizeof(double) + floats * sizeof(float),
+                    1);
+    if (s->mem == NULL)
+        return NULL;
+    s->mass = s->mem;
+    s->c = (float *)(s->mass + slots);
+    s->r = s->c + slots * s->mp;
+    s->w = s->r + slots * s->mp;
+    s->d = s->w + slots;
+    s->x = s->d + slots;
+    for (ptrdiff_t j = 0; j < slots; j++)
+        if (j < n)
+            shade(s, v, j);
+        else
+            unshade(s, j);
+    return s;
+}
+
+INLINE v4f load4f(const float *p)
+{
+    v4f v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* Term q of the screen sums of 8 nodes, r32 (c32 - x32)^2 in float, added
+ * to *acc. */
+INLINE void term8(const float *c, const float *r, float x, ptrdiff_t q,
+                  v8f *acc)
+{
+    v8f cq, rq;
+    __builtin_memcpy(&cq, c + q * 8, sizeof cq);
+    __builtin_memcpy(&rq, r + q * 8, sizeof rq);
+    cq -= x;
+    *acc += rq * (cq * cq);
+}
+
+/* d = fl32(D k1) of the 8 nodes of block b for the pattern in s->x, D
+ * summed with four accumulators per lane, into s->d. */
+INLINE void screen8(const struct shadow *s, ptrdiff_t b)
+{
+    const float *c = s->c + b * s->mp * 8, *r = s->r + b * s->mp * 8;
+    const float *x = s->x;
+    v8f a0 = {0.0f}, a1 = a0, a2 = a0, a3 = a0;
+    for (ptrdiff_t q = 0; q < s->mp; q += 4) {
+        term8(c, r, x[q], q, &a0);
+        term8(c, r, x[q + 1], q + 1, &a1);
+        term8(c, r, x[q + 2], q + 2, &a2);
+        term8(c, r, x[q + 3], q + 3, &a3);
+    }
+    const v8f d = ((a0 + a1) + (a2 + a3)) * s->k1;
+    __builtin_memcpy(s->d + b * 8, &d, sizeof d);
+}
+
+/* The test of the bound above for nodes j .. j + 7, a pair of lanes at a
+ * time: no[h] is set where node j + 2h or j + 2h + 1 is ruled out.
+ * g = cutoff(L), e = shrunk(eps), a the error term. Returns whether all
+ * eight are ruled out. */
+INLINE int ruled8(const struct shadow *s, ptrdiff_t j, double g, double e,
+                  double a, v2di no[4])
+{
+    const v2d zero = {0.0, 0.0}, grow = {1.0 + 0x1p-30, 1.0 + 0x1p-30},
+              floor = {0x1p-100, 0x1p-100};
+    v2di all = {-1, -1};
+    for (int h = 0; h < 4; h++) {
+        const ptrdiff_t i = j + 2 * h;
+        const v2d t = load2(s->mass + i) * g - e;
+        const v2d sc = (t + a) * grow;
+        const v2d d = {s->d[i], s->d[i + 1]};
+        no[h] = (t > zero) & (d > sc * sc + floor);
+        all &= no[h];
+    }
+    return (all[0] & all[1]) != 0;
+}
+
+/* winner() through the screen of shadow s, when the map and the pattern
+ * pass its gates; *partial is set when v->acts holds only the activations
+ * of the nodes computed. */
+CLONES static ptrdiff_t search(const struct som_view *v,
+                               struct shadow *s, ptrdiff_t n,
+                               const double *x, int *partial)
+{
+    const ptrdiff_t m = v->m;
+    *partial = 0;
+    if (n < SCREEN_MIN_NODES)
+        return winner(v, n, x);
+    double xx = 0.0;
+    for (ptrdiff_t q = 0; q < m; q++) {
+        if (!(fabs(x[q]) <= 0x1p56))
+            return winner(v, n, x);
+        s->x[q] = (float)x[q];
+        xx += x[q] * x[q];
+    }
+    /* The screen, with the pivot: the node of least d * weight, per lane
+     * of two 4-wide halves, then across. Lanes of absent nodes and unsafe
+     * ones have NaN weights. */
+    const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
+    v4f low[2] = {inf4, inf4};
+    v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
+    for (ptrdiff_t b = 0; b * 8 < n; b++) {
+        screen8(s, b);
+        for (int h = 0; h < 2; h++) {
+            const v4f p = load4f(s->d + b * 8 + h * 4) *
+                          load4f(s->w + b * 8 + h * 4);
+            const v4i lt = p < low[h];
+            low[h] = (v4f)(((v4i)p & lt) | ((v4i)low[h] & ~lt));
+            at[h] = (lt & (v4i){b, b, b, b}) | (~lt & at[h]);
+        }
+    }
+    ptrdiff_t piv = -1;
+    float least = INFINITY;
+    for (int l = 0; l < 8; l++)
+        if (low[l / 4][l % 4] < least) {
+            least = low[l / 4][l % 4];
+            piv = (ptrdiff_t)at[l / 4][l % 4] * 8 + l;
+        }
+    if (piv < 0)
+        return winner(v, n, x);
+    /* The exact candidates, in ascending order, from the pivot's L. */
+    double *acts = v->acts;
+    const double L = activation(v->centers + piv * m, v->rel + piv * m,
+                                v->sums[piv], x, m, v->eps);
+    const double g = cutoff(L), e = shrunk(v->eps);
+    const double a = s->rrs * sqrt(xx) + s->err;
+    ptrdiff_t best = piv;
+    acts[piv] = L;
+    for (ptrdiff_t j = 0; j < n; j += 8) {
+        v2di no[4];
+        if (ruled8(s, j, g, e, a, no))
+            continue;
+        for (ptrdiff_t i = j; i < j + 8 && i < n; i++) {
+            if (no[(i - j) / 2][(i - j) % 2] || i == piv)
+                continue;
+            const double act = activation(v->centers + i * m,
+                                          v->rel + i * m, v->sums[i], x, m,
+                                          v->eps);
+            if (isnan(act))
+                return winner(v, n, x);
+            acts[i] = act;
+            if (act > acts[best] || (act == acts[best] && i < best))
+                best = i;
+        }
+    }
+    *partial = 1;
+    return best;
+}
+
+/* The activations of the nodes of [0, n) whose label is `label` or
+ * NO_CLASS, which second_winner reads, after a partial search. Nodes
+ * search() computed get the same value again. */
+CLONES static void complete(const struct som_view *v, ptrdiff_t n,
+                            const double *x, int64_t label)
+{
+    const ptrdiff_t m = v->m;
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (v->labels[i] == label || v->labels[i] == NO_CLASS)
+            v->acts[i] = activation(v->centers + i * m, v->rel + i * m,
+                                    v->sums[i], x, m, v->eps);
+}
+
 /* Node update of row j toward x at rate l, in place on centers, dist, rel
- * and sums: one row of model._update_numpy. */
-static void update_row(const struct som_view *v, ptrdiff_t j, const double *x,
-                       double l, double beta, double slope)
+ * and sums, and on the shadow sh if there is one: one row of
+ * model._update_numpy. */
+static void update_row(const struct som_view *v, struct shadow *sh,
+                       ptrdiff_t j, const double *x, double l, double beta,
+                       double slope)
 {
     const ptrdiff_t m = v->m;
     double rate = l * beta;
@@ -253,6 +617,8 @@ static void update_row(const struct som_view *v, ptrdiff_t j, const double *x,
     for (ptrdiff_t q = 0; q < m; q++)
         c[q] = c[q] * stay + l * x[q];
     v->sums[j] = sum0(SUM_PLAIN, r, r, r, m);
+    if (sh)
+        shade(sh, v, j);
 }
 
 /* Recompute the links between node j, 0 <= j < n, and each node of
@@ -287,15 +653,15 @@ CLONES static void relink(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
 
 /* Attract node j at rate e_b, then its neighbors in ascending order at
  * rate e_n, and count the win. */
-static void attract(const struct som_view *v, ptrdiff_t j, const double *x,
-                    const struct som_params *p)
+static void attract(const struct som_view *v, struct shadow *sh,
+                    ptrdiff_t j, const double *x, const struct som_params *p)
 {
-    update_row(v, j, x, p->e_b, p->beta, p->slope);
+    update_row(v, sh, j, x, p->e_b, p->beta, p->slope);
     const uint64_t *row = v->adj + j * v->words;
     for (ptrdiff_t w = 0; w < v->words; w++)
         for (uint64_t bits = row[w]; bits; bits &= bits - 1)
-            update_row(v, w * 64 + __builtin_ctzll(bits), x, p->e_n, p->beta,
-                       p->slope);
+            update_row(v, sh, w * 64 + __builtin_ctzll(bits), x, p->e_n,
+                       p->beta, p->slope);
     v->wins[j]++;
 }
 
@@ -319,8 +685,8 @@ static ptrdiff_t second_winner(const struct som_view *v, ptrdiff_t n,
 /* A fresh node n at x (relevances one, distance averages zero, no wins,
  * the label), linked as rewire_node links it. The caller checks that row n
  * lies below the capacity. */
-static void insert(const struct som_view *v, ptrdiff_t n, const double *x,
-                   int64_t label, double minwd)
+static void insert(const struct som_view *v, struct shadow *sh,
+                   ptrdiff_t n, const double *x, int64_t label, double minwd)
 {
     const ptrdiff_t m = v->m;
     for (ptrdiff_t q = 0; q < m; q++) {
@@ -331,6 +697,8 @@ static void insert(const struct som_view *v, ptrdiff_t n, const double *x,
     v->sums[n] = (double)m;
     v->wins[n] = 0;
     v->labels[n] = label;
+    if (sh)
+        shade(sh, v, n);
     relink(v, n + 1, n, 0, minwd);
 }
 
@@ -352,8 +720,8 @@ static void move_node(const struct som_view *v, ptrdiff_t i, ptrdiff_t k)
  * that won at least lp * age_wins times, or else the first node of most
  * wins, move to the front in ascending order and are linked anew, and
  * every win count returns to zero. Returns the number of nodes kept. */
-static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
-                       const struct som_params *p)
+static ptrdiff_t sweep(const struct som_view *v, struct shadow *sh,
+                       ptrdiff_t n, const struct som_params *p)
 {
     const double threshold = p->lp * (double)p->age_wins;
     ptrdiff_t k = 0, best = 0;
@@ -369,6 +737,11 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
     }
     if (k == 0)
         move_node(v, best, k++);
+    for (ptrdiff_t j = 0; sh && j < n; j++)
+        if (j < k)
+            shade(sh, v, j);
+        else
+            unshade(sh, j);
     memset(v->adj, 0, (size_t)(n * v->words) * sizeof(uint64_t));
     for (ptrdiff_t j = 0; j + 1 < k; j++)
         relink(v, k, j, j + 1, p->minwd);
@@ -387,6 +760,10 @@ static ptrdiff_t sweep(const struct som_view *v, ptrdiff_t n,
  * inserted and removed, and the sweeps; count[C_N] receives the number of
  * nodes when it returns.
  *
+ * The winner search is search() on the shadow som_train builds when it
+ * starts, and winner() for the last draw of the call and where there is no
+ * shadow (see search).
+ *
  * Returns SOM_END with count[C_POS] = k when every presentation ran. It
  * stops early with SOM_INSERT at a presentation whose step inserts a node
  * into a map holding v->capacity nodes, before it changes a row or counts
@@ -399,10 +776,16 @@ int som_train(const struct som_view *v, ptrdiff_t n,
               int64_t *count)
 {
     const int64_t room = p->allow_insert ? p->n_max : 0;
-    for (ptrdiff_t pos = count[C_POS]; pos < k; pos++) {
+    struct shadow shadow;
+    struct shadow *const sh = shadow_open(&shadow, v, n, k - count[C_POS]);
+    int code = SOM_END;
+    ptrdiff_t pos;
+    for (pos = count[C_POS]; pos < k; pos++) {
         const double *x = patterns + draws[pos] * v->m;
         const int64_t label = labels[draws[pos]];
-        const ptrdiff_t w = winner(v, n, x);
+        int partial = 0;
+        const ptrdiff_t w = sh && pos + 1 < k ? search(v, sh, n, x, &partial)
+                                              : winner(v, n, x);
         const double act = v->acts[w];
         /* whether the step inserts a node: the pattern lies outside every
          * receptive field that could take it, and there is room */
@@ -414,23 +797,26 @@ int som_train(const struct som_view *v, ptrdiff_t n,
             if (act < p->a_t && n < room)
                 add = 1;
             else if (!(act < p->a_t) || p->allow_insert)
-                attract(v, w, x, p);
+                attract(v, sh, w, x, p);
         } else {
             count[C_SUPERVISED]++;
             const int64_t wl = v->labels[w];
             if (wl == label || wl == NO_CLASS) {
                 if (!(act < p->a_t)) {
-                    attract(v, w, x, p);
+                    attract(v, sh, w, x, p);
                     v->labels[w] = label;
                     relink(v, n, w, 0, p->minwd);
                 } else {
                     add = n < room;
                 }
             } else {
+                if (partial)
+                    complete(v, n, x, label);
                 const ptrdiff_t s = second_winner(v, n, label, p->a_t);
                 if (s >= 0) {
-                    attract(v, s, x, p);
-                    update_row(v, w, x, -p->push_rate, p->beta, p->slope);
+                    attract(v, sh, s, x, p);
+                    update_row(v, sh, w, x, -p->push_rate, p->beta,
+                               p->slope);
                     count[C_PUSHES]++;
                 } else {
                     add = n < room;
@@ -439,16 +825,17 @@ int som_train(const struct som_view *v, ptrdiff_t n,
         }
         if (add) {
             if (n == v->capacity) {
+                if (partial)
+                    winner(v, n, x);
                 count[label == NO_CLASS ? C_UNSUPERVISED : C_SUPERVISED]--;
-                count[C_POS] = pos;
-                count[C_N] = n;
-                return SOM_INSERT;
+                code = SOM_INSERT;
+                break;
             }
-            insert(v, n++, x, label, p->minwd);
+            insert(v, sh, n++, x, label, p->minwd);
             count[C_INSERTIONS]++;
         }
         if (count[C_NWINS] == p->age_wins) {
-            const ptrdiff_t kept = sweep(v, n, p);
+            const ptrdiff_t kept = sweep(v, sh, n, p);
             count[C_REMOVALS] += n - kept;
             count[C_RESETS]++;
             count[C_NWINS] = 0;
@@ -457,9 +844,11 @@ int som_train(const struct som_view *v, ptrdiff_t n,
         count[C_NWINS]++;
         count[C_T]++;
     }
-    count[C_POS] = k;
+    if (sh)
+        free(sh->mem);
+    count[C_POS] = pos;
     count[C_N] = n;
-    return SOM_END;
+    return code;
 }
 
 /*
@@ -499,18 +888,6 @@ struct som_nodes {
 
 /* The label of a rejected pattern (inference.REJECTED). */
 #define REJECTED (-2)
-
-/* Two lanes of doubles and of int64: a comparison of two v2d gives 0 or
- * -1 per lane. */
-typedef double v2d __attribute__((vector_size(16)));
-typedef int64_t v2di __attribute__((vector_size(16)));
-
-INLINE v2d load2(const double *p)
-{
-    v2d v;
-    __builtin_memcpy(&v, p, sizeof v);
-    return v;
-}
 
 #define STORE2(p, v) __builtin_memcpy((p), &(v), sizeof(v2d))
 
@@ -804,8 +1181,6 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
  * under a locale whose point is ',' it stops at the '.', and only those
  * tokens are refused. The scanner touches no Python object.
  */
-
-#include <stdlib.h>
 
 /* The longest number the scanner copies for strtod, NUL included. */
 #define TOKEN_MAX 128

@@ -37,7 +37,22 @@ Each training function of ``_kernel.c`` has one numpy mirror in
 ``insert``/``_insert_numpy``, ``sweep``/``_sweep_numpy`` and
 ``som_train``/``_train_numpy``, line for line. Each per-call method of
 ``SomMap`` is one of these mirrors run under the map's lock, on either
-path. When no library can be built or loaded, ``compiled()`` returns
+path.
+
+From 16 dimensions and 32 nodes on, ``som_train`` finds each winner
+through a screen (``search``): it keeps a float32 copy of the node rows,
+allocated when it starts and freed when it returns, sums each node's
+relevance-weighted squared distance in float32, eight nodes at a time, and
+computes in double only the nodes whose float sum cannot prove their
+activation below a pivot node's (the bound is derived in ``_kernel.c``).
+Its winner is ``winner``'s, bit for bit, so ``_winner`` stays the mirror
+of both. The activation row holds ``winner``'s values wherever the loop
+reads it: the loop completes the row before ``second_winner`` and before
+it returns ``INSERT``, and runs ``winner`` for the last draw of each call.
+Nothing selects the screen; when its copy cannot be allocated, the loop
+runs ``winner`` alone.
+
+When no library can be built or loaded, ``compiled()`` returns
 ``None``, ``bind`` returns no kernels, and each map binds ``_train_numpy``
 instead, with the same counters and return codes and the same results bit
 for bit. ``scan`` then raises ``ValueError``, and ``data.py`` reads the

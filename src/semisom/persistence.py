@@ -44,23 +44,32 @@ def save_model(path, som: SomMap, params: HyperParams, *,
     """
     if not som.n_nodes:
         raise ValueError("model holds no nodes")
-    text = _model_text(som, params, norm_stats, class_names)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    parts = _model_parts(som, params, norm_stats, class_names)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(parts)
 
 
-def _model_text(som: SomMap, params: HyperParams,
-                norm_stats: NormStats | None,
-                class_names: tuple[str, ...]) -> str:
-    """The model as ``json.dumps(doc, indent=1, sort_keys=True,
-    allow_nan=False)`` writes it, rendered directly from the known schema.
+# Where the node list goes in the rendered document: JSON text never
+# holds a raw NUL.
+_NODES = "\0"
+
+
+def _model_parts(som: SomMap, params: HyperParams,
+                 norm_stats: NormStats | None,
+                 class_names: tuple[str, ...]) -> list[str]:
+    """The model file in parts, in order: the model as ``json.dumps(doc,
+    indent=1, sort_keys=True, allow_nan=False)`` writes it, rendered
+    directly from the known schema, and a final newline. The map holds at
+    least one node.
 
     ``json`` falls back to its pure-Python encoder under ``indent``, and
     spends most of a save formatting the node vectors. Here the compiled
     formatter, ``_kernel.format_rows``, writes each vector whole, every
     float as ``float.__repr__`` (and so ``json``) writes it; without a
     library, ``float.__repr__`` itself writes them (``_vector_rows``).
-    Each node object is then one template filled in. Strings and
-    parameters still go through ``json``.
+    Each node object is then one template filled in, and is one part of
+    its own, so the node texts, nearly all of a file, are never joined
+    into one string. Strings and parameters still go through ``json``.
     ``tests/helpers.reference_model_text`` is the ``json`` form.
     """
     vectors = {"center": som.centers, "dist_avg": som.dist_avgs,
@@ -85,16 +94,22 @@ def _model_text(som: SomMap, params: HyperParams,
               for name, v in asdict(params).items()}
     param_text = json.dumps(values, indent=1, sort_keys=True,
                             allow_nan=False).replace("\n", "\n ")
-    return _object([
+    head, tail = _object([
         ("classes", _list([json.dumps(c) for c in class_names], 1)),
         ("connections", _list([_list([repr(i), repr(j)], 2)
                                for i, j in som.connections], 1)),
         ("format", json.dumps(FORMAT_NAME)),
         ("format_version", repr(FORMAT_VERSION)),
-        ("nodes", _list(nodes, 1)),
+        ("nodes", _NODES),
         ("norm_stats", stats),
         ("params", param_text),
-    ], 0)
+    ], 0).split(_NODES)
+    # _list(nodes, 1), one part per node and separator
+    parts = [head + "[\n  "]
+    for text in nodes:
+        parts += [text, ",\n  "]
+    parts[-1] = "\n ]" + tail + "\n"
+    return parts
 
 
 def _vector_rows(values: np.ndarray) -> list[str]:
