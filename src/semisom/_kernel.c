@@ -51,7 +51,10 @@
  * Matrices are C-contiguous rows of length m, one row per node. The
  * adjacency holds one bit row of `words` uint64 per node: bit i % 64 of
  * word i / 64 of row j is set when nodes i and j are linked. Bits outside
- * the n x n block of present nodes are always zero.
+ * the n x n block of present nodes are always zero. The adjacency is
+ * symmetric, bit i of row j equal to bit j of row i, and its diagonal is
+ * zero: relink flips a node's column bit, which keeps a link exact only
+ * under that invariant (see relink).
  */
 
 #include <math.h>
@@ -621,33 +624,65 @@ static void update_row(const struct som_view *v, struct shadow *sh,
         shade(sh, v, j);
 }
 
+/* Whether any of the 8 labels l[0..7] is `label` or NO_CLASS. */
+INLINE int any_compatible8(const int64_t *l, int64_t label)
+{
+    int any = 0;
+    for (int k = 0; k < 8; k++)
+        any |= (l[k] == label) | (l[k] == NO_CLASS);
+    return any;
+}
+
 /* Recompute the links between node j, 0 <= j < n, and each node of
  * [lo, n), in both bit rows, as model._link_numpy does. Two nodes link
  * when their labels are compatible and the Euclidean gap of their
- * relevance rows lies below minwd * sqrt(m). */
+ * relevance rows lies below minwd * sqrt(m).
+ *
+ * Row j is built a word of 64 nodes at a time. The gap is computed only
+ * for the nodes other than j whose label is compatible; when j has a
+ * class, a whole block of 8 nodes (8-aligned) none of which has j's label
+ * or NO_CLASS is skipped after one test. On a map of many classes nearly
+ * every block is. The word's new bits, `fresh`, are compared with the old
+ * ones on the span of [lo, n) the word covers, so bits below lo (the
+ * sweep's call) and bits from n on stay as they are: `diff` holds the
+ * nodes whose link changed. Row j takes the new bits, and each node i of
+ * `diff` has bit j of its own row flipped. The adjacency is symmetric,
+ * so bit j of row i held bit i of row j's old value, and the flip gives
+ * it the new one: the same set or clear as a write of every node's bit,
+ * with writes to only the rows that change. */
 CLONES static void relink(const struct som_view *v, ptrdiff_t n, ptrdiff_t j,
                           ptrdiff_t lo, double minwd)
 {
     const ptrdiff_t m = v->m, words = v->words;
     const double *rj = v->rel + j * m;
-    const int64_t lj = v->labels[j];
+    const int64_t *labels = v->labels;
+    const int64_t lj = labels[j];
     const double bound = minwd * sqrt((double)m);
     const uint64_t bit_j = (uint64_t)1 << (j % 64);
     uint64_t *row = v->adj + j * words;
-    for (ptrdiff_t i = lo; i < n; i++) {
-        const int64_t li = v->labels[i];
-        int on = 0;
-        if (i != j && (li == lj || li == NO_CLASS || lj == NO_CLASS))
-            on = sqrt(sum0(SUM_SQUARES, v->rel + i * m, rj, rj, m)) < bound;
-        const uint64_t bit_i = (uint64_t)1 << (i % 64);
-        uint64_t *col = v->adj + i * words + j / 64;
-        if (on) {
-            row[i / 64] |= bit_i;
-            *col |= bit_j;
-        } else {
-            row[i / 64] &= ~bit_i;
-            *col &= ~bit_j;
+    for (ptrdiff_t w = lo / 64; w * 64 < n; w++) {
+        const ptrdiff_t start = w * 64 > lo ? w * 64 : lo;
+        const ptrdiff_t end = w * 64 + 64 < n ? w * 64 + 64 : n;
+        uint64_t fresh = 0;
+        for (ptrdiff_t i = start; i < end; i++) {
+            if (lj != NO_CLASS && i % 8 == 0 && end - i >= 8 &&
+                !any_compatible8(labels + i, lj)) {
+                i += 7;
+                continue;
+            }
+            const int64_t li = labels[i];
+            if (i != j && (li == lj || li == NO_CLASS || lj == NO_CLASS) &&
+                sqrt(sum0(SUM_SQUARES, v->rel + i * m, rj, rj, m)) < bound)
+                fresh |= (uint64_t)1 << (i % 64);
         }
+        const ptrdiff_t width = end - start;
+        const uint64_t span = (width == 64 ? ~(uint64_t)0
+                                           : ((uint64_t)1 << width) - 1)
+                              << (start % 64);
+        const uint64_t diff = (row[w] ^ fresh) & span;
+        row[w] ^= diff;
+        for (uint64_t bits = diff; bits; bits &= bits - 1)
+            v->adj[(w * 64 + __builtin_ctzll(bits)) * words + j / 64] ^= bit_j;
     }
 }
 

@@ -28,13 +28,16 @@ from semisom import _kernel
 # The flags each build adds to _kernel._FLAGS. None is no library, as
 # without a C compiler: one build under two names, for the map kernels and
 # for the file readers and writer. no-int128 makes the 64-bit products of
-# the scanner's wide path and of the formatter from 32-bit ones.
+# the scanner's wide path and of the formatter from 32-bit ones. asan loads
+# only into a process that preloads libasan, so test_asan.py runs it in a
+# child process, and ``library`` refuses it.
 BUILDS = {
     "clones": (),
     "default-only": ("-DSOM_DEFAULT_ONLY",),  # the baseline bodies alone
     "no-int128": ("-U__SIZEOF_INT128__",),
     "ubsan": ("-fsanitize=undefined",),
     "ubsan-no-int128": ("-fsanitize=undefined", "-U__SIZEOF_INT128__"),
+    "asan": ("-fsanitize=address", "-fno-omit-frame-pointer"),
     "numpy": None,
     "no-library": None,
 }
@@ -69,6 +72,9 @@ def library(name: str):
     """The library of build ``name``. One that does not build or load
     fails the test, but skips it for a ``ubsan`` build or where the package
     has no library."""
+    if name == "asan":
+        raise ValueError("the asan build loads only under a preloaded "
+                         "libasan; test_asan.py runs it in a child process")
     lib = _load(BUILDS[name])
     if BUILDS[name] is None:
         return None

@@ -346,3 +346,17 @@ def brute_connections(som: SomMap, minwd: float) -> list[tuple[int, int]]:
     return [(i, j) for i in range(som.n_nodes)
             for j in range(i + 1, som.n_nodes)
             if brute_connected(rel, labels, i, j, minwd)]
+
+
+def assert_adjacency_invariant(som: SomMap) -> None:
+    """The invariant the compiled ``relink`` relies on: over the map's n
+    nodes the adjacency bits equal their transpose and have a zero
+    diagonal, and no bit is set outside the n x n block, in any word of
+    any row."""
+    n = som.n_nodes
+    bits = np.unpackbits(som._arrays.adj.astype("<u8").view(np.uint8),
+                         axis=1, bitorder="little")
+    block = bits[:n, :n]
+    assert np.array_equal(block, block.T)
+    assert not block.diagonal().any()
+    assert not bits[:n, n:].any() and not bits[n:].any()

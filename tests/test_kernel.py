@@ -11,6 +11,7 @@ same floats, bit for bit, so a map trains identically whichever is active.
 
 import ctypes
 import functools
+import json
 import math
 import pickle
 import sys
@@ -25,14 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisom import (NO_CLASS, Dataset, HyperParams, SomMap, classify_batch,
-                     mask_labels, save_model, train_with_state)
+                     load_model, mask_labels, save_model, train_with_state)
 from semisom import _kernel
 from semisom.model import (ACTIVATION_EPS, _activations, _insert_numpy,
                            _shift_vectors, _train_numpy)
 from semisom.training import TrainState, _present_chunk, insert_node
 from conftest import build, library
-from helpers import (brute_connections, make_blobs, map_of, node_at,
-                     random_map)
+from helpers import (assert_adjacency_invariant, brute_connections,
+                     make_blobs, map_of, node_at, random_map)
 
 
 def bits(a) -> np.ndarray:
@@ -556,13 +557,42 @@ def test_links_span_several_bit_words():
             {b for a, b in pairs if a == j} | {a for a, b in pairs if b == j})
 
 
+def test_maps_from_arrays_and_model_files_start_symmetric(tmp_path):
+    """``from_arrays`` and ``load_model`` set both bits of each pair, in
+    whichever order it is listed, and no other: the invariant ``relink``
+    relies on holds from the start."""
+    rng = np.random.default_rng(23)
+    n, m = 150, 3
+    pairs = [(149, 0), (1, 64), (128, 127), (63, 64), (5, 149)]
+    som = SomMap.from_arrays(n, rng.random((n, m)), rng.random((n, m)),
+                             np.zeros((n, m)), np.zeros(n, np.int64),
+                             rng.integers(-1, 3, size=n), pairs)
+    assert_adjacency_invariant(som)
+    assert som.connections == sorted(tuple(sorted(p)) for p in pairs)
+    path = tmp_path / "model.json"
+    save_model(path, som, HyperParams(
+        a_t=0.9, lp=0.01, beta=0.1, age_wins=10, e_b=0.1, push_rate=0.05,
+        e_n=0.01, eps_beta=0.05, minwd=0.3, epochs=1, n_max=n),
+        class_names=("a", "b", "c"))
+    doc = json.loads(path.read_text())
+    doc["connections"] = [pair[::-1] for pair in doc["connections"]]
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path).som
+    assert_adjacency_invariant(loaded)
+    assert np.array_equal(loaded._arrays.adj[:n], som._arrays.adj[:n])
+
+
 @st.composite
 def _runs(draw):
     """A data set and parameters that reach every branch of a presentation.
 
     Random labels on uniform patterns make wrong-class winners, so pushes;
     small ``n_max`` caps the map; ``grow`` inserts at nearly every pattern
-    until the map has passed several capacity doublings and bit words.
+    until the map has passed several capacity doublings and bit words, and
+    draws up to 24 classes, so that most blocks of 8 nodes hold no node
+    that a labelled node may link. A labelled fraction of 0.3 leaves
+    unlabelled nodes that take a label later and drop their links to
+    other classes.
     """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -570,7 +600,7 @@ def _runs(draw):
     grow = kind == "grow"
     n = draw(st.integers(140, 200) if grow else st.integers(1, 90))
     m = draw(st.integers(3, 6) if grow else st.integers(1, 12))
-    classes = draw(st.integers(1, 4))
+    classes = draw(st.integers(1, 24) if grow else st.integers(1, 4))
     labels = rng.integers(classes, size=n)
     if kind == "blobs":
         patterns = rng.random((classes, m))[labels]
@@ -580,7 +610,7 @@ def _runs(draw):
     ds = Dataset(patterns=np.clip(patterns, 0.0, 1.0), labels=labels,
                  class_names=tuple(f"c{i}" for i in range(classes)),
                  dim_names=tuple(f"f{i}" for i in range(m)))
-    fraction = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    fraction = draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
     params = HyperParams(
         a_t=0.999 if grow else draw(st.sampled_from([0.5, 0.8, 0.9, 0.97])),
         lp=0.001 if grow else draw(st.sampled_from([0.001, 0.01, 0.2])),
@@ -614,6 +644,7 @@ def _check_loops_agree(name, run) -> None:
     assert fast.som._train.args[0] is lib
     assert slow.som._train.func is _train_numpy and slow.som._view is None
     assert _model_bytes(fast, params) == _model_bytes(slow, params)
+    assert_adjacency_invariant(fast.som)
     assert fast.stats == slow.stats
     assert (fast.som.nwins, fast.t) == (slow.som.nwins, slow.t)
     assert fast.t == (fast.stats.growth_presentations

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from semisom import NO_CLASS, HyperParams, SomMap, _kernel
 from semisom.model import _activations, _train_numpy
 from conftest import build
+from helpers import assert_adjacency_invariant
 
 screened = pytest.mark.builds("clones", "default-only", "ubsan",
                               "ubsan-no-int128")
@@ -77,6 +78,7 @@ def _assert_same_maps(fast: SomMap, slow: SomMap) -> None:
     for name in _NODE_ROWS:
         assert _same(getattr(fast._arrays, name)[:n],
                      getattr(slow._arrays, name)[:n]), name
+    assert_adjacency_invariant(fast)
 
 
 @st.composite
@@ -285,3 +287,32 @@ def test_insert_return_leaves_the_whole_activation_row():
                         patterns[0])
     assert _same(fast._arrays.acts[:32], want)
     assert _same(slow._arrays.acts[:32], want)
+
+
+@screened
+def test_sweep_keeps_and_relinks_more_than_a_word_of_nodes():
+    """The first draw ends a cycle, and the sweep keeps all 100 nodes: it
+    links node j with [j + 1, 100), a span that starts inside a bit word
+    and, from j = 63 on, leaves the first word out. The draws after it,
+    some of them onto unlabelled nodes that take their label, relink
+    nodes across both words."""
+    m, n = 16, 100
+    rng = np.random.default_rng(11)
+    centers = rng.random((n, m))
+    labels = rng.integers(-1, 4, size=n)
+    fast, slow = _twins(centers, rng.random((n, m)), labels, 128, 0.5,
+                        wins=np.ones(n, np.int64))
+    args = _kernel.params(HyperParams(
+        a_t=0.5, lp=0.01, beta=0.1, age_wins=8, e_b=0.1, push_rate=0.05,
+        e_n=0.01, eps_beta=0.05, minwd=0.5, epochs=1, n_max=128), True)
+    unlabelled = np.flatnonzero(labels == NO_CLASS)
+    drawn = np.array([5, unlabelled[0], 70, unlabelled[-1], 99, 30])
+    pattern_labels = np.where(labels[drawn] == NO_CLASS, 2, labels[drawn])
+    counts = [_present(som, args, centers[drawn] + 0.001, pattern_labels, 8)
+              for som in (fast, slow)]
+    assert counts[0] == counts[1]
+    assert counts[0][_kernel.SLOTS.index("resets")] == 1
+    assert fast.n_nodes == n
+    assert any(i < 64 <= j for i, j in fast.connections)
+    assert (fast.labels[unlabelled[[0, -1]]] == 2).all()
+    _assert_same_maps(fast, slow)
