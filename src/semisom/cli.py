@@ -71,6 +71,9 @@ def _read_params_file(path: str) -> dict:
         if key not in _PARAM_FIELDS:
             raise DataFormatError(f"{path}:{lineno}: unknown parameter "
                                   f"{key!r}")
+        if key in values:
+            raise DataFormatError(f"{path}:{lineno}: duplicate parameter "
+                                  f"{key!r}")
         try:
             values[key] = (int(value.strip()) if key in _INT_FIELDS
                            else float(value.strip()))

@@ -1,4 +1,4 @@
-"""The training loop and bulk classification under AddressSanitizer.
+"""The kernels under AddressSanitizer.
 
 The ``ubsan`` builds check the bounds of fixed-size arrays only. An
 overrun of a heap block, such as the float32 shadow that ``som_train``
@@ -8,13 +8,15 @@ access, but its library loads only into a process that starts with libasan
 preloaded, so this test starts one. The child trains a screened map (24
 dimensions) and a plain one (8 dimensions), each through insertions into
 full storage, pruning sweeps and links across three adjacency words, saves
-and classifies with each, and prints what it got. It must report no
-AddressSanitizer error, and its results must be the package library's,
-bit for bit. The scanner (``som_scan``) is not driven here.
+and classifies with each, then loads the loader fuzz seeds and their
+mutations through the scanner (``som_scan``), and prints what it got. Its
+Python allocates through ``malloc``, so a read past a file's bytes shows.
+It must report no AddressSanitizer error and the package library's
+results, bit for bit.
 
 Run as a script, ``python tests/test_asan.py DIR``, this module is that
 child: it builds the ``asan`` library in DIR and prints one JSON line per
-map.
+map and one for the loaded files.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semisom import (Dataset, HyperParams, _kernel, classify_batch,
-                     mask_labels, save_model, train_with_state)
+from semisom import (DataFormatError, Dataset, HyperParams, _kernel,
+                     classify_batch, load_arff, load_csv, mask_labels,
+                     save_model, train_with_state)
 from conftest import BUILDS
+from test_loader_fuzz import ARFF, CSV
 
 CLASSES, CENTERS = 24, 220
 
@@ -59,7 +63,7 @@ def _run(m: int):
 def _results(tmp: Path) -> list[dict]:
     """Per map: the node count, storage rows, insertions, sweeps, the
     highest linked node, and the sha256 of its model file and of its
-    classification of the training patterns and of uniform outliers."""
+    classification of training patterns and outliers; then ``_loaded``."""
     out = []
     for m in (24, 8):
         ds, params = _run(m)
@@ -79,7 +83,36 @@ def _results(tmp: Path) -> list[dict]:
             "model": hashlib.sha256(path.read_bytes()).hexdigest(),
             "classified": hashlib.sha256(repr(predicted).encode()).hexdigest(),
         })
-    return out
+    return out + [_loaded(tmp)]
+
+
+def _loader_files() -> list[tuple[str, bytes]]:
+    """Each seed, with and without its last line break, as it is and with
+    a byte deleted, or a quote or a carriage return put, at each offset."""
+    files = []
+    for name, seed in (("d.csv", CSV), ("d.arff", ARFF)):
+        for text in (seed, seed[:-1]):
+            files += [(name, text)] + [
+                (name, text[:at] + edit + text[at + (edit == b""):])
+                for at in range(len(text)) for edit in (b"", b'"', b"\r")]
+    return files
+
+
+def _loaded(tmp: Path) -> dict:
+    """How many of ``_loader_files`` load, and the sha256 of what the
+    loaders make of each: the data, bit for bit, or the error."""
+    outcomes = []
+    for i, (name, text) in enumerate(_loader_files()):
+        path = tmp / f"{i}-{name}"
+        path.write_bytes(text)
+        try:
+            ds = (load_csv if name == "d.csv" else load_arff)(path)
+            outcomes.append((ds.patterns.tobytes().hex(), ds.labels.tolist(),
+                             ds.class_names, ds.dim_names))
+        except DataFormatError as exc:
+            outcomes.append(str(exc).replace(str(path), name))
+    return {"loaded": sum(not isinstance(o, str) for o in outcomes),
+            "outcomes": hashlib.sha256(repr(outcomes).encode()).hexdigest()}
 
 
 def _libasan() -> str | None:
@@ -102,7 +135,7 @@ def test_kernels_make_no_heap_error_under_address_sanitizer(tmp_path):
                     "cc -print-file-name=libasan.so names no file")
     paths = [Path(_kernel.__file__).parents[1], Path(__file__).parent]
     env = {**os.environ, "LD_PRELOAD": libasan,
-           "ASAN_OPTIONS": "detect_leaks=0",
+           "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc",
            "PYTHONPATH": os.pathsep.join(map(str, paths))}
     child = subprocess.run([sys.executable, __file__, str(tmp_path)],
                            env=env, capture_output=True, text=True,
@@ -112,14 +145,15 @@ def test_kernels_make_no_heap_error_under_address_sanitizer(tmp_path):
     got = [json.loads(line) for line in child.stdout.splitlines()]
     want = _results(tmp_path)
     assert got == want
-    for run in want:
+    for run in want[:-1]:
         assert run["rows"] > 128 and run["nodes"] > 64
         assert run["resets"] >= 1 and run["top_link"] >= 128
+    assert 0 < want[-1]["loaded"] < len(_loader_files())
 
 
 def _child(directory: str) -> None:
-    """Build the asan library in ``directory``, bind new maps to it, and
-    print ``_results`` one JSON line per map."""
+    """Build the asan library in ``directory``, bind new maps and the
+    loaders to it, and print ``_results``, one JSON line each."""
     os.environ.pop("LD_PRELOAD", None)  # the compiler runs without it
     _kernel._FLAGS += BUILDS["asan"]
     _kernel._cache_dirs = lambda: [Path(directory)]

@@ -94,6 +94,16 @@ def test_params_file_with_a_byte_order_mark(tmp_path):
     assert _read_params_file(pfile) == {"a_t": 0.9, "epochs": 5}
 
 
+@pytest.mark.parametrize("name", ["push_rate", "e_w"])
+def test_params_file_naming_a_parameter_twice_is_a_data_error(
+        arff_path, tmp_path, capsys, name):
+    pfile = tmp_path / "params.txt"
+    pfile.write_text(f"a_t = 0.9\n{name} = 0.1\n\npush_rate = 0.2\n")
+    assert main(["train", str(arff_path), "-o", str(tmp_path / "m.json"),
+                 "--params-file", str(pfile), "--quiet"]) == 2
+    assert ":4: duplicate parameter 'push_rate'" in capsys.readouterr().err
+
+
 def test_missing_data_file_is_data_error(tmp_path, capsys):
     code = main(["train", str(tmp_path / "nope.arff"), "-o",
                  str(tmp_path / "m.json")])
