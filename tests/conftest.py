@@ -6,10 +6,12 @@ the others (``BUILDS``) and switches to them.
 
 ``@pytest.mark.builds(name, ...)`` on a test or its module runs the test
 once per named build, with ``_kernel.compiled`` returning that build's
-library for the whole test. The build leads the test's ID; a marker naming
-one build keeps the plain name. A test marked ``needs_library`` skips
-where the package has no library, and one that compares builds switches
-with ``build``. Each library is compiled at most once per session.
+library for the whole test. The build leads the test's ID (``ids=``
+renames it); a marker naming one build keeps the plain name. A test that
+wants the build after its other IDs parametrizes ``kernel_build``
+indirectly instead, one marked ``needs_library`` leaves out the builds
+without a library, and one that compares builds switches with ``build``.
+Each library is compiled at most once per session.
 """
 
 from __future__ import annotations
@@ -23,21 +25,21 @@ import pytest
 
 from semisom import _kernel
 
-# The flags each build adds to _kernel._FLAGS. A test runs on a build only
-# where the build changes the machine code it reaches: default-only the
-# CLONES functions alone (test_kernel.py checks which), no-int128 the
-# 64-bit products of the scanner's wide path and of the formatter. asan
-# loads only into a process that preloads libasan, so test_asan.py runs it
-# in a child process, and ``library`` refuses it. None is no library, as
-# without a C compiler.
+# The flags each build adds to _kernel._FLAGS. None is no library, as
+# without a C compiler: one build under two names, for the map kernels and
+# for the file readers and writer. no-int128 makes the 64-bit products of
+# the scanner's wide path and of the formatter from 32-bit ones. asan loads
+# only into a process that preloads libasan, so test_asan.py runs it in a
+# child process, and ``library`` refuses it.
 BUILDS = {
     "clones": (),
-    "default-only": ("-DSOM_DEFAULT_ONLY",),
+    "default-only": ("-DSOM_DEFAULT_ONLY",),  # the baseline bodies alone
     "no-int128": ("-U__SIZEOF_INT128__",),
     "ubsan": ("-fsanitize=undefined",),
     "ubsan-no-int128": ("-fsanitize=undefined", "-U__SIZEOF_INT128__"),
     "asan": ("-fsanitize=address", "-fno-omit-frame-pointer"),
     "numpy": None,
+    "no-library": None,
 }
 
 _package_library = _kernel.compiled
@@ -95,22 +97,25 @@ def build(name: str):
         yield lib
 
 
-def _builds(node) -> tuple[str, ...]:
-    """The builds that a test's closest ``builds`` marker names."""
+def _builds(node):
+    """The builds and IDs that a test's closest ``builds`` marker names."""
     marker = node.get_closest_marker("builds")
     if marker is None:
-        return ()
+        return (), None
     if not marker.args or not set(marker.args) <= set(BUILDS):
         raise ValueError(f"builds{marker.args} must name builds among "
                          f"{', '.join(BUILDS)}")
-    return marker.args
+    return marker.args, marker.kwargs.get("ids")
 
 
 def pytest_generate_tests(metafunc):
-    """Parametrizes ``kernel_build`` ahead of the ``parametrize`` markers."""
-    names = _builds(metafunc.definition)
+    """Parametrizes ``kernel_build`` ahead of the ``parametrize`` markers;
+    a ``needs_library`` test leaves out the builds without a library."""
+    names, ids = _builds(metafunc.definition)
     if len(names) > 1:
-        metafunc.parametrize("kernel_build", names, indirect=True)
+        if metafunc.definition.get_closest_marker("needs_library"):
+            names = [name for name in names if BUILDS[name] is not None]
+        metafunc.parametrize("kernel_build", names, indirect=True, ids=ids)
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +125,7 @@ def kernel_build(request):
     if (request.node.get_closest_marker("needs_library")
             and _package_library() is None):
         pytest.skip("no C compiler: there is no library")
-    names = _builds(request.node)
+    names, _ = _builds(request.node)
     name = getattr(request, "param", names[0] if len(names) == 1 else None)
     with build(name) if name else contextlib.nullcontext():
         yield name

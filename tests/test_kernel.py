@@ -126,6 +126,7 @@ def _boundaries(draw):
     return mass, float(L), probes
 
 
+@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=500, deadline=None)
 @given(_boundaries())
 def test_squared_test_rules_out_only_bounds_below(case):
@@ -219,32 +220,35 @@ def _present_once(case):
     return som, searched, acts, (centers, dist, rel), w
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
 def test_compiled_winner_equals_numpy(case):
-    """The loop's winner search against ``_activations``: the activation
-    row, the winner its win goes to, and the search ``SomMap`` runs per
-    call."""
+    """The loop's winner search, on both builds, against ``_activations``:
+    the activation row, the winner its win goes to, and the search
+    ``SomMap`` runs per call."""
     n = len(case[0][0])
-    som, searched, want, _, w = _present_once(case)
-    assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
-    assert np.array_equal(bits(searched), bits(want))
-    assert som.wins.tolist() == [int(j == w) for j in range(n)]
+    for name in ("clones", "default-only"):
+        with build(name):
+            som, searched, want, _, w = _present_once(case)
+        assert np.array_equal(bits(som._arrays.acts[:n]), bits(want))
+        assert np.array_equal(bits(searched), bits(want))
+        assert som.wins.tolist() == [int(j == w) for j in range(n)]
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=300, deadline=None)
 @given(_maps())
 def test_compiled_update_equals_numpy(case):
-    """The loop's node update against ``_shift_vectors`` on the winner and
-    its neighbors, in ascending order."""
+    """The loop's node update, on both builds, against ``_shift_vectors``
+    on the winner and its neighbors, in ascending order."""
     n = len(case[0][0])
-    som, _, _, (centers, dist, rel), _ = _present_once(case)
-    assert np.array_equal(bits(som.centers), bits(centers))
-    assert np.array_equal(bits(som.dist_avgs), bits(dist))
-    assert np.array_equal(bits(som.relevances), bits(rel))
-    assert np.array_equal(bits(som._arrays.sums[:n]), bits(rel.sum(axis=1)))
+    for name in ("clones", "default-only"):
+        with build(name):
+            som, _, _, (centers, dist, rel), _ = _present_once(case)
+        assert np.array_equal(bits(som.centers), bits(centers))
+        assert np.array_equal(bits(som.dist_avgs), bits(dist))
+        assert np.array_equal(bits(som.relevances), bits(rel))
+        assert np.array_equal(bits(som._arrays.sums[:n]),
+                              bits(rel.sum(axis=1)))
 
 
 def _train_blobs(tmp_path, name):
@@ -271,9 +275,8 @@ def test_compiled_and_numpy_kernels_train_identical_models(tmp_path):
     assert fallback.stats == state.stats
 
 
-# The compiled kernel path and the numpy one; the per-call map methods
-# run the numpy mirrors on either, so their tests run once.
-kernels = pytest.mark.builds("clones", "numpy")
+# The per-call map methods on the compiled kernel path and the numpy one.
+kernels = pytest.mark.builds("clones", "numpy", ids=["compiled", "numpy"])
 
 
 def _one_node_map():
@@ -283,6 +286,7 @@ def _one_node_map():
 
 
 @pytest.mark.parametrize("j", [3, -1, 5, 1])
+@kernels
 def test_update_node_rejects_missing_nodes(j):
     som = _one_node_map()
     v = som._arrays
@@ -294,6 +298,7 @@ def test_update_node_rejects_missing_nodes(j):
 
 
 @pytest.mark.parametrize("rows", [[0, 3], [-1], [4, 0]])
+@kernels
 def test_update_nodes_rejects_missing_nodes(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
@@ -305,6 +310,7 @@ def test_update_nodes_rejects_missing_nodes(rows):
         assert np.array_equal(got, was)
 
 
+@kernels
 def test_update_rejects_wrong_pattern_shape():
     som = _one_node_map()
     with pytest.raises(ValueError, match="shape"):
@@ -313,6 +319,7 @@ def test_update_rejects_wrong_pattern_shape():
         som.update_nodes([0], np.zeros(1), 0.1, 0.1, 0.05)
 
 
+@kernels
 def test_update_nodes_takes_one_rate_per_row_in_any_shape():
     rng = np.random.default_rng(5)
     column = random_map(rng, 6, 4)
@@ -452,6 +459,7 @@ def test_build_prunes_older_libraries_in_its_own_cache_only(tmp_path,
         built[0], decoy, partial, "other" + suffix}
 
 
+@kernels
 def test_update_nodes_updates_repeated_rows_in_order():
     """A row listed twice is updated twice, as by two ``update_node`` calls.
 
@@ -490,6 +498,7 @@ def test_update_nodes_updates_repeated_rows_in_order():
 
 @pytest.mark.parametrize("rows", [[1.7], [1.0], np.array([True]),
                                   np.array([0.0, 1.0]), [0, 1.5]])
+@kernels
 def test_update_nodes_rejects_non_integer_rows(rows):
     som = _one_node_map()
     som.add_node(np.array([0.6, 0.1]))
@@ -510,6 +519,7 @@ def _two_node_map():
     return som
 
 
+@kernels
 def test_update_node_rejects_a_bool_index():
     som = _two_node_map()
     v = som._arrays
@@ -520,6 +530,7 @@ def test_update_node_rejects_a_bool_index():
         assert np.array_equal(got, was)
 
 
+@kernels
 def test_update_nodes_names_a_huge_unsigned_index():
     som = _two_node_map()
     rows = np.array([1, 2 ** 63], dtype=np.uint64)
@@ -528,6 +539,7 @@ def test_update_nodes_names_a_huge_unsigned_index():
     assert np.array_equal(som.centers, [[0.2, 0.4], [0.6, 0.1]])
 
 
+@kernels
 def test_links_span_several_bit_words():
     """150 nodes need three adjacency words per row."""
     rng = np.random.default_rng(19)
@@ -623,13 +635,14 @@ def _model_bytes(state, params) -> bytes:
         return path.read_bytes()
 
 
-def _check_loops_agree(run) -> None:
-    """The loop of the active build against its numpy twin."""
+def _check_loops_agree(name, run) -> None:
+    """The loop of build ``name`` against its numpy twin."""
     ds, params = run
-    fast = train_with_state(ds, params)
+    with build(name) as lib:
+        fast = train_with_state(ds, params)
     with build("numpy"):
         slow = train_with_state(ds, params)
-    assert fast.som._train.args[0] is _kernel.compiled()
+    assert fast.som._train.args[0] is lib
     assert slow.som._train.func is _train_numpy and slow.som._view is None
     assert _model_bytes(fast, params) == _model_bytes(slow, params)
     assert_adjacency_invariant(fast.som)
@@ -640,13 +653,19 @@ def _check_loops_agree(run) -> None:
     assert fast.stats.growth_presentations == params.epochs * len(ds)
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=60, deadline=None)
 @given(_runs())
-def test_loop_equals_python_loop(run):
+def test_compiled_loop_equals_python_loop(run):
     """The loaded library's loop, on its AVX2 clones where the CPU has
-    AVX2, and the baseline-only build's, against their numpy twin."""
-    _check_loops_agree(run)
+    AVX2, against its numpy twin."""
+    _check_loops_agree("clones", run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_default_only_loop_equals_python_loop(run):
+    """The loop of the baseline-only build against its numpy twin."""
+    _check_loops_agree("default-only", run)
 
 
 @kernels
@@ -718,14 +737,20 @@ def _edge_runs(draw):
     return mask_labels(ds, draw(st.sampled_from([0.0, 0.3, 1.0])), seed), params
 
 
-@pytest.mark.builds("clones", "default-only")
 @settings(max_examples=60, deadline=None)
 @given(_edge_runs())
-def test_loop_equals_python_loop_at_the_edges(run):
-    _check_loops_agree(run)
+def test_compiled_loop_equals_python_loop_at_the_edges(run):
+    _check_loops_agree("clones", run)
 
 
-@pytest.mark.builds("clones", "default-only")
+@settings(max_examples=60, deadline=None)
+@given(_edge_runs())
+def test_default_only_loop_equals_python_loop_at_the_edges(run):
+    _check_loops_agree("default-only", run)
+
+
+@pytest.mark.parametrize("kernel_build", ["clones", "default-only"],
+                         indirect=True)
 @pytest.mark.parametrize("wins, at, lp, kept", [
     # no node reaches 10 * 4 wins: the first node of most wins stays
     ([3, 5, 4, 1], 2, 10.0, [1]),
@@ -775,7 +800,8 @@ _INSERTING = _kernel.params(HyperParams(
     e_n=0.01, eps_beta=0.05, minwd=0.3, epochs=1, n_max=32), True)
 
 
-@pytest.mark.builds("clones", "default-only", "numpy")
+@pytest.mark.parametrize("kernel_build", ["clones", "default-only", "numpy"],
+                         indirect=True)
 @pytest.mark.parametrize("label", [NO_CLASS, 1])
 def test_loop_stops_at_full_storage_before_the_presentation(label):
     """Sixteen nodes fill the first storage of a 32-node budget; the draw
@@ -860,8 +886,8 @@ def test_training_loop_releases_the_interpreter_lock():
 
 def test_default_only_changes_the_cloned_functions_alone():
     """The one preprocessor line that reads ``SOM_DEFAULT_ONLY`` defines
-    ``CLONES``, and these six functions carry it: the tests that reach
-    them run on the default-only build, and no other test needs to."""
+    ``CLONES``, and these six functions carry it: the define changes their
+    machine code and no other function's."""
     source = _kernel._SOURCE.read_text()
     switches = re.findall(r"^\s*#.*SOM_DEFAULT_ONLY.*\n(.*)", source, re.M)
     assert len(switches) == 1 and switches[0].startswith("#define CLONES ")

@@ -39,7 +39,7 @@ def test_round_trip_is_byte_identical(trained, tmp_path):
     the library the package loads and then without one."""
     ds, params, som, path = trained
     again = tmp_path / "again.json"
-    for name in ("clones", "numpy"):
+    for name in ("clones", "no-library"):
         with build(name):
             loaded = load_model(path)
             rebuilt = SomMap.from_arrays(som.node_budget, som.centers,
@@ -390,14 +390,27 @@ def _models(draw):
     return som, params, norm_stats, names
 
 
-@pytest.mark.builds("clones", "numpy")
 @settings(max_examples=300, deadline=None)
 @given(_models())
 def test_save_writes_what_json_writes(case):
-    """The direct writer, with the compiled formatter, and without a
-    library by ``float.__repr__``, against ``json.dumps(indent=1,
-    sort_keys=True, allow_nan=False)`` of the model document, byte for
-    byte; a NaN or inf is refused by both, and nothing is written."""
+    """The direct writer, with the compiled formatter where the library
+    builds, against ``json.dumps(indent=1, sort_keys=True,
+    allow_nan=False)`` of the model document, byte for byte; a NaN or inf
+    is refused by both, and nothing is written."""
+    _check_save(case)
+
+
+@pytest.mark.builds("no-library")
+@settings(max_examples=300, deadline=None)
+@given(case=_models())
+def test_save_writes_what_json_writes_without_a_library(case):
+    """Model files written by ``float.__repr__``, as on a machine without
+    a C compiler."""
+    assert _kernel.format_rows(np.zeros((1, 1))) is None
+    _check_save(case)
+
+
+def _check_save(case) -> None:
     som, params, norm_stats, names = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -414,9 +427,9 @@ def test_save_writes_what_json_writes(case):
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
 
-# The formatter on the package's library and without a 128-bit integer
-# type, where its products are made of 32-bit ones.
-formatters = pytest.mark.builds("clones", "no-int128")
+# The formatter on the package's library, on its baseline clones alone,
+# and without a 128-bit integer type.
+formatters = pytest.mark.builds("clones", "default-only", "no-int128")
 
 
 def repr_rows(values) -> list[str]:

@@ -3,14 +3,9 @@ import pytest
 
 from semisom import (NO_CLASS, Dataset, HyperParams, MapFullError, SomMap,
                      TrainState, _kernel, train, train_with_state)
-from semisom.model import _train_numpy
 from semisom.training import (_CHUNK, _present_chunk, handle_reset,
                               init_map, insert_node)
 from helpers import make_blobs, map_of, node_at, weighted_distance
-
-
-# Without a library maps bind the loop's numpy twin ``_train_numpy``.
-steps = pytest.mark.builds("clones", "numpy")
 
 
 def params_for(n: int, **overrides) -> HyperParams:
@@ -69,14 +64,8 @@ def test_labeled_insert_connects_to_same_label_fresh_nodes():
     assert som.neighbor_array(j).tolist() == [0, 1]
 
 
-@pytest.mark.builds("numpy")
-def test_maps_bind_the_numpy_loop():
-    assert SomMap(1, 1)._train.func is _train_numpy
-
-
 # -- unsupervised step -------------------------------------------------------
 
-@steps
 def test_unsupervised_low_activation_inserts():
     som = init_map(np.array([0.1, 0.1]), n_max=5)
     params = params_for(5)
@@ -89,7 +78,6 @@ def test_unsupervised_low_activation_inserts():
     assert np.array_equal(som.centers[1], x)
 
 
-@steps
 def test_unsupervised_high_activation_updates_winner():
     som = init_map(np.array([0.5, 0.5]), n_max=5)
     state = fresh_state(som, params_for(5))
@@ -103,7 +91,6 @@ def test_unsupervised_high_activation_updates_winner():
     assert som.wins[0] == 1
 
 
-@steps
 def test_unsupervised_full_budget_updates_instead_of_inserting():
     som = init_map(np.array([0.1, 0.1]), n_max=1)
     state = fresh_state(som, params_for(1))
@@ -118,7 +105,6 @@ def test_unsupervised_full_budget_updates_instead_of_inserting():
 
 # -- supervised step ---------------------------------------------------------
 
-@steps
 def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     som = map_of(4, [node_at([0.5, 0.5]),
                      node_at([0.52, 0.5], label=3)])
@@ -135,7 +121,6 @@ def test_supervised_unlabeled_winner_adopts_label_and_rewires():
     assert som.wins[0] == 1
 
 
-@steps
 def test_supervised_low_activation_inserts_labeled_node():
     som = init_map(np.array([0.1, 0.1]), first_label=0, n_max=5)
     state = fresh_state(som, params_for(5))
@@ -145,7 +130,6 @@ def test_supervised_low_activation_inserts_labeled_node():
     assert som.n_nodes == 2 and som.labels[1] == 0
 
 
-@steps
 def test_supervised_wrong_winner_pushes_and_rewards_second():
     som = map_of(4, [node_at([0.2, 0.2], label=0),
                      node_at([0.8, 0.8], label=1)])
@@ -161,7 +145,6 @@ def test_supervised_wrong_winner_pushes_and_rewards_second():
     assert som.labels[0] == 0  # pushed winner keeps its class
 
 
-@steps
 def test_supervised_wrong_winner_no_second_inserts():
     som = map_of(4, [node_at([0.2, 0.2], label=0)])
     state = fresh_state(som, params_for(4, a_t=0.99))
@@ -171,7 +154,6 @@ def test_supervised_wrong_winner_no_second_inserts():
     assert som.n_nodes == 2 and som.labels[1] == 1
 
 
-@steps
 def test_supervised_wrong_winner_full_map_changes_nothing():
     nodes = [node_at([0.2, 0.2], label=0), node_at([0.8, 0.8], label=1)]
     som = map_of(2, nodes)
