@@ -24,8 +24,9 @@
  * NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's expit,
  * with the C library's exp, one value at a time.
  * Two functions take another route to the same outcome. som_classify
- * computes the screen's bounds with the numpy pass's operations, but
- * tests most pairs against them in the squared-distance domain. search,
+ * rules out most pairs with a float32 test, computes the bounds of the
+ * pairs it keeps with the numpy pass's operations, and tests them in the
+ * squared-distance domain first. search,
  * the winner search of som_train from 16 dimensions and 32 nodes on,
  * screens the nodes in float32 and computes only the ones the screen
  * cannot rule out; it returns winner()'s node, so _winner mirrors both.
@@ -889,25 +890,108 @@ int som_train(const struct som_view *v, ptrdiff_t n,
 /*
  * Bulk classification: the block pass of inference._classify_arrays.
  *
- * The caller multiplies a block of patterns by the node rows in BLAS,
- * q = (x*x) rel^T and d = x (-2 rel*c)^T, and passes the node operands of
- * inference._NodeArrays. For each row, som_classify then makes, in C, the
- * steps of the numpy twin inference._classify_block: the screen's upper
- * bound on every pair's activation, a pivot whose exact activation bounds
- * the winner's from below, the candidate test, the exact activation of
- * each candidate (activation(), as winner() computes it) and the labeled
- * fallback. Any pivot is correct; the twin takes the node of highest
- * bound, this pass the node of least d2 / mass^2, which needs no square
- * root. Both give the outcome of the classification rule on the exact
- * activations, bit for bit.
+ * The caller multiplies a block of patterns by the node rows in float32
+ * BLAS (sgemm), q = (x32*x32) r32^T and d = x32 w32^T with w = -2 r*c,
+ * and passes the node operands of inference._NodeArrays. For each row,
+ * som_classify then makes, in C, the steps of the numpy twin
+ * inference._classify_block: the screen's upper bound on every pair's
+ * activation, computed in double from the float products, a pivot whose
+ * exact activation bounds the winner's from below, the candidate test,
+ * the exact activation of each candidate (activation(), as winner()
+ * computes it) and the labeled fallback. It computes the double bound
+ * only for the pairs a float test cannot rule out (the float pass,
+ * below). Any pivot is correct; the twin takes the node of highest
+ * bound, this pass the node of least float bound / mass^2, which needs
+ * no square root. Both give the outcome of the classification rule on
+ * the exact activations, bit for bit.
  *
- * The passes over the nodes run in 2-lane vectors, each lane making the
- * IEEE operations of the scalar code, and leave the rare pairs that
- * survive the squared-distance test below to scalar code, in index order.
- * Two lanes, not four: the baseline x86-64 ISA compares 2-lane vectors
- * natively but scalarizes 4-lane comparisons (the pass ran 3.6 times
- * slower there with 4 lanes), while with AVX2 4 lanes gained at most a
- * tenth of the pass, within the machine's run-to-run spread.
+ * The screen's bound. Write u = 2^-53 and f = 2^-24 for the unit
+ * roundoffs of double and float, gamma_k = k f / (1 - k f), r' for the
+ * screen's relevances (a node's r where r >= 2^-126, else 0: a float
+ * holds such an r within f of it, relative), and, over them,
+ * Q = |x|_r'^2, A = |c|_r'^2 and D' = |c - x|_r'^2 = Q - 2 <x, r'c> + A.
+ * The caller computes x32 = fl32(x), r32 = fl32(r'), w32 =
+ * fl32(fl(-2 r' c)), the products q and d in float32 in any summation
+ * order, with or without fused multiply-adds, and sq = fl(A) in double;
+ * this pass (and the twin) computes, in double,
+ *     t = fl(fl(fl(d + q) + sq) - fl(fl(q + sq_floor) slack)),
+ * with slack = 4 (m + 4) f and sq_floor = fl(sq + fl(F / slack)),
+ * F = m 2^-100. Let S be the double sum activation() computes with the
+ * node's own relevances and D its exact value; D >= D', since r' <= r.
+ * The operands are safe (inference._NodeArrays and _guard): every
+ * |x_q|, |c_q| <= B with 16 m B^2 <= 2^124, every r in [0, 16], and
+ * k = (m + 4) f <= 1/8, so gamma_{m+4} <= 8k/7.
+ *  - Each float rounding is relative, within f, or, for a result below
+ *    2^-126 in magnitude, off by at most h = 2^-126 in absolute terms
+ *    (this covers a BLAS that flushes subnormals to zero). A float below
+ *    2^-126 squares below 2^-252, to 0.
+ *  - q: a term is r' x^2 (1 + theta_4), theta_4 within gamma_4, plus at
+ *    most 17.1 h (the square's h times r32 <= 16 (1 + f), the product's
+ *    h); the m - 1 additions are relative on nonnegative terms, each
+ *    with at most h more. So |q - Q| <= gamma_{m+4} Q + m 2^-121.
+ *  - d: a term is x w (1 + theta_3), w = -2 r' c, plus x times the
+ *    absolute error of w32 and w times that of x32. w32 is exact (0)
+ *    where r' = 0; else r' >= 2^-126, and |x| h <= f r' x^2 + h^2 /
+ *    (4 f r') <= f r' x^2 + 2^-104, and likewise h |w| <= f r' c^2 +
+ *    2^-223. By Cauchy-Schwarz sum |x w| <= 2 |x|_r' |c|_r' <= Q + A, so
+ *    |d + 2 <x, r'c>| <= (gamma_{m+3} + 1.15 f)(Q + A) + m 2^-103.6.
+ *  - In double, sq lies within 1.01 (m + 2) u A of A, the two additions
+ *    round by at most 7u (Q + A), and S >= (1 - u)^(m+3) D - m 2^-1073
+ *    (the m + 3 roundings of a term and its additions are relative on
+ *    nonnegative terms, and only a term's two products may underflow),
+ *    where D >= D' and D' <= 2 (Q + A).
+ * Hence fl(fl(d + q) + sq) <= S + E (Q + A) + m 2^-103.5, with
+ * E = 2 gamma_{m+4} + 1.15 f + (3m + 15) u <= 2.52 k, since f <= k / 5.
+ * The subtracted term is at least (1 - 4u)(slack (q + sq) + F) >=
+ * (1 - 4u)(slack (1 - gamma_{m+4})(Q + A) + F - slack m 2^-121), and
+ * slack (1 - gamma_{m+4})(1 - 4u) >= 4k (6/7)(1 - 4u) > 3.42 k > E and
+ * F (1 - 4u) - slack m 2^-121 > m 2^-103.5, so the exact difference is
+ * at most S, and t, its rounding, is too: S is a double and rounding is
+ * monotone. bound(t) rounds as activation() does and each of its steps
+ * is monotone, so bound(t) is at least the pair's exact activation.
+ * Every float value stays finite: a float square is at most
+ * B^2 (1 + f)^3, and the terms of q and d at most 2^124 / m and
+ * 2^125 / m (|w| <= 32 B), so no partial sum reaches 2^127. And with
+ * |c - x| <= 2B no term of S is 0 * inf = NaN. A row or a node outside
+ * these bounds has a NaN q (the caller sets it) or a NaN sq, so its t is
+ * NaN: every comparison with it is false, and every pair stays a
+ * candidate.
+ *
+ * The float pass. som_classify does not compute t for every pair. It
+ * first bounds every pair in float32, from each node's float operands
+ * sq32 = fl32(sq), sqf32 = fl32(fl(sq + fl(F / slack32))) and
+ * w32 = fl32(weight), weight = fl(1 / fl(mass mass)), and the float
+ * slack32 = 4 (m + 8) f, which a float holds exactly:
+ *     t32 = fl32(fl32(fl32(d + q) + sq32) - fl32(fl32(q + sqf32) slack32)),
+ *     p = fl32(t32 w32).
+ *  - t32 <= S. From the bounds above (k <= 1/8), |d + q| <= 2.3 (Q + A),
+ *    sq <= 1.01 A and the subtracted term is at most 0.58 (Q + A) + 1.01 F,
+ *    so the five float roundings of t32 (relative, within f, or off by at
+ *    most h where a result is below 2^-126) add at most 10.6 f (Q + A) +
+ *    2^-123 to the exact d + q + sq less the subtracted term. That term is
+ *    at least (1 - 3.01 f)(slack32 (q + sq) + F (1 - u)), and
+ *    slack32 (1 - gamma_{m+4})(1 - 3.01 f) >= 3.42 k + 13.7 f exceeds
+ *    E + 10.6 f, so the argument for t carries over.
+ *  - The float test: p > th, th = fl32(fl(fl(g g)(1 + 2^-18))) for
+ *    g = cutoff(L) in [2^-60, 2^60] (th is NaN otherwise, and rules out
+ *    nothing), proves act < L. A node's w32 is NaN, so that its p > th is
+ *    false, unless its mass lies in [2^-60, 2^60]; then w32 lies within
+ *    (1 + u)^2 (1 + f) of 1 / mass^2 and is a normal float, and so is
+ *    p > th >= 2^-120. Hence t32 > th mass^2 / ((1 + u)^2 (1 + f)^2) >=
+ *    (mass g)^2 (1 + 2^-18)(1 - 3 f - 4u) > (mass g)^2, and
+ *    sqrt(S) >= sqrt(t32) > mass g > R = mass (K / L - 1) - eps, since
+ *    g >= K / L - 1 and eps >= 0; by the derivation at cutoff(),
+ *    bound(S), the exact activation, lies below L. (For R <= 0, any
+ *    sqrt(S) > 0 is above R.)
+ * The pivot is the node of least p. The test then drops most pairs, and
+ * each pair it keeps gets t in double and the double test of reaches():
+ * the decisions on the pairs that survive are the twin's.
+ *
+ * The float screen and test run in 4-lane float vectors, each lane making
+ * the IEEE operations of the scalar code, on both bodies: the baseline
+ * x86-64 ISA compares 4 floats natively but scalarizes the comparisons of
+ * 8-lane vectors, and target_clones compiles one source for both. The
+ * pairs the float test keeps go through scalar code, in index order.
  */
 
 /* A batch's node operands: n nodes of m dimensions, their center and
@@ -923,11 +1007,6 @@ struct som_nodes {
 
 /* The label of a rejected pattern (inference.REJECTED). */
 #define REJECTED (-2)
-
-#define STORE2(p, v) __builtin_memcpy((p), &(v), sizeof(v2d))
-
-/* Lane by lane: a where mask is set, else b. */
-#define PICK(mask, a, b) ((v2d)(((v2di)(a) & (mask)) | ((v2di)(b) & ~(mask))))
 
 /* Exact activation of node j for x. */
 INLINE double exact(const struct som_nodes *s, ptrdiff_t j, const double *x)
@@ -984,15 +1063,6 @@ INLINE double shrunk(double eps)
     return eps * (1.0 - 0x1p-40);
 }
 
-/* The test above for nodes j and j + 1: set where the pair is ruled out. */
-INLINE v2di ruled2(const double *mass, const double *d, ptrdiff_t j,
-                   double g, double e)
-{
-    const v2d g2 = {g, g}, e2 = {e, e}, zero = {0.0, 0.0};
-    v2d t = load2(mass + j) * g2 - e2;
-    return (t > zero) & (load2(d + j) > t * t);
-}
-
 /* Whether node j's bound reaches L, i.e. !(bound < L) as the numpy twin
  * tests it: NaN bounds reach every L. g = cutoff(L), e = shrunk(eps). */
 INLINE int reaches(const struct som_nodes *s, ptrdiff_t j, double d2,
@@ -1047,116 +1117,184 @@ INLINE void fallback(const struct som_nodes *s, ptrdiff_t j, const double *x,
     }
 }
 
-/* The screen for nodes j and j + 1 (sq, sq_floor, weight and slack of
- * struct som_nodes): d becomes a lower bound on the squared distance,
- * which bound() clamps at zero. The least d / mass^2 seen per lane goes
- * to *low, its node to *at. */
-INLINE void screen2(const double *q, double *d, const double *sq,
-                    const double *sq_floor, const double *weight,
-                    double slack, ptrdiff_t j, v2d *low, v2di *at)
+/* The float operands of the pass, in the scratch block: per row, each
+ * node's p = t weight, t its float bound; per batch, each node's sq,
+ * sq_floor (with the float floor) and pivot weight as floats, and the
+ * float slack (see above). */
+struct lanes {
+    float *p, *sq, *sq_floor, *weight;
+    float slack;
+};
+
+/* The double bound on node j's squared distance from the float products,
+ * as the numpy twin computes it. */
+INLINE double bound_sq(const struct som_nodes *s, const float *q,
+                       const float *d, ptrdiff_t j)
 {
-    const v2d slack2 = {slack, slack};
-    v2d qj = load2(q + j);
-    v2d t = ((load2(d + j) + qj) + load2(sq + j)) -
-            (qj + load2(sq_floor + j)) * slack2;
-    STORE2(d + j, t);
-    v2d p = t * load2(weight + j);
-    v2di lt = p < *low;
-    *low = PICK(lt, p, *low);
-    *at = (lt & (v2di){j, j + 1}) | (~lt & *at);
+    const double qj = q[j];
+    return (((double)d[j] + qj) + s->sq[j]) - (qj + s->sq_floor[j]) * s->slack;
 }
 
-/* The labeled node of least d[j] * weight[j], -1 when no product is below
- * inf. */
-static ptrdiff_t least_labeled(const struct som_nodes *s, const double *d)
+/* p of node j .. j + 3, whose indices idx holds, into f->p; the least p
+ * seen per lane goes to *low, its node to *at. */
+INLINE void screen4(const struct lanes *f, const float *q, const float *d,
+                    ptrdiff_t j, v4i idx, v4f *low, v4i *at)
+{
+    const v4f qj = load4f(q + j);
+    const v4f t = ((load4f(d + j) + qj) + load4f(f->sq + j)) -
+                  (qj + load4f(f->sq_floor + j)) * f->slack;
+    const v4f p = t * load4f(f->weight + j);
+    __builtin_memcpy(f->p + j, &p, sizeof p);
+    const v4i lt = p < *low;
+    *low = (v4f)(((v4i)p & lt) | ((v4i)*low & ~lt));
+    *at = (lt & idx) | (~lt & *at);
+}
+
+/* p of node j alone. */
+INLINE float screen1(const struct lanes *f, const float *q, const float *d,
+                     ptrdiff_t j)
+{
+    const float t = ((d[j] + q[j]) + f->sq[j]) -
+                    (q[j] + f->sq_floor[j]) * f->slack;
+    return f->p[j] = t * f->weight[j];
+}
+
+/* The float test's threshold for g = cutoff(L): a node whose p lies above
+ * it is ruled out. NaN, which rules out nothing, for a g outside
+ * [2^-60, 2^60]. */
+INLINE float threshold(double g)
+{
+    return g >= 0x1p-60 && g <= 0x1p60 ? (float)(g * g * (1.0 + 0x1p-18))
+                                       : NAN;
+}
+
+/* Node j, which the float test keeps: when its double bound reaches L, a
+ * candidate of the row (o), or with `fall` a labeled candidate of the
+ * fallback (*k, *best). */
+INLINE void visit(const struct som_nodes *s, const float *q, const float *d,
+                  ptrdiff_t j, const double *x, double L, double g,
+                  double e, ptrdiff_t piv, double a_t, int fall,
+                  struct row *o, ptrdiff_t *k, double *best)
+{
+    if (fall && s->labels[j] == NO_CLASS)
+        return;
+    if (!reaches(s, j, bound_sq(s, q, d, j), L, g, e))
+        return;
+    if (fall)
+        fallback(s, j, x, a_t, k, best);
+    else
+        candidate(s, j, x, L, piv, a_t, o);
+}
+
+/* visit() each node of [0, n) that the float test at L cannot rule out,
+ * in ascending order. Sixteen nodes are tested at a time; the rare groups
+ * with a node the test keeps go through visit() lane by lane. */
+INLINE void walk(const struct som_nodes *s, const struct lanes *f,
+                 const float *q, const float *d, const double *x, double L,
+                 double e, ptrdiff_t piv, double a_t, int fall,
+                 struct row *o, ptrdiff_t *k, double *best)
+{
+    const ptrdiff_t n = s->n;
+    const double g = cutoff(L);
+    const float h = threshold(g);
+    ptrdiff_t j;
+    for (j = 0; j + 16 <= n; j += 16) {
+        const v4i no0 = load4f(f->p + j) > h, no1 = load4f(f->p + j + 4) > h,
+                  no2 = load4f(f->p + j + 8) > h,
+                  no3 = load4f(f->p + j + 12) > h;
+        const v4i all = (no0 & no1) & (no2 & no3);
+        if ((all[0] & all[1]) & (all[2] & all[3]))
+            continue;
+        for (ptrdiff_t i = j; i < j + 16; i++)
+            if (!(f->p[i] > h))
+                visit(s, q, d, i, x, L, g, e, piv, a_t, fall, o, k, best);
+    }
+    for (; j < n; j++)
+        if (!(f->p[j] > h))
+            visit(s, q, d, j, x, L, g, e, piv, a_t, fall, o, k, best);
+}
+
+/* The labeled node of least p, -1 when no p is below inf. */
+static ptrdiff_t least_labeled(const struct som_nodes *s,
+                               const struct lanes *f)
 {
     ptrdiff_t best = -1;
-    double low = INFINITY;
+    float low = INFINITY;
     for (ptrdiff_t j = 0; j < s->n; j++)
-        if (s->labels[j] != NO_CLASS && d[j] * s->weight[j] < low) {
-            low = d[j] * s->weight[j];
+        if (s->labels[j] != NO_CLASS && f->p[j] < low) {
+            low = f->p[j];
             best = j;
         }
     return best;
 }
 
 /*
- * Classify the `rows` patterns of x (rows x m): q and d are their BLAS
- * products with the node rows (rows x n each); d is overwritten as
- * scratch. Writes, per row, the deciding node (-1 for a rejection), its
- * label (REJECTED for a rejection) and its activation (for a rejection,
- * the winner's), as inference._classify_block does.
+ * Classify the `rows` patterns of x (rows x m): q and d are their float32
+ * BLAS products with the node rows (rows x n each), and scratch a block
+ * of 4 n floats. Writes, per row, the deciding node (-1 for a rejection),
+ * its label (REJECTED for a rejection) and its activation (for a
+ * rejection, the winner's), as inference._classify_block does.
  */
 CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
-                         double a_t, const double *x, const double *q,
-                         double *d, ptrdiff_t *node, int64_t *label,
-                         double *act)
+                         double a_t, const double *x, const float *q,
+                         const float *d, float *scratch, ptrdiff_t *node,
+                         int64_t *label, double *act)
 {
     const ptrdiff_t n = s->n, m = s->m;
-    const double *const mass = s->mass, *const sq = s->sq,
-                 *const sq_floor = s->sq_floor, *const weight = s->weight;
     const int64_t *const labels = s->labels;
-    const double e = shrunk(s->eps), slack = s->slack;
+    const double e = shrunk(s->eps);
+    const struct lanes f = {scratch, scratch + n, scratch + 2 * n,
+                            scratch + 3 * n, (float)(4 * (m + 8)) * 0x1p-24f};
+    const double floor = (double)m * 0x1p-100 / f.slack;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        f.sq[j] = (float)s->sq[j];
+        f.sq_floor[j] = (float)(s->sq[j] + floor);
+        f.weight[j] = s->mass[j] >= 0x1p-60 && s->mass[j] <= 0x1p60
+                      ? (float)s->weight[j] : NAN;
+    }
     for (ptrdiff_t r = 0; r < rows; r++, x += m, q += n, d += n) {
-        /* The screen, with the pivot: the node of least d / mass^2, kept
-         * in two pairs of lanes, then across. */
-        const v2d inf2 = {INFINITY, INFINITY};
-        v2d low2[2] = {inf2, inf2};
-        v2di at2[2] = {{0, 0}, {0, 0}};
+        /* The float screen, with the pivot: the node of least p, kept in
+         * two sets of four lanes, then across. */
+        const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
+        v4f low[2] = {inf4, inf4};
+        v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
+        v4i idx = {0, 1, 2, 3};
         ptrdiff_t j;
-        for (j = 0; j + 4 <= n; j += 4) {
-            screen2(q, d, sq, sq_floor, weight, slack, j, &low2[0], &at2[0]);
-            screen2(q, d, sq, sq_floor, weight, slack, j + 2, &low2[1],
-                    &at2[1]);
+        for (j = 0; j + 8 <= n; j += 8, idx += 8) {
+            screen4(&f, q, d, j, idx, &low[0], &at[0]);
+            screen4(&f, q, d, j + 4, idx + 4, &low[1], &at[1]);
         }
-        if (j + 2 <= n) {
-            screen2(q, d, sq, sq_floor, weight, slack, j, &low2[0], &at2[0]);
-            j += 2;
+        if (j + 4 <= n) {
+            screen4(&f, q, d, j, idx, &low[0], &at[0]);
+            j += 4;
         }
         ptrdiff_t piv = 0;
-        double low = INFINITY;
-        for (int l = 0; l < 4; l++)
-            if (low2[l / 2][l % 2] < low) {
-                low = low2[l / 2][l % 2];
-                piv = at2[l / 2][l % 2];
+        float least = INFINITY;
+        for (int l = 0; l < 8; l++)
+            if (low[l / 4][l % 4] < least) {
+                least = low[l / 4][l % 4];
+                piv = at[l / 4][l % 4];
             }
-        for (; j < n; j++) {
-            double t = ((d[j] + q[j]) + sq[j]) - (q[j] + sq_floor[j]) * slack;
-            d[j] = t;
-            if (d[j] * weight[j] < low) {
-                low = d[j] * weight[j];
+        for (; j < n; j++)
+            if (screen1(&f, q, d, j) < least) {
+                least = f.p[j];
                 piv = j;
             }
-        }
         /* Candidates: the nodes whose bound reaches the pivot's exact
-         * activation L. Sixteen nodes are tested at a time; the rare
-         * groups with a pair the squared test keeps go through the
-         * scalar test, in index order. */
+         * activation L. */
         const double L = exact(s, piv, x);
-        const double g = cutoff(L);
         struct row o = {0, -INFINITY, -INFINITY};
-        for (j = 0; j + 16 <= n; j += 16) {
-            v2di all = ruled2(mass, d, j, g, e);
-            for (ptrdiff_t i = j + 2; i < j + 16; i += 2)
-                all &= ruled2(mass, d, i, g, e);
-            if (!(all[0] & all[1]))
-                for (ptrdiff_t i = j; i < j + 16; i++)
-                    if (reaches(s, i, d[i], L, g, e))
-                        candidate(s, i, x, L, piv, a_t, &o);
-        }
-        for (; j < n; j++)
-            if (reaches(s, j, d[j], L, g, e))
-                candidate(s, j, x, L, piv, a_t, &o);
+        walk(s, &f, q, d, x, L, e, piv, a_t, 0, &o, NULL, NULL);
         int64_t lab = labels[o.w];
         if (lab == NO_CLASS) {
             /* An unlabeled winner: the most activated labeled node at or
              * above a_t decides. Its activation is at least `sure`; with
-             * no labeled candidate there, the labeled node of least
-             * d / mass^2 may give one. Every labeled node whose bound
-             * reaches L2 = max(a_t, sure) is then a candidate, and no
-             * other labeled node can decide. */
+             * no labeled candidate there, the labeled node of least p may
+             * give one. Every labeled node whose bound reaches
+             * L2 = max(a_t, sure) is then a candidate, and no other
+             * labeled node can decide. */
             if (o.sure == -INFINITY) {
-                ptrdiff_t k = least_labeled(s, d);
+                ptrdiff_t k = least_labeled(s, &f);
                 if (k >= 0) {
                     double v = exact(s, k, x);
                     if (v >= a_t)
@@ -1164,16 +1302,13 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
                 }
             }
             const double L2 = o.sure >= a_t ? o.sure : a_t;
-            const double g2 = cutoff(L2);
-            ptrdiff_t f = -1;
+            ptrdiff_t k = -1;
             double best = -INFINITY;
-            for (j = 0; j < n; j++)
-                if (labels[j] != NO_CLASS && reaches(s, j, d[j], L2, g2, e))
-                    fallback(s, j, x, a_t, &f, &best);
-            if (f >= 0) {
-                o.w = f;
+            walk(s, &f, q, d, x, L2, e, -1, a_t, 1, NULL, &k, &best);
+            if (k >= 0) {
+                o.w = k;
                 o.top = best;
-                lab = labels[f];
+                lab = labels[k];
             } else {
                 o.w = -1;
                 lab = REJECTED;

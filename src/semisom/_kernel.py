@@ -17,18 +17,23 @@ on several threads at once run in parallel. It runs under its map's
 lock, so another thread blocks on the map while it trains, but must not
 modify the map's arrays behind the lock's back. ``som_classify``
 classifies a block of patterns from the arrays it is passed, so threads
-classify in parallel too. ``som_scan`` reads the body of a CSV or ARFF
-file (``scan``) into the arrays it is passed. It computes every number of
-at most 19 significant digits itself, exactly, when its decimal exponent
-lies within -22..22, or within -21..19 for a mantissa above 2**53 (those
-need a compiler with a 128-bit integer type). Only the other numbers go
-through ``strtod``, which reads the decimal point of the ``LC_NUMERIC``
-locale: under a locale whose point is ``,`` those tokens are refused, and
-such files are read row by row. That case follows from the code; it is
-not tested, since it needs a comma-decimal locale installed.
-``som_format`` writes the node vectors of a model file (``format_rows``),
-every double as ``float.__repr__`` writes it, from Ryu's shortest
-round-trip digits; it reads no locale.
+classify in parallel too: it reads the block's two float32 screen
+products, rules out most pairs with a float32 test whose margins cover
+every float rounding (derived in ``_kernel.c``), bounds the pairs it
+keeps in double as ``inference._classify_block`` does, and computes in
+double the activations of the pairs the bounds cannot rule out.
+``som_scan`` reads the body of a CSV or ARFF file (``scan``) into the
+arrays it is passed. It computes every number of at most 19 significant
+digits itself, exactly, when its decimal exponent lies within -22..22,
+or within -21..19 for a mantissa above 2**53 (those need a compiler with
+a 128-bit integer type). Only the other numbers go through ``strtod``,
+which reads the decimal point of the ``LC_NUMERIC`` locale: under a
+locale whose point is ``,`` those tokens are refused, and such files are
+read row by row. That case follows from the code; it is not tested,
+since it needs a comma-decimal locale installed. ``som_format`` writes
+the node vectors of a model file (``format_rows``), every double as
+``float.__repr__`` writes it, from Ryu's shortest round-trip digits; it
+reads no locale.
 
 Each training function of ``_kernel.c`` has one numpy mirror in
 ``model.py`` over the same arrays: ``winner``/``_winner``,
@@ -208,7 +213,7 @@ def load(compiler: str = "cc"):
         lib.som_sum.argtypes = (ctypes.c_int, _PTR, _PTR, _PTR, _SIZE)
         lib.som_sum.restype = ctypes.c_double
         lib.som_classify.argtypes = (_PTR, _SIZE, ctypes.c_double, _PTR, _PTR,
-                                     _PTR, _PTR, _PTR, _PTR)
+                                     _PTR, _PTR, _PTR, _PTR, _PTR)
         lib.som_classify.restype = None
         lib.som_reaches.argtypes = (ctypes.c_double,) * 4
         lib.som_reaches.restype = ctypes.c_int
@@ -288,9 +293,11 @@ def _classifier(lib, eps: float, nodes):
     ``nodes`` holds them as ``inference._NodeArrays`` does: ``centers``,
     ``rel``, ``mass``, ``labels``, ``sq``, ``sq_floor`` and ``slack``; it
     is kept alive with the binding. Returns ``run(x, q, d, a_t, node,
-    label, act)``, which classifies the rows of ``x`` from their products
-    ``q`` and ``d`` with the node rows (``d`` is overwritten) into
-    ``node``, ``label`` and ``act``, as ``inference._classify_block`` does.
+    label, act)``, which classifies the rows of ``x`` from their float32
+    products ``q`` and ``d`` with the node rows into ``node``, ``label``
+    and ``act``, as ``inference._classify_block`` does. The pass keeps its
+    float operands in a scratch block of the binding, so one binding
+    serves one thread.
     """
     n, m = nodes.rel.shape
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -303,25 +310,28 @@ def _classifier(lib, eps: float, nodes):
                  (n, m) if name in ("centers", "rel") else (n,))
     screen = Nodes(n, m, eps, nodes.slack,
                    **{name: a.ctypes.data for name, a in operands.items()})
-    return functools.partial(_classify, lib, screen, (nodes, weight))
+    return functools.partial(_classify, lib, screen,
+                             np.empty(4 * n, np.float32), (nodes, weight))
 
 
-def _classify(lib, screen: Nodes, keep, x: np.ndarray, q: np.ndarray,
-              d: np.ndarray, a_t: float, node: np.ndarray, label: np.ndarray,
-              act: np.ndarray) -> None:
-    """``som_classify`` on one block, once its arrays are checked; ``keep``
-    holds the arrays ``screen`` points into."""
+def _classify(lib, screen: Nodes, scratch: np.ndarray, keep, x: np.ndarray,
+              q: np.ndarray, d: np.ndarray, a_t: float, node: np.ndarray,
+              label: np.ndarray, act: np.ndarray) -> None:
+    """``som_classify`` on one block, once its arrays are checked, with the
+    scratch block ``scratch``; ``keep`` holds the arrays ``screen`` points
+    into."""
     rows, n = len(x), screen.n
     for a, dtype, shape in ((x, np.float64, (rows, screen.m)),
-                            (q, np.float64, (rows, n)),
-                            (d, np.float64, (rows, n)),
+                            (q, np.float32, (rows, n)),
+                            (d, np.float32, (rows, n)),
+                            (scratch, np.float32, (4 * n,)),
                             (node, np.intp, (rows,)),
                             (label, np.int64, (rows,)),
                             (act, np.float64, (rows,))):
         _require(a, dtype, shape)
     lib.som_classify(ctypes.addressof(screen), rows, a_t, x.ctypes.data,
-                     q.ctypes.data, d.ctypes.data, node.ctypes.data,
-                     label.ctypes.data, act.ctypes.data)
+                     q.ctypes.data, d.ctypes.data, scratch.ctypes.data,
+                     node.ctypes.data, label.ctypes.data, act.ctypes.data)
 
 
 class Chunk:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernel
-from .model import NO_CLASS
+from .model import NO_CLASS, _integers, _real
 
 
 class DataFormatError(ValueError):
@@ -56,6 +56,15 @@ class NormStats:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Patterns, one row each, and their labels: ids into ``class_names``
+    or ``NO_CLASS``.
+
+    Raises ``ValueError`` for patterns that are not a 2-D matrix or hold
+    complex values, and for labels of another length, that are not
+    integers (a bool or a float is none) or lie outside
+    ``[NO_CLASS, len(class_names))``.
+    """
+
     patterns: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
@@ -63,14 +72,21 @@ class Dataset:
     norm_stats: NormStats | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "patterns",
-                           np.asarray(self.patterns, dtype=float))
-        object.__setattr__(self, "labels",
-                           np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "patterns", _real(self.patterns,
+                                                   "patterns"))
         if self.patterns.ndim != 2:
             raise ValueError("patterns must be a 2-D matrix")
-        if len(self.labels) != len(self.patterns):
+        labels = self.labels
+        if np.ndim(labels) != 1 or len(labels) != len(self.patterns):
             raise ValueError("labels and patterns disagree in length")
+        labels = _integers("labels", labels, (len(labels),),
+                           lambda j: f"pattern {j}: label")
+        outside = (labels < NO_CLASS) | (labels >= len(self.class_names))
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(f"pattern {j} has label {labels[j]}, outside "
+                             f"[{NO_CLASS}, {len(self.class_names)})")
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -417,9 +433,9 @@ def apply_norm(stats: NormStats, patterns: np.ndarray) -> np.ndarray:
     scaled by halves, ``(x/2 - min/2) / (max/2 - min/2)``. A value far
     outside a narrow (say subnormal) range scales to an infinity, which
     is clamped as any value outside the range is. Rows of another width
-    than the ranges raise ``ValueError``.
+    than the ranges, or complex values, raise ``ValueError``.
     """
-    patterns = np.asarray(patterns, dtype=float)
+    patterns = _real(patterns, "patterns")
     if patterns.shape[-1:] != (len(stats.mins),):
         raise ValueError(f"patterns of shape {patterns.shape} for ranges of "
                          f"{len(stats.mins)} dimensions")

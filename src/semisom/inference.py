@@ -1,14 +1,18 @@
 """Cluster assignment and classification over a trained map.
 
 Bulk classification works on blocks of patterns. BLAS multiplies a block
-by the node rows, twice; those products give an upper bound on every
-(pattern, node) activation. One pass per block then recomputes exactly,
-with the map's own activation kernel, only the pairs whose bound can still
-decide the outcome, and applies the classification rule to them. The pass
-is ``som_classify`` of ``_kernel.c`` when the map has the compiled kernels
-and its numpy twin ``_classify_block`` otherwise. Either way the result is
-bit for bit the one a pattern-by-pattern search over ``SomMap.activations``
-gives.
+by the node rows, twice, in float32 (sgemm); those products give an upper
+bound on every (pattern, node) activation, computed in double with a
+margin for every float rounding (derived in ``_kernel.c``). One pass per
+block then recomputes exactly, in double with the map's own activation
+kernel, only the pairs whose bound can still decide the outcome, and
+applies the classification rule to them. The pass is ``som_classify`` of
+``_kernel.c`` when the map has the compiled kernels and its numpy twin
+``_classify_block`` otherwise. The twin bounds every pair in double from
+the float products; ``som_classify`` first rules out most pairs with a
+float32 test on float lanes, with margins of its own, and bounds the
+pairs it keeps as the twin does. Either way the result is bit for bit the
+one a pattern-by-pattern search over ``SomMap.activations`` gives.
 """
 
 from __future__ import annotations
@@ -19,23 +23,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NO_CLASS, SomMap, _act_of_sq, _activations,
+from .model import (NO_CLASS, SomMap, _act_of_sq, _activations, _real,
                     _require_finite)
 
 # Classification outcome when no labeled node is activated above threshold.
 REJECTED = -2
 
-# Byte size of one (patterns x nodes) float temporary; a block takes as
-# many patterns as fit, and a handful of such arrays are alive at once.
+# Byte size of one (patterns x nodes) float32 product; a block takes as
+# many patterns as fit, and a handful of such arrays (the two products, the
+# twin's double copies of them) are alive at once.
 _BLOCK_BYTES = 1 << 20
 
-_U = np.finfo(float).eps / 2  # unit roundoff
-_TINY = np.finfo(float).smallest_subnormal
-# Below this magnitude in x and c, (c - x)^2 < 2^1022 stays finite, so a
-# zero relevance zeroes its term of the exact sum. At or above it the term
-# may be 0 * inf = NaN, which the screen's expanded form never shows: such
-# rows and nodes get NaN bounds, which keep every pair a candidate.
-_HUGE = 2.0 ** 510
+# The float32 screen's proof (see _kernel.c) holds for relevances of 0 or
+# in [_REL_MIN, _REL_MAX] and for at most _MAX_DIMS dimensions. A smaller
+# positive relevance counts as 0 in the screen, which only lowers its
+# distance; a node with a relevance outside [0, _REL_MAX] gets NaN bounds,
+# which keep every pair a candidate, and so does every node of a map of
+# more dimensions.
+_REL_MIN = 2.0 ** -126
+_REL_MAX = 16.0
+_MAX_DIMS = 2 ** 21 - 4
+
+
+def _guard(m: int) -> float:
+    """The largest |x| and |c| the screen takes in ``m`` dimensions:
+    rows and nodes holding a larger value get NaN bounds. Below it no
+    float32 product or partial sum overflows (16 m guard^2 <= 2^124), and
+    (c - x)^2 stays finite in double, so a zero relevance zeroes its term
+    of the exact sum."""
+    return 2.0 ** ((120 - (m - 1).bit_length()) // 2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,8 @@ def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
     (0, 1), raises ``ValueError``.
     """
     _check_threshold(a_t)
-    _require_finite(np.asarray(x, dtype=float).reshape(1, -1))
+    x = _real(x, "pattern")
+    _require_finite(x.reshape(1, -1))
     winner, act = som.find_winner(x)
     if act < a_t:
         return None
@@ -81,7 +98,7 @@ def cluster(som: SomMap, x: np.ndarray, a_t: float) -> tuple[int, float] | None:
 
 def classify(som: SomMap, x: np.ndarray, a_t: float) -> Prediction:
     """Predict a class label for ``x``: ``classify_batch`` of one row."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "pattern")
     if x.shape != (som.dim,):
         raise ValueError(f"pattern has shape {x.shape}, map expects "
                          f"({som.dim},)")
@@ -113,7 +130,7 @@ def classify_batch(som: SomMap, patterns: np.ndarray,
 def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
     """Node (``-1`` for a rejection), label and activation of each row."""
     _check_threshold(a_t)
-    x = np.asarray(patterns, dtype=float)
+    x = _real(patterns, "patterns")
     if x.ndim != 2 or x.shape[1] != som.dim:
         raise ValueError(f"patterns have shape {x.shape}, map expects "
                          f"(k, {som.dim})")
@@ -122,11 +139,11 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
     if n == 0:
         raise ValueError("map has no nodes")
     x = np.ascontiguousarray(x)
-    huge = None
-    if x.size and (x.max() >= _HUGE or x.min() <= -_HUGE):
-        huge = (np.abs(x) >= _HUGE).any(axis=1)
     nodes = _NodeArrays(som)
-    block = max(1, _BLOCK_BYTES // (8 * n))
+    outside = None
+    if x.size and (x.max() > nodes.guard or x.min() < -nodes.guard):
+        outside = (np.abs(x) > nodes.guard).any(axis=1)
+    block = max(1, _BLOCK_BYTES // (4 * n))
     node = np.empty(len(x), dtype=np.intp)
     label = np.empty(len(x), dtype=nodes.labels.dtype)
     act = np.empty(len(x))
@@ -134,11 +151,14 @@ def _classify_arrays(som: SomMap, patterns: np.ndarray, a_t: float):
         for start in range(0, len(x), block):
             part = slice(start, start + block)
             xb = x[part]
-            # the screen's two products: |x|_r^2 and -2 <x, r c> per pair
-            q = (xb * xb) @ nodes.rel.T
-            d = xb @ nodes.cross.T
-            if huge is not None:
-                q[huge[part]] = np.nan
+            # the screen's two float32 products per pair, -2 <x, r c> and
+            # |x|_r^2, from the block cast to float32
+            x32 = xb.astype(np.float32)
+            d = x32 @ nodes.cross32.T
+            x32 *= x32
+            q = x32 @ nodes.rel32.T
+            if outside is not None:
+                q[outside[part]] = np.nan
             nodes.classify(xb, q, d, a_t, node[part], label[part], act[part])
     return node, label, act
 
@@ -154,21 +174,27 @@ class _NodeArrays:
         self.labels = som._arrays.labels[:n]
         self.labeled = self.labels != NO_CLASS
         self.unlabeled = ~self.labeled
-        # -2 r c, the cross term of the expanded form
-        self.cross = -2.0 * self.rel * self.centers
-        # |c|_r^2; the error bound needs r >= 0, so a node with a negative
-        # relevance gets NaN bounds and is never screened out, and so does
-        # one whose exact sum may turn NaN (see _HUGE)
-        self.sq = np.einsum("ij,ij->i", self.rel * self.centers, self.centers)
-        self.sq[((self.rel < 0.0) | (np.abs(self.centers) >= _HUGE))
-                .any(axis=1)] = np.nan
-        # Bound on the rounding of both the screen's expanded form and the
-        # exact kernel's sum: each within gamma_{m+3} (|x|_r + |c|_r)^2,
-        # gamma_k ~ k u, and (a + b)^2 <= 2 (a^2 + b^2). The floor covers
-        # results rounded into the subnormal range.
         m = self.rel.shape[1]
-        self.slack = 5.0 * (m + 4) * _U
-        self.sq_floor = self.sq + 8.0 * (m + 4) * _TINY / self.slack
+        self.guard = _guard(m)
+        # Nodes inside the proof's range; the others keep zero float rows
+        # and get NaN bounds, so they are never screened out.
+        safe = ((self.rel >= 0.0) & (self.rel <= _REL_MAX)
+                & (np.abs(self.centers) <= self.guard)).all(axis=1)
+        if m > _MAX_DIMS:
+            safe[:] = False
+        rel = np.where(self.rel >= _REL_MIN, self.rel, 0.0)
+        rel[~safe] = 0.0
+        rc = rel * self.centers
+        # the float32 operands of the two products: r and -2 r c
+        self.rel32 = rel.astype(np.float32)
+        self.cross32 = (-2.0 * rc).astype(np.float32)
+        # |c|_r^2 in double, over the screen's relevances
+        self.sq = np.einsum("ij,ij->i", rc, self.centers)
+        self.sq[~safe] = np.nan
+        # The margin of the bound (see _kernel.c): slack per unit of
+        # |x|_r^2 + |c|_r^2, and the floor m 2^-100 for float underflow.
+        self.slack = 4.0 * (m + 4) * 2.0 ** -24
+        self.sq_floor = self.sq + m * 2.0 ** -100 / self.slack
         # the block pass, bound to these operands: the map's compiled one,
         # else the numpy twin
         self.classify = (functools.partial(_classify_block, self)
@@ -187,12 +213,15 @@ def _classify_block(nodes: _NodeArrays, x: np.ndarray, q: np.ndarray,
     """Winner, label and activation of each row into ``node``, ``label``
     and ``act``; node ``-1`` marks a rejection.
 
-    ``q`` and ``d`` are the rows' products ``(x * x) @ rel.T`` and
-    ``x @ cross.T``, overwritten. The numpy twin of ``som_classify`` and
-    its reference.
+    ``q`` and ``d`` are the rows' float32 products ``(x32 * x32) @
+    rel32.T`` and ``x32 @ cross32.T``. The numpy twin of ``som_classify``
+    and its reference.
     """
     # Screen: an upper bound on every pair's activation, from the expanded
-    # form d2 = |x|_r^2 - 2 <x, r c> + |c|_r^2 less its error bound.
+    # form d2 = |x|_r^2 - 2 <x, r c> + |c|_r^2 less its error bound, in
+    # double from the products' values.
+    q = q.astype(np.float64)
+    d = d.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         d += q
         d += nodes.sq

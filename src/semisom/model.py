@@ -129,6 +129,15 @@ def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:
     return _relevances(np.asarray(dist_avg, dtype=float), slope)
 
 
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` for complex values,
+    whose imaginary parts a cast to float would silently drop."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{name} holds complex values")
+    return values.astype(float, copy=False)
+
+
 def _require_finite(patterns: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first row holding ``nan`` or ``inf``."""
     if not np.isfinite(patterns).all():
@@ -435,15 +444,16 @@ def _check_arrays(node_budget: int, centers, relevances, dist_avgs, wins,
                   labels, connections) -> list[np.ndarray]:
     """The arguments of ``SomMap.from_arrays``, checked, as float
     ``(n, dim)`` vectors, int64 ``(n,)`` wins and labels and int64 pairs."""
-    centers = np.asarray(centers, dtype=float)
+    centers = _real(centers, "centers")
     if centers.ndim != 2:
         raise ValueError(f"centers has shape {centers.shape}, expected "
                          f"(n, dim)")
     n, dim = centers.shape
     if n > node_budget:
         raise ValueError(f"{n} nodes exceed the node budget of {node_budget}")
-    arrays = [np.asarray(v, dtype=float)
-              for v in (centers, relevances, dist_avgs)]
+    arrays = [_real(v, name) for v, name in zip(
+        (centers, relevances, dist_avgs), ("centers", "relevances",
+                                           "dist_avgs"))]
     for name, values in zip(("center", "relevance", "dist_avg"), arrays):
         if values.shape != (n, dim):
             raise ValueError(f"{name}s has shape {values.shape}, expected "
@@ -686,7 +696,7 @@ class SomMap:
     # -- competition -------------------------------------------------------
 
     def _pattern(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _real(x, "pattern")
         if x.shape != (self.dim,):
             raise ValueError(f"pattern has shape {x.shape}, map expects ({self.dim},)")
         return x

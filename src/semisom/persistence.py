@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernel
 from .data import DataFormatError, NormStats
-from .model import HyperParams, SomMap
+from .model import NO_CLASS, HyperParams, SomMap
 
 FORMAT_NAME = "semisom-model"
 FORMAT_VERSION = 1
@@ -38,9 +38,10 @@ def save_model(path, som: SomMap, params: HyperParams, *,
                class_names: tuple[str, ...] = ()) -> None:
     """Write a model file; overwrites any existing file at ``path``.
 
-    The file is always one ``load_model`` reads: a map without nodes, or
-    a ``nan`` or ``inf`` anywhere in the model, raises ``ValueError``
-    before anything is written.
+    The file is always one ``load_model`` reads: a map without nodes, a
+    ``nan`` or ``inf`` anywhere in the model, or a node label outside
+    ``[NO_CLASS, len(class_names))`` raises ``ValueError`` before
+    anything is written.
     """
     if not som.n_nodes:
         raise ValueError("model holds no nodes")
@@ -78,6 +79,12 @@ def _model_parts(som: SomMap, params: HyperParams,
         if not np.isfinite(values).all():
             raise ValueError("Out of range float values are not JSON "
                              "compliant")
+    labels = som.labels
+    outside = (labels < NO_CLASS) | (labels >= len(class_names))
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(f"node {j} has label {labels[j]}, outside "
+                         f"[{NO_CLASS}, {len(class_names)})")
     centers, dists, rels = map(_vector_rows, vectors.values())
     node = _object([("center", "%s"), ("dist_avg", "%s"), ("label", "%d"),
                     ("relevance", "%s"), ("wins", "%d")], 2)

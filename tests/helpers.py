@@ -143,7 +143,12 @@ def reference_classify(som: SomMap, x, a_t: float) -> Prediction:
 def reference_model_text(som: SomMap, params, norm_stats=None,
                          class_names=()) -> str:
     """The model file ``save_model`` writes, less its final newline, as
-    ``json`` renders the document."""
+    ``json`` renders the document. ``ValueError`` where ``load_model``
+    would refuse the file: a value ``json`` cannot hold, or a node label
+    that names no class."""
+    if not all(NO_CLASS <= label < len(class_names)
+               for label in som.labels.tolist()):
+        raise ValueError("a node label names no class")
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,

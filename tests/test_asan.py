@@ -70,7 +70,7 @@ def _results(tmp: Path) -> list[dict]:
         state = train_with_state(ds, params)
         som = state.som
         path = tmp / f"model-{m}.json"
-        save_model(path, som, params)
+        save_model(path, som, params, class_names=ds.class_names)
         queries = np.vstack([ds.patterns,
                              np.random.default_rng(0).random((50, m))])
         predicted = classify_batch(som, queries, params.a_t)

@@ -699,6 +699,12 @@ def test_apply_norm_refuses_rows_of_another_width():
         apply_norm(stats, [[0.5], [0.2]])
 
 
+def test_apply_norm_refuses_complex_values():
+    stats = data.NormStats(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="patterns holds complex values"):
+        apply_norm(stats, [[0.1 + 2j, 0.2]])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     train=arrays(float, (4, 2), elements=st.floats(-50, 50)),
@@ -794,6 +800,30 @@ def test_kfold_test_folds_partition_the_dataset():
 def test_kfold_too_few_patterns_errors():
     with pytest.raises(ValueError):
         kfold_split(labeled_ds(2), repeats=1, k=3, seed=0)
+
+
+def test_dataset_refuses_complex_patterns():
+    with pytest.raises(ValueError, match="patterns holds complex values"):
+        Dataset([[0.1 + 2j, 0.2]], [0], ("a",), ("f0", "f1"))
+
+
+def test_dataset_refuses_a_fractional_label():
+    with pytest.raises(ValueError,
+                       match=r"pattern 1: label 1.7 is not an integer"):
+        Dataset(np.zeros((2, 2)), [0, 1.7], ("a", "b"), ("f0", "f1"))
+
+
+@pytest.mark.parametrize("labels, message", [
+    pytest.param([5, 5, 5], r"pattern 0 has label 5, outside \[-1, 2\)",
+                 id="past-the-classes"),
+    pytest.param([0, -7, 1], r"pattern 1 has label -7, outside \[-1, 2\)",
+                 id="below-no-class"),
+])
+def test_dataset_refuses_labels_outside_the_classes(labels, message):
+    """Such a dataset would train a map whose model file ``load_model``
+    refuses."""
+    with pytest.raises(ValueError, match=message):
+        Dataset(np.zeros((3, 2)), labels, ("a", "b"), ("f0", "f1"))
 
 
 def test_normalize_scales_a_range_wider_than_the_largest_float():

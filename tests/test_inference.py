@@ -118,6 +118,18 @@ def test_non_finite_patterns_raise(mixed_map, bad):
         cluster(mixed_map, xs[3], a_t=0.9)
 
 
+@pytest.mark.parametrize("entry", ["cluster", "classify", "classify_batch"])
+def test_complex_patterns_raise(mixed_map, entry):
+    """A cast to float would classify 0.1+2j as 0.1, with only a
+    warning."""
+    x = np.array([0.1 + 2j, 0.2])
+    with pytest.raises(ValueError, match="complex values"):
+        if entry == "classify_batch":
+            classify_batch(mixed_map, x[None], 0.5)
+        else:
+            dict(cluster=cluster, classify=classify)[entry](mixed_map, x, 0.5)
+
+
 def _call(entry, som, a_t):
     x = np.array([0.2, 0.2])
     if entry == "classify_batch":
@@ -179,7 +191,10 @@ def _batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 8))
-    scale = draw(st.sampled_from([1.0, 1e-6, 1e150, 1e160]))
+    # scales of the float32 screen's edges: its guard (2^57 to 2^60 here,
+    # see inference._guard), and float underflow and subnormals
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e150, 1e160, 1e17, 1e18,
+                                  1e19, 1e20, 1e-20, 1e-40]))
     centers = rng.random((n, m)) * scale
     rel = rng.random((n, m))
     labels = rng.integers(-1, 3, size=n)
@@ -190,6 +205,9 @@ def _batches(draw):
         rel[rng.integers(n)] = 0.0
     if draw(st.booleans()):  # outside the bound's assumptions
         rel[rng.integers(n), 0] *= -1.0
+    if draw(st.booleans()):  # relevances at and beyond the screen's range
+        rel[rng.integers(n), rng.integers(m)] = draw(st.sampled_from(
+            [16.0, 17.0, 1e6, 2.0 ** -126, 1e-40, 5e-324]))
     # a huge coordinate of zero relevance in a node, a pattern or both:
     # where (c - x)^2 overflows, the exact activation is 0 * inf = NaN
     huge = draw(st.sampled_from([None, 2.0 ** 510, 2.0 ** 511, 1e200,
@@ -228,7 +246,7 @@ def _batches(draw):
 @given(_batches())
 def test_classify_batch_is_exact(batch):
     som, x, a_t, rows_per_block = batch
-    block = rows_per_block * 8 * som.n_nodes
+    block = rows_per_block * 4 * som.n_nodes
     # overflow and negative relevances make NaN on both sides, by design
     with np.errstate(all="ignore"), \
             mock.patch.object(inference, "_BLOCK_BYTES", block):
@@ -248,7 +266,7 @@ def test_classify_batch_is_exact_on_a_trained_map():
     want = [_key(reference_classify(som, x, params.a_t)) for x in probes]
     for rows in (1, 7, 64, len(probes)):
         with mock.patch.object(inference, "_BLOCK_BYTES",
-                               rows * 8 * som.n_nodes):
+                               rows * 4 * som.n_nodes):
             got = classify_batch(som, probes, params.a_t)
         assert [_key(p) for p in got] == want
     assert any(p.label == REJECTED for p in got)

@@ -259,7 +259,7 @@ def _train_blobs(tmp_path, name):
                          minwd=0.3, epochs=3, n_max=len(ds), seed=1)
     state = train_with_state(mask_labels(ds, 0.5, seed=9), params)
     path = tmp_path / name
-    save_model(path, state.som, params)
+    save_model(path, state.som, params, class_names=ds.class_names)
     return state, path.read_bytes()
 
 
@@ -628,10 +628,10 @@ def _runs(draw):
     return mask_labels(ds, fraction, seed), params
 
 
-def _model_bytes(state, params) -> bytes:
+def _model_bytes(state, ds, params) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save_model(path, state.som, params)
+        save_model(path, state.som, params, class_names=ds.class_names)
         return path.read_bytes()
 
 
@@ -644,7 +644,7 @@ def _check_loops_agree(name, run) -> None:
         slow = train_with_state(ds, params)
     assert fast.som._train.args[0] is lib
     assert slow.som._train.func is _train_numpy and slow.som._view is None
-    assert _model_bytes(fast, params) == _model_bytes(slow, params)
+    assert _model_bytes(fast, ds, params) == _model_bytes(slow, ds, params)
     assert_adjacency_invariant(fast.som)
     assert fast.stats == slow.stats
     assert (fast.som.nwins, fast.t) == (slow.som.nwins, slow.t)
@@ -689,7 +689,8 @@ def test_observed_runs_equal_plain_runs_and_count_their_draws(run):
     assert events.count("step") == plain.t
     assert events.count("pre_reset") == events.count("post_reset")
     assert events.count("post_reset") == plain.stats.resets
-    assert _model_bytes(watched, params) == _model_bytes(plain, params)
+    assert (_model_bytes(watched, ds, params)
+            == _model_bytes(plain, ds, params))
     assert watched.stats == plain.stats
     assert (watched.som.nwins, watched.t) == (plain.som.nwins, plain.t)
     assert watched.rng.bit_generator.state == plain.rng.bit_generator.state

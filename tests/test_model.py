@@ -577,3 +577,13 @@ def test_from_arrays_refuses_what_a_map_cannot_hold(field, value, message):
     with pytest.raises(ValueError, match=message):
         SomMap.from_arrays(**arrays)
 
+
+
+@pytest.mark.parametrize("name", ["centers", "relevances", "dist_avgs"])
+def test_from_arrays_refuses_complex_vectors(name):
+    """A cast to float would keep 0.1 of 0.1+2j, with only a warning."""
+    arrays = _arrays()
+    arrays[name] = arrays[name].astype(complex)
+    arrays[name][0, 0] = 0.1 + 2j
+    with pytest.raises(ValueError, match=f"{name} holds complex values"):
+        SomMap.from_arrays(**arrays)

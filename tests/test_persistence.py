@@ -117,6 +117,31 @@ def test_save_refuses_a_map_without_nodes(trained, tmp_path):
     assert not out.exists()
 
 
+def test_save_refuses_a_label_past_the_class_names(trained, tmp_path):
+    """``load_model`` would refuse the file: node 0's label names no
+    class."""
+    _, params, _, _ = trained
+    som = SomMap(2, 5)
+    som.add_node([0.1, 0.2], label=5)
+    out = tmp_path / "label.json"
+    with pytest.raises(ValueError,
+                       match=r"node 0 has label 5, outside \[-1, 2\)"):
+        save_model(out, som, params, class_names=("a", "b"))
+    assert not out.exists()
+
+
+def test_save_refuses_a_label_below_no_class(trained, tmp_path):
+    _, params, _, _ = trained
+    som = SomMap(2, 5)
+    som.add_node([0.1, 0.2], label=1)
+    som.add_node([0.3, 0.4], label=-7)
+    out = tmp_path / "label.json"
+    with pytest.raises(ValueError,
+                       match=r"node 1 has label -7, outside \[-1, 2\)"):
+        save_model(out, som, params, class_names=("a", "b"))
+    assert not out.exists()
+
+
 def test_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "something-else"}', encoding="utf-8")
@@ -395,8 +420,9 @@ def _models(draw):
 def test_save_writes_what_json_writes(case):
     """The direct writer, with the compiled formatter where the library
     builds, against ``json.dumps(indent=1, sort_keys=True,
-    allow_nan=False)`` of the model document, byte for byte; a NaN or inf
-    is refused by both, and nothing is written."""
+    allow_nan=False)`` of the model document, byte for byte; a NaN or inf,
+    or a node label that names no class, is refused by both, and nothing
+    is written."""
     _check_save(case)
 
 
