@@ -54,6 +54,16 @@ class NormStats:
     maxs: np.ndarray
 
 
+def _require_classes(labels: np.ndarray, classes: int, what: str) -> None:
+    """Raise ``ValueError`` naming the first label outside
+    ``[NO_CLASS, classes)``; ``what`` names the row kind."""
+    outside = (labels < NO_CLASS) | (labels >= classes)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(f"{what} {j} has label {labels[j]}, outside "
+                         f"[{NO_CLASS}, {classes})")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Patterns, one row each, and their labels: ids into ``class_names``
@@ -81,11 +91,7 @@ class Dataset:
             raise ValueError("labels and patterns disagree in length")
         labels = _integers("labels", labels, (len(labels),),
                            lambda j: f"pattern {j}: label")
-        outside = (labels < NO_CLASS) | (labels >= len(self.class_names))
-        if outside.any():
-            j = int(np.argmax(outside))
-            raise ValueError(f"pattern {j} has label {labels[j]}, outside "
-                             f"[{NO_CLASS}, {len(self.class_names)})")
+        _require_classes(labels, len(self.class_names), "pattern")
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:

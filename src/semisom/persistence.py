@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernel
-from .data import DataFormatError, NormStats
-from .model import NO_CLASS, HyperParams, SomMap
+from .data import DataFormatError, NormStats, _require_classes
+from .model import HyperParams, SomMap
 
 FORMAT_NAME = "semisom-model"
 FORMAT_VERSION = 1
@@ -79,12 +79,7 @@ def _model_parts(som: SomMap, params: HyperParams,
         if not np.isfinite(values).all():
             raise ValueError("Out of range float values are not JSON "
                              "compliant")
-    labels = som.labels
-    outside = (labels < NO_CLASS) | (labels >= len(class_names))
-    if outside.any():
-        j = int(np.argmax(outside))
-        raise ValueError(f"node {j} has label {labels[j]}, outside "
-                         f"[{NO_CLASS}, {len(class_names)})")
+    _require_classes(som.labels, len(class_names), "node")
     centers, dists, rels = map(_vector_rows, vectors.values())
     node = _object([("center", "%s"), ("dist_avg", "%s"), ("label", "%d"),
                     ("relevance", "%s"), ("wins", "%d")], 2)
