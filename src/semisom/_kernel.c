@@ -23,14 +23,15 @@
  * operations on the same operands in the same order. min/max propagate
  * NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's expit,
  * with the C library's exp, one value at a time.
- * Two functions take another route to the same outcome. som_classify
- * rules out most pairs with a float32 test, computes the bounds of the
- * pairs it keeps with the numpy pass's operations, and tests them in the
- * squared-distance domain first. search,
- * the winner search of som_train from 16 dimensions and 32 nodes on,
- * screens the nodes in float32 and computes only the ones the screen
- * cannot rule out; it returns winner()'s node, so _winner mirrors both.
- * Every activation that decides is computed as winner() does.
+ * Two functions take another route to the same outcome, through one
+ * float32 screen (decide): search, the winner search of som_train from 16
+ * dimensions and 32 nodes on, and som_classify. Each bounds every node's
+ * activation from two float32 products with the pattern, rules most nodes
+ * out with a float32 test and the rest of them with the numpy pass's
+ * double bound, and computes only the nodes neither rules out. search
+ * returns winner()'s node, so _winner mirrors both, and som_classify the
+ * numpy pass's outcome. Every activation that decides is computed as
+ * winner() does.
  *
  * Every sum is numpy's pairwise summation, in one leaf (sum0): the eight
  * accumulators numpy keeps for each block of 8 terms are the lanes of two
@@ -102,18 +103,6 @@ enum { C_POS, C_NWINS, C_T, C_SUPERVISED, C_UNSUPERVISED, C_PUSHES,
 
 /* Four doubles; two of them hold the eight accumulators of a sum. */
 typedef double v4d __attribute__((vector_size(32)));
-
-/* Two lanes of doubles and of int64: a comparison of two v2d gives 0 or
- * -1 per lane. */
-typedef double v2d __attribute__((vector_size(16)));
-typedef int64_t v2di __attribute__((vector_size(16)));
-
-INLINE v2d load2(const double *p)
-{
-    v2d v;
-    __builtin_memcpy(&v, p, sizeof v);
-    return v;
-}
 
 /* The terms a sum adds up: a[q], (a[q] - b[q])^2 or w[q] * (a[q] - b[q])^2,
  * each computed as numpy computes the array it reduces. */
@@ -238,87 +227,406 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
 }
 
 /*
- * The screened winner search of the training loop (search): the winner
- * winner() finds, from the exact activations of only the nodes that a
- * float32 screen cannot rule out.
+ * The float32 screen of both winner searches, the training loop's (search)
+ * and the classification pass's (som_classify): the node winner() finds
+ * for a pattern x, from the exact activations of only the nodes that a
+ * bound from two float32 products per node cannot rule out.
  *
- * The shadow. som_train keeps a float32 copy of the node rows, private to
- * this file: centers and relevances in blocks of 8 nodes, one node per
- * vector lane (lane j % 8 of row q of block j / 8), each row padded with
- * zero relevances to mp, a multiple of 8 dimensions. Beside them it holds
- * each node's mass (relevance sum) and pivot weight 1 / mass^2, and the
- * largest error factors of its nodes (below). It is one malloc'd block,
- * built when som_train starts (shadow_open) and freed when it returns;
- * update_row, insert and sweep keep it current (shade). Building it costs
- * 7 to 10 runs of winner() (16 and 32 dimensions, 32 to 512 nodes), which
- * a call repays within a few dozen draws. The loop runs winner() alone
- * when the block cannot be allocated, or the map has fewer than
- * SCREEN_MIN_DIMS or more than SCREEN_MAX_DIMS dimensions, or its storage
- * fewer than SCREEN_MIN_NODES rows, or the call presents one draw. The
- * shadow is passed explicitly, so maps trained on several threads share
- * nothing.
+ * The bound. Write u = 2^-53 and f = 2^-24 for the unit roundoffs of
+ * double and float, gamma_k = k f / (1 - k f), r' for the screen's
+ * relevances (a node's r where r >= 2^-126, else 0: a float holds such an
+ * r within f of it, relative), and, over them, Q = |x|_r'^2,
+ * A = |c|_r'^2 and D' = |c - x|_r'^2 = Q - 2 <x, r'c> + A. The node
+ * operands are r32 = fl32(r'), w32 = fl32(fl(-2 r' c)) and sq = fl(A) in
+ * double, summed in any order; the products q = (x32 x32) r32 and
+ * d = x32 w32, x32 = fl32(x), are summed in float32 in any order, with or
+ * without fused multiply-adds (som_classify's caller computes them by
+ * sgemm, search on float lanes). In double,
+ *     t = fl(fl(fl(d + q) + sq) - fl(fl(q + sq_floor) slack)),
+ * with slack = 4 (m + 4) f and sq_floor = fl(sq + fl(F / slack)),
+ * F = m 2^-100. Let S be the double sum activation() computes with the
+ * node's own relevances and D its exact value; D >= D', since r' <= r.
+ * The operands are safe (inference._NodeArrays and _guard, shade()):
+ * every |x_q|, |c_q| <= B with 16 m B^2 <= 2^124, every r in [0, 16], and
+ * k = (m + 4) f <= 1/8, so gamma_{m+4} <= 8k/7.
+ *  - Each float rounding is relative, within f, or, for a result below
+ *    2^-126 in magnitude, off by at most h = 2^-126 in absolute terms
+ *    (this covers a BLAS that flushes subnormals to zero). A float below
+ *    2^-126 squares below 2^-252, to 0.
+ *  - q: a term is r' x^2 (1 + theta_4), theta_4 within gamma_4, plus at
+ *    most 17.1 h (the square's h times r32 <= 16 (1 + f), the product's
+ *    h); the m - 1 additions are relative on nonnegative terms, each
+ *    with at most h more. So |q - Q| <= gamma_{m+4} Q + m 2^-121.
+ *  - d: a term is x w (1 + theta_3), w = -2 r' c, plus x times the
+ *    absolute error of w32 and w times that of x32. w32 is exact (0)
+ *    where r' = 0; else r' >= 2^-126, and |x| h <= f r' x^2 + h^2 /
+ *    (4 f r') <= f r' x^2 + 2^-104, and likewise h |w| <= f r' c^2 +
+ *    2^-223. By Cauchy-Schwarz sum |x w| <= 2 |x|_r' |c|_r' <= Q + A, so
+ *    |d + 2 <x, r'c>| <= (gamma_{m+3} + 1.15 f)(Q + A) + m 2^-103.6.
+ *  - In double, sq lies within 1.01 (m + 2) u A of A, the two additions
+ *    round by at most 7u (Q + A), and S >= (1 - u)^(m+3) D - m 2^-1073
+ *    (the m + 3 roundings of a term and its additions are relative on
+ *    nonnegative terms, and only a term's two products may underflow),
+ *    where D >= D' and D' <= 2 (Q + A).
+ * Hence fl(fl(d + q) + sq) <= S + E (Q + A) + m 2^-103.5, with
+ * E = 2 gamma_{m+4} + 1.15 f + (3m + 15) u <= 2.52 k, since f <= k / 5.
+ * The subtracted term is at least (1 - 4u)(slack (q + sq) + F) >=
+ * (1 - 4u)(slack (1 - gamma_{m+4})(Q + A) + F - slack m 2^-121), and
+ * slack (1 - gamma_{m+4})(1 - 4u) >= 4k (6/7)(1 - 4u) > 3.42 k > E and
+ * F (1 - 4u) - slack m 2^-121 > m 2^-103.5, so the exact difference is
+ * at most S, and t, its rounding, is too: S is a double and rounding is
+ * monotone. bound(t) rounds as activation() does and each of its steps
+ * is monotone, so bound(t) is at least the pair's exact activation.
+ * Every float value stays finite: a float square is at most
+ * B^2 (1 + f)^3, and the terms of q and d at most 2^124 / m and
+ * 2^125 / m (|w| <= 32 B), so no partial sum reaches 2^127. And with
+ * |c - x| <= 2B no term of S is 0 * inf = NaN. A pattern or a node
+ * outside these bounds has a NaN q (som_classify's caller sets it; search
+ * leaves such a pattern to winner()) or a NaN sq, so its t is NaN: every
+ * comparison with it is false, and every pair stays a candidate.
  *
- * The search. With n >= SCREEN_MIN_NODES nodes and a pattern x whose every
- * |x_q| <= 2^56, it
- *  1. sums D = sum r32 (c32 - x32)^2 in float32, 8 nodes at a time with
- *     four accumulators per lane, and keeps d = fl32(D k1) (below);
- *  2. takes as pivot the safe node (below) of least d / mass^2, and its
- *     exact activation L = activation();
- *  3. tests 8 nodes at a time whether d proves a node's activation below
- *     L (ruled8), and computes each node it does not rule out with
- *     activation(), in ascending order, keeping the first maximum as
- *     winner() does. The pivot, whose activation is L, is never ruled out.
- * A ruled-out node cannot be the first maximum, since its activation lies
- * below the pivot's, so the winner is winner()'s, bit for bit. A NaN
- * activation among the computed ones sends the search to winner(), which
- * returns the first NaN. A pattern outside the gate, or a map without a
- * safe node, goes to winner() at once.
+ * The float test. t is not computed for every node. Each node is first
+ * bounded in float32, from its float operands sq32 = fl32(sq),
+ * sqf32 = fl32(fl(sq + fl(F / slack32))) and w32 = fl32(weight),
+ * weight = fl(1 / fl(mass mass)), and the float slack32 = 4 (m + 8) f,
+ * which a float holds exactly:
+ *     t32 = fl32(fl32(fl32(d + q) + sq32) - fl32(fl32(q + sqf32) slack32)),
+ *     p = fl32(t32 w32).
+ *  - t32 <= S. From the bounds above (k <= 1/8), |d + q| <= 2.3 (Q + A),
+ *    sq <= 1.01 A and the subtracted term is at most 0.58 (Q + A) + 1.01 F,
+ *    so the five float roundings of t32 (relative, within f, or off by at
+ *    most h where a result is below 2^-126) add at most 10.6 f (Q + A) +
+ *    2^-123 to the exact d + q + sq less the subtracted term. That term is
+ *    at least (1 - 3.01 f)(slack32 (q + sq) + F (1 - u)), and
+ *    slack32 (1 - gamma_{m+4})(1 - 3.01 f) >= 3.42 k + 13.7 f exceeds
+ *    E + 10.6 f, so the argument for t carries over.
+ *  - The float test: p > th, th = fl32(fl(fl(g g)(1 + 2^-18))) for
+ *    g = cutoff(L) in [2^-60, 2^60] (th is NaN otherwise, and rules out
+ *    nothing), proves act < L. A node's w32 is NaN, so that its p > th is
+ *    false, unless its mass lies in [2^-60, 2^60]; then w32 lies within
+ *    (1 + u)^2 (1 + f) of 1 / mass^2 and is a normal float, and so is
+ *    p > th >= 2^-120. Hence t32 > th mass^2 / ((1 + u)^2 (1 + f)^2) >=
+ *    (mass g)^2 (1 + 2^-18)(1 - 3 f - 4u) > (mass g)^2, and
+ *    sqrt(S) >= sqrt(t32) > mass g > R = mass (K / L - 1) - eps, since
+ *    g >= K / L - 1 and eps >= 0; by the derivation at cutoff(),
+ *    bound(S), the exact activation, lies below L. (For R <= 0, any
+ *    sqrt(S) > 0 is above R.)
  *
- * Safe nodes. A node is screened only when its centers and relevances are
- * finite, every |c_q| <= 2^56, every r_q is 0 or in [2^-126, 16] (so r32
- * is a normal float within 2^-24 of r, relative: a subnormal one may be
- * twice r) and its mass is finite and > 0. Any other node is always
- * computed: its shadow rows hold zeros and its mass and weight NaN, so
- * the test never rules it out and it is never the pivot.
+ * The search (decide). The pivot is the node of least p, and its exact
+ * activation L bounds the winner's from below. The float test at L drops
+ * most nodes; each node it keeps gets t in double and the double test of
+ * reaches(), and each node that passes both gets its exact activation
+ * (activation(), as winner() computes it), in ascending order, keeping the
+ * first NaN, else the first maximum, as winner() and np.argmax do. A node
+ * ruled out has an activation below L, the pivot's, so it is neither.
+ * Since eps > 0, a NaN activation needs a NaN or unsafe operand, which
+ * makes the node's p and t NaN: such a node is always computed.
  *
- * The bound. Write |v|_r = sqrt(sum r_q v_q^2) over the node's relevances,
- * u = 2^-53, and S for the double sum winner() computes, so that the
- * exact activation is bound(S) of som_classify's derivation (at cutoff()).
- * With g = cutoff(L), e = shrunk(eps) and t = fl(fl(mass g) - e) > 0,
- * S > t^2 then proves act < L. And:
- *  - S >= (1 - u)^(m+3) |c - x|_r^2 - m 2^-1073: the m + 3 roundings of a
- *    term and its additions are relative on nonnegative terms, and only
- *    the two products of a term may underflow.
- *  - |c - x|_r >= E - a0 by the triangle inequality, E = |c32 - x32|_r
- *    and a0 = |c32 - c|_r + |x32 - x|_r. Rounding to float moves a value
- *    of magnitude at most 2^56 by at most 2^-24 of it plus 2^-150, and
- *    every r_q <= 16, so a0 <= 2^-24 (|c|_r + sqrt(max r) |x|) +
- *    2^-147 sqrt(m).
- *    Without this term the proof fails where c is near x: there c32 - x32
- *    may be a whole float ulp while c - x is one double ulp.
- *  - E^2 >= D (1 - (mp + 5) 2^-24) - mp 2^-144: a term of D takes at most
- *    5 roundings (r32, the difference counted twice in its square, the
- *    square, the product) and at most mp - 1 additions, all relative on
- *    nonnegative terms, except that the square and the product may
- *    underflow by 2^-150 each (the square's times r32 <= 16). D stays
- *    finite: a term is at most 2^118, and mp <= 1000 of them stay below
- *    2^128. d = fl32(D k1) adds one more relative rounding, or 2^-150.
- * Hence the test of ruled8, on doubles,
- *     d > fl(fl(s s) + F),  s = fl(fl(t + a) G),  t > 0,
- * with k1 = 1 - (m + 16) 2^-23 (a float), G = 1 + 2^-30, F = 2^-100 and
- * a = fl(fl(rrs |x|) + err), where err and rrs are the largest
- * 2^-24 (1 + 2^-20) |c|_r + 2^-120 and 2^-24 (1 + 2^-20) sqrt(max r) of
- * the nodes shaded since the shadow was built, so a >= a0 + 2^-530 for
- * every node present, proves
- *     D (1 - (mp + 5) 2^-24) - mp 2^-144 > ((t + 2^-530)(1 + 2^-41) + a0)^2,
- * so E - a0 > (t + 2^-530)(1 + 2^-41), so S > t^2 and act < L strictly.
- * k1 keeps (m + 20) 2^-24 > 2^-20 of slack over the float roundings, G
- * covers (1 - u)^-(m+3)/2 < 1 + 2^-41 (m <= 1000) with 2^-31 to spare,
- * F is 2^44 times mp 2^-144, and the 2^-20 in err and rrs covers the
- * roundings of |c|_r, sqrt(max r), |x| and a; each of the few double
- * roundings of the test is at most 2^-53 relative, far inside that slack.
- * A t that is NaN (an L outside cutoff's range, an unsafe node) or not
- * above 0 rules out nothing.
+ * The float screen and test run in 4-lane float vectors, each lane making
+ * the IEEE operations of the scalar code, on both bodies: the baseline
+ * x86-64 ISA compares 4 floats natively but scalarizes the comparisons of
+ * 8-lane vectors, and target_clones compiles one source for both. The
+ * nodes the float test keeps go through scalar code, in index order.
+ */
+
+/* Eight and four floats, and four int32: the screen's lanes. */
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
+typedef int32_t v4i __attribute__((vector_size(16)));
+
+INLINE v4f load4f(const float *p)
+{
+    v4f v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* The nodes a screened search runs on: n nodes of m dimensions, their
+ * center and relevance rows, relevance sums (mass), labels, the screen's
+ * |c|_r'^2 (sq), its floored form (sq_floor) and factor (slack), and
+ * 1 / mass^2, the pivot proxy's weights (som_classify's batch alone). */
+struct som_nodes {
+    ptrdiff_t n, m;
+    double eps, slack;
+    const double *centers, *rel, *mass, *sq, *sq_floor, *weight;
+    const int64_t *labels;
+};
+
+/* The label of a rejected pattern (inference.REJECTED). */
+#define REJECTED (-2)
+
+/* Exact activation of node j for x. */
+INLINE double exact(const struct som_nodes *s, ptrdiff_t j, const double *x)
+{
+    return activation(s->centers + j * s->m, s->rel + j * s->m, s->mass[j],
+                      x, s->m, s->eps);
+}
+
+/* The screen's bound on the activation from the lower bound d2 on the
+ * squared distance, clamped like np.maximum(d2, 0.0) (NaN and -0.0 pass)
+ * and rounded as model._act_of_sq rounds it. */
+INLINE double bound(double d2, double mass, double eps)
+{
+    d2 = (d2 >= 0.0 || isnan(d2)) ? d2 : 0.0;
+    return mass / ((sqrt(d2) + mass) + eps);
+}
+
+/*
+ * Ruling a pair out without a square root or a division.
+ *
+ * For mass >= 0, bound(d2) does not increase with d2, and each of its four
+ * roundings (unit roundoff u) is relative, so
+ *     bound(d2) <= mass (1 + u) / ((1 - u)^3 (sqrt(d2) + mass + eps))
+ * and bound(d2) < L once sqrt(d2) > R = mass (K / L - 1) - eps, with
+ * K = (1 + u) / (1 - u)^3. (For L >= 2^-1000 the quotient lies far enough
+ * above the subnormal range that its rounding is relative as well.)
+ *
+ * cutoff(L) = fl(fl(fl(fl(1 / L) G) - 1) G), with G = 1 + 2^-40, is at
+ * least K / L - 1: the first G covers the roundings of 1 / L, of the
+ * product and of the subtraction (exact by Sterbenz near L = 1), each of
+ * at most u against 2^-40 > 8u. Per node, t = fl(fl(mass g) - e), with
+ * e = fl(eps (1 - 2^-40)), is then at least R whenever t > 0: the second
+ * G and the 1 - 2^-40 cover the two roundings of mass g - e. A float d2
+ * above fl(t t) lies above t^2 itself, since round-to-nearest leaves no
+ * float between them, so d2 > fl(t t) with t > 0 gives sqrt(d2) > t >= R
+ * and bound(d2) < L: the pair is ruled out.
+ *
+ * A negative or NaN relevance makes sq, hence d2, NaN. NaN compares false
+ * and an overflowed t t is inf, so such pairs are never ruled out here;
+ * cutoff is NaN, ruling out nothing, for an L that is NaN, infinite or
+ * below 2^-1000. A pair that is not ruled out gets its exact bound.
+ */
+static double cutoff(double L)
+{
+    const double grow = 1.0 + 0x1p-40;
+    if (!(L >= 0x1p-1000 && L < INFINITY))
+        return NAN;
+    return ((1.0 / L) * grow - 1.0) * grow;
+}
+
+/* e of the test above, from eps. */
+INLINE double shrunk(double eps)
+{
+    return eps * (1.0 - 0x1p-40);
+}
+
+/* Whether node j's bound reaches L, i.e. !(bound < L) as the numpy twin
+ * tests it: NaN bounds reach every L. g = cutoff(L), e = shrunk(eps). */
+INLINE int reaches(const struct som_nodes *s, ptrdiff_t j, double d2,
+                   double L, double g, double e)
+{
+    double t = s->mass[j] * g - e;
+    if (t > 0.0 && d2 > t * t)
+        return 0;
+    return !(bound(d2, s->mass[j], s->eps) < L);
+}
+
+/* reaches() for callers outside the library: the tests check its margin. */
+int som_reaches(double mass, double eps, double d2, double L)
+{
+    struct som_nodes s = {.n = 1, .eps = eps, .mass = &mass};
+    return reaches(&s, 0, d2, L, cutoff(L), shrunk(eps));
+}
+
+/* One pattern's outcome so far: the winner w, its activation top, the
+ * best labeled candidate activation at or above a_t (sure), and, unless
+ * NULL, the row that receives each exact activation computed. */
+struct row {
+    ptrdiff_t w;
+    double top, sure;
+    double *acts;
+};
+
+/* Candidate j: its exact activation into o->acts, the row's winner
+ * (np.argmax: the first NaN, else the first maximum; the other nodes count
+ * as -inf, which never wins after the initial w = 0, top = -inf) and
+ * `sure`. The pivot's is L. */
+INLINE void candidate(const struct som_nodes *s, ptrdiff_t j,
+                      const double *x, double L, ptrdiff_t piv, double a_t,
+                      struct row *o)
+{
+    double v = j == piv ? L : exact(s, j, x);
+    if (o->acts)
+        o->acts[j] = v;
+    if (!isnan(o->top) && !(v <= o->top)) {
+        o->w = j;
+        o->top = v;
+    }
+    if (s->labels[j] != NO_CLASS && v >= a_t && v > o->sure)
+        o->sure = v;
+}
+
+/* Labeled candidate j of the fallback: the most activated one at or above
+ * a_t is kept in f and *best, the first on ties. */
+INLINE void fallback(const struct som_nodes *s, ptrdiff_t j, const double *x,
+                     double a_t, ptrdiff_t *f, double *best)
+{
+    double v = exact(s, j, x);
+    if (v >= a_t && (*f < 0 || v > *best)) {
+        *f = j;
+        *best = v;
+    }
+}
+
+/* The float operands of the pass, in the scratch block: per row, each
+ * node's p = t weight, t its float bound; per batch, each node's sq,
+ * sq_floor (with the float floor) and pivot weight as floats, and the
+ * float slack (see above). */
+struct lanes {
+    float *p, *sq, *sq_floor, *weight;
+    float slack;
+};
+
+/* The double bound on node j's squared distance from the float products,
+ * as the numpy twin computes it. */
+INLINE double bound_sq(const struct som_nodes *s, const float *q,
+                       const float *d, ptrdiff_t j)
+{
+    const double qj = q[j];
+    return (((double)d[j] + qj) + s->sq[j]) - (qj + s->sq_floor[j]) * s->slack;
+}
+
+/* p of node j .. j + 3, whose indices idx holds, into f->p; the least p
+ * seen per lane goes to *low, its node to *at. */
+INLINE void screen4(const struct lanes *f, const float *q, const float *d,
+                    ptrdiff_t j, v4i idx, v4f *low, v4i *at)
+{
+    const v4f qj = load4f(q + j);
+    const v4f t = ((load4f(d + j) + qj) + load4f(f->sq + j)) -
+                  (qj + load4f(f->sq_floor + j)) * f->slack;
+    const v4f p = t * load4f(f->weight + j);
+    __builtin_memcpy(f->p + j, &p, sizeof p);
+    const v4i lt = p < *low;
+    *low = (v4f)(((v4i)p & lt) | ((v4i)*low & ~lt));
+    *at = (lt & idx) | (~lt & *at);
+}
+
+/* p of node j alone. */
+INLINE float screen1(const struct lanes *f, const float *q, const float *d,
+                     ptrdiff_t j)
+{
+    const float t = ((d[j] + q[j]) + f->sq[j]) -
+                    (q[j] + f->sq_floor[j]) * f->slack;
+    return f->p[j] = t * f->weight[j];
+}
+
+/* The float test's threshold for g = cutoff(L): a node whose p lies above
+ * it is ruled out. NaN, which rules out nothing, for a g outside
+ * [2^-60, 2^60]. */
+INLINE float threshold(double g)
+{
+    return g >= 0x1p-60 && g <= 0x1p60 ? (float)(g * g * (1.0 + 0x1p-18))
+                                       : NAN;
+}
+
+/* Node j, which the float test keeps: when its double bound reaches L, a
+ * candidate of the row (o), or with `fall` a labeled candidate of the
+ * fallback (*k, *best). */
+INLINE void visit(const struct som_nodes *s, const float *q, const float *d,
+                  ptrdiff_t j, const double *x, double L, double g,
+                  double e, ptrdiff_t piv, double a_t, int fall,
+                  struct row *o, ptrdiff_t *k, double *best)
+{
+    if (fall && s->labels[j] == NO_CLASS)
+        return;
+    if (!reaches(s, j, bound_sq(s, q, d, j), L, g, e))
+        return;
+    if (fall)
+        fallback(s, j, x, a_t, k, best);
+    else
+        candidate(s, j, x, L, piv, a_t, o);
+}
+
+/* visit() each node of [0, n) that the float test at L cannot rule out,
+ * in ascending order. Sixteen nodes are tested at a time; the rare groups
+ * with a node the test keeps go through visit() lane by lane. */
+INLINE void walk(const struct som_nodes *s, const struct lanes *f,
+                 const float *q, const float *d, const double *x, double L,
+                 ptrdiff_t piv, double a_t, int fall, struct row *o,
+                 ptrdiff_t *k, double *best)
+{
+    const ptrdiff_t n = s->n;
+    const double g = cutoff(L), e = shrunk(s->eps);
+    const float h = threshold(g);
+    ptrdiff_t j;
+    for (j = 0; j + 16 <= n; j += 16) {
+        const v4i no0 = load4f(f->p + j) > h, no1 = load4f(f->p + j + 4) > h,
+                  no2 = load4f(f->p + j + 8) > h,
+                  no3 = load4f(f->p + j + 12) > h;
+        const v4i all = (no0 & no1) & (no2 & no3);
+        if ((all[0] & all[1]) & (all[2] & all[3]))
+            continue;
+        for (ptrdiff_t i = j; i < j + 16; i++)
+            if (!(f->p[i] > h))
+                visit(s, q, d, i, x, L, g, e, piv, a_t, fall, o, k, best);
+    }
+    for (; j < n; j++)
+        if (!(f->p[j] > h))
+            visit(s, q, d, j, x, L, g, e, piv, a_t, fall, o, k, best);
+}
+
+/* The screen of one pattern x against the nodes of s from its float
+ * products q and d: each node's p into f->p, the pivot of least p, kept
+ * in two sets of four lanes, then across, and walk() at the pivot's exact
+ * activation, which leaves the first maximum in *o. */
+INLINE void decide(const struct som_nodes *s, const struct lanes *f,
+                   const float *q, const float *d, const double *x,
+                   double a_t, struct row *o)
+{
+    const ptrdiff_t n = s->n;
+    const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
+    v4f low[2] = {inf4, inf4};
+    v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
+    v4i idx = {0, 1, 2, 3};
+    ptrdiff_t j;
+    for (j = 0; j + 8 <= n; j += 8, idx += 8) {
+        screen4(f, q, d, j, idx, &low[0], &at[0]);
+        screen4(f, q, d, j + 4, idx + 4, &low[1], &at[1]);
+    }
+    if (j + 4 <= n) {
+        screen4(f, q, d, j, idx, &low[0], &at[0]);
+        j += 4;
+    }
+    ptrdiff_t piv = 0;
+    float least = INFINITY;
+    for (int l = 0; l < 8; l++)
+        if (low[l / 4][l % 4] < least) {
+            least = low[l / 4][l % 4];
+            piv = at[l / 4][l % 4];
+        }
+    for (; j < n; j++)
+        if (screen1(f, q, d, j) < least) {
+            least = f->p[j];
+            piv = j;
+        }
+    walk(s, f, q, d, x, exact(s, piv, x), piv, a_t, 0, o, NULL, NULL);
+}
+
+/*
+ * The screened winner search of the training loop (search): the screen
+ * above on one pattern.
+ *
+ * The shadow. som_train keeps the screen's node operands, private to this
+ * file: r32 and w32 in blocks of 8 nodes, one node per vector lane (lane
+ * j % 8 of row q of block j / 8), each row padded with zeros to mp, a
+ * multiple of 8 dimensions; and per node sq and sq_floor in double and the
+ * float operands of the float test. shade() computes them from the node's
+ * rows as inference._NodeArrays and som_classify do: a node whose
+ * relevances lie outside [0, 16] or whose centers lie beyond the guard
+ * (inference._guard) has zero rows and a NaN sq, and a relevance below
+ * 2^-126 counts as 0. The shadow is one malloc'd block, built when
+ * som_train starts (shadow_open) and freed when it returns; update_row,
+ * insert and sweep keep it current. The loop runs winner() alone when the
+ * block cannot be allocated, or the map has fewer than SCREEN_MIN_DIMS
+ * dimensions or more than the proof allows, or its storage fewer than
+ * SCREEN_MIN_NODES rows, or the call presents one draw. The shadow is
+ * passed explicitly, so maps trained on several threads share nothing.
+ *
+ * The search. With n >= SCREEN_MIN_NODES nodes and a pattern whose every
+ * value lies within the guard, search() sums q and d of 8 nodes at a time
+ * on float lanes and runs decide(), which writes the exact activation of
+ * each node it computes to v->acts. Its node is winner()'s, bit for bit.
+ * A pattern beyond the guard goes to winner().
  *
  * The activation row. winner() leaves every activation of the map in
  * v->acts, search() only those of the nodes it computes. The loop reads
@@ -330,48 +638,55 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
  */
 
 /* Gates of the screened search. On random maps with patterns near a node
- * (16 and 32 dimensions, both builds), search took 0.97-1.07 times the
- * cycles of winner() at 16 nodes, 0.80-0.85 at 24 and 0.52-0.81 at 32.
- * Below 16 dimensions it also gained on maps of ~600 nodes (8 to 12
- * dimensions, ~30 % of training time), but maps of few dimensions, the
- * c5 sweep's, keep winner() until that is measured end to end. Above
- * 1000 dimensions a float sum could overflow. */
+ * (16 and 32 dimensions, both builds, the gate lowered in a scratch
+ * harness), search took 0.74-0.78 times the cycles of winner() at 16
+ * nodes, 0.64-0.73 at 24 and 0.58-0.69 at 32. Maps of fewer nodes, and
+ * maps of few dimensions, the c5 sweep's, keep winner() until the screen
+ * is measured there end to end. */
 #define SCREEN_MIN_DIMS 16
-#define SCREEN_MAX_DIMS 1000
 #define SCREEN_MIN_NODES 32
 
-/* Defined with som_classify, which uses them first. */
-static double cutoff(double L);
-INLINE double shrunk(double eps);
+/* inference._MAX_DIMS: the proof needs (m + 4) 2^-24 <= 1/8. */
+#define MAX_DIMS ((1 << 21) - 4)
 
-/* Eight and four floats, and four int32: the screen's lanes. */
-typedef float v8f __attribute__((vector_size(32)));
-typedef float v4f __attribute__((vector_size(16)));
-typedef int32_t v4i __attribute__((vector_size(16)));
+/* inference._guard(m): the largest |x| and |c| the screen takes. */
+static double guard(ptrdiff_t m)
+{
+    const int bits = m > 1 ? 64 - __builtin_clzll((uint64_t)(m - 1)) : 0;
+    return ldexp(1.0, (120 - bits) / 2);
+}
 
-/* The shadow of the node rows (see above): mp padded dimensions, k1, the
- * largest error factors err and rrs, the block mem, and in it the mass of
- * each node, the blocked rows c and r, the weights w, the screen sums d
- * and the pattern x. Every per-node array holds the storage's capacity
- * rounded up to 8 nodes. */
+/* The float slack of the float test. */
+INLINE float slack32(ptrdiff_t m)
+{
+    return (float)(4 * (m + 8)) * 0x1p-24f;
+}
+
+/* Node j's operands of the float test into f: sq, sq_floor from the
+ * floor F / slack32, and the pivot weight, NaN unless mass lies in
+ * [2^-60, 2^60]. */
+INLINE void set_lanes(const struct lanes *f, ptrdiff_t j, double sq,
+                      double floor, double mass, double weight)
+{
+    f->sq[j] = (float)sq;
+    f->sq_floor[j] = (float)(sq + floor);
+    f->weight[j] = mass >= 0x1p-60 && mass <= 0x1p60 ? (float)weight : NAN;
+}
+
+/* The shadow of the node rows (see above): mp padded dimensions, the
+ * guard, slack, F / slack and F / slack32, the float test's operands f,
+ * and the block mem, which holds sq, sq_floor, the blocked rows r and w,
+ * the products q and d, the pattern x and its squares xx, and f's arrays.
+ * Every per-node array holds the storage's capacity rounded up to 8
+ * nodes. */
 struct shadow {
     ptrdiff_t mp;
-    float k1;
-    double err, rrs;
+    double guard, slack, floor, floor32;
+    struct lanes f;
     void *mem;
-    double *mass;
-    float *c, *r, *w, *d, *x;
+    double *sq, *sq_floor;
+    float *r, *w, *q, *d, *x, *xx;
 };
-
-/* 2^-24 (1 + 2^-20): the error terms' factor. */
-#define ERR_SCALE (0x1p-24 + 0x1p-44)
-
-/* Node j, absent or unsafe: never ruled out, never the pivot. */
-INLINE void unshade(struct shadow *s, ptrdiff_t j)
-{
-    s->mass[j] = NAN;
-    s->w[j] = NAN;
-}
 
 /* Node j of the shadow from its rows. */
 static void shade(struct shadow *s, const struct som_view *v, ptrdiff_t j)
@@ -379,31 +694,21 @@ static void shade(struct shadow *s, const struct som_view *v, ptrdiff_t j)
     const ptrdiff_t m = v->m;
     const double *c = v->centers + j * m, *r = v->rel + j * m;
     const double mass = v->sums[j];
-    float *cs = s->c + (j / 8 * s->mp) * 8 + j % 8;
     float *rs = s->r + (j / 8 * s->mp) * 8 + j % 8;
-    int safe = mass > 0.0 && mass < INFINITY;
+    float *ws = s->w + (j / 8 * s->mp) * 8 + j % 8;
+    int safe = 1;
     for (ptrdiff_t q = 0; q < m; q++)
-        safe &= fabs(c[q]) <= 0x1p56 &&
-                (r[q] == 0.0 || (r[q] >= 0x1p-126 && r[q] <= 16.0));
-    if (!safe) {
-        for (ptrdiff_t q = 0; q < m; q++)
-            cs[q * 8] = rs[q * 8] = 0.0f;
-        unshade(s, j);
-        return;
-    }
-    double norm = 0.0, top = 0.0;
+        safe &= r[q] >= 0.0 && r[q] <= 16.0 && fabs(c[q]) <= s->guard;
+    double sq = safe ? 0.0 : NAN;
     for (ptrdiff_t q = 0; q < m; q++) {
-        cs[q * 8] = (float)c[q];
-        rs[q * 8] = (float)r[q];
-        norm += r[q] * c[q] * c[q];
-        top = r[q] > top ? r[q] : top;
+        const double rc = safe && r[q] >= 0x1p-126 ? r[q] * c[q] : 0.0;
+        rs[q * 8] = safe && r[q] >= 0x1p-126 ? (float)r[q] : 0.0f;
+        ws[q * 8] = (float)(-2.0 * rc);
+        sq += rc * c[q];
     }
-    const double err = sqrt(norm) * ERR_SCALE + 0x1p-120;
-    const double rrs = sqrt(top) * ERR_SCALE;
-    s->err = err > s->err ? err : s->err;
-    s->rrs = rrs > s->rrs ? rrs : s->rrs;
-    s->mass[j] = mass;
-    s->w[j] = (float)fmin(1.0 / (mass * mass), 0x1p127);
+    s->sq[j] = sq;
+    s->sq_floor[j] = sq + s->floor;
+    set_lanes(&s->f, j, sq, s->floor32, mass, 1.0 / (mass * mass));
 }
 
 /* The shadow of a map of n nodes into *s, for a call of som_train that
@@ -414,86 +719,44 @@ static struct shadow *shadow_open(struct shadow *s, const struct som_view *v,
                                   ptrdiff_t n, ptrdiff_t draws)
 {
     const ptrdiff_t m = v->m, slots = (v->capacity + 7) / 8 * 8;
-    if (m < SCREEN_MIN_DIMS || m > SCREEN_MAX_DIMS ||
+    if (m < SCREEN_MIN_DIMS || m > MAX_DIMS ||
         v->capacity < SCREEN_MIN_NODES || draws < 2)
         return NULL;
-    s->mp = (m + 7) / 8 * 8;
-    s->k1 = 1.0f - (float)(m + 16) * 0x1p-23f;
-    s->err = s->rrs = 0.0;
-    const size_t floats = (size_t)(2 * slots * s->mp + 2 * slots + s->mp);
-    s->mem = calloc((size_t)slots * sizeof(double) + floats * sizeof(float),
-                    1);
+    const ptrdiff_t mp = (m + 7) / 8 * 8;
+    s->mp = mp;
+    s->guard = guard(m);
+    s->slack = 4.0 * (double)(m + 4) * 0x1p-24;
+    s->f.slack = slack32(m);
+    s->floor = (double)m * 0x1p-100 / s->slack;
+    s->floor32 = (double)m * 0x1p-100 / s->f.slack;
+    const size_t floats = (size_t)(2 * slots * mp + 2 * mp + 6 * slots);
+    s->mem = calloc(2 * (size_t)slots * sizeof(double) +
+                    floats * sizeof(float), 1);
     if (s->mem == NULL)
         return NULL;
-    s->mass = s->mem;
-    s->c = (float *)(s->mass + slots);
-    s->r = s->c + slots * s->mp;
-    s->w = s->r + slots * s->mp;
-    s->d = s->w + slots;
+    s->sq = s->mem;
+    s->sq_floor = s->sq + slots;
+    s->r = (float *)(s->sq_floor + slots);
+    s->w = s->r + slots * mp;
+    s->q = s->w + slots * mp;
+    s->d = s->q + slots;
     s->x = s->d + slots;
-    for (ptrdiff_t j = 0; j < slots; j++)
-        if (j < n)
-            shade(s, v, j);
-        else
-            unshade(s, j);
+    s->xx = s->x + mp;
+    s->f.p = s->xx + mp;
+    s->f.sq = s->f.p + slots;
+    s->f.sq_floor = s->f.sq + slots;
+    s->f.weight = s->f.sq_floor + slots;
+    for (ptrdiff_t j = 0; j < n; j++)
+        shade(s, v, j);
     return s;
 }
 
-INLINE v4f load4f(const float *p)
+/* a times the 8 floats at p, added to *acc. */
+INLINE void add8(v8f *acc, float a, const float *p)
 {
-    v4f v;
+    v8f v;
     __builtin_memcpy(&v, p, sizeof v);
-    return v;
-}
-
-/* Term q of the screen sums of 8 nodes, r32 (c32 - x32)^2 in float, added
- * to *acc. */
-INLINE void term8(const float *c, const float *r, float x, ptrdiff_t q,
-                  v8f *acc)
-{
-    v8f cq, rq;
-    __builtin_memcpy(&cq, c + q * 8, sizeof cq);
-    __builtin_memcpy(&rq, r + q * 8, sizeof rq);
-    cq -= x;
-    *acc += rq * (cq * cq);
-}
-
-/* d = fl32(D k1) of the 8 nodes of block b for the pattern in s->x, D
- * summed with four accumulators per lane, into s->d. */
-INLINE void screen8(const struct shadow *s, ptrdiff_t b)
-{
-    const float *c = s->c + b * s->mp * 8, *r = s->r + b * s->mp * 8;
-    const float *x = s->x;
-    v8f a0 = {0.0f}, a1 = a0, a2 = a0, a3 = a0;
-    for (ptrdiff_t q = 0; q < s->mp; q += 4) {
-        term8(c, r, x[q], q, &a0);
-        term8(c, r, x[q + 1], q + 1, &a1);
-        term8(c, r, x[q + 2], q + 2, &a2);
-        term8(c, r, x[q + 3], q + 3, &a3);
-    }
-    const v8f d = ((a0 + a1) + (a2 + a3)) * s->k1;
-    __builtin_memcpy(s->d + b * 8, &d, sizeof d);
-}
-
-/* The test of the bound above for nodes j .. j + 7, a pair of lanes at a
- * time: no[h] is set where node j + 2h or j + 2h + 1 is ruled out.
- * g = cutoff(L), e = shrunk(eps), a the error term. Returns whether all
- * eight are ruled out. */
-INLINE int ruled8(const struct shadow *s, ptrdiff_t j, double g, double e,
-                  double a, v2di no[4])
-{
-    const v2d zero = {0.0, 0.0}, grow = {1.0 + 0x1p-30, 1.0 + 0x1p-30},
-              floor = {0x1p-100, 0x1p-100};
-    v2di all = {-1, -1};
-    for (int h = 0; h < 4; h++) {
-        const ptrdiff_t i = j + 2 * h;
-        const v2d t = load2(s->mass + i) * g - e;
-        const v2d sc = (t + a) * grow;
-        const v2d d = {s->d[i], s->d[i + 1]};
-        no[h] = (t > zero) & (d > sc * sc + floor);
-        all &= no[h];
-    }
-    return (all[0] & all[1]) != 0;
+    *acc += a * v;
 }
 
 /* winner() through the screen of shadow s, when the map and the pattern
@@ -503,69 +766,38 @@ CLONES static ptrdiff_t search(const struct som_view *v,
                                struct shadow *s, ptrdiff_t n,
                                const double *x, int *partial)
 {
-    const ptrdiff_t m = v->m;
+    const ptrdiff_t m = v->m, mp = s->mp;
     *partial = 0;
     if (n < SCREEN_MIN_NODES)
         return winner(v, n, x);
-    double xx = 0.0;
     for (ptrdiff_t q = 0; q < m; q++) {
-        if (!(fabs(x[q]) <= 0x1p56))
+        if (!(fabs(x[q]) <= s->guard))
             return winner(v, n, x);
         s->x[q] = (float)x[q];
-        xx += x[q] * x[q];
+        s->xx[q] = s->x[q] * s->x[q];
     }
-    /* The screen, with the pivot: the node of least d * weight, per lane
-     * of two 4-wide halves, then across. Lanes of absent nodes and unsafe
-     * ones have NaN weights. */
-    const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
-    v4f low[2] = {inf4, inf4};
-    v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
+    /* q and d of 8 nodes a block, each with two accumulators per lane */
     for (ptrdiff_t b = 0; b * 8 < n; b++) {
-        screen8(s, b);
-        for (int h = 0; h < 2; h++) {
-            const v4f p = load4f(s->d + b * 8 + h * 4) *
-                          load4f(s->w + b * 8 + h * 4);
-            const v4i lt = p < low[h];
-            low[h] = (v4f)(((v4i)p & lt) | ((v4i)low[h] & ~lt));
-            at[h] = (lt & (v4i){b, b, b, b}) | (~lt & at[h]);
+        const float *r = s->r + b * mp * 8, *w = s->w + b * mp * 8;
+        v8f q0 = {0.0f}, q1 = q0, d0 = q0, d1 = q0;
+        for (ptrdiff_t k = 0; k < mp; k += 2) {
+            add8(&q0, s->xx[k], r + k * 8);
+            add8(&d0, s->x[k], w + k * 8);
+            add8(&q1, s->xx[k + 1], r + k * 8 + 8);
+            add8(&d1, s->x[k + 1], w + k * 8 + 8);
         }
+        const v8f qb = q0 + q1, db = d0 + d1;
+        __builtin_memcpy(s->q + b * 8, &qb, sizeof qb);
+        __builtin_memcpy(s->d + b * 8, &db, sizeof db);
     }
-    ptrdiff_t piv = -1;
-    float least = INFINITY;
-    for (int l = 0; l < 8; l++)
-        if (low[l / 4][l % 4] < least) {
-            least = low[l / 4][l % 4];
-            piv = (ptrdiff_t)at[l / 4][l % 4] * 8 + l;
-        }
-    if (piv < 0)
-        return winner(v, n, x);
-    /* The exact candidates, in ascending order, from the pivot's L. */
-    double *acts = v->acts;
-    const double L = activation(v->centers + piv * m, v->rel + piv * m,
-                                v->sums[piv], x, m, v->eps);
-    const double g = cutoff(L), e = shrunk(v->eps);
-    const double a = s->rrs * sqrt(xx) + s->err;
-    ptrdiff_t best = piv;
-    acts[piv] = L;
-    for (ptrdiff_t j = 0; j < n; j += 8) {
-        v2di no[4];
-        if (ruled8(s, j, g, e, a, no))
-            continue;
-        for (ptrdiff_t i = j; i < j + 8 && i < n; i++) {
-            if (no[(i - j) / 2][(i - j) % 2] || i == piv)
-                continue;
-            const double act = activation(v->centers + i * m,
-                                          v->rel + i * m, v->sums[i], x, m,
-                                          v->eps);
-            if (isnan(act))
-                return winner(v, n, x);
-            acts[i] = act;
-            if (act > acts[best] || (act == acts[best] && i < best))
-                best = i;
-        }
-    }
+    /* no fallback reads a_t here: NaN leaves o.sure alone */
+    const struct som_nodes nodes = {n, m, v->eps, s->slack, v->centers,
+                                    v->rel, v->sums, s->sq, s->sq_floor,
+                                    NULL, v->labels};
+    struct row o = {0, -INFINITY, -INFINITY, v->acts};
+    decide(&nodes, &s->f, s->q, s->d, x, NAN, &o);
     *partial = 1;
-    return best;
+    return o.w;
 }
 
 /* The activations of the nodes of [0, n) whose label is `label` or
@@ -773,11 +1005,8 @@ static ptrdiff_t sweep(const struct som_view *v, struct shadow *sh,
     }
     if (k == 0)
         move_node(v, best, k++);
-    for (ptrdiff_t j = 0; sh && j < n; j++)
-        if (j < k)
-            shade(sh, v, j);
-        else
-            unshade(sh, j);
+    for (ptrdiff_t j = 0; sh && j < k; j++)
+        shade(sh, v, j);
     memset(v->adj, 0, (size_t)(n * v->words) * sizeof(uint64_t));
     for (ptrdiff_t j = 0; j + 1 < k; j++)
         relink(v, k, j, j + 1, p->minwd);
@@ -891,328 +1120,17 @@ int som_train(const struct som_view *v, ptrdiff_t n,
  * Bulk classification: the block pass of inference._classify_arrays.
  *
  * The caller multiplies a block of patterns by the node rows in float32
- * BLAS (sgemm), q = (x32*x32) r32^T and d = x32 w32^T with w = -2 r*c,
- * and passes the node operands of inference._NodeArrays. For each row,
- * som_classify then makes, in C, the steps of the numpy twin
- * inference._classify_block: the screen's upper bound on every pair's
- * activation, computed in double from the float products, a pivot whose
- * exact activation bounds the winner's from below, the candidate test,
- * the exact activation of each candidate (activation(), as winner()
- * computes it) and the labeled fallback. It computes the double bound
- * only for the pairs a float test cannot rule out (the float pass,
- * below). Any pivot is correct; the twin takes the node of highest
- * bound, this pass the node of least float bound / mass^2, which needs
- * no square root. Both give the outcome of the classification rule on
- * the exact activations, bit for bit.
- *
- * The screen's bound. Write u = 2^-53 and f = 2^-24 for the unit
- * roundoffs of double and float, gamma_k = k f / (1 - k f), r' for the
- * screen's relevances (a node's r where r >= 2^-126, else 0: a float
- * holds such an r within f of it, relative), and, over them,
- * Q = |x|_r'^2, A = |c|_r'^2 and D' = |c - x|_r'^2 = Q - 2 <x, r'c> + A.
- * The caller computes x32 = fl32(x), r32 = fl32(r'), w32 =
- * fl32(fl(-2 r' c)), the products q and d in float32 in any summation
- * order, with or without fused multiply-adds, and sq = fl(A) in double;
- * this pass (and the twin) computes, in double,
- *     t = fl(fl(fl(d + q) + sq) - fl(fl(q + sq_floor) slack)),
- * with slack = 4 (m + 4) f and sq_floor = fl(sq + fl(F / slack)),
- * F = m 2^-100. Let S be the double sum activation() computes with the
- * node's own relevances and D its exact value; D >= D', since r' <= r.
- * The operands are safe (inference._NodeArrays and _guard): every
- * |x_q|, |c_q| <= B with 16 m B^2 <= 2^124, every r in [0, 16], and
- * k = (m + 4) f <= 1/8, so gamma_{m+4} <= 8k/7.
- *  - Each float rounding is relative, within f, or, for a result below
- *    2^-126 in magnitude, off by at most h = 2^-126 in absolute terms
- *    (this covers a BLAS that flushes subnormals to zero). A float below
- *    2^-126 squares below 2^-252, to 0.
- *  - q: a term is r' x^2 (1 + theta_4), theta_4 within gamma_4, plus at
- *    most 17.1 h (the square's h times r32 <= 16 (1 + f), the product's
- *    h); the m - 1 additions are relative on nonnegative terms, each
- *    with at most h more. So |q - Q| <= gamma_{m+4} Q + m 2^-121.
- *  - d: a term is x w (1 + theta_3), w = -2 r' c, plus x times the
- *    absolute error of w32 and w times that of x32. w32 is exact (0)
- *    where r' = 0; else r' >= 2^-126, and |x| h <= f r' x^2 + h^2 /
- *    (4 f r') <= f r' x^2 + 2^-104, and likewise h |w| <= f r' c^2 +
- *    2^-223. By Cauchy-Schwarz sum |x w| <= 2 |x|_r' |c|_r' <= Q + A, so
- *    |d + 2 <x, r'c>| <= (gamma_{m+3} + 1.15 f)(Q + A) + m 2^-103.6.
- *  - In double, sq lies within 1.01 (m + 2) u A of A, the two additions
- *    round by at most 7u (Q + A), and S >= (1 - u)^(m+3) D - m 2^-1073
- *    (the m + 3 roundings of a term and its additions are relative on
- *    nonnegative terms, and only a term's two products may underflow),
- *    where D >= D' and D' <= 2 (Q + A).
- * Hence fl(fl(d + q) + sq) <= S + E (Q + A) + m 2^-103.5, with
- * E = 2 gamma_{m+4} + 1.15 f + (3m + 15) u <= 2.52 k, since f <= k / 5.
- * The subtracted term is at least (1 - 4u)(slack (q + sq) + F) >=
- * (1 - 4u)(slack (1 - gamma_{m+4})(Q + A) + F - slack m 2^-121), and
- * slack (1 - gamma_{m+4})(1 - 4u) >= 4k (6/7)(1 - 4u) > 3.42 k > E and
- * F (1 - 4u) - slack m 2^-121 > m 2^-103.5, so the exact difference is
- * at most S, and t, its rounding, is too: S is a double and rounding is
- * monotone. bound(t) rounds as activation() does and each of its steps
- * is monotone, so bound(t) is at least the pair's exact activation.
- * Every float value stays finite: a float square is at most
- * B^2 (1 + f)^3, and the terms of q and d at most 2^124 / m and
- * 2^125 / m (|w| <= 32 B), so no partial sum reaches 2^127. And with
- * |c - x| <= 2B no term of S is 0 * inf = NaN. A row or a node outside
- * these bounds has a NaN q (the caller sets it) or a NaN sq, so its t is
- * NaN: every comparison with it is false, and every pair stays a
- * candidate.
- *
- * The float pass. som_classify does not compute t for every pair. It
- * first bounds every pair in float32, from each node's float operands
- * sq32 = fl32(sq), sqf32 = fl32(fl(sq + fl(F / slack32))) and
- * w32 = fl32(weight), weight = fl(1 / fl(mass mass)), and the float
- * slack32 = 4 (m + 8) f, which a float holds exactly:
- *     t32 = fl32(fl32(fl32(d + q) + sq32) - fl32(fl32(q + sqf32) slack32)),
- *     p = fl32(t32 w32).
- *  - t32 <= S. From the bounds above (k <= 1/8), |d + q| <= 2.3 (Q + A),
- *    sq <= 1.01 A and the subtracted term is at most 0.58 (Q + A) + 1.01 F,
- *    so the five float roundings of t32 (relative, within f, or off by at
- *    most h where a result is below 2^-126) add at most 10.6 f (Q + A) +
- *    2^-123 to the exact d + q + sq less the subtracted term. That term is
- *    at least (1 - 3.01 f)(slack32 (q + sq) + F (1 - u)), and
- *    slack32 (1 - gamma_{m+4})(1 - 3.01 f) >= 3.42 k + 13.7 f exceeds
- *    E + 10.6 f, so the argument for t carries over.
- *  - The float test: p > th, th = fl32(fl(fl(g g)(1 + 2^-18))) for
- *    g = cutoff(L) in [2^-60, 2^60] (th is NaN otherwise, and rules out
- *    nothing), proves act < L. A node's w32 is NaN, so that its p > th is
- *    false, unless its mass lies in [2^-60, 2^60]; then w32 lies within
- *    (1 + u)^2 (1 + f) of 1 / mass^2 and is a normal float, and so is
- *    p > th >= 2^-120. Hence t32 > th mass^2 / ((1 + u)^2 (1 + f)^2) >=
- *    (mass g)^2 (1 + 2^-18)(1 - 3 f - 4u) > (mass g)^2, and
- *    sqrt(S) >= sqrt(t32) > mass g > R = mass (K / L - 1) - eps, since
- *    g >= K / L - 1 and eps >= 0; by the derivation at cutoff(),
- *    bound(S), the exact activation, lies below L. (For R <= 0, any
- *    sqrt(S) > 0 is above R.)
- * The pivot is the node of least p. The test then drops most pairs, and
- * each pair it keeps gets t in double and the double test of reaches():
- * the decisions on the pairs that survive are the twin's.
- *
- * The float screen and test run in 4-lane float vectors, each lane making
- * the IEEE operations of the scalar code, on both bodies: the baseline
- * x86-64 ISA compares 4 floats natively but scalarizes the comparisons of
- * 8-lane vectors, and target_clones compiles one source for both. The
- * pairs the float test keeps go through scalar code, in index order.
+ * BLAS (sgemm), q = (x32*x32) r32^T and d = x32 w32^T, and passes the node
+ * operands of inference._NodeArrays. For each row, som_classify then
+ * makes, in C, the steps of the numpy twin inference._classify_block: the
+ * screen's bounds (above), a pivot whose exact activation bounds the
+ * winner's from below, the candidate test, the exact activation of each
+ * candidate and the labeled fallback. It computes the double bound only
+ * for the pairs the float test cannot rule out. Any pivot is correct; the
+ * twin takes the node of highest double bound, this pass the node of
+ * least p, which needs no square root. Both give the outcome of the
+ * classification rule on the exact activations, bit for bit.
  */
-
-/* A batch's node operands: n nodes of m dimensions, their center and
- * relevance rows, relevance sums (mass), labels, the screen's |c|_r^2
- * (sq), its floored form (sq_floor) and factor (slack), and 1 / mass^2,
- * the pivot proxy's weights. */
-struct som_nodes {
-    ptrdiff_t n, m;
-    double eps, slack;
-    const double *centers, *rel, *mass, *sq, *sq_floor, *weight;
-    const int64_t *labels;
-};
-
-/* The label of a rejected pattern (inference.REJECTED). */
-#define REJECTED (-2)
-
-/* Exact activation of node j for x. */
-INLINE double exact(const struct som_nodes *s, ptrdiff_t j, const double *x)
-{
-    return activation(s->centers + j * s->m, s->rel + j * s->m, s->mass[j],
-                      x, s->m, s->eps);
-}
-
-/* The screen's bound on the activation from the lower bound d2 on the
- * squared distance, clamped like np.maximum(d2, 0.0) (NaN and -0.0 pass)
- * and rounded as model._act_of_sq rounds it. */
-INLINE double bound(double d2, double mass, double eps)
-{
-    d2 = (d2 >= 0.0 || isnan(d2)) ? d2 : 0.0;
-    return mass / ((sqrt(d2) + mass) + eps);
-}
-
-/*
- * Ruling a pair out without a square root or a division.
- *
- * For mass >= 0, bound(d2) does not increase with d2, and each of its four
- * roundings (unit roundoff u) is relative, so
- *     bound(d2) <= mass (1 + u) / ((1 - u)^3 (sqrt(d2) + mass + eps))
- * and bound(d2) < L once sqrt(d2) > R = mass (K / L - 1) - eps, with
- * K = (1 + u) / (1 - u)^3. (For L >= 2^-1000 the quotient lies far enough
- * above the subnormal range that its rounding is relative as well.)
- *
- * cutoff(L) = fl(fl(fl(fl(1 / L) G) - 1) G), with G = 1 + 2^-40, is at
- * least K / L - 1: the first G covers the roundings of 1 / L, of the
- * product and of the subtraction (exact by Sterbenz near L = 1), each of
- * at most u against 2^-40 > 8u. Per node, t = fl(fl(mass g) - e), with
- * e = fl(eps (1 - 2^-40)), is then at least R whenever t > 0: the second
- * G and the 1 - 2^-40 cover the two roundings of mass g - e. A float d2
- * above fl(t t) lies above t^2 itself, since round-to-nearest leaves no
- * float between them, so d2 > fl(t t) with t > 0 gives sqrt(d2) > t >= R
- * and bound(d2) < L: the pair is ruled out.
- *
- * A negative or NaN relevance makes sq, hence d2, NaN. NaN compares false
- * and an overflowed t t is inf, so such pairs are never ruled out here;
- * cutoff is NaN, ruling out nothing, for an L that is NaN, infinite or
- * below 2^-1000. A pair that is not ruled out gets its exact bound.
- */
-static double cutoff(double L)
-{
-    const double grow = 1.0 + 0x1p-40;
-    if (!(L >= 0x1p-1000 && L < INFINITY))
-        return NAN;
-    return ((1.0 / L) * grow - 1.0) * grow;
-}
-
-/* e of the test above, from eps. */
-INLINE double shrunk(double eps)
-{
-    return eps * (1.0 - 0x1p-40);
-}
-
-/* Whether node j's bound reaches L, i.e. !(bound < L) as the numpy twin
- * tests it: NaN bounds reach every L. g = cutoff(L), e = shrunk(eps). */
-INLINE int reaches(const struct som_nodes *s, ptrdiff_t j, double d2,
-                   double L, double g, double e)
-{
-    double t = s->mass[j] * g - e;
-    if (t > 0.0 && d2 > t * t)
-        return 0;
-    return !(bound(d2, s->mass[j], s->eps) < L);
-}
-
-/* reaches() for callers outside the library: the tests check its margin. */
-int som_reaches(double mass, double eps, double d2, double L)
-{
-    struct som_nodes s = {.n = 1, .eps = eps, .mass = &mass};
-    return reaches(&s, 0, d2, L, cutoff(L), shrunk(eps));
-}
-
-/* One row's outcome so far: the winner w, its activation top, and the
- * best labeled candidate activation at or above a_t (sure). */
-struct row {
-    ptrdiff_t w;
-    double top, sure;
-};
-
-/* Candidate j: its exact activation into the row's winner (np.argmax:
- * the first NaN, else the first maximum; the other nodes count as -inf,
- * which never wins after the initial w = 0, top = -inf) and into `sure`.
- * The pivot's is L. */
-INLINE void candidate(const struct som_nodes *s, ptrdiff_t j,
-                      const double *x, double L, ptrdiff_t piv, double a_t,
-                      struct row *o)
-{
-    double v = j == piv ? L : exact(s, j, x);
-    if (!isnan(o->top) && !(v <= o->top)) {
-        o->w = j;
-        o->top = v;
-    }
-    if (s->labels[j] != NO_CLASS && v >= a_t && v > o->sure)
-        o->sure = v;
-}
-
-/* Labeled candidate j of the fallback: the most activated one at or above
- * a_t is kept in f and *best, the first on ties. */
-INLINE void fallback(const struct som_nodes *s, ptrdiff_t j, const double *x,
-                     double a_t, ptrdiff_t *f, double *best)
-{
-    double v = exact(s, j, x);
-    if (v >= a_t && (*f < 0 || v > *best)) {
-        *f = j;
-        *best = v;
-    }
-}
-
-/* The float operands of the pass, in the scratch block: per row, each
- * node's p = t weight, t its float bound; per batch, each node's sq,
- * sq_floor (with the float floor) and pivot weight as floats, and the
- * float slack (see above). */
-struct lanes {
-    float *p, *sq, *sq_floor, *weight;
-    float slack;
-};
-
-/* The double bound on node j's squared distance from the float products,
- * as the numpy twin computes it. */
-INLINE double bound_sq(const struct som_nodes *s, const float *q,
-                       const float *d, ptrdiff_t j)
-{
-    const double qj = q[j];
-    return (((double)d[j] + qj) + s->sq[j]) - (qj + s->sq_floor[j]) * s->slack;
-}
-
-/* p of node j .. j + 3, whose indices idx holds, into f->p; the least p
- * seen per lane goes to *low, its node to *at. */
-INLINE void screen4(const struct lanes *f, const float *q, const float *d,
-                    ptrdiff_t j, v4i idx, v4f *low, v4i *at)
-{
-    const v4f qj = load4f(q + j);
-    const v4f t = ((load4f(d + j) + qj) + load4f(f->sq + j)) -
-                  (qj + load4f(f->sq_floor + j)) * f->slack;
-    const v4f p = t * load4f(f->weight + j);
-    __builtin_memcpy(f->p + j, &p, sizeof p);
-    const v4i lt = p < *low;
-    *low = (v4f)(((v4i)p & lt) | ((v4i)*low & ~lt));
-    *at = (lt & idx) | (~lt & *at);
-}
-
-/* p of node j alone. */
-INLINE float screen1(const struct lanes *f, const float *q, const float *d,
-                     ptrdiff_t j)
-{
-    const float t = ((d[j] + q[j]) + f->sq[j]) -
-                    (q[j] + f->sq_floor[j]) * f->slack;
-    return f->p[j] = t * f->weight[j];
-}
-
-/* The float test's threshold for g = cutoff(L): a node whose p lies above
- * it is ruled out. NaN, which rules out nothing, for a g outside
- * [2^-60, 2^60]. */
-INLINE float threshold(double g)
-{
-    return g >= 0x1p-60 && g <= 0x1p60 ? (float)(g * g * (1.0 + 0x1p-18))
-                                       : NAN;
-}
-
-/* Node j, which the float test keeps: when its double bound reaches L, a
- * candidate of the row (o), or with `fall` a labeled candidate of the
- * fallback (*k, *best). */
-INLINE void visit(const struct som_nodes *s, const float *q, const float *d,
-                  ptrdiff_t j, const double *x, double L, double g,
-                  double e, ptrdiff_t piv, double a_t, int fall,
-                  struct row *o, ptrdiff_t *k, double *best)
-{
-    if (fall && s->labels[j] == NO_CLASS)
-        return;
-    if (!reaches(s, j, bound_sq(s, q, d, j), L, g, e))
-        return;
-    if (fall)
-        fallback(s, j, x, a_t, k, best);
-    else
-        candidate(s, j, x, L, piv, a_t, o);
-}
-
-/* visit() each node of [0, n) that the float test at L cannot rule out,
- * in ascending order. Sixteen nodes are tested at a time; the rare groups
- * with a node the test keeps go through visit() lane by lane. */
-INLINE void walk(const struct som_nodes *s, const struct lanes *f,
-                 const float *q, const float *d, const double *x, double L,
-                 double e, ptrdiff_t piv, double a_t, int fall,
-                 struct row *o, ptrdiff_t *k, double *best)
-{
-    const ptrdiff_t n = s->n;
-    const double g = cutoff(L);
-    const float h = threshold(g);
-    ptrdiff_t j;
-    for (j = 0; j + 16 <= n; j += 16) {
-        const v4i no0 = load4f(f->p + j) > h, no1 = load4f(f->p + j + 4) > h,
-                  no2 = load4f(f->p + j + 8) > h,
-                  no3 = load4f(f->p + j + 12) > h;
-        const v4i all = (no0 & no1) & (no2 & no3);
-        if ((all[0] & all[1]) & (all[2] & all[3]))
-            continue;
-        for (ptrdiff_t i = j; i < j + 16; i++)
-            if (!(f->p[i] > h))
-                visit(s, q, d, i, x, L, g, e, piv, a_t, fall, o, k, best);
-    }
-    for (; j < n; j++)
-        if (!(f->p[j] > h))
-            visit(s, q, d, j, x, L, g, e, piv, a_t, fall, o, k, best);
-}
 
 /* The labeled node of least p, -1 when no p is below inf. */
 static ptrdiff_t least_labeled(const struct som_nodes *s,
@@ -1242,49 +1160,14 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
 {
     const ptrdiff_t n = s->n, m = s->m;
     const int64_t *const labels = s->labels;
-    const double e = shrunk(s->eps);
     const struct lanes f = {scratch, scratch + n, scratch + 2 * n,
-                            scratch + 3 * n, (float)(4 * (m + 8)) * 0x1p-24f};
+                            scratch + 3 * n, slack32(m)};
     const double floor = (double)m * 0x1p-100 / f.slack;
-    for (ptrdiff_t j = 0; j < n; j++) {
-        f.sq[j] = (float)s->sq[j];
-        f.sq_floor[j] = (float)(s->sq[j] + floor);
-        f.weight[j] = s->mass[j] >= 0x1p-60 && s->mass[j] <= 0x1p60
-                      ? (float)s->weight[j] : NAN;
-    }
+    for (ptrdiff_t j = 0; j < n; j++)
+        set_lanes(&f, j, s->sq[j], floor, s->mass[j], s->weight[j]);
     for (ptrdiff_t r = 0; r < rows; r++, x += m, q += n, d += n) {
-        /* The float screen, with the pivot: the node of least p, kept in
-         * two sets of four lanes, then across. */
-        const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
-        v4f low[2] = {inf4, inf4};
-        v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
-        v4i idx = {0, 1, 2, 3};
-        ptrdiff_t j;
-        for (j = 0; j + 8 <= n; j += 8, idx += 8) {
-            screen4(&f, q, d, j, idx, &low[0], &at[0]);
-            screen4(&f, q, d, j + 4, idx + 4, &low[1], &at[1]);
-        }
-        if (j + 4 <= n) {
-            screen4(&f, q, d, j, idx, &low[0], &at[0]);
-            j += 4;
-        }
-        ptrdiff_t piv = 0;
-        float least = INFINITY;
-        for (int l = 0; l < 8; l++)
-            if (low[l / 4][l % 4] < least) {
-                least = low[l / 4][l % 4];
-                piv = at[l / 4][l % 4];
-            }
-        for (; j < n; j++)
-            if (screen1(&f, q, d, j) < least) {
-                least = f.p[j];
-                piv = j;
-            }
-        /* Candidates: the nodes whose bound reaches the pivot's exact
-         * activation L. */
-        const double L = exact(s, piv, x);
-        struct row o = {0, -INFINITY, -INFINITY};
-        walk(s, &f, q, d, x, L, e, piv, a_t, 0, &o, NULL, NULL);
+        struct row o = {0, -INFINITY, -INFINITY, NULL};
+        decide(s, &f, q, d, x, a_t, &o);
         int64_t lab = labels[o.w];
         if (lab == NO_CLASS) {
             /* An unlabeled winner: the most activated labeled node at or
@@ -1304,7 +1187,7 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
             const double L2 = o.sure >= a_t ? o.sure : a_t;
             ptrdiff_t k = -1;
             double best = -INFINITY;
-            walk(s, &f, q, d, x, L2, e, -1, a_t, 1, NULL, &k, &best);
+            walk(s, &f, q, d, x, L2, -1, a_t, 1, NULL, &k, &best);
             if (k >= 0) {
                 o.w = k;
                 o.top = best;

@@ -203,12 +203,9 @@ def load_model(path) -> TrainedModel:
         som = SomMap.from_arrays(
             max(params.n_max, len(doc["nodes"])), *columns,
             _read_connections(path, doc["connections"]))
+        _require_classes(som.labels, len(classes), "node")
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if (som.labels >= len(classes)).any():
-        j = np.argmax(som.labels >= len(classes))
-        raise DataFormatError(f"{path}: node {j} has label {som.labels[j]}, "
-                              f"outside the {len(classes)} classes")
     return TrainedModel(som=som, params=params, norm_stats=norm_stats,
                         class_names=classes)
 

@@ -5,10 +5,11 @@ overrun of a heap block, such as the float32 shadow that ``som_train``
 allocates for its screened search, shows at best as a crash of the test
 process. The ``asan`` build of ``tests/conftest.py`` checks every heap
 access, but its library loads only into a process that starts with libasan
-preloaded, so this test starts one. The child trains a screened map (24
-dimensions) and a plain one (8 dimensions), each through insertions into
-full storage, pruning sweeps and links across three adjacency words, saves
-and classifies with each, then loads the loader fuzz seeds and their
+preloaded, so this test starts one. The child trains a screened map (20
+dimensions, so the shadow's rows carry 4 dimensions of padding) and a
+plain one (8 dimensions), each through insertions into full storage,
+pruning sweeps and links across three adjacency words, saves and
+classifies with each, then loads the loader fuzz seeds and their
 mutations through the scanner (``som_scan``), and prints what it got. Its
 Python allocates through ``malloc``, so a read past a file's bytes shows.
 It must report no AddressSanitizer error and the package library's
@@ -65,7 +66,7 @@ def _results(tmp: Path) -> list[dict]:
     highest linked node, and the sha256 of its model file and of its
     classification of training patterns and outliers; then ``_loaded``."""
     out = []
-    for m in (24, 8):
+    for m in (20, 8):
         ds, params = _run(m)
         state = train_with_state(ds, params)
         som = state.som

@@ -11,6 +11,7 @@ the two ubsan builds, which must report no undefined behaviour.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semisom import NO_CLASS, HyperParams, SomMap, _kernel
+from semisom.inference import _guard
 from semisom.model import _activations, _train_numpy
 from conftest import build
 from helpers import assert_adjacency_invariant
@@ -90,10 +92,14 @@ def _gated_runs(draw):
     full storage). Sweeps come within the chunk, and the wins the nodes
     start with keep most of them, so the nodes that stay move down over
     the removed ones and the search runs on. The map may hold
-    duplicate nodes (exact ties) and nodes the screen must always compute:
-    a center beyond 2^56, a relevance below the smallest normal float32, a
-    NaN distance average, which the node's first update turns into NaN
-    relevances and activations. A pattern beyond 2^56 skips the screen.
+    duplicate nodes (exact ties); a relevance below the smallest normal
+    float32, which the screen counts as 0; a node that never moved
+    (all-one relevances, zero distance averages, so its mass is m) with a
+    pattern on its center, whose activation lies within 1e-8 of 1; and
+    nodes the screen must always compute: a center just past the screen's
+    guard (``inference._guard``, 2^57 or 2^58 here), a NaN distance
+    average, which the node's first update turns into NaN relevances and
+    activations. A pattern just past the guard skips the screen.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     m = draw(st.integers(16, 48))
@@ -107,18 +113,24 @@ def _gated_runs(draw):
     patterns = centers[rng.integers(n, size=k)] + rng.normal(size=(k, m)) * (
         rng.choice([0.0, 1e-3, 0.05, 1.0], size=(k, 1)))
     odd = draw(st.sets(st.sampled_from(
-        ["ties", "huge center", "tiny relevance", "nan", "huge pattern"])))
+        ["ties", "huge center", "tiny relevance", "nan", "huge pattern",
+         "unmoved node"])))
+    past = np.nextafter(_guard(m), np.inf)
     if "ties" in odd:
         centers[-1], rel[-1] = centers[0], rel[0]
         patterns[0] = centers[0]
+    if "unmoved node" in odd:
+        i = rng.integers(n)
+        rel[i], dist[i] = 1.0, 0.0
+        patterns[rng.integers(k)] = centers[i]
     if "huge center" in odd:
-        centers[rng.integers(n), rng.integers(m)] = 2.0 ** 57
+        centers[rng.integers(n), rng.integers(m)] = past
     if "tiny relevance" in odd:
         rel[rng.integers(n), rng.integers(m)] = 1e-40
     if "nan" in odd:
         dist[rng.integers(n), rng.integers(m)] = np.nan
     if "huge pattern" in odd:
-        patterns[rng.integers(k), rng.integers(m)] = -(2.0 ** 57)
+        patterns[rng.integers(k), rng.integers(m)] = -past
     params = HyperParams(
         a_t=draw(st.sampled_from([0.5, 0.9, 0.99])),
         lp=draw(st.sampled_from([0.001, 0.01, 0.2])),
@@ -193,9 +205,8 @@ def test_screen_keeps_a_winner_one_double_ulp_across_a_float_boundary():
     one double ulp above it rounds to the float above, a whole float ulp
     away, while a decoy two double ulps below rounds onto the pattern's
     float. The decoy screens at distance zero and becomes the pivot; only
-    the float rounding's own error term keeps the winner a candidate. The
-    other nodes lie near the origin, far from the pattern, so that term is
-    no larger than the winner needs."""
+    the screen's margin for float rounding keeps the winner a candidate.
+    The other nodes lie near the origin, far from the pattern."""
     m, s = 32, 1024.0
     x = np.full(m, s * (1.0 + 2.0 ** -24))
     near, decoy = x + s * 2.0 ** -52, x - s * 2.0 ** -51
@@ -218,14 +229,45 @@ def test_screen_keeps_a_winner_one_double_ulp_across_a_float_boundary():
 
 
 @screened
+def test_screen_keeps_a_winner_whose_pattern_rounds_up_in_float():
+    """Every value of the pattern lies just below 1000 and rounds up to
+    it in float32, so the float product |x32|^2 exceeds the exact |x|^2
+    by nearly 1, more than the 0.12 by which the winner, 2^-14 off the
+    origin towards the pattern, lies nearer than the decoy at the origin.
+    Both screen to the same float bound, so the decoy becomes the pivot;
+    only the part of the margin that grows with |x|^2 keeps the winner a
+    candidate. Every product and sum of the float screen is exact here,
+    whatever its order. The other nodes lie farther from the pattern."""
+    m = 16
+    x = np.full(m, 1000.0 - 0.49 * 2.0 ** -14)
+    assert (x.astype(np.float32) == 1000.0).all()
+    winner = np.zeros(m)
+    winner[0] = 2.0 ** -14
+    rng = np.random.default_rng(12)
+    centers = np.vstack([np.zeros(m), winner,
+                         -1.0 - rng.random((38, m))])
+    acts = _activations(centers, np.ones_like(centers), np.full(40, float(m)),
+                        x)
+    assert np.argmax(acts) == 1 and acts[1] > acts[0] > 0.001
+    fast, slow = _twins(centers, np.ones_like(centers),
+                        np.full(40, NO_CLASS), 64, 0.3)
+    # an a_t below the winner's activation, so that the winner is attracted
+    args = _kernel.params(replace(_PARAMS, a_t=0.001), True)
+    patterns = np.vstack([x, centers[10]])
+    for som in (fast, slow):
+        _present(som, args, patterns, np.full(2, NO_CLASS))
+    assert fast.wins[1] == 1
+    _assert_same_maps(fast, slow)
+
+
+@screened
 def test_screen_computes_a_node_whose_float_relevance_rounds_up():
     """The winner differs from the pattern in one dimension only, by 2^54,
     under a relevance of 0.51 * 2^-149, which rounds to the float 2^-149,
     twice its size: in float the winner would lie farther than the pivot
-    it beats. A relevance below the smallest normal float32 makes a node
-    one the screen always computes. The other nodes lie a little apart
-    from the pattern, near the origin, so that the error term for the
-    float rounding of centers stays small."""
+    it beats. The screen counts a relevance below the smallest normal
+    float32 as 0, which can only lower a node's bound on its distance. The
+    other nodes lie a little apart from the pattern, near the origin."""
     m = 16
     x = np.full(m, 0.01)
     winner, pivot = x.copy(), x.copy()
