@@ -1206,7 +1206,7 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
 /*
  * The scanner of data.py's table reader: the body of a CSV or ARFF file
  * in one pass, numbers into a float matrix and each record's label field
- * as a byte span.
+ * as a code, one per distinct field.
  *
  * It reads a strict subset of what the row reader (the csv module and
  * float()) accepts, and refuses the rest, so every value it keeps is the
@@ -1218,21 +1218,38 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
  *  - a number is [+-]?(digits[.[digits]]|.digits)([eE][+-]?digits)?,
  *    padded only by ASCII spaces and tabs, and its value is finite.
  *
+ * A run of digits is read eight bytes at a time while eight remain before
+ * the end number() is given, the field's closing quote or the end of the
+ * text, so no load reaches past it (digits): one 8-byte load, the first
+ * of its bytes that is not an ASCII digit, and the value of the digits
+ * before it from three multiplies (Lemire, "Number Parsing at a Gigabyte
+ * per Second", 2021), so a short run takes one load too. Only a run that
+ * reaches within eight bytes of that end is finished a byte at a time.
+ *
  * A number of at most 19 significant digits whose mantissa w is at most
  * 2^53, with a decimal exponent e of at most 22 in size, is w * 10^e or
  * w / 10^-e: both operands are exact, so the one IEEE operation rounds
  * correctly (Clinger, "How to Read Floating Point Numbers Accurately",
  * 1990). Multiplying by 10^-e instead would not do: that power is not
  * exact. One of at most 19 significant digits with w above 2^53, as in
- * most 17-digit repr()s, and -21 <= e <= 19 is computed exactly in 128-bit
- * integers and rounded once (wide(), where compilers have a 128-bit
- * integer type). Any other token of the number's characters goes to
- * strtod, which rounds correctly too, in a NUL-terminated copy, and counts
- * only if strtod reads the whole of it: more than 19 significant digits,
- * or an exponent outside -22..22 (outside -21..19 for w above 2^53).
- * strtod reads the decimal point of the C library's LC_NUMERIC locale:
- * under a locale whose point is ',' it stops at the '.', and only those
- * tokens are refused. The scanner touches no Python object.
+ * most 17-digit repr()s, and e of at most 22 in size is rounded from one
+ * product of w with the leading 128 bits of 10^e (eisel_lemire). When
+ * that product cannot decide the rounding, which is rare, the value is
+ * computed exactly in 128-bit integers and rounded once (wide(), for
+ * -21 <= e <= 19). A compiler without a 128-bit integer type makes the
+ * products of 32-bit ones (mul128) and has no wide(). Any other token of
+ * the number's characters goes to strtod, which rounds correctly too, in
+ * a NUL-terminated copy, and counts only if strtod reads the whole of it:
+ * more than 19 significant digits, an exponent outside -22..22, and the
+ * numbers eisel_lemire leaves that wide() does not take. strtod reads the
+ * decimal point of the C library's LC_NUMERIC locale: under a locale
+ * whose point is ',' it stops at the '.', and only those tokens are
+ * refused.
+ *
+ * The label field of each record, its bytes as they stand, quotes and
+ * padding included, is looked up in an open-addressing table of the
+ * caller's (intern), so the caller decodes each distinct field once. The
+ * scanner touches no Python object.
  */
 
 /* The longest number the scanner copies for strtod, NUL included. */
@@ -1243,9 +1260,115 @@ static const double POW10[] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
     1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
 
+/* The leading 128 bits of 10^q, truncated, for -22 <= q <= 22, low word
+ * first (eisel_lemire); scripts/pow10_table.py computes and checks them. */
+static const uint64_t POW10_128[][2] = {
+    {0x5324c68b12dd6338, 0xf1c90080baf72cb1},
+    {0xd3f6fc16ebca5e03, 0x971da05074da7bee},
+    {0x88f4bb1ca6bcf584, 0xbce5086492111aea},
+    {0x2b31e9e3d06c32e5, 0xec1e4a7db69561a5},
+    {0x3aff322e62439fcf, 0x9392ee8e921d5d07},
+    {0x09befeb9fad487c2, 0xb877aa3236a4b449},
+    {0x4c2ebe687989a9b3, 0xe69594bec44de15b},
+    {0x0f9d37014bf60a10, 0x901d7cf73ab0acd9},
+    {0x538484c19ef38c94, 0xb424dc35095cd80f},
+    {0x2865a5f206b06fb9, 0xe12e13424bb40e13},
+    {0xf93f87b7442e45d3, 0x8cbccc096f5088cb},
+    {0xf78f69a51539d748, 0xafebff0bcb24aafe},
+    {0xb573440e5a884d1b, 0xdbe6fecebdedd5be},
+    {0x31680a88f8953030, 0x89705f4136b4a597},
+    {0xfdc20d2b36ba7c3d, 0xabcc77118461cefc},
+    {0x3d32907604691b4c, 0xd6bf94d5e57a42bc},
+    {0xa63f9a49c2c1b10f, 0x8637bd05af6c69b5},
+    {0x0fcf80dc33721d53, 0xa7c5ac471b478423},
+    {0xd3c36113404ea4a8, 0xd1b71758e219652b},
+    {0x645a1cac083126e9, 0x83126e978d4fdf3b},
+    {0x3d70a3d70a3d70a3, 0xa3d70a3d70a3d70a},
+    {0xcccccccccccccccc, 0xcccccccccccccccc},
+    {0x0000000000000000, 0x8000000000000000},
+    {0x0000000000000000, 0xa000000000000000},
+    {0x0000000000000000, 0xc800000000000000},
+    {0x0000000000000000, 0xfa00000000000000},
+    {0x0000000000000000, 0x9c40000000000000},
+    {0x0000000000000000, 0xc350000000000000},
+    {0x0000000000000000, 0xf424000000000000},
+    {0x0000000000000000, 0x9896800000000000},
+    {0x0000000000000000, 0xbebc200000000000},
+    {0x0000000000000000, 0xee6b280000000000},
+    {0x0000000000000000, 0x9502f90000000000},
+    {0x0000000000000000, 0xba43b74000000000},
+    {0x0000000000000000, 0xe8d4a51000000000},
+    {0x0000000000000000, 0x9184e72a00000000},
+    {0x0000000000000000, 0xb5e620f480000000},
+    {0x0000000000000000, 0xe35fa931a0000000},
+    {0x0000000000000000, 0x8e1bc9bf04000000},
+    {0x0000000000000000, 0xb1a2bc2ec5000000},
+    {0x0000000000000000, 0xde0b6b3a76400000},
+    {0x0000000000000000, 0x8ac7230489e80000},
+    {0x0000000000000000, 0xad78ebc5ac620000},
+    {0x0000000000000000, 0xd8d726b7177a8000},
+    {0x0000000000000000, 0x878678326eac9000}};
+
 INLINE int is_digit(char c)
 {
     return (unsigned char)(c - '0') < 10;
+}
+
+/* The 8 bytes at p, the first in the lowest byte. */
+INLINE uint64_t load8(const char *p)
+{
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+}
+
+/* 10^n for the n <= 8 digits one load reads. */
+static const uint64_t TENS[] = {1, 10, 100, 1000, 10000, 100000, 1000000,
+                                10000000, 100000000};
+
+/* The value of the 8 decimal digits of v, one per byte, the first in the
+ * lowest: pairs of digits, then pairs of pairs, then the two halves. */
+INLINE uint64_t eight_value(uint64_t v)
+{
+    const uint64_t mask = UINT64_C(0x000000ff000000ff);
+    v = v * 10 + (v >> 8);
+    return ((v & mask) * (100 + (UINT64_C(1000000) << 32)) +
+            (v >> 16 & mask) * (1 + (UINT64_C(10000) << 32))) >> 32;
+}
+
+/* Read the run of digits at p, before e, into *w, as w * 10 + digit for
+ * each (wrapping past 19 digits); returns the run's end. */
+INLINE const char *digits(const char *p, const char *e, uint64_t *w)
+{
+    uint64_t v = *w;
+    while (e - p >= 8) {
+        /* The bytes b - '0', digit values below the first byte that is
+         * not a digit; no borrow or carry leaves those. The first other
+         * byte gets its top bit set, by b - '0' for b < '0' or b >= 0xb0
+         * and by b + 0x46 for '9' < b < 0xba; the bytes above it, which
+         * a borrow or carry may change, are not read. */
+        const uint64_t b = load8(p), d = b - UINT64_C(0x3030303030303030),
+                       other = (d | (b + UINT64_C(0x4646464646464646))) &
+                               UINT64_C(0x8080808080808080);
+        if (other == 0) {
+            v = v * 100000000 + eight_value(d);
+            p += 8;
+            continue;
+        }
+        const int n = __builtin_ctzll(other) >> 3;
+        /* the n digits, moved up behind 8 - n leading zeros */
+        v = v * TENS[n] + (n ? eight_value(d << (64 - 8 * n)) : 0);
+        p += n;
+        break;
+    }
+    if (e - p < 8)
+        for (; p < e && is_digit(*p); p++)
+            v = v * 10 + (uint64_t)(*p - '0');
+    *w = v;
+    return p;
 }
 
 /* The number [s, e), shorter than TOKEN_MAX, by strtod into *v: 1 if
@@ -1325,6 +1448,89 @@ static double wide(uint64_t w, int e)
 }
 #endif
 
+/* The 128-bit product a * b: the low word, the high one into *hi. */
+INLINE uint64_t mul128(uint64_t a, uint64_t b, uint64_t *hi)
+{
+#ifdef __SIZEOF_INT128__
+    const u128 p = (u128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b,
+                   b1 = b >> 32, p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0,
+                   mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return mid << 32 | (uint32_t)p00;
+#endif
+}
+
+/* The bit length of 5^e (1 for e = 0), for the e a double reaches. */
+INLINE int pow5bits(int e)
+{
+    return (int)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/*
+ * w * 10^q rounded to the nearest double, ties to even, into *x, for
+ * 2^53 < w < 2^64 and -22 <= q <= 22; Eisel and Lemire's method (Lemire,
+ * "Number Parsing at a Gigabyte per Second", 2021). Returns 0, with *x
+ * unset, when the product it rounds from cannot decide the rounding.
+ *
+ * w is shifted left by lz bits until its top bit is bit 63, and
+ * multiplied by t, the leading 128 bits of 10^q, truncated: 10^q =
+ * (t + g) * 2^(E - 127) with 0 <= g < 1 and E = floor(log2(10^q)), g = 0
+ * for q >= 0. The upper 128 bits (hi, lo) of the 192-bit product are
+ * first taken from t's high word alone; the rest of w * t adds less than
+ * w to them, and w * g less again. The top 54 bits of hi, the bits kept
+ * and the round bit, are exact unless such an addition can carry into
+ * them: only when the 9 bits of hi below them are all ones and lo + w
+ * overflows, and then the low word's product is added, leaving less than
+ * w units of its own low word, which can carry only through an all-ones
+ * lo. That case fails. So does a product whose round bit is set, whose
+ * last kept bit is even (rounding up is right for an odd one either way)
+ * and whose bits below are zeros as far as the 9 low bits of hi and all
+ * of lo show: it may be an exact halfway point, where the tie goes down
+ * to the even mantissa, or lie just above one (g > 0). Every value
+ * returned rounds up exactly when its round bit is set.
+ *
+ * hi has its top bit at 63 (top = 1) or 62, so hi >> (9 + top) holds 54
+ * bits and the value is that times 2^(E + 10 + top - lz); rounded to 53
+ * bits (one more exponent step if it reaches 2^53), the double's biased
+ * exponent is E + 1086 + top - lz. The result lies within
+ * [2^53 * 10^-22, 2^64 * 10^22], inside the normal range.
+ */
+static int eisel_lemire(uint64_t w, int q, double *x)
+{
+    const uint64_t *t = POW10_128[q + 22], low9 = 0x1ff;
+    const int lz = __builtin_clzll(w);
+    w <<= lz;
+    uint64_t hi, lo = mul128(w, t[1], &hi);
+    if ((hi & low9) == low9 && lo + w < w) {
+        uint64_t carry;
+        const uint64_t below = mul128(w, t[0], &carry);
+        lo += carry;
+        hi += lo < carry;
+        if ((hi & low9) == low9 && lo == UINT64_MAX && below + w < w)
+            return 0;
+    }
+    const int top = (int)(hi >> 63);
+    uint64_t mant = hi >> (9 + top);
+    if (lo == 0 && (hi & low9) == 0 && (mant & 3) == 1)
+        return 0;
+    mant = (mant + (mant & 1)) >> 1;
+    /* E, from the bit length of 5^|q|: 10^q = 5^q * 2^q */
+    int biased = (q >= 0 ? q + pow5bits(q) - 1 : q - pow5bits(-q)) + 1086 +
+                 top - lz;
+    if (mant >> 53) {
+        mant >>= 1;
+        biased++;
+    }
+    const uint64_t bits =
+        (uint64_t)biased << 52 | (mant & ((UINT64_C(1) << 52) - 1));
+    memcpy(x, &bits, sizeof *x);
+    return 1;
+}
+
 /* Read the number field at s into *v. The field ends at e or before the
  * first ',', '"' or line break. Returns its end, or NULL when it holds no
  * number. */
@@ -1332,7 +1538,7 @@ static const char *number(const char *s, const char *e, double *v)
 {
     while (s < e && (*s == ' ' || *s == '\t'))
         s++;
-    /* The fast path's grammar, read where the number stands: the mantissa
+    /* The fast paths' grammar, read where the number stands: the mantissa
      * w of its significant digits, their count, the count of all its
      * digits, and its decimal exponent. w wraps past 19 digits, where it
      * is not used. */
@@ -1345,22 +1551,21 @@ static const char *number(const char *s, const char *e, double *v)
         p++;
     const char *q = p;
     uint64_t w = 0;
-    for (; p < e && is_digit(*p); p++)
-        w = w * 10 + (uint64_t)(*p - '0');
-    ptrdiff_t sig = p - q, digits = p - m, exp = 0;
+    if (p < e && is_digit(*p))
+        p = digits(p, e, &w);
+    ptrdiff_t sig = p - q, all = p - m, exp = 0;
     if (p < e && *p == '.') {
         const char *f = ++p;
         if (sig == 0)
             while (p < e && *p == '0')
                 p++;
         q = p;
-        for (; p < e && is_digit(*p); p++)
-            w = w * 10 + (uint64_t)(*p - '0');
+        p = digits(p, e, &w);
         sig += p - q;
-        digits += p - f;
+        all += p - f;
         exp = f - p;
     }
-    int exact = digits > 0;
+    int exact = all > 0;
     if (exact && p < e && (*p == 'e' || *p == 'E')) {
         p++;
         const int down = p < e && *p == '-';
@@ -1386,10 +1591,13 @@ static const char *number(const char *s, const char *e, double *v)
         t--;
     if (t == s || t - s >= TOKEN_MAX)
         return NULL;
-    const int short_token = exact && p == t && sig <= 19;
+    const int short_token = exact && p == t && sig <= 19 && exp >= -22 &&
+                            exp <= 22;
     double x;
-    if (short_token && w <= (UINT64_C(1) << 53) && exp >= -22 && exp <= 22)
+    if (short_token && w <= (UINT64_C(1) << 53))
         x = exp < 0 ? (double)w / POW10[-exp] : (double)w * POW10[exp];
+    else if (short_token && eisel_lemire(w, (int)exp, &x))
+        ;
 #ifdef __SIZEOF_INT128__
     else if (short_token && exp >= -21 && exp <= 19)
         x = wide(w, (int)exp);
@@ -1431,21 +1639,59 @@ INLINE const char *record_end(const char *p, const char *end)
     return NULL;
 }
 
+/* The distinct label fields of a scan: `table` holds mask + 1 slots, a
+ * power of two, each 0 (free) or a code plus one; spans[2k] and
+ * spans[2k + 1] are the offsets of code k's bytes in the text; n codes so
+ * far. */
+struct labels {
+    int64_t *table, *spans;
+    uint64_t mask;
+    int64_t n;
+};
+
+/* The code of the field [a, b) of the text s: that of the first field of
+ * the same bytes, else the next one. The table must keep a free slot, so
+ * that a probe ends. */
+static int64_t intern(const char *s, const char *a, const char *b,
+                      struct labels *l)
+{
+    uint64_t h = UINT64_C(0xcbf29ce484222325); /* FNV-1a */
+    for (const char *p = a; p < b; p++)
+        h = (h ^ (unsigned char)*p) * UINT64_C(0x100000001b3);
+    for (uint64_t i = (h ^ h >> 32) & l->mask;; i = (i + 1) & l->mask) {
+        const int64_t k = l->table[i] - 1;
+        if (k < 0) {
+            l->table[i] = l->n + 1;
+            l->spans[2 * l->n] = a - s;
+            l->spans[2 * l->n + 1] = b - s;
+            return l->n++;
+        }
+        const int64_t *span = l->spans + 2 * k;
+        if (span[1] - span[0] == b - a && memcmp(s + span[0], a, b - a) == 0)
+            return k;
+    }
+}
+
 /*
  * Scan the records of the CSV text s[0, len). Each must hold `width`
- * fields. Field `label` (-1 for none) is kept as the offsets of its bytes,
- * quotes included, in spans[2r] and spans[2r + 1]; the others are read as
- * numbers, in order, into the next width - (label >= 0) values of out.
- * Returns the number of records, or -1 when the text leaves the grammar
- * above or holds more than `rows` records. With out NULL it reads nothing
- * and returns the number of '\n' in the text plus one, the most records
- * it can hold, to size out.
+ * fields. Field `label` (-1 for none) is interned: codes[r] is record r's
+ * code, 0, 1, ... in order of first appearance, and spans[2k] and
+ * spans[2k + 1] are the offsets of the bytes of code k's field, quotes
+ * included. The others are read as numbers, in order, into the next
+ * width - (label >= 0) values of out. `table` is the interning's scratch:
+ * `slots` zeroed entries, a power of two of at least 2 * rows, so it is
+ * never full. Returns the number of records, or -1 when the text leaves
+ * the grammar above or holds more than `rows` records. With out NULL it
+ * reads nothing and returns the number of '\n' in the text plus one, the
+ * most records it can hold, to size the arrays.
  */
 ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
                    ptrdiff_t label, ptrdiff_t rows, double *out,
-                   int64_t *spans)
+                   int64_t *codes, int64_t *spans, int64_t *table,
+                   ptrdiff_t slots)
 {
     const char *p = s, *const end = s + len;
+    struct labels labels = {table, spans, (uint64_t)slots - 1, 0};
     ptrdiff_t r = 0;
     if (out == NULL) {
         for (; (p = memchr(p, '\n', end - p)) != NULL; p++)
@@ -1465,12 +1711,10 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
             if (f != label && (p == end || *p != '"')) {
                 p = number(p, end, out++);
             } else if ((p = field_end(p, end)) != NULL) {
-                if (f == label) {
-                    spans[2 * r] = a - s;
-                    spans[2 * r + 1] = p - s;
-                } else if (number(a + 1, p - 1, out++) != p - 1) {
+                if (f == label)
+                    codes[r] = intern(s, a, p, &labels);
+                else if (number(a + 1, p - 1, out++) != p - 1)
                     return -1;
-                }
             }
             if (p == NULL)
                 return -1;
@@ -1554,32 +1798,10 @@ static const uint32_t INV_POW5_CORR[] = {
     0x51655554, 0x40004000, 0x01000001, 0x00010500, 0x51515411, 0x05555554,
     0x00000000};
 
-/* The 128-bit product a * b: the low word, the high one into *hi. */
-INLINE uint64_t mul128(uint64_t a, uint64_t b, uint64_t *hi)
-{
-#ifdef __SIZEOF_INT128__
-    const u128 p = (u128)a * b;
-    *hi = (uint64_t)(p >> 64);
-    return (uint64_t)p;
-#else
-    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b,
-                   b1 = b >> 32, p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0,
-                   mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
-    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-    return mid << 32 | (uint32_t)p00;
-#endif
-}
-
 /* The low word of the 128-bit (hi, lo) >> s, for 0 < s < 64. */
 INLINE uint64_t shr128(uint64_t lo, uint64_t hi, int s)
 {
     return hi << (64 - s) | lo >> s;
-}
-
-/* The bit length of 5^e (1 for e = 0), for the e a double reaches. */
-INLINE int pow5bits(int e)
-{
-    return (int)(((uint32_t)e * 1217359) >> 19) + 1;
 }
 
 /* out = (t * 5^k >> s) + add, 0 < s < 64, for a 125-bit result: the

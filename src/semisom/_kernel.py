@@ -23,14 +23,19 @@ every float rounding (derived in ``_kernel.c``), bounds the pairs it
 keeps in double as ``inference._classify_block`` does, and computes in
 double the activations of the pairs the bounds cannot rule out.
 ``som_scan`` reads the body of a CSV or ARFF file (``scan``) into the
-arrays it is passed. It computes every number of at most 19 significant
-digits itself, exactly, when its decimal exponent lies within -22..22,
-or within -21..19 for a mantissa above 2**53 (those need a compiler with
-a 128-bit integer type). Only the other numbers go through ``strtod``,
-which reads the decimal point of the ``LC_NUMERIC`` locale: under a
-locale whose point is ``,`` those tokens are refused, and such files are
-read row by row. That case follows from the code; it is not tested,
-since it needs a comma-decimal locale installed. ``som_format`` writes
+arrays it is passed, digits eight bytes at a time. It computes every
+number of at most 19 significant digits itself, exactly, when its decimal
+exponent lies within -22..22: one IEEE operation for a mantissa of at
+most 2**53, else Eisel and Lemire's 64 x 128-bit product, and, for the
+rare product that cannot decide the rounding, exact 128-bit integers
+(for exponents within -21..19, on a compiler with a 128-bit integer
+type). Only the other numbers go through ``strtod``, which reads the
+decimal point of the ``LC_NUMERIC`` locale: under a locale whose point is
+``,`` those tokens are refused, and such files are read row by row. That
+case follows from the code; it is not tested, since it needs a
+comma-decimal locale installed. It gives each record's label field a
+code, one per distinct field, through a table the caller passes, so that
+Python decodes each distinct label once. ``som_format`` writes
 the node vectors of a model file (``format_rows``), every double as
 ``float.__repr__`` writes it, from Ryu's shortest round-trip digits; it
 reads no locale.
@@ -219,7 +224,8 @@ def load(compiler: str = "cc"):
         lib.som_classify.restype = None
         lib.som_reaches.argtypes = (ctypes.c_double,) * 4
         lib.som_reaches.restype = ctypes.c_int
-        lib.som_scan.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR)
+        lib.som_scan.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR,
+                                 _PTR, _PTR, _SIZE)
         lib.som_scan.restype = _SIZE
         lib.som_format.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR)
         lib.som_format.restype = _SIZE
@@ -378,10 +384,12 @@ def scan(text: bytes, start: int, width: int, label: int | None):
 
     Each record holds ``width`` fields; field ``label`` (``None`` for none)
     is the label, the others are numbers. Returns the float matrix of the
-    numbers, one row per record, and the ``(start, end)`` offsets in
-    ``text`` of each record's label field, quotes included. Raises
-    ``ValueError`` when the text leaves the scanner's grammar (see
-    ``_kernel.c``) or no library is loaded.
+    numbers, one row per record; each record's label code, 0, 1, ... in
+    order of first appearance (empty without a label); and the bytes of
+    each code's label field, quotes included. ``text`` may be any
+    contiguous bytes-like object. Raises ``ValueError`` when the text
+    leaves the scanner's grammar (see ``_kernel.c``) or no library is
+    loaded.
     """
     if not 0 <= start <= len(text):
         raise IndexError(f"start {start} outside the {len(text)} bytes")
@@ -392,14 +400,23 @@ def scan(text: bytes, start: int, width: int, label: int | None):
         raise ValueError("no compiled scanner")
     base = np.frombuffer(text, np.uint8).ctypes.data + start
     size = len(text) - start
-    rows = lib.som_scan(base, size, width, -1, 0, None, None)
+    rows = lib.som_scan(base, size, width, -1, 0, None, None, None, None, 0)
     out = np.empty((rows, width - (label is not None)))
-    spans = np.empty((rows if label is not None else 0, 2), dtype=np.int64)
+    labels = rows if label is not None else 0
+    codes = np.empty(labels, dtype=np.int64)
+    spans = np.empty((labels, 2), dtype=np.int64)
+    # the interning table: a power of two of at least twice the records
+    table = np.zeros(1 << (2 * labels - 1).bit_length() if labels else 0,
+                     dtype=np.int64)
     got = lib.som_scan(base, size, width, -1 if label is None else label,
-                       rows, out.ctypes.data, spans.ctypes.data)
+                       rows, out.ctypes.data, codes.ctypes.data,
+                       spans.ctypes.data, table.ctypes.data, len(table))
     if got < 0:
         raise ValueError("outside the scanner's grammar")
-    return out[:got], spans[:got] + start
+    codes = codes[:got]
+    distinct = int(codes.max()) + 1 if len(codes) else 0
+    return out[:got], codes, [bytes(text[a:b]) for a, b in
+                              (spans[:distinct] + start).tolist()]
 
 
 # The most bytes som_format writes for one value, its separator included,

@@ -9,12 +9,15 @@ integer ids into ``class_names`` with ``NO_CLASS`` marking unlabeled rows.
 One table reader and one row reader serve both formats; a format keeps
 only its header and its class rule, which maps a label field to a class
 id. The table reader, ``_read_table``, hands the body to the compiled
-scanner, ``_kernel.scan``, in one pass; it accepts a strict subset of CSV
-and of ``float()``'s spellings, and raises ``ValueError`` for anything
-else, or when no library is loaded. The row reader, ``_read_rows``, then
-reads the records ``csv`` splits with ``float()``, and is the reference:
-the two give the same data bit for bit wherever the scanner accepts a
-file.
+scanner, ``_kernel.scan``, in one pass, and maps each distinct label
+field once; it accepts a strict subset of CSV and of ``float()``'s
+spellings, and raises ``ValueError`` for anything else, or when no
+library is loaded. The row reader, ``_read_rows``, then reads the records
+``csv`` splits with ``float()``, and is the reference: the two give the
+same data bit for bit wherever the scanner accepts a file. An ARFF body
+reaches the table reader as the bytes after the ``@data`` line; where
+that might differ from reading the file line by line, the line reader
+(``_read_arff_lines``) decides.
 """
 
 from __future__ import annotations
@@ -131,9 +134,15 @@ class FoldPlan:
 
 
 _NOMINAL_RE = re.compile(r"^\{(.*)\}$")
+# The pieces of a nominal list: a quoted value, which may hold commas, a
+# run of other characters, or one comma or unmatched quote.
+_NOMINAL_PIECE_RE = re.compile(r"""'[^']*'|"[^"]*"|[^,'"]+|.""", re.S)
 # An attribute declaration: a quoted name (spaces allowed) or a bare one,
 # then the type.
 _ATTRIBUTE_RE = re.compile(r"""('[^']*'|"[^"]*"|[^\s'"]\S*)\s+(\S.*)$""")
+# A line of an ARFF file and its line break, as text-mode reading splits
+# them.
+_LINE_RE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)")
 
 
 def _strip_quotes(token: str) -> str:
@@ -154,16 +163,115 @@ def _require_finite(path, patterns: np.ndarray,
         f"{names[c]!r}")
 
 
+def _nominal_values(path, lineno: int, inside: str) -> list[str]:
+    """The values of the nominal list ``{inside}``: split at the commas
+    outside ``'...'`` and ``"..."``, stripped and unquoted. Raises
+    ``DataFormatError`` for a value listed twice."""
+    items, item = [], ""
+    for piece in _NOMINAL_PIECE_RE.findall(inside):
+        if piece == ",":
+            items.append(item)
+            item = ""
+        else:
+            item += piece
+    values = [_strip_quotes(v.strip()) for v in items + [item]]
+    seen: set[str] = set()
+    for value in values:
+        if value in seen:
+            raise DataFormatError(
+                f"{path}:{lineno}: nominal value {value!r} listed twice")
+        seen.add(value)
+    return values
+
+
+def _arff_directive(path, lineno: int, line: str,
+                    attrs: list[tuple[str, list[str] | None]]) -> bool:
+    """Read the stripped header line ``line``, neither blank nor a
+    comment, into ``attrs`` as ``(name, nominal values or None)``; True
+    for the ``@data`` line."""
+    if not line.startswith("@"):
+        raise DataFormatError(f"{path}:{lineno}: data before @data section")
+    head, _, rest = line.partition(" ")
+    keyword = head.lower()
+    if keyword == "@data":
+        return True
+    if keyword == "@attribute":
+        decl = _ATTRIBUTE_RE.match(rest.strip())
+        if decl is None:
+            raise DataFormatError(
+                f"{path}:{lineno}: malformed attribute declaration")
+        name = _strip_quotes(decl.group(1))
+        spec = decl.group(2).strip()
+        nominal = _NOMINAL_RE.match(spec)
+        if nominal:
+            attrs.append((name, _nominal_values(path, lineno,
+                                                nominal.group(1))))
+        elif spec.lower() in ("numeric", "real", "integer"):
+            attrs.append((name, None))
+        else:
+            raise DataFormatError(
+                f"{path}:{lineno}: unsupported attribute type {spec!r}")
+    elif keyword != "@relation":
+        raise DataFormatError(f"{path}:{lineno}: unknown directive {head!r}")
+    return False
+
+
 def load_arff(path) -> Dataset:
     """Load the ARFF subset: numeric attributes plus one nominal class.
 
     The class attribute is the one named ``class`` (any case) or, failing
     that, the last declared attribute, which must be nominal. Any other
-    nominal attribute is rejected. Malformed lines, ``nan`` and ``inf``
-    included, raise ``DataFormatError`` carrying the offending line number.
+    nominal attribute is rejected, and so is a nominal list that names a
+    value twice; a quoted value may hold commas. Malformed lines, ``nan``
+    and ``inf`` included, raise ``DataFormatError`` carrying the offending
+    line number.
     """
     path = Path(path)
-    attrs: list[tuple[str, list[str] | None]] = []  # (name, nominal values)
+    try:
+        return _read_arff_table(path)
+    except ValueError:
+        # The body path refused the file: the line reader decides, and
+        # names the bad line if there is one.
+        return _read_arff_lines(path)
+
+
+def _read_arff_table(path: Path) -> Dataset:
+    """Read the header line by line and hand the bytes after the ``@data``
+    line, as they stand, to ``_read_table``.
+
+    Raises ``ValueError`` for any file the line reader might read
+    differently: a header it refuses or that is not UTF-8, no ``@data``
+    line, a ``%`` anywhere in the body (it may start a comment line), and
+    whatever ``_read_table`` refuses. Otherwise the two agree: both skip
+    empty lines; a line of other whitespace, which the line reader skips,
+    is a record of one field, which the scanner refuses; and the line
+    reader's stripping reaches only a record's first and last field,
+    where a number field holds padding only as spaces and tabs, which
+    ``float()`` strips too, and the class rule strips a label field.
+    """
+    raw = path.read_bytes()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    attrs: list[tuple[str, list[str] | None]] = []
+    for lineno, match in enumerate(_LINE_RE.finditer(raw, start), start=1):
+        line = match.group(1).decode("utf-8").strip()
+        if (line and not line.startswith("%")
+                and _arff_directive(path, lineno, line, attrs)):
+            break
+    else:
+        raise ValueError("no @data line")
+    body = match.end()
+    if raw.find(b"%", body) >= 0:
+        raise ValueError("a '%' in the body")
+    return _arff_dataset(path, attrs, lambda names, class_idx, class_id:
+                         _read_table(raw, body, len(names), class_idx,
+                                     class_id))
+
+
+def _read_arff_lines(path: Path) -> Dataset:
+    """Read the file as text, line by line: the stripped data lines go to
+    ``_read_table`` as one text, or, when it refuses them, to
+    ``_read_rows``; errors name the line."""
+    attrs: list[tuple[str, list[str] | None]] = []
     lines: list[tuple[int, str]] = []  # data lines: (line number, text)
     in_data = False
     with _utf8_text(path), path.open(encoding="utf-8-sig") as fh:
@@ -171,43 +279,36 @@ def load_arff(path) -> Dataset:
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
-            if not in_data and line.startswith("@"):
-                head, _, rest = line.partition(" ")
-                keyword = head.lower()
-                if keyword == "@relation":
-                    continue
-                if keyword == "@data":
-                    in_data = True
-                    continue
-                if keyword == "@attribute":
-                    decl = _ATTRIBUTE_RE.match(rest.strip())
-                    if decl is None:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: malformed attribute declaration")
-                    name = _strip_quotes(decl.group(1))
-                    spec = decl.group(2).strip()
-                    nominal = _NOMINAL_RE.match(spec)
-                    if nominal:
-                        values = [_strip_quotes(v.strip())
-                                  for v in nominal.group(1).split(",")]
-                        attrs.append((name, values))
-                    elif spec.lower() in ("numeric", "real", "integer"):
-                        attrs.append((name, None))
-                    else:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: unsupported attribute type "
-                            f"{spec!r}")
-                    continue
-                raise DataFormatError(
-                    f"{path}:{lineno}: unknown directive {head!r}")
             if in_data:
                 lines.append((lineno, line))
             else:
-                raise DataFormatError(
-                    f"{path}:{lineno}: data before @data section")
+                in_data = _arff_directive(path, lineno, line, attrs)
+
+    def read(names: list[str], class_idx: int, class_id):
+        if not lines:
+            raise DataFormatError(f"{path}: no data rows")
+        try:
+            # The lines are stripped and hold no line break: one record
+            # each.
+            return _read_table(
+                "\n".join(line for _, line in lines).encode("utf-8"), 0,
+                len(names), class_idx, class_id)
+        except ValueError:
+            rows = [(lineno, next(csv.reader([line])))
+                    for lineno, line in lines]
+            return _read_rows(path, rows, names, class_idx, class_id,
+                              "attribute")
+
+    return _arff_dataset(path, attrs, read)
+
+
+def _arff_dataset(path, attrs: list[tuple[str, list[str] | None]],
+                  read) -> Dataset:
+    """The dataset of the patterns and labels ``read(names, class_idx,
+    class_id)`` returns for the declared ``attrs``, under the ARFF class
+    rule: a label field, stripped and unquoted, is a declared value."""
     if not attrs:
         raise DataFormatError(f"{path}: no attribute declarations")
-
     class_idx = next((i for i, (name, _) in enumerate(attrs)
                       if name.lower() == "class"), len(attrs) - 1)
     class_name, class_values = attrs[class_idx]
@@ -221,8 +322,6 @@ def load_arff(path) -> Dataset:
     feature_idx = [i for i in range(len(attrs)) if i != class_idx]
     if not feature_idx:
         raise DataFormatError(f"{path}: no numeric feature attributes")
-    if not lines:
-        raise DataFormatError(f"{path}: no data rows")
 
     value_ids = {v: i for i, v in enumerate(class_values)}
 
@@ -233,15 +332,7 @@ def load_arff(path) -> Dataset:
         return value_ids[value]
 
     names = [name for name, _ in attrs]
-    try:
-        # The lines are stripped and hold no line break: one record each.
-        patterns, labels = _read_table(
-            "\n".join(line for _, line in lines).encode("utf-8"), 0,
-            len(attrs), class_idx, class_id)
-    except ValueError:
-        rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
-        patterns, labels = _read_rows(path, rows, names, class_idx, class_id,
-                                      "attribute")
+    patterns, labels = read(names, class_idx, class_id)
     return Dataset(
         patterns=patterns,
         labels=labels,
@@ -260,30 +351,17 @@ def _read_table(text: bytes, start: int, width: int, class_idx: int | None,
     differently: text the scanner refuses (another field count, a quote
     left open, a number outside its grammar or not finite), no records, a
     label field ``class_id`` refuses, and any text when no library is
-    loaded. The caller then hands the records to ``_read_rows``.
+    loaded; and ``UnicodeDecodeError``, one too, for a label field that is
+    not UTF-8. The caller then hands the records to ``_read_rows``.
     """
-    patterns, spans = _kernel.scan(text, start, width, class_idx)
+    patterns, codes, fields = _kernel.scan(text, start, width, class_idx)
     if not len(patterns):
         raise ValueError("no data rows")
     if class_idx is None:
         return patterns, np.full(len(patterns), NO_CLASS, dtype=np.int64)
-    fields, codes = _label_fields(text, spans)
-    ids = [class_id(field) for field in fields]
+    ids = [class_id((field[1:-1].replace(b'""', b'"') if field[:1] == b'"'
+                     else field).decode("utf-8")) for field in fields]
     return patterns, np.array(ids, dtype=np.int64)[codes]
-
-
-def _label_fields(text: bytes, spans: np.ndarray):
-    """The distinct label fields of the scanned records, unquoted as
-    ``csv`` unquotes them, in order of first appearance, and each record's
-    index into them. Raises ``UnicodeDecodeError`` for a field that is not
-    UTF-8."""
-    tokens = list(map(text.__getitem__, map(slice, *spans.T.tolist())))
-    seen = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-    codes = np.fromiter(map(seen.__getitem__, tokens), dtype=np.int64,
-                        count=len(tokens))
-    fields = [(token[1:-1].replace(b'""', b'"') if token[:1] == b'"'
-               else token).decode("utf-8") for token in seen]
-    return fields, codes
 
 
 def _read_rows(path, rows: list[tuple[int, list[str]]], names: list[str],

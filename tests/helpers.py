@@ -176,6 +176,22 @@ def reference_model_text(som: SomMap, params, norm_stats=None,
     return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
+def split_nominal(inside: str) -> list[str]:
+    """The items of the nominal list ``{inside}``, split at the commas
+    outside quotes: a quote opens a quoted item where the same quote
+    follows it, and is a character like any other where none does."""
+    items, begin, i = [], 0, 0
+    while i < len(inside):
+        close = inside.find(inside[i], i + 1) if inside[i] in "'\"" else -1
+        if close > 0:
+            i = close
+        elif inside[i] == ",":
+            items.append(inside[begin:i])
+            begin = i + 1
+        i += 1
+    return items + [inside[begin:]]
+
+
 def reference_load_arff(path) -> Dataset:
     """The ARFF loader row by row: ``csv`` records and ``float()`` per cell."""
     path = Path(path)
@@ -204,8 +220,14 @@ def reference_load_arff(path) -> Dataset:
                     spec = decl.group(2).strip()
                     nominal = _NOMINAL_RE.match(spec)
                     if nominal:
-                        values = [_strip_quotes(v.strip())
-                                  for v in nominal.group(1).split(",")]
+                        values = [_strip_quotes(v.strip()) for v in
+                                  split_nominal(nominal.group(1))]
+                        twice = [v for i, v in enumerate(values)
+                                 if v in values[:i]]
+                        if twice:
+                            raise DataFormatError(
+                                f"{path}:{lineno}: nominal value "
+                                f"{twice[0]!r} listed twice")
                         attrs.append((name, values))
                     elif spec.lower() in ("numeric", "real", "integer"):
                         attrs.append((name, None))

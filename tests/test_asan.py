@@ -10,10 +10,12 @@ dimensions, so the shadow's rows carry 4 dimensions of padding) and a
 plain one (8 dimensions), each through insertions into full storage,
 pruning sweeps and links across three adjacency words, saves and
 classifies with each, then loads the loader fuzz seeds and their
-mutations through the scanner (``som_scan``), and prints what it got. Its
-Python allocates through ``malloc``, so a read past a file's bytes shows.
-It must report no AddressSanitizer error and the package library's
-results, bit for bit.
+mutations through the scanner (``som_scan``), and scans numbers whose
+digits run to the last byte of a text, each text in a buffer of exactly
+its length: a ``bytes`` object keeps a NUL byte past its last one, so only
+such a buffer shows a load that reaches one byte too far. It prints what
+it got. Its Python allocates through ``malloc``. It must report no
+AddressSanitizer error and the package library's results, bit for bit.
 
 Run as a script, ``python tests/test_asan.py DIR``, this module is that
 child: it builds the ``asan`` library in DIR and prints one JSON line per
@@ -84,7 +86,7 @@ def _results(tmp: Path) -> list[dict]:
             "model": hashlib.sha256(path.read_bytes()).hexdigest(),
             "classified": hashlib.sha256(repr(predicted).encode()).hexdigest(),
         })
-    return out + [_loaded(tmp)]
+    return out + [_loaded(tmp), _scanned()]
 
 
 def _loader_files() -> list[tuple[str, bytes]]:
@@ -113,6 +115,34 @@ def _loaded(tmp: Path) -> dict:
         except DataFormatError as exc:
             outcomes.append(str(exc).replace(str(path), name))
     return {"loaded": sum(not isinstance(o, str) for o in outcomes),
+            "outcomes": hashlib.sha256(repr(outcomes).encode()).hexdigest()}
+
+
+def _scan_texts() -> list[tuple[bytes, int, int | None]]:
+    """Texts for the scanner alone, each with its field count and label
+    field: the CSV seed's body, and a record whose last field, a number of
+    1 to 40 digits, bare, with a point or quoted, ends the text."""
+    texts = [(CSV[CSV.index(b"\n") + 1:], 3, 2)]
+    for n in range(1, 41):
+        run = b"7" * n
+        for number in (run, b"0." + run, run + b"." + run, b'"' + run + b'"'):
+            texts += [(b"1," + number, 2, None), (b"a," + number, 2, 0)]
+    return texts
+
+
+def _scanned() -> dict:
+    """How many of ``_scan_texts`` ``_kernel.scan`` reads from a buffer of
+    exactly the text's length, and the sha256 of what it makes of each."""
+    outcomes = []
+    for text, width, label in _scan_texts():
+        exact = np.frombuffer(text, np.uint8).copy()
+        try:
+            values, codes, fields = _kernel.scan(exact, 0, width, label)
+        except ValueError:
+            outcomes.append("refused")
+            continue
+        outcomes.append((values.tobytes().hex(), codes.tolist(), fields))
+    return {"scanned": sum(o != "refused" for o in outcomes),
             "outcomes": hashlib.sha256(repr(outcomes).encode()).hexdigest()}
 
 
@@ -146,10 +176,11 @@ def test_kernels_make_no_heap_error_under_address_sanitizer(tmp_path):
     got = [json.loads(line) for line in child.stdout.splitlines()]
     want = _results(tmp_path)
     assert got == want
-    for run in want[:-1]:
+    for run in want[:-2]:
         assert run["rows"] > 128 and run["nodes"] > 64
         assert run["resets"] >= 1 and run["top_link"] >= 128
-    assert 0 < want[-1]["loaded"] < len(_loader_files())
+    assert 0 < want[-2]["loaded"] < len(_loader_files())
+    assert want[-1]["scanned"] == len(_scan_texts())
 
 
 def _child(directory: str) -> None:

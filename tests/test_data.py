@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import re
+import runpy
 import warnings
 from pathlib import Path
 
@@ -160,7 +162,7 @@ def test_arff_fallback_names_the_bad_line(tmp_path, body):
                                                          path)
 
 
-ARFF_CLASSES = ["a", "b", "c d", "e"]
+ARFF_CLASSES = ["a", "b", "c d", "e", '"f,g"']
 ODD_ARFF_CLASSES = [" a ", "'c d'", '"e"', "'b'", '"c d"', '" a"', '"a,b"',
                     "'a", "z", "", '"g""h"', '"a"b', "A"]
 
@@ -177,7 +179,7 @@ def arff_files(draw):
     head = ["% generated", "@relation gen"]
     for name in names:
         head.append(f"@attribute {name} "
-                    + ("{a,b,'c d',\"e\"}" if name == class_name
+                    + ("{a,b,'c d',\"e\",'f,g'}" if name == class_name
                        else draw(st.sampled_from(["numeric", "REAL"]))))
     head.append(draw(st.sampled_from(["@data", "@DATA"])))
     number = st.one_of(st.integers(-9, 9).map(str),
@@ -193,7 +195,8 @@ def arff_files(draw):
         fields = rarely(draw, st.sampled_from([fields[:-1], fields + ["1"]]),
                         st.just(fields))
         rows.append(",".join(fields))
-        rows += rarely(draw, st.sampled_from([[""], ["% note"], ["  "]]),
+        rows += rarely(draw, st.sampled_from([[""], ["% note"], ["  "],
+                                              ["\xa0"], [" %a,1"]]),
                        st.just([]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from(["", newline]))
@@ -210,6 +213,83 @@ def test_load_arff_matches_the_row_reference(tmp_path_factory, text):
     path = write_bytes(tmp_path_factory.mktemp("arff"), "gen.arff", text)
     assert arff_outcome(load_arff, path) == arff_outcome(reference_load_arff,
                                                          path)
+
+
+def test_arff_nominal_values_may_hold_commas_inside_quotes(tmp_path):
+    text = ("@relation t\n@attribute f numeric\n"
+            "@attribute class {'a,b', c,\"d, e\",'f}\n@data\n1,c\n")
+    path = write(tmp_path, "commas.arff", text)
+    assert load_arff(path).class_names == ("a,b", "c", "d, e", "'f")
+    assert reference_load_arff(path).class_names == ("a,b", "c", "d, e",
+                                                     "'f")
+
+
+def test_arff_row_may_spell_a_class_that_holds_a_comma(tmp_path):
+    text = ('@relation t\n@attribute f numeric\n@attribute class {"a,b",c}\n'
+            '@data\n1,"a,b"\n2,c\n')
+    path = write_bytes(tmp_path, "spelled.arff", text)
+    ds = load_arff(path)
+    assert ds.class_names == ("a,b", "c") and ds.labels.tolist() == [0, 1]
+    assert arff_outcome(load_arff, path) == arff_outcome(reference_load_arff,
+                                                         path)
+
+
+@pytest.mark.parametrize("values, twice", [("a,a", "a"), ("a,b,'b'", "b"),
+                                           ("' x',\" x\",y", " x")])
+def test_arff_nominal_value_listed_twice_is_error(tmp_path, values, twice):
+    text = ("@relation t\n@attribute f numeric\n"
+            f"@attribute class {{{values}}}\n@data\n1,y\n")
+    path = write(tmp_path, "twice.arff", text)
+    message = f"twice.arff:3: nominal value {twice!r} listed twice"
+    for load in (load_arff, reference_load_arff):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load(path)
+
+
+ARFF_HEADS = {
+    "class-last": "@attribute f numeric\n@attribute class {a,b,%2}\n",
+    "class-first": "@attribute class {a,b,%2}\n@attribute f numeric\n",
+}
+
+
+@pytest.mark.parametrize("head, body", [
+    ("class-last", "1,a\n% note\n2,b\n"),  # comment lines
+    ("class-first", "a,1\n%2,2\n"),  # a comment that spells a class
+    ("class-first", "a,1\n %2,2\n\xa0%2,3\n"),
+    ("class-last", "1,a\n\n\n2,b\n\r\n"),  # blank lines
+    ("class-last", "1,a\n   \n\t\n2,b\n"),  # lines of spaces and tabs
+    ("class-last", "1,a\r2,b\r"),  # lone carriage returns
+    ("class-first", "a,1\r\nb,2\ra,3\n"),
+    ("class-last", "\xa01,a\n2,b\xa0\n"),  # no-break spaces
+    ("class-first", "\xa0a,1\xa0\n\xa0 b ,\xa02\xa0\n"),
+    ("class-last", "\u20031,a\u2003\n1,a\x1c\n\x1c2,b\n"),
+    ("class-last", " 1 , a \n\t2\t,\tb\t\n"),  # padding the scanner reads
+    ("class-first", " a , 1 \n\tb\t,\t2\t\n"),
+])
+def test_arff_body_reads_as_the_line_reader_reads_it(tmp_path, head, body):
+    text = "@relation t\n" + ARFF_HEADS[head] + "@data\n" + body
+    path = write_bytes(tmp_path, "body.arff", text)
+    want = arff_outcome(reference_load_arff, path)
+    assert want[0] == "ok", want
+    assert arff_outcome(load_arff, path) == want
+
+
+def _no_line_reader(*args):
+    raise AssertionError("a clean body reached the line reader")
+
+
+@pytest.mark.needs_library
+def test_clean_arff_body_takes_the_scanner_alone(tmp_path, monkeypatch):
+    """The bytes after ``@data`` go to the scanner as they stand, CRLF line
+    ends, blank lines and a byte order mark included."""
+    text = ("\ufeff% head\r\n@relation t\r\n\r\n@attribute f numeric\r\n"
+            "@attribute class {a,'b c'}\r\n@data\r\n1.5,a\r\n\r\n"
+            "-2e-3,'b c'\r\n 7 ,\"b c\"")
+    path = write_bytes(tmp_path, "clean.arff", text)
+    want = arff_outcome(reference_load_arff, path)
+    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
+    assert arff_outcome(load_arff, path) == want
+    assert want[3] == [0, 1, 1]
 
 
 # -- CSV ---------------------------------------------------------------------
@@ -390,6 +470,58 @@ def test_load_csv_matches_the_row_reference(tmp_path_factory, case):
             == csv_outcome(reference_load_csv, path, label_column))
 
 
+def test_csv_with_thousands_of_distinct_labels(tmp_path):
+    rng = np.random.default_rng(5)
+    tags = [f"t{i}" for i in rng.permutation(6000)] + [
+        f"t{i}" for i in rng.integers(6000, size=3000)]
+    lines = [f"{x!r},{tag}"
+             for x, tag in zip(rng.random(len(tags)).tolist(), tags)]
+    path = write(tmp_path, "many.csv", "f1,class\n" + "\n".join(lines))
+    ds = load_csv(path)
+    assert len(ds.class_names) == 6000
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
+                                                      path)
+
+
+@pytest.mark.needs_library
+def test_csv_label_spellings_are_one_class(tmp_path, monkeypatch):
+    """``a``, ``"a"`` and `` a `` are three label fields to the scanner and
+    one class to the class rule."""
+    path = write(tmp_path, "spell.csv",
+                 'f1,class\n1,a\n2,"a"\n3, a \n4,b\n5,"a"\n6,a\n')
+    monkeypatch.setattr(data, "_read_rows", _no_row_reader)
+    ds = load_csv(path)
+    assert ds.class_names == ("a", "b")
+    assert ds.labels.tolist() == [0, 0, 0, 1, 0, 0]
+    assert csv_outcome(load_csv, path) == csv_outcome(reference_load_csv,
+                                                      path)
+    raw = path.read_bytes()
+    _, codes, fields = _kernel.scan(raw, raw.index(b"\n") + 1, 2, 1)
+    assert codes.tolist() == [0, 1, 2, 3, 1, 0]
+    assert fields == [b"a", b'"a"', b" a ", b"b"]
+
+
+@pytest.mark.parametrize("name, text, position", [
+    ("l.csv", b"f1,class\n1,a\n2,b\xffc\n", 16),
+    ("l.arff", b"@relation r\n@attribute f numeric\n"
+               b"@attribute class {a,b}\n@data\n1,a\n2,b\xff\n", 69),
+])
+def test_label_that_is_not_utf8_names_the_file(tmp_path, name, text,
+                                               position):
+    path = tmp_path / name
+    path.write_bytes(text)
+    load = load_csv if name.endswith(".csv") else load_arff
+    with pytest.raises(DataFormatError) as error:
+        load(path)
+    assert str(error.value) == (
+        f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        f"position {position}: invalid start byte")
+    if _kernel.compiled() is not None:
+        start = text.index(b"1,a\n")  # the first record of the body
+        with pytest.raises(UnicodeDecodeError):
+            data._read_table(text, start, 2, 1, lambda field: 0)
+
+
 # -- byte order mark ---------------------------------------------------------
 
 BOM = "\ufeff"
@@ -423,7 +555,7 @@ def scan_token(text: str):
     """The scanner's value of ``text`` as the one field of a record, or
     ``None`` when it refuses it."""
     try:
-        values, _ = _kernel.scan(text.encode() + b"\n", 0, 1, None)
+        values = _kernel.scan(text.encode() + b"\n", 0, 1, None)[0]
     except ValueError:
         return None
     return float(values[0, 0]) if len(values) else None
@@ -577,6 +709,33 @@ def test_scanner_refuses_what_is_outside_its_grammar(text):
     assert scan_token(text) is None
 
 
+@pytest.mark.needs_library
+@pytest.mark.parametrize("digits", ["12345678", "1234567812345678",
+                                    "0.12345678", ".1234567812345678",
+                                    "12345678.12345678", "-1234567812345678"])
+def test_scanner_reads_runs_of_eight_digits_to_a_closing_quote(
+        tmp_path, monkeypatch, digits):
+    """Runs that fill whole 8-byte loads up to the field's end: a closing
+    quote, a comma, or the end of the text."""
+    text = f'class,f1,f2\na,"{digits}",{digits}\n"{digits}","{digits}",{digits}'
+    path = write(tmp_path, "runs.csv", text)
+    want = csv_outcome(reference_load_csv, path)
+    monkeypatch.setattr(data, "_read_rows", _no_row_reader)
+    assert csv_outcome(load_csv, path) == want
+    assert want[2] == np.full((2, 2), float(digits)).tobytes()
+
+
+def test_scanner_power_table_is_the_exact_one(capsys):
+    """The table of powers of ten of ``_kernel.c`` is the one
+    ``scripts/pow10_table.py`` derives from exact integers and checks."""
+    script = Path(__file__).parents[1] / "scripts" / "pow10_table.py"
+    runpy.run_path(str(script), run_name="__main__")
+    table = capsys.readouterr().out
+    assert table.startswith("static const uint64_t POW10_128[][2] = {")
+    assert table.count("\n") == 46
+    assert table.rstrip("\n") in _kernel._SOURCE.read_text()
+
+
 @pytest.mark.parametrize("start, label", [(-1, None), (3, None), (0, 1),
                                           (0, -1)])
 def test_scan_checks_its_arguments_before_the_c_code(start, label):
@@ -625,7 +784,8 @@ def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
                                             writer, layout):
     """Files as the benchmark and the golden tests write them, ``repr``
     floats of every magnitude, load through the table readers without a
-    fallback, and bit for bit as the row reference loads them."""
+    fallback, an ARFF body as the bytes after ``@data``, and bit for bit
+    as the row reference loads them."""
     rng = np.random.default_rng(7)
     patterns = rng.uniform(0.0, 1.0, size=(40, 5))
     patterns[:, 1] = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30,
@@ -644,6 +804,7 @@ def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
                                      [names[c] for c in labels])
     lay_out(path, layout)
     monkeypatch.setattr(data, "_read_rows", _no_row_reader)
+    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
     load, reference = ((load_csv, reference_load_csv) if suffix == ".csv"
                        else (load_arff, reference_load_arff))
     got, want = load(path), reference(path)

@@ -6,15 +6,19 @@ import pytest
 
 from semisom import _kernel, data, load_csv
 from test_data import (  # noqa: F401  (collected here on both builds)
+    test_arff_body_reads_as_the_line_reader_reads_it,
     test_arff_class_attribute_found_by_name_not_position,
     test_arff_extra_nominal_feature_is_error,
     test_arff_fallback_names_the_bad_line, test_arff_golden_fixture,
     test_arff_keywords_are_case_insensitive,
     test_arff_non_finite_value_reports_line,
+    test_arff_nominal_value_listed_twice_is_error,
+    test_arff_nominal_values_may_hold_commas_inside_quotes,
     test_arff_non_numeric_value_is_error,
     test_arff_numeric_last_attribute_means_no_class,
     test_arff_only_class_attribute_is_error,
     test_arff_quoted_attribute_names_may_hold_spaces,
+    test_arff_row_may_spell_a_class_that_holds_a_comma,
     test_arff_unknown_nominal_value_reports_line,
     test_arff_with_a_byte_order_mark, test_arff_wrong_field_count_reports_line,
     test_clean_files_take_the_scanner_alone, test_csv_empty_file_is_error,
@@ -24,8 +28,10 @@ from test_data import (  # noqa: F401  (collected here on both builds)
     test_csv_non_finite_value_reports_line,
     test_csv_non_numeric_feature_is_error, test_csv_ragged_row_reports_line,
     test_csv_with_a_byte_order_mark, test_csv_with_class_header,
+    test_csv_with_thousands_of_distinct_labels,
     test_csv_without_label_column_is_unlabeled,
     test_load_arff_matches_the_row_reference,
+    test_label_that_is_not_utf8_names_the_file,
     test_load_csv_matches_the_row_reference,
     test_loaders_name_a_file_that_is_not_utf8,
     test_scanner_reads_a_token_as_float_does_or_refuses_it,
