@@ -1233,18 +1233,17 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
  * 1990). Multiplying by 10^-e instead would not do: that power is not
  * exact. One of at most 19 significant digits with w above 2^53, as in
  * most 17-digit repr()s, and e of at most 22 in size is rounded from one
- * product of w with the leading 128 bits of 10^e (eisel_lemire). When
- * that product cannot decide the rounding, which is rare, the value is
- * computed exactly in 128-bit integers and rounded once (wide(), for
- * -21 <= e <= 19). A compiler without a 128-bit integer type makes the
- * products of 32-bit ones (mul128) and has no wide(). Any other token of
- * the number's characters goes to strtod, which rounds correctly too, in
- * a NUL-terminated copy, and counts only if strtod reads the whole of it:
- * more than 19 significant digits, an exponent outside -22..22, and the
- * numbers eisel_lemire leaves that wide() does not take. strtod reads the
- * decimal point of the C library's LC_NUMERIC locale: under a locale
- * whose point is ',' it stops at the '.', and only those tokens are
- * refused.
+ * product of w with the leading 128 bits of 10^e (eisel_lemire); a
+ * compiler without a 128-bit integer type makes that product from 32-bit
+ * ones (mul128). Any other token of the number's characters goes to
+ * strtod, which rounds correctly too, in a NUL-terminated copy, and
+ * counts only if strtod reads the whole of it: more than 19 significant
+ * digits, an exponent outside -22..22, and the rare product eisel_lemire
+ * cannot round (a tie, or a product too close to one to tell; none of
+ * the 235,000 long mantissas of the benchmark's predict-bulk and
+ * train-subspace inputs, seed 3, is one). strtod reads the decimal point
+ * of the C library's LC_NUMERIC locale: under a locale whose point is ','
+ * it stops at the '.', and only those tokens are refused.
  *
  * The label field of each record, its bytes as they stand, quotes and
  * padding included, is looked up in an open-addressing table of the
@@ -1388,71 +1387,11 @@ static int strtod_number(const char *s, const char *e, double *v)
     return end == buf + len && isfinite(*v);
 }
 
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
-
-/* The number of bits of x, which is not 0. */
-INLINE int bit_length(u128 x)
-{
-    const uint64_t hi = (uint64_t)(x >> 64);
-    return hi ? 128 - __builtin_clzll(hi)
-              : 64 - __builtin_clzll((uint64_t)x);
-}
-
-/*
- * w * 10^e rounded to the nearest double, ties to even, for
- * 2^53 < w < 10^19 and -21 <= e <= 19, in integers alone; exact by
- * construction, so it needs no table of wide powers and no fallback.
- *
- * The value is (q + f) * 2^-shift with an integer q and 0 <= f < 1:
- *  - e >= 0: q = w * 10^e, shift = 0, f = 0. q < 10^19 * 10^19 < 2^127.
- *  - e < 0: w shifted left until its top bit is bit 127 (a shift of 64
- *    to 74), divided by 10^-e <= 10^21 < 2^70: q is the quotient, f the
- *    remainder over 10^-e, nonzero exactly when the remainder is.
- * Either way q holds at least 54 bits: q >= w > 2^53 for e >= 0, and
- * q >= 2^127 / 10^21 > 2^57 for e < 0. Rounding q + f to its top 53 bits
- * drops d >= 1 bits of q: the first of them is the round bit, and the
- * others with f (the sticky bit) decide whether the rest lies above the
- * half. That is round to nearest, ties to even, of the exact value. The
- * rounded mantissa, at most 2^53, is an exact double, and the result lies
- * within [2^53 * 10^-21, 10^38], inside the normal range, so the scaling
- * by 2^(d - shift), a double built from its exponent bits (d - shift lies
- * in -69..74), is exact too. 10^k for k <= 19 is below 2^64 and an exact
- * double of POW10.
- */
-static double wide(uint64_t w, int e)
-{
-    const int k = e < 0 ? -e : e;
-    u128 ten = (uint64_t)POW10[k < 19 ? k : 19];
-    for (int i = k; i > 19; i--)
-        ten *= 10;
-    u128 q;
-    int shift = 0, sticky = 0;
-    if (e >= 0) {
-        q = (u128)w * ten;
-    } else {
-        shift = __builtin_clzll(w) + 64;
-        const u128 n = (u128)w << shift;
-        q = n / ten;
-        sticky = n - q * ten != 0;
-    }
-    const int d = bit_length(q) - 53;
-    const u128 half = (u128)1 << (d - 1), rest = q & ((half << 1) - 1);
-    uint64_t mant = (uint64_t)(q >> d);
-    if (rest > half || (rest == half && (sticky || (mant & 1))))
-        mant++;
-    const uint64_t scale_bits = (uint64_t)(1023 + d - shift) << 52;
-    double scale;
-    memcpy(&scale, &scale_bits, sizeof scale);
-    return (double)mant * scale;
-}
-#endif
-
 /* The 128-bit product a * b: the low word, the high one into *hi. */
 INLINE uint64_t mul128(uint64_t a, uint64_t b, uint64_t *hi)
 {
 #ifdef __SIZEOF_INT128__
-    const u128 p = (u128)a * b;
+    const unsigned __int128 p = (unsigned __int128)a * b;
     *hi = (uint64_t)(p >> 64);
     return (uint64_t)p;
 #else
@@ -1598,10 +1537,6 @@ static const char *number(const char *s, const char *e, double *v)
         x = exp < 0 ? (double)w / POW10[-exp] : (double)w * POW10[exp];
     else if (short_token && eisel_lemire(w, (int)exp, &x))
         ;
-#ifdef __SIZEOF_INT128__
-    else if (short_token && exp >= -21 && exp <= 19)
-        x = wide(w, (int)exp);
-#endif
     else
         return strtod_number(s, t, v) ? end : NULL;
     *v = neg ? -x : x;

@@ -23,19 +23,18 @@ every float rounding (derived in ``_kernel.c``), bounds the pairs it
 keeps in double as ``inference._classify_block`` does, and computes in
 double the activations of the pairs the bounds cannot rule out.
 ``som_scan`` reads the body of a CSV or ARFF file (``scan``) into the
-arrays it is passed, digits eight bytes at a time. It computes every
-number of at most 19 significant digits itself, exactly, when its decimal
+arrays it is passed, digits eight bytes at a time. It computes a number
+of at most 19 significant digits itself, exactly, when its decimal
 exponent lies within -22..22: one IEEE operation for a mantissa of at
-most 2**53, else Eisel and Lemire's 64 x 128-bit product, and, for the
-rare product that cannot decide the rounding, exact 128-bit integers
-(for exponents within -21..19, on a compiler with a 128-bit integer
-type). Only the other numbers go through ``strtod``, which reads the
-decimal point of the ``LC_NUMERIC`` locale: under a locale whose point is
-``,`` those tokens are refused, and such files are read row by row. That
-case follows from the code; it is not tested, since it needs a
-comma-decimal locale installed. It gives each record's label field a
-code, one per distinct field, through a table the caller passes, so that
-Python decodes each distinct label once. ``som_format`` writes
+most 2**53, else Eisel and Lemire's 64 x 128-bit product. Only the other
+numbers, and the rare product that cannot decide the rounding, go through
+``strtod``, which reads the decimal point of the ``LC_NUMERIC`` locale:
+under a locale whose point is ``,`` those tokens are refused, and such
+files are read row by row. That case follows from the code; it is not
+tested, since it needs a comma-decimal locale installed. It gives each
+record's label field a code, one per distinct field, through a table the
+caller passes, so that Python decodes each distinct label once.
+``som_format`` writes
 the node vectors of a model file (``format_rows``), every double as
 ``float.__repr__`` writes it, from Ryu's shortest round-trip digits; it
 reads no locale.

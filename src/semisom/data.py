@@ -143,6 +143,8 @@ _ATTRIBUTE_RE = re.compile(r"""('[^']*'|"[^"]*"|[^\s'"]\S*)\s+(\S.*)$""")
 # A line of an ARFF file and its line break, as text-mode reading splits
 # them.
 _LINE_RE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)")
+# The rest of a line and its line break, if it has one.
+_LINE_REST_RE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
 
 
 def _strip_quotes(token: str) -> str:
@@ -237,12 +239,12 @@ def load_arff(path) -> Dataset:
 
 def _read_arff_table(path: Path) -> Dataset:
     """Read the header line by line and hand the bytes after the ``@data``
-    line, as they stand, to ``_read_table``.
+    line to ``_read_table``, as they stand but for comment lines.
 
     Raises ``ValueError`` for any file the line reader might read
     differently: a header it refuses or that is not UTF-8, no ``@data``
-    line, a ``%`` anywhere in the body (it may start a comment line), and
-    whatever ``_read_table`` refuses. Otherwise the two agree: both skip
+    line, and whatever ``_read_table`` refuses. Otherwise the two agree:
+    both drop a line that starts with ``%`` after whitespace, and skip
     empty lines; a line of other whitespace, which the line reader skips,
     is a record of one field, which the scanner refuses; and the line
     reader's stripping reaches only a record's first and last field,
@@ -261,16 +263,39 @@ def _read_arff_table(path: Path) -> Dataset:
         raise ValueError("no @data line")
     body = match.end()
     if raw.find(b"%", body) >= 0:
-        raise ValueError("a '%' in the body")
+        raw, body = _without_comments(raw, body), 0
     return _arff_dataset(path, attrs, lambda names, class_idx, class_id:
                          _read_table(raw, body, len(names), class_idx,
                                      class_id))
 
 
+def _without_comments(raw: bytes, body: int) -> bytes:
+    """``raw[body:]``, which starts a line, without the lines the line
+    reader skips as comments, line breaks included: those whose first
+    character other than whitespace, as ``str.strip`` sees it, is a
+    ``%``. Raises ``UnicodeDecodeError`` when what precedes a ``%`` on
+    its line is not UTF-8."""
+    view, pieces, kept, seen = memoryview(raw), [], body, body
+    at = raw.find(b"%", body)
+    while at >= 0:
+        # the start of the line, searched for from the last line seen on
+        start = max(raw.rfind(b"\n", seen, at), raw.rfind(b"\r", seen, at),
+                    seen - 1) + 1
+        seen = _LINE_REST_RE.match(raw, at).end()
+        if not raw[start:at].decode("utf-8").strip():
+            pieces.append(view[kept:start])
+            kept = seen
+        at = raw.find(b"%", seen)
+    pieces.append(view[kept:])
+    return b"".join(pieces)
+
+
 def _read_arff_lines(path: Path) -> Dataset:
-    """Read the file as text, line by line: the stripped data lines go to
-    ``_read_table`` as one text, or, when it refuses them, to
-    ``_read_rows``; errors name the line."""
+    """Read the file as text, line by line, and the stripped data lines
+    with ``csv`` and ``_read_rows``; errors name the line. The body path
+    leaves it only files that hold a line of whitespace, a lone carriage
+    return, a number the scanner does not read (``1_0``, one padded with a
+    no-break space), or an error."""
     attrs: list[tuple[str, list[str] | None]] = []
     lines: list[tuple[int, str]] = []  # data lines: (line number, text)
     in_data = False
@@ -287,17 +312,9 @@ def _read_arff_lines(path: Path) -> Dataset:
     def read(names: list[str], class_idx: int, class_id):
         if not lines:
             raise DataFormatError(f"{path}: no data rows")
-        try:
-            # The lines are stripped and hold no line break: one record
-            # each.
-            return _read_table(
-                "\n".join(line for _, line in lines).encode("utf-8"), 0,
-                len(names), class_idx, class_id)
-        except ValueError:
-            rows = [(lineno, next(csv.reader([line])))
-                    for lineno, line in lines]
-            return _read_rows(path, rows, names, class_idx, class_id,
-                              "attribute")
+        rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
+        return _read_rows(path, rows, names, class_idx, class_id,
+                          "attribute")
 
     return _arff_dataset(path, attrs, read)
 

@@ -28,11 +28,9 @@ from semisom import _kernel
 # The flags each build adds to _kernel._FLAGS. None is no library, as
 # without a C compiler: one build under two names, for the map kernels and
 # for the file readers and writer. no-int128 makes the 64-bit products of
-# the scanner's Eisel-Lemire step and of the formatter from 32-bit ones;
-# it has no wide(), so the numbers that step cannot round go to strtod
-# there. asan loads
-# only into a process that preloads libasan, so test_asan.py runs it in a
-# child process, and ``library`` refuses it.
+# the scanner's Eisel-Lemire step and of the formatter from 32-bit ones.
+# asan loads only into a process that preloads libasan, so test_asan.py
+# runs it in a child process, and ``library`` refuses it.
 BUILDS = {
     "clones": (),
     "default-only": ("-DSOM_DEFAULT_ONLY",),  # the baseline bodies alone

@@ -292,6 +292,25 @@ def test_clean_arff_body_takes_the_scanner_alone(tmp_path, monkeypatch):
     assert want[3] == [0, 1, 1]
 
 
+@pytest.mark.needs_library
+@pytest.mark.parametrize("head, body", [
+    ("class-last", "% first\n1,a\n% note\r\n2,%2\n%last"),  # and a class
+    ("class-first", "a,1\n%2,2\n \t%2,3\r\n\xa0%2,4\nb,5\n"),  # padded
+    ("class-first", "%2,1\n%2,2\n\u2003%\n%2,3\r\nb,4\n"),  # runs of them
+    ("class-last", "1,a\n2,b\r\n% \xe9t\xe9\n"),  # UTF-8 after the '%'
+])
+def test_arff_comment_lines_take_the_scanner_alone(tmp_path, monkeypatch,
+                                                   head, body):
+    """Comment lines in the body, whatever precedes their ``%``, are cut
+    out before the scan, and the file reads as the line reader reads it."""
+    text = "@relation t\n" + ARFF_HEADS[head] + "@data\n" + body
+    path = write_bytes(tmp_path, "comments.arff", text)
+    want = arff_outcome(reference_load_arff, path)
+    assert want[0] == "ok", want
+    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
+    assert arff_outcome(load_arff, path) == want
+
+
 # -- CSV ---------------------------------------------------------------------
 
 
@@ -615,8 +634,8 @@ def midpoints(draw):
     """An exact midpoint between two adjacent doubles, as ``(n, e)`` with
     value ``n * 10**e`` and ``n`` free of trailing zeros: ``o * 2**f`` for
     an odd ``o`` of 54 bits. ``o`` is drawn as a multiple of ``5**k``, so
-    that ``n`` is short for every ``k``: those are the midpoints the wide
-    path meets."""
+    that ``n`` is short for every ``k``: those are the midpoints that the
+    long-mantissa path (Eisel-Lemire) meets."""
     k = draw(st.integers(0, 23))
     low, high = 2 ** 53 // 5 ** k + 1, (2 ** 54 - 1) // 5 ** k
     j = draw(st.integers(low, high))
@@ -634,14 +653,14 @@ def midpoints(draw):
 @st.composite
 def wide_decimals(draw):
     """Decimals of 16 to 19 significant digits, with exponents from -23 to
-    20 (the edges of the wide path drawn often), most of their mantissas
-    above 2**53; or midpoints and their neighbours one unit away in the
-    last digit. The point is put anywhere in the digits."""
+    23 (the edges of the long-mantissa path drawn often), most of their
+    mantissas above 2**53; or midpoints and their neighbours one unit away
+    in the last digit. The point is put anywhere in the digits."""
     if draw(st.booleans()):
         digits = draw(st.integers(16, 19))
         n = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
-        e = draw(st.sampled_from([-23, -22, -21, -20, 18, 19, 20])
-                 | st.integers(-23, 20))
+        e = draw(st.sampled_from([-23, -22, -21, 21, 22, 23])
+                 | st.integers(-23, 23))
     else:
         n, e = draw(midpoints())
         n += draw(st.sampled_from([-1, 0, 1]))
@@ -655,26 +674,31 @@ def wide_decimals(draw):
 @pytest.mark.needs_library
 @settings(max_examples=1000, deadline=None)
 @given(wide_decimals())
-# the edges of the wide path's exponents, and a step past each
+# exponents at and past the edges of the long-mantissa path
 @example("1234567890123456789e-21")
 @example("1234567890123456789e-22")
+@example("1234567890123456789e-23")
 @example("1234567890123456789e19")
 @example("1234567890123456789e20")
+@example("1234567890123456789e22")
+@example("1234567890123456789e23")
 @example("9999999999999999999e-21")
+@example("9999999999999999999e-22")
 @example("9999999999999999999e19")
+@example("9999999999999999999e22")
 # the first mantissa above 2**53: a tie, which rounds down to even
 @example("9007199254740993")
 @example("9007199254740993e-21")
 @example("9007199254740993e19")
-# ties that round up to even; for e < 0 the remainder is zero
+# ties that round up to even
 @example("9007199254740995")
 @example("4503599627370496.5")
 @example("4503599627370497.5")
-# ties in the dropped bits that the nonzero remainder breaks upwards
+# just above a tie in the dropped bits: these round up
 @example("5269035566698195805e-21")
 @example("4226010351029896654e-20")
 @example("9733964066433964946e-19")
-# 20 significant digits: past the wide path
+# 20 significant digits: past the long-mantissa path
 @example("12345678901234567890")
 @example("99999999999999999999")
 def test_scanner_reads_wide_mantissas_as_float_does(text):
@@ -685,8 +709,8 @@ def test_scanner_reads_wide_mantissas_as_float_does(text):
                     ids=["int128", "no-int128"])
 def test_scanner_draws_make_no_undefined_behaviour(capfd):
     """The scanner's draws on the sanitizing builds, which report on stderr:
-    the wide path stays defined with a 128-bit integer type and without it
-    (where it gives those numbers to strtod), and reads as float() does."""
+    the long-mantissa path stays defined with a 128-bit integer type and
+    without it (with 32-bit products), and reads as float() does."""
     test_scanner_reads_wide_mantissas_as_float_does()
     test_scanner_reads_every_spelling_of_a_finite_float()
     test_scanner_reads_a_token_as_float_does_or_refuses_it()
