@@ -15,16 +15,16 @@ spellings, and raises ``ValueError`` for anything else, or when no
 library is loaded. The row reader, ``_read_rows``, then reads the records
 ``csv`` splits with ``float()``, and is the reference: the two give the
 same data bit for bit wherever the scanner accepts a file. An ARFF body
-reaches the table reader as the bytes after the ``@data`` line; where
-that might differ from reading the file line by line, the line reader
-(``_read_arff_lines``) decides.
+reaches the table reader as the bytes after the ``@data`` line, and the
+row reader, line by line, only when the table reader refuses it. A file
+that is not UTF-8 is refused as such before any other fault.
 """
 
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
+import io
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,12 +39,13 @@ class DataFormatError(ValueError):
     """Raised for malformed dataset files."""
 
 
-@contextlib.contextmanager
-def _utf8_text(path):
-    """Raise ``DataFormatError`` naming ``path`` for a ``UnicodeDecodeError``
-    inside, which reading a file that is not UTF-8 text raises."""
+def _utf8_text(path, raw: bytes) -> str:
+    """``raw``, the bytes of the file ``path``, decoded, a leading byte
+    order mark dropped. Raises ``DataFormatError`` naming the file and the
+    first bad byte's offset, counted after the mark, if they are not
+    UTF-8."""
     try:
-        yield
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -140,10 +141,8 @@ _NOMINAL_PIECE_RE = re.compile(r"""'[^']*'|"[^"]*"|[^,'"]+|.""", re.S)
 # An attribute declaration: a quoted name (spaces allowed) or a bare one,
 # then the type.
 _ATTRIBUTE_RE = re.compile(r"""('[^']*'|"[^"]*"|[^\s'"]\S*)\s+(\S.*)$""")
-# A line of an ARFF file and its line break, as text-mode reading splits
-# them.
-_LINE_RE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)")
-# The rest of a line and its line break, if it has one.
+# The rest of a line and its line break, if it has one, as text-mode
+# reading splits lines.
 _LINE_REST_RE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
 
 
@@ -227,54 +226,64 @@ def load_arff(path) -> Dataset:
     value twice; a quoted value may hold commas. Malformed lines, ``nan``
     and ``inf`` included, raise ``DataFormatError`` carrying the offending
     line number.
+
+    The header is read line by line, and the bytes after the ``@data``
+    line go to ``_read_table`` as they stand but for comment lines. Only
+    when it refuses them is the body read line by line, stripped, with
+    ``csv`` and ``_read_rows``. The two agree wherever the scanner reads:
+    both drop a line that starts with ``%`` after whitespace, and skip
+    empty lines; a line of other whitespace, which the line path skips, is
+    a record of one field, which the scanner refuses; and stripping a line
+    reaches only a record's first and last field, where a number field
+    holds padding only as spaces and tabs, which ``float()`` strips too,
+    and the class rule strips a label field.
     """
     path = Path(path)
-    try:
-        return _read_arff_table(path)
-    except ValueError:
-        # The body path refused the file: the line reader decides, and
-        # names the bad line if there is one.
-        return _read_arff_lines(path)
-
-
-def _read_arff_table(path: Path) -> Dataset:
-    """Read the header line by line and hand the bytes after the ``@data``
-    line to ``_read_table``, as they stand but for comment lines.
-
-    Raises ``ValueError`` for any file the line reader might read
-    differently: a header it refuses or that is not UTF-8, no ``@data``
-    line, and whatever ``_read_table`` refuses. Otherwise the two agree:
-    both drop a line that starts with ``%`` after whitespace, and skip
-    empty lines; a line of other whitespace, which the line reader skips,
-    is a record of one field, which the scanner refuses; and the line
-    reader's stripping reaches only a record's first and last field,
-    where a number field holds padding only as spaces and tabs, which
-    ``float()`` strips too, and the class rule strips a label field.
-    """
     raw = path.read_bytes()
     start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    # the number, stripped text and end of each line, header and body alike
+    lines = ((lineno, match.group().decode("utf-8").strip(), match.end())
+             for lineno, match in enumerate(
+                 _LINE_REST_RE.finditer(raw, start), start=1))
     attrs: list[tuple[str, list[str] | None]] = []
-    for lineno, match in enumerate(_LINE_RE.finditer(raw, start), start=1):
-        line = match.group(1).decode("utf-8").strip()
-        if (line and not line.startswith("%")
-                and _arff_directive(path, lineno, line, attrs)):
-            break
-    else:
-        raise ValueError("no @data line")
-    body = match.end()
-    if raw.find(b"%", body) >= 0:
-        raw, body = _without_comments(raw, body), 0
-    return _arff_dataset(path, attrs, lambda names, class_idx, class_id:
-                         _read_table(raw, body, len(names), class_idx,
-                                     class_id))
+    body = len(raw)
+
+    def read(names: list[str], class_idx: int, class_id):
+        text, begin = raw, body
+        if raw.find(b"%", body) >= 0:
+            text, begin = _without_comments(raw, body), 0
+        try:
+            return _read_table(text, begin, len(names), class_idx, class_id)
+        except ValueError:
+            # The scanner refused the body: read it line by line, naming
+            # the bad line if there is one.
+            rows = [(lineno, next(csv.reader([line])))
+                    for lineno, line, _ in lines
+                    if line and not line.startswith("%")]
+            if not rows:
+                raise DataFormatError(f"{path}: no data rows") from None
+            return _read_rows(path, rows, names, class_idx, class_id,
+                              "attribute")
+
+    try:
+        for lineno, line, end in lines:
+            if (line and not line.startswith("%")
+                    and _arff_directive(path, lineno, line, attrs)):
+                body = end
+                break
+        return _arff_dataset(path, attrs, read)
+    except ValueError:
+        # Text that is not UTF-8 is the first fault of any file.
+        _utf8_text(path, raw)
+        raise
 
 
 def _without_comments(raw: bytes, body: int) -> bytes:
     """``raw[body:]``, which starts a line, without the lines the line
-    reader skips as comments, line breaks included: those whose first
+    path skips as comments, line breaks included: those whose first
     character other than whitespace, as ``str.strip`` sees it, is a
-    ``%``. Raises ``UnicodeDecodeError`` when what precedes a ``%`` on
-    its line is not UTF-8."""
+    ``%``. Raises ``UnicodeDecodeError`` when a line that holds a ``%`` is
+    not UTF-8."""
     view, pieces, kept, seen = memoryview(raw), [], body, body
     at = raw.find(b"%", body)
     while at >= 0:
@@ -282,41 +291,12 @@ def _without_comments(raw: bytes, body: int) -> bytes:
         start = max(raw.rfind(b"\n", seen, at), raw.rfind(b"\r", seen, at),
                     seen - 1) + 1
         seen = _LINE_REST_RE.match(raw, at).end()
-        if not raw[start:at].decode("utf-8").strip():
+        if raw[start:seen].decode("utf-8").strip().startswith("%"):
             pieces.append(view[kept:start])
             kept = seen
         at = raw.find(b"%", seen)
     pieces.append(view[kept:])
     return b"".join(pieces)
-
-
-def _read_arff_lines(path: Path) -> Dataset:
-    """Read the file as text, line by line, and the stripped data lines
-    with ``csv`` and ``_read_rows``; errors name the line. The body path
-    leaves it only files that hold a line of whitespace, a lone carriage
-    return, a number the scanner does not read (``1_0``, one padded with a
-    no-break space), or an error."""
-    attrs: list[tuple[str, list[str] | None]] = []
-    lines: list[tuple[int, str]] = []  # data lines: (line number, text)
-    in_data = False
-    with _utf8_text(path), path.open(encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if in_data:
-                lines.append((lineno, line))
-            else:
-                in_data = _arff_directive(path, lineno, line, attrs)
-
-    def read(names: list[str], class_idx: int, class_id):
-        if not lines:
-            raise DataFormatError(f"{path}: no data rows")
-        rows = [(lineno, next(csv.reader([line]))) for lineno, line in lines]
-        return _read_rows(path, rows, names, class_idx, class_id,
-                          "attribute")
-
-    return _arff_dataset(path, attrs, read)
 
 
 def _arff_dataset(path, attrs: list[tuple[str, list[str] | None]],
@@ -429,8 +409,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     except ValueError:
         # The scanner refused the file: the row reader decides, and names
         # the bad line if there is one.
-        with _utf8_text(path):
-            return _read_csv_rows(path, label_column)
+        return _read_csv_rows(path, label_column)
 
 
 # A record of the scanner's grammar: fields without a quote, or quoted
@@ -496,13 +475,13 @@ def _csv_dataset(header: list[str], class_idx: int | None,
 def _read_csv_rows(path: Path, label_column: str | None) -> Dataset:
     """Read the file with ``csv`` and the body with ``_read_rows``; errors
     name the line a record starts on."""
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        table, lineno = [], 1
-        for fields in reader:
-            if fields:
-                table.append((lineno, fields))
-            lineno = reader.line_num + 1
+    reader = csv.reader(io.StringIO(_utf8_text(path, path.read_bytes()),
+                                    newline=""))
+    table, lineno = [], 1
+    for fields in reader:
+        if fields:
+            table.append((lineno, fields))
+        lineno = reader.line_num + 1
     if not table:
         raise DataFormatError(f"{path}: empty file")
     header, class_idx = _csv_columns(path, table[0][1], label_column)

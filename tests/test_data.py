@@ -274,10 +274,6 @@ def test_arff_body_reads_as_the_line_reader_reads_it(tmp_path, head, body):
     assert arff_outcome(load_arff, path) == want
 
 
-def _no_line_reader(*args):
-    raise AssertionError("a clean body reached the line reader")
-
-
 @pytest.mark.needs_library
 def test_clean_arff_body_takes_the_scanner_alone(tmp_path, monkeypatch):
     """The bytes after ``@data`` go to the scanner as they stand, CRLF line
@@ -287,7 +283,7 @@ def test_clean_arff_body_takes_the_scanner_alone(tmp_path, monkeypatch):
             "-2e-3,'b c'\r\n 7 ,\"b c\"")
     path = write_bytes(tmp_path, "clean.arff", text)
     want = arff_outcome(reference_load_arff, path)
-    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
+    monkeypatch.setattr(data, "_read_rows", _no_row_reader)
     assert arff_outcome(load_arff, path) == want
     assert want[3] == [0, 1, 1]
 
@@ -302,12 +298,12 @@ def test_clean_arff_body_takes_the_scanner_alone(tmp_path, monkeypatch):
 def test_arff_comment_lines_take_the_scanner_alone(tmp_path, monkeypatch,
                                                    head, body):
     """Comment lines in the body, whatever precedes their ``%``, are cut
-    out before the scan, and the file reads as the line reader reads it."""
+    out before the scan, and the file reads as the row reference reads it."""
     text = "@relation t\n" + ARFF_HEADS[head] + "@data\n" + body
     path = write_bytes(tmp_path, "comments.arff", text)
     want = arff_outcome(reference_load_arff, path)
     assert want[0] == "ok", want
-    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
+    monkeypatch.setattr(data, "_read_rows", _no_row_reader)
     assert arff_outcome(load_arff, path) == want
 
 
@@ -828,7 +824,6 @@ def test_clean_files_take_the_scanner_alone(tmp_path, monkeypatch, suffix,
                                      [names[c] for c in labels])
     lay_out(path, layout)
     monkeypatch.setattr(data, "_read_rows", _no_row_reader)
-    monkeypatch.setattr(data, "_read_arff_lines", _no_line_reader)
     load, reference = ((load_csv, reference_load_csv) if suffix == ".csv"
                        else (load_arff, reference_load_arff))
     got, want = load(path), reference(path)
