@@ -186,10 +186,10 @@ def _nominal_values(path, lineno: int, inside: str) -> list[str]:
 
 
 def _arff_directive(path, lineno: int, line: str,
-                    attrs: list[tuple[str, list[str] | None]]) -> bool:
+                    attrs: dict[str, list[str] | None]) -> bool:
     """Read the stripped header line ``line``, neither blank nor a
-    comment, into ``attrs`` as ``(name, nominal values or None)``; True
-    for the ``@data`` line."""
+    comment, into ``attrs`` as ``name: nominal values or None``; True for
+    the ``@data`` line."""
     if not line.startswith("@"):
         raise DataFormatError(f"{path}:{lineno}: data before @data section")
     head, _, rest = line.partition(" ")
@@ -202,13 +202,15 @@ def _arff_directive(path, lineno: int, line: str,
             raise DataFormatError(
                 f"{path}:{lineno}: malformed attribute declaration")
         name = _strip_quotes(decl.group(1))
+        if name in attrs:
+            raise DataFormatError(
+                f"{path}:{lineno}: repeated attribute name {name!r}")
         spec = decl.group(2).strip()
         nominal = _NOMINAL_RE.match(spec)
         if nominal:
-            attrs.append((name, _nominal_values(path, lineno,
-                                                nominal.group(1))))
+            attrs[name] = _nominal_values(path, lineno, nominal.group(1))
         elif spec.lower() in ("numeric", "real", "integer"):
-            attrs.append((name, None))
+            attrs[name] = None
         else:
             raise DataFormatError(
                 f"{path}:{lineno}: unsupported attribute type {spec!r}")
@@ -222,10 +224,10 @@ def load_arff(path) -> Dataset:
 
     The class attribute is the one named ``class`` (any case) or, failing
     that, the last declared attribute, which must be nominal. Any other
-    nominal attribute is rejected, and so is a nominal list that names a
-    value twice; a quoted value may hold commas. Malformed lines, ``nan``
-    and ``inf`` included, raise ``DataFormatError`` carrying the offending
-    line number.
+    nominal attribute is rejected, and so are an attribute name declared
+    twice and a nominal list that names a value twice; a quoted value may
+    hold commas. Malformed lines, ``nan`` and ``inf`` included, raise
+    ``DataFormatError`` carrying the offending line number.
 
     The header is read line by line, and the bytes after the ``@data``
     line go to ``_read_table`` as they stand but for comment lines. Only
@@ -245,7 +247,7 @@ def load_arff(path) -> Dataset:
     lines = ((lineno, match.group().decode("utf-8").strip(), match.end())
              for lineno, match in enumerate(
                  _LINE_REST_RE.finditer(raw, start), start=1))
-    attrs: list[tuple[str, list[str] | None]] = []
+    attrs: dict[str, list[str] | None] = {}
     body = len(raw)
 
     def read(names: list[str], class_idx: int, class_id):
@@ -299,24 +301,26 @@ def _without_comments(raw: bytes, body: int) -> bytes:
     return b"".join(pieces)
 
 
-def _arff_dataset(path, attrs: list[tuple[str, list[str] | None]],
+def _arff_dataset(path, attrs: dict[str, list[str] | None],
                   read) -> Dataset:
     """The dataset of the patterns and labels ``read(names, class_idx,
     class_id)`` returns for the declared ``attrs``, under the ARFF class
     rule: a label field, stripped and unquoted, is a declared value."""
     if not attrs:
         raise DataFormatError(f"{path}: no attribute declarations")
-    class_idx = next((i for i, (name, _) in enumerate(attrs)
-                      if name.lower() == "class"), len(attrs) - 1)
-    class_name, class_values = attrs[class_idx]
+    names = list(attrs)
+    class_idx = next((i for i, name in enumerate(names)
+                      if name.lower() == "class"), len(names) - 1)
+    class_name = names[class_idx]
+    class_values = attrs[class_name]
     if class_values is None:
         raise DataFormatError(
             f"{path}: class attribute {class_name!r} is not nominal")
-    for name, values in attrs:
+    for name, values in attrs.items():
         if values is not None and name != class_name:
             raise DataFormatError(
                 f"{path}: non-numeric feature attribute {name!r}")
-    feature_idx = [i for i in range(len(attrs)) if i != class_idx]
+    feature_idx = [i for i in range(len(names)) if i != class_idx]
     if not feature_idx:
         raise DataFormatError(f"{path}: no numeric feature attributes")
 
@@ -328,7 +332,6 @@ def _arff_dataset(path, attrs: list[tuple[str, list[str] | None]],
             raise ValueError(f"undeclared class value {value!r}")
         return value_ids[value]
 
-    names = [name for name, _ in attrs]
     patterns, labels = read(names, class_idx, class_id)
     return Dataset(
         patterns=patterns,
@@ -441,8 +444,12 @@ def _read_csv_table(path: Path, label_column: str | None) -> Dataset:
 
 
 def _csv_columns(path, header: list[str], label_column: str | None):
-    """Stripped header and the index of the label column or None."""
+    """Stripped header and the index of the label column or None; raises
+    ``DataFormatError`` for a column name that appears twice."""
     header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataFormatError(f"{path}: repeated column name {name!r}")
     if label_column is not None:
         if label_column not in header:
             raise DataFormatError(

@@ -217,6 +217,10 @@ def reference_load_arff(path) -> Dataset:
                         raise DataFormatError(
                             f"{path}:{lineno}: malformed attribute declaration")
                     name = _strip_quotes(decl.group(1))
+                    if name in [other for other, _ in attrs]:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: repeated attribute name "
+                            f"{name!r}")
                     spec = decl.group(2).strip()
                     nominal = _NOMINAL_RE.match(spec)
                     if nominal:
@@ -306,6 +310,9 @@ def reference_load_csv(path, label_column: str | None = None) -> Dataset:
         raise DataFormatError(f"{path}: empty file")
     _, header = table[0]
     header = [h.strip() for h in header]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataFormatError(f"{path}: repeated column name {name!r}")
     if label_column is not None:
         if label_column not in header:
             raise DataFormatError(

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from semisom import (NO_CLASS, DataFormatError, Dataset, _kernel, apply_norm,
                      data, kfold_split, load_arff, load_csv, mask_labels,
                      normalize)
+from semisom.data import _arff_directive
 from helpers import reference_load_arff, reference_load_csv
 
 ARFF_OK = """\
@@ -246,6 +247,32 @@ def test_arff_nominal_value_listed_twice_is_error(tmp_path, values, twice):
             load(path)
 
 
+@pytest.mark.parametrize("first, second, name", [
+    ("f1", "f1", "f1"), ("f1", "'f1'", "f1"), ("'f 1'", '"f 1"', "f 1")])
+def test_arff_attribute_declared_twice_is_error(tmp_path, first, second,
+                                                name):
+    """Names compare after unquoting, and exactly."""
+    text = (f"@relation t\n@attribute {first} numeric\n"
+            f"@attribute {second} numeric\n@attribute class {{a}}\n"
+            "@data\n1,2,a\n")
+    path = write(tmp_path, "twice.arff", text)
+    message = f"twice.arff:3: repeated attribute name {name!r}"
+    for load in (load_arff, reference_load_arff):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load(path)
+
+
+def test_names_that_differ_only_in_case_are_two(tmp_path):
+    arff = write(tmp_path, "case.arff", "@relation t\n@attribute f1 numeric\n"
+                 "@attribute F1 numeric\n@attribute class {a}\n@data\n1,2,a\n")
+    csv = write(tmp_path, "case.csv", "f1,F1,class\n1,2,a\n")
+    assert load_arff(arff).dim_names == ("f1", "F1")
+    assert load_csv(csv).dim_names == ("f1", "F1")
+    assert arff_outcome(load_arff, arff) == arff_outcome(reference_load_arff,
+                                                         arff)
+    assert csv_outcome(load_csv, csv) == csv_outcome(reference_load_csv, csv)
+
+
 ARFF_HEADS = {
     "class-last": "@attribute f numeric\n@attribute class {a,b,%2}\n",
     "class-first": "@attribute class {a,b,%2}\n@attribute f numeric\n",
@@ -332,6 +359,18 @@ def test_csv_explicit_label_column(tmp_path):
 def test_csv_missing_label_column_is_error(tmp_path):
     with pytest.raises(DataFormatError):
         load_csv(write(tmp_path, "t.csv", "f1\n1\n"), label_column="target")
+
+
+@pytest.mark.parametrize("header, name", [("f1,f1,class", "f1"),
+                                          ("f1,class,class", "class"),
+                                          ('f1," f1",class', "f1")])
+def test_csv_column_named_twice_is_error(tmp_path, header, name):
+    """Names compare after the ``csv`` unquoting and stripping."""
+    path = write(tmp_path, "twice.csv", header + "\n1,2,a\n")
+    message = f"twice.csv: repeated column name {name!r}"
+    for load in (load_csv, reference_load_csv):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load(path)
 
 
 def test_csv_empty_file_is_error(tmp_path):
@@ -535,6 +574,61 @@ def test_label_that_is_not_utf8_names_the_file(tmp_path, name, text,
         start = text.index(b"1,a\n")  # the first record of the body
         with pytest.raises(UnicodeDecodeError):
             data._read_table(text, start, 2, 1, lambda field: 0)
+
+
+def test_arff_comment_line_that_is_not_utf8_is_refused(tmp_path):
+    """The scanner path decodes a comment line whole, as the line path
+    does."""
+    path = tmp_path / "latin1.arff"
+    path.write_bytes(b"@relation r\n@attribute f numeric\n"
+                     b"@attribute class {a,b}\n@data\n1,a\n"
+                     b"% caf\xe9 latin-1\n2,b\n")
+    with pytest.raises(DataFormatError) as error:
+        load_arff(path)
+    assert str(error.value) == (
+        f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+        f"position 71: invalid continuation byte")
+
+
+BIG_BODY = b"".join(b"0.%d,a\n" % i for i in range(2000))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("big.csv", b"f1,class\n" + BIG_BODY + b"1,b\xff\n"),
+    ("big.arff", b"@relation r\n@attribute f numeric\n"
+                 b"@attribute class {a,b}\n@data\n" + BIG_BODY + b"1,b\xff\n"),
+    # a header fault: the byte that is not UTF-8 is still the first fault
+    ("fault.arff", b"@relation r\n@attribute f numeric\n"
+                   b"@attribute class {a,b}\n@bogus\n@data\n" + BIG_BODY
+                   + b"1,b\xff\n"),
+], ids=["csv", "arff", "arff-header-fault"])
+def test_not_utf8_past_the_first_8_kb_names_its_offset_in_the_file(
+        tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    position = text.index(b"\xff")
+    assert position > 8192
+    load = load_csv if name.endswith(".csv") else load_arff
+    with pytest.raises(DataFormatError) as error:
+        load(path)
+    assert str(error.value) == (
+        f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        f"position {position}: invalid start byte")
+
+
+def test_arff_header_is_parsed_once_when_the_scanner_refuses_the_body(
+        tmp_path, monkeypatch):
+    path = write(tmp_path, "once.arff", ARFF_HEAD + "1_0,a\n2,b\n")
+    want = arff_outcome(reference_load_arff, path)
+    lines = []
+
+    def directive(path, lineno, line, attrs):
+        lines.append(lineno)
+        return _arff_directive(path, lineno, line, attrs)
+
+    monkeypatch.setattr(data, "_arff_directive", directive)
+    assert arff_outcome(load_arff, path) == want
+    assert want[0] == "ok" and lines == [1, 2, 3, 4]
 
 
 # -- byte order mark ---------------------------------------------------------

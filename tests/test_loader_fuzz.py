@@ -28,7 +28,7 @@ from helpers import reference_load_arff, reference_load_csv
 CSV = b"x,y,class\n0.1,0.2,a\n0.8,0.9,b\n0.15,0.25,a\n0.85,0.8,b\n"
 ARFF = (b"% four points\n@relation r\n@attribute x numeric\n"
         b"@attribute 'y y' real\n@attribute class {a,b}\n@data\n"
-        b"0.1,0.2,a\n0.8,0.9,b\n0.15,0.25,a\n0.85,0.8,b\n")
+        b"0.1,0.2,a\n0.8,0.9,b\n% a note\n0.15,0.25,a\n0.85,0.8,b\n")
 PARAMS = (b"a_t = 0.9\nlp = 0.01\nbeta = 0.1\nage_wins = 8\ne_b = 0.1\n"
           b"e_w = 0.01\ne_n = 0.005\neps_beta = 0.05\nminwd = 0.25\n"
           b"epochs = 2\nn_max = 4  # all of them\nseed = 3\n")
