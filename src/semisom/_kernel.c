@@ -2,17 +2,20 @@
  * Compiled kernels of semisom: its training loop (som_train, with the
  * winner search, the node update and the link recomputation that exist
  * only inside the loop), bulk classification (som_classify), the scanner
- * of CSV and ARFF bodies (som_scan) and the float formatter of model files
- * (som_format, at the end of the file). The library keeps only these long
- * calls, and som_sum and som_reaches for the tests; it is loaded through
- * one ctypes.CDLL handle, so every call releases the interpreter lock. No
- * function touches a Python object, and each reads and writes only the
- * arrays it is passed and the scratch block som_train allocates for its
- * screened winner search (see search). The scanner computes most numbers
- * itself, exactly; only the rest go to strtod, the one place the
- * LC_NUMERIC locale reaches (see the scanner's comment). The formatter
+ * of CSV and ARFF bodies (som_scan), the reader of a model file's node
+ * list (som_read_nodes), the float formatter of model files (som_format)
+ * and the writer of predictions files (som_write_predictions, at the end
+ * of the file). The library keeps only these long calls, and som_sum and
+ * som_reaches for the tests; it is loaded through one ctypes.CDLL handle,
+ * so every call releases the interpreter lock. No function touches a
+ * Python object, and each reads and writes only the arrays it is passed
+ * and the scratch block som_train allocates for its screened winner
+ * search (see search). The scanner and the node reader compute most
+ * numbers themselves, exactly; only the rest go to strtod, the one place
+ * the LC_NUMERIC locale reaches (see the scanner's comment). The formatter
  * writes each double as Python's repr() does, its mirror (see the
- * formatter's comment).
+ * formatter's comment), and the predictions writer each activation as
+ * Python's "%.6g" does, with digits of its own (see its comment).
  *
  * Each function reproduces, bit for bit, its one numpy mirror in model.py
  * (winner: _winner, second_winner: _second_winner, update_row:
@@ -46,9 +49,10 @@
  * compare with the clones. The define changes only the functions marked
  * CLONES: with that attribute removed, the preprocessed source is the same
  * with and without it, and gcc 12.2 on x86-64 compiles som_scan, number,
- * som_format, scale5 and som_reaches to the same instructions in both
- * builds. Built with -ffp-contract=off so no multiply-add is fused; never
- * build it with -ffast-math or -march=native.
+ * som_read_nodes, som_format, scale5, som_write_predictions and
+ * som_reaches to the same instructions in both builds. Built with
+ * -ffp-contract=off so no multiply-add is fused; never build it with
+ * -ffast-math or -march=native.
  *
  * Matrices are C-contiguous rows of length m, one row per node. The
  * adjacency holds one bit row of `words` uint64 per node: bit i % 64 of
@@ -1324,9 +1328,13 @@ INLINE uint64_t load8(const char *p)
     return v;
 }
 
-/* 10^n for the n <= 8 digits one load reads. */
-static const uint64_t TENS[] = {1, 10, 100, 1000, 10000, 100000, 1000000,
-                                10000000, 100000000};
+/* 10^n for n <= 19: the n <= 8 digits one load reads, and the decimal
+ * lengths and scales of the predictions writer. */
+static const uint64_t TENS[] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+    1000000000, 10000000000, 100000000000, 1000000000000, 10000000000000,
+    100000000000000, 1000000000000000, 10000000000000000,
+    100000000000000000, 1000000000000000000, 10000000000000000000u};
 
 /* The value of the 8 decimal digits of v, one per byte, the first in the
  * lowest: pairs of digits, then pairs of pairs, then the two halves. */
@@ -1667,6 +1675,157 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
 }
 
 /*
+ * The node reader (som_read_nodes) reads the node list of a model file in
+ * exactly the layout persistence.save_model writes it: the bytes of
+ * _model_parts' node template at depth 2, each vector as som_format writes
+ * it, one value per line, label and wins in decimal. It refuses the first
+ * byte that leaves that layout, and any token that json.loads would read
+ * otherwise or refuse: a vector value must match JSON's number grammar,
+ * -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, so 01, +1, .5, 1. and NaN
+ * are refused, and read as json.loads and numpy read it: number() gives
+ * float()'s value, and a token without fraction or exponent, which json
+ * reads as an integer, is that integer's nearest double, +0.0 for -0. A
+ * value that is not finite is refused, as is a label or wins of more than
+ * 18 digits. persistence.load_model then reads the file through json
+ * instead, which gives the same arrays or its own error.
+ */
+
+/* Whether the bytes at *p, before e, are the n bytes of `text`; if so,
+ * *p moves past them. */
+INLINE int literal(const char **p, const char *e, const char *text,
+                   size_t n)
+{
+    if ((size_t)(e - *p) < n || memcmp(*p, text, n) != 0)
+        return 0;
+    *p += n;
+    return 1;
+}
+
+#define LITERAL(p, e, text) literal(p, e, text, sizeof text - 1)
+
+/* The end of the JSON number at p, before e, or NULL when p starts none;
+ * *integer is set when it has neither fraction nor exponent. */
+static const char *json_number(const char *p, const char *e, int *integer)
+{
+    if (p < e && *p == '-')
+        p++;
+    if (p == e || !is_digit(*p))
+        return NULL;
+    if (*p++ != '0')
+        while (p < e && is_digit(*p))
+            p++;
+    *integer = 1;
+    if (p < e && *p == '.') {
+        if (++p == e || !is_digit(*p))
+            return NULL;
+        while (p < e && is_digit(*p))
+            p++;
+        *integer = 0;
+    }
+    if (p < e && (*p == 'e' || *p == 'E')) {
+        if (++p < e && (*p == '+' || *p == '-'))
+            p++;
+        if (p == e || !is_digit(*p))
+            return NULL;
+        while (p < e && is_digit(*p))
+            p++;
+        *integer = 0;
+    }
+    return p;
+}
+
+/* The JSON integer of at most 18 digits at *p, before e, into *v; *p
+ * moves past it. A longer one leaves a digit at *p. */
+static int json_int(const char **p, const char *e, int64_t *v)
+{
+    const char *s = *p;
+    const int neg = s < e && *s == '-';
+    s += neg;
+    const char *first = s;
+    int64_t x = 0;
+    if (s < e && *s == '0')
+        s++;
+    else
+        for (; s < e && is_digit(*s) && s - first < 18; s++)
+            x = x * 10 + (*s - '0');
+    if (s == first)
+        return 0;
+    *v = neg ? -x : x;
+    *p = s;
+    return 1;
+}
+
+/* The node vector at *p, before e, as som_format writes it at depth 3,
+ * into out, which has room for `room` values; *p moves past it. Returns
+ * its length, or -1 off the layout or past the room. */
+static ptrdiff_t node_vector(const char **p, const char *e, double *out,
+                             ptrdiff_t room)
+{
+    const char *s = *p;
+    ptrdiff_t k = 0;
+    if (!LITERAL(&s, e, "["))
+        return -1;
+    do {
+        int integer;
+        const char *t;
+        if (!LITERAL(&s, e, "\n    ") || k == room ||
+            (t = json_number(s, e, &integer)) == NULL ||
+            number(s, t, out + k) != t)
+            return -1;
+        if (integer && out[k] == 0)
+            out[k] = 0.0;
+        k++;
+        s = t;
+    } while (LITERAL(&s, e, ","));
+    if (!LITERAL(&s, e, "\n   ]"))
+        return -1;
+    *p = s;
+    return k;
+}
+
+/*
+ * Read the nodes of the text s[0, len): the bytes between the "[" and the
+ * "\n ]" of a model file's node list, with at least one node. Node j's
+ * center, dist_avg and relevance go to vectors[3 j m ...], in that order,
+ * its label and wins to ints[2 j] and ints[2 j + 1]; each of the two
+ * arrays has room for `room` values. *dim is set to m, the length of node
+ * 0's center, which every vector must have. Returns the node count, or -1
+ * at the first byte off the layout or a token the reader refuses (see
+ * above), or when the arrays have too little room.
+ */
+ptrdiff_t som_read_nodes(const char *s, ptrdiff_t len, ptrdiff_t room,
+                         double *vectors, int64_t *ints, ptrdiff_t *dim)
+{
+    const char *p = s, *const end = s + len;
+    ptrdiff_t n = 0, m = 0; /* m = 0 until node 0's center is read */
+    do {
+        double *v = vectors + 3 * n * m;
+        const ptrdiff_t left = room - 3 * n * m;
+        if (2 * n + 2 > room || 3 * m > left ||
+            (n && !LITERAL(&p, end, ",")) ||
+            !LITERAL(&p, end, "\n  {\n   \"center\": "))
+            return -1;
+        const ptrdiff_t k = node_vector(&p, end, v, m ? m : left);
+        if (k < 1 || (m && k != m) || 3 * k > left)
+            return -1;
+        m = k;
+        if (!LITERAL(&p, end, ",\n   \"dist_avg\": ") ||
+            node_vector(&p, end, v + m, m) != m ||
+            !LITERAL(&p, end, ",\n   \"label\": ") ||
+            !json_int(&p, end, ints + 2 * n) ||
+            !LITERAL(&p, end, ",\n   \"relevance\": ") ||
+            node_vector(&p, end, v + 2 * m, m) != m ||
+            !LITERAL(&p, end, ",\n   \"wins\": ") ||
+            !json_int(&p, end, ints + 2 * n + 1) ||
+            !LITERAL(&p, end, "\n  }"))
+            return -1;
+        n++;
+    } while (p < end);
+    *dim = m;
+    return n;
+}
+
+/*
  * The float formatter (som_format) writes the node vectors of a model file,
  * each double as Python's repr() writes it: the shortest digits that read
  * back as the same double, the nearest of them to it (ties to an even last
@@ -1961,6 +2120,164 @@ ptrdiff_t som_format(const double *x, ptrdiff_t rows, ptrdiff_t m, char *out,
         }
         *s++ = ']';
         ends[r] = s - out;
+    }
+    return s - out;
+}
+
+/*
+ * The predictions writer (som_write_predictions) writes the rows of
+ * semisom predict's output file, each as "%d,%s,%s,%.6g\r\n" % (index,
+ * node id, label text, activation) does in cli._write_predictions, its
+ * mirror and the reference the tests compare it with. The "%.6g" digits are made
+ * here, not by printf, so no LC_NUMERIC locale reaches them: |x| rounded to
+ * six significant digits, ties to even, exactly, for 2^-66 <= |x| < 2^64
+ * (six_digits). Outside that range, and for a value that is not finite,
+ * the writer returns -1 and the caller writes the file with "%".
+ */
+
+/* |x| rounded to six significant digits, ties to even, as d * 10^(*x10 -
+ * 5) with 10^5 <= d < 10^6, for 2^-66 <= |x| < 2^64; 0 outside that range.
+ *
+ * Below 10^6, |x| = m2 2^e scaled by 10^k, k = 5 - x10, is
+ * m2 5^k 2^(e + k): one product of at most 53 + 59 bits (k <= 25, as
+ * FIVES goes), shifted right by -(e + k) > 0 and rounded on the bits shifted
+ * out. x10 starts at floor(log10(2^be)), be = floor(log2|x|), which lies at
+ * most one below floor(log10|x|), and steps up once if the product shows
+ * 10^6 or more. From 10^6 up, |x| is an integer part below 2^64 and a
+ * fraction f: with p = 10^(x10 - 5), the integer part's quotient q and
+ * remainder r round up when r > p / 2, or r = p / 2 and either f > 0 or q
+ * is odd. */
+static uint64_t six_digits(double x, int *x10)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)(bits >> 52 & 0x7ff), e = biased - 1075;
+    const uint64_t m2 = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    if (biased < 1023 - 66 || biased > 1023 + 63)
+        return 0;
+    uint64_t d;
+    int t;
+    if (fabs(x) < 1e6) {
+        const int be = (biased - 1023) * 78913;
+        t = be >= 0 ? be >> 18 : -((-be + (1 << 18) - 1) >> 18);
+        int s;
+        uint64_t hi, lo;
+        for (;;) {
+            lo = mul128(m2, FIVES[5 - t], &hi);
+            s = -(e + 5 - t);
+            d = s < 64 ? shr128(lo, hi, s) : hi >> (s - 64);
+            if (d < 1000000)
+                break;
+            t++;
+        }
+        /* the round bit, and whether any bit below it is set */
+        const int r = s - 1,
+                  round = (int)((r < 64 ? lo >> r : hi >> (r - 64)) & 1),
+                  sticky = r <= 64 ? lo << (64 - r) != 0
+                                   : (lo | hi << (128 - r)) != 0;
+        d += round && (sticky || (d & 1));
+    } else {
+        const uint64_t whole = e >= 0 ? m2 << e : m2 >> -e,
+                       frac = e >= 0 ? 0 : m2 & ((UINT64_C(1) << -e) - 1);
+        for (t = 6; t < 19 && whole >= TENS[t + 1]; t++)
+            ;
+        const uint64_t p = TENS[t - 5], q = whole / p, r = whole % p;
+        d = q + (r > p / 2 || (r == p / 2 && (frac || (q & 1))));
+    }
+    if (d == 1000000) {
+        d = 100000;
+        t++;
+    }
+    *x10 = t;
+    return d;
+}
+
+/* The decimal digits of v, into s; returns their end. */
+INLINE char *put_int(char *s, uint64_t v)
+{
+    int n = 1;
+    while (n < 20 && v >= TENS[n])
+        n++;
+    put_digits(s + n, v);
+    return s + n;
+}
+
+/* The finite double x as "%.6g" writes it, into s; returns its end, or
+ * NULL for a value other than 0 outside [2^-66, 2^64) in size. */
+static char *write_g6(char *s, double x)
+{
+    if (signbit(x))
+        *s++ = '-';
+    if (x == 0) {
+        *s = '0';
+        return s + 1;
+    }
+    int x10, n = 6;
+    uint64_t d = six_digits(x, &x10);
+    if (d == 0)
+        return NULL;
+    for (; d % 10 == 0; d /= 10)
+        n--;
+    if (x10 < -4 || x10 >= 6) {
+        /* d.ddddde+XX: the digits one place on, the first moved back */
+        put_digits(s + n + 1, d);
+        s[0] = s[1];
+        s[1] = '.';
+        s += n + (n > 1);
+        memcpy(s, x10 < 0 ? "e-" : "e+", 2);
+        memcpy(s + 2, PAIRS + 2 * (x10 < 0 ? -x10 : x10), 2);
+        return s + 4;
+    }
+    if (x10 < 0) {
+        memcpy(s, "0.", 2);
+        memset(s + 2, '0', -x10 - 1);
+        s += 1 - x10 + n;
+        put_digits(s, d);
+        return s;
+    }
+    if (x10 + 1 < n) {
+        put_digits(s + n + 1, d);
+        memmove(s, s + 1, x10 + 1);
+        s[x10 + 1] = '.';
+        return s + n + 1;
+    }
+    put_digits(s + n, d);
+    memset(s + n, '0', x10 + 1 - n);
+    return s + x10 + 1;
+}
+
+/*
+ * Write the predictions of `rows` patterns into out: row i is i, node[i]
+ * (nothing for -1, a rejection), the label text pick[i] and act[i], joined
+ * by "," and ended by "\r\n", the activation as "%.6g" writes it. The
+ * `count` label texts lie end to end in texts, text k ending at ends[k].
+ * out must hold rows * (64 + the longest text) bytes; nothing is written
+ * past the length returned. Returns that length, or -1 at a node id below
+ * -1, a pick outside the texts, or an activation write_g6 does not write.
+ */
+ptrdiff_t som_write_predictions(ptrdiff_t rows, const ptrdiff_t *node,
+                                const int64_t *pick, const char *texts,
+                                const int64_t *ends, ptrdiff_t count,
+                                const double *act, char *out)
+{
+    char *s = out;
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const int64_t k = pick[i];
+        if (node[i] < -1 || k < 0 || k >= count || !isfinite(act[i]))
+            return -1;
+        s = put_int(s, (uint64_t)i);
+        *s++ = ',';
+        if (node[i] >= 0)
+            s = put_int(s, (uint64_t)node[i]);
+        *s++ = ',';
+        const int64_t a = k ? ends[k - 1] : 0;
+        memcpy(s, texts + a, ends[k] - a);
+        s += ends[k] - a;
+        *s++ = ',';
+        if ((s = write_g6(s, act[i])) == NULL)
+            return -1;
+        memcpy(s, "\r\n", 2);
+        s += 2;
     }
     return s - out;
 }

@@ -37,7 +37,16 @@ caller passes, so that Python decodes each distinct label once.
 ``som_format`` writes
 the node vectors of a model file (``format_rows``), every double as
 ``float.__repr__`` writes it, from Ryu's shortest round-trip digits; it
-reads no locale.
+reads no locale. ``som_read_nodes`` reads them back (``read_nodes``):
+the node list of a model file in exactly the layout ``save_model``
+writes, each value through the scanner's number reader, refusing the
+first byte off that layout and every token ``json`` would read otherwise,
+so that ``persistence.load_model`` takes ``json`` for the whole file
+whenever it refuses. ``som_write_predictions`` writes the rows of a
+predictions file (``format_predictions``) as ``cli``'s ``"%d,%s,%s,%.6g"``
+pass writes them, the ``%.6g`` digits rounded exactly in 64- and 128-bit
+integers, so no locale reaches them; it declines an activation outside
+``[2**-66, 2**64)`` in size but 0, and ``cli`` then writes with ``%``.
 
 Each training function of ``_kernel.c`` has one numpy mirror in
 ``model.py`` over the same arrays: ``winner``/``_winner``,
@@ -69,7 +78,10 @@ instead, with the same counters and return codes and the same results bit
 for bit. ``scan`` then raises ``ValueError``, and ``data.py`` reads the
 file with its row reader, which gives the same data; ``format_rows``
 returns ``None``, and ``persistence`` writes each float with
-``float.__repr__``, which gives the same text.
+``float.__repr__``, which gives the same text; ``read_nodes`` returns
+``None``, and ``persistence`` reads the whole model file with ``json``;
+``format_predictions`` returns ``None``, and ``cli`` writes the rows with
+``%``, which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -228,6 +240,11 @@ def load(compiler: str = "cc"):
         lib.som_scan.restype = _SIZE
         lib.som_format.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR)
         lib.som_format.restype = _SIZE
+        lib.som_read_nodes.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR)
+        lib.som_read_nodes.restype = _SIZE
+        lib.som_write_predictions.argtypes = (_SIZE, _PTR, _PTR, _PTR, _PTR,
+                                              _SIZE, _PTR, _PTR)
+        lib.som_write_predictions.restype = _SIZE
         return lib
     return None
 
@@ -443,3 +460,67 @@ def format_rows(values: np.ndarray) -> list[str] | None:
     text = out[:size].tobytes().decode("ascii")
     bounds = [0, *ends.tolist()]
     return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def read_nodes(text: bytes, start: int, end: int) -> dict | None:
+    """The nodes of ``text[start:end]``, the node list of a model file
+    between its ``[`` and its ``\\n ]``, read by ``som_read_nodes`` when
+    they stand exactly as ``persistence.save_model`` writes them: a dict of
+    the float ``(n, dim)`` vectors and int64 ``(n,)`` labels and wins under
+    their JSON keys, each value the one ``json.loads`` and numpy make of
+    it. ``None`` off that layout, at a token ``som_read_nodes`` leaves to
+    ``json`` (see ``_kernel.c``), or when no library is loaded; it never
+    raises.
+    """
+    lib = compiled()
+    if lib is None or not 0 <= start <= end <= len(text):
+        return None
+    # each value takes a line break, four spaces and a byte at least
+    room = (end - start) // 6
+    vectors = np.empty(room)
+    ints = np.empty(room, dtype=np.int64)
+    dim = np.zeros(1, dtype=np.intp)
+    n = lib.som_read_nodes(np.frombuffer(text, np.uint8).ctypes.data + start,
+                           end - start, room, vectors.ctypes.data,
+                           ints.ctypes.data, dim.ctypes.data)
+    if n < 1:
+        return None
+    m = int(dim[0])
+    rows = vectors[:3 * n * m].reshape(n, 3, m)
+    pairs = ints[:2 * n].reshape(n, 2)
+    return {"center": rows[:, 0], "dist_avg": rows[:, 1],
+            "label": pairs[:, 0], "relevance": rows[:, 2],
+            "wins": pairs[:, 1]}
+
+
+# The most bytes som_write_predictions writes for one row beside its label
+# text: two decimals of up to 20 digits, the activation, the separators
+# and the line end, and room to spare.
+_PREDICTION_BYTES = 64
+
+
+def format_predictions(node: np.ndarray, pick: np.ndarray,
+                       texts: list[bytes], act: np.ndarray):
+    """The predictions file's rows, ``"%d,%s,%s,%.6g\\r\\n" % (i, node[i]
+    or "" for -1, texts[pick[i]], act[i])`` encoded, by
+    ``som_write_predictions``, as a bytes-like object; ``None`` when no
+    library is loaded or the writer declines a value (an activation outside
+    ``[2**-66, 2**64)`` in size but 0, or not finite; a node below -1; a
+    pick outside ``texts``).
+    """
+    lib = compiled()
+    if lib is None:
+        return None
+    rows = len(node)
+    _require(node, np.intp, (rows,))
+    _require(pick, np.int64, (rows,))
+    _require(act, np.float64, (rows,))
+    ends = np.cumsum([len(t) for t in texts], dtype=np.int64)
+    blob = b"".join(texts)
+    out = np.empty(rows * (_PREDICTION_BYTES + max(map(len, texts),
+                                                   default=0)),
+                   dtype=np.uint8)
+    size = lib.som_write_predictions(
+        rows, node.ctypes.data, pick.ctypes.data, blob, ends.ctypes.data,
+        len(texts), act.ctypes.data, out.ctypes.data)
+    return None if size < 0 else out.data[:size]

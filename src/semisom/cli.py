@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .data import (DataFormatError, Dataset, _utf8_text, apply_norm,
                    kfold_split, load_arff, load_csv, normalize)
 from .experiments import (FRACTIONS, emit_curve, emit_curve_svg, emit_results,
@@ -130,6 +131,38 @@ def _csv_field(text: str) -> str:
     return fh.getvalue()[:-1]
 
 
+_PREDICTIONS_HEADER = b"pattern_index,node_id,label,activation\r\n"
+
+
+def _write_predictions(path: Path, node: np.ndarray, pick: np.ndarray,
+                       texts: list[str], act: np.ndarray, n_nodes: int):
+    """Write the predictions file: a header, then for pattern i the row
+    ``"%d,%s,%s,%.6g\\r\\n" % (i, node id, texts[pick[i]], act[i])``, as
+    ``csv.writer`` would write it (each text is a class name rendered by
+    ``_csv_field``), and no node id for a rejection (node -1), in UTF-8.
+
+    The compiled writer makes the rows' bytes in one call; where it
+    declines (no library, a value it does not write, a text UTF-8 cannot
+    encode), the ``%`` pass below, its mirror, makes them.
+    """
+    try:
+        body = _kernel.format_predictions(node, pick,
+                                          [t.encode() for t in texts], act)
+    except UnicodeEncodeError:  # a lone surrogate, which the pass refuses too
+        body = None
+    if body is None:  # one formatting pass over all rows
+        rows = [None] * (4 * len(node))
+        rows[0::4] = range(len(node))
+        rows[1::4] = np.array([*map(str, range(n_nodes)), ""],
+                              dtype=object)[node].tolist()
+        rows[2::4] = np.array(texts, dtype=object)[pick].tolist()
+        rows[3::4] = act.tolist()
+        body = (("%d,%s,%s,%.6g\r\n" * len(node)) % tuple(rows)).encode()
+    with path.open("wb") as fh:
+        fh.write(_PREDICTIONS_HEADER)
+        fh.write(body)
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_dataset(args.data, args.label_column)
@@ -149,18 +182,9 @@ def cmd_predict(args) -> int:
     hits = np.count_nonzero(
         names[truth] == np.array(ds.class_names, dtype=object)[
             ds.labels[truth]])
-    # The rows as csv.writer writes them, in one formatting pass: each
-    # class name is quoted once, and a rejection (node -1) has no node id.
-    rows = [None] * (4 * len(node))
-    rows[0::4] = range(len(node))
-    rows[1::4] = np.array([*map(str, range(model.som.n_nodes)), ""],
-                          dtype=object)[node].tolist()
-    rows[2::4] = np.array([_csv_field(c) for c in classes],
-                          dtype=object)[pick].tolist()
-    rows[3::4] = act.tolist()
-    with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("pattern_index,node_id,label,activation\r\n")
-        fh.write(("%d,%s,%s,%.6g\r\n" * len(node)) % tuple(rows))
+    _write_predictions(Path(args.out), node, pick,
+                       [_csv_field(c) for c in classes], act,
+                       model.som.n_nodes)
     if not args.quiet:
         print(f"predictions written to {args.out}")
         if scored:

@@ -145,6 +145,11 @@ def _object(pairs: list[tuple[str, str]], depth: int) -> str:
 def load_model(path) -> TrainedModel:
     """Read a model file written by ``save_model``.
 
+    A file whose node list stands exactly as ``save_model`` writes it has
+    its nodes read by the compiled reader (``_read_saved``); any other file,
+    or any doubt, goes to ``json`` whole. Both give the same model, or the
+    same error.
+
     Raises:
         ValueError: if the file is not a model file of this format version,
             or holds no nodes.
@@ -159,10 +164,15 @@ def load_model(path) -> TrainedModel:
             a pair or joins a node to itself, or parameters that fail
             ``HyperParams.validate``.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    read = _read_saved(Path(path).read_bytes())
+    if read is None:
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+        columns = None
+    else:
+        doc, columns = read
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -183,9 +193,10 @@ def load_model(path) -> TrainedModel:
     for key in ("nodes", "connections"):
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: {key} is not a list")
-    if not doc["nodes"]:
-        raise ValueError(f"{path}: model holds no nodes")
-    columns = _read_columns(path, doc["nodes"])
+    if columns is None:
+        if not doc["nodes"]:
+            raise ValueError(f"{path}: model holds no nodes")
+        columns = _read_columns(path, doc["nodes"])
     stats = doc["norm_stats"]
     norm_stats = None
     if stats is not None:
@@ -201,13 +212,50 @@ def load_model(path) -> TrainedModel:
                 f"{norm_stats.mins[i]!r} above max {norm_stats.maxs[i]!r}")
     try:
         som = SomMap.from_arrays(
-            max(params.n_max, len(doc["nodes"])), *columns,
+            max(params.n_max, len(columns[0])), *columns,
             _read_connections(path, doc["connections"]))
         _require_classes(som.labels, len(classes), "node")
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     return TrainedModel(som=som, params=params, norm_stats=norm_stats,
                         class_names=classes)
+
+
+# The node list as save_model writes it stands between these bytes: the
+# raw line breaks, which no JSON string holds, tie them to the layout.
+_NODES_OPEN, _NODES_CLOSE = b'\n "nodes": [', b'\n ],\n "norm_stats"'
+
+
+def _read_saved(raw: bytes) -> tuple[dict, list[np.ndarray]] | None:
+    """The model document of the file ``raw``, with an empty node list,
+    and the node columns in the order of ``_read_columns``, when the node
+    list stands as ``save_model`` writes it; ``None`` otherwise.
+
+    The node list goes to ``_kernel.read_nodes``, and the rest of the file
+    to ``json`` as two objects: the bytes before the list closed by
+    ``[]}``, and ``{`` and the bytes after the list's ``,``. The first
+    parses only when ``"nodes"`` is a key of the top-level object, and the
+    second must not hold that key again, so the two objects together are
+    the document ``json`` reads from the whole file, but for its nodes.
+    Never raises: on any failure, ``load_model`` reads the file as before,
+    with ``json``.
+    """
+    start = raw.find(_NODES_OPEN) + len(_NODES_OPEN)
+    end = raw.find(_NODES_CLOSE, start)
+    if start < len(_NODES_OPEN) or end < 0:
+        return None
+    nodes = _kernel.read_nodes(raw, start, end)
+    if nodes is None:
+        return None
+    try:
+        doc = json.loads(raw[:start - 1].decode("utf-8") + "[]}")
+        rest = json.loads("{" + raw[end + 4:].decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return None
+    if "nodes" in rest:
+        return None
+    doc.update(rest)
+    return doc, [nodes[key] for key in _NODE_KEYS]
 
 
 _MODEL_KEYS = ("params", "norm_stats", "classes", "nodes", "connections")

@@ -27,8 +27,9 @@ from semisom import _kernel
 
 # The flags each build adds to _kernel._FLAGS. None is no library, as
 # without a C compiler: one build under two names, for the map kernels and
-# for the file readers and writer. no-int128 makes the 64-bit products of
-# the scanner's Eisel-Lemire step and of the formatter from 32-bit ones.
+# for the file readers and writers. no-int128 makes the 64-bit products of
+# the scanner's Eisel-Lemire step, of the formatter and of the predictions
+# writer from 32-bit ones.
 # asan loads only into a process that preloads libasan, so test_asan.py
 # runs it in a child process, and ``library`` refuses it.
 BUILDS = {

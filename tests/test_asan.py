@@ -9,11 +9,15 @@ preloaded, so this test starts one. The child trains a screened map (20
 dimensions, so the shadow's rows carry 4 dimensions of padding) and a
 plain one (8 dimensions), each through insertions into full storage,
 pruning sweeps and links across three adjacency words, saves and
-classifies with each, then loads the loader fuzz seeds and their
-mutations through the scanner (``som_scan``), and scans numbers whose
-digits run to the last byte of a text, each text in a buffer of exactly
-its length: a ``bytes`` object keeps a NUL byte past its last one, so only
-such a buffer shows a load that reaches one byte too far. It prints what
+classifies with each, reads the saved node list back through the model
+reader (``som_read_nodes``) and writes the classification through the
+predictions writer (``som_write_predictions``), then loads the loader
+fuzz seeds and their mutations through the scanner (``som_scan``), and
+scans numbers whose digits run to the last byte of a text, each text in a
+buffer of exactly its length: a ``bytes`` object keeps a NUL byte past
+its last one, so only such a buffer shows a load that reaches one byte
+too far. The reader's outputs and the writer's output are buffers of
+exactly their length too. It prints what
 it got. Its Python allocates through ``malloc``. It must report no
 AddressSanitizer error and the package library's results, bit for bit.
 
@@ -37,7 +41,9 @@ import pytest
 
 from semisom import (DataFormatError, Dataset, HyperParams, _kernel,
                      classify_batch, load_arff, load_csv, mask_labels,
-                     save_model, train_with_state)
+                     persistence, save_model, train_with_state)
+from semisom.cli import _csv_field
+from semisom.inference import REJECTED, _classify_arrays
 from conftest import BUILDS
 from test_loader_fuzz import ARFF, CSV
 
@@ -77,6 +83,7 @@ def _results(tmp: Path) -> list[dict]:
         queries = np.vstack([ds.patterns,
                              np.random.default_rng(0).random((50, m))])
         predicted = classify_batch(som, queries, params.a_t)
+        raw = path.read_bytes()
         out.append({
             "dim": m, "nodes": som.n_nodes,
             "rows": len(som._arrays.centers),
@@ -85,8 +92,73 @@ def _results(tmp: Path) -> list[dict]:
             "top_link": max(max(pair) for pair in som.connections),
             "model": hashlib.sha256(path.read_bytes()).hexdigest(),
             "classified": hashlib.sha256(repr(predicted).encode()).hexdigest(),
+            "read": _read_exactly(raw),
+            "written": _written_exactly(som, queries, params.a_t,
+                                        ds.class_names),
         })
     return out + [_loaded(tmp), _scanned()]
+
+
+def _exact(data: bytes) -> np.ndarray:
+    """``data`` in a buffer of exactly its length."""
+    return np.frombuffer(data, np.uint8).copy()
+
+
+def _read_exactly(raw: bytes) -> list:
+    """The sha256 of what ``som_read_nodes`` reads from the node list of
+    the model file ``raw``, the list in a buffer of exactly its length,
+    into arrays of exactly the values it reads, the same as
+    ``_kernel.read_nodes`` reads from the file; and how many of the list's
+    first 4,000 prefixes, each in a buffer of exactly its length, it reads
+    (those that end a node) rather than refuses."""
+    start = raw.index(persistence._NODES_OPEN) + len(persistence._NODES_OPEN)
+    end = raw.index(persistence._NODES_CLOSE)
+    nodes = _kernel.read_nodes(raw, start, end)
+    n, m = nodes["center"].shape
+    block = _exact(raw[start:end])
+    vectors, ints = np.empty((n, 3, m)), np.empty((n, 2), np.int64)
+    dim = np.zeros(1, np.intp)
+    assert _kernel.compiled().som_read_nodes(
+        block.ctypes.data, len(block), vectors.size, vectors.ctypes.data,
+        ints.ctypes.data, dim.ctypes.data) == n and dim[0] == m
+    for i, key in enumerate(("center", "dist_avg", "relevance")):
+        assert np.array_equal(vectors[:, i], nodes[key])
+    assert ints.T.tolist() == [nodes["label"].tolist(),
+                               nodes["wins"].tolist()]
+    prefixes = sum(_kernel.read_nodes(_exact(raw[start:start + k]), 0, k)
+                   is not None for k in range(4000))
+    return [hashlib.sha256(vectors.tobytes() + ints.tobytes()).hexdigest(),
+            prefixes]
+
+
+# Activations past the classified ones, for each branch of the writer's
+# digits: exponent forms, fixed forms, ties, round-ups and the range ends.
+_EDGES = [0.0, -0.0, 1e-5, 0.0001, 123456.5, 1234565.0, 9.999995, 1e6,
+          2.0 ** 63, 2.0 ** -66, -3.5e-7, 100000.5]
+
+
+def _written_exactly(som, queries, a_t: float, names) -> str:
+    """The sha256 of the predictions file rows ``som_write_predictions``
+    writes for ``queries`` and ``_EDGES``, from labels in a buffer of
+    exactly their length into one of exactly the rows' length; the same
+    as ``_kernel.format_predictions`` writes."""
+    node, label, act = _classify_arrays(som, queries, a_t)
+    texts = [_csv_field(c).encode()
+             for c in (*names, 'say "hi"', "名前", "REJECTED")]
+    node = np.concatenate([node, np.arange(len(_EDGES)) - 1]).astype(np.intp)
+    pick = np.concatenate([np.where(label == REJECTED, len(texts) - 1, label),
+                           np.arange(len(_EDGES)) % len(texts)])
+    act = np.concatenate([act, _EDGES])
+    rows = bytes(_kernel.format_predictions(node, pick, texts, act))
+    blob = _exact(b"".join(texts))
+    ends = np.cumsum([len(t) for t in texts], dtype=np.int64)
+    out = np.empty(len(rows), np.uint8)
+    assert _kernel.compiled().som_write_predictions(
+        len(node), node.ctypes.data, pick.ctypes.data, blob.ctypes.data,
+        ends.ctypes.data, len(texts), act.ctypes.data,
+        out.ctypes.data) == len(rows)
+    assert out.tobytes() == rows
+    return hashlib.sha256(rows).hexdigest()
 
 
 def _loader_files() -> list[tuple[str, bytes]]:
@@ -178,6 +250,7 @@ def test_kernels_make_no_heap_error_under_address_sanitizer(tmp_path):
     assert got == want
     for run in want[:-2]:
         assert run["rows"] > 128 and run["nodes"] > 64
+        assert 0 < run["read"][1] < 4000
         assert run["resets"] >= 1 and run["top_link"] >= 128
     assert 0 < want[-2]["loaded"] < len(_loader_files())
     assert want[-1]["scanned"] == len(_scan_texts())

@@ -1,5 +1,6 @@
 import csv
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -7,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semisom
 from semisom import (REJECTED, HyperParams, apply_norm, mask_labels,
                      normalize, save_model, train_with_state)
-from semisom.cli import _read_params_file, main
+from semisom import _kernel
+from semisom.cli import (_csv_field, _read_params_file, _write_predictions,
+                         main)
 from helpers import make_synthetic, reference_classify
 
 ARFF = """@relation toy
@@ -402,3 +407,112 @@ def test_train_rejects_a_negative_seed_in_a_params_file(arff_path, tmp_path,
     assert main(["train", str(arff_path), "-o", str(tmp_path / "m.json"),
                  "--params-file", str(params)]) == 1
     assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+# The predictions writer on the package's library, without a 128-bit
+# integer type, and under the undefined-behaviour sanitizer with and
+# without one.
+writers = pytest.mark.builds("clones", "no-int128", "ubsan",
+                             "ubsan-no-int128")
+
+
+def _percent_rows(node, pick, texts, act) -> bytes:
+    """The oracle: the rows as the ``%`` pass of ``cli`` writes them."""
+    return "".join(
+        "%d,%s,%s,%.6g\r\n" % (i, "" if j < 0 else j, texts[k], a)
+        for i, (j, k, a) in enumerate(zip(node.tolist(), pick.tolist(),
+                                          act.tolist()))).encode()
+
+
+def _writes(act: float) -> bool:
+    """Whether the compiled writer makes the digits of ``act`` itself."""
+    return act == 0 or 2.0 ** -66 <= abs(act) < 2.0 ** 64
+
+
+_NAMES = ("plain", "a,b", 'say "hi"', " pad ", "é", "名前", "new\nline", "")
+
+
+def _check_writer(act, seed: int = 0) -> None:
+    """The compiled writer on activations ``act``, node ids from -1 up and
+    labels that need quoting or are not ASCII: the ``%`` pass's bytes, or
+    ``None`` where some activation lies outside its range."""
+    act = np.asarray(act, dtype=float)
+    rng = np.random.default_rng(seed)
+    node = rng.integers(-1, 10 ** rng.integers(1, 19), size=len(act))
+    texts = [_csv_field(name) for name in _NAMES]
+    pick = rng.integers(len(texts), size=len(act))
+    got = _kernel.format_predictions(node.astype(np.intp), pick,
+                                     [t.encode() for t in texts], act)
+    if all(map(_writes, act.tolist())):
+        assert bytes(got) == _percent_rows(node, pick, texts, act)
+    else:
+        assert got is None
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_IN_RANGE = st.floats(min_value=2.0 ** -66, max_value=2.0 ** 64,
+                      exclude_max=True)
+
+
+@writers
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1).map(_double)
+                | _IN_RANGE | _IN_RANGE.map(operator.neg), max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_writer_writes_what_percent_writes(values, seed):
+    _check_writer(values, seed)
+
+
+@writers
+def test_writer_writes_the_edges_as_percent_does():
+    """Exact ties, values that round up into the next decade, both sides
+    of ``%g``'s switches at 1e-4 and 1e6, every power of two the writer
+    takes and its neighbours, the ends of its range, zeros and 1."""
+    powers = np.ldexp(1.0, np.arange(-66, 64))
+    edges = [1234565.0, 100000.5, 123456.5, 123457.5, 12345.25,
+             0.0009765625, 9.999995, 99999.95, 999999.5, 999999.4,
+             9999995.0, 9.999995e-5, 1e-4, 1e-5, 1e6, 1e5, 1e16, 0.1, 1.0,
+             0.5, 2.0 ** 63, 0.0, -0.0]
+    edges += [y for x in (1e-4, 1e6, 2.0 ** -66, 2.0 ** 64, 1e5)
+              for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    for values in (powers, np.array(edges)):
+        for nudge in (0.0, -np.inf, np.inf):
+            near = np.nextafter(values, nudge) if nudge else values
+            for row in np.concatenate([near, np.negative(near)]):
+                _check_writer([row])
+    _check_writer(np.concatenate([powers, np.negative(powers)]))
+
+
+@writers
+def test_writer_writes_random_activations_as_percent_does():
+    """2^16 values of random sign, mantissa and exponent within the
+    writer's range, in one call."""
+    rng = np.random.default_rng(16)
+    values = np.ldexp(rng.random(2 ** 16) + 0.5,
+                      rng.integers(-66, 64, size=2 ** 16))
+    values *= rng.choice([-1.0, 1.0], size=len(values))
+    _check_writer(values[np.abs(values) < 2.0 ** 64])
+
+
+@pytest.mark.parametrize("act", [[0.5, -0.0, 1234565.0], [0.5, 5e-324],
+                                 [0.5, float("nan")], [2.0 ** 64]])
+@pytest.mark.builds("clones", "no-library")
+def test_predictions_file_is_the_percent_pass(tmp_path, act):
+    """The file ``cli`` writes, through the compiled writer or, where it
+    declines, through ``%``, holds the header and the ``%`` pass's rows;
+    a label UTF-8 cannot encode fails on either path."""
+    act = np.array(act * 3)
+    node = np.arange(len(act), dtype=np.intp) - 1
+    texts = [_csv_field(name) for name in _NAMES]
+    pick = np.arange(len(act), dtype=np.int64) % len(texts)
+    path = tmp_path / "pred.csv"
+    _write_predictions(path, node, pick, texts, act, len(act))
+    assert path.read_bytes() == (b"pattern_index,node_id,label,activation"
+                                 b"\r\n" + _percent_rows(node, pick, texts,
+                                                          act))
+    with pytest.raises(UnicodeEncodeError):
+        _write_predictions(path, node, pick, ["\ud800"] * len(texts), act,
+                           len(act))

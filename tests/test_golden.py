@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 import scipy
 
+from semisom import _kernel
 from semisom import (HyperParams, mask_labels, normalize, save_model,
                      train_with_state)
 from semisom.cli import main
@@ -123,3 +124,32 @@ def test_golden_output(name, tmp_path):
                     f"remain the check here")
     digest = hashlib.sha256(RECIPES[name](tmp_path)).hexdigest()
     assert digest == expected["sha256"]
+
+
+# The sha256 of the predictions the benchmark's predict-bulk workload
+# (perfbench/workloads.py) writes for seed 3, recorded where golden.json
+# records the predict recipe.
+PREDICT_BULK_SEED_3 = ("90be5f3d744248df899c7d8efdab409a"
+                       "33601e0d592e3f3ff49a89cb30778443")
+
+
+def test_predict_bulk_seed_3_keeps_its_predictions(tmp_path, monkeypatch):
+    """The benchmark's seed-3 predictions, 20,000 rows from a model of
+    ~400 nodes, keep their bytes through the compiled writer and through
+    the ``%`` pass it mirrors."""
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["predict"]
+    env = environment()
+    if {key: recorded[key] for key in env} != env:
+        pytest.skip(f"predictions recorded on {recorded}, running on {env}")
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    from perfbench.workloads import PredictBulk
+    PredictBulk().setup(tmp_path, tmp_path, 3)
+    for writer in ("compiled", "%"):
+        if writer == "%":
+            monkeypatch.setattr(_kernel, "format_predictions",
+                                lambda *args: None)
+        out = tmp_path / "predictions.csv"
+        _run("predict", tmp_path / "model.json", tmp_path / "bulk.csv",
+             "-o", out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PREDICT_BULK_SEED_3, writer

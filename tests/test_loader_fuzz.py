@@ -6,9 +6,10 @@ and from any byte at all. A loader must read the result or raise
 ``DataFormatError``: any other exception, a bare ``ValueError`` included,
 fails. A CSV or ARFF file it reads must give the data set the row-by-row
 reference of ``helpers.py`` gives, bit for bit, so a misread byte fails
-too. ``semisom train`` must exit 0 or 2 (data error), and on a params
-file also 1, the parameter-error code, when a value lies outside its
-domain, which it names as ``HyperParams.validate`` does.
+too, and a file it refuses the reference must refuse. ``semisom train``
+must exit 0 or 2 (data error), and on a params file also 1, the
+parameter-error code, when a value lies outside its domain, which it
+names as ``HyperParams.validate`` does.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -63,12 +65,18 @@ def _file(name: str, data: bytes):
 
 
 def _reads_or_refuses(read, name: str, data: bytes, reference=None):
-    """``read`` the file ``data``; what it reads must equal what
-    ``reference``, if given, reads."""
+    """``read`` the file ``data``. Given a ``reference``, the two agree:
+    both refuse the file, or both read it, and what ``read`` reads equals
+    what ``reference`` reads. ``read`` refuses with ``DataFormatError``;
+    the reference, which decodes as it reads, refuses a file that is not
+    UTF-8 with ``UnicodeDecodeError``."""
     with _file(name, data) as path:
         try:
             ds = read(path)
         except DataFormatError:
+            if reference is not None:
+                with pytest.raises((DataFormatError, UnicodeDecodeError)):
+                    reference(path)
             return
         if reference is not None:
             want = reference(path)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import runpy
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
                      classify, load_model, normalize, save_model,
                      train_with_state)
-from semisom import _kernel
+from semisom import _kernel, persistence
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
 from semisom.persistence import _list
 from conftest import build
@@ -531,3 +532,113 @@ def test_formatter_tables_are_the_exact_ones(capsys):
 def test_formatter_refuses_what_json_cannot_hold(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         _kernel.format_rows(np.array([[0.5, 0.25], [0.125, bad]]))
+
+
+# The node reader on the package's library, without a 128-bit integer
+# type, and under the undefined-behaviour sanitizer with and without one.
+readers = pytest.mark.builds("clones", "no-int128", "ubsan",
+                             "ubsan-no-int128")
+
+
+def _loaded(path, whole_json: bool = False):
+    """What ``load_model`` makes of ``path``: the model, every array bit for
+    bit, or the type and message of the exception it raises. With
+    ``whole_json``, the file goes to ``json`` whole, as before the node
+    reader."""
+    # the relevance sums of a drawn map may overflow
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        if whole_json:
+            mp.setattr(persistence, "_read_saved", lambda raw: None)
+        try:
+            model = load_model(path)
+        except Exception as exc:  # the outcome compared, whatever it is
+            return type(exc), str(exc)
+    som, stats = model.som, model.norm_stats
+    return (som.node_budget, som.centers.tobytes(), som.relevances.tobytes(),
+            som.dist_avgs.tobytes(), som.wins.tolist(), som.labels.tolist(),
+            som.connections, model.params, model.class_names,
+            None if stats is None else (stats.mins.tobytes(),
+                                        stats.maxs.tobytes()))
+
+
+def _spans(text: str) -> list[tuple[int, int]]:
+    """Where each vector value, label and wins of the node list stands."""
+    start = text.index('\n "nodes": [')
+    block = text[start:text.index('\n ],\n "norm_stats"')]
+    return [(start + a, start + b) for a, b in (
+        m.span(1) for m in re.finditer(
+            r'(?:\n    |"label": |"wins": )([^,\n]+)', block))]
+
+
+# Tokens json reads otherwise than, or refuses like, a float's repr, and
+# JSON values that are no number.
+_TOKENS = ["01", "+1", ".5", "1.", "-0", "1E+5", "1e400", "-1e-400",
+           "1234567890123456789012345", "true", '"1"', "NaN", "[]", "-0.0",
+           "0", "1e-5", "5e-324", "-12", "99999999999999999999", "0.1e1"]
+_VALUES = (st.sampled_from(_TOKENS)
+           | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.integers(-3, 10 ** 19).map(str))
+# Edits of the layout: (what, by what) at one of the places ``what``
+# stands, nearly all of them in the node list; the last two repeat the
+# key "nodes" after and before the list.
+_LAYOUT = [("\n", "\r\n"), ("\n", "\n "), ("\n ", "\n"), ("\n", ""),
+           ('"center"', '"centre"'), ('"wins"', '"label"'),
+           ('"dist_avg": ', '"wins": 1,\n   "dist_avg": '),
+           ('"label": ', '"label": 0,\n   "label": '), (",", ""),
+           ("}", "},"), ("[", "[ "), ("{", "{}"),
+           ('\n "params"', '\n "nodes": [],\n "params"'),
+           ('\n "format"', '\n "nodes": [],\n "format"')]
+
+
+@readers
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_edited_saved_file_loads_as_json_loads_it(trained, data):
+    """A file ``save_model`` wrote, one value of its node list replaced by
+    a drawn token, or one place of its layout changed: ``load_model`` makes
+    of it what it makes reading the file with ``json`` whole, the same
+    arrays bit for bit or the same exception and message."""
+    text = trained[3].read_text(encoding="utf-8")
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(_spans(text)))
+        text = text[:a] + data.draw(_VALUES) + text[b:]
+    else:
+        what, by = data.draw(st.sampled_from(_LAYOUT))
+        at = data.draw(st.sampled_from(
+            [m.start() for m in re.finditer(re.escape(what), text)]))
+        text = text[:at] + by + text[at + len(what):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(path) == _loaded(path, whole_json=True)
+
+
+@readers
+@settings(max_examples=200, deadline=None)
+@given(_models())
+def test_every_saved_file_takes_the_node_reader(case):
+    """Every file ``save_model`` writes, odd floats included, has its nodes
+    read by the node reader, never by ``json``'s node path, and loads as
+    the whole-file ``json`` path loads it."""
+    som, params, norm_stats, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        try:
+            save_model(path, som, params, norm_stats=norm_stats,
+                       class_names=names)
+        except ValueError:  # a NaN or inf, or a label past the names
+            return
+        assert persistence._read_saved(path.read_bytes()) is not None
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(persistence, "_read_columns",
+                       lambda *args: calls.append(args))
+            fast = _loaded(path)
+        assert calls == []
+        assert fast == _loaded(path, whole_json=True)
+
+
+@pytest.mark.builds("no-library")
+def test_without_a_library_the_whole_file_goes_to_json(trained):
+    assert persistence._read_saved(trained[3].read_bytes()) is None
+    assert _loaded(trained[3]) == _loaded(trained[3], whole_json=True)
