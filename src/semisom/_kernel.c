@@ -2,8 +2,8 @@
  * Compiled kernels of semisom: its training loop (som_train, with the
  * winner search, the node update and the link recomputation that exist
  * only inside the loop), bulk classification (som_classify), the scanner
- * of CSV and ARFF bodies (som_scan), the reader of a model file's node
- * list (som_read_nodes), the float formatter of model files (som_format)
+ * of CSV and ARFF bodies (som_scan), the reader and the writer of a model
+ * file's node list (som_read_nodes, som_write_nodes), from one layout,
  * and the writer of predictions files (som_write_predictions, at the end
  * of the file). The library keeps only these long calls, and som_sum and
  * som_reaches for the tests; it is loaded through one ctypes.CDLL handle,
@@ -12,9 +12,9 @@
  * and the scratch block som_train allocates for its screened winner
  * search (see search). The scanner and the node reader compute most
  * numbers themselves, exactly; only the rest go to strtod, the one place
- * the LC_NUMERIC locale reaches (see the scanner's comment). The formatter
- * writes each double as Python's repr() does, its mirror (see the
- * formatter's comment), and the predictions writer each activation as
+ * the LC_NUMERIC locale reaches (see the scanner's comment). The node
+ * writer writes each double as Python's repr() does, as json does (see the
+ * float formatter's comment), and the predictions writer each activation as
  * Python's "%.6g" does, with digits of its own (see its comment).
  *
  * Each function reproduces, bit for bit, its one numpy mirror in model.py
@@ -49,7 +49,7 @@
  * compare with the clones. The define changes only the functions marked
  * CLONES: with that attribute removed, the preprocessed source is the same
  * with and without it, and gcc 12.2 on x86-64 compiles som_scan, number,
- * som_read_nodes, som_format, scale5, som_write_predictions and
+ * som_read_nodes, som_write_nodes, scale5, som_write_predictions and
  * som_reaches to the same instructions in both builds. Built with
  * -ffp-contract=off so no multiply-add is fused; never build it with
  * -ffast-math or -march=native.
@@ -1675,12 +1675,34 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
 }
 
 /*
+ * The layout of a model file's node list, which the node writer
+ * (som_write_nodes) writes and the node reader (som_read_nodes) reads: the
+ * bytes json.dumps(doc, indent=1, sort_keys=True) writes between the
+ * list's "[" and its "\n ]". Nodes, and the values of a vector, each after
+ * VALUE_INDENT, are separated by SEPARATOR; an empty vector is VECTOR_OPEN
+ * and VECTOR_END. Each byte of the layout is spelled here alone.
+ */
+#define NODE_INDENT "\n  "
+#define FIELD_INDENT "\n   "
+#define VALUE_INDENT "\n    "
+#define SEPARATOR ","
+#define KEY(name) FIELD_INDENT "\"" name "\": "
+#define NODE_OPEN NODE_INDENT "{" KEY("center")
+#define DIST_AVG SEPARATOR KEY("dist_avg")
+#define LABEL SEPARATOR KEY("label")
+#define RELEVANCE SEPARATOR KEY("relevance")
+#define WINS SEPARATOR KEY("wins")
+#define NODE_CLOSE NODE_INDENT "}"
+#define VECTOR_OPEN "["
+#define VECTOR_END "]"
+#define VECTOR_CLOSE FIELD_INDENT VECTOR_END
+
+/*
  * The node reader (som_read_nodes) reads the node list of a model file in
- * exactly the layout persistence.save_model writes it: the bytes of
- * _model_parts' node template at depth 2, each vector as som_format writes
- * it, one value per line, label and wins in decimal. It refuses the first
- * byte that leaves that layout, and any token that json.loads would read
- * otherwise or refuse: a vector value must match JSON's number grammar,
+ * exactly that layout, with at least one value in a vector, and label and
+ * wins in decimal. It refuses the first byte that leaves that layout, and
+ * any token that json.loads would read otherwise or refuse: a vector value
+ * must match JSON's number grammar,
  * -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, so 01, +1, .5, 1. and NaN
  * are refused, and read as json.loads and numpy read it: number() gives
  * float()'s value, and a token without fraction or exponent, which json
@@ -1755,20 +1777,20 @@ static int json_int(const char **p, const char *e, int64_t *v)
     return 1;
 }
 
-/* The node vector at *p, before e, as som_format writes it at depth 3,
- * into out, which has room for `room` values; *p moves past it. Returns
- * its length, or -1 off the layout or past the room. */
+/* The node vector at *p, before e, in the layout above, into out, which
+ * has room for `room` values; *p moves past it. Returns its length, or -1
+ * off the layout or past the room. */
 static ptrdiff_t node_vector(const char **p, const char *e, double *out,
                              ptrdiff_t room)
 {
     const char *s = *p;
     ptrdiff_t k = 0;
-    if (!LITERAL(&s, e, "["))
+    if (!LITERAL(&s, e, VECTOR_OPEN))
         return -1;
     do {
         int integer;
         const char *t;
-        if (!LITERAL(&s, e, "\n    ") || k == room ||
+        if (!LITERAL(&s, e, VALUE_INDENT) || k == room ||
             (t = json_number(s, e, &integer)) == NULL ||
             number(s, t, out + k) != t)
             return -1;
@@ -1776,8 +1798,8 @@ static ptrdiff_t node_vector(const char **p, const char *e, double *out,
             out[k] = 0.0;
         k++;
         s = t;
-    } while (LITERAL(&s, e, ","));
-    if (!LITERAL(&s, e, "\n   ]"))
+    } while (LITERAL(&s, e, SEPARATOR));
+    if (!LITERAL(&s, e, VECTOR_CLOSE))
         return -1;
     *p = s;
     return k;
@@ -1802,22 +1824,22 @@ ptrdiff_t som_read_nodes(const char *s, ptrdiff_t len, ptrdiff_t room,
         double *v = vectors + 3 * n * m;
         const ptrdiff_t left = room - 3 * n * m;
         if (2 * n + 2 > room || 3 * m > left ||
-            (n && !LITERAL(&p, end, ",")) ||
-            !LITERAL(&p, end, "\n  {\n   \"center\": "))
+            (n && !LITERAL(&p, end, SEPARATOR)) ||
+            !LITERAL(&p, end, NODE_OPEN))
             return -1;
         const ptrdiff_t k = node_vector(&p, end, v, m ? m : left);
         if (k < 1 || (m && k != m) || 3 * k > left)
             return -1;
         m = k;
-        if (!LITERAL(&p, end, ",\n   \"dist_avg\": ") ||
+        if (!LITERAL(&p, end, DIST_AVG) ||
             node_vector(&p, end, v + m, m) != m ||
-            !LITERAL(&p, end, ",\n   \"label\": ") ||
+            !LITERAL(&p, end, LABEL) ||
             !json_int(&p, end, ints + 2 * n) ||
-            !LITERAL(&p, end, ",\n   \"relevance\": ") ||
+            !LITERAL(&p, end, RELEVANCE) ||
             node_vector(&p, end, v + 2 * m, m) != m ||
-            !LITERAL(&p, end, ",\n   \"wins\": ") ||
+            !LITERAL(&p, end, WINS) ||
             !json_int(&p, end, ints + 2 * n + 1) ||
-            !LITERAL(&p, end, "\n  }"))
+            !LITERAL(&p, end, NODE_CLOSE))
             return -1;
         n++;
     } while (p < end);
@@ -1826,12 +1848,12 @@ ptrdiff_t som_read_nodes(const char *s, ptrdiff_t len, ptrdiff_t room,
 }
 
 /*
- * The float formatter (som_format) writes the node vectors of a model file,
- * each double as Python's repr() writes it: the shortest digits that read
+ * The float formatter (write_double) writes each double of the node writer
+ * as Python's repr(), and so json, writes it: the shortest digits that read
  * back as the same double, the nearest of them to it (ties to an even last
  * digit), written with an exponent below 1e-4 and from 1e16 up ("1e-05",
- * "1e+16"), "-0.0" for a negative zero. persistence._list over
- * float.__repr__ is its mirror, and the reference the tests compare it with.
+ * "1e+16"), "-0.0" for a negative zero. json.dumps of the node list is the
+ * node writer's mirror, and the reference the tests compare it with.
  *
  * The digits are Ryu's (Adams, "Ryu: fast float-to-string conversion",
  * PLDI 2018), its d2d with the small tables: the powers 5^i and 2^k / 5^i
@@ -2042,6 +2064,19 @@ INLINE void put_digits(char *end, uint64_t w)
         end[-1] = (char)('0' + w);
 }
 
+/* The integer v in decimal, into s; returns its end. */
+INLINE char *put_int(char *s, int64_t v)
+{
+    const uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    int n = 1;
+    if (v < 0)
+        *s++ = '-';
+    while (n < 20 && u >= TENS[n])
+        n++;
+    put_digits(s + n, u);
+    return s + n;
+}
+
 /* The finite double x as repr() writes it, into s; returns its end. */
 static char *write_double(char *s, double x)
 {
@@ -2091,35 +2126,54 @@ static char *write_double(char *s, double x)
     return s + point + 2;
 }
 
-/*
- * Write the `rows` rows of m doubles at x into out, each as the JSON array
- * persistence._list writes at depth 3: "[", each value on a line of its own
- * after four spaces, all but the last followed by ",", and "]" on a line
- * after three spaces; "[]" for m = 0. ends[r] is the offset in out of the
- * end of row r. out must hold rows * (32 m + 16) bytes. Returns the length
- * written, or -1 at a value that is not finite, which JSON cannot hold.
- */
-ptrdiff_t som_format(const double *x, ptrdiff_t rows, ptrdiff_t m, char *out,
-                     int64_t *ends)
+#define LEN(text) ((ptrdiff_t)sizeof text - 1)
+
+/* The n bytes of `text` into s; returns their end, as mempcpy does. */
+INLINE char *put(char *s, const char *text, ptrdiff_t n)
 {
+    return (char *)memcpy(s, text, n) + n;
+}
+
+#define PUT(s, text) put(s, text, LEN(text))
+
+/* The vector of m finite doubles at x into s in the layout above; returns
+ * its end. */
+static char *write_vector(char *s, const double *x, ptrdiff_t m)
+{
+    s = PUT(s, VECTOR_OPEN);
+    for (ptrdiff_t c = 0; c < m; c++)
+        s = write_double(PUT(c ? PUT(s, SEPARATOR) : s, VALUE_INDENT), x[c]);
+    return m ? PUT(s, VECTOR_CLOSE) : PUT(s, VECTOR_END);
+}
+
+/*
+ * Write the node list of n nodes of m dimensions into out, in the layout
+ * above: node j holds row j of centers, dist and rel, labels[j] and
+ * wins[j]. Returns the length written, or -1 at a value that is not
+ * finite. With out NULL, returns the length out must hold: a double takes
+ * at most 24 bytes (-2.2250738585072014e-308), write_double's scratch
+ * bytes past its end included, and an integer 20 (-9223372036854775808).
+ */
+ptrdiff_t som_write_nodes(ptrdiff_t n, ptrdiff_t m, const double *centers,
+                          const double *dist, const int64_t *labels,
+                          const double *rel, const int64_t *wins, char *out)
+{
+    if (out == NULL)
+        return n * (LEN(SEPARATOR NODE_OPEN DIST_AVG LABEL RELEVANCE WINS
+                        NODE_CLOSE) + 2 * 20 +
+                    3 * (LEN(VECTOR_OPEN VECTOR_CLOSE) +
+                         m * (LEN(SEPARATOR VALUE_INDENT) + 24)));
+    for (ptrdiff_t i = 0; i < n * m; i++)
+        if (!isfinite(centers[i]) || !isfinite(dist[i]) || !isfinite(rel[i]))
+            return -1; /* JSON cannot hold it */
     char *s = out;
-    for (ptrdiff_t r = 0; r < rows; r++) {
-        *s++ = '[';
-        for (ptrdiff_t c = 0; c < m; c++) {
-            const double v = x[r * m + c];
-            if (!isfinite(v))
-                return -1;
-            if (c)
-                *s++ = ',';
-            memcpy(s, "\n    ", 5);
-            s = write_double(s + 5, v);
-        }
-        if (m) {
-            memcpy(s, "\n   ", 4);
-            s += 4;
-        }
-        *s++ = ']';
-        ends[r] = s - out;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        s = PUT(j ? PUT(s, SEPARATOR) : s, NODE_OPEN);
+        s = write_vector(s, centers + j * m, m);
+        s = write_vector(PUT(s, DIST_AVG), dist + j * m, m);
+        s = PUT(put_int(PUT(s, LABEL), labels[j]), RELEVANCE);
+        s = write_vector(s, rel + j * m, m);
+        s = PUT(put_int(PUT(s, WINS), wins[j]), NODE_CLOSE);
     }
     return s - out;
 }
@@ -2192,16 +2246,6 @@ static uint64_t six_digits(double x, int *x10)
     return d;
 }
 
-/* The decimal digits of v, into s; returns their end. */
-INLINE char *put_int(char *s, uint64_t v)
-{
-    int n = 1;
-    while (n < 20 && v >= TENS[n])
-        n++;
-    put_digits(s + n, v);
-    return s + n;
-}
-
 /* The finite double x as "%.6g" writes it, into s; returns its end, or
  * NULL for a value other than 0 outside [2^-66, 2^64) in size. */
 static char *write_g6(char *s, double x)
@@ -2265,10 +2309,10 @@ ptrdiff_t som_write_predictions(ptrdiff_t rows, const ptrdiff_t *node,
         const int64_t k = pick[i];
         if (node[i] < -1 || k < 0 || k >= count || !isfinite(act[i]))
             return -1;
-        s = put_int(s, (uint64_t)i);
+        s = put_int(s, i);
         *s++ = ',';
         if (node[i] >= 0)
-            s = put_int(s, (uint64_t)node[i]);
+            s = put_int(s, node[i]);
         *s++ = ',';
         const int64_t a = k ? ends[k - 1] : 0;
         memcpy(s, texts + a, ends[k] - a);

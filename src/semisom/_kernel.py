@@ -34,15 +34,15 @@ files are read row by row. That case follows from the code; it is not
 tested, since it needs a comma-decimal locale installed. It gives each
 record's label field a code, one per distinct field, through a table the
 caller passes, so that Python decodes each distinct label once.
-``som_format`` writes
-the node vectors of a model file (``format_rows``), every double as
-``float.__repr__`` writes it, from Ryu's shortest round-trip digits; it
-reads no locale. ``som_read_nodes`` reads them back (``read_nodes``):
-the node list of a model file in exactly the layout ``save_model``
-writes, each value through the scanner's number reader, refusing the
-first byte off that layout and every token ``json`` would read otherwise,
-so that ``persistence.load_model`` takes ``json`` for the whole file
-whenever it refuses. ``som_write_predictions`` writes the rows of a
+``som_write_nodes`` writes the node list of a model file
+(``write_nodes``) as ``json.dumps(indent=1, sort_keys=True)`` writes it,
+every double as ``float.__repr__`` writes it, from Ryu's shortest
+round-trip digits; it reads no locale. ``som_read_nodes`` reads it back
+(``read_nodes``) from the same layout constants of ``_kernel.c``, each
+value through the scanner's number reader, refusing the first byte off
+that layout and every token ``json`` would read otherwise, so that
+``persistence.load_model`` takes ``json`` for the whole file whenever it
+refuses. ``som_write_predictions`` writes the rows of a
 predictions file (``format_predictions``) as ``cli``'s ``"%d,%s,%s,%.6g"``
 pass writes them, the ``%.6g`` digits rounded exactly in 64- and 128-bit
 integers, so no locale reaches them; it declines an activation outside
@@ -76,9 +76,9 @@ When no library can be built or loaded, ``compiled()`` returns
 ``None``, ``bind`` returns no kernels, and each map binds ``_train_numpy``
 instead, with the same counters and return codes and the same results bit
 for bit. ``scan`` then raises ``ValueError``, and ``data.py`` reads the
-file with its row reader, which gives the same data; ``format_rows``
-returns ``None``, and ``persistence`` writes each float with
-``float.__repr__``, which gives the same text; ``read_nodes`` returns
+file with its row reader, which gives the same data; ``write_nodes``
+returns ``None``, and ``persistence`` writes the whole model file with
+``json``, which gives the same text; ``read_nodes`` returns
 ``None``, and ``persistence`` reads the whole model file with ``json``;
 ``format_predictions`` returns ``None``, and ``cli`` writes the rows with
 ``%``, which gives the same bytes.
@@ -238,8 +238,8 @@ def load(compiler: str = "cc"):
         lib.som_scan.argtypes = (_PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR,
                                  _PTR, _PTR, _SIZE)
         lib.som_scan.restype = _SIZE
-        lib.som_format.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR)
-        lib.som_format.restype = _SIZE
+        lib.som_write_nodes.argtypes = (_SIZE, _SIZE) + (_PTR,) * 6
+        lib.som_write_nodes.restype = _SIZE
         lib.som_read_nodes.argtypes = (_PTR, _SIZE, _SIZE, _PTR, _PTR, _PTR)
         lib.som_read_nodes.restype = _SIZE
         lib.som_write_predictions.argtypes = (_SIZE, _PTR, _PTR, _PTR, _PTR,
@@ -435,31 +435,31 @@ def scan(text: bytes, start: int, width: int, label: int | None):
                               (spans[:distinct] + start).tolist()]
 
 
-# The most bytes som_format writes for one value, its separator included,
-# and for the brackets of one row.
-_VALUE_BYTES, _ROW_BYTES = 32, 16
-
-
-def format_rows(values: np.ndarray) -> list[str] | None:
-    """Each row of the ``(rows, m)`` float array ``values`` as the JSON
-    array ``persistence._list`` writes of its ``float.__repr__`` texts at
-    depth 3, by ``som_format``; ``None`` when no library is loaded. Raises
+def write_nodes(centers: np.ndarray, dist_avgs: np.ndarray,
+                labels: np.ndarray, relevances: np.ndarray,
+                wins: np.ndarray) -> memoryview | None:
+    """The node list of a model file whose node ``j`` holds row ``j`` of
+    the ``(n, m)`` float arrays and the ``(n,)`` int64 arrays, by
+    ``som_write_nodes``, as a bytes-like object: the bytes
+    ``json.dumps(doc, indent=1, sort_keys=True)`` writes between the list's
+    ``[`` and its ``\\n ]``. ``None`` when no library is loaded. Raises
     ``ValueError`` for a value that is not finite, which JSON cannot hold.
     """
     lib = compiled()
     if lib is None:
         return None
-    rows, m = values.shape
-    _require(values, np.float64, (rows, m))
-    out = np.empty(rows * (_VALUE_BYTES * m + _ROW_BYTES), dtype=np.uint8)
-    ends = np.empty(rows, dtype=np.int64)
-    size = lib.som_format(values.ctypes.data, rows, m, out.ctypes.data,
-                          ends.ctypes.data)
+    n, m = centers.shape
+    for a in (centers, dist_avgs, relevances):
+        _require(a, np.float64, (n, m))
+    for a in (labels, wins):
+        _require(a, np.int64, (n,))
+    args = (n, m, *(a.ctypes.data for a in (centers, dist_avgs, labels,
+                                            relevances, wins)))
+    out = np.empty(lib.som_write_nodes(*args, None), dtype=np.uint8)
+    size = lib.som_write_nodes(*args, out.ctypes.data)
     if size < 0:
         raise ValueError("Out of range float values are not JSON compliant")
-    text = out[:size].tobytes().decode("ascii")
-    bounds = [0, *ends.tolist()]
-    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    return out.data[:size]
 
 
 def read_nodes(text: bytes, start: int, end: int) -> dict | None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,108 +37,47 @@ def save_model(path, som: SomMap, params: HyperParams, *,
                class_names: tuple[str, ...] = ()) -> None:
     """Write a model file; overwrites any existing file at ``path``.
 
-    The file is always one ``load_model`` reads: a map without nodes, a
-    ``nan`` or ``inf`` anywhere in the model, or a node label outside
+    The file is ``json.dumps(doc, indent=1, sort_keys=True,
+    allow_nan=False)`` of the model document and a final newline, and is
+    always one ``load_model`` reads: a map without nodes, a ``nan`` or
+    ``inf`` anywhere in the model, or a node label outside
     ``[NO_CLASS, len(class_names))`` raises ``ValueError`` before
     anything is written.
+
+    Under ``indent``, ``json`` runs its pure-Python encoder, so the node
+    list goes in by ``_kernel.write_nodes``, between the brackets of an
+    empty one after ``_NODES_OPEN``, whose line break no JSON string holds.
+    Without a library, ``json`` writes the whole document.
     """
-    if not som.n_nodes:
+    n = som.n_nodes
+    if not n:
         raise ValueError("model holds no nodes")
-    parts = _model_parts(som, params, norm_stats, class_names)
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(parts)
-
-
-# Where the node list goes in the rendered document: JSON text never
-# holds a raw NUL.
-_NODES = "\0"
-
-
-def _model_parts(som: SomMap, params: HyperParams,
-                 norm_stats: NormStats | None,
-                 class_names: tuple[str, ...]) -> list[str]:
-    """The model file in parts, in order: the model as ``json.dumps(doc,
-    indent=1, sort_keys=True, allow_nan=False)`` writes it, rendered
-    directly from the known schema, and a final newline. The map holds at
-    least one node.
-
-    ``json`` falls back to its pure-Python encoder under ``indent``, and
-    spends most of a save formatting the node vectors. Here the compiled
-    formatter, ``_kernel.format_rows``, writes each vector whole, every
-    float as ``float.__repr__`` (and so ``json``) writes it; without a
-    library, ``float.__repr__`` itself writes them (``_vector_rows``).
-    Each node object is then one template filled in, and is one part of
-    its own, so the node texts, nearly all of a file, are never joined
-    into one string. Strings and parameters still go through ``json``.
-    ``tests/helpers.reference_model_text`` is the ``json`` form.
-    """
-    vectors = {"center": som.centers, "dist_avg": som.dist_avgs,
-               "relevance": som.relevances}
-    for values in vectors.values():
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant")
     _require_classes(som.labels, len(class_names), "node")
-    centers, dists, rels = map(_vector_rows, vectors.values())
-    node = _object([("center", "%s"), ("dist_avg", "%s"), ("label", "%d"),
-                    ("relevance", "%s"), ("wins", "%d")], 2)
-    nodes = [node % fields for fields in zip(
-        centers, dists, som.labels.tolist(), rels, som.wins.tolist())]
-    stats = "null" if norm_stats is None else _object(
-        [(name, _list([json.dumps(v, allow_nan=False)
-                       for v in getattr(norm_stats, name).tolist()], 2))
-         for name in ("maxs", "mins")], 1)
-    # a flat object of scalars: json's own text, one level deeper; numpy
-    # scalars, which validate() accepts and json does not, become the
-    # Python numbers of the same value
-    values = {name: v.item() if isinstance(v, np.generic) else v
-              for name, v in asdict(params).items()}
-    param_text = json.dumps(values, indent=1, sort_keys=True,
-                            allow_nan=False).replace("\n", "\n ")
-    head, tail = _object([
-        ("classes", _list([json.dumps(c) for c in class_names], 1)),
-        ("connections", _list([_list([repr(i), repr(j)], 2)
-                               for i, j in som.connections], 1)),
-        ("format", json.dumps(FORMAT_NAME)),
-        ("format_version", repr(FORMAT_VERSION)),
-        ("nodes", _NODES),
-        ("norm_stats", stats),
-        ("params", param_text),
-    ], 0).split(_NODES)
-    # _list(nodes, 1), one part per node and separator
-    parts = [head + "[\n  "]
-    for text in nodes:
-        parts += [text, ",\n  "]
-    parts[-1] = "\n ]" + tail + "\n"
-    return parts
-
-
-def _vector_rows(values: np.ndarray) -> list[str]:
-    """Each row of the finite float array ``values`` as the JSON array of a
-    node vector, by the compiled formatter; without a library, by
-    ``float.__repr__``, its mirror."""
-    rows = _kernel.format_rows(values)
-    if rows is None:
-        rows = [_list(list(map(float.__repr__, row)), 3)
-                for row in values.tolist()]
-    return rows
-
-
-def _list(items: list[str], depth: int) -> str:
-    """A JSON array of rendered ``items`` whose brackets sit at ``depth``."""
-    if not items:
-        return "[]"
-    inner = "\n" + " " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
-
-
-def _object(pairs: list[tuple[str, str]], depth: int) -> str:
-    """A JSON object of (key, rendered value) pairs at ``depth``; the
-    schema's keys are plain names, which JSON quotes as they are."""
-    inner = "\n" + " " * (depth + 1)
-    return ("{" + inner + ("," + inner).join(
-        f'"{key}": {text}' for key, text in pairs)
-        + "\n" + " " * depth + "}")
+    v = som._arrays
+    rows = (v.centers[:n], v.dist[:n], v.labels[:n], v.rel[:n], v.wins[:n])
+    nodes = _kernel.write_nodes(*rows)
+    doc = {
+        "format": FORMAT_NAME,
+        "format_version": FORMAT_VERSION,
+        # numpy scalars, which validate() accepts and json does not,
+        # become the Python numbers of the same value
+        "params": {name: value.item() if isinstance(value, np.generic)
+                   else value for name, value in asdict(params).items()},
+        "norm_stats": None if norm_stats is None else {
+            "mins": norm_stats.mins.tolist(),
+            "maxs": norm_stats.maxs.tolist()},
+        "classes": list(class_names),
+        "nodes": [] if nodes is not None else [
+            dict(center=c, dist_avg=d, label=label, relevance=r, wins=w)
+            for c, d, label, r, w in zip(*(a.tolist() for a in rows))],
+        "connections": som.connections,
+    }
+    text = json.dumps(doc, indent=1, sort_keys=True,
+                      allow_nan=False).encode("ascii") + b"\n"
+    at = text.index(_NODES_OPEN) + len(_NODES_OPEN)
+    with open(path, "wb") as f:
+        f.writelines([text] if nodes is None else
+                     [text[:at], nodes, b"\n ", text[at:]])
 
 
 def load_model(path) -> TrainedModel:
@@ -288,9 +226,9 @@ _NODE_KEYS = ("center", "relevance", "dist_avg", "wins", "label")
 
 
 def _read_columns(path, specs: list) -> list[np.ndarray]:
-    """The node fields in the order of ``SomMap.from_arrays``, each read
-    across all nodes as one array: float ``(n, dim)`` vectors (``dim`` of
-    node 0's center), then object arrays of the JSON wins and labels."""
+    """The node fields in the order of ``SomMap.from_arrays``: float
+    ``(n, dim)`` vectors, read node by node by ``_vector`` (``dim`` of node
+    0's center), then object arrays of the JSON wins and labels."""
     try:
         columns = [[spec[key] for spec in specs] for key in _NODE_KEYS]
     except (KeyError, TypeError):  # a node that is no object, or lacks a key
@@ -298,23 +236,11 @@ def _read_columns(path, specs: list) -> list[np.ndarray]:
             _check_keys(path, f"node {j}: ", spec, _NODE_KEYS)
         raise
     dim = len(columns[0][0]) if isinstance(columns[0][0], list) else 0
-    return ([_vector_column(path, key, values, dim)
+    return ([np.array([_vector(path, f"node {j} {key}", v, dim)
+                       for j, v in enumerate(values)])
              for key, values in zip(_NODE_KEYS, columns[:3])]
             + [np.fromiter(values, object, len(specs))
                for values in columns[3:]])
-
-
-def _vector_column(path, key: str, values: list, dim: int) -> np.ndarray:
-    """A column of JSON vectors as one float array. Only a column that
-    fails is read again node by node, to name the first node at fault."""
-    if (set(map(type, values)) <= {list} and set(map(len, values)) == {dim}
-            and set(map(type, chain.from_iterable(values))) <= {int, float}):
-        try:
-            return np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    return np.array([_vector(path, f"node {j} {key}", v, dim)
-                     for j, v in enumerate(values)])
 
 
 def _vector(path, what: str, values, dim: int) -> np.ndarray:

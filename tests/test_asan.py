@@ -9,15 +9,17 @@ preloaded, so this test starts one. The child trains a screened map (20
 dimensions, so the shadow's rows carry 4 dimensions of padding) and a
 plain one (8 dimensions), each through insertions into full storage,
 pruning sweeps and links across three adjacency words, saves and
-classifies with each, reads the saved node list back through the model
+classifies with each, writes its node list through the model node writer
+(``som_write_nodes``), reads the saved node list back through the model
 reader (``som_read_nodes``) and writes the classification through the
 predictions writer (``som_write_predictions``), then loads the loader
 fuzz seeds and their mutations through the scanner (``som_scan``), and
 scans numbers whose digits run to the last byte of a text, each text in a
 buffer of exactly its length: a ``bytes`` object keeps a NUL byte past
 its last one, so only such a buffer shows a load that reaches one byte
-too far. The reader's outputs and the writer's output are buffers of
-exactly their length too. It prints what
+too far. The reader's outputs and the writers' outputs are buffers of
+exactly their length too, and a node list of the longest texts fills the
+buffer ``_kernel.write_nodes`` allocates. It prints what
 it got. Its Python allocates through ``malloc``. It must report no
 AddressSanitizer error and the package library's results, bit for bit.
 
@@ -93,6 +95,7 @@ def _results(tmp: Path) -> list[dict]:
             "model": hashlib.sha256(path.read_bytes()).hexdigest(),
             "classified": hashlib.sha256(repr(predicted).encode()).hexdigest(),
             "read": _read_exactly(raw),
+            "written_nodes": _nodes_exactly(som, raw),
             "written": _written_exactly(som, queries, params.a_t,
                                         ds.class_names),
         })
@@ -129,6 +132,30 @@ def _read_exactly(raw: bytes) -> list:
                    is not None for k in range(4000))
     return [hashlib.sha256(vectors.tobytes() + ints.tobytes()).hexdigest(),
             prefixes]
+
+
+def _nodes_exactly(som, raw: bytes) -> list:
+    """The sha256 of the node list ``som_write_nodes`` writes of ``som``
+    into a buffer of exactly its length, from the map's own rows; the same
+    as ``_kernel.write_nodes`` writes, and as the node list of the model
+    file ``raw``. Then what the buffer ``_kernel.write_nodes`` allocates
+    holds past a node list of the longest texts, 8 nodes of 5 dimensions:
+    the bound counts a separator before each node and each value, so the
+    first node and the first value of each vector leave one byte each."""
+    n, v = som.n_nodes, som._arrays
+    rows = (v.centers[:n], v.dist[:n], v.labels[:n], v.rel[:n], v.wins[:n])
+    nodes = bytes(_kernel.write_nodes(*rows))
+    start = raw.index(persistence._NODES_OPEN) + len(persistence._NODES_OPEN)
+    assert nodes == raw[start:raw.index(persistence._NODES_CLOSE)]
+    out = np.empty(len(nodes), np.uint8)
+    args = (n, rows[0].shape[1], *(a.ctypes.data for a in rows))
+    assert _kernel.compiled().som_write_nodes(
+        *args, out.ctypes.data) == len(nodes)
+    assert out.tobytes() == nodes
+    longest = np.full((8, 5), -2.2250738585072014e-308)
+    ints = np.full(8, -2 ** 63, np.int64)
+    full = _kernel.write_nodes(longest, longest, ints, longest, ints)
+    return [hashlib.sha256(nodes).hexdigest(), len(full.obj) - len(full)]
 
 
 # Activations past the classified ones, for each branch of the writer's
@@ -251,6 +278,7 @@ def test_kernels_make_no_heap_error_under_address_sanitizer(tmp_path):
     for run in want[:-2]:
         assert run["rows"] > 128 and run["nodes"] > 64
         assert 0 < run["read"][1] < 4000
+        assert run["written_nodes"][1] == 1 + 3 * 8
         assert run["resets"] >= 1 and run["top_link"] >= 128
     assert 0 < want[-2]["loaded"] < len(_loader_files())
     assert want[-1]["scanned"] == len(_scan_texts())

@@ -878,7 +878,7 @@ def test_training_loop_releases_the_interpreter_lock():
         exports = {name: f for name, f in vars(built).items()
                    if isinstance(f, ctypes._CFuncPtr)}
         assert set(exports) == {"som_train", "som_classify", "som_sum",
-                                "som_reaches", "som_scan", "som_format",
+                                "som_reaches", "som_scan", "som_write_nodes",
                                 "som_read_nodes", "som_write_predictions"}
         for f in exports.values():
             assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI

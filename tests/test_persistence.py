@@ -16,7 +16,6 @@ from semisom import (DataFormatError, HyperParams, NormStats, SomMap,
                      train_with_state)
 from semisom import _kernel, persistence
 from semisom.cli import EXIT_DATA, EXIT_RUNTIME, main
-from semisom.persistence import _list
 from conftest import build
 from helpers import make_blobs, reference_model_text
 
@@ -431,9 +430,9 @@ def test_save_writes_what_json_writes(case):
 @settings(max_examples=300, deadline=None)
 @given(case=_models())
 def test_save_writes_what_json_writes_without_a_library(case):
-    """Model files written by ``float.__repr__``, as on a machine without
-    a C compiler."""
-    assert _kernel.format_rows(np.zeros((1, 1))) is None
+    """Model files written by ``json`` alone, as on a machine without a C
+    compiler."""
+    assert _kernel.write_nodes(*_nodes(np.zeros((1, 1)))) is None
     _check_save(case)
 
 
@@ -454,16 +453,32 @@ def _check_save(case) -> None:
         assert path.read_bytes() == (want + "\n").encode("utf-8")
 
 
-# The formatter on the package's library, on its baseline clones alone,
+# The node writer on the package's library, on its baseline clones alone,
 # and without a 128-bit integer type.
 formatters = pytest.mark.builds("clones", "default-only", "no-int128")
 
 
-def repr_rows(values) -> list[str]:
-    """The oracle: each row as ``float.__repr__`` and ``_list`` write it,
-    the writer of a machine without a C compiler."""
-    return [_list(list(map(float.__repr__, row)), 3)
-            for row in np.asarray(values, dtype=float).tolist()]
+def _nodes(values) -> tuple[np.ndarray, ...]:
+    """The arguments of ``_kernel.write_nodes`` for one node per row of
+    ``values``: the row as its center, the row negated as its dist_avg and
+    reversed as its relevance; labels from -1 and wins near 2**63."""
+    values = np.array(values, dtype=float, ndmin=2)
+    n = len(values)
+    return (values, -values, np.arange(n, dtype=np.int64) % 3 - 1,
+            values[:, ::-1].copy(), 2 ** 63 - 1 - np.arange(n, dtype=np.int64))
+
+
+def _check_nodes(values) -> None:
+    """The node writer against the oracle, ``json.dumps`` of the node
+    dicts, whose floats ``float.__repr__`` writes: the bytes between the
+    node list's ``[`` and its ``\\n ]``."""
+    rows = _nodes(values)
+    nodes = [dict(center=c, dist_avg=d, label=label, relevance=r, wins=w)
+             for c, d, label, r, w in zip(*(a.tolist() for a in rows))]
+    text = json.dumps({"nodes": nodes}, indent=1, sort_keys=True,
+                      allow_nan=False)
+    want = text[len('{\n "nodes": ['):-len('\n ]\n}')].encode()
+    assert _kernel.write_nodes(*rows) == want
 
 
 @formatters
@@ -472,7 +487,7 @@ def repr_rows(values) -> list[str]:
                 max_size=12))
 @example([])
 def test_formatter_writes_what_repr_writes(row):
-    assert _kernel.format_rows(np.array([row], float)) == repr_rows([row])
+    _check_nodes([row])
 
 
 @functools.cache
@@ -487,7 +502,7 @@ def _random_doubles() -> np.ndarray:
 def test_formatter_writes_random_doubles_as_repr_does():
     values = _random_doubles()
     for part in np.array_split(values, 8):
-        assert _kernel.format_rows(part) == repr_rows(part)
+        _check_nodes(part)
 
 
 def _neighbours(x: float) -> list[float]:
@@ -498,7 +513,8 @@ def _neighbours(x: float) -> list[float]:
 def test_formatter_writes_the_edges_as_repr_does():
     """Every power of two (the lower halfway point lies nearer), the ends
     of the subnormal and normal ranges, both sides of the switches to an
-    exponent at 1e16 and 1e-4, integers about 2^53, and signed zeros."""
+    exponent at 1e16 and 1e-4, integers about 2^53, and signed zeros;
+    then nodes of zero-length vectors."""
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     assert len(powers) == 2098
     edges = [5e-324, 1e-323, 2.2250738585072014e-308,
@@ -512,7 +528,8 @@ def test_formatter_writes_the_edges_as_repr_does():
     for values in (powers, edges, near):
         values = np.concatenate([values, np.negative(values)])
         for rows in (values[None], values[:, None]):
-            assert _kernel.format_rows(rows) == repr_rows(rows)
+            _check_nodes(rows)
+    _check_nodes(np.empty((3, 0)))
 
 
 def test_formatter_tables_are_the_exact_ones(capsys):
@@ -530,8 +547,12 @@ def test_formatter_tables_are_the_exact_ones(capsys):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @formatters
 def test_formatter_refuses_what_json_cannot_hold(bad):
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        _kernel.format_rows(np.array([[0.5, 0.25], [0.125, bad]]))
+    """In each vector of a node past the first."""
+    for i in range(3):
+        rows = list(_nodes([[0.5, 0.25], [0.125, 2.0]]))
+        rows[(0, 1, 3)[i]][1, 1] = bad
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _kernel.write_nodes(*rows)
 
 
 # The node reader on the package's library, without a 128-bit integer
