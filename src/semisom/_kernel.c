@@ -1678,9 +1678,9 @@ ptrdiff_t som_scan(const char *s, ptrdiff_t len, ptrdiff_t width,
  * The layout of a model file's node list, which the node writer
  * (som_write_nodes) writes and the node reader (som_read_nodes) reads: the
  * bytes json.dumps(doc, indent=1, sort_keys=True) writes between the
- * list's "[" and its "\n ]". Nodes, and the values of a vector, each after
- * VALUE_INDENT, are separated by SEPARATOR; an empty vector is VECTOR_OPEN
- * and VECTOR_END. Each byte of the layout is spelled here alone.
+ * list's "[" and its "\n ]". Nodes are separated by SEPARATOR, and so are
+ * a vector's values, each after VALUE_INDENT; an empty vector is
+ * VECTOR_OPEN and VECTOR_END. Each byte of the layout is spelled here alone.
  */
 #define NODE_INDENT "\n  "
 #define FIELD_INDENT "\n   "

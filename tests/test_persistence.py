@@ -548,9 +548,9 @@ def test_formatter_tables_are_the_exact_ones(capsys):
 @formatters
 def test_formatter_refuses_what_json_cannot_hold(bad):
     """In each vector of a node past the first."""
-    for i in range(3):
+    for k in (0, 1, 3):  # center, dist_avg, relevance
         rows = list(_nodes([[0.5, 0.25], [0.125, 2.0]]))
-        rows[(0, 1, 3)[i]][1, 1] = bad
+        rows[k][1, 1] = bad
         with pytest.raises(ValueError, match="not JSON compliant"):
             _kernel.write_nodes(*rows)
 
