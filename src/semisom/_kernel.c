@@ -27,11 +27,12 @@
  * NaN and the logistic curve is 1 / (1 + exp(-z)) as in scipy's expit,
  * with the C library's exp, one value at a time.
  * Two functions take another route to the same outcome, through one
- * float32 screen (decide): search, the winner search of som_train from 16
- * dimensions and 32 nodes on, and som_classify. Each bounds every node's
- * activation from two float32 products with the pattern, rules most nodes
- * out with a float32 test and the rest of them with the numpy pass's
- * double bound, and computes only the nodes neither rules out. search
+ * float32 screen: search, the winner search of som_train from 16
+ * dimensions and 32 nodes on, and som_classify (decide). Each bounds every
+ * node's activation from two float32 products with the pattern (search
+ * from partial products first, chunk by chunk), rules most nodes out with
+ * a float32 test and the rest of them with the numpy pass's double bound,
+ * and computes only the nodes neither rules out. search
  * returns winner()'s node, so _winner mirrors both, and som_classify the
  * numpy pass's outcome. Every activation that decides is computed as
  * winner() does.
@@ -316,6 +317,28 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
  *    bound(S), the exact activation, lies below L. (For R <= 0, any
  *    sqrt(S) > 0 is above R.)
  *
+ * Partial sums (search alone). Over the first l <= m dimensions, K, write
+ * Q_K, A_K and D'_K = Q_K - 2 <x, r'c>_K + A_K = sum_K r' (x - c)^2; the
+ * terms D'_K leaves out are >= 0, so D'_K <= D' <= D. From the l terms of
+ * K alone take q_K and d_K (float sums in any order), sq_K (the double
+ * sum of A's first l terms, in order, which the whole sq continues),
+ * sq32_K = fl32(sq_K), sqf32_K = fl32(fl(sq_K + fl(F / slack32))) and,
+ * from them as t32 and p from q, d, sq32 and sqf32, t32_K and p_K: each
+ * partial sum has its own subtracted term
+ * fl32(fl32(q_K + sqf32_K) slack32), with the slack32 and F of m. Each
+ * step above holds over K with l for m:
+ * |q_K - Q_K| <= gamma_{l+4} Q_K + l 2^-121,
+ * |d_K + 2 <x, r'c>_K| <= (gamma_{l+3} + 1.15 f)(Q_K + A_K) + l 2^-103.6,
+ * sq_K lies within 1.01 (l + 2) u A_K of A_K, D'_K <= 2 (Q_K + A_K), and
+ * S >= (1 - u)^(m+3) D - m 2^-1073 >= (1 - u)^(m+3) D'_K - m 2^-1073.
+ * Every such error grows with l, so at l <= m it is at most the bound for
+ * m with Q_K + A_K for Q + A, and the subtracted term, from the slack32
+ * and F of m, still exceeds their sum and the five float roundings of
+ * t32_K (the floats stay finite, each partial sum being at most its whole
+ * sum's bound). Hence t32_K <= S, and p_K > th proves act < L as p does.
+ * A node whose relevances or centers are unsafe has a NaN sq_K at every
+ * l, as its sq.
+ *
  * The search (decide). The pivot is the node of least p, and its exact
  * activation L bounds the winner's from below. The float test at L drops
  * most nodes; each node it keeps gets t in double and the double test of
@@ -326,15 +349,18 @@ CLONES static ptrdiff_t winner(const struct som_view *v, ptrdiff_t n,
  * Since eps > 0, a NaN activation needs a NaN or unsafe operand, which
  * makes the node's p and t NaN: such a node is always computed.
  *
- * The float screen and test run in 4-lane float vectors, each lane making
- * the IEEE operations of the scalar code, on both bodies: the baseline
- * x86-64 ISA compares 4 floats natively but scalarizes the comparisons of
- * 8-lane vectors, and target_clones compiles one source for both. The
- * nodes the float test keeps go through scalar code, in index order.
+ * The float screen and test run in float vectors, each lane making the
+ * IEEE operations of the scalar code, on both bodies, and compare 4 lanes
+ * at a time (search computes its p in 8-lane vectors and compares their
+ * halves): the baseline x86-64 ISA compares 4 floats natively but
+ * scalarizes the comparisons of 8-lane vectors, and target_clones
+ * compiles one source for both. The nodes the float test keeps go through
+ * scalar code, in index order.
  */
 
-/* Eight and four floats, and four int32: the screen's lanes. */
+/* Eight and four floats, and eight and four int32: the screen's lanes. */
 typedef float v8f __attribute__((vector_size(32)));
+typedef int32_t v8i __attribute__((vector_size(32)));
 typedef float v4f __attribute__((vector_size(16)));
 typedef int32_t v4i __attribute__((vector_size(16)));
 
@@ -490,8 +516,30 @@ INLINE double bound_sq(const struct som_nodes *s, const float *q,
     return (((double)d[j] + qj) + s->sq[j]) - (qj + s->sq_floor[j]) * s->slack;
 }
 
-/* p of node j .. j + 3, whose indices idx holds, into f->p; the least p
- * seen per lane goes to *low, its node to *at. */
+/* The p of the four nodes whose indices idx holds: the least p seen per
+ * lane goes to *low, its node to *at, the first on ties. */
+INLINE void least4(v4f p, v4i idx, v4f *low, v4i *at)
+{
+    const v4i lt = p < *low;
+    *low = (v4f)(((v4i)p & lt) | ((v4i)*low & ~lt));
+    *at = (lt & idx) | (~lt & *at);
+}
+
+/* The node of the least p in the eight lanes of least4(), the first lane
+ * on ties, and that p in *least; node 0 and inf when no p is below inf. */
+INLINE ptrdiff_t across(const v4f low[2], const v4i at[2], float *least)
+{
+    ptrdiff_t piv = 0;
+    *least = INFINITY;
+    for (int l = 0; l < 8; l++)
+        if (low[l / 4][l % 4] < *least) {
+            *least = low[l / 4][l % 4];
+            piv = at[l / 4][l % 4];
+        }
+    return piv;
+}
+
+/* p of node j .. j + 3, whose indices idx holds, into f->p, and least4(). */
 INLINE void screen4(const struct lanes *f, const float *q, const float *d,
                     ptrdiff_t j, v4i idx, v4f *low, v4i *at)
 {
@@ -500,9 +548,7 @@ INLINE void screen4(const struct lanes *f, const float *q, const float *d,
                   (qj + load4f(f->sq_floor + j)) * f->slack;
     const v4f p = t * load4f(f->weight + j);
     __builtin_memcpy(f->p + j, &p, sizeof p);
-    const v4i lt = p < *low;
-    *low = (v4f)(((v4i)p & lt) | ((v4i)*low & ~lt));
-    *at = (lt & idx) | (~lt & *at);
+    least4(p, idx, low, at);
 }
 
 /* p of node j alone. */
@@ -541,31 +587,30 @@ INLINE void visit(const struct som_nodes *s, const float *q, const float *d,
         candidate(s, j, x, L, piv, a_t, o);
 }
 
-/* visit() each node of [0, n) that the float test at L cannot rule out,
- * in ascending order. Sixteen nodes are tested at a time; the rare groups
- * with a node the test keeps go through visit() lane by lane. */
-INLINE void walk(const struct som_nodes *s, const struct lanes *f,
-                 const float *q, const float *d, const double *x, double L,
-                 ptrdiff_t piv, double a_t, int fall, struct row *o,
-                 ptrdiff_t *k, double *best)
+/* visit() each node of [0, n) whose p the float test at L cannot rule
+ * out, in ascending order. Sixteen nodes are tested at a time; the rare
+ * groups with a node the test keeps go through visit() lane by lane. */
+INLINE void walk(const struct som_nodes *s, const float *p, const float *q,
+                 const float *d, const double *x, double L, ptrdiff_t piv,
+                 double a_t, int fall, struct row *o, ptrdiff_t *k,
+                 double *best)
 {
     const ptrdiff_t n = s->n;
     const double g = cutoff(L), e = shrunk(s->eps);
     const float h = threshold(g);
     ptrdiff_t j;
     for (j = 0; j + 16 <= n; j += 16) {
-        const v4i no0 = load4f(f->p + j) > h, no1 = load4f(f->p + j + 4) > h,
-                  no2 = load4f(f->p + j + 8) > h,
-                  no3 = load4f(f->p + j + 12) > h;
+        const v4i no0 = load4f(p + j) > h, no1 = load4f(p + j + 4) > h,
+                  no2 = load4f(p + j + 8) > h, no3 = load4f(p + j + 12) > h;
         const v4i all = (no0 & no1) & (no2 & no3);
         if ((all[0] & all[1]) & (all[2] & all[3]))
             continue;
         for (ptrdiff_t i = j; i < j + 16; i++)
-            if (!(f->p[i] > h))
+            if (!(p[i] > h))
                 visit(s, q, d, i, x, L, g, e, piv, a_t, fall, o, k, best);
     }
     for (; j < n; j++)
-        if (!(f->p[j] > h))
+        if (!(p[j] > h))
             visit(s, q, d, j, x, L, g, e, piv, a_t, fall, o, k, best);
 }
 
@@ -591,46 +636,63 @@ INLINE void decide(const struct som_nodes *s, const struct lanes *f,
         screen4(f, q, d, j, idx, &low[0], &at[0]);
         j += 4;
     }
-    ptrdiff_t piv = 0;
-    float least = INFINITY;
-    for (int l = 0; l < 8; l++)
-        if (low[l / 4][l % 4] < least) {
-            least = low[l / 4][l % 4];
-            piv = at[l / 4][l % 4];
-        }
+    float least;
+    ptrdiff_t piv = across(low, at, &least);
     for (; j < n; j++)
         if (screen1(f, q, d, j) < least) {
             least = f->p[j];
             piv = j;
         }
-    walk(s, f, q, d, x, exact(s, piv, x), piv, a_t, 0, o, NULL, NULL);
+    walk(s, f->p, q, d, x, exact(s, piv, x), piv, a_t, 0, o, NULL, NULL);
 }
 
 /*
  * The screened winner search of the training loop (search): the screen
- * above on one pattern.
+ * above on one pattern, summed a chunk of 8 dimensions at a time.
  *
  * The shadow. som_train keeps the screen's node operands, private to this
- * file: r32 and w32 in blocks of 8 nodes, one node per vector lane (lane
- * j % 8 of row q of block j / 8), each row padded with zeros to mp, a
- * multiple of 8 dimensions; and per node sq and sq_floor in double and the
- * float operands of the float test. shade() computes them from the node's
- * rows as inference._NodeArrays and som_classify do: a node whose
- * relevances lie outside [0, 16] or whose centers lie beyond the guard
- * (inference._guard) has zero rows and a NaN sq, and a relevance below
- * 2^-126 counts as 0. The shadow is one malloc'd block, built when
- * som_train starts (shadow_open) and freed when it returns; update_row,
- * insert and sweep keep it current. The loop runs winner() alone when the
- * block cannot be allocated, or the map has fewer than SCREEN_MIN_DIMS
- * dimensions or more than the proof allows, or its storage fewer than
- * SCREEN_MIN_NODES rows, or the call presents one draw. The shadow is
- * passed explicitly, so maps trained on several threads share nothing.
+ * file: r32 and w32 in chunks of 8 dimensions, padded with zeros to mp
+ * dimensions, and blocks of 8 nodes, one node per vector lane: chunk c
+ * holds, block after block, the 8 rows of dimensions 8c .. 8c + 7 of each
+ * block, node j in lane j % 8 of block j / 8, so that a pass over one
+ * chunk of every block reads one run of memory; per node sq and sq_floor
+ * in double and the weight of the float test; and per block and stop the
+ * float test's sq32 and sqf32 of its 8 nodes. Stop k lies after the first
+ * 8 (k + 2) dimensions, k = 0 .. mp / 8 - 2; the last stop is after all
+ * m, and its operands are the whole sq's. A stop's operands come from the
+ * running sum of sq in double at that dimension (sq_K of the derivation).
+ * shade() computes them from the node's rows as inference._NodeArrays and
+ * som_classify do: a node whose relevances lie outside [0, 16] or whose
+ * centers lie beyond the guard (inference._guard) has zero rows and a NaN
+ * sq at every stop, and a relevance below 2^-126 counts as 0. The shadow
+ * is one malloc'd block, built when som_train starts (shadow_open) and
+ * freed when it returns; update_row, insert and sweep keep it current. The
+ * loop runs winner() alone when the block cannot be allocated, or the map
+ * has fewer than SCREEN_MIN_DIMS dimensions or more than the proof allows,
+ * or its storage fewer than SCREEN_MIN_NODES rows, or the call presents
+ * one draw. The shadow is passed explicitly, so maps trained on several
+ * threads share nothing.
  *
  * The search. With n >= SCREEN_MIN_NODES nodes and a pattern whose every
- * value lies within the guard, search() sums q and d of 8 nodes at a time
- * on float lanes and runs decide(), which writes the exact activation of
- * each node it computes to v->acts. Its node is winner()'s, bit for bit.
- * A pattern beyond the guard goes to winner().
+ * value lies within the guard, search() sums q and d of every block of 8
+ * nodes over its first 16 dimensions, on float lanes, and takes each
+ * node's p at stop 0. The node of least p is the pivot; its exact
+ * activation L sets the float test's threshold h. The blocks the float
+ * test keeps then go on a chunk of 8 dimensions at a time, with the p of
+ * each stop, until the test rules all 8 nodes of a block out or its sums
+ * are whole. Each stop sums one chunk of each block in a list of the
+ * blocks still kept; the node of least p there is a new pivot where its
+ * exact activation lies above L and its threshold is not above h, so that
+ * it rules out every node h ruled out; then the test at the pivot's h
+ * writes the list anew, without a branch. A block that stops early keeps
+ * the p that ruled its nodes out, so walk() skips them (see "Partial
+ * sums" in the derivation); every other node has its whole sums and p.
+ * walk() then gives each node the float test keeps the double bound and
+ * the exact activation as decide() does, writing each exact activation it
+ * computes to v->acts.
+ * Its node is winner()'s, bit for bit. A map of 16 dimensions has one
+ * stop, so its search is decide()'s. A pattern beyond the guard goes to
+ * winner().
  *
  * The activation row. winner() leaves every activation of the map in
  * v->acts, search() only those of the nodes it computes. The loop reads
@@ -643,10 +705,16 @@ INLINE void decide(const struct som_nodes *s, const struct lanes *f,
 
 /* Gates of the screened search. On random maps with patterns near a node
  * (16 and 32 dimensions, both builds, the gate lowered in a scratch
- * harness), search took 0.74-0.78 times the cycles of winner() at 16
- * nodes, 0.64-0.73 at 24 and 0.58-0.69 at 32. Maps of fewer nodes, and
- * maps of few dimensions, the c5 sweep's, keep winner() until the screen
- * is measured there end to end. */
+ * harness), the search of whole sums took 0.74-0.78 times the cycles of
+ * winner() at 16 nodes, 0.64-0.73 at 24 and 0.58-0.69 at 32. Maps of fewer
+ * nodes, and maps of few dimensions, the c5 sweep's, keep winner() until
+ * the screen is measured there end to end. Summing by chunks pays where
+ * relevances gather on a few dimensions: on train-subspace (32
+ * dimensions, each class on 12 of them, ~630 nodes; seed 3) a block sums
+ * 18.9 of the 32 on average and the search computes 1.38 nodes exactly,
+ * and som_train takes 0.74-0.75 of its time with whole sums on the AVX2
+ * body and 0.62-0.67 on the baseline one (paired in-process runs, seeds 3
+ * and 901). */
 #define SCREEN_MIN_DIMS 16
 #define SCREEN_MIN_NODES 32
 
@@ -666,30 +734,39 @@ INLINE float slack32(ptrdiff_t m)
     return (float)(4 * (m + 8)) * 0x1p-24f;
 }
 
+/* The float test's weight of a node of relevance sum `mass`: `weight`, its
+ * 1 / mass^2, as a float, NaN unless mass lies in [2^-60, 2^60]. */
+INLINE float weight32(double mass, double weight)
+{
+    return mass >= 0x1p-60 && mass <= 0x1p60 ? (float)weight : NAN;
+}
+
 /* Node j's operands of the float test into f: sq, sq_floor from the
- * floor F / slack32, and the pivot weight, NaN unless mass lies in
- * [2^-60, 2^60]. */
+ * floor F / slack32, and the pivot weight. */
 INLINE void set_lanes(const struct lanes *f, ptrdiff_t j, double sq,
                       double floor, double mass, double weight)
 {
     f->sq[j] = (float)sq;
     f->sq_floor[j] = (float)(sq + floor);
-    f->weight[j] = mass >= 0x1p-60 && mass <= 0x1p60 ? (float)weight : NAN;
+    f->weight[j] = weight32(mass, weight);
 }
 
 /* The shadow of the node rows (see above): mp padded dimensions, the
- * guard, slack, F / slack and F / slack32, the float test's operands f,
- * and the block mem, which holds sq, sq_floor, the blocked rows r and w,
- * the products q and d, the pattern x and its squares xx, and f's arrays.
- * Every per-node array holds the storage's capacity rounded up to 8
- * nodes. */
+ * blocks of 8 nodes the storage holds, the stops, the guard, slack,
+ * F / slack, F / slack32 and slack32, and the block mem, which holds sq,
+ * sq_floor, the list of live blocks, the rows r and w in chunks and
+ * blocks, the products q and d, the pattern x and its squares xx, each
+ * node's p and weight, and ops, the stops' operands: per block, per stop,
+ * the sq32 of its 8 nodes, then their sqf32. Every per-node array holds
+ * the storage's capacity rounded up to 8 nodes. */
 struct shadow {
-    ptrdiff_t mp;
+    ptrdiff_t mp, blocks, stops;
     double guard, slack, floor, floor32;
-    struct lanes f;
+    float slack32;
     void *mem;
     double *sq, *sq_floor;
-    float *r, *w, *q, *d, *x, *xx;
+    ptrdiff_t *live;
+    float *r, *w, *q, *d, *x, *xx, *p, *weight, *ops;
 };
 
 /* Node j of the shadow from its rows. */
@@ -698,21 +775,26 @@ static void shade(struct shadow *s, const struct som_view *v, ptrdiff_t j)
     const ptrdiff_t m = v->m;
     const double *c = v->centers + j * m, *r = v->rel + j * m;
     const double mass = v->sums[j];
-    float *rs = s->r + (j / 8 * s->mp) * 8 + j % 8;
-    float *ws = s->w + (j / 8 * s->mp) * 8 + j % 8;
+    const ptrdiff_t lane = j / 8 * 64 + j % 8;
+    float *ops = s->ops + j / 8 * s->stops * 16 + j % 8;
     int safe = 1;
     for (ptrdiff_t q = 0; q < m; q++)
         safe &= r[q] >= 0.0 && r[q] <= 16.0 && fabs(c[q]) <= s->guard;
     double sq = safe ? 0.0 : NAN;
     for (ptrdiff_t q = 0; q < m; q++) {
         const double rc = safe && r[q] >= 0x1p-126 ? r[q] * c[q] : 0.0;
-        rs[q * 8] = safe && r[q] >= 0x1p-126 ? (float)r[q] : 0.0f;
-        ws[q * 8] = (float)(-2.0 * rc);
+        const ptrdiff_t at = q / 8 * s->blocks * 64 + q % 8 * 8 + lane;
+        s->r[at] = safe && r[q] >= 0x1p-126 ? (float)r[q] : 0.0f;
+        s->w[at] = (float)(-2.0 * rc);
         sq += rc * c[q];
+        if (q >= 15 && (q % 8 == 7 || q == m - 1)) {
+            ops[(q / 8 - 1) * 16] = (float)sq;
+            ops[(q / 8 - 1) * 16 + 8] = (float)(sq + s->floor32);
+        }
     }
     s->sq[j] = sq;
     s->sq_floor[j] = sq + s->floor;
-    set_lanes(&s->f, j, sq, s->floor32, mass, 1.0 / (mass * mass));
+    s->weight[j] = weight32(mass, 1.0 / (mass * mass));
 }
 
 /* The shadow of a map of n nodes into *s, for a call of som_train that
@@ -728,28 +810,32 @@ static struct shadow *shadow_open(struct shadow *s, const struct som_view *v,
         return NULL;
     const ptrdiff_t mp = (m + 7) / 8 * 8;
     s->mp = mp;
+    s->blocks = slots / 8;
+    s->stops = mp / 8 - 1;
     s->guard = guard(m);
     s->slack = 4.0 * (double)(m + 4) * 0x1p-24;
-    s->f.slack = slack32(m);
+    s->slack32 = slack32(m);
     s->floor = (double)m * 0x1p-100 / s->slack;
-    s->floor32 = (double)m * 0x1p-100 / s->f.slack;
-    const size_t floats = (size_t)(2 * slots * mp + 2 * mp + 6 * slots);
+    s->floor32 = (double)m * 0x1p-100 / s->slack32;
+    const size_t floats =
+        (size_t)(2 * slots * mp + 2 * mp + 4 * slots + 2 * slots * s->stops);
     s->mem = calloc(2 * (size_t)slots * sizeof(double) +
+                    (size_t)slots / 8 * sizeof(ptrdiff_t) +
                     floats * sizeof(float), 1);
     if (s->mem == NULL)
         return NULL;
     s->sq = s->mem;
     s->sq_floor = s->sq + slots;
-    s->r = (float *)(s->sq_floor + slots);
+    s->live = (ptrdiff_t *)(s->sq_floor + slots);
+    s->r = (float *)(s->live + slots / 8);
     s->w = s->r + slots * mp;
     s->q = s->w + slots * mp;
     s->d = s->q + slots;
     s->x = s->d + slots;
     s->xx = s->x + mp;
-    s->f.p = s->xx + mp;
-    s->f.sq = s->f.p + slots;
-    s->f.sq_floor = s->f.sq + slots;
-    s->f.weight = s->f.sq_floor + slots;
+    s->p = s->xx + mp;
+    s->weight = s->p + slots;
+    s->ops = s->weight + slots;
     for (ptrdiff_t j = 0; j < n; j++)
         shade(s, v, j);
     return s;
@@ -763,14 +849,82 @@ INLINE void add8(v8f *acc, float a, const float *p)
     *acc += a * v;
 }
 
-/* winner() through the screen of shadow s, when the map and the pattern
+/* q and d of block b over `chunks` chunks of 8 dimensions from chunk c,
+ * added to *q and *d, with a second accumulator per lane for the odd
+ * dimensions. */
+INLINE void sum_chunks(const struct shadow *s, ptrdiff_t b, ptrdiff_t c,
+                       int chunks, v8f *q, v8f *d)
+{
+    v8f q1 = {0.0f}, d1 = q1;
+#pragma GCC unroll 2
+    for (int i = 0; i < chunks; i++, c++) {
+        const ptrdiff_t at = (c * s->blocks + b) * 64;
+        const float *r = s->r + at, *w = s->w + at, *xx = s->xx + c * 8,
+                    *x = s->x + c * 8;
+#pragma GCC unroll 4
+        for (int k = 0; k < 8; k += 2) {
+            add8(q, xx[k], r + k * 8);
+            add8(d, x[k], w + k * 8);
+            add8(&q1, xx[k + 1], r + k * 8 + 8);
+            add8(&d1, x[k + 1], w + k * 8 + 8);
+        }
+    }
+    *q += q1;
+    *d += d1;
+}
+
+/* The p of block b's nodes at stop k into *p, from their sums q and d
+ * there; the lanes of nodes from n on get +inf, so that they are never a
+ * pivot and never keep a block going. */
+INLINE void stop(const struct shadow *s, ptrdiff_t b, ptrdiff_t k,
+                 ptrdiff_t n, const v8f *q, const v8f *d, v8f *p)
+{
+    const float *ops = s->ops + (b * s->stops + k) * 16;
+    v8f sq, sqf, weight;
+    __builtin_memcpy(&sq, ops, sizeof sq);
+    __builtin_memcpy(&sqf, ops + 8, sizeof sqf);
+    __builtin_memcpy(&weight, s->weight + b * 8, sizeof weight);
+    *p = (((*d + *q) + sq) - (*q + sqf) * s->slack32) * weight;
+    if (n - b * 8 < 8) {
+        const v8i lane = {0, 1, 2, 3, 4, 5, 6, 7};
+        const v8i pad = lane >= (int32_t)(n - b * 8);
+        const v8f inf = {INFINITY, INFINITY, INFINITY, INFINITY,
+                         INFINITY, INFINITY, INFINITY, INFINITY};
+        *p = (v8f)(((v8i)*p & ~pad) | ((v8i)inf & pad));
+    }
+}
+
+/* Whether the float test at threshold h rules out all 8 lanes of p, four
+ * lanes at a time. */
+INLINE int ruled_out8(const v8f *p, float h)
+{
+    const v4i no = (__builtin_shufflevector(*p, *p, 0, 1, 2, 3) > h) &
+                   (__builtin_shufflevector(*p, *p, 4, 5, 6, 7) > h);
+    uint64_t all[2];
+    __builtin_memcpy(all, &no, sizeof all);
+    return (all[0] & all[1]) == UINT64_MAX;
+}
+
+/* least4() of block b's 8 p, in two sets of four lanes. */
+INLINE void least8(const v8f *p, ptrdiff_t b, v4f low[2], v4i at[2])
+{
+    const v4i idx = {0, 1, 2, 3};
+    least4(__builtin_shufflevector(*p, *p, 0, 1, 2, 3),
+           idx + (int32_t)(b * 8), &low[0], &at[0]);
+    least4(__builtin_shufflevector(*p, *p, 4, 5, 6, 7),
+           idx + (int32_t)(b * 8 + 4), &low[1], &at[1]);
+}
+
+/* winner() through the screen of shadow sh, when the map and the pattern
  * pass its gates; *partial is set when v->acts holds only the activations
  * of the nodes computed. */
 CLONES static ptrdiff_t search(const struct som_view *v,
-                               struct shadow *s, ptrdiff_t n,
+                               const struct shadow *sh, ptrdiff_t n,
                                const double *x, int *partial)
 {
-    const ptrdiff_t m = v->m, mp = s->mp;
+    /* a copy that no store to the arrays can change */
+    const struct shadow copy = *sh, *const s = &copy;
+    const ptrdiff_t m = v->m, blocks = (n + 7) / 8;
     *partial = 0;
     if (n < SCREEN_MIN_NODES)
         return winner(v, n, x);
@@ -780,26 +934,76 @@ CLONES static ptrdiff_t search(const struct som_view *v,
         s->x[q] = (float)x[q];
         s->xx[q] = s->x[q] * s->x[q];
     }
-    /* q and d of 8 nodes a block, each with two accumulators per lane */
-    for (ptrdiff_t b = 0; b * 8 < n; b++) {
-        const float *r = s->r + b * mp * 8, *w = s->w + b * mp * 8;
-        v8f q0 = {0.0f}, q1 = q0, d0 = q0, d1 = q0;
-        for (ptrdiff_t k = 0; k < mp; k += 2) {
-            add8(&q0, s->xx[k], r + k * 8);
-            add8(&d0, s->x[k], w + k * 8);
-            add8(&q1, s->xx[k + 1], r + k * 8 + 8);
-            add8(&d1, s->x[k + 1], w + k * 8 + 8);
-        }
-        const v8f qb = q0 + q1, db = d0 + d1;
-        __builtin_memcpy(s->q + b * 8, &qb, sizeof qb);
-        __builtin_memcpy(s->d + b * 8, &db, sizeof db);
+    /* stop 0 of every block, and its node of least p: the pivot */
+    const v4f inf4 = {INFINITY, INFINITY, INFINITY, INFINITY};
+    v4f low[2] = {inf4, inf4};
+    v4i at[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
+    for (ptrdiff_t b = 0; b < blocks; b++) {
+        v8f q = {0.0f}, d = q, p;
+        sum_chunks(s, b, 0, 2, &q, &d);
+        stop(s, b, 0, n, &q, &d, &p);
+        __builtin_memcpy(s->q + b * 8, &q, sizeof q);
+        __builtin_memcpy(s->d + b * 8, &d, sizeof d);
+        __builtin_memcpy(s->p + b * 8, &p, sizeof p);
+        least8(&p, b, low, at);
     }
+    float least;
+    ptrdiff_t piv = across(low, at, &least);
     /* no fallback reads a_t here: NaN leaves o.sure alone */
     const struct som_nodes nodes = {n, m, v->eps, s->slack, v->centers,
                                     v->rel, v->sums, s->sq, s->sq_floor,
                                     NULL, v->labels};
+    double L = exact(&nodes, piv, x);
+    float h = threshold(cutoff(L));
+    /* the blocks the float test at L keeps go on, a chunk at a time, in a
+     * list of live blocks that each stop filters without a branch; with
+     * one stop there is none to go on to */
+    ptrdiff_t live = 0;
+    for (ptrdiff_t b = 0; s->stops > 1 && b < blocks; b++) {
+        v8f p;
+        __builtin_memcpy(&p, s->p + b * 8, sizeof p);
+        s->live[live] = b;
+        live += !ruled_out8(&p, h);
+    }
+    for (ptrdiff_t k = 1; k < s->stops; k++) {
+        low[0] = low[1] = inf4;
+        for (ptrdiff_t i = 0; i < live; i++) {
+            const ptrdiff_t b = s->live[i];
+            v8f q, d, p;
+            __builtin_memcpy(&q, s->q + b * 8, sizeof q);
+            __builtin_memcpy(&d, s->d + b * 8, sizeof d);
+            sum_chunks(s, b, k + 1, 1, &q, &d);
+            stop(s, b, k, n, &q, &d, &p);
+            __builtin_memcpy(s->q + b * 8, &q, sizeof q);
+            __builtin_memcpy(s->d + b * 8, &d, sizeof d);
+            __builtin_memcpy(s->p + b * 8, &p, sizeof p);
+            least8(&p, b, low, at);
+        }
+        /* the node of least p at this stop is the pivot from now on where
+         * its activation lies above L and its threshold is not above h, so
+         * that it rules out every node h ruled out */
+        const ptrdiff_t next = across(low, at, &least);
+        if (least < INFINITY && next != piv) {
+            const double L2 = exact(&nodes, next, x);
+            const float h2 = threshold(cutoff(L2));
+            if (L2 > L && h2 <= h) {
+                L = L2;
+                h = h2;
+                piv = next;
+            }
+        }
+        ptrdiff_t kept = 0;
+        for (ptrdiff_t i = 0; i < live; i++) {
+            const ptrdiff_t b = s->live[i];
+            v8f p;
+            __builtin_memcpy(&p, s->p + b * 8, sizeof p);
+            s->live[kept] = b;
+            kept += !ruled_out8(&p, h);
+        }
+        live = kept;
+    }
     struct row o = {0, -INFINITY, -INFINITY, v->acts};
-    decide(&nodes, &s->f, s->q, s->d, x, NAN, &o);
+    walk(&nodes, s->p, s->q, s->d, x, L, piv, NAN, 0, &o, NULL, NULL);
     *partial = 1;
     return o.w;
 }
@@ -1191,7 +1395,7 @@ CLONES void som_classify(const struct som_nodes *s, ptrdiff_t rows,
             const double L2 = o.sure >= a_t ? o.sure : a_t;
             ptrdiff_t k = -1;
             double best = -INFINITY;
-            walk(s, &f, q, d, x, L2, -1, a_t, 1, NULL, &k, &best);
+            walk(s, f.p, q, d, x, L2, -1, a_t, 1, NULL, &k, &best);
             if (k >= 0) {
                 o.w = k;
                 o.top = best;

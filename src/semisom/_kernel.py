@@ -60,11 +60,17 @@ path.
 From 16 dimensions and 32 nodes on, ``som_train`` finds each winner
 through the screen of ``som_classify``, run on one pattern (``search``):
 it keeps the screen's node operands, the float32 rows of ``rel`` and
-``-2 rel * c`` and each node's ``|c|_rel^2``, allocated when it starts and
-freed when it returns, sums the pattern's two float32 products with
-them, eight nodes at a time, and computes in double only the nodes whose
+``-2 rel * c`` and each node's ``|c|_rel^2``, whole and as a running sum
+at every eighth dimension from the 16th on, allocated when it starts and
+freed when it returns. It sums the pattern's two float32 products with
+them eight nodes at a time: over the first 16 dimensions for every node,
+which picks a pivot node, then 8 dimensions more at a time for each block
+of 8 nodes until the float test proves all their activations below the
+pivot's, so that a map whose relevances gather on a few dimensions
+reads only part of each row. It computes in double only the nodes whose
 bounds cannot prove their activation below a pivot node's (one
-derivation in ``_kernel.c`` serves both passes). Its winner is
+derivation in ``_kernel.c`` serves both passes and every partial sum).
+Its winner is
 ``winner``'s, bit for bit, so ``_winner`` stays the mirror of both. The
 activation row holds ``winner``'s values wherever the loop reads it: the
 loop completes the row before ``second_winner`` and before it returns

@@ -87,7 +87,7 @@ class HyperParams:
                         f"{f.name} must be an integer, got {value!r}")
             elif is_bool:
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
-            elif not math.isfinite(value):
+            elif not _finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name, ok, domain in (
                 ("a_t", 0.0 < self.a_t < 1.0, "lie in (0, 1)"),
@@ -105,6 +105,14 @@ class HyperParams:
             if not ok:
                 raise ValueError(
                     f"{name} must {domain}, got {getattr(self, name)}")
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, false for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def compute_relevances(dist_avg: np.ndarray, slope: float) -> np.ndarray:

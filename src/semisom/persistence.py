@@ -151,7 +151,7 @@ def load_model(path) -> TrainedModel:
     try:
         som = SomMap.from_arrays(
             max(params.n_max, len(columns[0])), *columns,
-            _read_connections(path, doc["connections"]))
+            _read_connections(doc["connections"]))
         _require_classes(som.labels, len(classes), "node")
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -212,13 +212,13 @@ def _check_keys(path, where: str, doc, keys, exact: bool = False) -> None:
         raise DataFormatError(f"{path}: {where}unknown key {unknown[0]!r}")
 
 
-def _read_connections(path, pairs) -> list:
-    """The JSON pairs of integers; ``SomMap.from_arrays`` checks them."""
+def _read_connections(pairs) -> list:
+    """The JSON pairs of integers; ``SomMap.from_arrays`` checks them.
+    Its caller puts the path in front of the message."""
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(j) is int for j in pair)):
-            raise DataFormatError(
-                f"{path}: connection {pair!r} is not a pair of node ids")
+            raise ValueError(f"connection {pair!r} is not a pair of node ids")
     return pairs
 
 

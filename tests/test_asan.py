@@ -5,9 +5,11 @@ overrun of a heap block, such as the float32 shadow that ``som_train``
 allocates for its screened search, shows at best as a crash of the test
 process. The ``asan`` build of ``tests/conftest.py`` checks every heap
 access, but its library loads only into a process that starts with libasan
-preloaded, so this test starts one. The child trains a screened map (20
-dimensions, so the shadow's rows carry 4 dimensions of padding) and a
-plain one (8 dimensions), each through insertions into full storage,
+preloaded, so this test starts one. The child trains two screened maps, of
+20 dimensions (so the shadow's rows carry 4 dimensions of padding) and of
+36 dimensions (5 chunks of 8, the last one partial) on projected clusters,
+whose blocks stop after the chunks of every partial sum, and a plain one
+(8 dimensions), each through insertions into full storage,
 pruning sweeps and links across three adjacency words, saves and
 classifies with each, writes its node list through the model node writer
 (``som_write_nodes``), reads the saved node list back through the model
@@ -50,19 +52,31 @@ from conftest import BUILDS
 from test_loader_fuzz import ARFF, CSV
 
 CLASSES, CENTERS = 24, 220
+# The map whose classes each live on 12 of its dimensions.
+PROJECTED = 36
 
 
 def _run(m: int):
     """Six noisy draws of each of ``CENTERS`` centers in ``m`` dimensions,
     of ``CLASSES`` classes, 70 % labelled. A high ``a_t`` inserts a node
     at each new center, past the storage's doublings and three bit words
-    of 64 nodes, and the sweeps keep the nodes that have won."""
+    of 64 nodes, and the sweeps keep the nodes that have won. In
+    ``PROJECTED`` dimensions each class lives on its own 12 dimensions
+    and the others are uniform noise over [0.45, 0.55], so that the nodes'
+    relevances gather on the 12 and the screened search stops blocks after
+    partial sums."""
     rng = np.random.default_rng(m)
     idx = np.tile(np.arange(CENTERS), 6)
     centers = rng.random((CENTERS, m))
     patterns = centers[idx] + rng.normal(0.0, 0.01, size=(len(idx), m))
-    ds = Dataset(patterns=np.clip(patterns, 0.0, 1.0),
-                 labels=rng.integers(CLASSES, size=CENTERS)[idx],
+    labels = rng.integers(CLASSES, size=CENTERS)[idx]
+    if m == PROJECTED:
+        on = np.zeros((CLASSES, m), bool)
+        for c in range(CLASSES):
+            on[c, rng.choice(m, size=12, replace=False)] = True
+        noise = 0.45 + 0.1 * rng.random(patterns.shape)
+        patterns = np.where(on[labels], patterns, noise)
+    ds = Dataset(patterns=np.clip(patterns, 0.0, 1.0), labels=labels,
                  class_names=tuple(f"c{i}" for i in range(CLASSES)),
                  dim_names=tuple(f"f{i}" for i in range(m)))
     params = HyperParams(a_t=0.99, lp=1e-4, beta=0.1, age_wins=700,
@@ -76,7 +90,7 @@ def _results(tmp: Path) -> list[dict]:
     highest linked node, and the sha256 of its model file and of its
     classification of training patterns and outliers; then ``_loaded``."""
     out = []
-    for m in (20, 8):
+    for m in (20, 8, PROJECTED):
         ds, params = _run(m)
         state = train_with_state(ds, params)
         som = state.som

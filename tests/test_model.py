@@ -463,10 +463,14 @@ def test_params_validation():
                        ("age_wins", math.inf), ("epochs", math.inf),
                        ("n_max", math.inf), ("lp", True), ("e_b", True),
                        ("push_rate", False), ("e_n", np.True_),
-                       ("eps_beta", True), ("minwd", np.False_)]:
+                       ("eps_beta", True), ("minwd", np.False_),
+                       ("a_t", 10 ** 400), ("minwd", -10 ** 400)]:
         from dataclasses import replace
         with pytest.raises(ValueError):
             replace(good, **{field: bad}).validate()
+    # an int beyond the float range is refused, not left to overflow
+    with pytest.raises(ValueError, match="a_t must be finite"):
+        replace(good, a_t=10 ** 400).validate()
 
 
 def test_params_require_integer_counts():

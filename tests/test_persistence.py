@@ -323,6 +323,25 @@ def test_model_of_wrong_json_types_is_a_data_error(trained, tmp_path, edit,
     assert _predict(bad, tmp_path) == EXIT_DATA
 
 
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_set("params", "a_t", value=lambda v: 10 ** 400),
+                 "params: a_t must be finite, got 10{400}",
+                 id="huge-integer-param"),
+    pytest.param(_set("connections", value=lambda v: [[0, "x"]]),
+                 r"connection \[0, 'x'\] is not a pair of node ids",
+                 id="connection-of-a-string"),
+])
+def test_inspect_names_a_malformed_model_file_once(trained, tmp_path, capsys,
+                                                   edit, where):
+    """``semisom inspect`` refuses the file as a data error, exit 2, with a
+    message that names the file once."""
+    bad = _corrupt(trained[3], tmp_path, edit)
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"data error: {re.escape(str(bad))}: {where}\n", err)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=5),

@@ -1,13 +1,15 @@
 """The screened winner search of the training loop against its numpy twin.
 
 From 16 dimensions and 32 nodes on, ``som_train`` finds each winner
-through a float32 screen (``search`` in ``_kernel.c``) and computes in
-double only the nodes the screen cannot rule out. The winner, every node
-row, the counters and the activation rows the loop reads must still be
-``_train_numpy``'s, bit for bit. Every map here passes those gates, and
-every chunk holds at least two draws, since the last draw of a call runs
-the full search. The tests run on the clones, the baseline-only build and
-the two ubsan builds, which must report no undefined behaviour.
+through a float32 screen (``search`` in ``_kernel.c``), which sums a
+block of 8 nodes 8 dimensions at a time past the first 16 and stops once
+its partial sums rule all 8 out, and computes in double only the nodes
+the screen cannot rule out. The winner, every node row, the counters and
+the activation rows the loop reads must still be ``_train_numpy``'s, bit
+for bit. Every map here passes those gates, and every chunk holds at
+least two draws, since the last draw of a call runs the full search. The
+tests run on the clones, the baseline-only build and the two ubsan
+builds, which must report no undefined behaviour.
 """
 
 import pickle
@@ -357,4 +359,182 @@ def test_sweep_keeps_and_relinks_more_than_a_word_of_nodes():
     assert fast.n_nodes == n
     assert any(i < 64 <= j for i, j in fast.connections)
     assert (fast.labels[unlabelled[[0, -1]]] == 2).all()
+    _assert_same_maps(fast, slow)
+
+
+@st.composite
+def _projected_runs(draw):
+    """A map of projected clusters past the screen's gates, and draws from
+    its classes, in 17 to 48 dimensions.
+
+    Each class lives on its own subset of dimensions, anywhere in the row:
+    its nodes have their centers near the class's mean, relevances near one
+    and small distance averages there, and relevances near zero (or zero)
+    and large distance averages elsewhere, so that their updates keep the
+    relevances where they are. The nodes are sorted by label, so that most
+    blocks of 8 nodes hold one class, and a pattern off a block's subset
+    rules the block out after the chunk that holds enough of that subset:
+    over the examples, blocks stop at every stop, the last one included.
+    Patterns lie on their class's mean on its subset and anywhere
+    elsewhere; some are unlabelled, some far from every class.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(17, 48))
+    n = draw(st.integers(32, 96))
+    k = draw(st.integers(2, 40))
+    classes = draw(st.integers(2, 6))
+    sub = draw(st.integers(2, min(12, m // 2)))
+    subsets = [rng.choice(m, size=sub, replace=False) for _ in range(classes)]
+    means = rng.random((classes, m))
+    owner = np.sort(rng.integers(classes, size=n))
+    labels = np.where(rng.random(n) < 0.1, NO_CLASS, owner)
+    off = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    centers = rng.random((n, m))
+    rel = rng.random((n, m)) * off
+    dist = 0.2 + 0.2 * rng.random((n, m))
+    for j, c in enumerate(owner):
+        on = subsets[c]
+        centers[j, on] = means[c, on] + rng.normal(size=sub) * 0.02
+        rel[j, on] = 0.9 + 0.1 * rng.random(sub)
+        dist[j, on] = 0.01 * rng.random(sub)
+    drawn = rng.integers(classes, size=k)
+    patterns = rng.random((k, m))
+    for i, c in enumerate(drawn):
+        on = subsets[c]
+        patterns[i, on] = means[c, on] + rng.normal(size=sub) * draw(
+            st.sampled_from([0.0, 0.01, 0.1]))
+    patterns[rng.random(k) < 0.1] += 3.0
+    pattern_labels = np.where(rng.random(k) < 0.2, NO_CLASS, drawn)
+    params = HyperParams(
+        a_t=draw(st.sampled_from([0.5, 0.9, 0.99])),
+        lp=draw(st.sampled_from([0.001, 0.01, 0.2])),
+        beta=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        age_wins=draw(st.integers(1, 2 * k)),
+        e_b=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        push_rate=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        e_n=draw(st.sampled_from([0.0, 0.001, 0.05])),
+        eps_beta=draw(st.sampled_from([0.01, 0.05, 1.0])),
+        minwd=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        epochs=1, n_max=n + draw(st.integers(0, 20)))
+    return dict(centers=centers, rel=rel, dist=dist, labels=labels,
+                wins=rng.integers(0, 4, size=n), patterns=patterns,
+                pattern_labels=pattern_labels, params=params,
+                allow_insert=draw(st.booleans()),
+                nwins=draw(st.integers(0, params.age_wins)))
+
+
+@screened
+@settings(max_examples=40, deadline=None)
+@given(run=_projected_runs())
+def test_screen_by_chunks_equals_python_loop_on_projected_clusters(run):
+    """Blocks that stop after any chunk leave the loop's winners, rows,
+    counters and links those of ``_train_numpy``, bit for bit."""
+    fast, slow = _gated_twins(run)
+    args = _kernel.params(run["params"], run["allow_insert"])
+    counts = [_present(som, args, run["patterns"], run["pattern_labels"],
+                       run["nwins"]) for som in (fast, slow)]
+    assert counts[0] == counts[1]
+    _assert_same_maps(fast, slow)
+
+
+@screened
+@settings(max_examples=20, deadline=None)
+@given(run=_projected_runs())
+def test_activation_row_after_a_chunk_on_projected_clusters(run):
+    """After a chunk, the activation row holds the last draw's activations,
+    whichever chunks the blocks stopped at before it."""
+    fast, slow = _gated_twins(run)
+    args = _kernel.params(run["params"], run["allow_insert"])
+    patterns, labels = run["patterns"], run["pattern_labels"]
+    _present(slow, args, patterns[:-1], labels[:-1], run["nwins"])
+    n, v = slow.n_nodes, slow._arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _activations(v.centers[:n], v.rel[:n], v.sums[:n], patterns[-1])
+    _present(fast, args, patterns, labels, run["nwins"])
+    assert _same(fast._arrays.acts[:n], want)
+
+
+def _edge_map(m: int, chunk: int, x: np.ndarray, near: np.ndarray,
+              decoy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and relevances of 48 nodes in m dimensions: the decoy is
+    node 0, the node `near` is node 8, and every other node lies far from
+    the pattern x, so that the float test rules its block out at the first
+    stop. Relevances are one."""
+    rng = np.random.default_rng(13 + chunk)
+    centers = -1.0 - rng.random((48, m))
+    centers[0], centers[8] = decoy, near
+    return centers, np.ones((48, m))
+
+
+def _float_bound(x: np.ndarray, c: np.ndarray) -> float:
+    """The float32 bound of the screen on |c - x|^2, with relevances of
+    one, before its slack term: fl32(fl32(d + q) + fl32(|c|^2)). Exact
+    whatever the order of its float sums, for the rows of the test below."""
+    x32 = x.astype(np.float32)
+    q = np.sum(x32 * x32, dtype=np.float32)
+    d = np.sum(x32 * (-2.0 * c).astype(np.float32), dtype=np.float32)
+    return float(np.float32(d + q) + np.float32(np.sum(c * c)))
+
+
+@screened
+@pytest.mark.parametrize("m, chunk", [(40, 1), (40, 2), (40, 3), (40, 4),
+                                      (36, 4), (20, 2)])
+def test_partial_sum_slack_keeps_a_winner_its_float_sq_rounds_up(m, chunk):
+    """The pattern, the winner (node 8) and a decoy (node 0) are 0 outside
+    chunk ``chunk`` of 8 dimensions. Inside it the winner sits on the
+    pattern, c = 1 + 2^-23 + 2^-25, which rounds to the float
+    c' = 1 + 2^-23, and the decoy on c', 2^-25 off. Every float sum is
+    exact but the float |c|^2 of each stop from that chunk on: the
+    winner's rounds up by 2^-23 per 8 dimensions, the decoy's not. Before
+    its slack term the winner's float bound is thus above 0 and the
+    decoy's 0; the decoy is the pivot, and the winner, at distance 0,
+    would be ruled out at the stop after that chunk, the first stop for
+    chunk 1 and a partial sum for each chunk but the last. Only that
+    stop's slack keeps it. The other nodes lie far from the pattern."""
+    x = np.zeros(m)
+    inside = np.arange(m)[8 * chunk:8 * chunk + 8]
+    x[inside] = 1.0 + 2.0 ** -23 + 2.0 ** -25
+    decoy = np.zeros(m)
+    decoy[inside] = 1.0 + 2.0 ** -23
+    assert (x.astype(np.float32) == decoy).all()
+    assert _float_bound(x, decoy) == 0.0
+    assert _float_bound(x, x) == len(inside) * 2.0 ** -23
+    centers, rel = _edge_map(m, chunk, x, x, decoy)
+    acts = _activations(centers, rel, rel.sum(axis=1), x)
+    assert np.argmax(acts) == 8 and acts[8] > acts[0]
+    fast, slow = _twins(centers, rel, np.full(48, NO_CLASS), 64, 0.3)
+    args = _kernel.params(_PARAMS, True)
+    patterns = np.vstack([x, centers[20]])
+    for som in (fast, slow):
+        _present(som, args, patterns, np.full(2, NO_CLASS))
+    assert fast.wins[8] == 1
+    _assert_same_maps(fast, slow)
+
+
+@screened
+@pytest.mark.parametrize("m, chunk", [(40, 2), (40, 3), (40, 4), (20, 2)])
+def test_block_stops_only_after_the_chunk_it_has_summed(m, chunk):
+    """The winner (node 8) sits on the pattern, but for 0.01 in dimension
+    0, and the pattern is large (4.0) in chunk ``chunk`` of 8 dimensions,
+    where the winner's relevances are one. The decoy (node 0) is 0.02 off
+    in dimension 1 and has relevances near zero in that chunk. Before the
+    chunk is summed, the winner's |c|^2 there is far above the pattern's
+    part of its bound; a stop that took the chunk's |c|^2 without its sums
+    would rule the winner out, one chunk too early."""
+    x = np.full(m, 0.5)
+    inside = np.arange(m)[8 * chunk:8 * chunk + 8]
+    x[inside] = 4.0
+    near, decoy = x.copy(), x.copy()
+    near[0] += 0.01
+    decoy[1] += 0.02
+    centers, rel = _edge_map(m, chunk, x, near, decoy)
+    rel[0, inside] = 1e-6
+    acts = _activations(centers, rel, rel.sum(axis=1), x)
+    assert np.argmax(acts) == 8 and acts[8] > acts[0]
+    fast, slow = _twins(centers, rel, np.full(48, NO_CLASS), 64, 0.3)
+    args = _kernel.params(replace(_PARAMS, a_t=0.001), True)
+    patterns = np.vstack([x, centers[20]])
+    for som in (fast, slow):
+        _present(som, args, patterns, np.full(2, NO_CLASS))
+    assert fast.wins[8] == 1
     _assert_same_maps(fast, slow)
